@@ -24,8 +24,6 @@ import time
 from pathlib import Path
 from typing import Any, Sequence
 
-from scipy.constants import c as C_VACUUM
-
 from . import __version__
 from .design import (
     DesignGoal,
@@ -51,7 +49,7 @@ from .errors import (
     QuadratureFailure,
     ValidityExceeded,
 )
-from .geometry import finesse as ring_finesse, resonance_comb
+from .geometry import C_VACUUM, finesse as ring_finesse, resonance_comb
 from .linear_cmt import (
     isolation_db,
     kerr_delta_beta,
@@ -98,13 +96,19 @@ def parse_frequency(text: str) -> float:
         scale = _FREQUENCY_UNITS.get(unit, 1.0)
         if value <= 0.0:
             raise ValueError(f"frequency must be positive, got {text!r}")
-        return TWO_PI * value * scale
-    if unit in _WAVELENGTH_UNITS:
+        omega = TWO_PI * value * scale
+    elif unit in _WAVELENGTH_UNITS:
         wavelength = value * _WAVELENGTH_UNITS[unit]
         if wavelength <= 0.0:
             raise ValueError(f"wavelength must be positive, got {text!r}")
-        return TWO_PI * C_VACUUM / wavelength
-    raise ValueError(f"unknown unit {m.group(2)!r} in {text!r}")
+        omega = TWO_PI * C_VACUUM / wavelength
+    else:
+        raise ValueError(f"unknown unit {m.group(2)!r} in {text!r}")
+    # Overflowing literals (1e400) and conversions (1e300THz) come out
+    # infinite, an overflowing wavelength (1e400nm) comes out zero.
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"frequency must be finite and positive, got {text!r}")
+    return omega
 
 
 def _band_pair(edges: Sequence[str]) -> tuple[float, float]:

@@ -26,11 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.constants import c as C_VACUUM
-from scipy.optimize import brentq
-
 from .errors import Infeasible, MissingResonance, NoConvergence, OutOfRange, ValidityExceeded
 from .geometry import (
+    C_VACUUM,
+    HBAR,
     CouplingModel,
     DeviceSpec,
     Resonance,
@@ -184,10 +183,9 @@ def solve_gap_for_uncoupling(
 ) -> float:
     """Coupler gap placing the m-th linear null at the given length.
 
-    Solves |kappa|(gap) = m * pi / length by bracketed bisection over
-    the gap budget, then polishes with one exact logarithmic step of
-    the exponential gap law, so the returned gap reproduces the null to
-    machine precision (far inside the 1e-12 m tolerance).
+    Inverts the exponential gap law for |kappa|(gap) = m * pi / length
+    in closed form, gap = gap_ref + decay_len * ln(kappa0 / target),
+    after checking that the target is reachable inside the gap budget.
 
     Raises
     ------
@@ -203,26 +201,13 @@ def solve_gap_for_uncoupling(
     if not 0.0 < lo < hi:
         raise ValueError(f"gap_budget must be an increasing positive pair, got {gap_budget}")
     target = m_order * math.pi / length
-
-    def f(gap: float) -> float:
-        return model.kappa_abs(gap) - target
-
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo < 0.0 or f_hi > 0.0:
+    if model.kappa_abs(lo) < target or model.kappa_abs(hi) > target:
         raise OutOfRange(
             f"required |kappa| = {target:.6g} 1/m is outside "
             f"[{model.kappa_abs(hi):.6g}, {model.kappa_abs(lo):.6g}] reachable "
             f"over the gap budget {gap_budget}"
         )
-    if f_lo == 0.0:
-        gap = lo
-    elif f_hi == 0.0:
-        gap = hi
-    else:
-        gap = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    # The model is a pure exponential, so one log step lands exactly.
-    gap = gap + model.decay_len * math.log(model.kappa_abs(gap) / target)
-    return float(gap)
+    return model.gap_ref + model.decay_len * math.log(model.kappa0 / target)
 
 
 def _pump_pair(
@@ -280,20 +265,17 @@ def _solve_heater_shift(omega_line: float, omega_mid: float, linewidth: float) -
     """Additional heater shift placing a comb line at the pump midpoint.
 
     The residual 2 * (omega_line + ds) - 2 * omega_mid is linear in the
-    shift; it is still solved by bracketed bisection (the procedure
-    stays valid for mildly nonlinear tuner laws) to a residual below
-    1e-6 linewidths.
+    shift, so its root is ds = omega_mid - omega_line. The bracket
+    check rejects non-finite inputs before the root is taken.
     """
 
     def g(ds: float) -> float:
         return 2.0 * (omega_line + ds) - 2.0 * omega_mid
 
     span = abs(omega_mid - omega_line) + linewidth
-    tol = 0.25 * ENERGY_RESIDUAL_TOL_LINEWIDTHS * linewidth
-    if g(-span) > 0.0 or g(span) < 0.0:
+    if not (g(-span) <= 0.0 <= g(span)):
         raise NoConvergence("heater-shift bracket does not contain the midpoint")
-    ds = brentq(g, -span, span, xtol=tol, rtol=8.9e-16, maxiter=200)
-    return float(ds)
+    return omega_mid - omega_line
 
 
 def _retuned(device: DeviceSpec, goal: DesignGoal, extra_shift: float) -> DeviceSpec:
@@ -501,8 +483,6 @@ def evaluate_design(
     at zero power when no drive is given). The report also carries the
     on-resonance overlap figure and its single-ring ratio.
     """
-    from scipy.constants import hbar
-
     wg = device.waveguide
     residual, deltas, sups, cfg = _tune_diagnostics(device, goal)
     lw = cfg.res_s.linewidth
@@ -512,7 +492,7 @@ def evaluate_design(
 
     if drive is not None:
         omega_p = 0.5 * (cfg.res_p1.omega0 + cfg.res_p2.omega0)
-        pump_power = drive.photon_number * hbar * omega_p / drive.pulse_duration
+        pump_power = drive.photon_number * HBAR * omega_p / drive.pulse_duration
     else:
         pump_power = 0.0
     metric = kerr_validity_metric(
@@ -619,10 +599,8 @@ def optimize_device(
     final = tuned.device
     extra_notes: tuple[str, ...] = tuned.notes
     if drive is not None:
-        from scipy.constants import hbar
-
         omega_p = goal.signal_omega
-        pump_power = drive.photon_number * hbar * omega_p / drive.pulse_duration
+        pump_power = drive.photon_number * HBAR * omega_p / drive.pulse_duration
         comp = xpm_spm_compensation(final, pump_power, goal.max_kerr_metric)
         # The comb model is cold; the counteracting shift cancels a pull
         # the model does not carry, so it is reported rather than folded

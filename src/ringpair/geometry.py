@@ -23,12 +23,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as C_VACUUM
-from scipy.optimize import brentq
 
 from .errors import EmptyBand, NoConvergence
 
 TWO_PI = 2.0 * math.pi
+
+# Physical constants [SI], CODATA 2022; c and h are exact by definition.
+C_VACUUM = 299792458.0
+HBAR = 6.62607015e-34 / TWO_PI
+EPSILON_0 = 8.8541878188e-12
+
+# Largest number of mode orders one comb solve may span; a band edge far
+# out of the optical range would otherwise allocate without bound.
+MAX_COMB_ORDERS = 10**6
 
 
 @dataclass(frozen=True)
@@ -332,11 +339,13 @@ def resonance_comb(
 ) -> list[Resonance]:
     """All resonances of one ring inside a frequency band.
 
-    The resonance condition k(w) * L_rt = 2*pi*m is solved for every
-    integer m whose root lies in the band, by bracketed 1-D root
-    finding driven to machine-level relative tolerance. The heater
-    shift is applied after the solve, as a rigid displacement of the
-    whole comb.
+    Under the dispersion model the propagation constant is exactly
+    quadratic, k(w) = a w^2 + b w + c0, so the resonance condition
+    k(w) * L_rt = 2*pi*m is solved in closed form for every mode order
+    at once. Each root is taken on the branch where k increases, in the
+    cancellation-free form of Numerical Recipes (section 5.6). The
+    heater shift is applied after the solve, as a rigid displacement of
+    the whole comb.
 
     Parameters
     ----------
@@ -354,13 +363,18 @@ def resonance_comb(
 
     Raises
     ------
+    ValueError
+        If a band edge is not finite or not positive, or the band spans
+        more than ``MAX_COMB_ORDERS`` mode orders.
     EmptyBand
         If no mode order lands in the band.
     NoConvergence
-        If the root finder fails for some order (should not happen for
-        monotone dispersion).
+        If the group index is not positive over the search band, so the
+        round-trip phase is not monotone there.
     """
     lo, hi = (float(band[0]), float(band[1]))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"band edges must be finite, got {band}")
     if lo > hi:
         lo, hi = hi, lo
     if lo <= 0.0:
@@ -376,52 +390,44 @@ def resonance_comb(
         raise EmptyBand(f"band {band} is empty for heater shift {s}")
     lo_u = max(lo_u, 1e-6 * hi_u)
 
-    phase_lo = round_trip_phase(wg, ring, lo_u)
-    phase_hi = round_trip_phase(wg, ring, hi_u)
-    if phase_hi < phase_lo:
-        raise NoConvergence("round-trip phase is not increasing over the band")
-    m_lo = int(math.ceil(phase_lo / TWO_PI - 1e-9))
-    m_hi = int(math.floor(phase_hi / TWO_PI + 1e-9))
-    if m_hi < m_lo:
-        raise EmptyBand(f"no resonance of ring with L_rt={ring.round_trip_length} in band {band}")
-
-    out: list[Resonance] = []
-    for m in range(m_lo, m_hi + 1):
-        target = TWO_PI * m
-
-        def f(w: float, _t: float = target) -> float:
-            return round_trip_phase(wg, ring, w) - _t
-
-        a, b = lo_u, hi_u
-        fa, fb = phase_lo - target, phase_hi - target
-        if fa > 0.0 or fb < 0.0:
-            # Root sits within a half period of the band edge; widen.
-            span = hi_u - lo_u
-            a, b = lo_u - 0.51 * span / max(m_hi - m_lo, 1), hi_u + 0.51 * span / max(m_hi - m_lo, 1)
-            if f(a) > 0.0 or f(b) < 0.0:
-                continue
-        try:
-            w_root = brentq(f, a, b, xtol=1e-3, rtol=1e-14, maxiter=200)
-        except (RuntimeError, ValueError) as exc:
-            raise NoConvergence(f"root finding failed for mode order {m}: {exc}") from exc
-
-        w0 = w_root + s
-        if not (lo <= w0 <= hi):
-            continue
-        ql = ring.q_loaded
-        out.append(
-            Resonance(
-                owner=owner,
-                order=m,
-                omega0=w0,
-                q_loaded=ql,
-                q_coupling=ring.q_coupling,
-                linewidth=w0 / ql,
-            )
+    # k(w) = a w^2 + b w + c0 exactly. Its slope 2 a w + b is the group
+    # index over c, linear in w, so positive at both edges of the search
+    # band means positive, and k increasing, over all of it.
+    w_ref, gvd = wg.omega_ref, wg.gvd
+    a = (wg.n_g - wg.n_eff_ref) / (C_VACUUM * w_ref) + 0.5 * gvd
+    b = (2.0 * wg.n_eff_ref - wg.n_g) / C_VACUUM - gvd * w_ref
+    c0 = 0.5 * gvd * w_ref * w_ref
+    if 2.0 * a * lo_u + b <= 0.0 or 2.0 * a * hi_u + b <= 0.0:
+        raise NoConvergence(
+            f"group index is not positive over the search band ({lo_u:.6g}, {hi_u:.6g}) rad/s"
         )
+    length = ring.round_trip_length
+    k_step = TWO_PI / length
+    cycles_lo = ((a * lo_u + b) * lo_u + c0) / k_step
+    cycles_hi = ((a * hi_u + b) * hi_u + c0) / k_step
+    if not cycles_hi - cycles_lo < MAX_COMB_ORDERS:
+        raise ValueError(f"band {band} spans more than {MAX_COMB_ORDERS} mode orders")
+    m_lo = math.ceil(cycles_lo - 1e-9)
+    m_hi = math.floor(cycles_hi + 1e-9)
+    if m_hi < m_lo:
+        raise EmptyBand(f"no resonance of ring with L_rt={length} in band {band}")
+
+    # a w^2 + b w = t for every order at once. A positive group index
+    # keeps b + root > 0, and forces a > 0 when b < 0, so neither form
+    # divides by zero or subtracts near-equal terms.
+    t = np.arange(m_lo, m_hi + 1) * k_step - c0
+    root = np.sqrt(t * (4.0 * a) + b * b)
+    omega = (2.0 * t / (b + root) if b >= 0.0 else (root - b) / (2.0 * a)) + s
+
+    ql, qc = ring.q_loaded, ring.q_coupling
+    # Positional fields: owner, order, omega0, q_loaded, q_coupling, linewidth.
+    out = [
+        Resonance(owner, m, w0, ql, qc, w0 / ql)
+        for m, w0 in zip(range(m_lo, m_hi + 1), omega.tolist())
+        if lo <= w0 <= hi
+    ]
     if not out:
-        raise EmptyBand(f"no resonance of ring with L_rt={ring.round_trip_length} in band {band}")
-    out.sort(key=lambda r: r.omega0)
+        raise EmptyBand(f"no resonance of ring with L_rt={length} in band {band}")
     return out
 
 

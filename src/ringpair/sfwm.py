@@ -30,11 +30,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import epsilon_0, hbar
 
 from . import kernels
 from .errors import MissingResonance, NonPhysical
-from .geometry import DeviceSpec, Resonance, finesse as ring_finesse, resonance_comb
+from .geometry import (
+    EPSILON_0,
+    HBAR,
+    DeviceSpec,
+    Resonance,
+    finesse as ring_finesse,
+    resonance_comb,
+)
 from .nonlinear import ProcessConfig
 from .quadrature import integrate_adaptive
 
@@ -238,11 +244,11 @@ def pair_rate_integral(
 
     pref = (
         drive.photon_number**2
-        * (hbar * omega_s) ** 2
+        * (HBAR * omega_s) ** 2
         / drive.pulse_duration
         * 9.0
         * math.pi**3
-        / (2.0 * epsilon_0**2)
+        / (2.0 * EPSILON_0**2)
         * kcal
         / v_g**4
         * (2.0 / (1.0 - sigma)) ** 4
@@ -280,11 +286,11 @@ def pair_rate_closed_form(
     spectral = (math.pi / 4.0) * fwhm**3 / (delta**2 + fwhm**2) * omega_s2 * omega_p
     pref = (
         drive.photon_number**2
-        * (hbar * omega_s) ** 2
+        * (HBAR * omega_s) ** 2
         / drive.pulse_duration
         * 9.0
         * math.pi**3
-        / (2.0 * epsilon_0**2)
+        / (2.0 * EPSILON_0**2)
         * kcal
         / v_g**4
         * (2.0 / (1.0 - sigma)) ** 4
@@ -394,7 +400,7 @@ def calibrate_kcal(
         raise NonPhysical(f"pump_power must be positive, got {pump_power}")
     wg = device.waveguide
     omega_p = 0.5 * (cfg.res_p1.omega0 + cfg.res_p2.omega0)
-    photon_number = pump_power * pulse_duration / (hbar * omega_p)
+    photon_number = pump_power * pulse_duration / (HBAR * omega_p)
     fin1 = ring_finesse(device.ring1, wg, cfg.res_p1.omega0)
     drive = PumpDrive(
         photon_number=photon_number,

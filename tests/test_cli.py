@@ -49,7 +49,8 @@ class TestParseFrequency:
         assert parse_frequency(" 5 GHz ") == parse_frequency("5GHz")
 
     def test_rejects(self):
-        for bad in ("", "fast", "1.5parsec", "-3GHz", "0Hz", "1..2GHz"):
+        for bad in ("", "fast", "1.5parsec", "-3GHz", "0Hz", "1..2GHz",
+                    "1e400THz", "1e400", "1e300THz", "1e400nm", "1e-320nm"):
             with pytest.raises(ValueError):
                 parse_frequency(bad)
 
@@ -275,6 +276,17 @@ class TestExitCodes:
         rc = main(["spectrum", "--device", DEV, "--band", "192THz"])
         assert rc == EXIT_VALIDATION
         capsys.readouterr()
+
+    def test_non_finite_band_edge(self, tmp_path, capsys):
+        out = tmp_path / "spec.csv"
+        rc = main(["spectrum", "--device", DEV, "--band", "190THz", "1e400THz",
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == EXIT_VALIDATION
+        assert err["context"]["error"] == "ValueError"
+        assert "1e400THz" in err["message"]
 
     def test_numerical_failure_from_broad_lines(self, tmp_path, capsys):
         # Finesse below pi: the self-coupling estimate has no physical

@@ -8,16 +8,23 @@ float rounding and the comparisons can be tight.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.constants
 from scipy.constants import c as C_VACUUM
+from scipy.optimize import brentq
 
 from ringpair import (
     CouplingModel,
     DeviceSpec,
     EmptyBand,
+    NoConvergence,
     RacetrackSpec,
     Resonance,
     WaveguideParams,
@@ -25,14 +32,16 @@ from ringpair import (
     effective_index,
     finesse,
     fsr,
+    geometry,
     group_index,
+    load_device,
     q_loaded,
     resonance_comb,
     round_trip_phase,
     wavevector,
 )
 
-from conftest import make_device, process_band
+from conftest import DEVICE_JSON, REPO, make_device, process_band
 
 TWO_PI = 2.0 * math.pi
 
@@ -284,6 +293,126 @@ class TestResonanceComb:
         dev = make_device()
         with pytest.raises(ValueError):
             resonance_comb(dev.ring1, dev.waveguide, (-1e15, 1e15), owner=1)
+
+    @pytest.mark.parametrize(
+        "band",
+        [
+            (math.nan, 1.3e15),
+            (1.1e15, math.nan),
+            (1.1e15, math.inf),
+            (-math.inf, 1.3e15),
+            # Finite edges spanning more mode orders than one solve allows.
+            (1.1e15, 1e25),
+            (1.1e15, 1e160),
+        ],
+    )
+    def test_band_edges_finite_and_bounded(self, band):
+        dev = make_device()
+        with pytest.raises(ValueError):
+            resonance_comb(dev.ring1, dev.waveguide, band, owner=1)
+
+    @pytest.mark.parametrize("gvd", [-2e-21, 2e-21])
+    def test_group_index_sign_change_in_band(self, gvd):
+        # Strong GVD drives the group index through zero inside the band,
+        # where the round-trip phase turns over; no partial comb is returned.
+        dev = make_device(gvd=gvd)
+        band = process_band(dev)
+        assert min(group_index(dev.waveguide, np.array(band))) <= 0.0
+        with pytest.raises(NoConvergence):
+            resonance_comb(dev.ring1, dev.waveguide, band, owner=1)
+
+
+def _oracle_comb(ring, wg, band):
+    """(order, omega0) of every line in the band, one brentq solve per order.
+
+    The bracket extends two spectral ranges past the band so that every
+    order with a line in the band has its root inside it. A line within
+    1e-15 relative of a band edge counts as inside, so a band whose edge
+    sits exactly on a line keeps that line whichever way the oracle's
+    last bit rounds.
+    """
+    lo, hi = band
+    s, length = ring.heater_shift, ring.round_trip_length
+    pad = 2.0 * fsr(ring, wg, 0.5 * (lo + hi) - s)
+    a, b = lo - s - pad, hi - s + pad
+
+    def phase(w):
+        return wavevector(wg, w) * length
+
+    out = []
+    for m in range(math.ceil(phase(a) / TWO_PI), math.floor(phase(b) / TWO_PI) + 1):
+        w = brentq(lambda x: phase(x) - TWO_PI * m, a, b, xtol=1e-3, rtol=8.9e-16, maxiter=200)
+        w0 = w + s
+        if lo * (1.0 - 1e-15) <= w0 <= hi * (1.0 + 1e-15):
+            out.append((m, w0))
+    return out
+
+
+# n_g == n_eff_ref makes the quadratic coefficient a vanish: the linear limit.
+COMB_DEVICES = {
+    "shipped": lambda: load_device(DEVICE_JSON),
+    "gvd_positive": lambda: make_device(gvd=5e-24),
+    "gvd_negative": lambda: make_device(gvd=-5e-24),
+    "heater_shift": lambda: make_device(heater1=7.3e9, heater2=-2.9e10),
+    "linear_limit": lambda: make_device(n_eff=4.0, n_g=4.0),
+    "edge_on_line": make_device,
+}
+
+
+def _comb_case(name):
+    dev = COMB_DEVICES[name]()
+    band = process_band(dev)
+    if name == "edge_on_line":
+        comb = resonance_comb(dev.ring1, dev.waveguide, band, owner=1)
+        band = (comb[1].omega0, comb[-2].omega0)
+    return dev, band
+
+
+class TestCombOracle:
+    """Closed-form comb against one bracketed root solve per mode order.
+
+    Tolerance: 1e-13 relative on line positions and on k(w) * L_rt = 2*pi*m.
+    """
+
+    @pytest.mark.parametrize("case", sorted(COMB_DEVICES))
+    @pytest.mark.parametrize("owner", [1, 2])
+    def test_matches_brentq(self, case, owner):
+        dev, band = _comb_case(case)
+        ring, wg = dev.ring(owner), dev.waveguide
+        comb = resonance_comb(ring, wg, band, owner=owner)
+        oracle = _oracle_comb(ring, wg, band)
+        assert [r.order for r in comb] == [m for m, _ in oracle]
+        assert all(r.owner == owner for r in comb)
+        for r, (_, w_ref) in zip(comb, oracle):
+            assert r.omega0 == pytest.approx(w_ref, rel=1e-13, abs=0.0)
+            phase = wavevector(wg, r.omega0 - ring.heater_shift) * ring.round_trip_length
+            assert phase == pytest.approx(TWO_PI * r.order, rel=1e-13, abs=0.0)
+        if case == "edge_on_line" and owner == 1:
+            assert (comb[0].omega0, comb[-1].omega0) == band
+
+
+class TestConstantsAndImports:
+    def test_constants_equal_scipy(self):
+        assert geometry.C_VACUUM == scipy.constants.c
+        assert geometry.HBAR == scipy.constants.hbar
+        assert geometry.EPSILON_0 == scipy.constants.epsilon_0
+
+    def test_runtime_imports_no_scipy(self):
+        code = (
+            "import json, sys, ringpair, ringpair.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.'))))"
+        )
+        path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert json.loads(proc.stdout) == []
 
 
 class TestFsrAndFinesse:
