@@ -61,8 +61,8 @@ from .sfwm import (
     PumpDrive,
     noise_budget,
     pair_rate_closed_form,
+    pump_self_coupling,
     sideband_detuning,
-    sigma_from_finesse,
     suppression_factor,
 )
 
@@ -230,7 +230,7 @@ def cmd_suppression(args: argparse.Namespace, argv: Sequence[str]) -> None:
     lw = cfg.res_s.linewidth
     sigma = args.self_coupling
     if sigma is None:
-        sigma = sigma_from_finesse(ring_finesse(device.ring1, wg, cfg.res_p1.omega0))
+        sigma = pump_self_coupling(device, cfg)
     drive = PumpDrive(
         photon_number=args.photons, pulse_duration=args.pulse, self_coupling=sigma
     )

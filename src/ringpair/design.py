@@ -26,20 +26,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import Infeasible, MissingResonance, NoConvergence, OutOfRange, ValidityExceeded
+from .errors import Infeasible, NoConvergence, OutOfRange, ValidityExceeded
 from .geometry import (
     C_VACUUM,
     HBAR,
     CouplingModel,
     DeviceSpec,
     Resonance,
+    device_combs,
     fsr,
     finesse as ring_finesse,
     resonance_comb,
     wavevector,
 )
 from .linear_cmt import isolation_db, kerr_delta_beta, kerr_validity_metric
-from .nonlinear import ProcessConfig, j_closed_form, j_single_ring_ratio
+from .nonlinear import (
+    ProcessConfig,
+    j_closed_form,
+    j_single_ring_ratio,
+    on_resonance_config,
+    pump_pair,
+)
 from .sfwm import PumpDrive, sideband_detuning, suppression_factor
 
 TWO_PI = 2.0 * math.pi
@@ -210,21 +217,6 @@ def solve_gap_for_uncoupling(
     return model.gap_ref + model.decay_len * math.log(model.kappa0 / target)
 
 
-def _pump_pair(
-    comb1: list[Resonance], omega_center: float, separation: int
-) -> tuple[Resonance, Resonance]:
-    """Ring-1 line pair ``separation`` orders apart centered nearest omega_center."""
-    if len(comb1) <= separation:
-        raise MissingResonance(
-            f"only {len(comb1)} ring-1 lines in band; need {separation + 1} for the pump pair"
-        )
-    best = min(
-        range(len(comb1) - separation),
-        key=lambda i: abs(0.5 * (comb1[i].omega0 + comb1[i + separation].omega0) - omega_center),
-    )
-    return comb1[best + separation], comb1[best]
-
-
 def _process_band(device: DeviceSpec, goal: DesignGoal) -> tuple[float, float]:
     w = goal.signal_omega
     f1 = fsr(device.ring1, device.waveguide, w)
@@ -236,29 +228,11 @@ def _config_on_comb(
     device: DeviceSpec, goal: DesignGoal
 ) -> tuple[ProcessConfig, list[Resonance]]:
     """Process configuration from the device's actual combs."""
-    band = _process_band(device, goal)
-    comb1 = resonance_comb(device.ring1, device.waveguide, band, owner=1)
-    comb2 = resonance_comb(device.ring2, device.waveguide, band, owner=2)
-    res_p1, res_p2 = _pump_pair(comb1, goal.signal_omega, goal.pump_separation)
+    comb1, comb2 = device_combs(device, _process_band(device, goal))
+    res_p1, res_p2 = pump_pair(comb1, goal.signal_omega, goal.pump_separation)
     omega_mid = 0.5 * (res_p1.omega0 + res_p2.omega0)
     res_s = min(comb2, key=lambda r: abs(r.omega0 - omega_mid))
-    wg = device.waveguide
-    delta_k = float(
-        wavevector(wg, res_p1.omega0)
-        + wavevector(wg, res_p2.omega0)
-        - 2.0 * wavevector(wg, res_s.omega0)
-    )
-    cfg = ProcessConfig(
-        omega1=res_s.omega0,
-        omega2=res_s.omega0,
-        omega3=res_p1.omega0,
-        omega4=res_p2.omega0,
-        res_p1=res_p1,
-        res_p2=res_p2,
-        res_s=res_s,
-        delta_k=delta_k,
-    )
-    return cfg, comb2
+    return on_resonance_config(device.waveguide, res_p1, res_p2, res_s), comb2
 
 
 def _solve_heater_shift(omega_line: float, omega_mid: float, linewidth: float) -> float:
@@ -330,7 +304,7 @@ def tune_for_energy_conservation(
     wg = device.waveguide
     band = _process_band(device, goal)
     comb1 = resonance_comb(device.ring1, wg, band, owner=1)
-    res_p1, res_p2 = _pump_pair(comb1, goal.signal_omega, goal.pump_separation)
+    res_p1, res_p2 = pump_pair(comb1, goal.signal_omega, goal.pump_separation)
     omega_mid = 0.5 * (res_p1.omega0 + res_p2.omega0)
     lw_guess = omega_mid / device.ring2.q_loaded
     delta_req = required_detuning(goal, lw_guess)

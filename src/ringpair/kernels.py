@@ -1,35 +1,17 @@
-"""Hot numeric kernels with a jitted fast path and a numpy fallback.
+"""Hot numeric kernels: comb line shapes, the coupler overlap integrand
+and the pair-rate spectral kernel.
 
-Every kernel exists twice: a pure-numpy reference implementation
-(``*_numpy``) and, when numba is importable, a compiled version of the
-same loop. The module-level names point at the selected path. Selection
-is controlled by the ``RINGPAIR_NUMBA`` environment variable read at
-import time: set it to ``0`` to force the numpy path, anything else (or
-unset) uses numba when available. ``benchmarks/bench_kernels.py``
-compares the two.
-
-The two paths must agree to floating-point reassociation level; the
-test suite pins that.
+Each kernel is one vectorized numpy expression over an ndarray of
+abscissae, so the adaptive quadrature can evaluate a whole refinement
+round in one call.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
 
-    _HAVE_NUMBA = True
-except ImportError:
-    numba = None
-    _HAVE_NUMBA = False
-
-USING_NUMBA = _HAVE_NUMBA and os.environ.get("RINGPAIR_NUMBA", "1") != "0"
-
-
-def lorentzian_comb_numpy(
+def lorentzian_comb(
     omega: np.ndarray,
     centers: np.ndarray,
     half_widths: np.ndarray,
@@ -44,7 +26,7 @@ def lorentzian_comb_numpy(
     return prof.sum(axis=1)
 
 
-def dc_overlap_integrand_numpy(
+def dc_overlap_integrand(
     z: np.ndarray, kappa_abs: float, kappa_phase: float, delta_k: float
 ) -> np.ndarray:
     """Coupler-region product of asymptotic field amplitudes.
@@ -67,7 +49,7 @@ def dc_overlap_integrand_numpy(
     return total * np.exp(1j * delta_k * z)
 
 
-def pair_kernel_numpy(
+def pair_kernel(
     u: np.ndarray, delta: float, fwhm: float, omega_s: float, omega_s2: float
 ) -> np.ndarray:
     """Normalized spectral kernel of the side-band pair-rate integral.
@@ -85,59 +67,3 @@ def pair_kernel_numpy(
     omega_p = 2.0 * omega_s - omega_s2 - delta
     slow = (2.0 * omega_s - w) * w / (omega_s2 * omega_p)
     return lor1 * lor2 * slow
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _lorentzian_comb_jit(omega, centers, half_widths, peaks_sq):  # pragma: no cover
-        out = np.zeros(omega.shape[0])
-        for j in range(centers.shape[0]):
-            hw2 = half_widths[j] * half_widths[j]
-            amp = peaks_sq[j] * hw2
-            cj = centers[j]
-            for i in range(omega.shape[0]):
-                d = omega[i] - cj
-                out[i] += amp / (d * d + hw2)
-        return out
-
-    @numba.njit(cache=True)
-    def _dc_overlap_integrand_jit(z, kappa_abs, kappa_phase, delta_k):  # pragma: no cover
-        out = np.empty(z.shape[0], dtype=np.complex128)
-        unit = np.exp(-1j * kappa_phase)
-        for i in range(z.shape[0]):
-            s = np.sin(kappa_abs * z[i])
-            c = np.cos(kappa_abs * z[i])
-            a1_in = -1j * unit * s
-            a2_in = c + 0.0j
-            a1_out = c + 0.0j
-            a2_out = 1j * unit * s
-            total = a1_in * a1_in * a1_out * a1_out + a2_in * a2_in * a2_out * a2_out
-            out[i] = total * np.exp(1j * delta_k * z[i])
-        return out
-
-    @numba.njit(cache=True)
-    def _pair_kernel_jit(u, delta, fwhm, omega_s, omega_s2):  # pragma: no cover
-        out = np.empty(u.shape[0])
-        hw = 0.5 * fwhm
-        hw2 = hw * hw
-        omega_p = 2.0 * omega_s - omega_s2 - delta
-        norm = omega_s2 * omega_p
-        for i in range(u.shape[0]):
-            lor1 = hw2 / (u[i] * u[i] + hw2)
-            d2 = (u[i] + delta) * (u[i] + delta)
-            lor2 = hw2 / (d2 + hw2)
-            w = omega_s2 - u[i]
-            slow = (2.0 * omega_s - w) * w / norm
-            out[i] = lor1 * lor2 * slow
-        return out
-
-
-if USING_NUMBA:
-    lorentzian_comb = _lorentzian_comb_jit
-    dc_overlap_integrand = _dc_overlap_integrand_jit
-    pair_kernel = _pair_kernel_jit
-else:
-    lorentzian_comb = lorentzian_comb_numpy
-    dc_overlap_integrand = dc_overlap_integrand_numpy
-    pair_kernel = pair_kernel_numpy

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kernels
 from .errors import AssumptionViolated, ApproximationWarning
-from .geometry import DeviceSpec, Resonance, device_combs, wavevector
+from .geometry import DeviceSpec, Resonance, WaveguideParams, device_combs, wavevector
 from .enhancement import lorentzian_response, peak_amplitude
 from .quadrature import integrate_adaptive
 
@@ -323,6 +323,51 @@ def j_single_ring_ratio(device: DeviceSpec, cfg: ProcessConfig, strict: bool = F
     return j_dev.j_abs / j_ref.j_abs
 
 
+def pump_pair(
+    comb1: list[Resonance], omega_center: float, separation: int
+) -> tuple[Resonance, Resonance]:
+    """Ring-1 lines (pump 1, pump 2) ``separation`` orders apart.
+
+    Of all such pairs, returns the one whose midpoint lies closest to
+    ``omega_center``; pump 1 is the upper line.
+    """
+    if len(comb1) <= separation:
+        raise ValueError(
+            f"band holds only {len(comb1)} ring-1 lines; need at least "
+            f"{separation + 1} for the requested pump separation"
+        )
+    best = min(
+        range(len(comb1) - separation),
+        key=lambda i: abs(0.5 * (comb1[i].omega0 + comb1[i + separation].omega0) - omega_center),
+    )
+    return comb1[best + separation], comb1[best]
+
+
+def on_resonance_config(
+    wg: WaveguideParams, res_p1: Resonance, res_p2: Resonance, res_s: Resonance
+) -> ProcessConfig:
+    """Dual-pump configuration with every field on its line center.
+
+    The phase mismatch is k(w_p1) + k(w_p2) - 2 k(w_s) from the
+    dispersion model.
+    """
+    delta_k = float(
+        wavevector(wg, res_p1.omega0)
+        + wavevector(wg, res_p2.omega0)
+        - 2.0 * wavevector(wg, res_s.omega0)
+    )
+    return ProcessConfig(
+        omega1=res_s.omega0,
+        omega2=res_s.omega0,
+        omega3=res_p1.omega0,
+        omega4=res_p2.omega0,
+        res_p1=res_p1,
+        res_p2=res_p2,
+        res_s=res_s,
+        delta_k=delta_k,
+    )
+
+
 def resonant_config(
     device: DeviceSpec,
     band: tuple[float, float],
@@ -341,32 +386,5 @@ def resonant_config(
     comb1, comb2 = device_combs(device, band)
     center = 0.5 * (band[0] + band[1])
     res_s = min(comb2, key=lambda r: abs(r.omega0 - center))
-    if len(comb1) <= pump_separation:
-        raise ValueError(
-            f"band holds only {len(comb1)} ring-1 lines; need at least "
-            f"{pump_separation + 1} for the requested pump separation"
-        )
-    best = min(
-        range(len(comb1) - pump_separation),
-        key=lambda i: abs(
-            0.5 * (comb1[i].omega0 + comb1[i + pump_separation].omega0) - res_s.omega0
-        ),
-    )
-    res_p2 = comb1[best]
-    res_p1 = comb1[best + pump_separation]
-    wg = device.waveguide
-    delta_k = float(
-        wavevector(wg, res_p1.omega0)
-        + wavevector(wg, res_p2.omega0)
-        - 2.0 * wavevector(wg, res_s.omega0)
-    )
-    return ProcessConfig(
-        omega1=res_s.omega0,
-        omega2=res_s.omega0,
-        omega3=res_p1.omega0,
-        omega4=res_p2.omega0,
-        res_p1=res_p1,
-        res_p2=res_p2,
-        res_s=res_s,
-        delta_k=delta_k,
-    )
+    res_p1, res_p2 = pump_pair(comb1, res_s.omega0, pump_separation)
+    return on_resonance_config(device.waveguide, res_p1, res_p2, res_s)

@@ -11,7 +11,7 @@ Two properties matter for the callers in this package:
 
 * the integrand is always evaluated on a flat ndarray of abscissae
   (one call per refinement round, covering every active panel), which
-  lets jitted array kernels do the heavy lifting;
+  lets vectorized array kernels do the heavy lifting;
 * the refinement loop is deterministic, so repeated runs integrate the
   same panels in the same order and produce bit-identical results.
 
@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import NonPhysical, QuadratureFailure
 
 _X_LO, _W_LO = np.polynomial.legendre.leggauss(7)
 _X_HI, _W_HI = np.polynomial.legendre.leggauss(15)
@@ -62,13 +62,16 @@ def integrate_adaptive(
 
     Raises
     ------
+    NonPhysical
+        On the first refinement round in which the integrand returns a
+        non-finite value; bisecting cannot cure it.
     QuadratureFailure
         If the budget is exhausted before every panel meets its share
         of the tolerance.
     """
     if not hi > lo:
         raise ValueError(f"integration limits must satisfy lo < hi, got [{lo}, {hi}]")
-    if abs_tol <= 0.0:
+    if not abs_tol > 0.0:
         raise ValueError(f"abs_tol must be positive, got {abs_tol}")
 
     total_span = hi - lo
@@ -87,6 +90,8 @@ def integrate_adaptive(
             [(mid + half * _X_LO).ravel(), (mid + half * _X_HI).ravel()]
         )
         values = np.asarray(func(nodes))
+        if not np.isfinite(values).all():
+            raise NonPhysical(f"integrand is not finite on [{lo}, {hi}]")
         n_lo = active.shape[0] * _X_LO.size
         f_lo = values[:n_lo].reshape(active.shape[0], _X_LO.size)
         f_hi = values[n_lo:].reshape(active.shape[0], _X_HI.size)

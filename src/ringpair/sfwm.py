@@ -27,7 +27,7 @@ suppressions never depend on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,10 +68,14 @@ class PumpDrive:
     self_coupling: float | None = None
 
     def __post_init__(self) -> None:
-        if self.photon_number < 0.0:
-            raise ValueError(f"photon_number must be non-negative, got {self.photon_number}")
-        if self.pulse_duration <= 0.0:
-            raise ValueError(f"pulse_duration must be positive, got {self.pulse_duration}")
+        if not 0.0 <= self.photon_number < math.inf:
+            raise ValueError(
+                f"photon_number must be finite and non-negative, got {self.photon_number}"
+            )
+        if not 0.0 < self.pulse_duration < math.inf:
+            raise ValueError(
+                f"pulse_duration must be finite and positive, got {self.pulse_duration}"
+            )
         if self.self_coupling is not None and not 0.0 < self.self_coupling < 1.0:
             raise ValueError(
                 f"self_coupling must lie strictly between 0 and 1, got {self.self_coupling}"
@@ -115,6 +119,41 @@ def sigma_from_finesse(fin: float) -> float:
             f"finesse {fin:.3g} is too low for the high-finesse self-coupling estimate"
         )
     return 1.0 - math.pi / fin
+
+
+def pump_self_coupling(device: DeviceSpec, cfg: ProcessConfig) -> float:
+    """Bus self-coupling derived from the ring-1 finesse at pump 1."""
+    return sigma_from_finesse(ring_finesse(device.ring1, device.waveguide, cfg.res_p1.omega0))
+
+
+def _rate_prefactor(
+    drive: PumpDrive, omega_s: float, kcal: float, v_g: float, fin: float | None
+) -> float:
+    """Prefactor of |beta|^2 in front of the spectral integral.
+
+    Validates ``kcal`` and ``v_g`` and takes sigma from the drive or,
+    when the drive carries none, from the finesse ``fin``.
+    """
+    if not kcal > 0.0:
+        raise NonPhysical(f"kcal must be positive, got {kcal}")
+    if not v_g > 0.0:
+        raise ValueError(f"v_g must be positive, got {v_g}")
+    sigma = drive.self_coupling
+    if sigma is None:
+        if fin is None:
+            raise ValueError("either drive.self_coupling or a finesse must be provided")
+        sigma = sigma_from_finesse(fin)
+    return (
+        drive.photon_number**2
+        * (HBAR * omega_s) ** 2
+        / drive.pulse_duration
+        * 9.0
+        * math.pi**3
+        / (2.0 * EPSILON_0**2)
+        * kcal
+        / v_g**4
+        * (2.0 / (1.0 - sigma)) ** 4
+    )
 
 
 def _partner_line(
@@ -210,17 +249,8 @@ def pair_rate_integral(
         Ring finesse; only needed when the drive does not carry an
         explicit self-coupling.
     """
-    if kcal <= 0.0:
-        raise NonPhysical(f"kcal must be positive, got {kcal}")
-    if v_g <= 0.0:
-        raise ValueError(f"v_g must be positive, got {v_g}")
-    sigma = drive.self_coupling
-    if sigma is None:
-        if fin is None:
-            raise ValueError("either drive.self_coupling or a finesse must be provided")
-        sigma = sigma_from_finesse(fin)
-
     omega_s = res_s.omega0
+    pref = _rate_prefactor(drive, omega_s, kcal, v_g, fin)
     fwhm = res_s.linewidth
     if fwhm >= 0.01 * omega_s:
         raise NonPhysical(
@@ -241,18 +271,6 @@ def pair_rate_integral(
 
     value, _err = integrate_adaptive(integrand, lo, hi, abs_tol=1e-10 * fwhm)
     spectral = float(value.real) * omega_s2 * omega_p
-
-    pref = (
-        drive.photon_number**2
-        * (HBAR * omega_s) ** 2
-        / drive.pulse_duration
-        * 9.0
-        * math.pi**3
-        / (2.0 * EPSILON_0**2)
-        * kcal
-        / v_g**4
-        * (2.0 / (1.0 - sigma)) ** 4
-    )
     return pref * spectral
 
 
@@ -271,30 +289,13 @@ def pair_rate_closed_form(
     :func:`pair_rate_integral` differs from 1 by the retained-factor
     correction (well under a percent for narrow lines).
     """
-    if kcal <= 0.0:
-        raise NonPhysical(f"kcal must be positive, got {kcal}")
-    sigma = drive.self_coupling
-    if sigma is None:
-        if fin is None:
-            raise ValueError("either drive.self_coupling or a finesse must be provided")
-        sigma = sigma_from_finesse(fin)
     omega_s = res_s.omega0
+    pref = _rate_prefactor(drive, omega_s, kcal, v_g, fin)
     fwhm = res_s.linewidth
     if omega_s2 is None:
         omega_s2 = omega_s
     omega_p = 2.0 * omega_s - omega_s2 - delta
     spectral = (math.pi / 4.0) * fwhm**3 / (delta**2 + fwhm**2) * omega_s2 * omega_p
-    pref = (
-        drive.photon_number**2
-        * (HBAR * omega_s) ** 2
-        / drive.pulse_duration
-        * 9.0
-        * math.pi**3
-        / (2.0 * EPSILON_0**2)
-        * kcal
-        / v_g**4
-        * (2.0 / (1.0 - sigma)) ** 4
-    )
     return pref * spectral
 
 
@@ -322,17 +323,12 @@ def noise_budget(
 
     sigma = drive.self_coupling
     if sigma is None:
-        fin1 = ring_finesse(device.ring1, wg, cfg.res_p1.omega0)
-        sigma = sigma_from_finesse(fin1)
+        sigma = pump_self_coupling(device, cfg)
         notes.append(
             "self_coupling derived from ring-1 finesse via (1 - sigma) = pi / finesse; "
             "override PumpDrive.self_coupling to pin it"
         )
-    drive_resolved = PumpDrive(
-        photon_number=drive.photon_number,
-        pulse_duration=drive.pulse_duration,
-        self_coupling=sigma,
-    )
+    drive_resolved = replace(drive, self_coupling=sigma)
 
     if band is None:
         span = abs(cfg.res_p1.omega0 - cfg.res_p2.omega0) + 2.5 * ring_finesse(
@@ -401,11 +397,10 @@ def calibrate_kcal(
     wg = device.waveguide
     omega_p = 0.5 * (cfg.res_p1.omega0 + cfg.res_p2.omega0)
     photon_number = pump_power * pulse_duration / (HBAR * omega_p)
-    fin1 = ring_finesse(device.ring1, wg, cfg.res_p1.omega0)
     drive = PumpDrive(
         photon_number=photon_number,
         pulse_duration=pulse_duration,
-        self_coupling=sigma_from_finesse(fin1),
+        self_coupling=pump_self_coupling(device, cfg),
     )
     delta_signal = cfg.omega3 + cfg.omega4 - 2.0 * cfg.res_s.omega0
     beta_unit = pair_rate_integral(

@@ -93,7 +93,7 @@ def test_02_overlap_null_value_and_trapezoid():
             worst_closed = max(worst_closed, abs(abs(val) - quarter) / quarter)
             z = np.linspace(0.0, length, 1_000_001)
             trap = np.trapezoid(
-                kernels.dc_overlap_integrand_numpy(z, mag, phase, 0.0), z
+                kernels.dc_overlap_integrand(z, mag, phase, 0.0), z
             )
             worst_trap = max(worst_trap, abs(val - trap) / quarter)
     dt = time.perf_counter() - t0
@@ -175,7 +175,7 @@ def test_05_pair_rate_spectral_integral():
     fwhm = res.linewidth
 
     u = np.linspace(-50.0 * fwhm, 50.0 * fwhm, 2_000_001)
-    raw = np.trapezoid(kernels.pair_kernel_numpy(u, 0.0, fwhm, omega_s, omega_s), u)
+    raw = np.trapezoid(kernels.pair_kernel(u, 0.0, fwhm, omega_s, omega_s), u)
     err_quarter = abs(raw - math.pi * fwhm / 4.0) / (math.pi * fwhm / 4.0)
 
     drive = PumpDrive(photon_number=1.0, pulse_duration=1e-9, self_coupling=0.97)

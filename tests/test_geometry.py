@@ -398,10 +398,12 @@ class TestConstantsAndImports:
         assert geometry.EPSILON_0 == scipy.constants.epsilon_0
 
     def test_runtime_imports_no_scipy(self):
+        # numpy is the only runtime dependency: neither scipy nor numba
+        # may be loaded by the package or its command line.
         code = (
             "import json, sys, ringpair, ringpair.cli; "
             "print(json.dumps(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.'))))"
+            "if m.startswith(('scipy', 'numba')))))"
         )
         path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(

@@ -1,4 +1,4 @@
-"""Numeric kernels: numpy reference vs closed forms and the jitted twins."""
+"""Numeric kernels against plain loops and closed forms."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ def test_lorentzian_comb_against_plain_loop():
     centers = np.sort(RNG.uniform(0.95e15, 1.05e15, size=6))
     hw = RNG.uniform(1e9, 5e10, size=6)
     peaks = RNG.uniform(10.0, 1e4, size=6)
-    got = kernels.lorentzian_comb_numpy(omega, centers, hw, peaks)
+    got = kernels.lorentzian_comb(omega, centers, hw, peaks)
     for i in range(omega.size):
         expected = sum(
             peaks[j] * hw[j] ** 2 / ((omega[i] - centers[j]) ** 2 + hw[j] ** 2)
@@ -33,7 +33,7 @@ def test_dc_overlap_integrand_closed_form():
     for phase in (0.0, 0.35, -1.2):
         for delta_k in (0.0, 137.0):
             z = RNG.uniform(0.0, 5e-5, size=401)
-            got = kernels.dc_overlap_integrand_numpy(z, kappa_abs, phase, delta_k)
+            got = kernels.dc_overlap_integrand(z, kappa_abs, phase, delta_k)
             expected = (
                 -np.exp(-2j * phase)
                 * np.sin(2.0 * kappa_abs * z) ** 2
@@ -48,7 +48,7 @@ def test_dc_overlap_vanishes_where_either_field_is_empty():
     # OUT field nothing in the other; the product is exactly zero.
     kappa_abs = 6.67e4
     quarter = math.pi / (4.0 * kappa_abs)  # sin(2kz) peaks at pi/4
-    got = kernels.dc_overlap_integrand_numpy(
+    got = kernels.dc_overlap_integrand(
         np.array([0.0, quarter]), kappa_abs, 0.0, 0.0
     )
     assert got[0] == 0.0
@@ -60,7 +60,7 @@ def test_pair_kernel_against_direct_formula():
     omega_s = 1.2e15
     for delta, omega_s2 in [(0.0, omega_s), (3.1e10, omega_s + 2.1e12)]:
         u = RNG.uniform(-60.0 * fwhm, 60.0 * fwhm, size=301)
-        got = kernels.pair_kernel_numpy(u, delta, fwhm, omega_s, omega_s2)
+        got = kernels.pair_kernel(u, delta, fwhm, omega_s, omega_s2)
         hw = 0.5 * fwhm
         w = omega_s2 - u
         omega_p = 2.0 * omega_s - omega_s2 - delta
@@ -75,41 +75,6 @@ def test_pair_kernel_against_direct_formula():
 def test_pair_kernel_peaks_at_line_centers():
     fwhm = 2.4e10
     omega_s = 1.2e15
-    got = kernels.pair_kernel_numpy(np.array([0.0]), 0.0, fwhm, omega_s, omega_s)
+    got = kernels.pair_kernel(np.array([0.0]), 0.0, fwhm, omega_s, omega_s)
     assert got[0] == pytest.approx(1.0, rel=1e-12)
 
-
-@pytest.mark.skipif(not kernels._HAVE_NUMBA, reason="numba not importable")
-class TestJitAgreement:
-    def test_lorentzian_comb(self):
-        omega = np.linspace(0.9e15, 1.1e15, 4001)
-        centers = np.sort(RNG.uniform(0.95e15, 1.05e15, size=9))
-        hw = RNG.uniform(1e9, 5e10, size=9)
-        peaks = RNG.uniform(10.0, 1e4, size=9)
-        a = kernels.lorentzian_comb_numpy(omega, centers, hw, peaks)
-        b = kernels._lorentzian_comb_jit(omega, centers, hw, peaks)
-        np.testing.assert_allclose(a, b, rtol=5e-14)
-
-    def test_dc_overlap_integrand(self):
-        z = np.linspace(0.0, 5e-5, 2001)
-        a = kernels.dc_overlap_integrand_numpy(z, 6.67e4, 0.4, 95.0)
-        b = kernels._dc_overlap_integrand_jit(z, 6.67e4, 0.4, 95.0)
-        np.testing.assert_allclose(a, b, rtol=5e-13, atol=1e-16)
-
-    def test_pair_kernel(self):
-        fwhm = 2.4e10
-        u = np.linspace(-100.0 * fwhm, 60.0 * fwhm, 3001)
-        a = kernels.pair_kernel_numpy(u, 2.0 * fwhm, fwhm, 1.2e15, 1.202e15)
-        b = kernels._pair_kernel_jit(u, 2.0 * fwhm, fwhm, 1.2e15, 1.202e15)
-        np.testing.assert_allclose(a, b, rtol=5e-14)
-
-
-def test_dispatch_is_consistent():
-    if kernels.USING_NUMBA:
-        assert kernels.lorentzian_comb is kernels._lorentzian_comb_jit
-        assert kernels.dc_overlap_integrand is kernels._dc_overlap_integrand_jit
-        assert kernels.pair_kernel is kernels._pair_kernel_jit
-    else:
-        assert kernels.lorentzian_comb is kernels.lorentzian_comb_numpy
-        assert kernels.dc_overlap_integrand is kernels.dc_overlap_integrand_numpy
-        assert kernels.pair_kernel is kernels.pair_kernel_numpy

@@ -64,7 +64,7 @@ class TestZIdentity:
         z = np.linspace(0.0, length, 101)
         direct = f_in.a1(z) ** 2 * f_out.a1(z) ** 2 + f_in.a2(z) ** 2 * f_out.a2(z) ** 2
         np.testing.assert_allclose(
-            kernels.dc_overlap_integrand_numpy(z, mag, phase, 0.0),
+            kernels.dc_overlap_integrand(z, mag, phase, 0.0),
             direct,
             rtol=1e-12,
             atol=1e-15,
@@ -96,7 +96,7 @@ class TestZOverlapIntegral:
         delta_k = delta_k_scale * math.pi / length
         z = np.linspace(0.0, length, 200001)
         reference = np.trapezoid(
-            kernels.dc_overlap_integrand_numpy(z, mag, 0.0, delta_k), z
+            kernels.dc_overlap_integrand(z, mag, 0.0, delta_k), z
         )
         value = z_overlap_integral(mag + 0j, length, delta_k)
         assert abs(value - reference) <= 1e-8 * length

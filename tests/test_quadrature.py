@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ringpair import QuadratureFailure, integrate_adaptive
+from ringpair import NonPhysical, QuadratureFailure, integrate_adaptive
 
 
 def test_gaussian_matches_scipy():
@@ -83,6 +83,25 @@ def test_limit_validation():
         integrate_adaptive(f, 2.0, 1.0, abs_tol=1e-9)
     with pytest.raises(ValueError):
         integrate_adaptive(f, 0.0, 1.0, abs_tol=0.0)
+    with pytest.raises(ValueError):
+        integrate_adaptive(f, 0.0, 1.0, abs_tol=math.nan)
+
+
+def test_non_finite_integrand_fails_on_first_round():
+    # Bisection cannot cure a NaN: the first round (7 + 15 nodes of one
+    # panel) must already raise instead of running down the budget.
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.full(x.shape, np.nan)
+
+    with pytest.raises(NonPhysical):
+        integrate_adaptive(f, 0.0, 1.0, abs_tol=1e-9)
+    assert sum(calls) <= 22
+
+    with pytest.raises(NonPhysical):
+        integrate_adaptive(lambda x: np.where(x == x[3], np.inf, x), 0.0, 1.0, abs_tol=1e-9)
 
 
 def test_additivity_over_subintervals():

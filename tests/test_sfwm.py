@@ -84,6 +84,11 @@ class TestPumpDrive:
             PumpDrive(photon_number=1.0, pulse_duration=0.0)
         with pytest.raises(ValueError):
             PumpDrive(photon_number=1.0, pulse_duration=1e-9, self_coupling=1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                PumpDrive(photon_number=bad, pulse_duration=1e-9)
+            with pytest.raises(ValueError):
+                PumpDrive(photon_number=1.0, pulse_duration=bad)
 
 
 def manual_rate(dr, res, delta, kcal, v_g, omega_s2=None, n=1_000_001):
@@ -97,7 +102,7 @@ def manual_rate(dr, res, delta, kcal, v_g, omega_s2=None, n=1_000_001):
     hi = max(0.0, -delta) + 50.0 * fwhm
     u = np.linspace(lo, hi, n)
     spectral = np.trapezoid(
-        kernels.pair_kernel_numpy(u, delta, fwhm, omega_s, omega_s2), u
+        kernels.pair_kernel(u, delta, fwhm, omega_s, omega_s2), u
     ) * omega_s2 * omega_p
     pref = (
         dr.photon_number**2
@@ -133,7 +138,7 @@ class TestPairRateIntegral:
     def test_kernel_integral_is_quarter_pi_linewidth(self):
         # At zero mismatch the joint-line-shape integral is pi*fwhm/4.
         u = np.linspace(-50.0 * FWHM, 50.0 * FWHM, 2_000_001)
-        got = np.trapezoid(kernels.pair_kernel_numpy(u, 0.0, FWHM, OMEGA_S, OMEGA_S), u)
+        got = np.trapezoid(kernels.pair_kernel(u, 0.0, FWHM, OMEGA_S, OMEGA_S), u)
         assert got == pytest.approx(math.pi * FWHM / 4.0, rel=5e-3)
 
     def test_detuning_dependence_is_lorentzian(self):
@@ -196,6 +201,23 @@ class TestPairRateIntegral:
         broad = Resonance(owner=2, order=5, omega0=1e12, q_loaded=50.0, q_coupling=100.0)
         with pytest.raises(NonPhysical):
             pair_rate_integral(drive(), broad, 0.0, 1.0, 7.1e7)
+
+    @pytest.mark.parametrize("rate", [pair_rate_integral, pair_rate_closed_form])
+    def test_both_routes_reject_the_same_inputs(self, rate, monkeypatch):
+        # Validation must run before any quadrature.
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("integrated before validating")
+
+        monkeypatch.setattr("ringpair.sfwm.integrate_adaptive", no_quadrature)
+        res = signal_line()
+        unpinned = PumpDrive(photon_number=1.0, pulse_duration=1e-9)
+        with pytest.raises(NonPhysical):
+            rate(drive(), res, 0.0, 0.0, 7.1e7)
+        for v_g in (0.0, -7e7, math.nan):
+            with pytest.raises(ValueError):
+                rate(drive(), res, 0.0, 1.0, v_g)
+        with pytest.raises(ValueError):
+            rate(unpinned, res, 0.0, 1.0, 7.1e7)
 
 
 def synth_comb(spacing, n=3, center=OMEGA_S, shift=0.0):
