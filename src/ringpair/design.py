@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import Infeasible, NoConvergence, OutOfRange, ValidityExceeded
+from .errors import require_non_negative, require_positive
 from .geometry import (
     C_VACUUM,
     HBAR,
@@ -52,6 +53,15 @@ from .sfwm import PumpDrive, sideband_detuning, suppression_factor
 TWO_PI = 2.0 * math.pi
 ENERGY_RESIDUAL_TOL_LINEWIDTHS = 1e-6
 DEFAULT_GAP_BUDGET = (5e-8, 1e-6)
+
+
+def _check_gap_budget(gap_budget: tuple[float, float]) -> tuple[float, float]:
+    lo, hi = gap_budget
+    require_positive("gap_budget lower edge", lo)
+    require_positive("gap_budget upper edge", hi)
+    if not lo < hi:
+        raise ValueError(f"gap_budget must be an increasing pair, got {gap_budget}")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -85,8 +95,8 @@ class DesignGoal:
     gap_budget: tuple[float, float] = DEFAULT_GAP_BUDGET
 
     def __post_init__(self) -> None:
-        if self.signal_wavelength <= 0.0:
-            raise ValueError(f"signal_wavelength must be positive, got {self.signal_wavelength}")
+        for name in ("signal_wavelength", "max_kerr_metric", "min_isolation_db"):
+            require_positive(name, getattr(self, name))
         if self.pump_separation < 2 or self.pump_separation % 2 != 0:
             raise ValueError(
                 f"pump_separation must be an even integer >= 2, got {self.pump_separation}"
@@ -96,13 +106,7 @@ class DesignGoal:
                 "min_parasitic_suppression must lie in (0, 1), got "
                 f"{self.min_parasitic_suppression}"
             )
-        if self.max_kerr_metric <= 0.0:
-            raise ValueError(f"max_kerr_metric must be positive, got {self.max_kerr_metric}")
-        if self.min_isolation_db <= 0.0:
-            raise ValueError(f"min_isolation_db must be positive, got {self.min_isolation_db}")
-        lo, hi = self.gap_budget
-        if not 0.0 < lo < hi:
-            raise ValueError(f"gap_budget must be an increasing positive pair, got {self.gap_budget}")
+        _check_gap_budget(self.gap_budget)
 
     @property
     def signal_omega(self) -> float:
@@ -176,8 +180,7 @@ def optimal_dc_length(bend_radius: float) -> DcLengthChoice:
     figure of merit saturates at straight = pi * R, where the coupler
     occupies half the round trip's worth of one straight.
     """
-    if bend_radius <= 0.0:
-        raise ValueError(f"bend_radius must be positive, got {bend_radius}")
+    require_positive("bend_radius", bend_radius)
     length = math.pi * bend_radius
     return DcLengthChoice(dc_length=length, ring_length=4.0 * math.pi * bend_radius)
 
@@ -200,13 +203,10 @@ def solve_gap_for_uncoupling(
         If the required coupling strength is not reachable inside the
         gap budget.
     """
-    if length <= 0.0:
-        raise ValueError(f"length must be positive, got {length}")
+    require_positive("length", length)
     if m_order < 1:
         raise ValueError(f"m_order must be at least 1, got {m_order}")
-    lo, hi = gap_budget
-    if not 0.0 < lo < hi:
-        raise ValueError(f"gap_budget must be an increasing positive pair, got {gap_budget}")
+    lo, hi = _check_gap_budget(gap_budget)
     target = m_order * math.pi / length
     if model.kappa_abs(lo) < target or model.kappa_abs(hi) > target:
         raise OutOfRange(
@@ -235,23 +235,6 @@ def _config_on_comb(
     return on_resonance_config(device.waveguide, res_p1, res_p2, res_s), comb2
 
 
-def _solve_heater_shift(omega_line: float, omega_mid: float, linewidth: float) -> float:
-    """Additional heater shift placing a comb line at the pump midpoint.
-
-    The residual 2 * (omega_line + ds) - 2 * omega_mid is linear in the
-    shift, so its root is ds = omega_mid - omega_line. The bracket
-    check rejects non-finite inputs before the root is taken.
-    """
-
-    def g(ds: float) -> float:
-        return 2.0 * (omega_line + ds) - 2.0 * omega_mid
-
-    span = abs(omega_mid - omega_line) + linewidth
-    if not (g(-span) <= 0.0 <= g(span)):
-        raise NoConvergence("heater-shift bracket does not contain the midpoint")
-    return omega_mid - omega_line
-
-
 def _retuned(device: DeviceSpec, goal: DesignGoal, extra_shift: float) -> DeviceSpec:
     ring2 = replace(device.ring2, heater_shift=device.ring2.heater_shift + extra_shift)
     return replace(device, ring2=ring2)
@@ -270,6 +253,7 @@ def _tune_diagnostics(
 
 def required_detuning(goal: DesignGoal, linewidth: float) -> float:
     """Side-band detuning needed for the suppression target [rad/s]."""
+    require_positive("linewidth", linewidth)
     s = goal.min_parasitic_suppression
     return linewidth * math.sqrt(1.0 / s - 1.0)
 
@@ -324,7 +308,7 @@ def tune_for_energy_conservation(
     order = sorted(range(len(comb2)), key=lambda i: abs(comb2[i].omega0 - omega_mid))
     best: TuneResult | None = None
     for idx in order[:3]:
-        ds = _solve_heater_shift(comb2[idx].omega0, omega_mid, lw_guess)
+        ds = omega_mid - comb2[idx].omega0
         candidate = _retuned(device, goal, ds)
         residual, deltas, sups, _cfg = _tune_diagnostics(candidate, goal)
         if residual > ENERGY_RESIDUAL_TOL_LINEWIDTHS * lw_guess:
@@ -422,8 +406,8 @@ def xpm_spm_compensation(
     ValidityExceeded
         If the Kerr validity metric exceeds ``max_kerr_metric``.
     """
-    if pump_power < 0.0:
-        raise ValueError(f"pump_power must be non-negative, got {pump_power}")
+    require_non_negative("pump_power", pump_power)
+    require_positive("max_kerr_metric", max_kerr_metric)
     wg = device.waveguide
     wavelength = TWO_PI * C_VACUUM / wg.omega_ref
     metric = kerr_validity_metric(wg, pump_power, device.ring1.q_loaded, wavelength)

@@ -4,9 +4,35 @@ Every failure mode that callers are expected to branch on gets its own
 class. The CLI maps these onto process exit codes, so the hierarchy is
 part of the public contract: validation problems derive from
 ``ValueError``, everything else from :class:`RingpairError`.
+
+The ``require_*`` helpers hold the one rule for scalar parameters:
+finite, and positive or non-negative where the physics says so.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
+
+_INF = math.inf
+
+
+def require_positive(name: str, value: float, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is finite and greater than zero."""
+    if not 0.0 < value < _INF:
+        raise error(f"{name} must be finite and positive, got {value}")
+
+
+def require_non_negative(name: str, value: float, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is finite and not below zero."""
+    if not 0.0 <= value < _INF:
+        raise error(f"{name} must be finite and non-negative, got {value}")
+
+
+def require_finite(name: str, value: complex, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` (real or complex) is finite."""
+    if not cmath.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
 
 
 class RingpairError(Exception):

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyBand, NoConvergence
+from .errors import require_finite, require_non_negative, require_positive
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,18 +74,11 @@ class WaveguideParams:
     area_eff: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_eff_ref <= 0.0:
-            raise ValueError(f"n_eff_ref must be positive, got {self.n_eff_ref}")
-        if self.n_g <= 0.0:
-            raise ValueError(f"n_g must be positive, got {self.n_g}")
-        if self.omega_ref <= 0.0:
-            raise ValueError(f"omega_ref must be positive, got {self.omega_ref}")
-        if self.n_bar <= 0.0:
-            raise ValueError(f"n_bar must be positive, got {self.n_bar}")
-        if self.area_eff <= 0.0:
-            raise ValueError(f"area_eff must be positive, got {self.area_eff}")
-        if self.gamma_nl < 0.0:
-            raise ValueError(f"gamma_nl must be non-negative, got {self.gamma_nl}")
+        for name in ("n_eff_ref", "n_g", "omega_ref", "n_bar", "area_eff"):
+            require_positive(name, getattr(self, name))
+        require_non_negative("gamma_nl", self.gamma_nl)
+        require_finite("gvd", self.gvd)
+        require_finite("chi3_bar", self.chi3_bar)
 
     @property
     def v_g(self) -> float:
@@ -123,14 +117,9 @@ class RacetrackSpec:
     heater_shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.straight_len <= 0.0:
-            raise ValueError(f"straight_len must be positive, got {self.straight_len}")
-        if self.bend_radius <= 0.0:
-            raise ValueError(f"bend_radius must be positive, got {self.bend_radius}")
-        if self.q_intrinsic <= 0.0:
-            raise ValueError(f"q_intrinsic must be positive, got {self.q_intrinsic}")
-        if self.q_coupling <= 0.0:
-            raise ValueError(f"q_coupling must be positive, got {self.q_coupling}")
+        for name in ("straight_len", "bend_radius", "q_intrinsic", "q_coupling"):
+            require_positive(name, getattr(self, name))
+        require_finite("heater_shift", self.heater_shift)
 
     @property
     def round_trip_length(self) -> float:
@@ -167,17 +156,14 @@ class CouplingModel:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kappa0 < 0.0:
-            raise ValueError(f"kappa0 must be non-negative, got {self.kappa0}")
-        if self.gap_ref <= 0.0:
-            raise ValueError(f"gap_ref must be positive, got {self.gap_ref}")
-        if self.decay_len <= 0.0:
-            raise ValueError(f"decay_len must be positive, got {self.decay_len}")
+        require_non_negative("kappa0", self.kappa0)
+        require_positive("gap_ref", self.gap_ref)
+        require_positive("decay_len", self.decay_len)
+        require_finite("phase", self.phase)
 
     def kappa_abs(self, gap: float) -> float:
         """Coupling magnitude at the given gap [1/m]."""
-        if gap <= 0.0:
-            raise ValueError(f"gap must be positive, got {gap}")
+        require_positive("gap", gap)
         return self.kappa0 * math.exp(-(gap - self.gap_ref) / self.decay_len)
 
     def kappa(self, gap: float) -> complex:
@@ -203,10 +189,8 @@ class DeviceSpec:
     coupling: CouplingModel
 
     def __post_init__(self) -> None:
-        if self.dc_length <= 0.0:
-            raise ValueError(f"dc_length must be positive, got {self.dc_length}")
-        if self.dc_gap <= 0.0:
-            raise ValueError(f"dc_gap must be positive, got {self.dc_gap}")
+        require_positive("dc_length", self.dc_length)
+        require_positive("dc_gap", self.dc_gap)
         limit = min(self.ring1.straight_len, self.ring2.straight_len)
         if self.dc_length > limit * (1.0 + 1e-12):
             raise ValueError(
@@ -262,13 +246,13 @@ class Resonance:
     def __post_init__(self) -> None:
         if self.owner not in (1, 2):
             raise ValueError(f"owner must be 1 or 2, got {self.owner}")
-        if self.omega0 <= 0.0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        if self.q_loaded <= 0.0 or self.q_coupling <= 0.0:
-            raise ValueError("quality factors must be positive")
+        require_positive("omega0", self.omega0)
+        require_positive("q_loaded", self.q_loaded)
+        require_positive("q_coupling", self.q_coupling)
         if self.linewidth == 0.0:
             object.__setattr__(self, "linewidth", self.omega0 / self.q_loaded)
-        if abs(self.linewidth * self.q_loaded - self.omega0) > 1e-12 * self.omega0:
+        # Written so that a NaN or infinite linewidth fails too.
+        if not abs(self.linewidth * self.q_loaded - self.omega0) <= 1e-12 * self.omega0:
             raise ValueError("linewidth is inconsistent with omega0 / q_loaded")
 
 
@@ -321,8 +305,8 @@ def group_index(wg: WaveguideParams, omega) -> np.ndarray | float:
 
 def q_loaded(q_intrinsic: float, q_coupling: float) -> float:
     """Parallel combination of intrinsic and coupling quality factors."""
-    if q_intrinsic <= 0.0 or q_coupling <= 0.0:
-        raise ValueError("quality factors must be positive")
+    require_positive("q_intrinsic", q_intrinsic)
+    require_positive("q_coupling", q_coupling)
     return 1.0 / (1.0 / q_intrinsic + 1.0 / q_coupling)
 
 
@@ -372,13 +356,9 @@ def resonance_comb(
         If the group index is not positive over the search band, so the
         round-trip phase is not monotone there.
     """
-    lo, hi = (float(band[0]), float(band[1]))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"band edges must be finite, got {band}")
-    if lo > hi:
-        lo, hi = hi, lo
-    if lo <= 0.0:
-        raise ValueError(f"band must be positive, got {band}")
+    lo, hi = sorted((float(band[0]), float(band[1])))
+    require_positive("band edge", lo)
+    require_positive("band edge", hi)
 
     # The comb is solved on the unshifted dispersion curve; the heater
     # moves the result rigidly. The search band therefore has to be
@@ -443,7 +423,7 @@ def device_combs(
 def fsr(ring: RacetrackSpec, wg: WaveguideParams, omega: float) -> float:
     """Local free spectral range 2*pi*c / (n_g(w) * L_rt) [rad/s]."""
     ng = group_index(wg, omega)
-    if np.any(np.asarray(ng) <= 0.0):
+    if not np.all(np.asarray(ng) > 0.0):
         raise ValueError("group index must be positive for an FSR")
     return TWO_PI * C_VACUUM / (ng * ring.round_trip_length)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCoupling
+from .errors import DegenerateCoupling, require_finite, require_non_negative, require_positive
 from .geometry import WaveguideParams
 
 ISOLATION_FLOOR_DB = 200.0
@@ -54,8 +54,8 @@ class CmtField:
     def __post_init__(self) -> None:
         if self.port not in ("IN", "OUT"):
             raise ValueError(f"port must be 'IN' or 'OUT', got {self.port!r}")
-        if self.length <= 0.0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        require_finite("kappa", self.kappa)
+        require_positive("length", self.length)
 
     def _phase_unit(self) -> complex:
         mag = abs(self.kappa)
@@ -117,8 +117,6 @@ def solve_dc_fields(kappa: complex, length: float) -> tuple[CmtField, CmtField]:
     (CmtField, CmtField)
         The IN-port and OUT-port fields, in that order.
     """
-    if length <= 0.0:
-        raise ValueError(f"length must be positive, got {length}")
     kappa = complex(kappa)
     degenerate = abs(kappa) == 0.0
     return (
@@ -129,9 +127,9 @@ def solve_dc_fields(kappa: complex, length: float) -> tuple[CmtField, CmtField]:
 
 def dc_transfer(kappa: complex, length: float) -> DcTransfer:
     """Linear transfer matrix entries of the coupler at length L."""
-    if length <= 0.0:
-        raise ValueError(f"length must be positive, got {length}")
     kappa = complex(kappa)
+    require_finite("kappa", kappa)
+    require_positive("length", length)
     mag = abs(kappa)
     if mag == 0.0:
         return DcTransfer(through=1.0 + 0.0j, cross=0.0j, kappa=kappa, length=length)
@@ -154,6 +152,7 @@ def uncoupling_lengths(kappa: complex, m_max: int) -> list[float]:
     """
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
+    require_finite("kappa", kappa)
     mag = abs(complex(kappa))
     if mag == 0.0:
         raise DegenerateCoupling("null lengths are undefined for |kappa| = 0")
@@ -167,8 +166,7 @@ def isolation_db(kappa: complex, length: float, floor_db: float = ISOLATION_FLOO
     has zero cross power and infinite nominal isolation, and values
     beyond the cap carry no design information.
     """
-    if floor_db <= 0.0:
-        raise ValueError(f"floor_db must be positive, got {floor_db}")
+    require_positive("floor_db", floor_db)
     cross_power = dc_transfer(kappa, length).cross_power
     if cross_power <= 10.0 ** (-floor_db / 10.0):
         return floor_db
@@ -194,8 +192,9 @@ def kerr_detuned_efficiency(kappa: complex, length: float, delta_beta: float) ->
     delta_beta : float
         Propagation-constant mismatch between the guides [1/m].
     """
-    if length <= 0.0:
-        raise ValueError(f"length must be positive, got {length}")
+    require_finite("kappa", kappa)
+    require_positive("length", length)
+    require_finite("delta_beta", delta_beta)
     mag = abs(complex(kappa))
     if mag == 0.0:
         return 0.0
@@ -210,10 +209,8 @@ def kerr_delta_beta(wg: WaveguideParams, p_in: float, finesse: float) -> float:
     The finesse converts the injected power to the circulating power
     responsible for the index shift.
     """
-    if p_in < 0.0:
-        raise ValueError(f"p_in must be non-negative, got {p_in}")
-    if finesse <= 0.0:
-        raise ValueError(f"finesse must be positive, got {finesse}")
+    require_non_negative("p_in", p_in)
+    require_positive("finesse", finesse)
     return wg.gamma_nl * p_in * finesse
 
 
@@ -229,15 +226,13 @@ def kerr_validity_metric(
     below one mean the linear null survives the pump power; the design
     rules use a configurable ceiling (0.05 by default).
     """
-    if p_in < 0.0:
-        raise ValueError(f"p_in must be non-negative, got {p_in}")
-    if q_loaded <= 0.0:
-        raise ValueError(f"q_loaded must be positive, got {q_loaded}")
-    if wavelength <= 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    require_non_negative("p_in", p_in)
+    require_positive("q_loaded", q_loaded)
+    require_positive("wavelength", wavelength)
     return wg.gamma_nl * p_in * wavelength * q_loaded / (4.0 * wg.n_g)
 
 
 def phase_mismatch_angle(kappa: complex) -> float:
     """Phase of the complex coupling constant [rad]."""
+    require_finite("kappa", kappa)
     return cmath.phase(complex(kappa))

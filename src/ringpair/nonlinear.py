@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import AssumptionViolated, ApproximationWarning
+from .errors import AssumptionViolated, ApproximationWarning, require_finite, require_positive
 from .geometry import DeviceSpec, Resonance, WaveguideParams, device_combs, wavevector
 from .enhancement import lorentzian_response, peak_amplitude
 from .quadrature import integrate_adaptive
@@ -72,14 +72,9 @@ class ProcessConfig:
     delta_k: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, w in (
-            ("omega1", self.omega1),
-            ("omega2", self.omega2),
-            ("omega3", self.omega3),
-            ("omega4", self.omega4),
-        ):
-            if w <= 0.0:
-                raise ValueError(f"{name} must be positive, got {w}")
+        for name in ("omega1", "omega2", "omega3", "omega4"):
+            require_positive(name, getattr(self, name))
+        require_finite("delta_k", self.delta_k)
         if self.res_p1.owner != 1 or self.res_p2.owner != 1:
             raise ValueError("pump resonances must belong to ring 1")
         if self.res_s.owner != 2:
@@ -150,9 +145,10 @@ def z_overlap_integral(
         The integral [m]; magnitude and phase are both meaningful here,
         but note the phase contains twice the coupling phase.
     """
-    if length <= 0.0:
-        raise ValueError(f"length must be positive, got {length}")
     kappa = complex(kappa)
+    require_finite("kappa", kappa)
+    require_positive("length", length)
+    require_finite("delta_k", delta_k)
     if abs_tol is None:
         abs_tol = 1e-12 * length
     mag = abs(kappa)
@@ -331,6 +327,7 @@ def pump_pair(
     Of all such pairs, returns the one whose midpoint lies closest to
     ``omega_center``; pump 1 is the upper line.
     """
+    require_positive("omega_center", omega_center)
     if len(comb1) <= separation:
         raise ValueError(
             f"band holds only {len(comb1)} ring-1 lines; need at least "

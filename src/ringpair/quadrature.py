@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonPhysical, QuadratureFailure
+from .errors import NonPhysical, QuadratureFailure, require_positive
 
 _X_LO, _W_LO = np.polynomial.legendre.leggauss(7)
 _X_HI, _W_HI = np.polynomial.legendre.leggauss(15)
@@ -71,8 +71,7 @@ def integrate_adaptive(
     """
     if not hi > lo:
         raise ValueError(f"integration limits must satisfy lo < hi, got [{lo}, {hi}]")
-    if not abs_tol > 0.0:
-        raise ValueError(f"abs_tol must be positive, got {abs_tol}")
+    require_positive("abs_tol", abs_tol)
 
     total_span = hi - lo
     done_value: complex = 0.0 + 0.0j

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import kernels
 from .errors import MissingResonance, NonPhysical
+from .errors import require_finite, require_non_negative, require_positive
 from .geometry import (
     EPSILON_0,
     HBAR,
@@ -68,14 +69,8 @@ class PumpDrive:
     self_coupling: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.photon_number < math.inf:
-            raise ValueError(
-                f"photon_number must be finite and non-negative, got {self.photon_number}"
-            )
-        if not 0.0 < self.pulse_duration < math.inf:
-            raise ValueError(
-                f"pulse_duration must be finite and positive, got {self.pulse_duration}"
-            )
+        require_non_negative("photon_number", self.photon_number)
+        require_positive("pulse_duration", self.pulse_duration)
         if self.self_coupling is not None and not 0.0 < self.self_coupling < 1.0:
             raise ValueError(
                 f"self_coupling must lie strictly between 0 and 1, got {self.self_coupling}"
@@ -107,13 +102,14 @@ class PairRateReport:
 
 def suppression_factor(delta: float, linewidth: float) -> float:
     """Parasitic-rate suppression fwhm^2 / (delta^2 + fwhm^2)."""
-    if linewidth <= 0.0:
-        raise ValueError(f"linewidth must be positive, got {linewidth}")
+    require_finite("delta", delta)
+    require_positive("linewidth", linewidth)
     return linewidth**2 / (delta**2 + linewidth**2)
 
 
 def sigma_from_finesse(fin: float) -> float:
     """High-finesse estimate of the bus self-coupling, 1 - pi/finesse."""
+    require_finite("finesse", fin, NonPhysical)
     if fin <= math.pi:
         raise NonPhysical(
             f"finesse {fin:.3g} is too low for the high-finesse self-coupling estimate"
@@ -126,24 +122,36 @@ def pump_self_coupling(device: DeviceSpec, cfg: ProcessConfig) -> float:
     return sigma_from_finesse(ring_finesse(device.ring1, device.waveguide, cfg.res_p1.omega0))
 
 
-def _rate_prefactor(
-    drive: PumpDrive, omega_s: float, kcal: float, v_g: float, fin: float | None
-) -> float:
-    """Prefactor of |beta|^2 in front of the spectral integral.
+def _rate_setup(
+    drive: PumpDrive,
+    res_s: Resonance,
+    delta: float,
+    kcal: float,
+    v_g: float,
+    omega_s2: float | None,
+    fin: float | None,
+) -> tuple[float, float, float]:
+    """Validate the inputs of both rate routes.
 
-    Validates ``kcal`` and ``v_g`` and takes sigma from the drive or,
+    Returns the |beta|^2 prefactor, omega_s2 (default: the signal
+    center) and the pump frequency. Sigma comes from the drive or,
     when the drive carries none, from the finesse ``fin``.
     """
-    if not kcal > 0.0:
-        raise NonPhysical(f"kcal must be positive, got {kcal}")
-    if not v_g > 0.0:
-        raise ValueError(f"v_g must be positive, got {v_g}")
+    require_positive("kcal", kcal, NonPhysical)
+    require_positive("v_g", v_g)
+    require_finite("delta", delta)
+    omega_s = res_s.omega0
+    omega_s2 = omega_s if omega_s2 is None else omega_s2
+    require_positive("omega_s2", omega_s2, NonPhysical)
+    omega_p = 2.0 * omega_s - omega_s2 - delta
+    if omega_p <= 0.0:
+        raise NonPhysical("process frequencies are not positive; check delta and omega_s2")
     sigma = drive.self_coupling
     if sigma is None:
         if fin is None:
             raise ValueError("either drive.self_coupling or a finesse must be provided")
         sigma = sigma_from_finesse(fin)
-    return (
+    pref = (
         drive.photon_number**2
         * (HBAR * omega_s) ** 2
         / drive.pulse_duration
@@ -154,6 +162,7 @@ def _rate_prefactor(
         / v_g**4
         * (2.0 / (1.0 - sigma)) ** 4
     )
+    return pref, omega_s2, omega_p
 
 
 def _partner_line(
@@ -249,19 +258,14 @@ def pair_rate_integral(
         Ring finesse; only needed when the drive does not carry an
         explicit self-coupling.
     """
+    pref, omega_s2, omega_p = _rate_setup(drive, res_s, delta, kcal, v_g, omega_s2, fin)
     omega_s = res_s.omega0
-    pref = _rate_prefactor(drive, omega_s, kcal, v_g, fin)
     fwhm = res_s.linewidth
     if fwhm >= 0.01 * omega_s:
         raise NonPhysical(
             f"linewidth {fwhm:.3g} rad/s is not small against the line center; "
             "the narrow-resonance spectral model does not apply"
         )
-    if omega_s2 is None:
-        omega_s2 = omega_s
-    omega_p = 2.0 * omega_s - omega_s2 - delta
-    if omega_p <= 0.0 or omega_s2 <= 0.0:
-        raise NonPhysical("process frequencies are not positive; check delta and omega_s2")
 
     lo = min(0.0, -delta) - INTEGRATION_WINDOW_LINEWIDTHS * fwhm
     hi = max(0.0, -delta) + INTEGRATION_WINDOW_LINEWIDTHS * fwhm
@@ -289,12 +293,8 @@ def pair_rate_closed_form(
     :func:`pair_rate_integral` differs from 1 by the retained-factor
     correction (well under a percent for narrow lines).
     """
-    omega_s = res_s.omega0
-    pref = _rate_prefactor(drive, omega_s, kcal, v_g, fin)
+    pref, omega_s2, omega_p = _rate_setup(drive, res_s, delta, kcal, v_g, omega_s2, fin)
     fwhm = res_s.linewidth
-    if omega_s2 is None:
-        omega_s2 = omega_s
-    omega_p = 2.0 * omega_s - omega_s2 - delta
     spectral = (math.pi / 4.0) * fwhm**3 / (delta**2 + fwhm**2) * omega_s2 * omega_p
     return pref * spectral
 
@@ -388,12 +388,11 @@ def calibrate_kcal(
     Raises
     ------
     NonPhysical
-        If the target rate or pump power is not positive.
+        If the target rate or pump power is not finite and positive.
     """
-    if target_rate <= 0.0:
-        raise NonPhysical(f"target_rate must be positive, got {target_rate}")
-    if pump_power <= 0.0:
-        raise NonPhysical(f"pump_power must be positive, got {pump_power}")
+    require_positive("target_rate", target_rate, NonPhysical)
+    require_positive("pump_power", pump_power, NonPhysical)
+    require_positive("pulse_duration", pulse_duration)
     wg = device.waveguide
     omega_p = 0.5 * (cfg.res_p1.omega0 + cfg.res_p2.omega0)
     photon_number = pump_power * pulse_duration / (HBAR * omega_p)

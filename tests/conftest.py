@@ -12,6 +12,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 from scipy.constants import c as C_VACUUM
 
 from ringpair import (
@@ -26,6 +27,11 @@ REPO = Path(__file__).resolve().parent.parent
 DEVICE_JSON = REPO / "devices" / "silicon_racetrack.json"
 
 TWO_PI = 2.0 * math.pi
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite's verdict repeats and nothing is written to disk.
+settings.register_profile("ringpair", derandomize=True, database=None)
+settings.load_profile("ringpair")
 
 
 def make_device(

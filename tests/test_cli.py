@@ -288,6 +288,26 @@ class TestExitCodes:
         assert err["context"]["error"] == "ValueError"
         assert "1e400THz" in err["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kerr-check", "--device", DEV, "--power", "nan"],
+            ["kerr-check", "--device", DEV, "--power", "0.005", "--max-metric", "nan"],
+            ["suppression", "--device", DEV, "--band", *BAND, "--max-detuning", "nan"],
+            ["sweep", "--device", DEV, "--param", "dc.gap_m", "--list", "3e-7",
+             "--report", "kerr", "--power", "nan"],
+        ],
+        ids=["kerr-power", "kerr-max-metric", "suppression-max-detuning", "sweep-kerr-power"],
+    )
+    def test_non_finite_flag(self, argv, tmp_path, capsys):
+        out = tmp_path / "artifact"
+        rc = main([*argv, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error"] == "ValueError"
+        assert "nan" in err["message"]
+
     def test_numerical_failure_from_broad_lines(self, tmp_path, capsys):
         # Finesse below pi: the self-coupling estimate has no physical
         # solution, which is a numeric-domain failure, not bad input.

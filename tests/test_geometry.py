@@ -17,6 +17,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.constants
+from hypothesis import given, settings, strategies as st
 from scipy.constants import c as C_VACUUM
 from scipy.optimize import brentq
 
@@ -389,6 +390,46 @@ class TestCombOracle:
             assert phase == pytest.approx(TWO_PI * r.order, rel=1e-13, abs=0.0)
         if case == "edge_on_line" and owner == 1:
             assert (comb[0].omega0, comb[-1].omega0) == band
+
+
+@st.composite
+def _comb_inputs(draw):
+    """A generated ring, waveguide and band holding at least one line."""
+    n_eff = draw(st.floats(1.5, 3.5))
+    wg = WaveguideParams(
+        n_eff_ref=n_eff,
+        n_g=n_eff * draw(st.floats(0.9, 1.8)),
+        omega_ref=TWO_PI * C_VACUUM / draw(st.floats(1.3e-6, 1.7e-6)),
+        gvd=draw(st.one_of(st.just(0.0), st.floats(-5e-24, 5e-24))),
+    )
+    radius = draw(st.floats(5e-6, 5e-5))
+    ring = RacetrackSpec(
+        straight_len=draw(st.floats(1.0, 4.0)) * math.pi * radius,
+        bend_radius=radius,
+        q_intrinsic=1e5,
+        q_coupling=1e5,
+        heater_shift=draw(st.floats(-1e11, 1e11)),
+    )
+    center = wg.omega_ref * draw(st.floats(0.95, 1.05))
+    half = 0.5 * draw(st.floats(1.5, 40.0)) * fsr(ring, wg, center)
+    return ring, wg, (center - half, center + half)
+
+
+class TestCombProperties:
+    """Generated devices and bands; same 1e-13 tolerance as the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_comb_inputs())
+    def test_sorted_and_on_the_phase_grid(self, case):
+        ring, wg, band = case
+        comb = resonance_comb(ring, wg, band, owner=1)
+        freqs = [r.omega0 for r in comb]
+        assert all(a < b for a, b in zip(freqs, freqs[1:]))
+        assert [r.order for r in comb] == list(range(comb[0].order, comb[-1].order + 1))
+        assert band[0] <= freqs[0] and freqs[-1] <= band[1]
+        for r in comb:
+            phase = wavevector(wg, r.omega0 - ring.heater_shift) * ring.round_trip_length
+            assert phase == pytest.approx(TWO_PI * r.order, rel=1e-13, abs=0.0)
 
 
 class TestConstantsAndImports:

@@ -65,6 +65,11 @@ class TestSuppressionFactor:
     def test_validation(self):
         with pytest.raises(ValueError):
             suppression_factor(1.0, 0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                suppression_factor(1.0, bad)
+            with pytest.raises(ValueError):
+                suppression_factor(bad, FWHM)
 
 
 class TestSigma:
@@ -72,8 +77,9 @@ class TestSigma:
         assert sigma_from_finesse(100.0) == pytest.approx(1.0 - math.pi / 100.0, rel=1e-15)
 
     def test_low_finesse_rejected(self):
-        with pytest.raises(NonPhysical):
-            sigma_from_finesse(3.0)
+        for bad in (3.0, math.nan, math.inf):
+            with pytest.raises(NonPhysical):
+                sigma_from_finesse(bad)
 
 
 class TestPumpDrive:
@@ -384,3 +390,10 @@ class TestCalibration:
             calibrate_kcal(sample_device, 0.0, 5e-4, cfg)
         with pytest.raises(NonPhysical):
             calibrate_kcal(sample_device, 1e6, -1.0, cfg)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(NonPhysical):
+                calibrate_kcal(sample_device, bad, 5e-4, cfg)
+            with pytest.raises(NonPhysical):
+                calibrate_kcal(sample_device, 1e6, bad, cfg)
+            with pytest.raises(ValueError, match="pulse_duration"):
+                calibrate_kcal(sample_device, 1e6, 5e-4, cfg, pulse_duration=bad)
