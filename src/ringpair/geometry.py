@@ -422,8 +422,9 @@ def device_combs(
 
 def fsr(ring: RacetrackSpec, wg: WaveguideParams, omega: float) -> float:
     """Local free spectral range 2*pi*c / (n_g(w) * L_rt) [rad/s]."""
+    require_positive("omega", omega)
     ng = group_index(wg, omega)
-    if not np.all(np.asarray(ng) > 0.0):
+    if not ng > 0.0:
         raise ValueError("group index must be positive for an FSR")
     return TWO_PI * C_VACUUM / (ng * ring.round_trip_length)
 

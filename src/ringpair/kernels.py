@@ -36,7 +36,8 @@ def dc_overlap_integrand(
     position z, sums over N and applies the phase-mismatch factor
     exp(i * delta_k * z). The amplitudes are the standard two-mode
     beat solution: cosine in the fed guide, i * exp(-i*phase) * sine in
-    the other.
+    the other. The tests integrate it numerically as the reference for the
+    closed form in :func:`ringpair.nonlinear.z_overlap_integral`.
     """
     s = np.sin(kappa_abs * z)
     c = np.cos(kappa_abs * z)

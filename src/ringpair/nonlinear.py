@@ -6,17 +6,17 @@ factor chi3_bar / (n_bar^4 * area_eff), and a spatial factor: the
 integral over the coupler length of the product of asymptotic-field
 amplitudes, with the phase-mismatch factor exp(i * delta_k * z).
 
-Two independent routes compute J:
+Two routes compute J:
 
-* :func:`j_quadrature` evaluates the amplitude products numerically
-  with adaptive panel integration;
+* :func:`j_quadrature` uses the exact spatial integral for any coupler
+  length and phase mismatch;
 * :func:`j_closed_form` uses the analytic result that at a linear null
   (L = m*pi/|kappa|) and perfect phase matching the spatial integral
   has magnitude L/4, times a four-Lorentzian detuning factor.
 
-Their magnitudes agree to the quadrature tolerance; the overall phase
-of J is convention dependent (only |J| and |J|^2 enter rates), so
-comparisons are made on magnitudes.
+Their magnitudes agree there to rounding; the overall phase of J is
+convention dependent (only |J| and |J|^2 enter rates), so comparisons
+are made on magnitudes.
 
 J is reported in model units of 1/V^2 * m: the chi3 normalization
 constants that would convert it to a fully dimensioned interaction
@@ -31,11 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import AssumptionViolated, ApproximationWarning, require_finite, require_positive
 from .geometry import DeviceSpec, Resonance, WaveguideParams, device_combs, wavevector
 from .enhancement import lorentzian_response, peak_amplitude
-from .quadrature import integrate_adaptive
 
 PUMP_Q_MISMATCH_LIMIT = 0.10
 PHASE_MISMATCH_LIMIT = np.pi / 10.0
@@ -123,21 +121,19 @@ def enhancement_factor(cfg: ProcessConfig) -> complex:
     )
 
 
-def z_overlap_integral(
-    kappa: complex,
-    length: float,
-    delta_k: float = 0.0,
-    abs_tol: float | None = None,
-) -> complex:
-    """Spatial overlap integral over the coupler region.
+def z_overlap_integral(kappa: complex, length: float, delta_k: float = 0.0) -> complex:
+    """Spatial overlap integral over the coupler region, in closed form.
 
     Integrates the summed product of squared input-port and squared
-    output-port amplitudes (one term per coupler guide) against
-    exp(i * delta_k * z) from 0 to ``length``.
+    output-port amplitudes (one term per coupler guide), which is
+    -(exp(-2i*phase)/4) * (1 - cos(4|kappa|z)), against
+    exp(i * delta_k * z) from 0 to ``length``. With
+    E(q) = integral of exp(i*q*z) over [0, L] = L * exp(i*q*L/2) * sinc(q*L/2pi),
 
-    At a linear null (length = m*pi/|kappa|) and delta_k = 0 the result
-    has magnitude length/4. The default absolute tolerance is
-    1e-12 * length.
+        Z = -(exp(-2i*phase)/4) * [E(dk) - (E(dk + 4|kappa|) + E(dk - 4|kappa|))/2],
+
+    and sinc is exact at q = 0, so no limit needs a special case. At a
+    linear null (length = m*pi/|kappa|) and delta_k = 0, Z = -exp(-2i*phase) * L/4.
 
     Returns
     -------
@@ -145,20 +141,14 @@ def z_overlap_integral(
         The integral [m]; magnitude and phase are both meaningful here,
         but note the phase contains twice the coupling phase.
     """
-    kappa = complex(kappa)
     require_finite("kappa", kappa)
     require_positive("length", length)
     require_finite("delta_k", delta_k)
-    if abs_tol is None:
-        abs_tol = 1e-12 * length
-    mag = abs(kappa)
-    phase = float(np.angle(kappa)) if mag > 0.0 else 0.0
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        return kernels.dc_overlap_integrand(z, mag, phase, delta_k)
-
-    value, _err = integrate_adaptive(integrand, 0.0, length, abs_tol=abs_tol)
-    return value
+    beat = 4.0 * abs(kappa)
+    q = np.array([delta_k, delta_k + beat, delta_k - beat])
+    e = length * np.exp(0.5j * q * length) * np.sinc(q * length / (2.0 * np.pi))
+    unit = np.exp(-2j * np.angle(kappa))
+    return complex(-0.25 * unit * (e[0] - 0.5 * (e[1] + e[2])))
 
 
 def _material_factor(device: DeviceSpec) -> float:
@@ -169,11 +159,13 @@ def _material_factor(device: DeviceSpec) -> float:
 
 
 def j_quadrature(device: DeviceSpec, cfg: ProcessConfig, strict: bool = False) -> OverlapResult:
-    """Overlap figure J by numeric integration of the coupler fields.
+    """Overlap figure J, exact at the configured frequencies.
 
     The four enhancement factors are evaluated at the configured
-    frequencies, the spatial integral is done adaptively with the
-    device's coupler strength and the configured phase mismatch.
+    frequencies and multiplied by the exact spatial integral for the
+    device's coupler strength, coupler length and the configured phase
+    mismatch. The name and the ``"quadrature"`` method tag are part of
+    the command line's ``--method`` choice and of its artifacts.
 
     In strict mode assumption violations raise
     :class:`ringpair.errors.AssumptionViolated`; in lenient mode (the

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonPhysical, QuadratureFailure, require_positive
+from .errors import NonPhysical, QuadratureFailure, require_finite, require_positive
 
 _X_LO, _W_LO = np.polynomial.legendre.leggauss(7)
 _X_HI, _W_HI = np.polynomial.legendre.leggauss(15)
@@ -49,7 +49,7 @@ def integrate_adaptive(
         Maps an ndarray of abscissae to an ndarray of (possibly
         complex) integrand values of the same shape.
     lo, hi : float
-        Integration limits, lo < hi.
+        Finite integration limits, lo < hi.
     abs_tol : float
         Absolute tolerance on the integral.
     max_panels : int
@@ -69,6 +69,8 @@ def integrate_adaptive(
         If the budget is exhausted before every panel meets its share
         of the tolerance.
     """
+    require_finite("lo", lo)
+    require_finite("hi", hi)
     if not hi > lo:
         raise ValueError(f"integration limits must satisfy lo < hi, got [{lo}, {hi}]")
     require_positive("abs_tol", abs_tol)

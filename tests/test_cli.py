@@ -24,6 +24,20 @@ DEV = str(DEVICE_JSON)
 BAND = ["192THz", "195THz"]
 
 
+# The README's example command of each subcommand, without --out.
+README_COMMANDS = {
+    "spectrum": ["spectrum", "--device", DEV, "--band", *BAND, "--points", "4001"],
+    "overlap": ["overlap", "--device", DEV, "--band", "1567nm:1543nm", "--method", "quadrature"],
+    "rates": ["rates", "--device", DEV, "--band", *BAND, "--photons", "5e4", "--pulse", "1e-9"],
+    "suppression": ["suppression", "--device", DEV, "--band", *BAND, "--points", "121",
+                    "--max-detuning", "60"],
+    "kerr-check": ["kerr-check", "--device", DEV, "--power", "0.005"],
+    "optimize": ["optimize", "--device", DEV, "--signal", "1550nm", "--suppression", "1e-3"],
+    "sweep": ["sweep", "--device", DEV, "--param", "dc.gap_m", "--values", "2.8e-7", "3.2e-7",
+              "41", "--report", "isolation"],
+}
+
+
 def read_csv(text):
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -69,13 +83,14 @@ class TestArtifacts:
         assert meta["argv"] == argv
         assert isinstance(meta["created_unix"], float)
 
-    def test_artifacts_are_deterministic(self, tmp_path):
-        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    @pytest.mark.parametrize("argv", README_COMMANDS.values(), ids=README_COMMANDS.keys())
+    def test_artifacts_are_deterministic(self, argv, tmp_path, capsys):
+        outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
-            rc = main(["spectrum", "--device", DEV, "--band", *BAND,
-                       "--points", "51", "--out", str(out)])
+            rc = main([*argv, "--out", str(out)])
             assert rc == EXIT_OK
         assert outs[0].read_bytes() == outs[1].read_bytes()
+        capsys.readouterr()
 
     def test_band_spellings_agree(self, tmp_path):
         outs = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"]

@@ -430,6 +430,12 @@ class TestCombProperties:
         for r in comb:
             phase = wavevector(wg, r.omega0 - ring.heater_shift) * ring.round_trip_length
             assert phase == pytest.approx(TWO_PI * r.order, rel=1e-13, abs=0.0)
+        # k(w) is quadratic, so its secant slope over one spacing is its
+        # slope at the midpoint: each spacing is the FSR there, exactly.
+        # The tolerance covers the cancellation in the line difference.
+        for a, b in zip(freqs, freqs[1:]):
+            mid = 0.5 * (a + b) - ring.heater_shift
+            assert b - a == pytest.approx(fsr(ring, wg, mid), rel=1e-11, abs=0.0)
 
 
 class TestConstantsAndImports:
@@ -505,6 +511,13 @@ class TestFsrAndFinesse:
         assert got == pytest.approx(
             fsr(dev.ring1, dev.waveguide, w) * dev.ring1.q_loaded / w, rel=1e-15
         )
+
+    @pytest.mark.parametrize("func", [fsr, finesse])
+    @pytest.mark.parametrize("omega", [0.0, -1e15, math.nan, math.inf, -math.inf])
+    def test_omega_validation(self, func, omega):
+        dev = make_device()
+        with pytest.raises(ValueError):
+            func(dev.ring1, dev.waveguide, omega)
 
     def test_finesse_scales_with_loaded_q(self):
         w = make_device().waveguide.omega_ref

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringpair import (
     AssumptionViolated,
@@ -15,6 +17,7 @@ from ringpair import (
     ProcessConfig,
     Resonance,
     enhancement_factor,
+    integrate_adaptive,
     j_closed_form,
     j_quadrature,
     j_single_ring_baseline,
@@ -71,6 +74,27 @@ class TestZIdentity:
         )
 
 
+@st.composite
+def _overlap_inputs(draw):
+    """|kappa|, phase, length and delta_k, with delta_k on or near the
+    zero and +-4|kappa| resonances of the closed form as well as
+    anywhere in between; lengths at nulls and in general position."""
+    mag = draw(st.floats(1e3, 1e6))
+    phase = draw(st.floats(-math.pi, math.pi))
+    beats = draw(st.one_of(st.integers(1, 4).map(float), st.floats(0.05, 4.0)))
+    length = beats * math.pi / mag
+    centre = draw(st.sampled_from([0.0, 4.0 * mag, -4.0 * mag]))
+    offset = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(1e-12, 1e-3).map(lambda e: e * 4.0 * mag),
+            st.floats(1e-12, 1e-3).map(lambda e: -e * 4.0 * mag),
+            st.floats(-20.0, 20.0).map(lambda u: u * math.pi / length),
+        )
+    )
+    return mag, phase, length, centre + offset
+
+
 class TestZOverlapIntegral:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_null_length_quarter_rule(self, m):
@@ -104,6 +128,25 @@ class TestZOverlapIntegral:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             z_overlap_integral(1e4 + 0j, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_overlap_inputs())
+    def test_closed_form_matches_quadrature(self, case):
+        mag, phase, length, delta_k = case
+        value = z_overlap_integral(mag * cmath.exp(1j * phase), length, delta_k)
+        reference, _ = integrate_adaptive(
+            lambda z: kernels.dc_overlap_integrand(z, mag, phase, delta_k),
+            0.0,
+            length,
+            abs_tol=1e-13 * length,
+        )
+        assert abs(value - reference) <= 1e-12 * length
+
+    @pytest.mark.parametrize("delta_k", [0.0, 3e4, -2e6])
+    def test_zero_coupling_gives_zero(self, delta_k):
+        # Without coupling no light reaches the output guide, so every
+        # summed amplitude product vanishes.
+        assert z_overlap_integral(0j, 5e-5, delta_k) == 0.0
 
 
 class TestEnhancementFactor:
@@ -279,6 +322,47 @@ class TestAssumptionChecks:
         cfg = null_config(dev)
         with pytest.raises(AssumptionViolated):
             j_single_ring_baseline(dev, cfg, strict=True)
+
+
+@st.composite
+def _assumption_inputs(draw):
+    """A device and a configuration on either side of each assumption
+    limit: field detuning, phase mismatch, pump Q mismatch and ring
+    length mismatch."""
+    dev = make_device(l2_scale=draw(st.sampled_from([1.0, 1.005, 1.02, 1.12])))
+    cfg = null_config(dev, delta_k=draw(st.floats(-0.5, 0.5)) / dev.dc_length)
+    p2 = cfg.res_p2
+    off = Resonance(
+        owner=1,
+        order=p2.order,
+        omega0=p2.omega0,
+        q_loaded=draw(st.floats(0.8, 1.0)) * p2.q_loaded,
+        q_coupling=p2.q_coupling,
+    )
+    detuning = draw(st.floats(-30.0, 30.0))
+    cfg = replace(
+        cfg,
+        res_p2=off,
+        omega4=off.omega0,
+        omega3=cfg.res_p1.omega0 + detuning * cfg.res_p1.linewidth,
+    )
+    return dev, cfg
+
+
+class TestStrictLenientAgree:
+    @pytest.mark.parametrize("route", [j_quadrature, j_closed_form, j_single_ring_baseline])
+    @settings(max_examples=60, deadline=None)
+    @given(case=_assumption_inputs())
+    def test_strict_raises_exactly_when_lenient_warns(self, route, case):
+        dev, cfg = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ApproximationWarning)
+            lenient = route(dev, cfg)
+        if lenient.warnings:
+            with pytest.raises(AssumptionViolated):
+                route(dev, cfg, strict=True)
+        else:
+            assert route(dev, cfg, strict=True) == lenient
 
 
 class TestResonantConfig:

@@ -85,6 +85,9 @@ def test_limit_validation():
         integrate_adaptive(f, 0.0, 1.0, abs_tol=0.0)
     with pytest.raises(ValueError):
         integrate_adaptive(f, 0.0, 1.0, abs_tol=math.nan)
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            integrate_adaptive(f, lo, hi, abs_tol=1e-9)
 
 
 def test_non_finite_integrand_fails_on_first_round():
