@@ -32,9 +32,11 @@ from .design import (
     xpm_spm_compensation,
 )
 from .deviceio import (
+    csv_text,
     device_from_dict,
     device_to_dict,
     load_device,
+    set_device_param,
     write_text_atomic,
 )
 from .enhancement import intensity_spectrum, spectrum_to_csv
@@ -126,13 +128,6 @@ def _band_pair(edges: Sequence[str]) -> tuple[float, float]:
 
 def _json_text(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
 
 
 def _emit(out: str | None, text: str, argv: Sequence[str]) -> None:
@@ -252,7 +247,7 @@ def cmd_suppression(args: argparse.Namespace, argv: Sequence[str]) -> None:
         rows.append((x, suppression_factor(delta, lw), signal_rate, rate))
     _emit(
         args.out,
-        _csv_text(("delta_over_linewidth", "suppression", "signal_rate", "parasitic_rate"), rows),
+        csv_text(("delta_over_linewidth", "suppression", "signal_rate", "parasitic_rate"), rows),
         argv,
     )
 
@@ -300,44 +295,6 @@ def cmd_optimize(args: argparse.Namespace, argv: Sequence[str]) -> None:
     _emit(args.report, _json_text(payload), argv)
 
 
-# Spellings without the unit suffix are accepted for convenience, so
-# both dc.length_m (file key) and dc.dc_length (field name) work.
-_LEAF_ALIASES = {
-    "dc_length": "length_m",
-    "dc_gap": "gap_m",
-    "omega_ref": "freq_ref_hz",
-}
-_LEAF_SUFFIXES = ("_m", "_hz", "_per_m", "_w_m", "_s2_per_m", "_m2_v2", "_m2", "_rad")
-
-
-def _resolve_leaf(node: dict, leaf: str, dotted: str) -> str:
-    if leaf in node:
-        return leaf
-    if leaf in _LEAF_ALIASES and _LEAF_ALIASES[leaf] in node:
-        return _LEAF_ALIASES[leaf]
-    hits = [leaf + suffix for suffix in _LEAF_SUFFIXES if leaf + suffix in node]
-    if len(hits) == 1:
-        return hits[0]
-    raise ValueError(
-        f"parameter path {dotted!r} not found; available here: {sorted(node)}"
-    )
-
-
-def _set_dotted(data: dict, dotted: str, value: float) -> None:
-    parts = dotted.split(".")
-    node = data
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ValueError(
-                f"parameter path {dotted!r} not found; available here: "
-                f"{sorted(node) if isinstance(node, dict) else 'scalar'}"
-            )
-        node = node[part]
-    if not isinstance(node, dict):
-        raise ValueError(f"parameter path {dotted!r} does not address an object")
-    node[_resolve_leaf(node, parts[-1], dotted)] = value
-
-
 def _sweep_values(args: argparse.Namespace) -> list[float]:
     if args.values is not None:
         lo, hi = float(args.values[0]), float(args.values[1])
@@ -359,7 +316,7 @@ def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> None:
     rows: list[tuple[float, ...]] = []
     for value in values:
         data = copy.deepcopy(raw)
-        _set_dotted(data, args.param, value)
+        set_device_param(data, args.param, value)
         device = device_from_dict(data, strict=args.strict)
         wg = device.waveguide
         if args.report == "isolation":
@@ -392,7 +349,7 @@ def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> None:
                     max(rep.per_second(b) for b in rep.beta_sq_parasitic),
                 )
             )
-    _emit(args.out, _csv_text(header, rows), argv)
+    _emit(args.out, csv_text(header, rows), argv)
 
 
 def _add_common(p: argparse.ArgumentParser, band: bool = False) -> None:
@@ -488,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--param",
         required=True,
-        help="dotted JSON path of the swept entry, e.g. dc.gap_m or ring2.q_coupling",
+        help="swept entry as section.key or section.field, e.g. dc.gap_m or dc.dc_gap; "
+        "the value is in the file key's unit",
     )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument(

@@ -3,7 +3,9 @@
 Lengths are meters, frequencies are plain Hz in the file; internally
 everything is angular (rad/s). The format is versioned through a
 mandatory ``"schema": 1`` key so that future revisions can migrate old
-files instead of misreading them.
+files instead of misreading them. ``FILE_FORMAT`` is the one definition
+of the keys, their units and their defaults: reading, writing and
+:func:`set_device_param` all work from it.
 
 Unknown keys are tolerated by default (and reported back to the
 caller) so that annotated device files keep loading; strict mode
@@ -16,25 +18,48 @@ import json
 import math
 import os
 import tempfile
-from typing import Any
+from itertools import starmap
+from typing import Any, Iterable, Sequence
 
 from .geometry import CouplingModel, DeviceSpec, RacetrackSpec, WaveguideParams
 
 SCHEMA_VERSION = 1
 
-_WG_REQUIRED = ("n_eff_ref", "n_g", "freq_ref_hz")
-_WG_OPTIONAL = {
-    "gvd_s2_per_m": 0.0,
-    "gamma_nl_w_m": 0.0,
-    "chi3_m2_v2": 0.0,
-    "n_bar": 1.0,
-    "area_eff_m2": 1.0,
+# The file format, section by section, in file order. Each row is
+# (file key, dataclass field, scale from the file unit to the field
+# unit, default in the file unit or None when the key is required).
+_REQUIRED = None
+_RING = (
+    ("straight_len_m", "straight_len", 1.0, _REQUIRED),
+    ("bend_radius_m", "bend_radius", 1.0, _REQUIRED),
+    ("q_intrinsic", "q_intrinsic", 1.0, _REQUIRED),
+    ("q_coupling", "q_coupling", 1.0, _REQUIRED),
+    ("heater_shift_hz", "heater_shift", 2.0 * math.pi, 0.0),
+)
+FILE_FORMAT: dict[str, tuple[tuple[str, str, float, float | None], ...]] = {
+    "waveguide": (
+        ("n_eff_ref", "n_eff_ref", 1.0, _REQUIRED),
+        ("n_g", "n_g", 1.0, _REQUIRED),
+        ("freq_ref_hz", "omega_ref", 2.0 * math.pi, _REQUIRED),
+        ("gvd_s2_per_m", "gvd", 1.0, 0.0),
+        ("gamma_nl_w_m", "gamma_nl", 1.0, 0.0),
+        ("chi3_m2_v2", "chi3_bar", 1.0, 0.0),
+        ("n_bar", "n_bar", 1.0, 1.0),
+        ("area_eff_m2", "area_eff", 1.0, 1.0),
+    ),
+    "ring1": _RING,
+    "ring2": _RING,
+    "dc": (
+        ("length_m", "dc_length", 1.0, _REQUIRED),
+        ("gap_m", "dc_gap", 1.0, _REQUIRED),
+    ),
+    "coupling_model": (
+        ("kappa0_per_m", "kappa0", 1.0, _REQUIRED),
+        ("gap_ref_m", "gap_ref", 1.0, _REQUIRED),
+        ("decay_len_m", "decay_len", 1.0, _REQUIRED),
+        ("phase_rad", "phase", 1.0, 0.0),
+    ),
 }
-_RING_REQUIRED = ("straight_len_m", "bend_radius_m", "q_intrinsic", "q_coupling")
-_RING_OPTIONAL = {"heater_shift_hz": 0.0}
-_DC_REQUIRED = ("length_m", "gap_m")
-_CM_REQUIRED = ("kappa0_per_m", "gap_ref_m", "decay_len_m")
-_CM_OPTIONAL = {"phase_rad": 0.0}
 
 
 def _require_number(section: str, data: dict, key: str) -> float:
@@ -49,25 +74,24 @@ def _require_number(section: str, data: dict, key: str) -> float:
     return value
 
 
-def _read_section(
-    data: dict,
-    name: str,
-    required: tuple[str, ...],
-    optional: dict[str, float],
-    strict: bool,
-    unknown: list[str],
-) -> dict[str, float]:
+def _read_section(data: dict, name: str, strict: bool, unknown: list[str]) -> dict[str, float]:
+    """Constructor keyword arguments of one section, in field units."""
     if name not in data:
         raise ValueError(f"device file: missing section '{name}'")
     section = data[name]
     if not isinstance(section, dict):
         raise ValueError(f"device file: section '{name}' must be an object")
-    out = {key: _require_number(name, section, key) for key in required}
-    for key, default in optional.items():
-        out[key] = _require_number(name, section, key) if key in section else default
-    extra = sorted(set(section) - set(required) - set(optional))
-    for key in extra:
-        unknown.append(f"{name}.{key}")
+    rows = FILE_FORMAT[name]
+    out = {
+        field: scale * (
+            _require_number(name, section, key)
+            if default is _REQUIRED or key in section
+            else default
+        )
+        for key, field, scale, default in rows
+    }
+    extra = sorted(set(section) - {key for key, _, _, _ in rows})
+    unknown.extend(f"{name}.{key}" for key in extra)
     if strict and extra:
         raise ValueError(f"device file: unknown keys in '{name}': {', '.join(extra)}")
     return out
@@ -78,7 +102,8 @@ def device_from_dict(data: dict[str, Any], strict: bool = False) -> DeviceSpec:
 
     Raises ``ValueError`` on any structural problem: wrong schema
     version, missing or non-numeric fields, and (in strict mode)
-    unknown keys. Physical validation is delegated to the value types.
+    unknown keys. Physical validation is delegated to the value types;
+    their errors carry the same ``device file:`` prefix.
     """
     device, _ = device_from_dict_verbose(data, strict=strict)
     return device
@@ -94,55 +119,17 @@ def device_from_dict_verbose(
         raise ValueError(
             f"device file: expected \"schema\": {SCHEMA_VERSION}, got {data.get('schema')!r}"
         )
-    unknown: list[str] = []
-    known_top = {"schema", "waveguide", "ring1", "ring2", "dc", "coupling_model"}
-    extra_top = sorted(set(data) - known_top)
-    for key in extra_top:
-        unknown.append(key)
-    if strict and extra_top:
-        raise ValueError(f"device file: unknown top-level keys: {', '.join(extra_top)}")
-
-    wg_d = _read_section(data, "waveguide", _WG_REQUIRED, _WG_OPTIONAL, strict, unknown)
-    r1_d = _read_section(data, "ring1", _RING_REQUIRED, _RING_OPTIONAL, strict, unknown)
-    r2_d = _read_section(data, "ring2", _RING_REQUIRED, _RING_OPTIONAL, strict, unknown)
-    dc_d = _read_section(data, "dc", _DC_REQUIRED, {}, strict, unknown)
-    cm_d = _read_section(data, "coupling_model", _CM_REQUIRED, _CM_OPTIONAL, strict, unknown)
-
-    two_pi = 2.0 * math.pi
-    wg = WaveguideParams(
-        n_eff_ref=wg_d["n_eff_ref"],
-        n_g=wg_d["n_g"],
-        omega_ref=two_pi * wg_d["freq_ref_hz"],
-        gvd=wg_d["gvd_s2_per_m"],
-        gamma_nl=wg_d["gamma_nl_w_m"],
-        chi3_bar=wg_d["chi3_m2_v2"],
-        n_bar=wg_d["n_bar"],
-        area_eff=wg_d["area_eff_m2"],
-    )
-
-    def ring(d: dict[str, float]) -> RacetrackSpec:
-        return RacetrackSpec(
-            straight_len=d["straight_len_m"],
-            bend_radius=d["bend_radius_m"],
-            q_intrinsic=d["q_intrinsic"],
-            q_coupling=d["q_coupling"],
-            heater_shift=two_pi * d["heater_shift_hz"],
-        )
-
-    coupling = CouplingModel(
-        kappa0=cm_d["kappa0_per_m"],
-        gap_ref=cm_d["gap_ref_m"],
-        decay_len=cm_d["decay_len_m"],
-        phase=cm_d["phase_rad"],
-    )
+    unknown = sorted(set(data) - {"schema", *FILE_FORMAT})
+    if strict and unknown:
+        raise ValueError(f"device file: unknown top-level keys: {', '.join(unknown)}")
+    kw = {name: _read_section(data, name, strict, unknown) for name in FILE_FORMAT}
     try:
         device = DeviceSpec(
-            waveguide=wg,
-            ring1=ring(r1_d),
-            ring2=ring(r2_d),
-            dc_length=dc_d["length_m"],
-            dc_gap=dc_d["gap_m"],
-            coupling=coupling,
+            waveguide=WaveguideParams(**kw["waveguide"]),
+            ring1=RacetrackSpec(**kw["ring1"]),
+            ring2=RacetrackSpec(**kw["ring2"]),
+            coupling=CouplingModel(**kw["coupling_model"]),
+            **kw["dc"],
         )
     except ValueError as exc:
         raise ValueError(f"device file: {exc}") from exc
@@ -151,40 +138,46 @@ def device_from_dict_verbose(
 
 def device_to_dict(device: DeviceSpec) -> dict[str, Any]:
     """Serialize a device back to the file representation (Hz, meters)."""
-    two_pi = 2.0 * math.pi
-    wg = device.waveguide
-
-    def ring(r: RacetrackSpec) -> dict[str, float]:
-        return {
-            "straight_len_m": r.straight_len,
-            "bend_radius_m": r.bend_radius,
-            "q_intrinsic": r.q_intrinsic,
-            "q_coupling": r.q_coupling,
-            "heater_shift_hz": r.heater_shift / two_pi,
-        }
-
-    return {
-        "schema": SCHEMA_VERSION,
-        "waveguide": {
-            "n_eff_ref": wg.n_eff_ref,
-            "n_g": wg.n_g,
-            "freq_ref_hz": wg.omega_ref / two_pi,
-            "gvd_s2_per_m": wg.gvd,
-            "gamma_nl_w_m": wg.gamma_nl,
-            "chi3_m2_v2": wg.chi3_bar,
-            "n_bar": wg.n_bar,
-            "area_eff_m2": wg.area_eff,
-        },
-        "ring1": ring(device.ring1),
-        "ring2": ring(device.ring2),
-        "dc": {"length_m": device.dc_length, "gap_m": device.dc_gap},
-        "coupling_model": {
-            "kappa0_per_m": device.coupling.kappa0,
-            "gap_ref_m": device.coupling.gap_ref,
-            "decay_len_m": device.coupling.decay_len,
-            "phase_rad": device.coupling.phase,
-        },
+    owners = {
+        "waveguide": device.waveguide,
+        "ring1": device.ring1,
+        "ring2": device.ring2,
+        "dc": device,
+        "coupling_model": device.coupling,
     }
+    out: dict[str, Any] = {"schema": SCHEMA_VERSION}
+    for name, rows in FILE_FORMAT.items():
+        owner = owners[name]
+        # Unit-scale fields are copied, so an integer stays an integer.
+        out[name] = {
+            key: getattr(owner, field) / scale if scale != 1.0 else getattr(owner, field)
+            for key, field, scale, _ in rows
+        }
+    return out
+
+
+def set_device_param(data: dict[str, Any], dotted: str, value: float) -> None:
+    """Set one entry of a parsed device file, addressed as ``section.leaf``.
+
+    The leaf is the file key (``dc.gap_m``) or the dataclass field name
+    (``dc.dc_gap``); either way ``value`` is stored under the file key,
+    in the file key's unit. Raises ``ValueError`` for an unknown path.
+    """
+    name, _, leaf = dotted.partition(".")
+    if name not in FILE_FORMAT:
+        raise ValueError(
+            f"parameter path {dotted!r} not found; sections: {', '.join(FILE_FORMAT)}"
+        )
+    rows = FILE_FORMAT[name]
+    key = next((key for key, field, _, _ in rows if leaf in (key, field)), None)
+    if key is None:
+        raise ValueError(
+            f"parameter path {dotted!r} not found; keys of '{name}': "
+            f"{', '.join(row[0] for row in rows)}"
+        )
+    if not isinstance(data, dict) or not isinstance(data.get(name), dict):
+        raise ValueError(f"device file: section '{name}' must be an object")
+    data[name][key] = value
 
 
 def load_device(path: str | os.PathLike, strict: bool = False) -> DeviceSpec:
@@ -216,6 +209,12 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
+    """CSV with 17 significant digits, so parsing reproduces the doubles exactly."""
+    row_text = ",".join(["{:.17g}"] * len(header)).format
+    return "\n".join([",".join(header), *starmap(row_text, rows)]) + "\n"
 
 
 def save_device(device: DeviceSpec, path: str | os.PathLike) -> None:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .deviceio import csv_text
 from .errors import ApproximationWarning
 from .geometry import DeviceSpec, Resonance, WaveguideParams, RacetrackSpec, device_combs
 
@@ -171,7 +172,5 @@ def spectrum_to_csv(result: SpectrumResult) -> str:
     significant digits so that parsing the file reproduces the binary
     doubles exactly.
     """
-    lines = ["omega_rad_s,f1_sq,f2_sq"]
-    for w, a, b in zip(result.omega, result.f1_sq, result.f2_sq):
-        lines.append(f"{w:.17g},{a:.17g},{b:.17g}")
-    return "\n".join(lines) + "\n"
+    columns = (result.omega.tolist(), result.f1_sq.tolist(), result.f2_sq.tolist())
+    return csv_text(("omega_rad_s", "f1_sq", "f2_sq"), zip(*columns))

@@ -20,11 +20,12 @@ law.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyBand, NoConvergence
+from .errors import EmptyBand, NoConvergence, NonPhysical
 from .errors import require_finite, require_non_negative, require_positive
 
 TWO_PI = 2.0 * math.pi
@@ -37,6 +38,9 @@ EPSILON_0 = 8.8541878188e-12
 # Largest number of mode orders one comb solve may span; a band edge far
 # out of the optical range would otherwise allocate without bound.
 MAX_COMB_ORDERS = 10**6
+
+# Largest argument of math.exp that does not overflow.
+_MAX_EXP = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,14 @@ class CouplingModel:
     def kappa_abs(self, gap: float) -> float:
         """Coupling magnitude at the given gap [1/m]."""
         require_positive("gap", gap)
-        return self.kappa0 * math.exp(-(gap - self.gap_ref) / self.decay_len)
+        exponent = -(gap - self.gap_ref) / self.decay_len
+        if exponent <= _MAX_EXP:
+            kappa = self.kappa0 * math.exp(exponent)
+            if kappa < math.inf:
+                return kappa
+        raise NonPhysical(
+            f"coupling strength overflows at gap {gap}: kappa0 * exp({exponent:.6g})"
+        )
 
     def kappa(self, gap: float) -> complex:
         """Complex coupling constant at the given gap [1/m]."""

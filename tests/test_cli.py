@@ -17,11 +17,23 @@ from ringpair.cli import (
     main,
     parse_frequency,
 )
+from ringpair.deviceio import FILE_FORMAT
 
 from conftest import DEVICE_JSON, make_device
 
 DEV = str(DEVICE_JSON)
 BAND = ["192THz", "195THz"]
+
+# Every (section, file key, dataclass field) of the device-file format.
+FORMAT_ROWS = [
+    (section, key, field)
+    for section, rows in FILE_FORMAT.items()
+    for key, field, _, _ in rows
+]
+# A valid value off the shipped device for each key where scaling the
+# shipped value does not do; every other key is swept to 1.001 times it.
+OFF_SHIPPED = {"gvd_s2_per_m": 1e-25, "heater_shift_hz": 1e9, "phase_rad": 0.1,
+               "length_m": 4.7e-5}
 
 
 # The README's example command of each subcommand, without --out.
@@ -255,6 +267,40 @@ class TestSweep:
         header, rows = read_csv(texts[0])
         assert len(rows) == 1
 
+    @pytest.mark.parametrize(
+        "section, key, field", FORMAT_ROWS, ids=[f"{s}.{f}" for s, _, f in FORMAT_ROWS]
+    )
+    def test_key_and_field_spellings_agree(self, section, key, field, capsys):
+        shipped = json.loads(DEVICE_JSON.read_text())[section][key]
+        value = repr(OFF_SHIPPED.get(key, 1.001 * shipped))
+        texts = []
+        for leaf in (field, key):
+            # --strict rejects unknown keys, so the field spelling must
+            # land on the file key rather than add an entry of its own.
+            rc = main(["sweep", "--device", DEV, "--strict", "--param", f"{section}.{leaf}",
+                       "--list", value, "--report", "kerr", "--power", "0.005"])
+            assert rc == EXIT_OK
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert read_csv(texts[0])[1][0][0] == float(value)
+
+    @pytest.mark.parametrize("param", ["dc.gap", "dc.length", "waveguide.freq_ref",
+                                       "waveguide.chi3"])
+    def test_suffix_stripped_spellings_rejected(self, param, capsys):
+        rc = main(["sweep", "--device", DEV, "--param", param, "--list", "3e-7"])
+        assert rc == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert param in message
+        section = param.split(".")[0]
+        assert all(key in message for key, _, _, _ in FILE_FORMAT[section])
+
+    def test_unknown_section(self, capsys):
+        rc = main(["sweep", "--device", DEV, "--param", "schema", "--list", "2"])
+        assert rc == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "'schema'" in message
+        assert all(section in message for section in FILE_FORMAT)
+
     def test_unknown_parameter(self, capsys):
         rc = main(["sweep", "--device", DEV, "--param", "dc.bogus",
                    "--list", "1e-7"])
@@ -322,6 +368,32 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["context"]["error"] == "ValueError"
         assert "nan" in err["message"]
+
+    @pytest.mark.parametrize(
+        "key, scale, argv",
+        [
+            ("gap_ref_m", 1e9, ["overlap", "--band", "1567nm:1543nm"]),
+            ("gap_ref_m", 1e9, ["kerr-check", "--power", "0.005"]),
+            ("gap_ref_m", 1e9, ["optimize", "--signal", "1550nm", "--suppression", "1e-3"]),
+            ("decay_len_m", 1e-9, ["optimize", "--signal", "1550nm", "--suppression", "1e-3"]),
+        ],
+        ids=["gap-ref-overlap", "gap-ref-kerr-check", "gap-ref-optimize",
+             "decay-len-optimize"],
+    )
+    def test_coupling_overflow_is_non_physical(self, key, scale, argv, tmp_path, capsys):
+        # exp(-(gap - gap_ref) / decay_len) overflows a double at these
+        # scalings; it used to escape as an OverflowError traceback.
+        data = json.loads(DEVICE_JSON.read_text())
+        data["coupling_model"][key] *= scale
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "artifact"
+        rc = main([argv[0], "--device", str(path), *argv[1:], "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error"] == "NonPhysical"
+        assert "overflows" in err["message"]
 
     def test_numerical_failure_from_broad_lines(self, tmp_path, capsys):
         # Finesse below pi: the self-coupling estimate has no physical

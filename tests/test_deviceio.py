@@ -5,19 +5,49 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringpair import load_device, save_device
 from ringpair.deviceio import (
+    FILE_FORMAT,
     SCHEMA_VERSION,
     device_from_dict,
     device_from_dict_verbose,
     device_to_dict,
+    set_device_param,
     write_text_atomic,
 )
 
-from conftest import DEVICE_JSON, make_device
+from conftest import DEVICE_JSON, REPO, make_device
+
+# Keys whose value may take either sign, and keys that may be zero.
+SIGNED = {"gvd_s2_per_m", "chi3_m2_v2", "heater_shift_hz", "phase_rad"}
+NON_NEGATIVE = {"gamma_nl_w_m", "kappa0_per_m"}
+
+
+@st.composite
+def device_dicts(draw):
+    """Valid device dicts: log-uniform magnitudes, each optional key in or out."""
+    magnitude = st.floats(-30.0, 30.0).map(lambda e: 10.0**e)
+    data = {"schema": SCHEMA_VERSION}
+    for section, rows in FILE_FORMAT.items():
+        body = {}
+        for key, _, _, default in rows:
+            if default is not None and not draw(st.booleans()):
+                continue
+            value = draw(magnitude)
+            if key in SIGNED:
+                value *= draw(st.sampled_from([-1.0, 0.0, 1.0]))
+            elif key in NON_NEGATIVE:
+                value *= draw(st.sampled_from([0.0, 1.0]))
+            body[key] = value
+        data[section] = body
+    shorter = min(data["ring1"]["straight_len_m"], data["ring2"]["straight_len_m"])
+    data["dc"]["length_m"] = shorter * 10.0 ** draw(st.floats(-3.0, 0.0))
+    return data
 
 
 def good_dict() -> dict:
@@ -55,6 +85,26 @@ class TestRoundTrip:
         )
         # Shipped at an exact coupler null.
         assert abs(sample_device.kappa_abs * sample_device.dc_length - math.pi) < 1e-9
+
+    @settings(max_examples=300)
+    @given(device_dicts())
+    def test_generated_dicts_round_trip(self, data):
+        out = device_to_dict(device_from_dict(data))
+        assert list(out) == ["schema", *FILE_FORMAT]
+        for section, rows in FILE_FORMAT.items():
+            assert list(out[section]) == [key for key, _, _, _ in rows]
+            for key, _, scale, default in rows:
+                expected = data[section].get(key, default)
+                if scale == 1.0:
+                    assert out[section][key] == expected
+                else:
+                    # Hz keys pass through a multiply and a divide by 2 pi.
+                    assert abs(out[section][key] - expected) <= math.ulp(expected)
+
+    def test_shipped_file_saves_byte_identical(self, tmp_path):
+        path = tmp_path / "dev.json"
+        save_device(load_device(DEVICE_JSON), path)
+        assert path.read_bytes() == DEVICE_JSON.read_bytes()
 
     def test_sample_file_carries_schema(self):
         data = json.loads(DEVICE_JSON.read_text())
@@ -124,6 +174,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="device file"):
             device_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "section, key, bad",
+        [("waveguide", "n_g", -1.0), ("waveguide", "n_g", 0.0),
+         ("coupling_model", "decay_len_m", -1.0), ("coupling_model", "decay_len_m", 0.0)],
+    )
+    def test_every_constructor_error_is_prefixed(self, section, key, bad):
+        data = good_dict()
+        data[section][key] = bad
+        with pytest.raises(ValueError) as info:
+            device_from_dict(data)
+        assert str(info.value).startswith("device file: ")
+
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -150,3 +212,41 @@ class TestAtomicWrite:
             write_text_atomic(path, 12345)  # not a string
         assert not path.exists()
         assert [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")] == []
+
+
+class TestSetDeviceParam:
+    @pytest.mark.parametrize("dotted", ["dc.gap", "waveguide", "dc.gap_m.x", "bogus.n_g"])
+    def test_unknown_path(self, dotted):
+        with pytest.raises(ValueError, match="not found"):
+            set_device_param(good_dict(), dotted, 1.0)
+
+
+class TestReadmeMatchesFormat:
+    """The README's "Device files" section names exactly the table's keys."""
+
+    @pytest.fixture(scope="class")
+    def readme_section(self):
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        return text.split("## Device files", 1)[1].split("\n## ", 1)[0]
+
+    def test_example_holds_exactly_the_required_keys(self, readme_section):
+        example = json.loads(readme_section.split("```json", 1)[1].split("```", 1)[0])
+        assert set(example) == {"schema", *FILE_FORMAT}
+        for section, rows in FILE_FORMAT.items():
+            required = {key for key, _, _, default in rows if default is None}
+            assert set(example[section]) == required
+        device_from_dict(example, strict=True)
+
+    def test_optional_keys_listed(self, readme_section):
+        sentence = re.search(r"Optional keys:(.*?)\.\s", readme_section, re.S).group(1)
+        listed = set()
+        for section, key in re.findall(r"`([a-z_0-9*]+)\.([a-z_0-9]+)`", sentence):
+            sections = ("ring1", "ring2") if section == "ring*" else (section,)
+            listed.update((s, key) for s in sections)
+        optional = {
+            (section, key)
+            for section, rows in FILE_FORMAT.items()
+            for key, _, _, default in rows
+            if default is not None
+        }
+        assert listed == optional
