@@ -105,7 +105,9 @@ from .sfwm import (
     noise_budget,
     pair_rate_closed_form,
     pair_rate_integral,
+    resolve_drive,
     sideband_detuning,
+    sideband_pair,
     sigma_from_finesse,
     suppression_factor,
 )

@@ -6,6 +6,12 @@ byte-identical files, so artifacts can be diffed across runs. Anything
 time-dependent (timestamps, the exact command line) goes into a
 ``<out>.meta.json`` sidecar, never into the artifact itself.
 
+JSON artifacts are the library's result dataclasses written with
+``dataclasses.asdict``: ``rates`` writes a ``PairRateReport``,
+``kerr-check`` a ``CompensationResult`` and ``optimize --report`` a
+``DesignReport`` (its device goes beside it). The CLI adds only the
+numbers the dataclass does not hold, such as per-second rates.
+
 Exit codes: 0 success, 2 input or validation trouble, 3 a stated goal
 is unreachable, 4 a numeric procedure failed to converge. On failure a
 single JSON object describing the error is written to stderr.
@@ -21,16 +27,12 @@ import math
 import re
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__
-from .design import (
-    DesignGoal,
-    DesignReport,
-    optimize_device,
-    xpm_spm_compensation,
-)
+from .design import DesignGoal, optimize_device, xpm_spm_compensation
 from .deviceio import (
     csv_text,
     device_from_dict,
@@ -51,24 +53,17 @@ from .errors import (
     QuadratureFailure,
     ValidityExceeded,
 )
-from .geometry import C_VACUUM, finesse as ring_finesse, resonance_comb
-from .linear_cmt import (
-    isolation_db,
-    kerr_delta_beta,
-    kerr_detuned_efficiency,
-    kerr_validity_metric,
-)
+from .geometry import C_VACUUM, TWO_PI, resonance_comb
+from .linear_cmt import isolation_db, kerr_detuned_efficiency, kerr_validity_metric
 from .nonlinear import j_closed_form, j_quadrature, resonant_config
 from .sfwm import (
     PumpDrive,
     noise_budget,
     pair_rate_closed_form,
-    pump_self_coupling,
-    sideband_detuning,
+    resolve_drive,
+    sideband_pair,
     suppression_factor,
 )
-
-TWO_PI = 2.0 * math.pi
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -78,6 +73,10 @@ EXIT_NUMERICAL = 4
 _INFEASIBLE_ERRORS = (Infeasible, OutOfRange, ValidityExceeded)
 _NUMERICAL_ERRORS = (NoConvergence, QuadratureFailure, NonPhysical)
 _VALIDATION_ERRORS = (ValueError, KeyError, OSError, EmptyBand, MissingResonance, AssumptionViolated)
+
+# argparse reads only -1 or -0.5 as negative values and takes -1e9 for an
+# option; no option of this CLI starts with a digit or a dot.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 _WAVELENGTH_UNITS = {"m": 1.0, "um": 1e-6, "nm": 1e-9}
 _FREQUENCY_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12}
@@ -143,28 +142,9 @@ def _emit(out: str | None, text: str, argv: Sequence[str]) -> None:
     write_text_atomic(str(out) + ".meta.json", _json_text(meta))
 
 
-def _report_payload(report: DesignReport) -> dict[str, Any]:
-    return {
-        "passed": report.passed,
-        "rules": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "value": r.value,
-                "limit": r.limit,
-                "detail": r.detail,
-            }
-            for r in report.rules
-        ],
-        "j_abs": report.j_abs,
-        "j_ratio": report.j_ratio,
-        "isolation_db": report.isolation_db,
-        "uncoupling_order": report.uncoupling_order,
-        "suppression": list(report.suppression),
-        "detuning": list(report.detuning),
-        "kerr_metric": report.kerr_metric,
-        "notes": list(report.notes),
-    }
+def _drive(args: argparse.Namespace) -> PumpDrive:
+    sigma = getattr(args, "self_coupling", None)  # optimize takes no --self-coupling
+    return PumpDrive(photon_number=args.photons, pulse_duration=args.pulse, self_coupling=sigma)
 
 
 def cmd_spectrum(args: argparse.Namespace, argv: Sequence[str]) -> None:
@@ -195,24 +175,11 @@ def cmd_rates(args: argparse.Namespace, argv: Sequence[str]) -> None:
     device = load_device(args.device, strict=args.strict)
     band = _band_pair(args.band)
     cfg = resonant_config(device, band, pump_separation=args.separation)
-    drive = PumpDrive(
-        photon_number=args.photons,
-        pulse_duration=args.pulse,
-        self_coupling=args.self_coupling,
-    )
-    report = noise_budget(device, drive, cfg, kcal=args.kcal, band=band)
+    report = noise_budget(device, _drive(args), cfg, kcal=args.kcal, band=band)
     payload = {
-        "beta_sq_signal": report.beta_sq_signal,
-        "beta_sq_parasitic": list(report.beta_sq_parasitic),
+        **asdict(report),
         "rate_signal_per_s": report.per_second(report.beta_sq_signal),
         "rate_parasitic_per_s": [report.per_second(b) for b in report.beta_sq_parasitic],
-        "suppression": list(report.suppression),
-        "snr_improvement": list(report.snr_improvement),
-        "detuning_delta": list(report.detuning_delta),
-        "kcal": report.kcal,
-        "sigma": report.sigma,
-        "pulse_duration": report.pulse_duration,
-        "notes": list(report.notes),
     }
     _emit(args.out, _json_text(payload), argv)
 
@@ -223,28 +190,20 @@ def cmd_suppression(args: argparse.Namespace, argv: Sequence[str]) -> None:
     cfg = resonant_config(device, band, pump_separation=args.separation)
     wg = device.waveguide
     lw = cfg.res_s.linewidth
-    sigma = args.self_coupling
-    if sigma is None:
-        sigma = pump_self_coupling(device, cfg)
-    drive = PumpDrive(
-        photon_number=args.photons, pulse_duration=args.pulse, self_coupling=sigma
-    )
-    delta_signal = cfg.omega3 + cfg.omega4 - 2.0 * cfg.res_s.omega0
-    signal_rate = (
-        pair_rate_closed_form(drive, cfg.res_s, delta_signal, args.kcal, wg.v_g)
-        / drive.pulse_duration
-    )
+    drive = resolve_drive(device, _drive(args), cfg)
+
+    def rate(delta: float) -> float:
+        beta_sq = pair_rate_closed_form(drive, cfg.res_s, delta, args.kcal, wg.v_g)
+        return beta_sq / drive.pulse_duration
+
+    signal_rate = rate(cfg.signal_mismatch)
     if args.points < 2:
         raise ValueError(f"points must be at least 2, got {args.points}")
     rows = []
     for i in range(args.points):
         x = args.max_detuning * i / (args.points - 1)
         delta = x * lw
-        rate = (
-            pair_rate_closed_form(drive, cfg.res_s, delta, args.kcal, wg.v_g)
-            / drive.pulse_duration
-        )
-        rows.append((x, suppression_factor(delta, lw), signal_rate, rate))
+        rows.append((x, suppression_factor(delta, lw), signal_rate, rate(delta)))
     _emit(
         args.out,
         csv_text(("delta_over_linewidth", "suppression", "signal_rate", "parasitic_rate"), rows),
@@ -254,21 +213,14 @@ def cmd_suppression(args: argparse.Namespace, argv: Sequence[str]) -> None:
 
 def cmd_kerr_check(args: argparse.Namespace, argv: Sequence[str]) -> None:
     device = load_device(args.device, strict=args.strict)
-    wg = device.waveguide
     comp = xpm_spm_compensation(device, args.power, args.max_metric)
-    fin1 = ring_finesse(device.ring1, wg, wg.omega_ref)
-    delta_beta = kerr_delta_beta(wg, args.power, fin1)
     payload = {
-        "kerr_metric": comp.kerr_metric,
+        **asdict(comp),
         "metric_limit": args.max_metric,
-        "induced_shift": list(comp.induced_shift),
-        "compensation": list(comp.compensation),
-        "delta_beta": delta_beta,
         "crosstalk_at_null": kerr_detuned_efficiency(
-            device.kappa, device.dc_length, delta_beta
+            device.kappa, device.dc_length, comp.delta_beta
         ),
         "isolation_db_cold": isolation_db(device.kappa, device.dc_length),
-        "notes": list(comp.notes),
     }
     _emit(args.out, _json_text(payload), argv)
 
@@ -284,14 +236,14 @@ def cmd_optimize(args: argparse.Namespace, argv: Sequence[str]) -> None:
         min_isolation_db=args.min_isolation,
         gap_budget=(args.gap_min, args.gap_max),
     )
-    drive = None
-    if args.photons is not None:
-        drive = PumpDrive(photon_number=args.photons, pulse_duration=args.pulse)
+    drive = _drive(args) if args.photons is not None else None
     final, report = optimize_device(device, goal, drive=drive, mode=args.mode)
     if args.out is not None:
         # A plain device file, loadable by every other operation.
         _emit(args.out, _json_text(device_to_dict(final)), argv)
-    payload = {"device": device_to_dict(final), "report": _report_payload(report)}
+    report_fields = asdict(report)
+    del report_fields["device"]  # written beside the report, in device-file form
+    payload = {"device": device_to_dict(final), "report": report_fields}
     _emit(args.report, _json_text(payload), argv)
 
 
@@ -332,27 +284,19 @@ def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> None:
             header = ("param_value", "suppression", "detuning_1", "detuning_2")
             cfg = resonant_config(device, band, pump_separation=args.separation)
             comb2 = resonance_comb(device.ring2, wg, band, owner=2)
-            d1 = sideband_detuning(comb2, cfg, pump=1)
-            d2 = sideband_detuning(comb2, cfg, pump=2)
-            lw = cfg.res_s.linewidth
-            worst = max(suppression_factor(d1, lw), suppression_factor(d2, lw))
-            rows.append((value, worst, d1, d2))
+            deltas, sups, _partners = sideband_pair(comb2, cfg)
+            rows.append((value, max(sups), *deltas))
         else:
             header = ("param_value", "signal_rate", "parasitic_rate")
             cfg = resonant_config(device, band, pump_separation=args.separation)
-            drive = PumpDrive(photon_number=args.photons, pulse_duration=args.pulse)
-            rep = noise_budget(device, drive, cfg, kcal=args.kcal, band=band)
-            rows.append(
-                (
-                    value,
-                    rep.per_second(rep.beta_sq_signal),
-                    max(rep.per_second(b) for b in rep.beta_sq_parasitic),
-                )
-            )
+            rep = noise_budget(device, _drive(args), cfg, kcal=args.kcal, band=band)
+            per_s = [rep.per_second(b) for b in (rep.beta_sq_signal, *rep.beta_sq_parasitic)]
+            rows.append((value, per_s[0], max(per_s[1:])))
     _emit(args.out, csv_text(header, rows), argv)
 
 
 def _add_common(p: argparse.ArgumentParser, band: bool = False) -> None:
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--device", required=True, help="device JSON path")
     p.add_argument("--out", default=None, help="output path (stdout when omitted)")
     p.add_argument("--strict", action="store_true", help="treat model warnings as errors")

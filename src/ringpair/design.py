@@ -24,13 +24,14 @@ the result instead of flipping the verdict.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
-from .errors import Infeasible, NoConvergence, OutOfRange, ValidityExceeded
+from .errors import ApproximationWarning, Infeasible, NoConvergence, OutOfRange, ValidityExceeded
 from .errors import require_non_negative, require_positive
 from .geometry import (
     C_VACUUM,
-    HBAR,
+    TWO_PI,
     CouplingModel,
     DeviceSpec,
     Resonance,
@@ -44,13 +45,12 @@ from .linear_cmt import isolation_db, kerr_delta_beta, kerr_validity_metric
 from .nonlinear import (
     ProcessConfig,
     j_closed_form,
-    j_single_ring_ratio,
+    j_single_ring_baseline,
     on_resonance_config,
     pump_pair,
 )
-from .sfwm import PumpDrive, sideband_detuning, suppression_factor
+from .sfwm import PumpDrive, sideband_pair
 
-TWO_PI = 2.0 * math.pi
 ENERGY_RESIDUAL_TOL_LINEWIDTHS = 1e-6
 DEFAULT_GAP_BUDGET = (5e-8, 1e-6)
 
@@ -147,11 +147,15 @@ class TuneResult:
 
 @dataclass(frozen=True)
 class CompensationResult:
-    """Pump-induced resonance pulls and the counteracting heater moves."""
+    """Pump-induced resonance pulls and the counteracting heater moves.
+
+    ``delta_beta`` is the ring-1 Kerr mismatch [1/m] behind the pull.
+    """
 
     induced_shift: tuple[float, float]
     compensation: tuple[float, float]
     kerr_metric: float
+    delta_beta: float
     notes: tuple[str, ...] = ()
 
 
@@ -244,11 +248,8 @@ def _tune_diagnostics(
     device: DeviceSpec, goal: DesignGoal
 ) -> tuple[float, tuple[float, float], tuple[float, float], ProcessConfig]:
     cfg, comb2 = _config_on_comb(device, goal)
-    residual = abs(cfg.omega3 + cfg.omega4 - 2.0 * cfg.res_s.omega0)
-    d1 = sideband_detuning(comb2, cfg, pump=1)
-    d2 = sideband_detuning(comb2, cfg, pump=2)
-    lw = cfg.res_s.linewidth
-    return residual, (d1, d2), (suppression_factor(d1, lw), suppression_factor(d2, lw)), cfg
+    deltas, sups, _partners = sideband_pair(comb2, cfg)
+    return abs(cfg.signal_mismatch), deltas, sups, cfg
 
 
 def required_detuning(goal: DesignGoal, linewidth: float) -> float:
@@ -415,8 +416,8 @@ def xpm_spm_compensation(
         raise ValidityExceeded(
             f"Kerr validity metric {metric:.3g} exceeds the ceiling {max_kerr_metric:.3g}"
         )
-    fin1 = ring_finesse(device.ring1, wg, wg.omega_ref)
-    pull1 = -wg.v_g * kerr_delta_beta(wg, pump_power, fin1)
+    delta_beta = kerr_delta_beta(wg, pump_power, ring_finesse(device.ring1, wg, wg.omega_ref))
+    pull1 = -wg.v_g * delta_beta
     pull2 = 0.0
     notes = (
         "frequency pull modeled as -v_g * delta_beta at fixed mode order",
@@ -426,6 +427,7 @@ def xpm_spm_compensation(
         induced_shift=(pull1, pull2),
         compensation=(-pull1, -pull2),
         kerr_metric=metric,
+        delta_beta=delta_beta,
         notes=notes,
     )
 
@@ -448,11 +450,8 @@ def evaluate_design(
     iso = isolation_db(device.kappa, device.dc_length)
     order = max(int(round(abs(device.kappa) * device.dc_length / math.pi)), 0)
 
-    if drive is not None:
-        omega_p = 0.5 * (cfg.res_p1.omega0 + cfg.res_p2.omega0)
-        pump_power = drive.photon_number * HBAR * omega_p / drive.pulse_duration
-    else:
-        pump_power = 0.0
+    omega_p = 0.5 * (cfg.res_p1.omega0 + cfg.res_p2.omega0)
+    pump_power = 0.0 if drive is None else drive.power(omega_p)
     metric = kerr_validity_metric(
         wg, pump_power, device.ring1.q_loaded, goal.signal_wavelength
     )
@@ -488,29 +487,23 @@ def evaluate_design(
         ),
     )
 
-    import warnings as _warnings
-
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
+    # The report carries the approximation warnings as notes instead.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ApproximationWarning)
         j = j_closed_form(device, cfg)
-        ratio = j_single_ring_ratio(device, cfg)
-    seen: list[str] = list(j.warnings)
-    for w in caught:
-        text = str(w.message)
-        if text not in seen:
-            seen.append(text)
+        ref = j_single_ring_baseline(device, cfg)
     return DesignReport(
         device=device,
         passed=all(r.passed for r in rules),
         rules=rules,
         j_abs=j.j_abs,
-        j_ratio=ratio,
+        j_ratio=j.j_abs / ref.j_abs,
         isolation_db=iso,
         uncoupling_order=order,
         suppression=sups,
         detuning=deltas,
         kerr_metric=metric,
-        notes=tuple(seen),
+        notes=tuple(dict.fromkeys(j.warnings + ref.warnings)),
     )
 
 
@@ -557,9 +550,7 @@ def optimize_device(
     final = tuned.device
     extra_notes: tuple[str, ...] = tuned.notes
     if drive is not None:
-        omega_p = goal.signal_omega
-        pump_power = drive.photon_number * HBAR * omega_p / drive.pulse_duration
-        comp = xpm_spm_compensation(final, pump_power, goal.max_kerr_metric)
+        comp = xpm_spm_compensation(final, drive.power(goal.signal_omega), goal.max_kerr_metric)
         # The comb model is cold; the counteracting shift cancels a pull
         # the model does not carry, so it is reported rather than folded
         # into the modeled heater settings.

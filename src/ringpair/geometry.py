@@ -133,7 +133,7 @@ class RacetrackSpec:
     @property
     def q_loaded(self) -> float:
         """Loaded quality factor, parallel combination of the two Qs."""
-        return 1.0 / (1.0 / self.q_intrinsic + 1.0 / self.q_coupling)
+        return q_loaded(self.q_intrinsic, self.q_coupling)
 
 
 @dataclass(frozen=True)
@@ -366,6 +366,9 @@ def resonance_comb(
     NoConvergence
         If the group index is not positive over the search band, so the
         round-trip phase is not monotone there.
+    NonPhysical
+        If a mode order in the band exceeds 2^53, or the loaded Q is not
+        above 1.
     """
     lo, hi = sorted((float(band[0]), float(band[1])))
     require_positive("band edge", lo)
@@ -398,6 +401,8 @@ def resonance_comb(
     cycles_hi = ((a * hi_u + b) * hi_u + c0) / k_step
     if not cycles_hi - cycles_lo < MAX_COMB_ORDERS:
         raise ValueError(f"band {band} spans more than {MAX_COMB_ORDERS} mode orders")
+    if not cycles_hi < 2.0**53:  # past 2^53 the orders are not exact doubles
+        raise NonPhysical(f"mode order {cycles_hi:.6g} in band {band} exceeds 2^53")
     m_lo = math.ceil(cycles_lo - 1e-9)
     m_hi = math.floor(cycles_hi + 1e-9)
     if m_hi < m_lo:
@@ -411,6 +416,8 @@ def resonance_comb(
     omega = (2.0 * t / (b + root) if b >= 0.0 else (root - b) / (2.0 * a)) + s
 
     ql, qc = ring.q_loaded, ring.q_coupling
+    if not ql > 1.0:
+        raise NonPhysical(f"loaded Q {ql:.6g} is not above 1; lines would outgrow their centers")
     # Positional fields: owner, order, omega0, q_loaded, q_coupling, linewidth.
     out = [
         Resonance(owner, m, w0, ql, qc, w0 / ql)

@@ -18,14 +18,19 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCoupling, require_finite, require_non_negative, require_positive
+from .errors import DegenerateCoupling, NonPhysical
+from .errors import require_finite, require_non_negative, require_positive
 from .geometry import WaveguideParams
 
 ISOLATION_FLOOR_DB = 200.0
+
+# Largest magnitude whose square is still a finite double.
+_MAX_SQUARABLE = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -191,6 +196,11 @@ def kerr_detuned_efficiency(kappa: complex, length: float, delta_beta: float) ->
         Coupler length [m].
     delta_beta : float
         Propagation-constant mismatch between the guides [1/m].
+
+    Raises
+    ------
+    NonPhysical
+        If |kappa|, delta_beta or their ratio is too large to square.
     """
     require_finite("kappa", kappa)
     require_positive("length", length)
@@ -199,6 +209,11 @@ def kerr_detuned_efficiency(kappa: complex, length: float, delta_beta: float) ->
     if mag == 0.0:
         return 0.0
     ratio = delta_beta / (2.0 * mag)
+    if not max(mag, abs(delta_beta), abs(ratio)) <= _MAX_SQUARABLE:
+        raise NonPhysical(
+            f"Kerr crosstalk overflows for |kappa| = {mag:.6g} 1/m, "
+            f"delta_beta = {delta_beta:.6g} 1/m"
+        )
     pref = mag**2 / (mag**2 + delta_beta**2)
     return pref * math.sin(mag * length * math.sqrt(1.0 + ratio**2)) ** 2
 

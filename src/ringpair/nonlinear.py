@@ -26,12 +26,14 @@ calibration in :mod:`ringpair.sfwm`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolated, ApproximationWarning, require_finite, require_positive
+from .errors import AssumptionViolated, ApproximationWarning, NonPhysical
+from .errors import require_finite, require_positive
 from .geometry import DeviceSpec, Resonance, WaveguideParams, device_combs, wavevector
 from .enhancement import lorentzian_response, peak_amplitude
 
@@ -77,6 +79,11 @@ class ProcessConfig:
             raise ValueError("pump resonances must belong to ring 1")
         if self.res_s.owner != 2:
             raise ValueError("signal resonance must belong to ring 2")
+
+    @property
+    def signal_mismatch(self) -> float:
+        """Energy mismatch w3 + w4 - 2 w_S of the dual-pump signal process [rad/s]."""
+        return self.omega3 + self.omega4 - 2.0 * self.res_s.omega0
 
     def detuning_in_linewidths(self) -> tuple[float, float, float, float]:
         """(omega_i - center) / linewidth for each of the four fields."""
@@ -155,7 +162,14 @@ def _material_factor(device: DeviceSpec) -> float:
     wg = device.waveguide
     if wg.chi3_bar == 0.0:
         raise ValueError("device waveguide has chi3_bar = 0; the overlap would be zero")
-    return wg.chi3_bar / (wg.n_bar**4 * wg.area_eff)
+    try:
+        scale = wg.n_bar**4 * wg.area_eff
+    except OverflowError:
+        scale = math.inf
+    require_positive("n_bar^4 * area_eff", scale, NonPhysical)
+    factor = wg.chi3_bar / scale
+    require_positive("|chi3_bar| / (n_bar^4 * area_eff)", abs(factor), NonPhysical)
+    return factor
 
 
 def j_quadrature(device: DeviceSpec, cfg: ProcessConfig, strict: bool = False) -> OverlapResult:
@@ -234,6 +248,7 @@ def _closed_form_parts(
         * (q_p * q_s)
         / (q_cp * cfg.res_s.q_coupling)
     )
+    require_positive("closed-form J prefactor", pref, NonPhysical)
     return pref, _material_factor(device)
 
 

@@ -76,6 +76,10 @@ class PumpDrive:
                 f"self_coupling must lie strictly between 0 and 1, got {self.self_coupling}"
             )
 
+    def power(self, omega: float) -> float:
+        """Mean power [W] of the pulse's photons at ``omega``."""
+        return self.photon_number * HBAR * omega / self.pulse_duration
+
 
 @dataclass(frozen=True)
 class PairRateReport:
@@ -122,6 +126,13 @@ def pump_self_coupling(device: DeviceSpec, cfg: ProcessConfig) -> float:
     return sigma_from_finesse(ring_finesse(device.ring1, device.waveguide, cfg.res_p1.omega0))
 
 
+def resolve_drive(device: DeviceSpec, drive: PumpDrive, cfg: ProcessConfig) -> PumpDrive:
+    """The drive with its self-coupling set, from :func:`pump_self_coupling` if unset."""
+    if drive.self_coupling is not None:
+        return drive
+    return replace(drive, self_coupling=pump_self_coupling(device, cfg))
+
+
 def _rate_setup(
     drive: PumpDrive,
     res_s: Resonance,
@@ -135,7 +146,8 @@ def _rate_setup(
 
     Returns the |beta|^2 prefactor, omega_s2 (default: the signal
     center) and the pump frequency. Sigma comes from the drive or,
-    when the drive carries none, from the finesse ``fin``.
+    when the drive carries none, from the finesse ``fin``. Both routes
+    need a signal line narrower than a hundredth of its center.
     """
     require_positive("kcal", kcal, NonPhysical)
     require_positive("v_g", v_g)
@@ -151,6 +163,11 @@ def _rate_setup(
         if fin is None:
             raise ValueError("either drive.self_coupling or a finesse must be provided")
         sigma = sigma_from_finesse(fin)
+    if res_s.linewidth >= 0.01 * omega_s:
+        raise NonPhysical(
+            f"linewidth {res_s.linewidth:.3g} rad/s is not small against the line center; "
+            "the narrow-resonance spectral model does not apply"
+        )
     pref = (
         drive.photon_number**2
         * (HBAR * omega_s) ** 2
@@ -224,6 +241,20 @@ def sideband_detuning(
     return delta
 
 
+def sideband_pair(
+    signal_comb: list[Resonance] | tuple[Resonance, ...], cfg: ProcessConfig
+) -> tuple[tuple[float, float], tuple[float, float], tuple[Resonance, Resonance]]:
+    """Detunings, suppressions and partner lines of both side-band processes.
+
+    Each entry is ordered (pump-1 process, pump-2 process); the
+    detunings are those of :func:`sideband_detuning`, and the
+    suppressions are :func:`suppression_factor` at the signal linewidth.
+    """
+    (d1, partner1), (d2, partner2) = (_partner_line(signal_comb, cfg, pump) for pump in (1, 2))
+    lw = cfg.res_s.linewidth
+    return (d1, d2), (suppression_factor(d1, lw), suppression_factor(d2, lw)), (partner1, partner2)
+
+
 def pair_rate_integral(
     drive: PumpDrive,
     res_s: Resonance,
@@ -261,12 +292,6 @@ def pair_rate_integral(
     pref, omega_s2, omega_p = _rate_setup(drive, res_s, delta, kcal, v_g, omega_s2, fin)
     omega_s = res_s.omega0
     fwhm = res_s.linewidth
-    if fwhm >= 0.01 * omega_s:
-        raise NonPhysical(
-            f"linewidth {fwhm:.3g} rad/s is not small against the line center; "
-            "the narrow-resonance spectral model does not apply"
-        )
-
     lo = min(0.0, -delta) - INTEGRATION_WINDOW_LINEWIDTHS * fwhm
     hi = max(0.0, -delta) + INTEGRATION_WINDOW_LINEWIDTHS * fwhm
 
@@ -311,7 +336,7 @@ def noise_budget(
     The signal process runs at the residual mismatch of the tuned
     device (zero when energy conservation holds exactly); each
     parasitic process runs at its comb detuning from
-    :func:`sideband_detuning`, using the actual partner line as the
+    :func:`sideband_pair`, using the actual partner line as the
     second center.
 
     ``band`` widens or narrows the comb search window; the default
@@ -321,14 +346,12 @@ def noise_budget(
     wg = device.waveguide
     omega_s = cfg.res_s.omega0
 
-    sigma = drive.self_coupling
-    if sigma is None:
-        sigma = pump_self_coupling(device, cfg)
+    drive_resolved = resolve_drive(device, drive, cfg)
+    if drive.self_coupling is None:
         notes.append(
             "self_coupling derived from ring-1 finesse via (1 - sigma) = pi / finesse; "
             "override PumpDrive.self_coupling to pin it"
         )
-    drive_resolved = replace(drive, self_coupling=sigma)
 
     if band is None:
         span = abs(cfg.res_p1.omega0 - cfg.res_p2.omega0) + 2.5 * ring_finesse(
@@ -337,34 +360,26 @@ def noise_budget(
         band = (omega_s - span, omega_s + span)
     comb2 = resonance_comb(device.ring2, wg, band, owner=2)
 
-    delta_signal = cfg.omega3 + cfg.omega4 - 2.0 * omega_s
     beta_signal = pair_rate_integral(
-        drive_resolved, cfg.res_s, delta_signal, kcal, wg.v_g, omega_s2=omega_s
+        drive_resolved, cfg.res_s, cfg.signal_mismatch, kcal, wg.v_g, omega_s2=omega_s
     )
-
-    deltas: list[float] = []
-    betas: list[float] = []
-    sups: list[float] = []
-    for pump in (1, 2):
-        delta, partner = _partner_line(comb2, cfg, pump)
-        beta = pair_rate_integral(
-            drive_resolved, cfg.res_s, delta, kcal, wg.v_g, omega_s2=partner.omega0
-        )
-        deltas.append(delta)
-        betas.append(beta)
-        sups.append(suppression_factor(delta, cfg.res_s.linewidth))
+    deltas, sups, partners = sideband_pair(comb2, cfg)
+    betas = tuple(
+        pair_rate_integral(drive_resolved, cfg.res_s, delta, kcal, wg.v_g, omega_s2=p.omega0)
+        for delta, p in zip(deltas, partners)
+    )
 
     if kcal == 1.0:
         notes.append("kcal = 1 (uncalibrated); absolute rates are in model units")
 
     return PairRateReport(
         beta_sq_signal=beta_signal,
-        beta_sq_parasitic=(betas[0], betas[1]),
-        suppression=(sups[0], sups[1]),
+        beta_sq_parasitic=betas,
+        suppression=sups,
         snr_improvement=(1.0 / sups[0], 1.0 / sups[1]),
-        detuning_delta=(deltas[0], deltas[1]),
+        detuning_delta=deltas,
         kcal=kcal,
-        sigma=sigma,
+        sigma=drive_resolved.self_coupling,
         pulse_duration=drive.pulse_duration,
         notes=tuple(notes),
     )
@@ -401,9 +416,8 @@ def calibrate_kcal(
         pulse_duration=pulse_duration,
         self_coupling=pump_self_coupling(device, cfg),
     )
-    delta_signal = cfg.omega3 + cfg.omega4 - 2.0 * cfg.res_s.omega0
     beta_unit = pair_rate_integral(
-        drive, cfg.res_s, delta_signal, 1.0, wg.v_g, omega_s2=cfg.res_s.omega0
+        drive, cfg.res_s, cfg.signal_mismatch, 1.0, wg.v_g, omega_s2=cfg.res_s.omega0
     )
     rate_unit = beta_unit / pulse_duration
     if rate_unit <= 0.0:

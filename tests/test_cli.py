@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import c as c0
 
 from ringpair import save_device
@@ -48,6 +51,64 @@ README_COMMANDS = {
     "sweep": ["sweep", "--device", DEV, "--param", "dc.gap_m", "--values", "2.8e-7", "3.2e-7",
               "41", "--report", "isolation"],
 }
+
+
+# Artifact keys: the fields of the library's result dataclass plus the
+# numbers the command derives from it.
+RATES_KEYS = {
+    "beta_sq_signal", "beta_sq_parasitic", "suppression", "snr_improvement", "detuning_delta",
+    "kcal", "sigma", "pulse_duration", "notes", "rate_signal_per_s", "rate_parasitic_per_s",
+}
+KERR_KEYS = {
+    "induced_shift", "compensation", "kerr_metric", "delta_beta", "notes", "metric_limit",
+    "crosstalk_at_null", "isolation_db_cold",
+}
+REPORT_KEYS = {
+    "passed", "rules", "j_abs", "j_ratio", "isolation_db", "uncoupling_order", "suppression",
+    "detuning", "kerr_metric", "notes",
+}
+RULE_KEYS = {"name", "passed", "value", "limit", "detail"}
+
+# (section, key, scale, command, message phrase): device leaves whose
+# scaled value used to end in a traceback (exit 1) or a non-finite
+# artifact, and a phrase of the NonPhysical message each now gives.
+SIGNAL = ["--signal", "1550nm", "--suppression", "1e-3"]
+RANGE_CASES = {
+    "n-bar-tiny-overlap": ("waveguide", "n_bar", 1e-200, ["overlap", "--band", *BAND], "n_bar^4"),
+    "n-bar-tiny-optimize": ("waveguide", "n_bar", 1e-200, ["optimize", *SIGNAL], "n_bar^4"),
+    "n-bar-huge-overlap": ("waveguide", "n_bar", 1e200, ["overlap", "--band", *BAND], "n_bar^4"),
+    "n-bar-huge-optimize": ("waveguide", "n_bar", 1e200, ["optimize", *SIGNAL], "n_bar^4"),
+    "ring1-qc-huge-optimize": ("ring1", "q_coupling", 1e200, ["optimize", *SIGNAL],
+                               "J prefactor"),
+    "ring1-qc-tiny-optimize": ("ring1", "q_coupling", 1e-200, ["optimize", *SIGNAL],
+                               "loaded Q"),
+    "ring1-qi-tiny-optimize": ("ring1", "q_intrinsic", 1e-200, ["optimize", *SIGNAL],
+                               "loaded Q"),
+    "kappa0-huge-kerr-check": ("coupling_model", "kappa0_per_m", 1e200,
+                               ["kerr-check", "--power", "0.005"], "Kerr crosstalk"),
+    "kappa0-tiny-kerr-check": ("coupling_model", "kappa0_per_m", 1e-200,
+                               ["kerr-check", "--power", "0.005"], "Kerr crosstalk"),
+    "ring2-qi-tiny-suppression": ("ring2", "q_intrinsic", 1e-200,
+                                  ["suppression", "--band", *BAND], "loaded Q"),
+    "ring2-qc-tiny-suppression": ("ring2", "q_coupling", 1e-200,
+                                  ["suppression", "--band", *BAND], "loaded Q"),
+    "freq-ref-tiny-optimize": ("waveguide", "freq_ref_hz", 1e-200, ["optimize", *SIGNAL],
+                               "2^53"),
+    "ring1-qi-tiny-spectrum": ("ring1", "q_intrinsic", 1e-200,
+                               ["spectrum", "--band", *BAND, "--points", "101"], "loaded Q"),
+    "ring1-qc-tiny-spectrum": ("ring1", "q_coupling", 1e-200,
+                               ["spectrum", "--band", *BAND, "--points", "101"], "loaded Q"),
+    "ring2-qi-tiny-spectrum": ("ring2", "q_intrinsic", 1e-200,
+                               ["spectrum", "--band", *BAND, "--points", "101"], "loaded Q"),
+    "ring2-qc-tiny-spectrum": ("ring2", "q_coupling", 1e-200,
+                               ["spectrum", "--band", *BAND, "--points", "101"], "loaded Q"),
+}
+
+
+def run_json(argv, capsys):
+    """Run one command to stdout; its exit code and parsed JSON payload."""
+    rc = main(argv)
+    return rc, json.loads(capsys.readouterr().out)
 
 
 def read_csv(text):
@@ -314,6 +375,25 @@ class TestSweep:
         assert rc == EXIT_VALIDATION
         capsys.readouterr()
 
+    def test_negative_values_sweep_through_zero(self, capsys):
+        # -1e9 is a value, not an option, in --values and in --list.
+        base = ["sweep", "--device", DEV, "--param", "ring2.heater_shift_hz",
+                "--report", "suppression", "--band", *BAND]
+        assert main([*base, "--values", "-1e9", "1e9", "5"]) == EXIT_OK
+        ranged = capsys.readouterr().out
+        assert main([*base, "--list", "-1e9,-5e8,0,5e8,1e9"]) == EXIT_OK
+        assert capsys.readouterr().out == ranged
+        _header, rows = read_csv(ranged)
+        assert [r[0] for r in rows] == [-1e9, -5e8, 0.0, 5e8, 1e9]
+        # The heater moves the signal line and both partner lines rigidly,
+        # so each detuning 2 w_P - w_S - w_partner falls by twice the shift.
+        step = 2.0 * math.pi * 5e8
+        for a, b in zip(rows, rows[1:]):
+            assert b[2] - a[2] == pytest.approx(-2.0 * step, rel=1e-3)
+            assert b[3] - a[3] == pytest.approx(-2.0 * step, rel=1e-3)
+        assert main([*base, "--list", "0"]) == EXIT_OK
+        assert read_csv(capsys.readouterr().out)[1][0] == rows[2]
+
 
 class TestExitCodes:
     def test_missing_device_file(self, capsys):
@@ -404,3 +484,83 @@ class TestExitCodes:
         assert rc == EXIT_NUMERICAL
         err = json.loads(capsys.readouterr().err)
         assert err["context"]["error"] == "NonPhysical"
+
+    @pytest.mark.parametrize("case", RANGE_CASES.values(), ids=RANGE_CASES.keys())
+    def test_out_of_range_device_is_non_physical(self, case, tmp_path, capsys):
+        # Each used to end in an OverflowError, ZeroDivisionError or
+        # TypeError traceback, or in a spectrum holding nan and inf.
+        section, key, scale, argv, phrase = case
+        data = json.loads(DEVICE_JSON.read_text())
+        data[section][key] *= scale
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "artifact"
+        rc = main([argv[0], "--device", str(path), *argv[1:], "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error"] == "NonPhysical"
+        assert phrase in err["message"]
+
+
+class TestArtifactSchema:
+    """Each JSON artifact holds exactly its dataclass's fields plus the
+    derived numbers, so a field added to a result type shows here."""
+
+    def test_rates_keys(self, capsys):
+        rc, payload = run_json(README_COMMANDS["rates"], capsys)
+        assert rc == EXIT_OK
+        assert set(payload) == RATES_KEYS
+
+    def test_kerr_check_keys(self, capsys):
+        rc, payload = run_json(README_COMMANDS["kerr-check"], capsys)
+        assert rc == EXIT_OK
+        assert set(payload) == KERR_KEYS
+        # delta_beta is the mismatch behind the ring-1 pull.
+        wg = json.loads(DEVICE_JSON.read_text())["waveguide"]
+        assert payload["induced_shift"][0] == pytest.approx(
+            -c0 / wg["n_g"] * payload["delta_beta"], rel=1e-12
+        )
+
+    def test_report_keys(self, capsys):
+        rc, payload = run_json(README_COMMANDS["optimize"], capsys)
+        assert rc == EXIT_OK
+        assert set(payload) == {"device", "report"}
+        assert set(payload["report"]) == REPORT_KEYS
+        assert [set(rule) for rule in payload["report"]["rules"]] == [RULE_KEYS] * 4
+
+
+class TestSweepMatchesRates:
+    """A sweep row and the single-point command agree on the same device."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(shift_hz=st.floats(-3e11, 3e11))
+    def test_suppression_row_matches_rates(self, shift_hz):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = json.loads(DEVICE_JSON.read_text())
+            data["ring2"]["heater_shift_hz"] = shift_hz
+            path = Path(tmp) / "device.json"
+            path.write_text(json.dumps(data))
+            rates_out, sweep_out = Path(tmp) / "rates.json", Path(tmp) / "sweep.csv"
+            rc = main(["rates", "--device", str(path), "--band", *BAND,
+                       "--out", str(rates_out)])
+            assert rc == EXIT_OK
+            rc = main(["sweep", "--device", DEV, "--param", "ring2.heater_shift_hz",
+                       "--list", repr(shift_hz), "--report", "suppression", "--band", *BAND,
+                       "--out", str(sweep_out)])
+            assert rc == EXIT_OK
+            rates = json.loads(rates_out.read_text())
+            _header, rows = read_csv(sweep_out.read_text())
+        assert rows == [[shift_hz, max(rates["suppression"]), *rates["detuning_delta"]]]
+
+    @pytest.mark.parametrize("drive", [[], ["--self-coupling", "0.99"], ["--kcal", "2.5"]],
+                             ids=["derived-sigma", "pinned-sigma", "kcal"])
+    def test_rates_row_matches_rates(self, drive, capsys):
+        # The sweep used to drop --self-coupling and derive sigma anyway.
+        rc, rates = run_json(["rates", "--device", DEV, "--band", *BAND, *drive], capsys)
+        assert rc == EXIT_OK
+        rc = main(["sweep", "--device", DEV, "--param", "dc.gap_m", "--list", "3e-7",
+                   "--report", "rates", "--band", *BAND, *drive])
+        assert rc == EXIT_OK
+        _header, rows = read_csv(capsys.readouterr().out)
+        assert rows == [[3e-7, rates["rate_signal_per_s"], max(rates["rate_parasitic_per_s"])]]

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
 from scipy.constants import c as c0
 
 from ringpair import (
+    ApproximationWarning,
     DesignGoal,
     Infeasible,
     OutOfRange,
@@ -18,6 +20,10 @@ from ringpair import (
     finesse,
     fsr,
     isolation_db,
+    j_closed_form,
+    j_single_ring_baseline,
+    j_single_ring_ratio,
+    kerr_delta_beta,
     kerr_validity_metric,
     optimal_dc_length,
     optimize_device,
@@ -26,6 +32,8 @@ from ringpair import (
     tune_for_energy_conservation,
     xpm_spm_compensation,
 )
+
+from ringpair.design import _config_on_comb
 
 from conftest import make_device
 
@@ -329,3 +337,30 @@ class TestOptimizeDevice:
         goal = replace(GOAL, gap_budget=(9e-7, 1e-6))
         with pytest.raises(OutOfRange, match="no null order"):
             optimize_device(sample_device, goal)
+
+
+class TestSharedResults:
+    def test_compensation_carries_its_delta_beta(self, sample_device):
+        wg = sample_device.waveguide
+        comp = xpm_spm_compensation(sample_device, 1e-3)
+        fin1 = finesse(sample_device.ring1, wg, wg.omega_ref)
+        assert comp.delta_beta == kerr_delta_beta(wg, 1e-3, fin1)
+        assert comp.induced_shift[0] == -wg.v_g * comp.delta_beta
+
+    def test_report_overlap_and_notes_come_from_one_evaluation(self):
+        # Mismatched rings: the device's closed form warns about the phase
+        # mismatch and the single-ring reference about the ring lengths.
+        dev = make_device(l2_scale=1.3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = evaluate_design(dev, GOAL)
+        assert not [w for w in caught if issubclass(w.category, ApproximationWarning)]
+        cfg, _comb2 = _config_on_comb(dev, GOAL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ApproximationWarning)
+            j = j_closed_form(dev, cfg)
+            ref = j_single_ring_baseline(dev, cfg)
+            ratio = j_single_ring_ratio(dev, cfg)
+        assert j.warnings and ref.warnings
+        assert report.notes == j.warnings + ref.warnings
+        assert report.j_ratio == ratio

@@ -26,6 +26,7 @@ from ringpair import (
     DeviceSpec,
     EmptyBand,
     NoConvergence,
+    NonPhysical,
     RacetrackSpec,
     Resonance,
     WaveguideParams,
@@ -526,3 +527,21 @@ class TestFsrAndFinesse:
         assert finesse(hi.ring1, hi.waveguide, w) == pytest.approx(
             2.0 * finesse(lo.ring1, lo.waveguide, w), rel=1e-12
         )
+
+
+class TestCombRange:
+    @pytest.mark.parametrize("q", [1.0, 1e-4, 1e-195])
+    def test_lines_wider_than_their_centers_are_rejected(self, q):
+        ring = RacetrackSpec(straight_len=4.7e-5, bend_radius=1.5e-5, q_intrinsic=2.0 * q,
+                             q_coupling=2.0 * q)
+        wg = _wg()
+        with pytest.raises(NonPhysical, match="loaded Q"):
+            resonance_comb(ring, wg, (0.99 * wg.omega_ref, 1.01 * wg.omega_ref))
+
+    def test_mode_orders_beyond_double_precision_are_rejected(self):
+        # A reference frequency 1e-200 times the optical one puts the
+        # optical orders near 1e202, which arange cannot hold as integers.
+        dev = load_device(DEVICE_JSON)
+        wg = WaveguideParams(n_eff_ref=2.4, n_g=4.2, omega_ref=1.2e-185)
+        with pytest.raises(NonPhysical, match="2\\^53"):
+            resonance_comb(dev.ring1, wg, (1.2e15, 1.2e15))

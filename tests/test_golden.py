@@ -3,8 +3,10 @@
 Runs the seven README commands and a 41-point suppression sweep and a
 41-point rates sweep through ``cli.main`` and compares the sha256 of
 every artifact they write with ``tests/golden/artifacts.json``. A
-refactor must not move any of these bytes. A change that means to move
-a reported number records the new hashes, and says why, by running
+refactor must not move any of these bytes. The hashes were recorded on
+x86-64 Linux with numpy 2.4; another libm may round a last digit
+differently. A change that means to move a reported number records the
+new hashes, and says why, by running
 
     PYTHONPATH=src python tests/test_golden.py
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ringpair import (
     DegenerateCoupling,
+    NonPhysical,
     dc_transfer,
     isolation_db,
     kerr_delta_beta,
@@ -236,3 +237,14 @@ def test_length_validation():
         solve_dc_fields(1e4 + 0j, -1.0)
     with pytest.raises(ValueError):
         kerr_detuned_efficiency(1e4 + 0j, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "kappa, delta_beta",
+    [(6.7e204, 48.9), (6.7e-196, 48.9), (1e4, 1e160)],
+    ids=["kappa-huge", "kappa-tiny", "delta-beta-huge"],
+)
+def test_kerr_efficiency_out_of_range(kappa, delta_beta):
+    # Squaring |kappa|, delta_beta or their ratio used to raise OverflowError.
+    with pytest.raises(NonPhysical, match="overflows"):
+        kerr_detuned_efficiency(kappa, 4.7e-5, delta_beta)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from ringpair import (
     AssumptionViolated,
     ApproximationWarning,
+    NonPhysical,
     ProcessConfig,
     Resonance,
     enhancement_factor,
@@ -419,3 +420,29 @@ class TestResonantConfig:
                 res_p2=cfg.res_p2,
                 res_s=cfg.res_s,
             )
+
+
+class TestRangeChecks:
+    def test_signal_mismatch(self):
+        cfg = null_config(make_device())
+        assert cfg.signal_mismatch == cfg.omega3 + cfg.omega4 - 2.0 * cfg.res_s.omega0
+        moved = replace(cfg, omega3=cfg.omega3 + 7.0)
+        assert moved.signal_mismatch == pytest.approx(cfg.signal_mismatch + 7.0, abs=1.0)
+
+    @pytest.mark.parametrize("n_bar", [3.48e-200, 3.48e200])
+    @pytest.mark.parametrize("route", [j_quadrature, j_closed_form])
+    def test_material_factor_out_of_range(self, route, n_bar):
+        # n_bar^4 used to underflow to 0 (ZeroDivisionError) or overflow
+        # (OverflowError).
+        dev = make_device(n_bar=n_bar)
+        with pytest.raises(NonPhysical, match="n_bar"):
+            route(dev, null_config(make_device()))
+
+    def test_closed_form_prefactor_out_of_range(self):
+        # sqrt(q_c1 * q_c2) overflows, so the prefactor divides down to 0.
+        dev = make_device(l2_scale=1.0, n_eff=4.2)
+        dev = replace(dev, ring1=replace(dev.ring1, q_coupling=1e205))
+        cfg = null_config(dev)
+        for route in (j_closed_form, j_single_ring_baseline):
+            with pytest.raises(NonPhysical, match="prefactor"):
+                route(dev, cfg)

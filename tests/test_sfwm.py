@@ -20,8 +20,11 @@ from ringpair import (
     noise_budget,
     pair_rate_closed_form,
     pair_rate_integral,
+    resolve_drive,
+    resonance_comb,
     resonant_config,
     sideband_detuning,
+    sideband_pair,
     sigma_from_finesse,
     suppression_factor,
 )
@@ -397,3 +400,48 @@ class TestCalibration:
                 calibrate_kcal(sample_device, 1e6, bad, cfg)
             with pytest.raises(ValueError, match="pulse_duration"):
                 calibrate_kcal(sample_device, 1e6, 5e-4, cfg, pulse_duration=bad)
+
+
+class TestSharedHelpers:
+    def test_pump_power(self):
+        dr = PumpDrive(photon_number=2e4, pulse_duration=1e-9)
+        assert dr.power(OMEGA_S) == pytest.approx(2e4 * hbar * OMEGA_S / 1e-9, rel=1e-12)
+
+    def test_resolve_drive(self, sample_device):
+        cfg = resonant_config(sample_device, process_band(sample_device))
+        pinned = drive(sigma=0.9)
+        assert resolve_drive(sample_device, pinned, cfg) is pinned
+        unpinned = PumpDrive(photon_number=3.0, pulse_duration=2e-9)
+        fin = finesse(sample_device.ring1, sample_device.waveguide, cfg.res_p1.omega0)
+        assert resolve_drive(sample_device, unpinned, cfg) == replace(
+            unpinned, self_coupling=sigma_from_finesse(fin)
+        )
+
+    def test_sideband_pair_matches_single_processes(self, sample_device):
+        band = process_band(sample_device)
+        cfg = resonant_config(sample_device, band)
+        comb2 = resonance_comb(sample_device.ring2, sample_device.waveguide, band, owner=2)
+        deltas, sups, partners = sideband_pair(comb2, cfg)
+        omega_s = cfg.res_s.omega0
+        for i, res_p in enumerate((cfg.res_p1, cfg.res_p2)):
+            assert deltas[i] == sideband_detuning(comb2, cfg, pump=i + 1)
+            assert sups[i] == suppression_factor(deltas[i], cfg.res_s.linewidth)
+            assert partners[i] in comb2
+            assert deltas[i] == 2.0 * res_p.omega0 - omega_s - partners[i].omega0
+        assert partners[0].omega0 > omega_s > partners[1].omega0
+
+    def test_noise_budget_reports_the_pair(self, sample_device):
+        band = process_band(sample_device)
+        cfg = resonant_config(sample_device, band)
+        comb2 = resonance_comb(sample_device.ring2, sample_device.waveguide, band, owner=2)
+        rep = noise_budget(sample_device, drive(), cfg, band=band)
+        deltas, sups, _partners = sideband_pair(comb2, cfg)
+        assert (rep.detuning_delta, rep.suppression) == (deltas, sups)
+
+    @pytest.mark.parametrize("q", [50.0, 1e-200], ids=["q-50", "q-1e-200"])
+    @pytest.mark.parametrize("rate", [pair_rate_integral, pair_rate_closed_form])
+    def test_both_routes_reject_broad_lines(self, rate, q):
+        # The closed form used to accept them, and its fwhm**3 overflowed.
+        broad = Resonance(owner=2, order=5, omega0=1e12, q_loaded=q, q_coupling=2.0 * q)
+        with pytest.raises(NonPhysical, match="narrow-resonance"):
+            rate(drive(), broad, 0.0, 1.0, 7.1e7)
