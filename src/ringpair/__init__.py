@@ -19,6 +19,7 @@ from .design import (
     RuleCheck,
     TuneResult,
     evaluate_design,
+    null_kerr_metric,
     optimal_dc_length,
     optimize_device,
     required_detuning,

@@ -13,8 +13,8 @@ JSON artifacts are the library's result dataclasses written with
 numbers the dataclass does not hold, such as per-second rates.
 
 Exit codes: 0 success, 2 input or validation trouble, 3 a stated goal
-is unreachable, 4 a numeric procedure failed to converge. On failure a
-single JSON object describing the error is written to stderr.
+is unreachable, 4 a numeric procedure failed. On failure a single JSON
+object describing the error is written to stderr.
 """
 
 from __future__ import annotations
@@ -28,16 +28,16 @@ import re
 import sys
 import time
 from dataclasses import asdict
-from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__
-from .design import DesignGoal, optimize_device, xpm_spm_compensation
+from .design import DesignGoal, null_kerr_metric, optimize_device, xpm_spm_compensation
 from .deviceio import (
     csv_text,
     device_from_dict,
     device_to_dict,
     load_device,
+    read_device_json,
     set_device_param,
     write_text_atomic,
 )
@@ -54,7 +54,7 @@ from .errors import (
     ValidityExceeded,
 )
 from .geometry import C_VACUUM, TWO_PI, resonance_comb
-from .linear_cmt import isolation_db, kerr_detuned_efficiency, kerr_validity_metric
+from .linear_cmt import isolation_db, kerr_detuned_efficiency
 from .nonlinear import j_closed_form, j_quadrature, resonant_config
 from .sfwm import (
     PumpDrive,
@@ -72,7 +72,7 @@ EXIT_NUMERICAL = 4
 
 _INFEASIBLE_ERRORS = (Infeasible, OutOfRange, ValidityExceeded)
 _NUMERICAL_ERRORS = (NoConvergence, QuadratureFailure, NonPhysical)
-_VALIDATION_ERRORS = (ValueError, KeyError, OSError, EmptyBand, MissingResonance, AssumptionViolated)
+_VALIDATION_ERRORS = (ValueError, OSError, EmptyBand, MissingResonance, AssumptionViolated)
 
 # argparse reads only -1 or -0.5 as negative values and takes -1e9 for an
 # option; no option of this CLI starts with a digit or a dot.
@@ -258,7 +258,7 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    raw = json.loads(Path(args.device).read_text(encoding="utf-8"))
+    raw = read_device_json(args.device)
     values = _sweep_values(args)
     band = _band_pair(args.band) if args.band is not None else None
     if args.report in ("suppression", "rates") and band is None:
@@ -270,20 +270,16 @@ def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> None:
         data = copy.deepcopy(raw)
         set_device_param(data, args.param, value)
         device = device_from_dict(data, strict=args.strict)
-        wg = device.waveguide
         if args.report == "isolation":
             header = ("param_value", "isolation_db")
             rows.append((value, isolation_db(device.kappa, device.dc_length)))
         elif args.report == "kerr":
             header = ("param_value", "kerr_metric")
-            wavelength = TWO_PI * C_VACUUM / wg.omega_ref
-            rows.append(
-                (value, kerr_validity_metric(wg, args.power, device.ring1.q_loaded, wavelength))
-            )
+            rows.append((value, null_kerr_metric(device, args.power)))
         elif args.report == "suppression":
             header = ("param_value", "suppression", "detuning_1", "detuning_2")
             cfg = resonant_config(device, band, pump_separation=args.separation)
-            comb2 = resonance_comb(device.ring2, wg, band, owner=2)
+            comb2 = resonance_comb(device.ring2, device.waveguide, band, owner=2)
             deltas, sups, _partners = sideband_pair(comb2, cfg)
             rows.append((value, max(sups), *deltas))
         else:
@@ -311,7 +307,7 @@ def _add_common(p: argparse.ArgumentParser, band: bool = False) -> None:
         )
 
 
-def _add_drive(p: argparse.ArgumentParser) -> None:
+def _add_drive(p: argparse._ActionsContainer) -> None:
     p.add_argument("--photons", type=float, default=1.0, help="pump photons per pulse")
     p.add_argument("--pulse", type=float, default=1e-9, help="pulse duration [s]")
     p.add_argument("--kcal", type=float, default=1.0, help="hardware calibration constant")
@@ -403,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="isolation",
     )
     p.add_argument("--separation", type=int, default=2)
-    p.add_argument("--power", type=float, default=0.0, help="pump power for the kerr report [W]")
-    _add_drive(p)
+    p.add_argument("--power", type=float, default=0.0, help="pump power [W]; --report kerr only")
+    _add_drive(p.add_argument_group("pump drive, read by --report rates only"))
     p.set_defaults(func=cmd_sweep)
 
     return parser

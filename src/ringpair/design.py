@@ -389,6 +389,17 @@ def _refit_ring2_length(
     return chosen
 
 
+def null_kerr_metric(device: DeviceSpec, pump_power: float) -> float:
+    """Kerr validity metric of the coupler null at a per-pump power [W].
+
+    The one operating point of every Kerr check: the ring-1 loaded Q at
+    the waveguide reference wavelength.
+    """
+    wg = device.waveguide
+    wavelength = TWO_PI * C_VACUUM / wg.omega_ref
+    return kerr_validity_metric(wg, pump_power, device.ring1.q_loaded, wavelength)
+
+
 def xpm_spm_compensation(
     device: DeviceSpec, pump_power: float, max_kerr_metric: float = 0.05
 ) -> CompensationResult:
@@ -405,13 +416,12 @@ def xpm_spm_compensation(
     Raises
     ------
     ValidityExceeded
-        If the Kerr validity metric exceeds ``max_kerr_metric``.
+        If :func:`null_kerr_metric` exceeds ``max_kerr_metric``.
     """
     require_non_negative("pump_power", pump_power)
     require_positive("max_kerr_metric", max_kerr_metric)
     wg = device.waveguide
-    wavelength = TWO_PI * C_VACUUM / wg.omega_ref
-    metric = kerr_validity_metric(wg, pump_power, device.ring1.q_loaded, wavelength)
+    metric = null_kerr_metric(device, pump_power)
     if metric > max_kerr_metric:
         raise ValidityExceeded(
             f"Kerr validity metric {metric:.3g} exceeds the ceiling {max_kerr_metric:.3g}"
@@ -439,22 +449,18 @@ def evaluate_design(
 
     Rules: linear isolation at the coupler null, energy conservation of
     the signal line against the pump pair, side-band suppression for
-    both single-pump processes, and the Kerr validity budget (evaluated
-    at zero power when no drive is given). The report also carries the
-    on-resonance overlap figure and its single-ring ratio.
+    both single-pump processes, and the Kerr budget (:func:`null_kerr_metric`
+    at the drive's power at the signal line, zero without a drive). The
+    report also carries the on-resonance overlap figure and its single-ring ratio.
     """
-    wg = device.waveguide
     residual, deltas, sups, cfg = _tune_diagnostics(device, goal)
     lw = cfg.res_s.linewidth
 
     iso = isolation_db(device.kappa, device.dc_length)
     order = max(int(round(abs(device.kappa) * device.dc_length / math.pi)), 0)
 
-    omega_p = 0.5 * (cfg.res_p1.omega0 + cfg.res_p2.omega0)
-    pump_power = 0.0 if drive is None else drive.power(omega_p)
-    metric = kerr_validity_metric(
-        wg, pump_power, device.ring1.q_loaded, goal.signal_wavelength
-    )
+    pump_power = 0.0 if drive is None else drive.power(goal.signal_omega)
+    metric = null_kerr_metric(device, pump_power)
 
     rules = (
         RuleCheck(

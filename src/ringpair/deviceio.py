@@ -7,9 +7,10 @@ files instead of misreading them. ``FILE_FORMAT`` is the one definition
 of the keys, their units and their defaults: reading, writing and
 :func:`set_device_param` all work from it.
 
-Unknown keys are tolerated by default (and reported back to the
-caller) so that annotated device files keep loading; strict mode
-rejects them, which is what the CLI ``--strict`` flag uses.
+Unknown keys are tolerated by default so that annotated device files
+keep loading; strict mode rejects them, which is what the CLI
+``--strict`` flag uses. :func:`read_device_json` is the one reader of
+device files.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _require_number(section: str, data: dict, key: str) -> float:
     return value
 
 
-def _read_section(data: dict, name: str, strict: bool, unknown: list[str]) -> dict[str, float]:
+def _read_section(data: dict, name: str, strict: bool) -> dict[str, float]:
     """Constructor keyword arguments of one section, in field units."""
     if name not in data:
         raise ValueError(f"device file: missing section '{name}'")
@@ -91,7 +92,6 @@ def _read_section(data: dict, name: str, strict: bool, unknown: list[str]) -> di
         for key, field, scale, default in rows
     }
     extra = sorted(set(section) - {key for key, _, _, _ in rows})
-    unknown.extend(f"{name}.{key}" for key in extra)
     if strict and extra:
         raise ValueError(f"device file: unknown keys in '{name}': {', '.join(extra)}")
     return out
@@ -105,14 +105,6 @@ def device_from_dict(data: dict[str, Any], strict: bool = False) -> DeviceSpec:
     unknown keys. Physical validation is delegated to the value types;
     their errors carry the same ``device file:`` prefix.
     """
-    device, _ = device_from_dict_verbose(data, strict=strict)
-    return device
-
-
-def device_from_dict_verbose(
-    data: dict[str, Any], strict: bool = False
-) -> tuple[DeviceSpec, list[str]]:
-    """Same as :func:`device_from_dict` but also reports unknown keys."""
     if not isinstance(data, dict):
         raise ValueError("device file: top level must be a JSON object")
     if data.get("schema") != SCHEMA_VERSION:
@@ -122,9 +114,9 @@ def device_from_dict_verbose(
     unknown = sorted(set(data) - {"schema", *FILE_FORMAT})
     if strict and unknown:
         raise ValueError(f"device file: unknown top-level keys: {', '.join(unknown)}")
-    kw = {name: _read_section(data, name, strict, unknown) for name in FILE_FORMAT}
+    kw = {name: _read_section(data, name, strict) for name in FILE_FORMAT}
     try:
-        device = DeviceSpec(
+        return DeviceSpec(
             waveguide=WaveguideParams(**kw["waveguide"]),
             ring1=RacetrackSpec(**kw["ring1"]),
             ring2=RacetrackSpec(**kw["ring2"]),
@@ -133,7 +125,6 @@ def device_from_dict_verbose(
         )
     except ValueError as exc:
         raise ValueError(f"device file: {exc}") from exc
-    return device, unknown
 
 
 def device_to_dict(device: DeviceSpec) -> dict[str, Any]:
@@ -180,14 +171,18 @@ def set_device_param(data: dict[str, Any], dotted: str, value: float) -> None:
     data[name][key] = value
 
 
-def load_device(path: str | os.PathLike, strict: bool = False) -> DeviceSpec:
-    """Load a device JSON file."""
+def read_device_json(path: str | os.PathLike) -> Any:
+    """Parse a device file's JSON, unvalidated; invalid JSON raises ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"device file: invalid JSON in {path}: {exc}") from exc
-    return device_from_dict(data, strict=strict)
+
+
+def load_device(path: str | os.PathLike, strict: bool = False) -> DeviceSpec:
+    """Load a device JSON file."""
+    return device_from_dict(read_device_json(path), strict=strict)
 
 
 def write_text_atomic(path: str | os.PathLike, text: str) -> None:

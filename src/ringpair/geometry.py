@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -243,8 +243,6 @@ class Resonance:
         Loaded quality factor.
     q_coupling : float
         Coupling quality factor.
-    linewidth : float
-        Full width at half maximum, omega0 / q_loaded [rad/s].
     """
 
     owner: int
@@ -252,7 +250,6 @@ class Resonance:
     omega0: float
     q_loaded: float
     q_coupling: float
-    linewidth: float = field(default=0.0)
 
     def __post_init__(self) -> None:
         if self.owner not in (1, 2):
@@ -260,11 +257,11 @@ class Resonance:
         require_positive("omega0", self.omega0)
         require_positive("q_loaded", self.q_loaded)
         require_positive("q_coupling", self.q_coupling)
-        if self.linewidth == 0.0:
-            object.__setattr__(self, "linewidth", self.omega0 / self.q_loaded)
-        # Written so that a NaN or infinite linewidth fails too.
-        if not abs(self.linewidth * self.q_loaded - self.omega0) <= 1e-12 * self.omega0:
-            raise ValueError("linewidth is inconsistent with omega0 / q_loaded")
+
+    @property
+    def linewidth(self) -> float:
+        """Full width at half maximum, omega0 / q_loaded [rad/s]."""
+        return self.omega0 / self.q_loaded
 
 
 def effective_index(wg: WaveguideParams, omega) -> np.ndarray | float:
@@ -304,13 +301,20 @@ def group_index(wg: WaveguideParams, omega) -> np.ndarray | float:
     """Local group index c * dk/dw.
 
     Reduces to ``wg.n_g`` exactly at the reference frequency and drifts
-    linearly away from it as implied by the index law.
+    linearly away from it as implied by the index law. Raises
+    ``NonPhysical`` when it overflows the float range.
     """
     omega = np.asarray(omega, dtype=float)
     detune = omega - wg.omega_ref
-    ng = wg.n_eff_ref + (wg.n_g - wg.n_eff_ref) * (2.0 * omega - wg.omega_ref) / wg.omega_ref
-    if wg.gvd != 0.0:
-        ng = ng + C_VACUUM * wg.gvd * detune
+    try:
+        with np.errstate(over="raise"):
+            ng = wg.n_eff_ref + (
+                (wg.n_g - wg.n_eff_ref) * (2.0 * omega - wg.omega_ref) / wg.omega_ref
+            )
+            if wg.gvd != 0.0:
+                ng = ng + C_VACUUM * wg.gvd * detune
+    except FloatingPointError as exc:
+        raise NonPhysical(f"group index overflows for n_g = {wg.n_g:.6g}") from exc
     return float(ng) if ng.ndim == 0 else ng
 
 
@@ -418,9 +422,9 @@ def resonance_comb(
     ql, qc = ring.q_loaded, ring.q_coupling
     if not ql > 1.0:
         raise NonPhysical(f"loaded Q {ql:.6g} is not above 1; lines would outgrow their centers")
-    # Positional fields: owner, order, omega0, q_loaded, q_coupling, linewidth.
+    # Positional fields: owner, order, omega0, q_loaded, q_coupling.
     out = [
-        Resonance(owner, m, w0, ql, qc, w0 / ql)
+        Resonance(owner, m, w0, ql, qc)
         for m, w0 in zip(range(m_lo, m_hi + 1), omega.tolist())
         if lo <= w0 <= hi
     ]

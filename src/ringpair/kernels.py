@@ -2,8 +2,10 @@
 and the pair-rate spectral kernel.
 
 Each kernel is one vectorized numpy expression over an ndarray of
-abscissae, so the adaptive quadrature can evaluate a whole refinement
-round in one call.
+abscissae. Only ``pair_kernel`` feeds the adaptive quadrature, which
+evaluates a whole refinement round in one call; ``lorentzian_comb``
+sums the spectrum. ``dc_overlap_integrand`` has no runtime caller: it
+is the tests' reference integrand for the closed-form coupler overlap.
 """
 
 from __future__ import annotations

@@ -35,11 +35,10 @@ import numpy as np
 from .errors import AssumptionViolated, ApproximationWarning, NonPhysical
 from .errors import require_finite, require_positive
 from .geometry import DeviceSpec, Resonance, WaveguideParams, device_combs, wavevector
-from .enhancement import lorentzian_response, peak_amplitude
+from .enhancement import ENHANCEMENT_WINDOW_LINEWIDTHS, lorentzian_response, peak_amplitude
 
 PUMP_Q_MISMATCH_LIMIT = 0.10
 PHASE_MISMATCH_LIMIT = np.pi / 10.0
-DETUNING_WINDOW_LINEWIDTHS = 20.0
 
 
 def _assume(condition: bool, message: str, strict: bool, log: list[str]) -> None:
@@ -188,7 +187,7 @@ def j_quadrature(device: DeviceSpec, cfg: ProcessConfig, strict: bool = False) -
     log: list[str] = []
     detunings = cfg.detuning_in_linewidths()
     _assume(
-        max(detunings) <= DETUNING_WINDOW_LINEWIDTHS,
+        max(detunings) <= ENHANCEMENT_WINDOW_LINEWIDTHS,
         f"a field is {max(detunings):.1f} linewidths from its resonance; the "
         "Lorentzian enhancement model is a near-resonance approximation",
         strict,

@@ -60,8 +60,9 @@ class PumpDrive:
         Pulse (or integration window) duration T [s].
     self_coupling : float or None
         Bus self-coupling coefficient sigma of the pump coupler. When
-        None, rate calculations derive it from the ring finesse via
-        (1 - sigma) = pi / finesse and flag that choice.
+        None, :func:`resolve_drive` derives it from the ring finesse via
+        (1 - sigma) = pi / finesse, and :func:`noise_budget` flags that
+        choice.
     """
 
     photon_number: float
@@ -121,16 +122,12 @@ def sigma_from_finesse(fin: float) -> float:
     return 1.0 - math.pi / fin
 
 
-def pump_self_coupling(device: DeviceSpec, cfg: ProcessConfig) -> float:
-    """Bus self-coupling derived from the ring-1 finesse at pump 1."""
-    return sigma_from_finesse(ring_finesse(device.ring1, device.waveguide, cfg.res_p1.omega0))
-
-
 def resolve_drive(device: DeviceSpec, drive: PumpDrive, cfg: ProcessConfig) -> PumpDrive:
-    """The drive with its self-coupling set, from :func:`pump_self_coupling` if unset."""
+    """The drive with its self-coupling set; if unset, from the ring-1 finesse at pump 1."""
     if drive.self_coupling is not None:
         return drive
-    return replace(drive, self_coupling=pump_self_coupling(device, cfg))
+    fin = ring_finesse(device.ring1, device.waveguide, cfg.res_p1.omega0)
+    return replace(drive, self_coupling=sigma_from_finesse(fin))
 
 
 def _rate_setup(
@@ -140,14 +137,13 @@ def _rate_setup(
     kcal: float,
     v_g: float,
     omega_s2: float | None,
-    fin: float | None,
 ) -> tuple[float, float, float]:
     """Validate the inputs of both rate routes.
 
     Returns the |beta|^2 prefactor, omega_s2 (default: the signal
-    center) and the pump frequency. Sigma comes from the drive or,
-    when the drive carries none, from the finesse ``fin``. Both routes
-    need a signal line narrower than a hundredth of its center.
+    center) and the pump frequency. The drive must carry its
+    self-coupling (see :func:`resolve_drive`). Both routes need a
+    signal line narrower than a hundredth of its center.
     """
     require_positive("kcal", kcal, NonPhysical)
     require_positive("v_g", v_g)
@@ -160,9 +156,7 @@ def _rate_setup(
         raise NonPhysical("process frequencies are not positive; check delta and omega_s2")
     sigma = drive.self_coupling
     if sigma is None:
-        if fin is None:
-            raise ValueError("either drive.self_coupling or a finesse must be provided")
-        sigma = sigma_from_finesse(fin)
+        raise ValueError("drive.self_coupling is unset; resolve the drive first")
     if res_s.linewidth >= 0.01 * omega_s:
         raise NonPhysical(
             f"linewidth {res_s.linewidth:.3g} rad/s is not small against the line center; "
@@ -262,7 +256,6 @@ def pair_rate_integral(
     kcal: float,
     v_g: float,
     omega_s2: float | None = None,
-    fin: float | None = None,
 ) -> float:
     """Pairs per pulse of one process by numeric spectral integration.
 
@@ -273,6 +266,7 @@ def pair_rate_integral(
     Parameters
     ----------
     drive : PumpDrive
+        Carries its self-coupling; see :func:`resolve_drive`.
     res_s : Resonance
         The signal line; sets omega_s and the linewidth.
     delta : float
@@ -285,11 +279,8 @@ def pair_rate_integral(
         Center of the partner line [rad/s]; defaults to the signal
         center, which is exact for the degenerate dual-pump process and
         a sub-0.1 percent approximation for its neighbors.
-    fin : float, optional
-        Ring finesse; only needed when the drive does not carry an
-        explicit self-coupling.
     """
-    pref, omega_s2, omega_p = _rate_setup(drive, res_s, delta, kcal, v_g, omega_s2, fin)
+    pref, omega_s2, omega_p = _rate_setup(drive, res_s, delta, kcal, v_g, omega_s2)
     omega_s = res_s.omega0
     fwhm = res_s.linewidth
     lo = min(0.0, -delta) - INTEGRATION_WINDOW_LINEWIDTHS * fwhm
@@ -310,7 +301,6 @@ def pair_rate_closed_form(
     kcal: float,
     v_g: float,
     omega_s2: float | None = None,
-    fin: float | None = None,
 ) -> float:
     """Pairs per pulse with the line-shape integral done analytically.
 
@@ -318,7 +308,7 @@ def pair_rate_closed_form(
     :func:`pair_rate_integral` differs from 1 by the retained-factor
     correction (well under a percent for narrow lines).
     """
-    pref, omega_s2, omega_p = _rate_setup(drive, res_s, delta, kcal, v_g, omega_s2, fin)
+    pref, omega_s2, omega_p = _rate_setup(drive, res_s, delta, kcal, v_g, omega_s2)
     fwhm = res_s.linewidth
     spectral = (math.pi / 4.0) * fwhm**3 / (delta**2 + fwhm**2) * omega_s2 * omega_p
     return pref * spectral
@@ -411,11 +401,7 @@ def calibrate_kcal(
     wg = device.waveguide
     omega_p = 0.5 * (cfg.res_p1.omega0 + cfg.res_p2.omega0)
     photon_number = pump_power * pulse_duration / (HBAR * omega_p)
-    drive = PumpDrive(
-        photon_number=photon_number,
-        pulse_duration=pulse_duration,
-        self_coupling=pump_self_coupling(device, cfg),
-    )
+    drive = resolve_drive(device, PumpDrive(photon_number, pulse_duration), cfg)
     beta_unit = pair_rate_integral(
         drive, cfg.res_s, cfg.signal_mismatch, 1.0, wg.v_g, omega_s2=cfg.res_s.omega0
     )

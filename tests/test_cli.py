@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import c as c0
 
-from ringpair import save_device
+from ringpair import DesignGoal, PumpDrive, load_device, save_device, xpm_spm_compensation
 from ringpair.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -70,8 +70,9 @@ REPORT_KEYS = {
 RULE_KEYS = {"name", "passed", "value", "limit", "detail"}
 
 # (section, key, scale, command, message phrase): device leaves whose
-# scaled value used to end in a traceback (exit 1) or a non-finite
-# artifact, and a phrase of the NonPhysical message each now gives.
+# scaled value used to end in a traceback (exit 1), a non-finite
+# artifact or, for n_g, a misleading exit 2 after an overflow, and a
+# phrase of the NonPhysical message each now gives.
 SIGNAL = ["--signal", "1550nm", "--suppression", "1e-3"]
 RANGE_CASES = {
     "n-bar-tiny-overlap": ("waveguide", "n_bar", 1e-200, ["overlap", "--band", *BAND], "n_bar^4"),
@@ -102,6 +103,9 @@ RANGE_CASES = {
                                ["spectrum", "--band", *BAND, "--points", "101"], "loaded Q"),
     "ring2-qc-tiny-spectrum": ("ring2", "q_coupling", 1e-200,
                                ["spectrum", "--band", *BAND, "--points", "101"], "loaded Q"),
+    "n-g-huge-kerr-check": ("waveguide", "n_g", 1e300, ["kerr-check", "--power", "0.005"],
+                            "group index"),
+    "n-g-huge-optimize": ("waveguide", "n_g", 1e300, ["optimize", *SIGNAL], "group index"),
 }
 
 
@@ -164,6 +168,17 @@ class TestArtifacts:
             assert rc == EXIT_OK
         assert outs[0].read_bytes() == outs[1].read_bytes()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name", ["rates", "optimize"])
+    def test_strict_changes_nothing_without_unknown_keys(self, name, tmp_path, capsys):
+        # optimize writes its device to --out and its report to stdout.
+        outs, stdouts = [tmp_path / "lenient", tmp_path / "strict"], []
+        for out, strict in zip(outs, ([], ["--strict"])):
+            rc = main([*README_COMMANDS[name], *strict, "--out", str(out)])
+            assert rc == EXIT_OK
+            stdouts.append(capsys.readouterr().out)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert stdouts[0] == stdouts[1]
 
     def test_band_spellings_agree(self, tmp_path):
         outs = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"]
@@ -294,6 +309,29 @@ class TestOptimize:
         err = json.loads(capsys.readouterr().err)
         assert err["context"]["error"] == "Infeasible"
 
+    def test_reported_kerr_metric_is_the_gated_one(self, tmp_path, capsys):
+        # The report, the compensation gate, kerr-check and the kerr sweep
+        # all evaluate the metric at the drive's power at the signal line.
+        out = tmp_path / "tuned.json"
+        rc, payload = run_json(["optimize", "--device", DEV, "--signal", "1545nm",
+                                "--suppression", "1e-3", "--photons", "3e6",
+                                "--out", str(out)], capsys)
+        assert rc == EXIT_OK
+        goal = DesignGoal(signal_wavelength=2.0 * math.pi * c0 / parse_frequency("1545nm"))
+        power = PumpDrive(photon_number=3e6, pulse_duration=1e-9).power(goal.signal_omega)
+        gated = xpm_spm_compensation(load_device(out), power).kerr_metric
+        report = payload["report"]
+        assert report["kerr_metric"] == gated
+        assert [r["value"] for r in report["rules"] if r["name"] == "kerr_budget"] == [gated]
+        rc, kerr = run_json(["kerr-check", "--device", str(out), "--power", repr(power)], capsys)
+        assert rc == EXIT_OK
+        assert kerr["kerr_metric"] == gated
+        gamma = json.loads(out.read_text())["waveguide"]["gamma_nl_w_m"]
+        rc = main(["sweep", "--device", str(out), "--param", "waveguide.gamma_nl_w_m",
+                   "--list", repr(gamma), "--report", "kerr", "--power", repr(power)])
+        assert rc == EXIT_OK
+        assert read_csv(capsys.readouterr().out)[1] == [[gamma, gated]]
+
 
 class TestSweep:
     def test_isolation_over_gap(self, capsys):
@@ -412,6 +450,19 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert not out.exists()
         capsys.readouterr()
+
+    def test_malformed_device_file_in_sweep(self, tmp_path, capsys):
+        # sweep reads the file through the same reader as every other command.
+        bad = tmp_path / "bad.json"
+        bad.write_text("{broken", encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--device", str(bad), "--param", "dc.gap_m", "--list", "3e-7",
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error"] == "ValueError"
+        assert err["message"].startswith("device file: invalid JSON")
 
     def test_bad_band(self, capsys):
         rc = main(["spectrum", "--device", DEV, "--band", "192THz"])
@@ -564,3 +615,68 @@ class TestSweepMatchesRates:
         assert rc == EXIT_OK
         _header, rows = read_csv(capsys.readouterr().out)
         assert rows == [[3e-7, rates["rate_signal_per_s"], max(rates["rate_parasitic_per_s"])]]
+
+
+# Every numeric leaf of the shipped device, as (section, file key).
+SHIPPED = json.loads(DEVICE_JSON.read_text())
+LEAVES = [(section, key) for section, rows in FILE_FORMAT.items() for key, _, _, _ in rows]
+# The six other README commands, made cheap, and sweep with each report.
+# "{gap}" stands for the generated coupler gap and 1.01 times it.
+FUZZ_COMMANDS = {
+    "spectrum": ["spectrum", "--band", *BAND, "--points", "101"],
+    "overlap": ["overlap", "--band", "1567nm:1543nm"],
+    "rates": ["rates", "--band", *BAND, "--photons", "5e4"],
+    "suppression": ["suppression", "--band", *BAND, "--points", "11"],
+    "kerr-check": ["kerr-check", "--power", "0.005"],
+    "optimize": ["optimize", *SIGNAL, "--photons", "1e5"],
+    **{
+        f"sweep-{report}": ["sweep", "--param", "dc.gap_m", "--list", "{gap}", "--report",
+                            report, "--band", *BAND, "--power", "0.005"]
+        for report in ("isolation", "kerr", "suppression", "rates")
+    },
+}
+
+
+def _finite_numbers(value) -> bool:
+    if isinstance(value, dict):
+        return all(_finite_numbers(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite_numbers(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+class TestGeneratedDevices:
+    """No traceback and no non-finite artifact on generated devices."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scales=st.dictionaries(
+            st.sampled_from(LEAVES),
+            st.tuples(st.one_of(st.floats(-12.0, 12.0), st.floats(-300.0, 300.0)),
+                      st.sampled_from((1.0, 1.0, 1.0, -1.0))),
+            max_size=4,
+        ),
+        name=st.sampled_from(sorted(FUZZ_COMMANDS)),
+    )
+    def test_exit_code_and_artifacts(self, scales, name):
+        data = json.loads(json.dumps(SHIPPED))
+        for (section, key), (exponent, sign) in scales.items():
+            data[section][key] *= sign * 10.0**exponent
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out, report = (Path(tmp) / n for n in ("device.json", "out", "report"))
+            path.write_text(json.dumps(data))
+            gaps = f"{data['dc']['gap_m']!r},{1.01 * data['dc']['gap_m']!r}"
+            argv = [arg.replace("{gap}", gaps) for arg in FUZZ_COMMANDS[name]]
+            extra = ["--report", str(report)] if name == "optimize" else []
+            rc = main([argv[0], "--device", str(path), *argv[1:], "--out", str(out), *extra])
+            assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_INFEASIBLE, EXIT_NUMERICAL)
+            if rc != EXIT_OK:
+                assert [p.name for p in Path(tmp).iterdir()] == ["device.json"]
+                return
+            text = out.read_text()
+            if argv[0] in ("spectrum", "suppression", "sweep"):
+                assert all(math.isfinite(v) for row in read_csv(text)[1] for v in row)
+            else:
+                assert _finite_numbers(json.loads(text))
+            if name == "optimize":
+                assert _finite_numbers(json.loads(report.read_text()))

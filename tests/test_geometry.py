@@ -161,8 +161,8 @@ class TestValueTypes:
             Resonance(owner=3, order=100, omega0=1e15, q_loaded=5e4, q_coupling=1e5)
         with pytest.raises(ValueError):
             Resonance(owner=1, order=100, omega0=-1e15, q_loaded=5e4, q_coupling=1e5)
-        with pytest.raises(ValueError):
-            # Linewidth contradicting omega0 / q_loaded.
+        with pytest.raises(TypeError):
+            # The linewidth is derived from omega0 / q_loaded, never stored.
             Resonance(
                 owner=1, order=100, omega0=1e15, q_loaded=5e4, q_coupling=1e5,
                 linewidth=1e15 / 5e4 * 1.5,

@@ -1,9 +1,10 @@
 """Artifacts stay byte-identical to the committed hashes.
 
-Runs the seven README commands and a 41-point suppression sweep and a
-41-point rates sweep through ``cli.main`` and compares the sha256 of
-every artifact they write with ``tests/golden/artifacts.json``. A
-refactor must not move any of these bytes. The hashes were recorded on
+Runs the seven README commands, 41-point suppression, rates and kerr
+sweeps, and ``rates --self-coupling`` through ``cli.main``, and compares
+the sha256 of every artifact they write with
+``tests/golden/artifacts.json``. A refactor must not move any of these
+bytes. The hashes were recorded on
 x86-64 Linux with numpy 2.4; another libm may round a last digit
 differently. A change that means to move a reported number records the
 new hashes, and says why, by running
@@ -49,6 +50,11 @@ COMMANDS = {
     "sweep-rates": (["sweep", "--device", DEV, "--param", "ring2.straight_len_m",
                      "--values", "5.8e-5", "5.9e-5", "41", "--report", "rates", *BAND],
                     ("--out",)),
+    "sweep-kerr": (["sweep", "--device", DEV, "--param", "ring1.q_intrinsic",
+                    "--values", "5e4", "2e5", "41", "--report", "kerr", "--power", "0.005"],
+                   ("--out",)),
+    "rates-self-coupling": (["rates", "--device", DEV, *BAND, "--photons", "5e4",
+                             "--pulse", "1e-9", "--self-coupling", "0.97"], ("--out",)),
 }
 
 

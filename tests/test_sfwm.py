@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.constants import epsilon_0, hbar
 
 from ringpair import (
@@ -64,6 +65,16 @@ class TestSuppressionFactor:
         assert suppression_factor(-3.0 * FWHM, FWHM) == suppression_factor(
             3.0 * FWHM, FWHM
         )
+
+    @given(
+        lw=st.floats(1e-3, 1e15),
+        d1=st.floats(-1e150, 1e150),
+        d2=st.floats(-1e150, 1e150),
+    )
+    def test_even_and_non_increasing_property(self, lw, d1, d2):
+        assert suppression_factor(-d1, lw) == suppression_factor(d1, lw)
+        near, far = sorted((d1, d2), key=abs)
+        assert suppression_factor(near, lw) >= suppression_factor(far, lw)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -191,15 +202,18 @@ class TestPairRateIntegral:
         assert r2 == pytest.approx(4.0 * r1, rel=1e-12)
         assert pair_rate_integral(drive(pn=0.0), res, 0.0, 1.0, v_g) == 0.0
 
-    def test_sigma_can_come_from_finesse(self):
-        res = signal_line()
+    def test_sigma_can_come_from_finesse(self, sample_device):
+        # Only resolve_drive derives sigma; both routes reject a drive without one.
+        cfg = resonant_config(sample_device, process_band(sample_device))
         dr = PumpDrive(photon_number=1.0, pulse_duration=1e-9)
-        fin = 120.0
-        got = pair_rate_integral(dr, res, 0.0, 1.0, 7.1e7, fin=fin)
+        fin = finesse(sample_device.ring1, sample_device.waveguide, cfg.res_p1.omega0)
+        resolved = resolve_drive(sample_device, dr, cfg)
         pinned = drive(sigma=sigma_from_finesse(fin))
-        assert got == pair_rate_integral(pinned, res, 0.0, 1.0, 7.1e7)
-        with pytest.raises(ValueError):
-            pair_rate_integral(dr, res, 0.0, 1.0, 7.1e7)
+        res = signal_line()
+        for rate in (pair_rate_integral, pair_rate_closed_form):
+            assert rate(resolved, res, 0.0, 1.0, 7.1e7) == rate(pinned, res, 0.0, 1.0, 7.1e7)
+            with pytest.raises(ValueError, match="self_coupling"):
+                rate(dr, res, 0.0, 1.0, 7.1e7)
 
     def test_validation(self):
         res = signal_line()
