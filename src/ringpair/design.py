@@ -428,14 +428,13 @@ def xpm_spm_compensation(
         )
     delta_beta = kerr_delta_beta(wg, pump_power, ring_finesse(device.ring1, wg, wg.omega_ref))
     pull1 = -wg.v_g * delta_beta
-    pull2 = 0.0
     notes = (
         "frequency pull modeled as -v_g * delta_beta at fixed mode order",
         "ring 2 sees no circulating pump power at a linear null; its pull is zero",
     )
     return CompensationResult(
-        induced_shift=(pull1, pull2),
-        compensation=(-pull1, -pull2),
+        induced_shift=(pull1, 0.0),
+        compensation=(-pull1, 0.0),
         kerr_metric=metric,
         delta_beta=delta_beta,
         notes=notes,

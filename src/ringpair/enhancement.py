@@ -27,16 +27,22 @@ import numpy as np
 
 from . import kernels
 from .deviceio import csv_text
-from .errors import ApproximationWarning
+from .errors import ApproximationWarning, NonPhysical, require_finite
 from .geometry import DeviceSpec, Resonance, WaveguideParams, RacetrackSpec, device_combs
 
 ENHANCEMENT_WINDOW_LINEWIDTHS = 20.0
 
 
 def peak_amplitude(res: Resonance, wg: WaveguideParams, ring: RacetrackSpec) -> float:
-    """On-resonance magnitude of the enhancement factor (dimensionless)."""
+    """On-resonance magnitude of the enhancement factor (dimensionless).
+
+    Raises ``NonPhysical`` when it or its square, the peak intensity
+    enhancement, overflows.
+    """
     pref = 4.0 * res.q_loaded * wg.v_g / (ring.round_trip_length * res.omega0)
-    return float(np.sqrt(pref) * np.sqrt(res.q_loaded / res.q_coupling))
+    amp = float(np.sqrt(pref) * np.sqrt(res.q_loaded / res.q_coupling))
+    require_finite("peak intensity enhancement", amp * amp, NonPhysical)
+    return amp
 
 
 def lorentzian_response(res: Resonance, omega) -> np.ndarray | complex:

@@ -260,8 +260,16 @@ class Resonance:
 
     @property
     def linewidth(self) -> float:
-        """Full width at half maximum, omega0 / q_loaded [rad/s]."""
-        return self.omega0 / self.q_loaded
+        """Full width at half maximum, omega0 / q_loaded [rad/s].
+
+        Raises ``NonPhysical`` when the squared half width underflows to
+        zero, which would leave every line shape 0/0.
+        """
+        fwhm = self.omega0 / self.q_loaded
+        if not 0.25 * fwhm * fwhm > 0.0:
+            raise NonPhysical(f"linewidth {fwhm:.3g} rad/s (loaded Q {self.q_loaded:.3g}) "
+                              "underflows when squared")
+        return fwhm
 
 
 def effective_index(wg: WaveguideParams, omega) -> np.ndarray | float:
@@ -371,7 +379,8 @@ def resonance_comb(
         If the group index is not positive over the search band, so the
         round-trip phase is not monotone there.
     NonPhysical
-        If a mode order in the band exceeds 2^53, or the loaded Q is not
+        If the round-trip phase is not positive at the lower search edge,
+        a mode order in the band exceeds 2^53, or the loaded Q is not
         above 1.
     """
     lo, hi = sorted((float(band[0]), float(band[1])))
@@ -403,6 +412,8 @@ def resonance_comb(
     k_step = TWO_PI / length
     cycles_lo = ((a * lo_u + b) * lo_u + c0) / k_step
     cycles_hi = ((a * hi_u + b) * hi_u + c0) / k_step
+    if not cycles_lo > 0.0:  # n_eff <= 0 there: no positive mode order exists
+        raise NonPhysical(f"round-trip phase is not positive at {lo_u:.6g} rad/s")
     if not cycles_hi - cycles_lo < MAX_COMB_ORDERS:
         raise ValueError(f"band {band} spans more than {MAX_COMB_ORDERS} mode orders")
     if not cycles_hi < 2.0**53:  # past 2^53 the orders are not exact doubles

@@ -2,10 +2,11 @@
 and the pair-rate spectral kernel.
 
 Each kernel is one vectorized numpy expression over an ndarray of
-abscissae. Only ``pair_kernel`` feeds the adaptive quadrature, which
-evaluates a whole refinement round in one call; ``lorentzian_comb``
-sums the spectrum. ``dc_overlap_integrand`` has no runtime caller: it
-is the tests' reference integrand for the closed-form coupler overlap.
+abscissae. Only ``lorentzian_comb``, which sums the spectrum, has a
+runtime caller. The other two are the tests' reference integrands for
+closed forms: ``pair_kernel`` for the exact pair-rate integral in
+:func:`ringpair.sfwm.pair_rate_integral`, ``dc_overlap_integrand`` for
+the coupler overlap in :func:`ringpair.nonlinear.z_overlap_integral`.
 """
 
 from __future__ import annotations

@@ -202,6 +202,7 @@ def j_quadrature(device: DeviceSpec, cfg: ProcessConfig, strict: bool = False) -
 
     z_factor = z_overlap_integral(device.kappa, device.dc_length, cfg.delta_k)
     j = f3 * f4 * f1 * f2 * _material_factor(device) * z_factor
+    require_finite("J", j, NonPhysical)
     return OverlapResult(
         j_value=complex(j),
         z_factor=z_factor,

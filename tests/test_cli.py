@@ -109,6 +109,42 @@ RANGE_CASES = {
 }
 
 
+def both_q(*rings, scale):
+    """Edits scaling the intrinsic and the coupling Q of each ring."""
+    return tuple((ring, key, scale) for ring in rings for key in ("q_intrinsic", "q_coupling"))
+
+
+# (edits, command, message phrase): devices with leaves scaled by
+# (section, key, scale) edits. Scaled loaded Qs used to end in a
+# ZeroDivisionError traceback or a nan artifact. n_g = 10 with
+# n_eff_ref = 1.5 makes n_eff negative below about 0.82 f_ref, where the
+# comb returned mode orders <= 0; n_g x 1e300 makes it negative at the
+# shipped band, which exited 2 on the band's width in mode orders.
+NEGATIVE_INDEX = (("waveguide", "n_g", 10.0 / 4.2), ("waveguide", "n_eff_ref", 0.625))
+SPECTRUM = ["spectrum", "--band", *BAND, "--points", "101"]
+MULTI_RANGE_CASES = {
+    **{
+        f"ring2-q-{scale:.0e}-{argv[0]}": (both_q("ring2", scale=scale), argv, "underflows")
+        for scale in (1e200, 1e250, 1e300)
+        for argv in (["rates", "--band", *BAND, "--photons", "5e4"],
+                     ["suppression", "--band", *BAND])
+    },
+    **{
+        f"{ring}-q-1e+300-{argv[0]}": (both_q(ring, scale=1e300), argv, "underflows")
+        for ring in ("ring1", "ring2")
+        for argv in (SPECTRUM, ["overlap", "--band", *BAND])
+    },
+    "both-rings-q-1e+160-overlap": (both_q("ring1", "ring2", scale=1e160),
+                                    ["overlap", "--band", *BAND], "J must be finite"),
+    "negative-index-spectrum": (NEGATIVE_INDEX,
+                                ["spectrum", "--band", "115THz", "117THz", "--points", "101"],
+                                "round-trip phase"),
+    "negative-index-overlap": (NEGATIVE_INDEX, ["overlap", "--band", "110THz", "120THz"],
+                               "round-trip phase"),
+    "n-g-huge-spectrum": ((("waveguide", "n_g", 1e300),), SPECTRUM, "round-trip phase"),
+}
+
+
 def run_json(argv, capsys):
     """Run one command to stdout; its exit code and parsed JSON payload."""
     rc = main(argv)
@@ -553,6 +589,57 @@ class TestExitCodes:
         assert err["context"]["error"] == "NonPhysical"
         assert phrase in err["message"]
 
+    @pytest.mark.parametrize("case", MULTI_RANGE_CASES.values(), ids=MULTI_RANGE_CASES.keys())
+    def test_out_of_range_leaves_are_non_physical(self, case, tmp_path, capsys):
+        edits, argv, phrase = case
+        data = json.loads(DEVICE_JSON.read_text())
+        for section, key, scale in edits:
+            data[section][key] *= scale
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "artifact"
+        rc = main([argv[0], "--device", str(path), *argv[1:], "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error"] == "NonPhysical"
+        assert phrase in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates", "--device", DEV, "--band", *BAND, "--photons", "1e150"],
+            ["rates", "--device", DEV, "--band", *BAND, "--photons", "1e200"],
+            ["suppression", "--device", DEV, "--band", *BAND, "--photons", "1e150"],
+            ["suppression", "--device", DEV, "--band", *BAND, "--photons", "1e200"],
+        ],
+        ids=["rates-inf", "rates-overflow", "suppression-inf", "suppression-overflow"],
+    )
+    def test_overflowing_pair_rate_is_non_physical(self, argv, tmp_path, capsys):
+        # The rate used to be written as Infinity, or pn**2 overflowed
+        # into an OverflowError traceback.
+        out = tmp_path / "artifact"
+        assert main([*argv, "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["context"]["error"] == "NonPhysical"
+
+
+class TestExactPairRates:
+    def test_rates_run_without_adaptive_quadrature(self, monkeypatch, tmp_path):
+        # The pair-rate integral is a closed form: neither the adaptive
+        # integrator nor the pair kernel runs for rates or a rates sweep.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the adaptive quadrature ran")
+
+        monkeypatch.setattr("ringpair.quadrature.integrate_adaptive", refuse)
+        monkeypatch.setattr("ringpair.kernels.pair_kernel", refuse)
+        sweep = ["sweep", "--device", DEV, "--param", "ring2.straight_len_m", "--values",
+                 "5.8e-5", "5.9e-5", "41", "--report", "rates", "--band", *BAND]
+        for name, argv in (("rates", README_COMMANDS["rates"]), ("sweep", sweep)):
+            out = tmp_path / name
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            assert out.exists()
+
 
 class TestArtifactSchema:
     """Each JSON artifact holds exactly its dataclass's fields plus the
@@ -572,6 +659,12 @@ class TestArtifactSchema:
         assert payload["induced_shift"][0] == pytest.approx(
             -c0 / wg["n_g"] * payload["delta_beta"], rel=1e-12
         )
+
+    def test_kerr_check_ring2_compensation_is_positive_zero(self, capsys):
+        # Ring 2 is not pulled; its compensation used to be written as -0.0.
+        rc, payload = run_json(README_COMMANDS["kerr-check"], capsys)
+        assert rc == EXIT_OK
+        assert math.copysign(1.0, payload["compensation"][1]) == 1.0
 
     def test_report_keys(self, capsys):
         rc, payload = run_json(README_COMMANDS["optimize"], capsys)

@@ -221,6 +221,17 @@ class TestCompensation:
         assert comp.compensation[1] == 0.0
         assert any("null" in n for n in comp.notes)
 
+    @pytest.mark.parametrize("power", [0.0, 1e-3])
+    def test_ring2_compensation_is_positive_zero(self, sample_device, power):
+        comp = xpm_spm_compensation(sample_device, power)
+        assert math.copysign(1.0, comp.compensation[1]) == 1.0
+
+    def test_drive_note_gives_ring2_as_positive_zero(self, sample_device):
+        goal = replace(GOAL, min_parasitic_suppression=1e-3)
+        drive = PumpDrive(photon_number=1e5, pulse_duration=1e-9)
+        _final, report = optimize_device(sample_device, goal, drive=drive)
+        assert any(n.endswith("ring 2 +0 rad/s") for n in report.notes)
+
     def test_linear_in_power(self, sample_device):
         one = xpm_spm_compensation(sample_device, 1e-3)
         two = xpm_spm_compensation(sample_device, 2e-3)

@@ -10,6 +10,8 @@ import pytest
 from ringpair import (
     ApproximationWarning,
     EmptyBand,
+    NonPhysical,
+    Resonance,
     field_enhancement,
     fsr,
     integrate_adaptive,
@@ -53,6 +55,13 @@ class TestPeakAmplitude:
         assert peak_amplitude(
             one_resonance(hi), hi.waveguide, hi.ring1
         ) > peak_amplitude(one_resonance(lo), lo.waveguide, lo.ring1)
+
+
+    def test_overflowing_peak_intensity_is_non_physical(self):
+        dev = make_device()
+        res = Resonance(owner=1, order=100, omega0=1.2e15, q_loaded=1e150, q_coupling=1e-100)
+        with pytest.raises(NonPhysical, match="peak intensity"):
+            peak_amplitude(res, dev.waveguide, dev.ring1)
 
 
 class TestLineShape:

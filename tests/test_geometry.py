@@ -172,6 +172,12 @@ class TestValueTypes:
         res = Resonance(owner=2, order=100, omega0=1e15, q_loaded=5e4, q_coupling=1e5)
         assert res.linewidth == pytest.approx(1e15 / 5e4, rel=1e-15)
 
+    @pytest.mark.parametrize("q", [1e200, 1e300])
+    def test_linewidth_whose_square_underflows_is_rejected(self, q):
+        res = Resonance(owner=2, order=100, omega0=1e15, q_loaded=q, q_coupling=2.0 * q)
+        with pytest.raises(NonPhysical, match="underflows"):
+            res.linewidth
+
     def test_device_coupler_must_fit(self):
         dev = make_device()
         with pytest.raises(ValueError):
@@ -537,6 +543,16 @@ class TestCombRange:
         wg = _wg()
         with pytest.raises(NonPhysical, match="loaded Q"):
             resonance_comb(ring, wg, (0.99 * wg.omega_ref, 1.01 * wg.omega_ref))
+
+    def test_non_positive_round_trip_phase_is_rejected(self):
+        # n_g = 10, n_eff_ref = 1.5: k(w) = (w / c) (8.5 w / w_ref - 7)
+        # grows over the band but is negative below 0.82 w_ref, where the
+        # comb used to return mode orders <= 0.
+        wg = _wg(n_eff=1.5, n_g=10.0)
+        ring = make_device().ring1
+        with pytest.raises(NonPhysical, match="round-trip phase"):
+            resonance_comb(ring, wg, (0.6 * wg.omega_ref, 0.61 * wg.omega_ref))
+        assert resonance_comb(ring, wg, (0.9 * wg.omega_ref, 0.91 * wg.omega_ref))[0].order > 0
 
     def test_mode_orders_beyond_double_precision_are_rejected(self):
         # A reference frequency 1e-200 times the optical one puts the

@@ -11,7 +11,8 @@ new hashes, and says why, by running
 
     PYTHONPATH=src python tests/test_golden.py
 
-and committing the rewritten file with the change.
+which prints ``key: old → new`` for each hash it rewrites, and
+committing the rewritten file with the change.
 """
 
 from __future__ import annotations
@@ -84,9 +85,14 @@ def test_golden_file_covers_exactly_the_commands():
 if __name__ == "__main__":
     import tempfile
 
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         hashes: dict[str, str] = {}
         for command in COMMANDS:
             hashes.update(artifact_hashes(command, Path(tmp)))
+    # Name every hash that moves, so a rewrite shows which artifacts changed.
+    for key in sorted(recorded.keys() | hashes.keys()):
+        if recorded.get(key) != hashes.get(key):
+            print(f"{key}: {recorded.get(key)} → {hashes.get(key)}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.constants import epsilon_0, hbar
 
 from ringpair import (
@@ -29,7 +29,7 @@ from ringpair import (
     sigma_from_finesse,
     suppression_factor,
 )
-from ringpair import kernels
+from ringpair import integrate_adaptive, kernels
 
 from conftest import process_band
 
@@ -111,6 +111,20 @@ class TestPumpDrive:
                 PumpDrive(photon_number=1.0, pulse_duration=bad)
 
 
+def rate_prefactor(dr, omega_s, kcal, v_g):
+    return (
+        dr.photon_number**2
+        * (hbar * omega_s) ** 2
+        / dr.pulse_duration
+        * 9.0
+        * math.pi**3
+        / (2.0 * epsilon_0**2)
+        * kcal
+        / v_g**4
+        * (2.0 / (1.0 - dr.self_coupling)) ** 4
+    )
+
+
 def manual_rate(dr, res, delta, kcal, v_g, omega_s2=None, n=1_000_001):
     """Trapezoid reimplementation of the spectral-integral rate."""
     omega_s = res.omega0
@@ -124,18 +138,24 @@ def manual_rate(dr, res, delta, kcal, v_g, omega_s2=None, n=1_000_001):
     spectral = np.trapezoid(
         kernels.pair_kernel(u, delta, fwhm, omega_s, omega_s2), u
     ) * omega_s2 * omega_p
-    pref = (
-        dr.photon_number**2
-        * (hbar * omega_s) ** 2
-        / dr.pulse_duration
-        * 9.0
-        * math.pi**3
-        / (2.0 * epsilon_0**2)
-        * kcal
-        / v_g**4
-        * (2.0 / (1.0 - dr.self_coupling)) ** 4
+    return rate_prefactor(dr, omega_s, kcal, v_g) * spectral
+
+
+def quadrature_rate(dr, res, delta, kcal, v_g, omega_s2, tol):
+    """The rate with the kernel integrated adaptively to ``tol * fwhm``.
+
+    At tol = 1e-13 this is the reference for the exact integral; at
+    tol = 1e-10 it is the route the rates used to take.
+    """
+    omega_s, fwhm = res.omega0, res.linewidth
+    omega_p = 2.0 * omega_s - omega_s2 - delta
+    lo = min(0.0, -delta) - 50.0 * fwhm
+    hi = max(0.0, -delta) + 50.0 * fwhm
+    value, _err = integrate_adaptive(
+        lambda u: kernels.pair_kernel(u, delta, fwhm, omega_s, omega_s2), lo, hi,
+        abs_tol=tol * fwhm,
     )
-    return pref * spectral
+    return rate_prefactor(dr, omega_s, kcal, v_g) * value.real * omega_s2 * omega_p
 
 
 class TestPairRateIntegral:
@@ -147,6 +167,37 @@ class TestPairRateIntegral:
         delta = delta_scale * FWHM
         got = pair_rate_integral(dr, res, delta, 2.5, v_g)
         assert got == pytest.approx(manual_rate(dr, res, delta, 2.5, v_g), rel=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        omega_s=st.floats(1.1e15, 1.3e15),
+        q=st.floats(1e3, 1e6),
+        delta_lw=st.one_of(st.just(0.0), st.floats(1e-12, 1e2), st.floats(-1e2, -1e-12)),
+        offset=st.floats(-1e12, 1e12),
+    )
+    def test_exact_integral_matches_the_quadrature_oracle(self, omega_s, q, delta_lw, offset):
+        res = signal_line(omega_s, q)
+        fwhm = res.linewidth
+        delta, omega_s2 = delta_lw * fwhm, omega_s + offset
+        args = (drive(), res, delta, 1.0, 7.1e7, omega_s2)
+        got = pair_rate_integral(*args)
+        assert got == pytest.approx(quadrature_rate(*args, tol=1e-13), rel=1e-12)
+        # The route the rates used to take asked for an absolute error of
+        # 1e-10 * fwhm on the kernel integral; the exact value is inside
+        # it. (That route is up to 1.6e-11 relative off near 80 linewidths,
+        # so a relative bound of 1e-12 against it would not hold.)
+        omega_p = 2.0 * omega_s - omega_s2 - delta
+        scale = rate_prefactor(drive(), omega_s, 1.0, 7.1e7) * omega_s2 * omega_p
+        assert abs(got - quadrature_rate(*args, tol=1e-10)) <= 1e-10 * fwhm * scale
+
+    def test_exact_at_zero_mismatch(self):
+        # At delta = 0 both lines coincide; the log1p(x)/x factor is 1.
+        res = signal_line()
+        got = pair_rate_integral(drive(), res, 0.0, 1.0, 7.1e7)
+        near = pair_rate_integral(drive(), res, 1e-300, 1.0, 7.1e7)
+        assert math.isfinite(got) and got == near
+        ref = quadrature_rate(drive(), res, 0.0, 1.0, 7.1e7, OMEGA_S, tol=1e-13)
+        assert got == pytest.approx(ref, rel=1e-14)
 
     def test_zero_mismatch_matches_closed_form(self):
         res = signal_line()
@@ -231,7 +282,7 @@ class TestPairRateIntegral:
         def no_quadrature(*args, **kwargs):
             raise AssertionError("integrated before validating")
 
-        monkeypatch.setattr("ringpair.sfwm.integrate_adaptive", no_quadrature)
+        monkeypatch.setattr("ringpair.quadrature.integrate_adaptive", no_quadrature)
         res = signal_line()
         unpinned = PumpDrive(photon_number=1.0, pulse_duration=1e-9)
         with pytest.raises(NonPhysical):
@@ -451,6 +502,20 @@ class TestSharedHelpers:
         rep = noise_budget(sample_device, drive(), cfg, band=band)
         deltas, sups, _partners = sideband_pair(comb2, cfg)
         assert (rep.detuning_delta, rep.suppression) == (deltas, sups)
+
+    @pytest.mark.parametrize("rate", [pair_rate_integral, pair_rate_closed_form])
+    def test_both_routes_reject_a_zero_squared_linewidth(self, rate):
+        # fwhm 2.4e-190 rad/s: h^2 underflows, and d^2 + h^2 would be 0 at delta = 0.
+        narrow = signal_line(q=5e204)
+        with pytest.raises(NonPhysical, match="underflows"):
+            rate(drive(), narrow, 0.0, 1.0, 7.1e7)
+
+    @pytest.mark.parametrize("pn, phrase", [(1e150, "pair rate"), (1e200, "prefactor")])
+    @pytest.mark.parametrize("rate", [pair_rate_integral, pair_rate_closed_form])
+    def test_overflowing_rate_is_non_physical(self, rate, pn, phrase):
+        # 1e150 photons give an infinite rate; 1e200 overflow pn**2 itself.
+        with pytest.raises(NonPhysical, match=phrase):
+            rate(drive(pn=pn), signal_line(), 0.0, 1.0, 7.1e7)
 
     @pytest.mark.parametrize("q", [50.0, 1e-200], ids=["q-50", "q-1e-200"])
     @pytest.mark.parametrize("rate", [pair_rate_integral, pair_rate_closed_form])
