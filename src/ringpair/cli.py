@@ -142,6 +142,9 @@ def _emit(out: str | None, text: str, argv: Sequence[str]) -> None:
     write_text_atomic(str(out) + ".meta.json", _json_text(meta))
 
 
+_DRIVE_DEFAULTS = {"photons": 1.0, "pulse": 1e-9, "kcal": 1.0, "self_coupling": None}
+
+
 def _drive(args: argparse.Namespace) -> PumpDrive:
     sigma = getattr(args, "self_coupling", None)  # optimize takes no --self-coupling
     return PumpDrive(photon_number=args.photons, pulse_duration=args.pulse, self_coupling=sigma)
@@ -257,7 +260,26 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
     return [float(v) for v in args.list.split(",")]
 
 
+# The flags only one sweep report reads, with their defaults there. The
+# sweep parser leaves them None, so a flag given to another report shows.
+_SWEEP_REPORT_FLAGS = {"rates": _DRIVE_DEFAULTS, "kerr": {"power": 0.0}}
+
+
+def _sweep_report_flags(args: argparse.Namespace) -> None:
+    """Refuse the flags the chosen report does not read; default the ones it does."""
+    unread = []
+    for report, defaults in _SWEEP_REPORT_FLAGS.items():
+        for dest, default in defaults.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif report != args.report:
+                unread.append(f"--{dest.replace('_', '-')} (read by --report {report} only)")
+    if unread:
+        raise ValueError(f"sweep --report {args.report} does not read {', '.join(unread)}")
+
+
 def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> None:
+    _sweep_report_flags(args)
     raw = read_device_json(args.device)
     values = _sweep_values(args)
     band = _band_pair(args.band) if args.band is not None else None
@@ -308,15 +330,15 @@ def _add_common(p: argparse.ArgumentParser, band: bool = False) -> None:
 
 
 def _add_drive(p: argparse._ActionsContainer) -> None:
-    p.add_argument("--photons", type=float, default=1.0, help="pump photons per pulse")
-    p.add_argument("--pulse", type=float, default=1e-9, help="pulse duration [s]")
-    p.add_argument("--kcal", type=float, default=1.0, help="hardware calibration constant")
+    p.add_argument("--photons", type=float, help="pump photons per pulse")
+    p.add_argument("--pulse", type=float, help="pulse duration [s]")
+    p.add_argument("--kcal", type=float, help="hardware calibration constant")
     p.add_argument(
         "--self-coupling",
         type=float,
-        default=None,
         help="bus self-coupling sigma (derived from finesse when omitted)",
     )
+    p.set_defaults(**_DRIVE_DEFAULTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,9 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="isolation",
     )
     p.add_argument("--separation", type=int, default=2)
-    p.add_argument("--power", type=float, default=0.0, help="pump power [W]; --report kerr only")
+    p.add_argument("--power", type=float, help="pump power [W]; --report kerr only")
     _add_drive(p.add_argument_group("pump drive, read by --report rates only"))
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, **{d: None for f in _SWEEP_REPORT_FLAGS.values() for d in f})
 
     return parser
 

@@ -1,12 +1,15 @@
 """Hot numeric kernels: comb line shapes, the coupler overlap integrand
 and the pair-rate spectral kernel.
 
-Each kernel is one vectorized numpy expression over an ndarray of
+Each kernel is a vectorized numpy expression over an ndarray of
 abscissae. Only ``lorentzian_comb``, which sums the spectrum, has a
-runtime caller. The other two are the tests' reference integrands for
-closed forms: ``pair_kernel`` for the exact pair-rate integral in
-:func:`ringpair.sfwm.pair_rate_integral`, ``dc_overlap_integrand`` for
-the coupler overlap in :func:`ringpair.nonlinear.z_overlap_integral`.
+runtime caller. It evaluates its points x lines matrix in row blocks of
+about 2**16 elements, so its memory does not grow with the number of
+points, and its bytes equal those of the one-shot sum. The other two are
+the tests' reference integrands for closed forms: ``pair_kernel`` for
+the exact pair-rate integral in :func:`ringpair.sfwm.pair_rate_integral`,
+``dc_overlap_integrand`` for the coupler overlap in
+:func:`ringpair.nonlinear.z_overlap_integral`.
 """
 
 from __future__ import annotations
@@ -23,10 +26,27 @@ def lorentzian_comb(
     """Sum of squared-Lorentzian intensity profiles.
 
     out[i] = sum_j peaks_sq[j] * hw[j]^2 / ((omega[i] - centers[j])^2 + hw[j]^2)
+
+    The sum runs over blocks of about 2**16 elements (at least one row),
+    filled in place in one reused buffer. Each row is its own reduction
+    with the same element-wise operations, so the result is byte-equal to
+    evaluating the whole points x lines matrix at once.
     """
-    d = omega[:, None] - centers[None, :]
-    prof = peaks_sq * half_widths**2 / (d * d + half_widths**2)
-    return prof.sum(axis=1)
+    n, m = omega.shape[0], centers.shape[0]
+    rows = max(1, 2**16 // max(m, 1))
+    hw_sq = half_widths**2
+    num = peaks_sq * hw_sq
+    out = np.empty(n)
+    buf = np.empty((min(rows, n), m))
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        d = buf[: e - s]
+        np.subtract(omega[s:e, None], centers[None, :], out=d)
+        np.multiply(d, d, out=d)
+        np.add(d, hw_sq, out=d)
+        np.divide(num, d, out=d)
+        d.sum(axis=1, out=out[s:e])
+    return out
 
 
 def dc_overlap_integrand(

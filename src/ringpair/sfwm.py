@@ -103,20 +103,44 @@ class PairRateReport:
 
 
 def suppression_factor(delta: float, linewidth: float) -> float:
-    """Parasitic-rate suppression fwhm^2 / (delta^2 + fwhm^2)."""
+    """Parasitic-rate suppression fwhm^2 / (delta^2 + fwhm^2).
+
+    Always returns the correct limit in [0, 1]: where the denominator
+    overflows (|delta| or fwhm past about 1.3e154) or underflows to 0,
+    delta and fwhm are first divided by the larger of the two, and a
+    suppression below the smallest double is 0.0.
+    """
     require_finite("delta", delta)
     require_positive("linewidth", linewidth)
-    return linewidth**2 / (delta**2 + linewidth**2)
+    try:
+        den = delta**2 + linewidth**2
+    except OverflowError:
+        den = math.inf
+    if 0.0 < den < math.inf:
+        return linewidth**2 / den
+    scale = max(abs(delta), linewidth)
+    a, b = delta / scale, linewidth / scale
+    return b * b / (a * a + b * b)
 
 
 def sigma_from_finesse(fin: float) -> float:
-    """High-finesse estimate of the bus self-coupling, 1 - pi/finesse."""
+    """High-finesse estimate of the bus self-coupling, 1 - pi/finesse.
+
+    Raises :class:`NonPhysical` when the finesse is at most pi, or so high
+    (above about 3e16) that 1 - pi/finesse rounds to 1: a lossless bus
+    coupler is outside the model, not bad input.
+    """
     require_finite("finesse", fin, NonPhysical)
     if fin <= math.pi:
         raise NonPhysical(
             f"finesse {fin:.3g} is too low for the high-finesse self-coupling estimate"
         )
-    return 1.0 - math.pi / fin
+    sigma = 1.0 - math.pi / fin
+    if not sigma < 1.0:
+        raise NonPhysical(
+            f"finesse {fin:.3g} is too high: the self-coupling 1 - pi/finesse rounds to 1"
+        )
+    return sigma
 
 
 def resolve_drive(device: DeviceSpec, drive: PumpDrive, cfg: ProcessConfig) -> PumpDrive:
@@ -313,10 +337,19 @@ def pair_rate_closed_form(
     at delta = 0 and -5.7e-5 and -1.7e-4 at the shipped device's
     side-band detunings (13.9, 28.0 linewidths). The window stays: the
     benchmark checks rates to 1e-6 against references made with it.
+
+    Raises :class:`NonPhysical`, rather than returning a limit, when
+    delta^2 or fwhm^3 overflows (|delta| past about 1.3e154 rad/s, fwhm
+    past about 5.6e102 rad/s) or the rate is not finite.
     """
     pref, omega_s2, omega_p = _rate_setup(drive, res_s, delta, kcal, v_g, omega_s2)
     fwhm = res_s.linewidth
-    spectral = (math.pi / 4.0) * fwhm**3 / (delta**2 + fwhm**2) * omega_s2 * omega_p
+    try:
+        spectral = (math.pi / 4.0) * fwhm**3 / (delta**2 + fwhm**2) * omega_s2 * omega_p
+    except OverflowError as exc:
+        raise NonPhysical(
+            "delta^2 or fwhm^3 of the closed-form pair rate overflows the float range"
+        ) from exc
     rate = pref * spectral
     require_finite("pair rate", rate, NonPhysical)
     return rate

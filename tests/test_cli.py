@@ -136,6 +136,13 @@ MULTI_RANGE_CASES = {
     },
     "both-rings-q-1e+160-overlap": (both_q("ring1", "ring2", scale=1e160),
                                     ["overlap", "--band", *BAND], "J must be finite"),
+    # The derived self-coupling 1 - pi/finesse rounded to 1.0, which
+    # PumpDrive refused as bad input (exit 2).
+    **{
+        f"both-rings-q-1e+100-{argv[0]}": (both_q("ring1", "ring2", scale=1e100), argv,
+                                           "rounds to 1")
+        for argv in (["rates", "--band", *BAND], ["suppression", "--band", *BAND])
+    },
     "negative-index-spectrum": (NEGATIVE_INDEX,
                                 ["spectrum", "--band", "115THz", "117THz", "--points", "101"],
                                 "round-trip phase"),
@@ -449,6 +456,65 @@ class TestSweep:
         assert rc == EXIT_VALIDATION
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "report, flags, named",
+        [
+            ("isolation", ["--kcal", "-5", "--photons", "-3", "--power", "-1"],
+             ["--kcal", "--photons", "--power"]),
+            ("isolation", ["--pulse", "1e-9"], ["--pulse"]),
+            ("kerr", ["--power", "0.005", "--self-coupling", "0.99"], ["--self-coupling"]),
+            ("suppression", ["--photons", "1.0"], ["--photons"]),
+            ("suppression", ["--power", "0"], ["--power"]),
+            ("rates", ["--power", "0.005"], ["--power"]),
+        ],
+        ids=["isolation-all", "isolation-pulse", "kerr-self-coupling", "suppression-photons",
+             "suppression-power", "rates-power"],
+    )
+    def test_report_refuses_flags_it_does_not_read(self, report, flags, named, tmp_path,
+                                                   capsys):
+        # Each used to exit 0 and drop the flag without a word.
+        out = tmp_path / "artifact"
+        rc = main(["sweep", "--device", DEV, "--param", "dc.gap_m", "--list", "3e-7",
+                   "--report", report, "--band", *BAND, *flags, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert f"--report {report}" in message
+        assert all(flag in message for flag in named)
+        assert all(flag not in message for flag in flags[::2] if flag not in named)
+
+    @pytest.mark.parametrize(
+        "report, flags",
+        [
+            ("isolation", []),
+            ("kerr", []),
+            ("kerr", ["--power", "0.005"]),
+            ("suppression", []),
+            ("rates", []),
+            ("rates", ["--photons", "5e4", "--pulse", "2e-9", "--kcal", "2.5",
+                       "--self-coupling", "0.99"]),
+        ],
+        ids=["isolation", "kerr", "kerr-power", "suppression", "rates", "rates-drive"],
+    )
+    def test_report_accepts_its_own_flags(self, report, flags, capsys):
+        rc = main(["sweep", "--device", DEV, "--param", "dc.gap_m", "--list", "3e-7",
+                   "--report", report, "--band", *BAND, *flags])
+        assert rc == EXIT_OK
+        assert len(read_csv(capsys.readouterr().out)[1]) == 1
+
+    def test_omitted_flags_take_their_defaults(self, capsys):
+        # Leaving a flag out of sweep reads the same value rates and
+        # kerr-check use by default or are given.
+        base = ["sweep", "--device", DEV, "--param", "dc.gap_m", "--list", "3e-7",
+                "--band", *BAND, "--report"]
+        for report, defaults in (("rates", ["--photons", "1", "--pulse", "1e-9", "--kcal", "1"]),
+                                 ("kerr", ["--power", "0"])):
+            texts = []
+            for flags in ([], defaults):
+                assert main([*base, report, *flags]) == EXIT_OK
+                texts.append(capsys.readouterr().out)
+            assert texts[0] == texts[1]
+
     def test_negative_values_sweep_through_zero(self, capsys):
         # -1e9 is a value, not an option, in --values and in --list.
         base = ["sweep", "--device", DEV, "--param", "ring2.heater_shift_hz",
@@ -612,12 +678,17 @@ class TestExitCodes:
             ["rates", "--device", DEV, "--band", *BAND, "--photons", "1e200"],
             ["suppression", "--device", DEV, "--band", *BAND, "--photons", "1e150"],
             ["suppression", "--device", DEV, "--band", *BAND, "--photons", "1e200"],
+            ["suppression", "--device", DEV, "--band", *BAND, "--max-detuning", "1e200"],
+            ["suppression", "--device", DEV, "--band", *BAND, "--max-detuning", "-1e200"],
         ],
-        ids=["rates-inf", "rates-overflow", "suppression-inf", "suppression-overflow"],
+        ids=["rates-inf", "rates-overflow", "suppression-inf", "suppression-overflow",
+             "suppression-huge-detuning", "suppression-huge-negative-detuning"],
     )
     def test_overflowing_pair_rate_is_non_physical(self, argv, tmp_path, capsys):
-        # The rate used to be written as Infinity, or pn**2 overflowed
-        # into an OverflowError traceback.
+        # The rate used to be written as Infinity, or pn**2 or delta**2
+        # overflowed into an OverflowError traceback. A detuning past the
+        # signal line leaves no positive pump frequency; one far below it
+        # overflows delta**2 in the closed-form rate.
         out = tmp_path / "artifact"
         assert main([*argv, "--out", str(out)]) == EXIT_NUMERICAL
         assert not out.exists()
@@ -724,7 +795,8 @@ FUZZ_COMMANDS = {
     "optimize": ["optimize", *SIGNAL, "--photons", "1e5"],
     **{
         f"sweep-{report}": ["sweep", "--param", "dc.gap_m", "--list", "{gap}", "--report",
-                            report, "--band", *BAND, "--power", "0.005"]
+                            report, "--band", *BAND,
+                            *(["--power", "0.005"] if report == "kerr" else [])]
         for report in ("isolation", "kerr", "suppression", "rates")
     },
 }

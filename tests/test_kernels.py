@@ -3,13 +3,50 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ringpair import kernels
+from ringpair import intensity_spectrum, kernels, load_device
+
+from conftest import REPO, TWO_PI
 
 RNG = np.random.default_rng(20240817)
+BLOCK_ELEMS = 2**16
+
+
+def one_shot_lorentzian_comb(omega, centers, half_widths, peaks_sq):
+    """The whole points x lines matrix at once: the blocked sum's oracle."""
+    d = omega[:, None] - centers[None, :]
+    prof = peaks_sq * half_widths**2 / (d * d + half_widths**2)
+    return prof.sum(axis=1)
+
+
+@st.composite
+def comb_inputs(draw):
+    """Comb inputs whose point count crosses the kernel's row blocks.
+
+    Line counts span no line, one line, a few hundred lines and more than
+    2**16 lines (one row per block); the point count is a whole number of
+    blocks plus a remainder, so n = 0, n = 1, exact multiples and partial
+    last blocks all occur.
+    """
+    m = draw(
+        st.sampled_from([0, 1])
+        | st.integers(2, 700)
+        | st.integers(BLOCK_ELEMS + 1, BLOCK_ELEMS + 300)
+    )
+    rows = max(1, BLOCK_ELEMS // max(m, 1))
+    blocks = draw(st.integers(0, 3))
+    rest = draw(st.sampled_from([0, 1, rows - 1]) | st.integers(0, rows - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    omega = rng.uniform(0.9e15, 1.1e15, size=blocks * rows + rest)
+    centers = np.sort(rng.uniform(0.95e15, 1.05e15, size=m))
+    hw = rng.uniform(1e9, 5e10, size=m)
+    peaks = rng.uniform(10.0, 1e4, size=m)
+    return omega, centers, hw, peaks
 
 
 def test_lorentzian_comb_against_plain_loop():
@@ -24,6 +61,31 @@ def test_lorentzian_comb_against_plain_loop():
             for j in range(centers.size)
         )
         assert got[i] == pytest.approx(expected, rel=1e-13)
+
+
+@settings(max_examples=120, deadline=None)
+@given(comb_inputs())
+def test_lorentzian_comb_blocks_match_one_shot_sum_bytes(args):
+    got = kernels.lorentzian_comb(*args)
+    expected = one_shot_lorentzian_comb(*args)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_wide_spectrum_memory_does_not_grow_with_the_matrix():
+    # 100001 points x 113 lines: the one-shot matrix and its
+    # temporaries peaked at 146 MB; the blocked sum needs a few MB,
+    # mostly the three output columns.
+    device = load_device(REPO / "clibench" / "device.json")
+    band = (TWO_PI * 185e12, TWO_PI * 205e12)
+    tracemalloc.start()
+    try:
+        result = intensity_spectrum(device, band, 100001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.comb1) + len(result.comb2) > 100
+    assert peak < 16e6
 
 
 def test_dc_overlap_integrand_closed_form():

@@ -76,6 +76,29 @@ class TestSuppressionFactor:
         near, far = sorted((d1, d2), key=abs)
         assert suppression_factor(near, lw) >= suppression_factor(far, lw)
 
+    @pytest.mark.parametrize(
+        "delta, lw, expected",
+        [
+            (1e200, FWHM, 0.0),  # (FWHM/1e200)^2 is below the smallest double
+            (-1e200, FWHM, 0.0),
+            (1e160, 1e150, 1e-20),
+            (1e200, 1e200, 0.5),
+            (-1.7e308, 1.7e308, 0.5),
+            (1.3e154, 1.3e154, 0.5),  # the squares are finite, their sum is not
+            (0.0, 1e300, 1.0),
+            (0.0, 1e-200, 1.0),  # both squares underflow to 0
+            (1e-200, 1e-200, 0.5),
+            (5e-324, 5e-324, 0.5),
+        ],
+        ids=["huge-delta", "huge-negative-delta", "ratio-1e10", "equal-1e200", "equal-max",
+             "sum-overflows", "huge-linewidth", "tiny-linewidth", "equal-1e-200",
+             "equal-subnormal"],
+    )
+    def test_limits_past_the_float_range(self, delta, lw, expected):
+        # Each used to raise OverflowError or ZeroDivisionError, or (sum-
+        # overflows) return 0.0 for a suppression of one half.
+        assert suppression_factor(delta, lw) == pytest.approx(expected, rel=1e-15)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             suppression_factor(1.0, 0.0)
@@ -94,6 +117,14 @@ class TestSigma:
         for bad in (3.0, math.nan, math.inf):
             with pytest.raises(NonPhysical):
                 sigma_from_finesse(bad)
+
+    def test_saturated_finesse_rejected(self):
+        # Past about 3e16, 1 - pi/finesse rounds to exactly 1.0, which
+        # PumpDrive rejects as bad input; it is a model-domain failure.
+        assert sigma_from_finesse(1e16) < 1.0
+        for big in (1e17, 1e100, 1.7e308):
+            with pytest.raises(NonPhysical, match="rounds to 1"):
+                sigma_from_finesse(big)
 
 
 class TestPumpDrive:
@@ -516,6 +547,23 @@ class TestSharedHelpers:
         # 1e150 photons give an infinite rate; 1e200 overflow pn**2 itself.
         with pytest.raises(NonPhysical, match=phrase):
             rate(drive(pn=pn), signal_line(), 0.0, 1.0, 7.1e7)
+
+    @pytest.mark.parametrize(
+        "res, delta",
+        [(signal_line(), -1e200), (signal_line(), -1.4e154), (signal_line(omega0=1e110), 0.0)],
+        ids=["delta-squared", "delta-squared-edge", "fwhm-cubed"],
+    )
+    def test_closed_form_refuses_overflowing_powers(self, res, delta):
+        # delta**2 and fwhm**3 used to raise OverflowError tracebacks.
+        with pytest.raises(NonPhysical, match="overflows the float range"):
+            pair_rate_closed_form(drive(), res, delta, 1.0, 7.1e7)
+
+    def test_closed_form_below_the_overflow(self):
+        delta = -1e150
+        got = pair_rate_closed_form(drive(), signal_line(), delta, 1.0, 7.1e7)
+        spectral = (math.pi / 4.0) * FWHM**3 / delta**2 * OMEGA_S * (OMEGA_S - delta)
+        assert got == pytest.approx(rate_prefactor(drive(), OMEGA_S, 1.0, 7.1e7) * spectral,
+                                    rel=1e-12)
 
     @pytest.mark.parametrize("q", [50.0, 1e-200], ids=["q-50", "q-1e-200"])
     @pytest.mark.parametrize("rate", [pair_rate_integral, pair_rate_closed_form])
