@@ -12,6 +12,12 @@ JSON artifacts are the library's result dataclasses written with
 ``DesignReport`` (its device goes beside it). The CLI adds only the
 numbers the dataclass does not hold, such as per-second rates.
 
+Two tables build the arguments. ``_FLAGS`` holds the one argparse
+specification of each flag that more than one command or report reads.
+``SWEEP_REPORTS`` gives each ``sweep --report`` its CSV columns, the
+flags it reads and its row; from it come the ``--report`` choices and
+the refusal of any flag the chosen report does not read.
+
 Exit codes: 0 success, 2 input or validation trouble, 3 a stated goal
 is unreachable, 4 a numeric procedure failed. On failure a single JSON
 object describing the error is written to stderr.
@@ -28,7 +34,7 @@ import re
 import sys
 import time
 from dataclasses import asdict
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .design import DesignGoal, null_kerr_metric, optimize_device, xpm_spm_compensation
@@ -142,7 +148,26 @@ def _emit(out: str | None, text: str, argv: Sequence[str]) -> None:
     write_text_atomic(str(out) + ".meta.json", _json_text(meta))
 
 
-_DRIVE_DEFAULTS = {"photons": 1.0, "pulse": 1e-9, "kcal": 1.0, "self_coupling": None}
+# Every flag that more than one command or sweep report reads: its one
+# argparse specification, keyed by dest. A command overrides a setting
+# only where its value differs: kerr-check requires --power, and
+# optimize leaves --photons unset unless its Kerr rules should run.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "band": dict(nargs="+", required=True, metavar="EDGE", help="band edges 'LO HI' or "
+                 "'LO:HI'; bare numbers are Hz, suffixes nm/um/GHz/THz supported"),
+    "separation": dict(type=int, default=2, help="pump separation in ring-1 orders"),
+    "photons": dict(type=float, default=1.0, help="pump photons per pulse"),
+    "pulse": dict(type=float, default=1e-9, help="pulse duration [s]"),
+    "kcal": dict(type=float, default=1.0, help="hardware calibration constant"),
+    "self_coupling": dict(type=float, default=None,
+                          help="bus self-coupling sigma (derived from finesse when omitted)"),
+    "power": dict(type=float, default=0.0, help="per-pump input power [W]"),
+}
+_DRIVE = ("photons", "pulse", "kcal", "self_coupling")
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def _drive(args: argparse.Namespace) -> PumpDrive:
@@ -204,7 +229,7 @@ def cmd_suppression(args: argparse.Namespace, argv: Sequence[str]) -> None:
         raise ValueError(f"points must be at least 2, got {args.points}")
     rows = []
     for i in range(args.points):
-        x = args.max_detuning * i / (args.points - 1)
+        x = args.max_detuning * i / (args.points - 1) + 0.0  # -0.0 + 0.0 is 0.0: no "-0" row
         delta = x * lw
         rows.append((x, suppression_factor(delta, lw), signal_rate, rate(delta)))
     _emit(
@@ -260,85 +285,67 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
     return [float(v) for v in args.list.split(",")]
 
 
-# The flags only one sweep report reads, with their defaults there. The
-# sweep parser leaves them None, so a flag given to another report shows.
-_SWEEP_REPORT_FLAGS = {"rates": _DRIVE_DEFAULTS, "kerr": {"power": 0.0}}
+def _suppression_row(device, args: argparse.Namespace, band) -> tuple[float, ...]:
+    cfg = resonant_config(device, band, pump_separation=args.separation)
+    comb2 = resonance_comb(device.ring2, device.waveguide, band, owner=2)
+    deltas, sups, _partners = sideband_pair(comb2, cfg)
+    return (max(sups), *deltas)
 
 
-def _sweep_report_flags(args: argparse.Namespace) -> None:
-    """Refuse the flags the chosen report does not read; default the ones it does."""
-    unread = []
-    for report, defaults in _SWEEP_REPORT_FLAGS.items():
-        for dest, default in defaults.items():
-            if getattr(args, dest) is None:
-                setattr(args, dest, default)
-            elif report != args.report:
-                unread.append(f"--{dest.replace('_', '-')} (read by --report {report} only)")
-    if unread:
-        raise ValueError(f"sweep --report {args.report} does not read {', '.join(unread)}")
+def _rates_row(device, args: argparse.Namespace, band) -> tuple[float, ...]:
+    cfg = resonant_config(device, band, pump_separation=args.separation)
+    rep = noise_budget(device, _drive(args), cfg, kcal=args.kcal, band=band)
+    per_s = [rep.per_second(b) for b in (rep.beta_sq_signal, *rep.beta_sq_parasitic)]
+    return (per_s[0], max(per_s[1:]))
+
+
+# Each sweep report: its CSV columns after param_value, the _FLAGS it
+# reads (any other exits 2), and its row for one device.
+SWEEP_REPORTS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable[..., tuple]]] = {
+    "isolation": (("isolation_db",), (),
+                  lambda dev, args, band: (isolation_db(dev.kappa, dev.dc_length),)),
+    "kerr": (("kerr_metric",), ("power",),
+             lambda dev, args, band: (null_kerr_metric(dev, args.power),)),
+    "suppression": (("suppression", "detuning_1", "detuning_2"), ("band", "separation"),
+                    _suppression_row),
+    "rates": (("signal_rate", "parasitic_rate"), ("band", "separation", *_DRIVE), _rates_row),
+}
+
+
+def _readers(dest: str) -> str:
+    return " or ".join(name for name, (_, flags, _) in SWEEP_REPORTS.items() if dest in flags)
 
 
 def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    _sweep_report_flags(args)
+    columns, flags, row = SWEEP_REPORTS[args.report]
+    unread = [f"{_flag(d)} (read by --report {_readers(d)})"
+              for d in _FLAGS if d not in flags and hasattr(args, d)]
+    if unread:
+        raise ValueError(f"sweep --report {args.report} does not read {', '.join(unread)}")
+    for dest in (d for d in flags if not hasattr(args, d)):
+        if _FLAGS[dest].get("required"):
+            raise ValueError(f"{_flag(dest)} is required for --report {args.report}")
+        setattr(args, dest, _FLAGS[dest]["default"])
     raw = read_device_json(args.device)
     values = _sweep_values(args)
-    band = _band_pair(args.band) if args.band is not None else None
-    if args.report in ("suppression", "rates") and band is None:
-        raise ValueError(f"--band is required for --report {args.report}")
-
-    header: tuple[str, ...]
-    rows: list[tuple[float, ...]] = []
+    band = _band_pair(args.band) if "band" in flags else None
+    rows = []
     for value in values:
         data = copy.deepcopy(raw)
         set_device_param(data, args.param, value)
-        device = device_from_dict(data, strict=args.strict)
-        if args.report == "isolation":
-            header = ("param_value", "isolation_db")
-            rows.append((value, isolation_db(device.kappa, device.dc_length)))
-        elif args.report == "kerr":
-            header = ("param_value", "kerr_metric")
-            rows.append((value, null_kerr_metric(device, args.power)))
-        elif args.report == "suppression":
-            header = ("param_value", "suppression", "detuning_1", "detuning_2")
-            cfg = resonant_config(device, band, pump_separation=args.separation)
-            comb2 = resonance_comb(device.ring2, device.waveguide, band, owner=2)
-            deltas, sups, _partners = sideband_pair(comb2, cfg)
-            rows.append((value, max(sups), *deltas))
-        else:
-            header = ("param_value", "signal_rate", "parasitic_rate")
-            cfg = resonant_config(device, band, pump_separation=args.separation)
-            rep = noise_budget(device, _drive(args), cfg, kcal=args.kcal, band=band)
-            per_s = [rep.per_second(b) for b in (rep.beta_sq_signal, *rep.beta_sq_parasitic)]
-            rows.append((value, per_s[0], max(per_s[1:])))
-    _emit(args.out, csv_text(header, rows), argv)
+        rows.append((value, *row(device_from_dict(data, strict=args.strict), args, band)))
+    _emit(args.out, csv_text(("param_value", *columns), rows), argv)
 
 
-def _add_common(p: argparse.ArgumentParser, band: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, func: Callable, *flags: str, **overrides) -> None:
+    """--device, --out, --strict and the named _FLAGS; overrides: dest -> changed settings."""
     p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--device", required=True, help="device JSON path")
     p.add_argument("--out", default=None, help="output path (stdout when omitted)")
     p.add_argument("--strict", action="store_true", help="treat model warnings as errors")
-    if band:
-        p.add_argument(
-            "--band",
-            nargs="+",
-            required=True,
-            metavar="EDGE",
-            help="band edges 'LO HI' or 'LO:HI'; bare numbers are Hz, "
-            "suffixes nm/um/GHz/THz supported",
-        )
-
-
-def _add_drive(p: argparse._ActionsContainer) -> None:
-    p.add_argument("--photons", type=float, help="pump photons per pulse")
-    p.add_argument("--pulse", type=float, help="pulse duration [s]")
-    p.add_argument("--kcal", type=float, help="hardware calibration constant")
-    p.add_argument(
-        "--self-coupling",
-        type=float,
-        help="bus self-coupling sigma (derived from finesse when omitted)",
-    )
-    p.set_defaults(**_DRIVE_DEFAULTS)
+    for dest in flags:
+        p.add_argument(_flag(dest), **{**_FLAGS[dest], **overrides.get(dest, {})})
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,61 +356,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="op", required=True)
 
     p = sub.add_parser("spectrum", help="per-ring intensity enhancement spectrum (CSV)")
-    _add_common(p, band=True)
+    _add_common(p, cmd_spectrum, "band")
     p.add_argument("--points", type=int, default=2001, help="number of frequency samples")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("overlap", help="nonlinear overlap figure J (JSON)")
-    _add_common(p, band=True)
-    p.add_argument("--separation", type=int, default=2, help="pump separation in ring-1 orders")
+    _add_common(p, cmd_overlap, "band", "separation")
     p.add_argument(
         "--method",
         choices=("quadrature", "closed-form"),
         default="quadrature",
         help="overlap evaluation method",
     )
-    p.set_defaults(func=cmd_overlap)
 
     p = sub.add_parser("rates", help="signal and parasitic pair rates (JSON)")
-    _add_common(p, band=True)
-    p.add_argument("--separation", type=int, default=2)
-    _add_drive(p)
-    p.set_defaults(func=cmd_rates)
+    _add_common(p, cmd_rates, "band", "separation", *_DRIVE)
 
     p = sub.add_parser("suppression", help="suppression versus detuning sweep (CSV)")
-    _add_common(p, band=True)
-    p.add_argument("--separation", type=int, default=2)
-    p.add_argument("--max-detuning", type=float, default=60.0, help="sweep end [linewidths]")
+    _add_common(p, cmd_suppression, "band", "separation", *_DRIVE)
+    p.add_argument("--max-detuning", type=float, default=60.0,
+                   help="sweep end [linewidths]; a negative end sweeps the detuning below zero")
     p.add_argument("--points", type=int, default=121)
-    _add_drive(p)
-    p.set_defaults(func=cmd_suppression)
 
     p = sub.add_parser("kerr-check", help="Kerr budget and compensating shifts (JSON)")
-    _add_common(p)
-    p.add_argument("--power", type=float, required=True, help="per-pump input power [W]")
+    _add_common(p, cmd_kerr_check, "power", power={"required": True})
     p.add_argument("--max-metric", type=float, default=0.05, help="validity metric ceiling")
-    p.set_defaults(func=cmd_kerr_check)
 
     p = sub.add_parser("optimize", help="tune a seed device against a design goal")
-    _add_common(p)
+    _add_common(p, cmd_optimize, "separation", "photons", "pulse",
+                photons={"default": None, "help": "enable Kerr rules at this drive"})
     p.add_argument("--signal", required=True, help="signal line position (e.g. 1550nm)")
-    p.add_argument("--separation", type=int, default=2)
     p.add_argument("--suppression", type=float, default=1e-4, help="suppression target")
     p.add_argument("--max-kerr", type=float, default=0.05)
     p.add_argument("--min-isolation", type=float, default=30.0, help="isolation floor [dB]")
     p.add_argument("--gap-min", type=float, default=5e-8, help="gap budget lower edge [m]")
     p.add_argument("--gap-max", type=float, default=1e-6, help="gap budget upper edge [m]")
     p.add_argument("--mode", choices=("trim", "fabrication"), default="fabrication")
-    p.add_argument("--photons", type=float, default=None, help="enable Kerr rules at this drive")
-    p.add_argument("--pulse", type=float, default=1e-9)
     p.add_argument("--report", default=None, help="design report path (stdout when omitted)")
-    p.set_defaults(func=cmd_optimize)
 
+    # A report's flags stay unset unless given, so cmd_sweep sees which
+    # were given, refuses those its report does not read and defaults the rest.
     p = sub.add_parser("sweep", help="one-parameter sweep of a summary figure (CSV)")
-    _add_common(p)
-    p.add_argument(
-        "--band", nargs="+", default=None, metavar="EDGE", help="band for comb-based reports"
-    )
+    read = [d for d in _FLAGS if _readers(d)]
+    unset = {d: dict(default=argparse.SUPPRESS, required=False,
+                     help=f"{_FLAGS[d]['help']}; read by --report {_readers(d)}") for d in read}
+    _add_common(p, cmd_sweep, *read, **unset)
     p.add_argument(
         "--param",
         required=True,
@@ -415,15 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--values", nargs=3, metavar=("LO", "HI", "N"), help="linear range with N points"
     )
     group.add_argument("--list", help="comma-separated explicit values")
-    p.add_argument(
-        "--report",
-        choices=("isolation", "kerr", "suppression", "rates"),
-        default="isolation",
-    )
-    p.add_argument("--separation", type=int, default=2)
-    p.add_argument("--power", type=float, help="pump power [W]; --report kerr only")
-    _add_drive(p.add_argument_group("pump drive, read by --report rates only"))
-    p.set_defaults(func=cmd_sweep, **{d: None for f in _SWEEP_REPORT_FLAGS.values() for d in f})
+    p.add_argument("--report", choices=tuple(SWEEP_REPORTS), default="isolation")
 
     return parser
 

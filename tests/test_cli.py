@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -235,6 +236,39 @@ class TestArtifacts:
         assert outs[0].read_bytes() == outs[2].read_bytes()
 
 
+# The flags more than one command or sweep report reads, per subcommand.
+DRIVE_FLAGS = ["--photons", "--pulse", "--kcal", "--self-coupling"]
+SHARED_FLAGS = {
+    "spectrum": ["--band"],
+    "overlap": ["--band", "--separation"],
+    "rates": ["--band", "--separation", *DRIVE_FLAGS],
+    "suppression": ["--band", "--separation", *DRIVE_FLAGS],
+    "kerr-check": ["--power"],
+    "optimize": ["--separation", "--photons", "--pulse"],
+    "sweep": ["--band", "--separation", *DRIVE_FLAGS, "--power"],
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("sub", SHARED_FLAGS)
+    def test_help_lists_each_flag_once(self, sub, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([sub, "--help"])
+        assert exit_info.value.code == EXIT_OK
+        text = capsys.readouterr().out
+        # Option headings are indented two spaces; wrapped help text further.
+        headings = re.findall(r"^  (--[\w-]+)", text, re.MULTILINE)
+        assert len(headings) == len(set(headings))
+        shared = set().union(*SHARED_FLAGS.values())
+        assert [h for h in headings if h in shared] == SHARED_FLAGS[sub]
+        assert {"--device", "--out", "--strict"} <= set(headings)
+
+    def test_sweep_report_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        assert "--report {isolation,kerr,suppression,rates}" in capsys.readouterr().out
+
+
 class TestOverlap:
     def test_json_shape(self, capsys):
         rc = main(["overlap", "--device", DEV, "--band", *BAND])
@@ -300,6 +334,15 @@ class TestRates:
             # The parasitic rate tracks the suppression law; the tiny
             # slack covers the slowly varying frequency factor.
             assert par / base == pytest.approx(sup, rel=1e-3)
+
+    def test_negative_sweep_end_writes_no_minus_zero(self, capsys):
+        # A negative end sweeps the detuning below zero; its first row is 0.
+        rc = main(["suppression", "--device", DEV, "--band", *BAND,
+                   "--points", "3", "--max-detuning", "-60"])
+        assert rc == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("0,")
+        assert [r[0] for r in read_csv("\n".join(lines))[1]] == [0.0, -30.0, -60.0]
 
 
 class TestKerrCheck:
@@ -463,25 +506,30 @@ class TestSweep:
              ["--kcal", "--photons", "--power"]),
             ("isolation", ["--pulse", "1e-9"], ["--pulse"]),
             ("kerr", ["--power", "0.005", "--self-coupling", "0.99"], ["--self-coupling"]),
-            ("suppression", ["--photons", "1.0"], ["--photons"]),
-            ("suppression", ["--power", "0"], ["--power"]),
-            ("rates", ["--power", "0.005"], ["--power"]),
+            ("suppression", ["--band", *BAND, "--photons", "1.0"], ["--photons"]),
+            ("suppression", ["--band", *BAND, "--power", "0"], ["--power"]),
+            ("rates", ["--band", *BAND, "--power", "0.005"], ["--power"]),
+            ("isolation", ["--band", *BAND, "--separation", "5"], ["--band", "--separation"]),
+            ("kerr", ["--band", *BAND, "--separation", "5"], ["--band", "--separation"]),
+            ("kerr", ["--separation", "5", "--power", "0.005"], ["--separation"]),
         ],
         ids=["isolation-all", "isolation-pulse", "kerr-self-coupling", "suppression-photons",
-             "suppression-power", "rates-power"],
+             "suppression-power", "rates-power", "isolation-band-separation",
+             "kerr-band-separation", "kerr-separation"],
     )
     def test_report_refuses_flags_it_does_not_read(self, report, flags, named, tmp_path,
                                                    capsys):
         # Each used to exit 0 and drop the flag without a word.
         out = tmp_path / "artifact"
         rc = main(["sweep", "--device", DEV, "--param", "dc.gap_m", "--list", "3e-7",
-                   "--report", report, "--band", *BAND, *flags, "--out", str(out)])
+                   "--report", report, *flags, "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert not out.exists()
         message = json.loads(capsys.readouterr().err)["message"]
         assert f"--report {report}" in message
         assert all(flag in message for flag in named)
-        assert all(flag not in message for flag in flags[::2] if flag not in named)
+        assert all(flag not in message for flag in flags
+                   if flag.startswith("--") and flag not in named)
 
     @pytest.mark.parametrize(
         "report, flags",
@@ -489,29 +537,29 @@ class TestSweep:
             ("isolation", []),
             ("kerr", []),
             ("kerr", ["--power", "0.005"]),
-            ("suppression", []),
-            ("rates", []),
-            ("rates", ["--photons", "5e4", "--pulse", "2e-9", "--kcal", "2.5",
+            ("suppression", ["--band", *BAND]),
+            ("rates", ["--band", *BAND]),
+            ("rates", ["--band", *BAND, "--photons", "5e4", "--pulse", "2e-9", "--kcal", "2.5",
                        "--self-coupling", "0.99"]),
         ],
         ids=["isolation", "kerr", "kerr-power", "suppression", "rates", "rates-drive"],
     )
     def test_report_accepts_its_own_flags(self, report, flags, capsys):
         rc = main(["sweep", "--device", DEV, "--param", "dc.gap_m", "--list", "3e-7",
-                   "--report", report, "--band", *BAND, *flags])
+                   "--report", report, *flags])
         assert rc == EXIT_OK
         assert len(read_csv(capsys.readouterr().out)[1]) == 1
 
     def test_omitted_flags_take_their_defaults(self, capsys):
         # Leaving a flag out of sweep reads the same value rates and
         # kerr-check use by default or are given.
-        base = ["sweep", "--device", DEV, "--param", "dc.gap_m", "--list", "3e-7",
-                "--band", *BAND, "--report"]
+        base = ["sweep", "--device", DEV, "--param", "dc.gap_m", "--list", "3e-7", "--report"]
         for report, defaults in (("rates", ["--photons", "1", "--pulse", "1e-9", "--kcal", "1"]),
                                  ("kerr", ["--power", "0"])):
+            band = ["--band", *BAND] if report == "rates" else []
             texts = []
             for flags in ([], defaults):
-                assert main([*base, report, *flags]) == EXIT_OK
+                assert main([*base, report, *band, *flags]) == EXIT_OK
                 texts.append(capsys.readouterr().out)
             assert texts[0] == texts[1]
 
@@ -795,7 +843,8 @@ FUZZ_COMMANDS = {
     "optimize": ["optimize", *SIGNAL, "--photons", "1e5"],
     **{
         f"sweep-{report}": ["sweep", "--param", "dc.gap_m", "--list", "{gap}", "--report",
-                            report, "--band", *BAND,
+                            report,
+                            *(["--band", *BAND] if report in ("suppression", "rates") else []),
                             *(["--power", "0.005"] if report == "kerr" else [])]
         for report in ("isolation", "kerr", "suppression", "rates")
     },
