@@ -20,15 +20,18 @@ and carry no resonant-phase information.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import kernels
 from .deviceio import csv_text
 from .errors import ApproximationWarning, NonPhysical, require_finite
 from .geometry import DeviceSpec, Resonance, WaveguideParams, RacetrackSpec, device_combs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENHANCEMENT_WINDOW_LINEWIDTHS = 20.0
 
@@ -40,17 +43,33 @@ def peak_amplitude(res: Resonance, wg: WaveguideParams, ring: RacetrackSpec) -> 
     enhancement, overflows.
     """
     pref = 4.0 * res.q_loaded * wg.v_g / (ring.round_trip_length * res.omega0)
-    amp = float(np.sqrt(pref) * np.sqrt(res.q_loaded / res.q_coupling))
+    amp = math.sqrt(pref) * math.sqrt(res.q_loaded / res.q_coupling)
     require_finite("peak intensity enhancement", amp * amp, NonPhysical)
     return amp
 
 
 def lorentzian_response(res: Resonance, omega) -> np.ndarray | complex:
-    """Unit-peak complex line shape (dw/2) / ((w - w0) + i dw/2)."""
-    omega = np.asarray(omega, dtype=float)
+    """Unit-peak complex line shape (dw/2) / ((w - w0) + i dw/2).
+
+    A float ``omega`` is divided out with numpy's complex-division
+    algorithm (Smith's method with a reciprocal), so it gives the same
+    bytes as the same value inside an ndarray.
+    """
     hw = 0.5 * res.linewidth
-    out = hw / ((omega - res.omega0) + 1j * hw)
-    return complex(out) if out.ndim == 0 else out
+    if not isinstance(omega, (float, int)):
+        import numpy as np
+
+        out = hw / ((np.asarray(omega, dtype=float) - res.omega0) + 1j * hw)
+        return complex(out) if out.ndim == 0 else out
+    x = omega - res.omega0
+    if abs(x) >= hw:
+        rat = hw / x
+        scl = 1.0 / (x + hw * rat)
+        # 0.0 - ... keeps numpy's sign of zero where hw / x underflows.
+        return complex(hw * scl, (0.0 - hw * rat) * scl)
+    rat = x / hw
+    scl = 1.0 / (hw + x * rat)
+    return complex(hw * rat * scl, -hw * scl)
 
 
 def field_enhancement(
@@ -79,6 +98,8 @@ def field_enhancement(
         single-Lorentzian law is a near-resonance approximation; the
         value is still returned.
     """
+    import numpy as np
+
     omega_arr = np.asarray(omega, dtype=float)
     detune = np.abs(omega_arr - res.omega0)
     if np.any(detune > ENHANCEMENT_WINDOW_LINEWIDTHS * res.linewidth):
@@ -105,6 +126,8 @@ class EnhancementProfile:
 
     def intensity(self, omega) -> np.ndarray | float:
         """|f(omega)|^2 for this resonance alone."""
+        import numpy as np
+
         omega = np.asarray(omega, dtype=float)
         hw = 0.5 * self.resonance.linewidth
         out = self.peak_intensity * hw**2 / ((omega - self.resonance.omega0) ** 2 + hw**2)
@@ -146,6 +169,8 @@ def intensity_spectrum(
     resonances only. Raises :class:`ringpair.errors.EmptyBand` (from
     the comb solver) if either ring has no resonance in the band.
     """
+    import numpy as np
+
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")
     lo, hi = sorted((float(band[0]), float(band[1])))

@@ -22,11 +22,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import EmptyBand, NoConvergence, NonPhysical
 from .errors import require_finite, require_non_negative, require_positive
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -290,19 +292,16 @@ def effective_index(wg: WaveguideParams, omega) -> np.ndarray | float:
     float or ndarray
         Effective index, same shape as ``omega``.
     """
-    omega = np.asarray(omega, dtype=float)
     detune = omega - wg.omega_ref
     n = wg.n_eff_ref + (wg.n_g - wg.n_eff_ref) * detune / wg.omega_ref
     if wg.gvd != 0.0:
-        n = n + 0.5 * wg.gvd * detune**2 * C_VACUUM / omega
-    return float(n) if n.ndim == 0 else n
+        n = n + 0.5 * wg.gvd * (detune * detune) * C_VACUUM / omega
+    return n
 
 
 def wavevector(wg: WaveguideParams, omega) -> np.ndarray | float:
     """Propagation constant k(w) = n_eff(w) * w / c [1/m]."""
-    omega = np.asarray(omega, dtype=float)
-    k = effective_index(wg, omega) * omega / C_VACUUM
-    return float(k) if np.ndim(k) == 0 else k
+    return effective_index(wg, omega) * omega / C_VACUUM
 
 
 def group_index(wg: WaveguideParams, omega) -> np.ndarray | float:
@@ -310,20 +309,24 @@ def group_index(wg: WaveguideParams, omega) -> np.ndarray | float:
 
     Reduces to ``wg.n_g`` exactly at the reference frequency and drifts
     linearly away from it as implied by the index law. Raises
-    ``NonPhysical`` when it overflows the float range.
+    ``NonPhysical`` when it is not finite, which includes overflowing
+    the float range.
     """
-    omega = np.asarray(omega, dtype=float)
-    detune = omega - wg.omega_ref
-    try:
-        with np.errstate(over="raise"):
-            ng = wg.n_eff_ref + (
-                (wg.n_g - wg.n_eff_ref) * (2.0 * omega - wg.omega_ref) / wg.omega_ref
-            )
-            if wg.gvd != 0.0:
-                ng = ng + C_VACUUM * wg.gvd * detune
-    except FloatingPointError as exc:
-        raise NonPhysical(f"group index overflows for n_g = {wg.n_g:.6g}") from exc
-    return float(ng) if ng.ndim == 0 else ng
+    ng = wg.n_eff_ref + (wg.n_g - wg.n_eff_ref) * (2.0 * omega - wg.omega_ref) / wg.omega_ref
+    if wg.gvd != 0.0:
+        ng = ng + C_VACUUM * wg.gvd * (omega - wg.omega_ref)
+    if not _all_finite(ng):
+        raise NonPhysical(f"group index is not finite for n_g = {wg.n_g:.6g}")
+    return ng
+
+
+def _all_finite(x) -> bool:
+    """Whether a float, or every element of an ndarray, is finite."""
+    if isinstance(x, float):
+        return math.isfinite(x)
+    import numpy as np
+
+    return bool(np.isfinite(x).all())
 
 
 def q_loaded(q_intrinsic: float, q_coupling: float) -> float:
@@ -423,22 +426,24 @@ def resonance_comb(
     if m_hi < m_lo:
         raise EmptyBand(f"no resonance of ring with L_rt={length} in band {band}")
 
-    # a w^2 + b w = t for every order at once. A positive group index
-    # keeps b + root > 0, and forces a > 0 when b < 0, so neither form
-    # divides by zero or subtracts near-equal terms.
-    t = np.arange(m_lo, m_hi + 1) * k_step - c0
-    root = np.sqrt(t * (4.0 * a) + b * b)
-    omega = (2.0 * t / (b + root) if b >= 0.0 else (root - b) / (2.0 * a)) + s
-
     ql, qc = ring.q_loaded, ring.q_coupling
     if not ql > 1.0:
         raise NonPhysical(f"loaded Q {ql:.6g} is not above 1; lines would outgrow their centers")
-    # Positional fields: owner, order, omega0, q_loaded, q_coupling.
-    out = [
-        Resonance(owner, m, w0, ql, qc)
-        for m, w0 in zip(range(m_lo, m_hi + 1), omega.tolist())
-        if lo <= w0 <= hi
-    ]
+    # a w^2 + b w = t for each order. A positive group index keeps
+    # b + root > 0, and forces a > 0 when b < 0, so neither form divides
+    # by zero or subtracts near-equal terms.
+    a4, bb, a2 = 4.0 * a, b * b, 2.0 * a
+    out = []
+    for m in range(m_lo, m_hi + 1):
+        t = m * k_step - c0
+        disc = t * a4 + bb
+        if not disc >= 0.0:  # an order just outside the band, past the vertex: no root
+            continue
+        root = math.sqrt(disc)
+        w0 = (2.0 * t / (b + root) if b >= 0.0 else (root - b) / a2) + s
+        if lo <= w0 <= hi:
+            # Positional fields: owner, order, omega0, q_loaded, q_coupling.
+            out.append(Resonance(owner, m, w0, ql, qc))
     if not out:
         raise EmptyBand(f"no resonance of ring with L_rt={length} in band {band}")
     return out

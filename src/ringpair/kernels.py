@@ -1,8 +1,9 @@
 """Hot numeric kernels: comb line shapes, the coupler overlap integrand
 and the pair-rate spectral kernel.
 
-Each kernel is a vectorized numpy expression over an ndarray of
-abscissae. Only ``lorentzian_comb``, which sums the spectrum, has a
+Each kernel is a vectorized expression over an ndarray of abscissae.
+The two that call numpy functions import numpy in their body, so loading
+this module does not load numpy. Only ``lorentzian_comb``, which sums the spectrum, has a
 runtime caller. It evaluates its points x lines matrix in row blocks of
 about 2**16 elements, so its memory does not grow with the number of
 points, and its bytes equal those of the one-shot sum. The other two are
@@ -14,7 +15,10 @@ the exact pair-rate integral in :func:`ringpair.sfwm.pair_rate_integral`,
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def lorentzian_comb(
@@ -32,6 +36,8 @@ def lorentzian_comb(
     with the same element-wise operations, so the result is byte-equal to
     evaluating the whole points x lines matrix at once.
     """
+    import numpy as np
+
     n, m = omega.shape[0], centers.shape[0]
     rows = max(1, 2**16 // max(m, 1))
     hw_sq = half_widths**2
@@ -62,6 +68,8 @@ def dc_overlap_integrand(
     the other. The tests integrate it numerically as the reference for the
     closed form in :func:`ringpair.nonlinear.z_overlap_integral`.
     """
+    import numpy as np
+
     s = np.sin(kappa_abs * z)
     c = np.cos(kappa_abs * z)
     unit = np.exp(-1j * kappa_phase)

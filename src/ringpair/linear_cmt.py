@@ -20,17 +20,25 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateCoupling, NonPhysical
 from .errors import require_finite, require_non_negative, require_positive
 from .geometry import WaveguideParams
 
+if TYPE_CHECKING:
+    import numpy as np
+
 ISOLATION_FLOOR_DB = 200.0
 
 # Largest magnitude whose square is still a finite double.
 _MAX_SQUARABLE = math.sqrt(sys.float_info.max)
+
+
+def phase_unit(kappa: complex) -> complex:
+    """Unit phasor conj(kappa) / |kappa| of the coupling constant; 1 at kappa = 0."""
+    mag = abs(kappa)
+    return kappa.conjugate() / mag if mag > 0.0 else 1.0 + 0.0j
 
 
 @dataclass(frozen=True)
@@ -62,26 +70,26 @@ class CmtField:
         require_finite("kappa", self.kappa)
         require_positive("length", self.length)
 
-    def _phase_unit(self) -> complex:
-        mag = abs(self.kappa)
-        return self.kappa.conjugate() / mag if mag > 0.0 else 1.0 + 0.0j
-
     def a1(self, z) -> np.ndarray | complex:
         """Amplitude in guide 1 at position z [dimensionless]."""
+        import numpy as np
+
         z = np.asarray(z, dtype=float)
         mag = abs(self.kappa)
         if self.port == "OUT":
             out = np.cos(mag * z) + 0.0j
         else:
-            out = -1j * self._phase_unit() * np.sin(mag * z)
+            out = -1j * phase_unit(self.kappa) * np.sin(mag * z)
         return complex(out) if np.ndim(out) == 0 else out
 
     def a2(self, z) -> np.ndarray | complex:
         """Amplitude in guide 2 at position z [dimensionless]."""
+        import numpy as np
+
         z = np.asarray(z, dtype=float)
         mag = abs(self.kappa)
         if self.port == "OUT":
-            out = 1j * self._phase_unit() * np.sin(mag * z)
+            out = 1j * phase_unit(self.kappa) * np.sin(mag * z)
         else:
             out = np.cos(mag * z) + 0.0j
         return complex(out) if np.ndim(out) == 0 else out
@@ -138,10 +146,9 @@ def dc_transfer(kappa: complex, length: float) -> DcTransfer:
     mag = abs(kappa)
     if mag == 0.0:
         return DcTransfer(through=1.0 + 0.0j, cross=0.0j, kappa=kappa, length=length)
-    unit = kappa.conjugate() / mag
     return DcTransfer(
         through=complex(math.cos(mag * length)),
-        cross=1j * unit * math.sin(mag * length),
+        cross=1j * phase_unit(kappa) * math.sin(mag * length),
         kappa=kappa,
         length=length,
     )

@@ -26,19 +26,19 @@ calibration in :mod:`ringpair.sfwm`.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import AssumptionViolated, ApproximationWarning, NonPhysical
 from .errors import require_finite, require_positive
 from .geometry import DeviceSpec, Resonance, WaveguideParams, device_combs, wavevector
 from .enhancement import ENHANCEMENT_WINDOW_LINEWIDTHS, lorentzian_response, peak_amplitude
+from .linear_cmt import phase_unit
 
 PUMP_Q_MISMATCH_LIMIT = 0.10
-PHASE_MISMATCH_LIMIT = np.pi / 10.0
+PHASE_MISMATCH_LIMIT = math.pi / 10.0
 
 
 def _assume(condition: bool, message: str, strict: bool, log: list[str]) -> None:
@@ -151,10 +151,18 @@ def z_overlap_integral(kappa: complex, length: float, delta_k: float = 0.0) -> c
     require_positive("length", length)
     require_finite("delta_k", delta_k)
     beat = 4.0 * abs(kappa)
-    q = np.array([delta_k, delta_k + beat, delta_k - beat])
-    e = length * np.exp(0.5j * q * length) * np.sinc(q * length / (2.0 * np.pi))
-    unit = np.exp(-2j * np.angle(kappa))
-    return complex(-0.25 * unit * (e[0] - 0.5 * (e[1] + e[2])))
+    e0, e_up, e_down = (
+        _phase_integral(q, length) for q in (delta_k, delta_k + beat, delta_k - beat)
+    )
+    unit = phase_unit(kappa)
+    return -0.25 * (unit * unit) * (e0 - 0.5 * (e_up + e_down))
+
+
+def _phase_integral(q: float, length: float) -> complex:
+    """E(q) = L * exp(i*q*L/2) * sinc(q*L/2pi), the integral of exp(i*q*z) over [0, L]."""
+    y = math.pi * (q * length / (2.0 * math.pi))  # np.sinc's rounding: x = qL/2pi, then pi*x
+    sinc = math.sin(y) / y if y else 1.0
+    return length * cmath.exp(0.5j * q * length) * sinc
 
 
 def _material_factor(device: DeviceSpec) -> float:
@@ -232,13 +240,13 @@ def _closed_form_parts(
         log,
     )
     wg = device.waveguide
-    q_p = float(np.sqrt(cfg.res_p1.q_loaded * cfg.res_p2.q_loaded))
-    q_cp = float(np.sqrt(cfg.res_p1.q_coupling * cfg.res_p2.q_coupling))
+    q_p = math.sqrt(cfg.res_p1.q_loaded * cfg.res_p2.q_loaded)
+    q_cp = math.sqrt(cfg.res_p1.q_coupling * cfg.res_p2.q_coupling)
     q_s = cfg.res_s.q_loaded
     l1 = device.ring1.round_trip_length
     l2 = device.ring2.round_trip_length
     omega_s = cfg.res_s.omega0
-    omega_p_geo = float(np.sqrt(cfg.res_p1.omega0 * cfg.res_p2.omega0))
+    omega_p_geo = math.sqrt(cfg.res_p1.omega0 * cfg.res_p2.omega0)
     pref = (
         16.0
         * wg.v_g**2
@@ -300,7 +308,7 @@ def j_single_ring_baseline(
         log,
     )
     pref, material = _closed_form_parts(device, cfg, strict, log)
-    l_mean = float(np.sqrt(l1 * l2))
+    l_mean = math.sqrt(l1 * l2)
     enh = enhancement_factor(cfg)
     j = pref * material * l_mean * enh
     return OverlapResult(

@@ -4,8 +4,9 @@ The engine is Gauss-Kronrod in style: every panel is integrated with an
 embedded pair of Gauss-Legendre rules (7 and 15 points), the difference
 between the two estimates serves as the local error, and panels whose
 error exceeds their share of the budget are bisected. Nodes and weights
-come from ``numpy.polynomial.legendre.leggauss`` at import time, so no
-tabulated constants enter the source.
+come from ``numpy.polynomial.legendre.leggauss`` on the first call, so
+no tabulated constants enter the source and importing this module does
+not load numpy.
 
 Two properties matter for the callers in this package:
 
@@ -22,16 +23,23 @@ difference overestimates the true error of the returned estimate.
 
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
+import functools
+from typing import TYPE_CHECKING, Callable
 
 from .errors import NonPhysical, QuadratureFailure, require_finite, require_positive
 
-_X_LO, _W_LO = np.polynomial.legendre.leggauss(7)
-_X_HI, _W_HI = np.polynomial.legendre.leggauss(15)
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_PANELS_DEFAULT = 2**16
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(n)
 
 
 def integrate_adaptive(
@@ -74,7 +82,9 @@ def integrate_adaptive(
     if not hi > lo:
         raise ValueError(f"integration limits must satisfy lo < hi, got [{lo}, {hi}]")
     require_positive("abs_tol", abs_tol)
+    import numpy as np
 
+    (x_lo, w_lo), (x_hi, w_hi) = _gauss_legendre(7), _gauss_legendre(15)
     total_span = hi - lo
     done_value: complex = 0.0 + 0.0j
     done_err = 0.0
@@ -88,17 +98,17 @@ def integrate_adaptive(
         half = 0.5 * (b - a)
 
         nodes = np.concatenate(
-            [(mid + half * _X_LO).ravel(), (mid + half * _X_HI).ravel()]
+            [(mid + half * x_lo).ravel(), (mid + half * x_hi).ravel()]
         )
         values = np.asarray(func(nodes))
         if not np.isfinite(values).all():
             raise NonPhysical(f"integrand is not finite on [{lo}, {hi}]")
-        n_lo = active.shape[0] * _X_LO.size
-        f_lo = values[:n_lo].reshape(active.shape[0], _X_LO.size)
-        f_hi = values[n_lo:].reshape(active.shape[0], _X_HI.size)
+        n_lo = active.shape[0] * x_lo.size
+        f_lo = values[:n_lo].reshape(active.shape[0], x_lo.size)
+        f_hi = values[n_lo:].reshape(active.shape[0], x_hi.size)
 
-        est_lo = (f_lo * _W_LO).sum(axis=1) * half[:, 0]
-        est_hi = (f_hi * _W_HI).sum(axis=1) * half[:, 0]
+        est_lo = (f_lo * w_lo).sum(axis=1) * half[:, 0]
+        est_hi = (f_hi * w_hi).sum(axis=1) * half[:, 0]
         err = np.abs(est_hi - est_lo)
 
         # A panel may keep the share of the budget proportional to its

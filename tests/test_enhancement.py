@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ringpair import (
     ApproximationWarning,
@@ -117,6 +118,74 @@ class TestLineShape:
         full = profile.peak_intensity * math.pi * hw
         assert value.real / full == pytest.approx(2.0 * math.atan(100.0) / math.pi, rel=1e-9)
         assert value.real / full > 0.99
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    """Both parts of z as hex strings, which tell -0.0 from 0.0."""
+    return z.real.hex(), z.imag.hex()
+
+
+def _numpy_line(res, omega):
+    """The line shape as numpy divided it for a scalar before the float path."""
+    hw = 0.5 * res.linewidth
+    return complex(hw / ((np.asarray(omega, dtype=float) - res.omega0) + 1j * hw))
+
+
+@st.composite
+def _line_and_offset(draw, near):
+    """A resonance and a frequency |x| < hw (near) or |x| >= hw from it."""
+    res = Resonance(
+        owner=1,
+        order=1000,
+        omega0=draw(st.floats(1e12, 1e17)),
+        q_loaded=draw(st.floats(2.0, 1e9)),
+        q_coupling=1e12,
+    )
+    units = st.floats(-0.5, 0.5) if near else st.floats(0.5, 1e6).map(
+        lambda u: u * draw(st.sampled_from([-1.0, 1.0]))
+    )
+    omega = res.omega0 + draw(units) * res.linewidth
+    assume((abs(omega - res.omega0) < 0.5 * res.linewidth) == near)
+    return res, omega
+
+
+class TestLineShapeMatchesNumpy:
+    """A float omega gives, bit for bit, what numpy gives for the same
+    value inside an ndarray and what it gave as a 0-d array, in both
+    branches of Smith's division. At the center x = omega - omega0 is
+    +0 (a - a rounds to +0); its one-ulp neighbours give x of either sign."""
+
+    @staticmethod
+    def _assert_same(res, omega):
+        got = lorentzian_response(res, omega)
+        assert type(got) is complex
+        assert _bits(got) == _bits(complex(lorentzian_response(res, np.array([omega]))[0]))
+        assert _bits(got) == _bits(_numpy_line(res, omega))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_line_and_offset(near=True))
+    def test_near_branch(self, case):
+        self._assert_same(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_line_and_offset(near=False))
+    def test_far_branch(self, case):
+        self._assert_same(*case)
+
+    @pytest.mark.parametrize("omega", [1e300, -1e300])
+    def test_far_tail_where_the_ratio_underflows(self, omega):
+        # hw / x underflows to a signed zero: the imaginary part keeps
+        # numpy's sign of zero.
+        res = Resonance(owner=1, order=1, omega0=1e-100, q_loaded=2.0, q_coupling=4.0)
+        self._assert_same(res, omega)
+
+    @pytest.mark.parametrize("step", [0, 1, -1])
+    def test_at_the_center(self, step):
+        res = one_resonance(make_device())
+        omega = res.omega0
+        if step:
+            omega = math.nextafter(omega, step * math.inf)
+        self._assert_same(res, omega)
 
 
 class TestSpectrum:

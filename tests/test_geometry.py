@@ -109,6 +109,30 @@ class TestDispersion:
         assert second == pytest.approx(expected, rel=1e-6)
 
 
+class TestScalarOrArray:
+    """The dispersion functions are plain arithmetic: a float gives a
+    float and an ndarray gives an ndarray of the same shape."""
+
+    @pytest.mark.parametrize("func", [effective_index, wavevector, group_index])
+    @pytest.mark.parametrize("gvd", [0.0, 5e-24])
+    def test_return_types(self, func, gvd):
+        wg = _wg(gvd=gvd)
+        w = wg.omega_ref * 1.01
+        assert type(func(wg, w)) is float
+        grid = np.array([[w, 0.99 * w], [1.02 * w, 0.98 * w]])
+        got = func(wg, grid)
+        assert isinstance(got, np.ndarray) and got.shape == grid.shape
+        assert got[1, 0] == func(wg, float(grid[1, 0]))
+
+    @pytest.mark.parametrize("omega_scale", [1.01, np.array([1.0, 1.01])])
+    def test_group_index_overflow_raises(self, omega_scale):
+        # numpy's own overflow warning on the array is not the signal; the
+        # finiteness check on the result is.
+        wg = _wg(n_g=4.2e300)
+        with np.errstate(over="ignore"), pytest.raises(NonPhysical, match="group index"):
+            group_index(wg, wg.omega_ref * omega_scale)
+
+
 class TestValueTypes:
     def test_round_trip_length(self):
         ring = RacetrackSpec(4e-5, 1.5e-5, 1e5, 1e5)
@@ -445,6 +469,70 @@ class TestCombProperties:
             assert b - a == pytest.approx(fsr(ring, wg, mid), rel=1e-11, abs=0.0)
 
 
+def _numpy_comb(ring, wg, band):
+    """(order, omega0) of every line in the band, from the closed form
+    evaluated over all orders at once with numpy, as the comb solver did
+    before it looped over the orders in plain floats."""
+    lo, hi = sorted((float(band[0]), float(band[1])))
+    s = ring.heater_shift
+    lo_u, hi_u = lo - s, hi - s
+    lo_u = max(lo_u, 1e-6 * hi_u)
+    w_ref, gvd = wg.omega_ref, wg.gvd
+    a = (wg.n_g - wg.n_eff_ref) / (C_VACUUM * w_ref) + 0.5 * gvd
+    b = (2.0 * wg.n_eff_ref - wg.n_g) / C_VACUUM - gvd * w_ref
+    c0 = 0.5 * gvd * w_ref * w_ref
+    k_step = TWO_PI / ring.round_trip_length
+    m_lo = math.ceil(((a * lo_u + b) * lo_u + c0) / k_step - 1e-9)
+    m_hi = math.floor(((a * hi_u + b) * hi_u + c0) / k_step + 1e-9)
+    t = np.arange(m_lo, m_hi + 1) * k_step - c0
+    with np.errstate(invalid="ignore"):  # an order past the vertex gives nan, dropped below
+        root = np.sqrt(t * (4.0 * a) + b * b)
+    omega = (2.0 * t / (b + root) if b >= 0.0 else (root - b) / (2.0 * a)) + s
+    return [(m, w0) for m, w0 in zip(range(m_lo, m_hi + 1), omega.tolist()) if lo <= w0 <= hi]
+
+
+class TestCombMatchesNumpyForm:
+    """The per-order loop keeps the numpy closed form's bytes: same
+    expression, same operation order, and sqrt is correctly rounded in
+    both."""
+
+    @staticmethod
+    def _assert_same(ring, wg, band):
+        comb = resonance_comb(ring, wg, band, owner=1)
+        assert [(r.order, r.omega0.hex()) for r in comb] == [
+            (m, w0.hex()) for m, w0 in _numpy_comb(ring, wg, band)
+        ]
+
+    @pytest.mark.parametrize("case", sorted(COMB_DEVICES))
+    @pytest.mark.parametrize("owner", [1, 2])
+    def test_named_devices(self, case, owner):
+        dev, band = _comb_case(case)
+        self._assert_same(dev.ring(owner), dev.waveguide, band)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_comb_inputs())
+    def test_generated_devices(self, case):
+        self._assert_same(*case)
+
+    def test_order_past_the_vertex_has_no_line(self):
+        # Negative GVD puts the vertex of k(w) just above the band, where
+        # the group index is 1e-14. The ring is sized so that the order
+        # taken 1e-9 cycles past the band edge lies beyond k's maximum:
+        # it has no root, and the solve keeps the orders below it.
+        wg = _wg(n_eff=2.4, n_g=2.4, gvd=-8e-23)
+        a = 0.5 * wg.gvd
+        b = 2.4 / C_VACUUM - wg.gvd * wg.omega_ref
+        vertex = -b / (2.0 * a)
+        k_max = 0.5 * wg.gvd * wg.omega_ref**2 - b * b / (4.0 * a)
+        length = (162 - 1e-10) * TWO_PI / k_max
+        ring = RacetrackSpec(straight_len=0.5 * length - math.pi * 1e-5, bend_radius=1e-5,
+                             q_intrinsic=1e5, q_coupling=1e5)
+        band = (0.9 * vertex, vertex * (1.0 - 1e-7))
+        comb = resonance_comb(ring, wg, band, owner=1)
+        assert comb[-1].order == 161
+        self._assert_same(ring, wg, band)
+
+
 class TestConstantsAndImports:
     def test_constants_equal_scipy(self):
         assert geometry.C_VACUUM == scipy.constants.c
@@ -469,6 +557,51 @@ class TestConstantsAndImports:
             timeout=60,
         )
         assert json.loads(proc.stdout) == []
+
+    # Every command but spectrum works on scalars and must start without
+    # numpy; spectrum samples arrays and loads it.
+    NUMPY_FREE = {
+        "import": None,
+        "overlap": ["overlap", "--band", "1567nm:1543nm", "--method", "quadrature"],
+        "rates": ["rates", "--band", "192THz", "195THz", "--photons", "5e4", "--pulse", "1e-9"],
+        "suppression": ["suppression", "--band", "192THz", "195THz", "--points", "21"],
+        "kerr-check": ["kerr-check", "--power", "0.005"],
+        "optimize": ["optimize", "--signal", "1550nm", "--suppression", "1e-3"],
+        "sweep-isolation": ["sweep", "--param", "dc.gap_m", "--values", "2.8e-7", "3.2e-7",
+                            "5", "--report", "isolation"],
+        "sweep-suppression": ["sweep", "--param", "ring2.heater_shift_hz", "--values", "0",
+                              "4e9", "5", "--report", "suppression", "--band", "192THz",
+                              "195THz"],
+        "sweep-rates": ["sweep", "--param", "ring2.straight_len_m", "--values", "5.8e-5",
+                        "5.9e-5", "5", "--report", "rates", "--band", "192THz", "195THz"],
+        "sweep-kerr": ["sweep", "--param", "ring1.q_intrinsic", "--values", "5e4", "2e5", "5",
+                       "--report", "kerr", "--power", "0.005"],
+        "spectrum": ["spectrum", "--band", "192THz", "195THz", "--points", "101"],
+    }
+
+    @pytest.mark.parametrize("name", NUMPY_FREE)
+    def test_numpy_loaded_only_by_spectrum(self, name, tmp_path):
+        argv = self.NUMPY_FREE[name]
+        if argv is not None:
+            argv = [*argv, "--device", str(DEVICE_JSON), "--out", str(tmp_path / "artifact")]
+        code = (
+            "import json, sys, ringpair, ringpair.cli; "
+            "argv = json.loads(sys.argv[1]); "
+            "rc = None if argv is None else ringpair.cli.main(argv); "
+            "print(json.dumps([rc, 'numpy' in sys.modules]))"
+        )
+        path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argv)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        rc, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert rc in (None, 0)
+        assert numpy_loaded == (name == "spectrum")
 
 
 class TestFsrAndFinesse:

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ringpair import (
     AssumptionViolated,
@@ -29,6 +29,7 @@ from ringpair import (
     z_overlap_integral,
 )
 from ringpair import kernels
+from ringpair.linear_cmt import phase_unit
 
 from conftest import make_device, process_band
 
@@ -94,6 +95,38 @@ def _overlap_inputs(draw):
         )
     )
     return mag, phase, length, centre + offset
+
+
+def _numpy_z_overlap(kappa, length, delta_k):
+    """The coupler overlap as numpy evaluated it before the scalar form."""
+    beat = 4.0 * abs(kappa)
+    q = np.array([delta_k, delta_k + beat, delta_k - beat])
+    e = length * np.exp(0.5j * q * length) * np.sinc(q * length / (2.0 * np.pi))
+    unit = np.exp(-2j * np.angle(kappa))
+    return complex(-0.25 * unit * (e[0] - 0.5 * (e[1] + e[2])))
+
+
+_COMPONENT = st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100))
+
+
+class TestZOverlapMatchesNumpyForm:
+    @settings(max_examples=300, deadline=None)
+    @given(_overlap_inputs())
+    def test_bytes_at_zero_coupling_phase(self, case):
+        mag, _, length, delta_k = case
+        got = z_overlap_integral(mag + 0j, length, delta_k)
+        want = _numpy_z_overlap(mag + 0j, length, delta_k)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    @settings(max_examples=500, deadline=None)
+    @given(_COMPONENT, _COMPONENT)
+    def test_phase_unit_squared_is_exp_of_twice_the_angle(self, re, im):
+        # (conj(kappa)/|kappa|)^2 skips the arctan route of
+        # exp(-2i*angle(kappa)); the two differ by rounding only.
+        kappa = complex(re, im)
+        assume(kappa != 0)
+        unit = phase_unit(kappa)
+        assert abs(unit * unit - np.exp(-2j * np.angle(kappa))) <= 1e-15
 
 
 class TestZOverlapIntegral:
