@@ -30,6 +30,7 @@ import cmath
 import copy
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -176,6 +177,9 @@ def _drive(args: argparse.Namespace) -> PumpDrive:
 
 
 def cmd_spectrum(args: argparse.Namespace, argv: Sequence[str]) -> None:
+    # numpy is first imported below. The kernel makes no BLAS call, so
+    # OpenBLAS's per-core worker threads would only add start-up time.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     device = load_device(args.device, strict=args.strict)
     band = _band_pair(args.band)
     result = intensity_spectrum(device, band, args.points)

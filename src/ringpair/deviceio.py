@@ -19,7 +19,7 @@ import json
 import math
 import os
 import tempfile
-from itertools import starmap
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 from .geometry import CouplingModel, DeviceSpec, RacetrackSpec, WaveguideParams
@@ -207,9 +207,16 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
-    """CSV with 17 significant digits, so parsing reproduces the doubles exactly."""
-    row_text = ",".join(["{:.17g}"] * len(header)).format
-    return "\n".join([",".join(header), *starmap(row_text, rows)]) + "\n"
+    """CSV with 17 significant digits, so parsing reproduces the doubles exactly.
+
+    Each row holds one value per header column. The values are flattened
+    and formatted in one ``%`` operation over a template that repeats the
+    row format once per row.
+    """
+    flat = tuple(chain.from_iterable(rows))
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    head = ",".join(header).replace("%", "%%") + "\n"
+    return (head + row * (len(flat) // len(header))) % flat
 
 
 def save_device(device: DeviceSpec, path: str | os.PathLike) -> None:

@@ -291,7 +291,18 @@ def effective_index(wg: WaveguideParams, omega) -> np.ndarray | float:
     -------
     float or ndarray
         Effective index, same shape as ``omega``.
+
+    Raises
+    ------
+    ValueError
+        If ``omega`` (any element of it, for an ndarray) is not finite
+        and positive.
     """
+    if isinstance(omega, float):
+        if not 0.0 < omega < math.inf:
+            raise ValueError(f"omega must be finite and positive, got {omega}")
+    else:
+        _require_positive_array(omega)
     detune = omega - wg.omega_ref
     n = wg.n_eff_ref + (wg.n_g - wg.n_eff_ref) * detune / wg.omega_ref
     if wg.gvd != 0.0:
@@ -300,7 +311,10 @@ def effective_index(wg: WaveguideParams, omega) -> np.ndarray | float:
 
 
 def wavevector(wg: WaveguideParams, omega) -> np.ndarray | float:
-    """Propagation constant k(w) = n_eff(w) * w / c [1/m]."""
+    """Propagation constant k(w) = n_eff(w) * w / c [1/m].
+
+    Raises ``ValueError`` unless ``omega`` is finite and positive.
+    """
     return effective_index(wg, omega) * omega / C_VACUUM
 
 
@@ -320,6 +334,14 @@ def group_index(wg: WaveguideParams, omega) -> np.ndarray | float:
     return ng
 
 
+def _require_positive_array(omega: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every element is finite and positive."""
+    import numpy as np
+
+    if not np.all((omega > 0.0) & (omega < math.inf)):
+        raise ValueError("omega must be finite and positive in every element")
+
+
 def _all_finite(x) -> bool:
     """Whether a float, or every element of an ndarray, is finite."""
     if isinstance(x, float):
@@ -337,7 +359,10 @@ def q_loaded(q_intrinsic: float, q_coupling: float) -> float:
 
 
 def round_trip_phase(wg: WaveguideParams, ring: RacetrackSpec, omega) -> np.ndarray | float:
-    """Accumulated phase k(w) * round_trip_length [rad]."""
+    """Accumulated phase k(w) * round_trip_length [rad].
+
+    Raises ``ValueError`` unless ``omega`` is finite and positive.
+    """
     return wavevector(wg, omega) * ring.round_trip_length
 
 

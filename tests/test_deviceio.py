@@ -6,21 +6,25 @@ import json
 import math
 import os
 import re
+import sys
+from itertools import starmap
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ringpair import load_device, save_device
 from ringpair.deviceio import (
     FILE_FORMAT,
     SCHEMA_VERSION,
+    csv_text,
     device_from_dict,
     device_to_dict,
     set_device_param,
     write_text_atomic,
 )
+from ringpair.enhancement import intensity_spectrum, spectrum_to_csv
 
-from conftest import DEVICE_JSON, REPO, make_device
+from conftest import DEVICE_JSON, REPO, TWO_PI, make_device
 
 # Keys whose value may take either sign, and keys that may be zero.
 SIGNED = {"gvd_s2_per_m", "chi3_m2_v2", "heater_shift_hz", "phase_rad"}
@@ -208,6 +212,59 @@ class TestAtomicWrite:
             write_text_atomic(path, 12345)  # not a string
         assert not path.exists()
         assert [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")] == []
+
+
+def _starmap_csv_text(header, rows):
+    """The per-row ``str.format`` writer that ``csv_text`` replaced: the oracle."""
+    row_text = ",".join(["{:.17g}"] * len(header)).format
+    return "\n".join([",".join(header), *starmap(row_text, rows)]) + "\n"
+
+
+# Values whose text is easy to get wrong: signed zeros, nan, infinities,
+# subnormals, the edges of the float range and ints.
+CSV_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(
+        [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+         sys.float_info.min, sys.float_info.max, 0.1, 1e16, 1e17]
+    ),
+    st.integers(-(10**20), 10**20),
+)
+CSV_NAMES = st.one_of(
+    st.sampled_from(["omega_rad_s", "f1_sq", "%d", "100%", "%%.17g"]),
+    st.text(st.characters(blacklist_characters=",\n"), min_size=1, max_size=8),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    n_cols = draw(st.integers(1, 4))
+    header = tuple(draw(CSV_NAMES) for _ in range(n_cols))
+    rows = draw(st.lists(st.tuples(*[CSV_VALUES] * n_cols), max_size=40))
+    return header, rows
+
+
+class TestCsvText:
+    @settings(max_examples=200)
+    @given(csv_tables())
+    @example((("a",), []))
+    @example((("a", "b", "c", "d"), []))
+    @example((("x", "y"), [(0.0, -0.0), (math.nan, -math.inf), (5e-324, 7)]))
+    def test_bytes_match_the_per_row_writer(self, table):
+        header, rows = table
+        # An iterator, as the commands pass it: csv_text reads it once.
+        assert csv_text(header, iter(rows)) == _starmap_csv_text(header, rows)
+
+    def test_full_wide_spectrum_matches_the_per_row_writer(self):
+        # The 100001-point, 20 THz spectrum of the benchmark device.
+        device = load_device(REPO / "clibench" / "device.json")
+        result = intensity_spectrum(device, (TWO_PI * 185e12, TWO_PI * 205e12), 100001)
+        columns = (result.omega.tolist(), result.f1_sq.tolist(), result.f2_sq.tolist())
+        expected = _starmap_csv_text(("omega_rad_s", "f1_sq", "f2_sq"), zip(*columns))
+        got = spectrum_to_csv(result)
+        # Compare line lists: a diff of two 6 MB strings would stall the report.
+        assert got.splitlines() == expected.splitlines()
+        assert got == expected and expected.count("\n") == 100002
 
 
 class TestSetDeviceParam:

@@ -124,6 +124,22 @@ class TestScalarOrArray:
         assert isinstance(got, np.ndarray) and got.shape == grid.shape
         assert got[1, 0] == func(wg, float(grid[1, 0]))
 
+    @pytest.mark.parametrize(
+        "func",
+        [effective_index, wavevector, lambda wg, w: round_trip_phase(wg, make_device().ring1, w)],
+        ids=["effective_index", "wavevector", "round_trip_phase"],
+    )
+    @pytest.mark.parametrize("gvd", [0.0, 5e-24])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_omega_not_finite_and_positive_raises(self, func, gvd, bad):
+        # 0.0 with GVD != 0 used to divide by zero; -1, nan and inf gave
+        # a number. One bad element is enough to reject an ndarray.
+        wg = _wg(gvd=gvd)
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
+            func(wg, bad)
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
+            func(wg, np.array([wg.omega_ref, bad]))
+
     @pytest.mark.parametrize("omega_scale", [1.01, np.array([1.0, 1.01])])
     def test_group_index_overflow_raises(self, omega_scale):
         # numpy's own overflow warning on the array is not the signal; the
@@ -602,6 +618,48 @@ class TestConstantsAndImports:
         rc, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
         assert rc in (None, 0)
         assert numpy_loaded == (name == "spectrum")
+
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_only_spectrum_sets_openblas_threads(self, preset, tmp_path):
+        # spectrum starts numpy with one OpenBLAS thread unless the user
+        # chose a count; no other command touches the environment. One
+        # interpreter runs every command, spectrum last.
+        runs = {
+            name: [*argv, "--device", str(DEVICE_JSON), "--out", str(tmp_path / name)]
+            for name, argv in self.NUMPY_FREE.items()
+            if argv is not None
+        }
+        code = (
+            "import json, os, sys, ringpair.cli; "
+            "out = {}\n"
+            "for name, argv in json.loads(sys.argv[1]).items():\n"
+            "    before = dict(os.environ)\n"
+            "    rc = ringpair.cli.main(argv)\n"
+            "    after = dict(os.environ)\n"
+            "    out[name] = [rc, {k: after.get(k) for k in before.keys() | after.keys()\n"
+            "                      if before.get(k) != after.get(k)}]\n"
+            "print(json.dumps(out))"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(runs)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert list(out) == list(runs) and list(out)[-1] == "spectrum"
+        pinned = {"OPENBLAS_NUM_THREADS": "1"} if preset is None else {}
+        for name, (rc, changed) in out.items():
+            assert rc in (None, 0), name
+            assert changed == (pinned if name == "spectrum" else {}), name
 
 
 class TestFsrAndFinesse:
