@@ -38,7 +38,6 @@ from .deviceio import (
 from .enhancement import (
     EnhancementProfile,
     SpectrumResult,
-    field_enhancement,
     intensity_spectrum,
     lorentzian_response,
     peak_amplitude,
@@ -48,7 +47,6 @@ from .enhancement import (
 from .errors import (
     ApproximationWarning,
     AssumptionViolated,
-    DegenerateCoupling,
     EmptyBand,
     Infeasible,
     MissingResonance,
@@ -83,9 +81,7 @@ from .linear_cmt import (
     kerr_delta_beta,
     kerr_detuned_efficiency,
     kerr_validity_metric,
-    phase_mismatch_angle,
     solve_dc_fields,
-    uncoupling_lengths,
 )
 from .nonlinear import (
     OverlapResult,

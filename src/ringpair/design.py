@@ -307,7 +307,9 @@ def tune_for_energy_conservation(
 
     comb2 = resonance_comb(device.ring2, wg, _process_band(device, goal), owner=2)
     order = sorted(range(len(comb2)), key=lambda i: abs(comb2[i].omega0 - omega_mid))
-    best: TuneResult | None = None
+    # resonance_comb raises EmptyBand rather than return no line, so
+    # ``tried`` is never empty below.
+    tried: list[TuneResult] = []
     for idx in order[:3]:
         ds = omega_mid - comb2[idx].omega0
         candidate = _retuned(device, goal, ds)
@@ -327,10 +329,10 @@ def tune_for_energy_conservation(
         )
         if max(sups) <= goal.min_parasitic_suppression:
             return result
-        if best is None or max(sups) < max(best.suppression):
-            best = result
+        tried.append(result)
 
-    if mode == "fabrication" and best is not None:
+    best = min(tried, key=lambda r: max(r.suppression))
+    if mode == "fabrication":
         # Feasible by the architectural frontier; the geometry kept the
         # instance from reaching the ideal detuning, so report that.
         notes.append(
@@ -339,11 +341,10 @@ def tune_for_energy_conservation(
             "short ring 2 may get"
         )
         return replace(best, notes=tuple(notes))
-    achieved = max(best.suppression) if best is not None else 1.0
     raise Infeasible(
         f"no heater shift within one spectral range meets suppression "
-        f"{goal.min_parasitic_suppression:.3g}; best achievable here is {achieved:.3g} "
-        f"(required detuning {delta_req:.6g} rad/s)"
+        f"{goal.min_parasitic_suppression:.3g}; best achievable here is "
+        f"{max(best.suppression):.3g} (required detuning {delta_req:.6g} rad/s)"
     )
 
 

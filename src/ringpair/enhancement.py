@@ -8,7 +8,8 @@ Lorentzian factor
 
 with dw = w0 / Q the loaded full width at half maximum. On resonance
 the magnitude is the square-root prefactor and the phase is -pi/2 per
-factor of the Lorentzian.
+factor of the Lorentzian. ``j_quadrature`` multiplies the prefactor,
+:func:`peak_amplitude`, by the unit line shape, :func:`lorentzian_response`.
 
 A spectrum over a band is the per-ring sum of the squared magnitudes
 of all in-band resonances. Summing intensities (not amplitudes) is a
@@ -21,13 +22,12 @@ and carry no resonant-phase information.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import kernels
 from .deviceio import csv_text
-from .errors import ApproximationWarning, NonPhysical, require_finite
+from .errors import NonPhysical, require_finite
 from .geometry import DeviceSpec, Resonance, WaveguideParams, RacetrackSpec, device_combs
 
 if TYPE_CHECKING:
@@ -70,47 +70,6 @@ def lorentzian_response(res: Resonance, omega) -> np.ndarray | complex:
     rat = x / hw
     scl = 1.0 / (hw + x * rat)
     return complex(hw * rat * scl, -hw * scl)
-
-
-def field_enhancement(
-    res: Resonance, wg: WaveguideParams, ring: RacetrackSpec, omega
-) -> np.ndarray | complex:
-    """Complex field-enhancement factor of one resonance.
-
-    Parameters
-    ----------
-    res : Resonance
-        The mode being driven.
-    wg, ring
-        Waveguide and racetrack the mode lives on.
-    omega : float or ndarray
-        Evaluation frequency [rad/s].
-
-    Returns
-    -------
-    complex or ndarray
-        f(omega); magnitude peaks at the resonance center.
-
-    Warns
-    -----
-    ApproximationWarning
-        When evaluated more than 20 linewidths from the center. The
-        single-Lorentzian law is a near-resonance approximation; the
-        value is still returned.
-    """
-    import numpy as np
-
-    omega_arr = np.asarray(omega, dtype=float)
-    detune = np.abs(omega_arr - res.omega0)
-    if np.any(detune > ENHANCEMENT_WINDOW_LINEWIDTHS * res.linewidth):
-        warnings.warn(
-            f"enhancement evaluated {float(np.max(detune)) / res.linewidth:.1f} linewidths "
-            f"from the resonance at {res.omega0:.6e} rad/s; the Lorentzian law is a "
-            "near-resonance approximation",
-            ApproximationWarning,
-            stacklevel=2,
-        )
-    return peak_amplitude(res, wg, ring) * lorentzian_response(res, omega)
 
 
 @dataclass(frozen=True)

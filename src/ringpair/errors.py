@@ -40,7 +40,9 @@ class RingpairError(Exception):
 
 
 class NoConvergence(RingpairError):
-    """An iterative solver exhausted its budget without meeting tolerance."""
+    """A numeric route found no valid result: the group index is not
+    positive over a comb's search band, or ring-2 tuning misses energy
+    conservation by more than its residual tolerance."""
 
 
 class EmptyBand(RingpairError):
@@ -80,14 +82,4 @@ class ApproximationWarning(UserWarning):
 
     In lenient mode (the default) assumption checks warn with this
     category instead of raising :class:`AssumptionViolated`.
-    """
-
-
-class DegenerateCoupling(RingpairError):
-    """The coupler strength is exactly zero where a finite value is required.
-
-    Zero coupling is a legal input for field evaluation (the fields are
-    constant), so most operations only flag it; this exception is raised
-    by the few operations, such as null-length enumeration, that are
-    undefined without a finite coupling rate.
     """

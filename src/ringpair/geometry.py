@@ -298,11 +298,7 @@ def effective_index(wg: WaveguideParams, omega) -> np.ndarray | float:
         If ``omega`` (any element of it, for an ndarray) is not finite
         and positive.
     """
-    if isinstance(omega, float):
-        if not 0.0 < omega < math.inf:
-            raise ValueError(f"omega must be finite and positive, got {omega}")
-    else:
-        _require_positive_array(omega)
+    _require_omega(omega)
     detune = omega - wg.omega_ref
     n = wg.n_eff_ref + (wg.n_g - wg.n_eff_ref) * detune / wg.omega_ref
     if wg.gvd != 0.0:
@@ -323,9 +319,11 @@ def group_index(wg: WaveguideParams, omega) -> np.ndarray | float:
 
     Reduces to ``wg.n_g`` exactly at the reference frequency and drifts
     linearly away from it as implied by the index law. Raises
-    ``NonPhysical`` when it is not finite, which includes overflowing
-    the float range.
+    ``ValueError`` unless ``omega`` is finite and positive, and
+    ``NonPhysical`` when the group index is not finite, which includes
+    overflowing the float range.
     """
+    _require_omega(omega)
     ng = wg.n_eff_ref + (wg.n_g - wg.n_eff_ref) * (2.0 * omega - wg.omega_ref) / wg.omega_ref
     if wg.gvd != 0.0:
         ng = ng + C_VACUUM * wg.gvd * (omega - wg.omega_ref)
@@ -334,8 +332,12 @@ def group_index(wg: WaveguideParams, omega) -> np.ndarray | float:
     return ng
 
 
-def _require_positive_array(omega: np.ndarray) -> None:
-    """Raise ``ValueError`` unless every element is finite and positive."""
+def _require_omega(omega) -> None:
+    """Raise ``ValueError`` unless ``omega`` (or each element) is finite and positive."""
+    if isinstance(omega, (float, int)):
+        if not 0.0 < omega < math.inf:
+            raise ValueError(f"omega must be finite and positive, got {omega}")
+        return
     import numpy as np
 
     if not np.all((omega > 0.0) & (omega < math.inf)):
@@ -485,7 +487,6 @@ def device_combs(
 
 def fsr(ring: RacetrackSpec, wg: WaveguideParams, omega: float) -> float:
     """Local free spectral range 2*pi*c / (n_g(w) * L_rt) [rad/s]."""
-    require_positive("omega", omega)
     ng = group_index(wg, omega)
     if not ng > 0.0:
         raise ValueError("group index must be positive for an FSR")

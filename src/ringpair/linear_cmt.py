@@ -16,13 +16,12 @@ how much.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateCoupling, NonPhysical
+from .errors import NonPhysical
 from .errors import require_finite, require_non_negative, require_positive
 from .geometry import WaveguideParams
 
@@ -154,35 +153,17 @@ def dc_transfer(kappa: complex, length: float) -> DcTransfer:
     )
 
 
-def uncoupling_lengths(kappa: complex, m_max: int) -> list[float]:
-    """Coupler lengths m * pi / |kappa| with vanishing linear transfer.
-
-    Raises
-    ------
-    DegenerateCoupling
-        If |kappa| is zero; there is no finite null length then.
-    """
-    if m_max < 1:
-        raise ValueError(f"m_max must be at least 1, got {m_max}")
-    require_finite("kappa", kappa)
-    mag = abs(complex(kappa))
-    if mag == 0.0:
-        raise DegenerateCoupling("null lengths are undefined for |kappa| = 0")
-    return [m * math.pi / mag for m in range(1, m_max + 1)]
-
-
-def isolation_db(kappa: complex, length: float, floor_db: float = ISOLATION_FLOOR_DB) -> float:
+def isolation_db(kappa: complex, length: float) -> float:
     """Linear isolation between the rings, -10*log10 of the cross power.
 
-    The value is capped at ``floor_db`` (default 200 dB): an exact null
+    The value is capped at ``ISOLATION_FLOOR_DB`` (200 dB): an exact null
     has zero cross power and infinite nominal isolation, and values
     beyond the cap carry no design information.
     """
-    require_positive("floor_db", floor_db)
     cross_power = dc_transfer(kappa, length).cross_power
-    if cross_power <= 10.0 ** (-floor_db / 10.0):
-        return floor_db
-    return min(-10.0 * math.log10(cross_power), floor_db)
+    if cross_power <= 10.0 ** (-ISOLATION_FLOOR_DB / 10.0):
+        return ISOLATION_FLOOR_DB
+    return min(-10.0 * math.log10(cross_power), ISOLATION_FLOOR_DB)
 
 
 def kerr_detuned_efficiency(kappa: complex, length: float, delta_beta: float) -> float:
@@ -252,9 +233,3 @@ def kerr_validity_metric(
     require_positive("q_loaded", q_loaded)
     require_positive("wavelength", wavelength)
     return wg.gamma_nl * p_in * wavelength * q_loaded / (4.0 * wg.n_g)
-
-
-def phase_mismatch_angle(kappa: complex) -> float:
-    """Phase of the complex coupling constant [rad]."""
-    require_finite("kappa", kappa)
-    return cmath.phase(complex(kappa))

@@ -8,7 +8,9 @@ come from ``numpy.polynomial.legendre.leggauss`` on the first call, so
 no tabulated constants enter the source and importing this module does
 not load numpy.
 
-Two properties matter for the callers in this package:
+No command calls it: the tests use it as the independent reference
+for the package's closed forms, such as the pair-rate integral and the
+coupler overlap. Two properties matter for that use:
 
 * the integrand is always evaluated on a flat ndarray of abscissae
   (one call per refinement round, covering every active panel), which

@@ -421,15 +421,14 @@ def calibrate_kcal(
     target_rate: float,
     pump_power: float,
     cfg: ProcessConfig,
-    pulse_duration: float = 1e-9,
 ) -> float:
     """Calibration constant reproducing a target pair rate.
 
     Anchors K so that the dual-pump signal process of ``cfg`` produces
     ``target_rate`` pairs per second at the given per-pump power. The
-    pulse duration drops out of the per-second rate (the photon number
-    scales with T and the per-pulse rate is divided by T), so its value
-    is arbitrary.
+    drive is a 1 ns pulse at that power. The pulse duration drops out
+    of the per-second rate (the photon number scales with T and the
+    per-pulse rate is divided by T), so any fixed value serves.
 
     Raises
     ------
@@ -438,7 +437,7 @@ def calibrate_kcal(
     """
     require_positive("target_rate", target_rate, NonPhysical)
     require_positive("pump_power", pump_power, NonPhysical)
-    require_positive("pulse_duration", pulse_duration)
+    pulse_duration = 1e-9
     wg = device.waveguide
     omega_p = 0.5 * (cfg.res_p1.omega0 + cfg.res_p2.omega0)
     photon_number = pump_power * pulse_duration / (HBAR * omega_p)

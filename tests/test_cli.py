@@ -18,6 +18,7 @@ from ringpair.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    SWEEP_REPORTS,
     main,
     parse_frequency,
 )
@@ -745,19 +746,26 @@ class TestExitCodes:
 
 class TestExactPairRates:
     def test_rates_run_without_adaptive_quadrature(self, monkeypatch, tmp_path):
-        # The pair-rate integral is a closed form: neither the adaptive
-        # integrator nor the pair kernel runs for rates or a rates sweep.
+        # Every rate and overlap is a closed form: neither the adaptive
+        # integrator nor the tests' reference integrands run in any README
+        # command or any sweep report.
         def refuse(*args, **kwargs):
-            raise AssertionError("the adaptive quadrature ran")
+            raise AssertionError("a test oracle ran")
 
         monkeypatch.setattr("ringpair.quadrature.integrate_adaptive", refuse)
         monkeypatch.setattr("ringpair.kernels.pair_kernel", refuse)
-        sweep = ["sweep", "--device", DEV, "--param", "ring2.straight_len_m", "--values",
-                 "5.8e-5", "5.9e-5", "41", "--report", "rates", "--band", *BAND]
-        for name, argv in (("rates", README_COMMANDS["rates"]), ("sweep", sweep)):
+        monkeypatch.setattr("ringpair.kernels.dc_overlap_integrand", refuse)
+        sweeps = {
+            f"sweep-{report}": ["sweep", "--device", DEV, "--param", "dc.gap_m", "--values",
+                                "2.8e-7", "3.2e-7", "5", "--report", report,
+                                *(["--band", *BAND] if "band" in flags else []),
+                                *(["--power", "0.005"] if "power" in flags else [])]
+            for report, (_, flags, _) in SWEEP_REPORTS.items()
+        }
+        for name, argv in {**README_COMMANDS, **sweeps}.items():
             out = tmp_path / name
-            assert main([*argv, "--out", str(out)]) == EXIT_OK
-            assert out.exists()
+            assert main([*argv, "--out", str(out)]) == EXIT_OK, name
+            assert out.exists(), name
 
 
 class TestArtifactSchema:

@@ -126,8 +126,9 @@ class TestScalarOrArray:
 
     @pytest.mark.parametrize(
         "func",
-        [effective_index, wavevector, lambda wg, w: round_trip_phase(wg, make_device().ring1, w)],
-        ids=["effective_index", "wavevector", "round_trip_phase"],
+        [effective_index, wavevector, group_index,
+         lambda wg, w: round_trip_phase(wg, make_device().ring1, w)],
+        ids=["effective_index", "wavevector", "group_index", "round_trip_phase"],
     )
     @pytest.mark.parametrize("gvd", [0.0, 5e-24])
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])

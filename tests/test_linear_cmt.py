@@ -10,16 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringpair import (
-    DegenerateCoupling,
     NonPhysical,
     dc_transfer,
     isolation_db,
     kerr_delta_beta,
     kerr_detuned_efficiency,
     kerr_validity_metric,
-    phase_mismatch_angle,
     solve_dc_fields,
-    uncoupling_lengths,
 )
 from ringpair.geometry import WaveguideParams
 from scipy.constants import c as C_VACUUM
@@ -85,17 +82,6 @@ class TestNull:
         cross = dc_transfer(mag + 0j, length).cross_power
         assert cross == pytest.approx(math.sin(0.01 * m * math.pi) ** 2, rel=1e-10)
 
-    def test_uncoupling_lengths(self):
-        mag = 5e4
-        got = uncoupling_lengths(mag * cmath.exp(0.3j), 4)
-        assert got == pytest.approx([m * math.pi / mag for m in (1, 2, 3, 4)], rel=1e-15)
-
-    def test_uncoupling_degenerate(self):
-        with pytest.raises(DegenerateCoupling):
-            uncoupling_lengths(0.0, 3)
-        with pytest.raises(ValueError):
-            uncoupling_lengths(1e4, 0)
-
     def test_degenerate_fields_are_constant(self):
         field_in, field_out = solve_dc_fields(0.0, 1e-4)
         assert field_in.degenerate and field_out.degenerate
@@ -119,12 +105,6 @@ class TestIsolation:
     def test_exact_null_hits_the_cap(self):
         mag = 66666.0
         assert isolation_db(mag + 0j, math.pi / mag) == 200.0
-
-    def test_custom_floor(self):
-        mag = 66666.0
-        assert isolation_db(mag + 0j, math.pi / mag, floor_db=80.0) == 80.0
-        with pytest.raises(ValueError):
-            isolation_db(mag + 0j, 1e-5, floor_db=0.0)
 
     def test_phase_does_not_change_isolation(self):
         mag, length = 5e4, 2.3e-5
@@ -223,11 +203,6 @@ class TestKerrScales:
             kerr_validity_metric(wg, 1e-3, 0.0, 1.55e-6)
         with pytest.raises(ValueError):
             kerr_validity_metric(wg, 1e-3, 5e4, -1.0)
-
-
-def test_phase_mismatch_angle():
-    assert phase_mismatch_angle(1.0 + 0j) == 0.0
-    assert phase_mismatch_angle(1e4 * cmath.exp(0.9j)) == pytest.approx(0.9, abs=1e-14)
 
 
 def test_length_validation():

@@ -467,12 +467,6 @@ class TestCalibration:
         rate = pair_rate_integral(dr, cfg.res_s, delta, kcal, wg.v_g) / t
         assert rate == pytest.approx(target, rel=1e-9)
 
-    def test_pulse_duration_drops_out(self, sample_device):
-        cfg = resonant_config(sample_device, process_band(sample_device))
-        a = calibrate_kcal(sample_device, 1e6, 5e-4, cfg, pulse_duration=1e-9)
-        b = calibrate_kcal(sample_device, 1e6, 5e-4, cfg, pulse_duration=3e-8)
-        assert b == pytest.approx(a, rel=1e-12)
-
     def test_quartic_power_law(self, sample_device):
         # The rate scales as the fourth power of the pump amplitude, so
         # the calibration constant falls as power squared.
@@ -494,8 +488,6 @@ class TestCalibration:
                 calibrate_kcal(sample_device, bad, 5e-4, cfg)
             with pytest.raises(NonPhysical):
                 calibrate_kcal(sample_device, 1e6, bad, cfg)
-            with pytest.raises(ValueError, match="pulse_duration"):
-                calibrate_kcal(sample_device, 1e6, 5e-4, cfg, pulse_duration=bad)
 
 
 class TestSharedHelpers:
