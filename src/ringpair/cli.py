@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import copy
 import json
 import math
 import os
@@ -335,9 +334,8 @@ def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> None:
     band = _band_pair(args.band) if "band" in flags else None
     rows = []
     for value in values:
-        data = copy.deepcopy(raw)
-        set_device_param(data, args.param, value)
-        rows.append((value, *row(device_from_dict(data, strict=args.strict), args, band)))
+        set_device_param(raw, args.param, value)
+        rows.append((value, *row(device_from_dict(raw, strict=args.strict), args, band)))
     _emit(args.out, csv_text(("param_value", *columns), rows), argv)
 
 
@@ -346,7 +344,9 @@ def _add_common(p: argparse.ArgumentParser, func: Callable, *flags: str, **overr
     p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--device", required=True, help="device JSON path")
     p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-    p.add_argument("--strict", action="store_true", help="treat model warnings as errors")
+    p.add_argument("--strict", action="store_true",
+                   help="reject unknown device-file keys; overlap also fails on a "
+                        "model-assumption warning")
     for dest in flags:
         p.add_argument(_flag(dest), **{**_FLAGS[dest], **overrides.get(dest, {})})
     p.set_defaults(func=func)

@@ -35,6 +35,10 @@ if TYPE_CHECKING:
 
 ENHANCEMENT_WINDOW_LINEWIDTHS = 20.0
 
+# Largest number of samples one spectrum may hold, 100 times the largest
+# benchmarked spectrum; a huge count would otherwise fail in allocation.
+MAX_SPECTRUM_POINTS = 10**7
+
 
 def peak_amplitude(res: Resonance, wg: WaveguideParams, ring: RacetrackSpec) -> float:
     """On-resonance magnitude of the enhancement factor (dimensionless).
@@ -48,19 +52,14 @@ def peak_amplitude(res: Resonance, wg: WaveguideParams, ring: RacetrackSpec) -> 
     return amp
 
 
-def lorentzian_response(res: Resonance, omega) -> np.ndarray | complex:
+def lorentzian_response(res: Resonance, omega: float) -> complex:
     """Unit-peak complex line shape (dw/2) / ((w - w0) + i dw/2).
 
-    A float ``omega`` is divided out with numpy's complex-division
-    algorithm (Smith's method with a reciprocal), so it gives the same
-    bytes as the same value inside an ndarray.
+    The division is written out as numpy's complex-division algorithm
+    (Smith's method with a reciprocal), so it gives the bytes numpy
+    gives for the same value.
     """
     hw = 0.5 * res.linewidth
-    if not isinstance(omega, (float, int)):
-        import numpy as np
-
-        out = hw / ((np.asarray(omega, dtype=float) - res.omega0) + 1j * hw)
-        return complex(out) if out.ndim == 0 else out
     x = omega - res.omega0
     if abs(x) >= hw:
         rat = hw / x
@@ -125,13 +124,17 @@ def intensity_spectrum(
     """Intensity-enhancement spectra of both rings on a uniform grid.
 
     Each ring's column is the sum of |f|^2 over that ring's in-band
-    resonances only. Raises :class:`ringpair.errors.EmptyBand` (from
-    the comb solver) if either ring has no resonance in the band.
+    resonances only. Raises ``ValueError`` unless ``n_points`` is
+    between 2 and ``MAX_SPECTRUM_POINTS``, and
+    :class:`ringpair.errors.EmptyBand` (from the comb solver) if either
+    ring has no resonance in the band.
     """
     import numpy as np
 
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")
+    if n_points > MAX_SPECTRUM_POINTS:
+        raise ValueError(f"n_points must be at most {MAX_SPECTRUM_POINTS}, got {n_points}")
     lo, hi = sorted((float(band[0]), float(band[1])))
     comb1, comb2 = device_combs(device, (lo, hi))
     omega = np.linspace(lo, hi, n_points)

@@ -22,13 +22,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import EmptyBand, NoConvergence, NonPhysical
 from .errors import require_finite, require_non_negative, require_positive
-
-if TYPE_CHECKING:
-    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -274,31 +270,15 @@ class Resonance:
         return fwhm
 
 
-def effective_index(wg: WaveguideParams, omega) -> np.ndarray | float:
-    """Effective index at one or many angular frequencies.
+def effective_index(wg: WaveguideParams, omega: float) -> float:
+    """Effective index at angular frequency ``omega`` [rad/s].
 
     Evaluates the linear Taylor law around ``wg.omega_ref`` and, when a
     second-order coefficient is present, folds the extra quadratic
-    wavevector term back into an equivalent index.
-
-    Parameters
-    ----------
-    wg : WaveguideParams
-    omega : float or ndarray
-        Angular frequency [rad/s].
-
-    Returns
-    -------
-    float or ndarray
-        Effective index, same shape as ``omega``.
-
-    Raises
-    ------
-    ValueError
-        If ``omega`` (any element of it, for an ndarray) is not finite
-        and positive.
+    wavevector term back into an equivalent index. Raises
+    ``ValueError`` unless ``omega`` is finite and positive.
     """
-    _require_omega(omega)
+    require_positive("omega", omega)
     detune = omega - wg.omega_ref
     n = wg.n_eff_ref + (wg.n_g - wg.n_eff_ref) * detune / wg.omega_ref
     if wg.gvd != 0.0:
@@ -306,7 +286,7 @@ def effective_index(wg: WaveguideParams, omega) -> np.ndarray | float:
     return n
 
 
-def wavevector(wg: WaveguideParams, omega) -> np.ndarray | float:
+def wavevector(wg: WaveguideParams, omega: float) -> float:
     """Propagation constant k(w) = n_eff(w) * w / c [1/m].
 
     Raises ``ValueError`` unless ``omega`` is finite and positive.
@@ -314,7 +294,7 @@ def wavevector(wg: WaveguideParams, omega) -> np.ndarray | float:
     return effective_index(wg, omega) * omega / C_VACUUM
 
 
-def group_index(wg: WaveguideParams, omega) -> np.ndarray | float:
+def group_index(wg: WaveguideParams, omega: float) -> float:
     """Local group index c * dk/dw.
 
     Reduces to ``wg.n_g`` exactly at the reference frequency and drifts
@@ -323,34 +303,13 @@ def group_index(wg: WaveguideParams, omega) -> np.ndarray | float:
     ``NonPhysical`` when the group index is not finite, which includes
     overflowing the float range.
     """
-    _require_omega(omega)
+    require_positive("omega", omega)
     ng = wg.n_eff_ref + (wg.n_g - wg.n_eff_ref) * (2.0 * omega - wg.omega_ref) / wg.omega_ref
     if wg.gvd != 0.0:
         ng = ng + C_VACUUM * wg.gvd * (omega - wg.omega_ref)
-    if not _all_finite(ng):
+    if not math.isfinite(ng):
         raise NonPhysical(f"group index is not finite for n_g = {wg.n_g:.6g}")
     return ng
-
-
-def _require_omega(omega) -> None:
-    """Raise ``ValueError`` unless ``omega`` (or each element) is finite and positive."""
-    if isinstance(omega, (float, int)):
-        if not 0.0 < omega < math.inf:
-            raise ValueError(f"omega must be finite and positive, got {omega}")
-        return
-    import numpy as np
-
-    if not np.all((omega > 0.0) & (omega < math.inf)):
-        raise ValueError("omega must be finite and positive in every element")
-
-
-def _all_finite(x) -> bool:
-    """Whether a float, or every element of an ndarray, is finite."""
-    if isinstance(x, float):
-        return math.isfinite(x)
-    import numpy as np
-
-    return bool(np.isfinite(x).all())
 
 
 def q_loaded(q_intrinsic: float, q_coupling: float) -> float:
@@ -360,7 +319,7 @@ def q_loaded(q_intrinsic: float, q_coupling: float) -> float:
     return 1.0 / (1.0 / q_intrinsic + 1.0 / q_coupling)
 
 
-def round_trip_phase(wg: WaveguideParams, ring: RacetrackSpec, omega) -> np.ndarray | float:
+def round_trip_phase(wg: WaveguideParams, ring: RacetrackSpec, omega: float) -> float:
     """Accumulated phase k(w) * round_trip_length [rad].
 
     Raises ``ValueError`` unless ``omega`` is finite and positive.

@@ -19,14 +19,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import NonPhysical
 from .errors import require_finite, require_non_negative, require_positive
 from .geometry import WaveguideParams
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ISOLATION_FLOOR_DB = 200.0
 
@@ -53,15 +49,11 @@ class CmtField:
         Coupling constant [1/m].
     length : float
         Coupler length the field was solved for [m].
-    degenerate : bool
-        True when |kappa| is exactly zero; the amplitudes are then
-        constant along z.
     """
 
     port: str
     kappa: complex
     length: float
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
         if self.port not in ("IN", "OUT"):
@@ -69,29 +61,24 @@ class CmtField:
         require_finite("kappa", self.kappa)
         require_positive("length", self.length)
 
-    def a1(self, z) -> np.ndarray | complex:
+    @property
+    def degenerate(self) -> bool:
+        """True when |kappa| is exactly zero; the amplitudes are then constant along z."""
+        return abs(self.kappa) == 0.0
+
+    def a1(self, z: float) -> complex:
         """Amplitude in guide 1 at position z [dimensionless]."""
-        import numpy as np
-
-        z = np.asarray(z, dtype=float)
         mag = abs(self.kappa)
         if self.port == "OUT":
-            out = np.cos(mag * z) + 0.0j
-        else:
-            out = -1j * phase_unit(self.kappa) * np.sin(mag * z)
-        return complex(out) if np.ndim(out) == 0 else out
+            return complex(math.cos(mag * z))
+        return -1j * phase_unit(self.kappa) * math.sin(mag * z)
 
-    def a2(self, z) -> np.ndarray | complex:
+    def a2(self, z: float) -> complex:
         """Amplitude in guide 2 at position z [dimensionless]."""
-        import numpy as np
-
-        z = np.asarray(z, dtype=float)
         mag = abs(self.kappa)
         if self.port == "OUT":
-            out = 1j * phase_unit(self.kappa) * np.sin(mag * z)
-        else:
-            out = np.cos(mag * z) + 0.0j
-        return complex(out) if np.ndim(out) == 0 else out
+            return 1j * phase_unit(self.kappa) * math.sin(mag * z)
+        return complex(math.cos(mag * z))
 
 
 @dataclass(frozen=True)
@@ -130,27 +117,18 @@ def solve_dc_fields(kappa: complex, length: float) -> tuple[CmtField, CmtField]:
         The IN-port and OUT-port fields, in that order.
     """
     kappa = complex(kappa)
-    degenerate = abs(kappa) == 0.0
-    return (
-        CmtField(port="IN", kappa=kappa, length=length, degenerate=degenerate),
-        CmtField(port="OUT", kappa=kappa, length=length, degenerate=degenerate),
-    )
+    return CmtField("IN", kappa, length), CmtField("OUT", kappa, length)
 
 
 def dc_transfer(kappa: complex, length: float) -> DcTransfer:
-    """Linear transfer matrix entries of the coupler at length L."""
+    """Linear transfer matrix entries of the coupler at length L.
+
+    These are the OUT field's amplitudes at the coupler's end: ``a1(L)``
+    stays in the fed guide and ``a2(L)`` crosses into the other one.
+    """
     kappa = complex(kappa)
-    require_finite("kappa", kappa)
-    require_positive("length", length)
-    mag = abs(kappa)
-    if mag == 0.0:
-        return DcTransfer(through=1.0 + 0.0j, cross=0.0j, kappa=kappa, length=length)
-    return DcTransfer(
-        through=complex(math.cos(mag * length)),
-        cross=1j * phase_unit(kappa) * math.sin(mag * length),
-        kappa=kappa,
-        length=length,
-    )
+    field = CmtField("OUT", kappa, length)
+    return DcTransfer(field.a1(length), field.a2(length), kappa, length)
 
 
 def isolation_db(kappa: complex, length: float) -> float:

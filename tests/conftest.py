@@ -29,7 +29,8 @@ DEVICE_JSON = REPO / "devices" / "silicon_racetrack.json"
 TWO_PI = 2.0 * math.pi
 
 # Property tests draw the same examples on every run and keep no example
-# database, so the suite's verdict repeats and nothing is written to disk.
+# database, so the suite's verdict repeats. Hypothesis still writes its
+# caches under .hypothesis/ in the working directory (gitignored).
 settings.register_profile("ringpair", derandomize=True, database=None)
 settings.load_profile("ringpair")
 

@@ -631,6 +631,18 @@ class TestExitCodes:
         assert err["context"]["error"] == "ValueError"
         assert "1e400THz" in err["message"]
 
+    def test_spectrum_points_above_ceiling(self, tmp_path, capsys):
+        # A trillion samples used to fail in numpy's allocation with a
+        # traceback; the count is refused before anything is allocated.
+        out = tmp_path / "spec.csv"
+        rc = main(["spectrum", "--device", DEV, "--band", *BAND,
+                   "--points", "1000000000000", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error"] == "ValueError"
+        assert "n_points" in err["message"]
+
     @pytest.mark.parametrize(
         "argv",
         [

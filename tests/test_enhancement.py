@@ -81,7 +81,7 @@ class TestLineShape:
         dev = make_device()
         res = one_resonance(dev)
         w = res.omega0 + np.linspace(-10, 10, 41) * res.linewidth
-        mags = np.abs(lorentzian_response(res, w))
+        mags = np.array([abs(lorentzian_response(res, x)) for x in w.tolist()])
         assert np.all(mags <= 1.0 + 1e-15)
         assert np.argmax(mags) == 20
 
@@ -136,16 +136,15 @@ def _line_and_offset(draw, near):
 
 
 class TestLineShapeMatchesNumpy:
-    """A float omega gives, bit for bit, what numpy gives for the same
-    value inside an ndarray and what it gave as a 0-d array, in both
-    branches of Smith's division. At the center x = omega - omega0 is
-    +0 (a - a rounds to +0); its one-ulp neighbours give x of either sign."""
+    """A float omega gives, bit for bit, what numpy gave for it as a 0-d
+    array, in both branches of Smith's division. At the center
+    x = omega - omega0 is +0 (a - a rounds to +0); its one-ulp
+    neighbours give x of either sign."""
 
     @staticmethod
     def _assert_same(res, omega):
         got = lorentzian_response(res, omega)
         assert type(got) is complex
-        assert _bits(got) == _bits(complex(lorentzian_response(res, np.array([omega]))[0]))
         assert _bits(got) == _bits(_numpy_line(res, omega))
 
     @settings(max_examples=300, deadline=None)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringpair import (
+    CmtField,
     NonPhysical,
     dc_transfer,
     isolation_db,
@@ -19,12 +20,19 @@ from ringpair import (
     solve_dc_fields,
 )
 from ringpair.geometry import WaveguideParams
+from ringpair.linear_cmt import phase_unit
 from scipy.constants import c as C_VACUUM
 
 kappa_mags = st.floats(min_value=1.0, max_value=1e7)
 kappa_phases = st.floats(min_value=-math.pi, max_value=math.pi)
 lengths = st.floats(min_value=1e-7, max_value=1e-2)
 fractions = st.floats(min_value=0.0, max_value=1.0)
+# Coupling constants of any phase, exactly zero included.
+kappas = st.builds(
+    lambda mag, phase: mag * cmath.exp(1j * phase),
+    st.one_of(st.just(0.0), kappa_mags),
+    kappa_phases,
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -223,3 +231,61 @@ def test_kerr_efficiency_out_of_range(kappa, delta_beta):
     # Squaring |kappa|, delta_beta or their ratio used to raise OverflowError.
     with pytest.raises(NonPhysical, match="overflows"):
         kerr_detuned_efficiency(kappa, 4.7e-5, delta_beta)
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    """Both parts of z as hex strings, which tell -0.0 from 0.0."""
+    return z.real.hex(), z.imag.hex()
+
+
+def _old_dc_transfer(kappa, length):
+    """(through, cross) as dc_transfer wrote them before it read the OUT field."""
+    kappa = complex(kappa)
+    mag = abs(kappa)
+    if mag == 0.0:
+        return 1.0 + 0.0j, 0.0j
+    return complex(math.cos(mag * length)), 1j * phase_unit(kappa) * math.sin(mag * length)
+
+
+def _numpy_fields(field, z):
+    """(a1, a2) as CmtField computed them with numpy before the math form."""
+    z = np.asarray(z, dtype=float)
+    mag = abs(field.kappa)
+    if field.port == "OUT":
+        return (complex(np.cos(mag * z) + 0.0j),
+                complex(1j * phase_unit(field.kappa) * np.sin(mag * z)))
+    return (complex(-1j * phase_unit(field.kappa) * np.sin(mag * z)),
+            complex(np.cos(mag * z) + 0.0j))
+
+
+class TestOneBeatSolution:
+    """dc_transfer reads the OUT field at the coupler's end, and the
+    fields compute on floats; both keep the numbers they had before."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kappas, lengths)
+    def test_dc_transfer_matches_old_expression(self, kappa, length):
+        t = dc_transfer(kappa, length)
+        through, cross = _old_dc_transfer(kappa, length)
+        assert (_bits(t.through), _bits(t.cross)) == (_bits(through), _bits(cross))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kappas, lengths, fractions)
+    def test_fields_match_numpy_expressions(self, kappa, length, frac):
+        z = frac * length
+        for field in solve_dc_fields(kappa, length):
+            a1, a2 = _numpy_fields(field, z)
+            assert type(field.a1(z)) is complex and type(field.a2(z)) is complex
+            assert abs(field.a1(z) - a1) <= 1e-15
+            assert abs(field.a2(z) - a2) <= 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(kappas, lengths)
+    def test_degenerate_is_kappa_zero(self, kappa, length):
+        for field in solve_dc_fields(kappa, length):
+            assert field.degenerate == (kappa == 0)
+
+    def test_degenerate_is_not_settable(self):
+        # It used to be a field that could contradict kappa.
+        with pytest.raises(TypeError):
+            CmtField("IN", 1e4, 1e-5, degenerate=True)

@@ -67,7 +67,10 @@ class TestZIdentity:
         kappa = mag * cmath.exp(1j * phase)
         f_in, f_out = solve_dc_fields(kappa, length)
         z = np.linspace(0.0, length, 101)
-        direct = f_in.a1(z) ** 2 * f_out.a1(z) ** 2 + f_in.a2(z) ** 2 * f_out.a2(z) ** 2
+        direct = [
+            f_in.a1(x) ** 2 * f_out.a1(x) ** 2 + f_in.a2(x) ** 2 * f_out.a2(x) ** 2
+            for x in z.tolist()
+        ]
         np.testing.assert_allclose(
             kernels.dc_overlap_integrand(z, mag, phase, 0.0),
             direct,
