@@ -45,7 +45,6 @@ from .enhancement import (
     spectrum_to_csv,
 )
 from .errors import (
-    ApproximationWarning,
     AssumptionViolated,
     EmptyBand,
     Infeasible,

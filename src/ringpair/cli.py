@@ -76,6 +76,11 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
+# Most rows a suppression or sweep CSV may hold. A million suppression
+# rows take seconds and hundreds of MB; a larger count is refused before
+# anything is computed.
+MAX_ROWS = 10**6
+
 _INFEASIBLE_ERRORS = (Infeasible, OutOfRange, ValidityExceeded)
 _NUMERICAL_ERRORS = (NoConvergence, QuadratureFailure, NonPhysical)
 _VALIDATION_ERRORS = (ValueError, OSError, EmptyBand, MissingResonance, AssumptionViolated)
@@ -129,6 +134,11 @@ def _band_pair(edges: Sequence[str]) -> tuple[float, float]:
     if lo == hi:
         raise ValueError("band edges must differ")
     return (lo, hi)
+
+
+def _require_rows(flag: str, n: int) -> None:
+    if not 2 <= n <= MAX_ROWS:
+        raise ValueError(f"{flag} must be between 2 and {MAX_ROWS}, got {n}")
 
 
 def _json_text(payload: Any) -> str:
@@ -190,7 +200,9 @@ def cmd_overlap(args: argparse.Namespace, argv: Sequence[str]) -> None:
     band = _band_pair(args.band)
     cfg = resonant_config(device, band, pump_separation=args.separation)
     solver = j_quadrature if args.method == "quadrature" else j_closed_form
-    res = solver(device, cfg, strict=args.strict)
+    res = solver(device, cfg)
+    if args.strict and res.warnings:
+        raise AssumptionViolated(res.warnings[0])
     payload = {
         "j_abs": res.j_abs,
         "j_phase": cmath.phase(res.j_value),
@@ -216,6 +228,7 @@ def cmd_rates(args: argparse.Namespace, argv: Sequence[str]) -> None:
 
 
 def cmd_suppression(args: argparse.Namespace, argv: Sequence[str]) -> None:
+    _require_rows("--points", args.points)
     device = load_device(args.device, strict=args.strict)
     band = _band_pair(args.band)
     cfg = resonant_config(device, band, pump_separation=args.separation)
@@ -228,8 +241,6 @@ def cmd_suppression(args: argparse.Namespace, argv: Sequence[str]) -> None:
         return beta_sq / drive.pulse_duration
 
     signal_rate = rate(cfg.signal_mismatch)
-    if args.points < 2:
-        raise ValueError(f"points must be at least 2, got {args.points}")
     rows = []
     for i in range(args.points):
         x = args.max_detuning * i / (args.points - 1) + 0.0  # -0.0 + 0.0 is 0.0: no "-0" row
@@ -282,8 +293,7 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
     if args.values is not None:
         lo, hi = float(args.values[0]), float(args.values[1])
         n = int(args.values[2])
-        if n < 2:
-            raise ValueError(f"sweep needs at least 2 points, got {n}")
+        _require_rows("--values N", n)
         return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     return [float(v) for v in args.list.split(",")]
 

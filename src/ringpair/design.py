@@ -24,10 +24,9 @@ the result instead of flipping the verdict.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
-from .errors import ApproximationWarning, Infeasible, NoConvergence, OutOfRange, ValidityExceeded
+from .errors import Infeasible, NoConvergence, OutOfRange, ValidityExceeded
 from .errors import require_non_negative, require_positive
 from .geometry import (
     C_VACUUM,
@@ -493,11 +492,8 @@ def evaluate_design(
         ),
     )
 
-    # The report carries the approximation warnings as notes instead.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ApproximationWarning)
-        j = j_closed_form(device, cfg)
-        ref = j_single_ring_baseline(device, cfg)
+    j = j_closed_form(device, cfg)
+    ref = j_single_ring_baseline(device, cfg)
     return DesignReport(
         device=device,
         passed=all(r.passed for r in rules),

@@ -59,6 +59,7 @@ def lorentzian_response(res: Resonance, omega: float) -> complex:
     (Smith's method with a reciprocal), so it gives the bytes numpy
     gives for the same value.
     """
+    require_finite("omega", omega)
     hw = 0.5 * res.linewidth
     x = omega - res.omega0
     if abs(x) >= hw:
@@ -82,11 +83,13 @@ class EnhancementProfile:
     def peak_intensity(self) -> float:
         return self.peak_amplitude**2
 
-    def intensity(self, omega) -> np.ndarray | float:
+    def intensity(self, omega: float | np.ndarray) -> np.ndarray | float:
         """|f(omega)|^2 for this resonance alone."""
         import numpy as np
 
         omega = np.asarray(omega, dtype=float)
+        if not np.isfinite(omega).all():
+            raise ValueError(f"omega must be finite, got {omega}")
         hw = 0.5 * self.resonance.linewidth
         out = self.peak_intensity * hw**2 / ((omega - self.resonance.omega0) ** 2 + hw**2)
         return float(out) if out.ndim == 0 else out

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package.
+"""Exception types shared across the package.
 
 Every failure mode that callers are expected to branch on gets its own
 class. The CLI maps these onto process exit codes, so the hierarchy is
@@ -58,7 +58,7 @@ class QuadratureFailure(RingpairError):
 
 
 class AssumptionViolated(RingpairError):
-    """A closed-form approximation was used outside its stated validity."""
+    """A result's model-assumption note, promoted to an error by the command line."""
 
 
 class NonPhysical(RingpairError):
@@ -75,11 +75,3 @@ class Infeasible(RingpairError):
 
 class ValidityExceeded(RingpairError):
     """A perturbative validity metric exceeded its configured ceiling."""
-
-
-class ApproximationWarning(UserWarning):
-    """Emitted when a result is produced outside a model's comfort zone.
-
-    In lenient mode (the default) assumption checks warn with this
-    category instead of raising :class:`AssumptionViolated`.
-    """

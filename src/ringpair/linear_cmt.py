@@ -68,6 +68,7 @@ class CmtField:
 
     def a1(self, z: float) -> complex:
         """Amplitude in guide 1 at position z [dimensionless]."""
+        require_finite("z", z)
         mag = abs(self.kappa)
         if self.port == "OUT":
             return complex(math.cos(mag * z))
@@ -75,6 +76,7 @@ class CmtField:
 
     def a2(self, z: float) -> complex:
         """Amplitude in guide 2 at position z [dimensionless]."""
+        require_finite("z", z)
         mag = abs(self.kappa)
         if self.port == "OUT":
             return 1j * phase_unit(self.kappa) * math.sin(mag * z)

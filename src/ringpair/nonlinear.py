@@ -28,27 +28,22 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
-from .errors import AssumptionViolated, ApproximationWarning, NonPhysical
-from .errors import require_finite, require_positive
+from .errors import NonPhysical, require_finite, require_positive
 from .geometry import DeviceSpec, Resonance, WaveguideParams, device_combs, wavevector
 from .enhancement import ENHANCEMENT_WINDOW_LINEWIDTHS, lorentzian_response, peak_amplitude
 from .linear_cmt import phase_unit
 
 PUMP_Q_MISMATCH_LIMIT = 0.10
 PHASE_MISMATCH_LIMIT = math.pi / 10.0
+RING_LENGTH_MISMATCH_LIMIT = 0.01
 
 
-def _assume(condition: bool, message: str, strict: bool, log: list[str]) -> None:
-    """Record an assumption check; warn in lenient mode, raise in strict."""
-    if condition:
-        return
-    if strict:
-        raise AssumptionViolated(message)
-    warnings.warn(message, ApproximationWarning, stacklevel=3)
-    log.append(message)
+def _assume(condition: bool, message: str, log: list[str]) -> None:
+    """Append ``message`` to the result's log unless the assumption holds."""
+    if not condition:
+        log.append(message)
 
 
 @dataclass(frozen=True)
@@ -179,7 +174,7 @@ def _material_factor(device: DeviceSpec) -> float:
     return factor
 
 
-def j_quadrature(device: DeviceSpec, cfg: ProcessConfig, strict: bool = False) -> OverlapResult:
+def j_quadrature(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
     """Overlap figure J, exact at the configured frequencies.
 
     The four enhancement factors are evaluated at the configured
@@ -187,10 +182,6 @@ def j_quadrature(device: DeviceSpec, cfg: ProcessConfig, strict: bool = False) -
     device's coupler strength, coupler length and the configured phase
     mismatch. The name and the ``"quadrature"`` method tag are part of
     the command line's ``--method`` choice and of its artifacts.
-
-    In strict mode assumption violations raise
-    :class:`ringpair.errors.AssumptionViolated`; in lenient mode (the
-    default) they warn and are recorded on the result.
     """
     log: list[str] = []
     detunings = cfg.detuning_in_linewidths()
@@ -198,7 +189,6 @@ def j_quadrature(device: DeviceSpec, cfg: ProcessConfig, strict: bool = False) -
         max(detunings) <= ENHANCEMENT_WINDOW_LINEWIDTHS,
         f"a field is {max(detunings):.1f} linewidths from its resonance; the "
         "Lorentzian enhancement model is a near-resonance approximation",
-        strict,
         log,
     )
 
@@ -221,7 +211,7 @@ def j_quadrature(device: DeviceSpec, cfg: ProcessConfig, strict: bool = False) -
 
 
 def _closed_form_parts(
-    device: DeviceSpec, cfg: ProcessConfig, strict: bool, log: list[str]
+    device: DeviceSpec, cfg: ProcessConfig, log: list[str]
 ) -> tuple[float, float]:
     """Prefactor of the analytic J and the material factor.
 
@@ -236,7 +226,6 @@ def _closed_form_parts(
         q_rel <= PUMP_Q_MISMATCH_LIMIT,
         f"pump quality factors differ by {q_rel:.1%}; the closed form assumes "
         "nearly equal pump linewidths",
-        strict,
         log,
     )
     wg = device.waveguide
@@ -260,7 +249,7 @@ def _closed_form_parts(
     return pref, _material_factor(device)
 
 
-def j_closed_form(device: DeviceSpec, cfg: ProcessConfig, strict: bool = False) -> OverlapResult:
+def j_closed_form(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
     """Overlap figure J from the analytic null-length result.
 
     Valid when the coupler sits at a linear null and the phase mismatch
@@ -272,10 +261,9 @@ def j_closed_form(device: DeviceSpec, cfg: ProcessConfig, strict: bool = False) 
         abs(cfg.delta_k) * device.dc_length <= PHASE_MISMATCH_LIMIT,
         f"|delta_k| * L = {abs(cfg.delta_k) * device.dc_length:.3g} rad exceeds the "
         "small-mismatch regime of the closed form",
-        strict,
         log,
     )
-    pref, material = _closed_form_parts(device, cfg, strict, log)
+    pref, material = _closed_form_parts(device, cfg, log)
     z_factor = complex(device.dc_length / 4.0)
     enh = enhancement_factor(cfg)
     j = pref * material * z_factor * enh
@@ -288,9 +276,7 @@ def j_closed_form(device: DeviceSpec, cfg: ProcessConfig, strict: bool = False) 
     )
 
 
-def j_single_ring_baseline(
-    device: DeviceSpec, cfg: ProcessConfig, strict: bool = False
-) -> OverlapResult:
+def j_single_ring_baseline(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
     """J of the single-ring reference device of equivalent length.
 
     The reference is one ring whose round trip equals the geometric
@@ -301,13 +287,12 @@ def j_single_ring_baseline(
     l1 = device.ring1.round_trip_length
     l2 = device.ring2.round_trip_length
     _assume(
-        abs(l1 - l2) <= 0.01 * max(l1, l2),
+        abs(l1 - l2) <= RING_LENGTH_MISMATCH_LIMIT * max(l1, l2),
         f"ring lengths differ by {abs(l1 - l2) / max(l1, l2):.1%}; the single-ring "
         "comparison assumes nearly equal round trips",
-        strict,
         log,
     )
-    pref, material = _closed_form_parts(device, cfg, strict, log)
+    pref, material = _closed_form_parts(device, cfg, log)
     l_mean = math.sqrt(l1 * l2)
     enh = enhancement_factor(cfg)
     j = pref * material * l_mean * enh
@@ -320,7 +305,7 @@ def j_single_ring_baseline(
     )
 
 
-def j_single_ring_ratio(device: DeviceSpec, cfg: ProcessConfig, strict: bool = False) -> float:
+def j_single_ring_ratio(device: DeviceSpec, cfg: ProcessConfig) -> float:
     """|J| of this device over |J| of the single-ring reference.
 
     Equals dc_length / (4 * L_rt) for equal ring lengths: the price of
@@ -329,9 +314,7 @@ def j_single_ring_ratio(device: DeviceSpec, cfg: ProcessConfig, strict: bool = F
     bend-limited optimum (coupler length pi*R, round trip 4*pi*R) the
     ratio is 1/16.
     """
-    j_dev = j_closed_form(device, cfg, strict=strict)
-    j_ref = j_single_ring_baseline(device, cfg, strict=strict)
-    return j_dev.j_abs / j_ref.j_abs
+    return j_closed_form(device, cfg).j_abs / j_single_ring_baseline(device, cfg).j_abs
 
 
 def pump_pair(

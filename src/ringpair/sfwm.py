@@ -76,6 +76,7 @@ class PumpDrive:
 
     def power(self, omega: float) -> float:
         """Mean power [W] of the pulse's photons at ``omega``."""
+        require_positive("omega", omega)
         return self.photon_number * HBAR * omega / self.pulse_duration
 
 
@@ -99,6 +100,7 @@ class PairRateReport:
     notes: tuple[str, ...] = ()
 
     def per_second(self, beta_sq: float) -> float:
+        require_finite("beta_sq", beta_sq)
         return beta_sq / self.pulse_duration
 
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,13 +21,14 @@ from ringpair.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    MAX_ROWS,
     SWEEP_REPORTS,
     main,
     parse_frequency,
 )
 from ringpair.deviceio import FILE_FORMAT
 
-from conftest import DEVICE_JSON, make_device
+from conftest import DEVICE_JSON, REPO, make_device
 
 DEV = str(DEVICE_JSON)
 BAND = ["192THz", "195THz"]
@@ -53,6 +57,9 @@ README_COMMANDS = {
     "sweep": ["sweep", "--device", DEV, "--param", "dc.gap_m", "--values", "2.8e-7", "3.2e-7",
               "41", "--report", "isolation"],
 }
+# The README's overlap band read by the closed form, whose phase-mismatch
+# check fails there: the artifact carries one note and the run succeeds.
+NOTED_OVERLAP = ["overlap", "--device", DEV, "--band", "1567nm:1543nm", "--method", "closed-form"]
 
 
 # Artifact keys: the fields of the library's result dataclass plus the
@@ -237,6 +244,29 @@ class TestArtifacts:
         assert outs[0].read_bytes() == outs[2].read_bytes()
 
 
+
+class TestQuietSuccess:
+    QUIET = {**README_COMMANDS, "overlap-closed-form": NOTED_OVERLAP}
+
+    @pytest.mark.parametrize("argv", QUIET.values(), ids=QUIET.keys())
+    def test_success_writes_nothing_to_stderr(self, argv, tmp_path):
+        # A fresh interpreter with Python's default warning filters: a
+        # model-assumption note goes into the artifact, never to stderr.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringpair.cli", *argv, "--out", str(tmp_path / "artifact")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+
+
 # The flags more than one command or sweep report reads, per subcommand.
 DRIVE_FLAGS = ["--photons", "--pulse", "--kcal", "--self-coupling"]
 SHARED_FLAGS = {
@@ -302,6 +332,35 @@ class TestOverlap:
         assert rc == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["warnings"] == []
+
+    def test_strict_fails_on_the_first_note(self, tmp_path, capsys):
+        lenient, strict = tmp_path / "lenient.json", tmp_path / "strict.json"
+        assert main([*NOTED_OVERLAP, "--out", str(lenient)]) == EXIT_OK
+        notes = json.loads(lenient.read_text())["warnings"]
+        assert notes
+        capsys.readouterr()
+        assert main([*NOTED_OVERLAP, "--strict", "--out", str(strict)]) == EXIT_VALIDATION
+        assert not strict.exists()
+        assert not (tmp_path / "strict.json.meta.json").exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"code": EXIT_VALIDATION, "context": {"error": "AssumptionViolated"},
+                       "message": notes[0]}
+
+    def test_strict_reports_an_input_error_before_a_note(self, tmp_path, capsys):
+        # J is computed before --strict reads its notes, so the zero-chi3
+        # error wins over the phase-mismatch note.
+        data = json.loads(DEVICE_JSON.read_text())
+        data["waveguide"]["chi3_m2_v2"] = 0.0
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "overlap.json"
+        argv = [*NOTED_OVERLAP, "--strict", "--out", str(out)]
+        argv[argv.index("--device") + 1] = str(path)
+        assert main(argv) == EXIT_VALIDATION
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error"] == "ValueError"
+        assert "chi3_bar = 0" in err["message"]
 
 
 class TestRates:
@@ -642,6 +701,27 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["context"]["error"] == "ValueError"
         assert "n_points" in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["suppression", "--device", DEV, "--band", *BAND, "--points", "100000000"],
+             "--points"),
+            (["sweep", "--device", DEV, "--param", "dc.gap_m", "--values", "2.8e-7", "3.2e-7",
+              "100000000", "--report", "isolation"], "--values N"),
+        ],
+        ids=["suppression", "sweep"],
+    )
+    def test_row_count_above_ceiling(self, argv, flag, tmp_path, capsys):
+        # 10^8 rows used to end in a MemoryError traceback under a memory
+        # cap; the count is refused before anything is computed.
+        out = tmp_path / "rows.csv"
+        rc = main([*argv, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error"] == "ValueError"
+        assert err["message"] == f"{flag} must be between 2 and {MAX_ROWS}, got 100000000"
 
     @pytest.mark.parametrize(
         "argv",
