@@ -40,11 +40,10 @@ from . import __version__
 from .design import DesignGoal, null_kerr_metric, optimize_device, xpm_spm_compensation
 from .deviceio import (
     csv_text,
-    device_from_dict,
     device_to_dict,
     load_device,
     read_device_json,
-    set_device_param,
+    swept_devices,
     write_text_atomic,
 )
 from .enhancement import intensity_spectrum, spectrum_to_csv
@@ -289,13 +288,27 @@ def cmd_optimize(args: argparse.Namespace, argv: Sequence[str]) -> None:
     _emit(args.report, _json_text(payload), argv)
 
 
+def _parse_flag(flag: str, kind: type, text: str) -> Any:
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{flag} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {text!r}") from None
+
+
 def _sweep_values(args: argparse.Namespace) -> list[float]:
     if args.values is not None:
-        lo, hi = float(args.values[0]), float(args.values[1])
-        n = int(args.values[2])
+        lo = _parse_flag("--values LO", float, args.values[0])
+        hi = _parse_flag("--values HI", float, args.values[1])
+        n = _parse_flag("--values N", int, args.values[2])
         _require_rows("--values N", n)
-        return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    return [float(v) for v in args.list.split(",")]
+        points = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+        # A finite LO and HI can still overflow HI - LO or a point.
+        if not all(map(math.isfinite, points)):
+            raise ValueError("--values LO HI N must give finite points, got "
+                             + " ".join(map(repr, args.values)))
+        return points
+    return [_parse_flag("--list value", float, v) for v in args.list.split(",")]
 
 
 def _suppression_row(device, args: argparse.Namespace, band) -> tuple[float, ...]:
@@ -342,10 +355,8 @@ def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> None:
     raw = read_device_json(args.device)
     values = _sweep_values(args)
     band = _band_pair(args.band) if "band" in flags else None
-    rows = []
-    for value in values:
-        set_device_param(raw, args.param, value)
-        rows.append((value, *row(device_from_dict(raw, strict=args.strict), args, band)))
+    devices = swept_devices(raw, args.param, values, strict=args.strict)
+    rows = [(value, *row(device, args, band)) for value, device in zip(values, devices)]
     _emit(args.out, csv_text(("param_value", *columns), rows), argv)
 
 

@@ -5,7 +5,7 @@ everything is angular (rad/s). The format is versioned through a
 mandatory ``"schema": 1`` key so that future revisions can migrate old
 files instead of misreading them. ``FILE_FORMAT`` is the one definition
 of the keys, their units and their defaults: reading, writing and
-:func:`set_device_param` all work from it.
+:func:`swept_devices` all work from it.
 
 Unknown keys are tolerated by default so that annotated device files
 keep loading; strict mode rejects them, which is what the CLI
@@ -19,8 +19,9 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import replace
 from itertools import chain
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .geometry import CouplingModel, DeviceSpec, RacetrackSpec, WaveguideParams
 
@@ -61,6 +62,9 @@ FILE_FORMAT: dict[str, tuple[tuple[str, str, float, float | None], ...]] = {
         ("phase_rad", "phase", 1.0, 0.0),
     ),
 }
+# The DeviceSpec attribute holding each section's fields (None: the device's own).
+_OWNERS = {"waveguide": "waveguide", "ring1": "ring1", "ring2": "ring2", "dc": None,
+           "coupling_model": "coupling"}
 
 
 def _require_number(section: str, data: dict, key: str) -> float:
@@ -129,16 +133,9 @@ def device_from_dict(data: dict[str, Any], strict: bool = False) -> DeviceSpec:
 
 def device_to_dict(device: DeviceSpec) -> dict[str, Any]:
     """Serialize a device back to the file representation (Hz, meters)."""
-    owners = {
-        "waveguide": device.waveguide,
-        "ring1": device.ring1,
-        "ring2": device.ring2,
-        "dc": device,
-        "coupling_model": device.coupling,
-    }
     out: dict[str, Any] = {"schema": SCHEMA_VERSION}
     for name, rows in FILE_FORMAT.items():
-        owner = owners[name]
+        owner = getattr(device, _OWNERS[name]) if _OWNERS[name] else device
         # Unit-scale fields are copied, so an integer stays an integer.
         out[name] = {
             key: getattr(owner, field) / scale if scale != 1.0 else getattr(owner, field)
@@ -147,12 +144,15 @@ def device_to_dict(device: DeviceSpec) -> dict[str, Any]:
     return out
 
 
-def set_device_param(data: dict[str, Any], dotted: str, value: float) -> None:
-    """Set one entry of a parsed device file, addressed as ``section.leaf``.
+def swept_devices(data: dict[str, Any], dotted: str, values: Iterable[float],
+                  strict: bool = False) -> Iterator[DeviceSpec]:
+    """Devices of a parsed device file with one entry set to each value in turn.
 
-    The leaf is the file key (``dc.gap_m``) or the dataclass field name
-    (``dc.dc_gap``); either way ``value`` is stored under the file key,
-    in the file key's unit. Raises ``ValueError`` for an unknown path.
+    The entry is ``section.leaf``, by file key (``dc.gap_m``) or field name
+    (``dc.dc_gap``); values are in the file key's unit. The file is validated
+    once, with the first value in place; each later device replaces only the
+    swept field, with the checks and ``device file:`` messages of a full
+    parse. An unknown path raises ``ValueError``.
     """
     name, _, leaf = dotted.partition(".")
     if name not in FILE_FORMAT:
@@ -160,15 +160,28 @@ def set_device_param(data: dict[str, Any], dotted: str, value: float) -> None:
             f"parameter path {dotted!r} not found; sections: {', '.join(FILE_FORMAT)}"
         )
     rows = FILE_FORMAT[name]
-    key = next((key for key, field, _, _ in rows if leaf in (key, field)), None)
-    if key is None:
+    row = next((row for row in rows if leaf in row[:2]), None)
+    if row is None:
         raise ValueError(
             f"parameter path {dotted!r} not found; keys of '{name}': "
             f"{', '.join(row[0] for row in rows)}"
         )
     if not isinstance(data, dict) or not isinstance(data.get(name), dict):
         raise ValueError(f"device file: section '{name}' must be an object")
-    data[name][key] = value
+    key, field, scale, _ = row
+    attr = _OWNERS[name]
+    device = None
+    for value in values:
+        if device is None:
+            device = device_from_dict({**data, name: {**data[name], key: value}}, strict)
+        else:
+            value = scale * _require_number(name, {key: value}, key)
+            try:
+                owner = replace(getattr(device, attr) if attr else device, **{field: value})
+                device = replace(device, **{attr: owner}) if attr else owner
+            except ValueError as exc:
+                raise ValueError(f"device file: {exc}") from exc
+        yield device
 
 
 def read_device_json(path: str | os.PathLike) -> Any:

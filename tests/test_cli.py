@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import c as c0
 
-from ringpair import DesignGoal, PumpDrive, load_device, save_device, xpm_spm_compensation
+from ringpair import (
+    DesignGoal,
+    PumpDrive,
+    cli,
+    deviceio,
+    load_device,
+    save_device,
+    xpm_spm_compensation,
+)
 from ringpair.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -642,8 +650,73 @@ class TestSweep:
         assert main([*base, "--list", "0"]) == EXIT_OK
         assert read_csv(capsys.readouterr().out)[1][0] == rows[2]
 
+    @pytest.mark.parametrize(
+        "param, value, values",
+        [
+            ("dc.gap_m", None, ["2.8e-7", "3.2e-7", "5"]),
+            ("dc.gap_m", -1, ["2.8e-7", "3.2e-7", "5"]),
+            ("ring2.heater_shift_hz", None, ["0", "1e9", "3"]),
+        ],
+        ids=["required-key-missing", "invalid-file-value", "optional-key-missing"],
+    )
+    def test_file_value_at_the_swept_key_is_never_read(self, param, value, values, tmp_path,
+                                                        capsys):
+        section, key = param.split(".")
+        data = json.loads(DEVICE_JSON.read_text())
+        if value is None:
+            del data[section][key]
+        else:
+            data[section][key] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(data), encoding="utf-8")
+        texts = []
+        for device in (DEV, str(edited)):
+            rc = main(["sweep", "--device", device, "--param", param, "--values", *values,
+                       "--report", "rates", "--band", *BAND])
+            assert rc == EXIT_OK
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+
+    def test_device_file_is_parsed_once_per_sweep(self, monkeypatch, capsys):
+        calls = []
+        parse = deviceio.device_from_dict
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+
+        # Count at the defining module and at any binding the CLI imports.
+        for module in (deviceio, cli):
+            monkeypatch.setattr(module, "device_from_dict", counted, raising=False)
+        rc = main(["sweep", "--device", DEV, "--param", "dc.gap_m", "--values", "2.8e-7",
+                   "3.2e-7", "401", "--report", "rates", "--band", *BAND])
+        assert rc == EXIT_OK
+        assert len(read_csv(capsys.readouterr().out)[1]) == 401
+        assert len(calls) == 1
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "values, flag, quoted",
+        [
+            (["--values", "2.8e-7", "3.2e-7", "1e3"], "--values N", "'1e3'"),
+            (["--values", "1", "2", "2.5"], "--values N", "'2.5'"),
+            (["--values", "2.8e-7", "abc", "5"], "--values HI", "'abc'"),
+            (["--list", "2.8e-7,x"], "--list", "'x'"),
+            (["--values", "-1e308", "1e308", "3"], "--values", "'-1e308' '1e308'"),
+        ],
+        ids=["n-exponent", "n-fraction", "hi-text", "list-text", "span-overflow"],
+    )
+    def test_bad_sweep_values_name_the_flag(self, values, flag, quoted, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--device", DEV, "--param", "dc.gap_m", *values, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert os.listdir(tmp_path) == []
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error"] == "ValueError"
+        assert flag in err["message"] and quoted in err["message"]
+        assert "device file" not in err["message"]
+
     def test_missing_device_file(self, capsys):
         rc = main(["spectrum", "--device", "/nonexistent/dev.json",
                    "--band", *BAND])

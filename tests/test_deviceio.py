@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from ringpair.deviceio import (
     csv_text,
     device_from_dict,
     device_to_dict,
-    set_device_param,
+    swept_devices,
     write_text_atomic,
 )
 from ringpair.enhancement import intensity_spectrum, spectrum_to_csv
@@ -271,7 +272,60 @@ class TestSetDeviceParam:
     @pytest.mark.parametrize("dotted", ["dc.gap", "waveguide", "dc.gap_m.x", "bogus.n_g"])
     def test_unknown_path(self, dotted):
         with pytest.raises(ValueError, match="not found"):
-            set_device_param(good_dict(), dotted, 1.0)
+            next(swept_devices(good_dict(), dotted, [1.0]))
+
+
+# Every (section, file key) of the format, addressed by each distinct leaf spelling.
+SWEPT_PATHS = [
+    (section, key, leaf)
+    for section, rows in FILE_FORMAT.items()
+    for key, field, _, _ in rows
+    for leaf in dict.fromkeys((key, field))
+]
+
+
+def swept_values(near: float):
+    """Values near the file's own, any finite double, and the edge cases."""
+    return st.one_of(
+        st.floats(0.5, 2.0).map(lambda factor: factor * near),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, -1e308]),
+    )
+
+
+class TestSweptDevices:
+    @settings(max_examples=30)
+    @pytest.mark.parametrize(
+        "section, key, leaf", SWEPT_PATHS,
+        ids=[f"{section}.{leaf}" for section, _, leaf in SWEPT_PATHS],
+    )
+    @given(data=st.data())
+    def test_each_device_matches_a_full_parse(self, section, key, leaf, data):
+        file = data.draw(st.one_of(st.builds(good_dict), device_dicts()), label="file")
+        values = data.draw(
+            st.lists(swept_values(file[section].get(key) or 1.0), min_size=1, max_size=4),
+            label="values",
+        )
+        strict = data.draw(st.booleans(), label="strict")
+        unchanged = copy.deepcopy(file)
+        devices = swept_devices(file, f"{section}.{leaf}", values, strict=strict)
+        for value in values:
+            # The oracle: write the value into a copy of the file and parse it whole.
+            point = copy.deepcopy(file)
+            point[section][key] = value
+            try:
+                expected = device_from_dict(point, strict=strict)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    next(devices)
+                assert str(raised.value) == str(exc)
+                break
+            got = next(devices)
+            # repr tells -0.0 from 0.0, which == does not.
+            assert got == expected and repr(got) == repr(expected)
+        else:
+            assert next(devices, None) is None
+        assert file == unchanged
 
 
 class TestReadmeMatchesFormat:
