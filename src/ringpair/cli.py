@@ -9,8 +9,9 @@ time-dependent (timestamps, the exact command line) goes into a
 JSON artifacts are the library's result dataclasses written with
 ``dataclasses.asdict``: ``rates`` writes a ``PairRateReport``,
 ``kerr-check`` a ``CompensationResult`` and ``optimize --report`` a
-``DesignReport`` (its device goes beside it). The CLI adds only the
-numbers the dataclass does not hold, such as per-second rates.
+``DesignReport`` under ``report``, with the tuned device in device-file
+form under ``device``. The CLI adds only the numbers the dataclass does
+not hold, such as per-second rates.
 
 Two tables build the arguments. ``_FLAGS`` holds the one argparse
 specification of each flag that more than one command or report reads.
@@ -228,6 +229,8 @@ def cmd_rates(args: argparse.Namespace, argv: Sequence[str]) -> None:
 
 def cmd_suppression(args: argparse.Namespace, argv: Sequence[str]) -> None:
     _require_rows("--points", args.points)
+    if not math.isfinite(args.max_detuning):
+        raise ValueError(f"--max-detuning must be finite, got '{args.max_detuning}'")
     device = load_device(args.device, strict=args.strict)
     band = _band_pair(args.band)
     cfg = resonant_config(device, band, pump_separation=args.separation)
@@ -282,9 +285,7 @@ def cmd_optimize(args: argparse.Namespace, argv: Sequence[str]) -> None:
     if args.out is not None:
         # A plain device file, loadable by every other operation.
         _emit(args.out, _json_text(device_to_dict(final)), argv)
-    report_fields = asdict(report)
-    del report_fields["device"]  # written beside the report, in device-file form
-    payload = {"device": device_to_dict(final), "report": report_fields}
+    payload = {"device": device_to_dict(final), "report": asdict(report)}
     _emit(args.report, _json_text(payload), argv)
 
 

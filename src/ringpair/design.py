@@ -33,7 +33,6 @@ from .geometry import (
     TWO_PI,
     CouplingModel,
     DeviceSpec,
-    Resonance,
     device_combs,
     fsr,
     finesse as ring_finesse,
@@ -162,7 +161,6 @@ class CompensationResult:
 class DesignReport:
     """Aggregate verdict of all design rules on one device."""
 
-    device: DeviceSpec
     passed: bool
     rules: tuple[RuleCheck, ...]
     j_abs: float
@@ -227,26 +225,15 @@ def _process_band(device: DeviceSpec, goal: DesignGoal) -> tuple[float, float]:
     return (w - span, w + span)
 
 
-def _config_on_comb(
+def _tune_diagnostics(
     device: DeviceSpec, goal: DesignGoal
-) -> tuple[ProcessConfig, list[Resonance]]:
-    """Process configuration from the device's actual combs."""
+) -> tuple[float, tuple[float, float], tuple[float, float], ProcessConfig]:
+    """Energy residual, side-band detunings and suppressions on the device's combs."""
     comb1, comb2 = device_combs(device, _process_band(device, goal))
     res_p1, res_p2 = pump_pair(comb1, goal.signal_omega, goal.pump_separation)
     omega_mid = 0.5 * (res_p1.omega0 + res_p2.omega0)
     res_s = min(comb2, key=lambda r: abs(r.omega0 - omega_mid))
-    return on_resonance_config(device.waveguide, res_p1, res_p2, res_s), comb2
-
-
-def _retuned(device: DeviceSpec, goal: DesignGoal, extra_shift: float) -> DeviceSpec:
-    ring2 = replace(device.ring2, heater_shift=device.ring2.heater_shift + extra_shift)
-    return replace(device, ring2=ring2)
-
-
-def _tune_diagnostics(
-    device: DeviceSpec, goal: DesignGoal
-) -> tuple[float, tuple[float, float], tuple[float, float], ProcessConfig]:
-    cfg, comb2 = _config_on_comb(device, goal)
+    cfg = on_resonance_config(device.waveguide, res_p1, res_p2, res_s)
     deltas, sups, _partners = sideband_pair(comb2, cfg)
     return abs(cfg.signal_mismatch), deltas, sups, cfg
 
@@ -304,14 +291,16 @@ def tune_for_energy_conservation(
             )
         device = _refit_ring2_length(device, goal, omega_mid, notes)
 
-    comb2 = resonance_comb(device.ring2, wg, _process_band(device, goal), owner=2)
+    # The refit moves ring 2 only, so ring 1's band still holds.
+    comb2 = resonance_comb(device.ring2, wg, band, owner=2)
     order = sorted(range(len(comb2)), key=lambda i: abs(comb2[i].omega0 - omega_mid))
     # resonance_comb raises EmptyBand rather than return no line, so
     # ``tried`` is never empty below.
     tried: list[TuneResult] = []
     for idx in order[:3]:
         ds = omega_mid - comb2[idx].omega0
-        candidate = _retuned(device, goal, ds)
+        ring2 = replace(device.ring2, heater_shift=device.ring2.heater_shift + ds)
+        candidate = replace(device, ring2=ring2)
         residual, deltas, sups, _cfg = _tune_diagnostics(candidate, goal)
         if residual > ENERGY_RESIDUAL_TOL_LINEWIDTHS * lw_guess:
             raise NoConvergence(
@@ -495,7 +484,6 @@ def evaluate_design(
     j = j_closed_form(device, cfg)
     ref = j_single_ring_baseline(device, cfg)
     return DesignReport(
-        device=device,
         passed=all(r.passed for r in rules),
         rules=rules,
         j_abs=j.j_abs,
@@ -525,7 +513,6 @@ def optimize_device(
     with its design report.
     """
     choice = optimal_dc_length(device.ring1.bend_radius)
-    gap = None
     for m_order in (1, 2, 3, 4, 5):
         try:
             gap = solve_gap_for_uncoupling(
@@ -534,7 +521,7 @@ def optimize_device(
             break
         except OutOfRange:
             continue
-    if gap is None:
+    else:
         raise OutOfRange(
             "no null order up to 5 is reachable inside the gap budget "
             f"{goal.gap_budget} at coupler length {choice.dc_length:.6g} m"

@@ -114,7 +114,7 @@ def enhancement_factor(cfg: ProcessConfig) -> complex:
     when all four fields sit exactly on their centers; on resonance
     each factor contributes -i, so the product is (-i)^4 = 1.
     """
-    return complex(
+    return (
         lorentzian_response(cfg.res_p1, cfg.omega3)
         * lorentzian_response(cfg.res_p2, cfg.omega4)
         * lorentzian_response(cfg.res_s, cfg.omega1)
@@ -202,7 +202,7 @@ def j_quadrature(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
     j = f3 * f4 * f1 * f2 * _material_factor(device) * z_factor
     require_finite("J", j, NonPhysical)
     return OverlapResult(
-        j_value=complex(j),
+        j_value=j,
         z_factor=z_factor,
         enhancement_product=enhancement_factor(cfg),
         method="quadrature",
@@ -210,14 +210,15 @@ def j_quadrature(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
     )
 
 
-def _closed_form_parts(
-    device: DeviceSpec, cfg: ProcessConfig, log: list[str]
-) -> tuple[float, float]:
-    """Prefactor of the analytic J and the material factor.
+def _closed_form(
+    device: DeviceSpec, cfg: ProcessConfig, spatial: float, method: str, log: list[str]
+) -> OverlapResult:
+    """Analytic J: prefactor * material factor * ``spatial`` * enhancement.
 
     Uses geometric means of the two pump-resonance quality factors, so
     the expression stays exact when they differ; the stated closed form
-    assumes they are equal, hence the 10 percent check.
+    assumes they are equal, hence the 10 percent check. ``log`` holds
+    the calling route's own notes and receives this one after them.
     """
     q_rel = abs(cfg.res_p1.q_loaded - cfg.res_p2.q_loaded) / max(
         cfg.res_p1.q_loaded, cfg.res_p2.q_loaded
@@ -246,7 +247,16 @@ def _closed_form_parts(
         / (q_cp * cfg.res_s.q_coupling)
     )
     require_positive("closed-form J prefactor", pref, NonPhysical)
-    return pref, _material_factor(device)
+    material = _material_factor(device)
+    z_factor = complex(spatial)
+    enh = enhancement_factor(cfg)
+    return OverlapResult(
+        j_value=pref * material * z_factor * enh,
+        z_factor=z_factor,
+        enhancement_product=enh,
+        method=method,
+        warnings=tuple(log),
+    )
 
 
 def j_closed_form(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
@@ -263,17 +273,7 @@ def j_closed_form(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
         "small-mismatch regime of the closed form",
         log,
     )
-    pref, material = _closed_form_parts(device, cfg, log)
-    z_factor = complex(device.dc_length / 4.0)
-    enh = enhancement_factor(cfg)
-    j = pref * material * z_factor * enh
-    return OverlapResult(
-        j_value=complex(j),
-        z_factor=z_factor,
-        enhancement_product=enh,
-        method="closed_form",
-        warnings=tuple(log),
-    )
+    return _closed_form(device, cfg, device.dc_length / 4.0, "closed_form", log)
 
 
 def j_single_ring_baseline(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
@@ -292,17 +292,7 @@ def j_single_ring_baseline(device: DeviceSpec, cfg: ProcessConfig) -> OverlapRes
         "comparison assumes nearly equal round trips",
         log,
     )
-    pref, material = _closed_form_parts(device, cfg, log)
-    l_mean = math.sqrt(l1 * l2)
-    enh = enhancement_factor(cfg)
-    j = pref * material * l_mean * enh
-    return OverlapResult(
-        j_value=complex(j),
-        z_factor=complex(l_mean),
-        enhancement_product=enh,
-        method="single_ring_baseline",
-        warnings=tuple(log),
-    )
+    return _closed_form(device, cfg, math.sqrt(l1 * l2), "single_ring_baseline", log)
 
 
 def j_single_ring_ratio(device: DeviceSpec, cfg: ProcessConfig) -> float:
@@ -346,7 +336,7 @@ def on_resonance_config(
     The phase mismatch is k(w_p1) + k(w_p2) - 2 k(w_s) from the
     dispersion model.
     """
-    delta_k = float(
+    delta_k = (
         wavevector(wg, res_p1.omega0)
         + wavevector(wg, res_p2.omega0)
         - 2.0 * wavevector(wg, res_s.omega0)

@@ -361,8 +361,8 @@ def noise_budget(
     device: DeviceSpec,
     drive: PumpDrive,
     cfg: ProcessConfig,
+    band: tuple[float, float],
     kcal: float = 1.0,
-    band: tuple[float, float] | None = None,
 ) -> PairRateReport:
     """Signal rate, both parasitic rates, and their suppressions.
 
@@ -370,10 +370,7 @@ def noise_budget(
     device (zero when energy conservation holds exactly); each
     parasitic process runs at its comb detuning from
     :func:`sideband_pair`, using the actual partner line as the
-    second center.
-
-    ``band`` widens or narrows the comb search window; the default
-    covers the pumps plus two extra lines on each side.
+    second center, searched for in the ring-2 comb over ``band``.
     """
     notes: list[str] = []
     wg = device.waveguide
@@ -386,11 +383,6 @@ def noise_budget(
             "override PumpDrive.self_coupling to pin it"
         )
 
-    if band is None:
-        span = abs(cfg.res_p1.omega0 - cfg.res_p2.omega0) + 2.5 * ring_finesse(
-            device.ring2, wg, omega_s
-        ) * cfg.res_s.linewidth
-        band = (omega_s - span, omega_s + span)
     comb2 = resonance_comb(device.ring2, wg, band, owner=2)
 
     beta_signal = pair_rate_integral(

@@ -816,6 +816,18 @@ class TestExitCodes:
         assert err["context"]["error"] == "ValueError"
         assert "nan" in err["message"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_max_detuning_names_the_flag(self, value, tmp_path, capsys):
+        # "=" keeps argparse from reading -inf as an option.
+        out = tmp_path / "rows.csv"
+        rc = main(["suppression", "--device", DEV, "--band", *BAND,
+                   f"--max-detuning={value}", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error"] == "ValueError"
+        assert err["message"] == f"--max-detuning must be finite, got '{value}'"
+
     @pytest.mark.parametrize(
         "key, scale, argv",
         [

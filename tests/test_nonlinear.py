@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ringpair import (
     NonPhysical,
+    OverlapResult,
     ProcessConfig,
     Resonance,
     enhancement_factor,
@@ -321,6 +322,86 @@ class TestSingleRingRatio:
         assert jq / jb == pytest.approx(
             dev.dc_length / (4.0 * dev.ring1.round_trip_length), rel=1e-9
         )
+
+
+@st.composite
+def _closed_form_cases(draw):
+    """A make_device variant and its on-resonance configuration, with the
+    second pump's loaded Q scaled so the pump-Q note can fire."""
+    two_pi_ghz = 2.0 * math.pi * 1e9
+    dev = make_device(
+        l2_scale=draw(st.floats(1.0, 1.4)),
+        q_i=draw(st.floats(2e4, 1e6)),
+        q_c=draw(st.floats(2e4, 1e6)),
+        gvd=draw(st.floats(-1e-23, 1e-23)),
+        kappa_phase=draw(st.floats(-math.pi, math.pi)),
+        heater1=draw(st.floats(-100.0, 100.0)) * two_pi_ghz,
+        heater2=draw(st.floats(-100.0, 100.0)) * two_pi_ghz,
+    )
+    cfg = resonant_config(dev, process_band(dev, n_spacings=draw(st.floats(4.2, 8.0))))
+    p2 = replace(cfg.res_p2, q_loaded=draw(st.floats(0.8, 1.0)) * cfg.res_p2.q_loaded)
+    return dev, replace(cfg, res_p2=p2)
+
+
+def _two_body_closed_forms(device, cfg):
+    """Both closed-form routes as two separate bodies computed them: one
+    helper for the prefactor and material factor, each route finishing
+    the product itself. The reference for the shared body."""
+
+    def parts(log):
+        q_rel = abs(cfg.res_p1.q_loaded - cfg.res_p2.q_loaded) / max(
+            cfg.res_p1.q_loaded, cfg.res_p2.q_loaded
+        )
+        if q_rel > PUMP_Q_MISMATCH_LIMIT:
+            log.append(f"pump quality factors differ by {q_rel:.1%}; the closed form "
+                       "assumes nearly equal pump linewidths")
+        wg = device.waveguide
+        q_p = math.sqrt(cfg.res_p1.q_loaded * cfg.res_p2.q_loaded)
+        q_cp = math.sqrt(cfg.res_p1.q_coupling * cfg.res_p2.q_coupling)
+        q_s = cfg.res_s.q_loaded
+        l1 = device.ring1.round_trip_length
+        l2 = device.ring2.round_trip_length
+        omega_p_geo = math.sqrt(cfg.res_p1.omega0 * cfg.res_p2.omega0)
+        pref = (16.0 * wg.v_g**2 * q_p * q_s / (l1 * l2 * cfg.res_s.omega0 * omega_p_geo)
+                * (q_p * q_s) / (q_cp * cfg.res_s.q_coupling))
+        return pref, wg.chi3_bar / (wg.n_bar**4 * wg.area_eff)
+
+    log = []
+    mismatch = abs(cfg.delta_k) * device.dc_length
+    if mismatch > PHASE_MISMATCH_LIMIT:
+        log.append(f"|delta_k| * L = {mismatch:.3g} rad exceeds the small-mismatch "
+                   "regime of the closed form")
+    pref, material = parts(log)
+    z_factor = complex(device.dc_length / 4.0)
+    enh = enhancement_factor(cfg)
+    closed = OverlapResult(complex(pref * material * z_factor * enh), z_factor, enh,
+                           "closed_form", tuple(log))
+
+    log = []
+    l1, l2 = device.ring1.round_trip_length, device.ring2.round_trip_length
+    if abs(l1 - l2) > RING_LENGTH_MISMATCH_LIMIT * max(l1, l2):
+        log.append(f"ring lengths differ by {abs(l1 - l2) / max(l1, l2):.1%}; the "
+                   "single-ring comparison assumes nearly equal round trips")
+    pref, material = parts(log)
+    l_mean = math.sqrt(l1 * l2)
+    baseline = OverlapResult(complex(pref * material * l_mean * enh), complex(l_mean), enh,
+                             "single_ring_baseline", tuple(log))
+    return closed, baseline
+
+
+class TestClosedFormBody:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_closed_form_cases())
+    def test_routes_match_the_two_body_form(self, case):
+        dev, cfg = case
+        expected = _two_body_closed_forms(dev, cfg)
+        for got, want in zip((j_closed_form(dev, cfg), j_single_ring_baseline(dev, cfg)),
+                             expected):
+            assert got.j_value == want.j_value
+            assert got.z_factor == want.z_factor
+            assert got.enhancement_product == want.enhancement_product
+            assert got.method == want.method
+            assert got.warnings == want.warnings
 
 
 class TestAssumptionChecks:

@@ -409,9 +409,10 @@ class TestSidebandDetuning:
 
 class TestNoiseBudget:
     def test_report_structure(self, sample_device):
-        cfg = resonant_config(sample_device, process_band(sample_device))
+        band = process_band(sample_device)
+        cfg = resonant_config(sample_device, band)
         dr = PumpDrive(photon_number=5e4, pulse_duration=1e-9)
-        rep = noise_budget(sample_device, dr, cfg)
+        rep = noise_budget(sample_device, dr, cfg, band=band)
         assert rep.beta_sq_signal > 0.0
         assert all(b > 0.0 for b in rep.beta_sq_parasitic)
         assert all(0.0 < s <= 1.0 for s in rep.suppression)
@@ -425,24 +426,27 @@ class TestNoiseBudget:
         assert any("finesse" in n for n in rep.notes)
 
     def test_suppression_consistent_with_detunings(self, sample_device):
-        cfg = resonant_config(sample_device, process_band(sample_device))
+        band = process_band(sample_device)
+        cfg = resonant_config(sample_device, band)
         dr = PumpDrive(photon_number=5e4, pulse_duration=1e-9)
-        rep = noise_budget(sample_device, dr, cfg)
+        rep = noise_budget(sample_device, dr, cfg, band=band)
         lw = cfg.res_s.linewidth
         for delta, sup in zip(rep.detuning_delta, rep.suppression):
             assert sup == pytest.approx(suppression_factor(delta, lw), rel=1e-12)
 
     def test_explicit_sigma_skips_the_finesse_note(self, sample_device):
-        cfg = resonant_config(sample_device, process_band(sample_device))
+        band = process_band(sample_device)
+        cfg = resonant_config(sample_device, band)
         dr = PumpDrive(photon_number=5e4, pulse_duration=1e-9, self_coupling=0.95)
-        rep = noise_budget(sample_device, dr, cfg)
+        rep = noise_budget(sample_device, dr, cfg, band=band)
         assert rep.sigma == 0.95
         assert not any("finesse" in n for n in rep.notes)
 
     def test_zero_drive_zero_rates(self, sample_device):
-        cfg = resonant_config(sample_device, process_band(sample_device))
+        band = process_band(sample_device)
+        cfg = resonant_config(sample_device, band)
         dr = PumpDrive(photon_number=0.0, pulse_duration=1e-9)
-        rep = noise_budget(sample_device, dr, cfg)
+        rep = noise_budget(sample_device, dr, cfg, band=band)
         assert rep.beta_sq_signal == 0.0
         assert rep.beta_sq_parasitic == (0.0, 0.0)
 

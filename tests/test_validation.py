@@ -98,7 +98,7 @@ def _argument_calls():
     profile = rp.ring_profiles(dev, [res])[0]
     pulse = PumpDrive(photon_number=1.0, pulse_duration=1e-9)
     drive = rp.resolve_drive(dev, pulse, cfg)
-    report = rp.noise_budget(dev, pulse, cfg)
+    report = rp.noise_budget(dev, pulse, cfg, band=band)
     goal = DesignGoal(signal_wavelength=1.55e-6)
     budget = (5e-8, 1e-6)
     calls = {
@@ -136,7 +136,7 @@ def _argument_calls():
         "kerr_validity_metric.q_loaded": lambda x: rp.kerr_validity_metric(wg, 1e-3, x, 1.55e-6),
         "kerr_validity_metric.wavelength": lambda x: rp.kerr_validity_metric(wg, 1e-3, 5e4, x),
         "lorentzian_response.omega": lambda x: rp.lorentzian_response(res, x),
-        "noise_budget.kcal": lambda x: rp.noise_budget(dev, pulse, cfg, kcal=x),
+        "noise_budget.kcal": lambda x: rp.noise_budget(dev, pulse, cfg, band=band, kcal=x),
         "noise_budget.band[0]": lambda x: rp.noise_budget(dev, pulse, cfg, band=(x, hi)),
         "noise_budget.band[1]": lambda x: rp.noise_budget(dev, pulse, cfg, band=(lo, x)),
         "null_kerr_metric.pump_power": lambda x: rp.null_kerr_metric(dev, x),
