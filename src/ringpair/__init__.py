@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .design import (
     CompensationResult,
-    DcLengthChoice,
     DesignGoal,
     DesignReport,
     RuleCheck,

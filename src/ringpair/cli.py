@@ -99,7 +99,8 @@ def parse_frequency(text: str) -> float:
     Bare numbers are Hz; suffixes Hz/kHz/MHz/GHz/THz select frequency
     units and m/um/nm wavelength units (converted through c).
     """
-    m = re.fullmatch(r"\s*([+-]?[0-9.]+(?:[eE][+-]?[0-9]+)?)\s*([a-zA-Z]*)\s*", text)
+    number = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    m = re.fullmatch(rf"\s*({number})\s*([a-zA-Z]*)\s*", text)
     if m is None:
         raise ValueError(f"cannot parse frequency {text!r}")
     value = float(m.group(1))

@@ -112,14 +112,6 @@ class DesignGoal:
 
 
 @dataclass(frozen=True)
-class DcLengthChoice:
-    """Bend-limited coupler length and the implied round trip."""
-
-    dc_length: float
-    ring_length: float
-
-
-@dataclass(frozen=True)
 class RuleCheck:
     """One design rule evaluation."""
 
@@ -135,7 +127,6 @@ class TuneResult:
     """Outcome of the energy-conservation tuning."""
 
     device: DeviceSpec
-    mode: str
     residual: float
     detuning: tuple[float, float]
     suppression: tuple[float, float]
@@ -173,8 +164,8 @@ class DesignReport:
     notes: tuple[str, ...] = ()
 
 
-def optimal_dc_length(bend_radius: float) -> DcLengthChoice:
-    """Bend-limited optimum: coupler straight pi * R, round trip 4 pi R.
+def optimal_dc_length(bend_radius: float) -> float:
+    """Bend-limited optimum coupler length pi * R [m]; the round trip is 4 pi R.
 
     Longer couplers raise the overlap linearly while the round trip
     grows too; with both straights tied to the coupler length the
@@ -182,8 +173,7 @@ def optimal_dc_length(bend_radius: float) -> DcLengthChoice:
     occupies half the round trip's worth of one straight.
     """
     require_positive("bend_radius", bend_radius)
-    length = math.pi * bend_radius
-    return DcLengthChoice(dc_length=length, ring_length=4.0 * math.pi * bend_radius)
+    return math.pi * bend_radius
 
 
 def solve_gap_for_uncoupling(
@@ -308,7 +298,6 @@ def tune_for_energy_conservation(
             )
         result = TuneResult(
             device=candidate,
-            mode=mode,
             residual=residual,
             detuning=deltas,
             suppression=sups,
@@ -512,28 +501,22 @@ def optimize_device(
     compensation when a drive is given, and returns the tuned device
     with its design report.
     """
-    choice = optimal_dc_length(device.ring1.bend_radius)
+    dc_length = optimal_dc_length(device.ring1.bend_radius)
     for m_order in (1, 2, 3, 4, 5):
         try:
-            gap = solve_gap_for_uncoupling(
-                device.coupling, choice.dc_length, m_order, goal.gap_budget
-            )
+            gap = solve_gap_for_uncoupling(device.coupling, dc_length, m_order, goal.gap_budget)
             break
         except OutOfRange:
             continue
     else:
         raise OutOfRange(
             "no null order up to 5 is reachable inside the gap budget "
-            f"{goal.gap_budget} at coupler length {choice.dc_length:.6g} m"
+            f"{goal.gap_budget} at coupler length {dc_length:.6g} m"
         )
 
-    ring1 = replace(device.ring1, straight_len=choice.dc_length)
-    ring2 = replace(
-        device.ring2, straight_len=max(device.ring2.straight_len, choice.dc_length)
-    )
-    seeded = replace(
-        device, ring1=ring1, ring2=ring2, dc_length=choice.dc_length, dc_gap=gap
-    )
+    ring1 = replace(device.ring1, straight_len=dc_length)
+    ring2 = replace(device.ring2, straight_len=max(device.ring2.straight_len, dc_length))
+    seeded = replace(device, ring1=ring1, ring2=ring2, dc_length=dc_length, dc_gap=gap)
 
     tuned = tune_for_energy_conservation(seeded, goal, mode=mode)
     final = tuned.device

@@ -202,20 +202,25 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     """Write a file atomically: temp file in the target dir, then rename.
 
     A crashed or interrupted run can never leave a partially written
-    output behind; readers see either the old file or the new one.
+    output behind; readers see either the old file or the new one. An
+    ``OSError`` names ``path``, not the temp file's random name.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -33,8 +33,6 @@ from .geometry import DeviceSpec, Resonance, WaveguideParams, RacetrackSpec, dev
 if TYPE_CHECKING:
     import numpy as np
 
-ENHANCEMENT_WINDOW_LINEWIDTHS = 20.0
-
 # Largest number of samples one spectrum may hold, 100 times the largest
 # benchmarked spectrum; a huge count would otherwise fail in allocation.
 MAX_SPECTRUM_POINTS = 10**7

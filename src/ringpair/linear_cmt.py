@@ -94,8 +94,6 @@ class DcTransfer:
 
     through: complex
     cross: complex
-    kappa: complex
-    length: float
 
     @property
     def cross_power(self) -> float:
@@ -128,9 +126,8 @@ def dc_transfer(kappa: complex, length: float) -> DcTransfer:
     These are the OUT field's amplitudes at the coupler's end: ``a1(L)``
     stays in the fed guide and ``a2(L)`` crosses into the other one.
     """
-    kappa = complex(kappa)
-    field = CmtField("OUT", kappa, length)
-    return DcTransfer(field.a1(length), field.a2(length), kappa, length)
+    field = CmtField("OUT", complex(kappa), length)
+    return DcTransfer(field.a1(length), field.a2(length))
 
 
 def isolation_db(kappa: complex, length: float) -> float:

@@ -1,10 +1,12 @@
 """Nonlinear overlap of four resonant fields in the shared coupler.
 
-The figure of merit J multiplies four field-enhancement factors (two
-pump fields of ring 1, two generated fields of ring 2), the material
-factor chi3_bar / (n_bar^4 * area_eff), and a spatial factor: the
-integral over the coupler length of the product of asymptotic-field
-amplitudes, with the phase-mismatch factor exp(i * delta_k * z).
+The figure of merit J multiplies four field-enhancement factors, the
+material factor chi3_bar / (n_bar^4 * area_eff), and a spatial factor:
+the integral over the coupler length of the product of asymptotic-field
+amplitudes, with the phase-mismatch factor exp(i * delta_k * z). As in
+the dual-pump process, both pump fields sit on the centres of their
+ring-1 lines and both generated fields on the centre of one ring-2
+line, so each field's factor is its line's on-resonance enhancement.
 
 Two routes compute J:
 
@@ -12,7 +14,7 @@ Two routes compute J:
   length and phase mismatch;
 * :func:`j_closed_form` uses the analytic result that at a linear null
   (L = m*pi/|kappa|) and perfect phase matching the spatial integral
-  has magnitude L/4, times a four-Lorentzian detuning factor.
+  has magnitude L/4, times the four-Lorentzian line-shape factor.
 
 Their magnitudes agree there to rounding; the overall phase of J is
 convention dependent (only |J| and |J|^2 enter rates), so comparisons
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import NonPhysical, require_finite, require_positive
 from .geometry import DeviceSpec, Resonance, WaveguideParams, device_combs, wavevector
-from .enhancement import ENHANCEMENT_WINDOW_LINEWIDTHS, lorentzian_response, peak_amplitude
+from .enhancement import lorentzian_response, peak_amplitude
 from .linear_cmt import phase_unit
 
 PUMP_Q_MISMATCH_LIMIT = 0.10
@@ -48,26 +50,19 @@ def _assume(condition: bool, message: str, log: list[str]) -> None:
 
 @dataclass(frozen=True)
 class ProcessConfig:
-    """One four-wave mixing configuration.
+    """One dual-pump four-wave mixing configuration.
 
-    Frequencies 1 and 2 are the generated (output-side) fields, 3 and 4
-    the pump (input-side) fields. Energy bookkeeping of specific
-    processes is the caller's business; this type only fixes which
-    resonance each field rides on.
+    Both pumps sit on the centres of their ring-1 lines ``res_p1`` and
+    ``res_p2``, and both generated fields on the centre of the ring-2
+    line ``res_s``. Only the lines and the phase mismatch are free.
     """
 
-    omega1: float
-    omega2: float
-    omega3: float
-    omega4: float
     res_p1: Resonance
     res_p2: Resonance
     res_s: Resonance
     delta_k: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("omega1", "omega2", "omega3", "omega4"):
-            require_positive(name, getattr(self, name))
         require_finite("delta_k", self.delta_k)
         if self.res_p1.owner != 1 or self.res_p2.owner != 1:
             raise ValueError("pump resonances must belong to ring 1")
@@ -76,18 +71,8 @@ class ProcessConfig:
 
     @property
     def signal_mismatch(self) -> float:
-        """Energy mismatch w3 + w4 - 2 w_S of the dual-pump signal process [rad/s]."""
-        return self.omega3 + self.omega4 - 2.0 * self.res_s.omega0
-
-    def detuning_in_linewidths(self) -> tuple[float, float, float, float]:
-        """(omega_i - center) / linewidth for each of the four fields."""
-        pairs = (
-            (self.omega1, self.res_s),
-            (self.omega2, self.res_s),
-            (self.omega3, self.res_p1),
-            (self.omega4, self.res_p2),
-        )
-        return tuple(abs(w - r.omega0) / r.linewidth for w, r in pairs)
+        """Energy mismatch w_P1 + w_P2 - 2 w_S of the dual-pump signal process [rad/s]."""
+        return self.res_p1.omega0 + self.res_p2.omega0 - 2.0 * self.res_s.omega0
 
 
 @dataclass(frozen=True)
@@ -106,19 +91,18 @@ class OverlapResult:
 
 
 def enhancement_factor(cfg: ProcessConfig) -> complex:
-    """Four-Lorentzian detuning factor of the process.
+    """Four-Lorentzian line-shape factor of the process.
 
-    Product of the unit-peak line shapes of the two pump resonances
-    (evaluated at omega3, omega4) and the signal resonance (evaluated
-    at omega1 and omega2). Magnitude is at most 1, with equality only
-    when all four fields sit exactly on their centers; on resonance
-    each factor contributes -i, so the product is (-i)^4 = 1.
+    Product of the unit-peak line shapes of the two pump lines and,
+    twice, of the signal line, each evaluated at its own centre, where
+    it is -i to rounding; the product is (-i)^4 = 1 to rounding.
     """
+    p1, p2, s = cfg.res_p1, cfg.res_p2, cfg.res_s
     return (
-        lorentzian_response(cfg.res_p1, cfg.omega3)
-        * lorentzian_response(cfg.res_p2, cfg.omega4)
-        * lorentzian_response(cfg.res_s, cfg.omega1)
-        * lorentzian_response(cfg.res_s, cfg.omega2)
+        lorentzian_response(p1, p1.omega0)
+        * lorentzian_response(p2, p2.omega0)
+        * lorentzian_response(s, s.omega0)
+        * lorentzian_response(s, s.omega0)
     )
 
 
@@ -175,28 +159,23 @@ def _material_factor(device: DeviceSpec) -> float:
 
 
 def j_quadrature(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
-    """Overlap figure J, exact at the configured frequencies.
+    """Overlap figure J, exact for the configured lines and phase mismatch.
 
-    The four enhancement factors are evaluated at the configured
-    frequencies and multiplied by the exact spatial integral for the
-    device's coupler strength, coupler length and the configured phase
-    mismatch. The name and the ``"quadrature"`` method tag are part of
-    the command line's ``--method`` choice and of its artifacts.
+    Each field's enhancement factor is its line's peak amplitude times
+    the unit line shape at the line centre, where the field sits. Their
+    product multiplies the exact spatial integral for the device's
+    coupler strength, coupler length and the configured phase mismatch.
+    The name and the ``"quadrature"`` method tag are part of the command
+    line's ``--method`` choice and of its artifacts.
     """
-    log: list[str] = []
-    detunings = cfg.detuning_in_linewidths()
-    _assume(
-        max(detunings) <= ENHANCEMENT_WINDOW_LINEWIDTHS,
-        f"a field is {max(detunings):.1f} linewidths from its resonance; the "
-        "Lorentzian enhancement model is a near-resonance approximation",
-        log,
-    )
-
     wg = device.waveguide
-    f3 = peak_amplitude(cfg.res_p1, wg, device.ring1) * lorentzian_response(cfg.res_p1, cfg.omega3)
-    f4 = peak_amplitude(cfg.res_p2, wg, device.ring1) * lorentzian_response(cfg.res_p2, cfg.omega4)
-    f1 = peak_amplitude(cfg.res_s, wg, device.ring2) * lorentzian_response(cfg.res_s, cfg.omega1)
-    f2 = peak_amplitude(cfg.res_s, wg, device.ring2) * lorentzian_response(cfg.res_s, cfg.omega2)
+    p1, p2, s = cfg.res_p1, cfg.res_p2, cfg.res_s
+    # Each line shape before its peak amplitude: when a loaded Q is so
+    # large that the line width underflows, that is the error to report,
+    # not the peak amplitude overflowing with it.
+    f3 = lorentzian_response(p1, p1.omega0) * peak_amplitude(p1, wg, device.ring1)
+    f4 = lorentzian_response(p2, p2.omega0) * peak_amplitude(p2, wg, device.ring1)
+    f1 = f2 = lorentzian_response(s, s.omega0) * peak_amplitude(s, wg, device.ring2)
 
     z_factor = z_overlap_integral(device.kappa, device.dc_length, cfg.delta_k)
     j = f3 * f4 * f1 * f2 * _material_factor(device) * z_factor
@@ -206,7 +185,6 @@ def j_quadrature(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
         z_factor=z_factor,
         enhancement_product=enhancement_factor(cfg),
         method="quadrature",
-        warnings=tuple(log),
     )
 
 
@@ -341,16 +319,7 @@ def on_resonance_config(
         + wavevector(wg, res_p2.omega0)
         - 2.0 * wavevector(wg, res_s.omega0)
     )
-    return ProcessConfig(
-        omega1=res_s.omega0,
-        omega2=res_s.omega0,
-        omega3=res_p1.omega0,
-        omega4=res_p2.omega0,
-        res_p1=res_p1,
-        res_p2=res_p2,
-        res_s=res_s,
-        delta_k=delta_k,
-    )
+    return ProcessConfig(res_p1=res_p1, res_p2=res_p2, res_s=res_s, delta_k=delta_k)
 
 
 def resonant_config(
@@ -362,9 +331,9 @@ def resonant_config(
 
     Picks the ring-2 line closest to the band center as the signal,
     then the ring-1 line pair ``pump_separation`` orders apart whose
-    midpoint lies closest to the signal. All four frequencies are set
-    to their resonance centers and the phase mismatch is evaluated from
-    the dispersion model.
+    midpoint lies closest to the signal. The fields sit on these lines'
+    centres, and the phase mismatch is evaluated from the dispersion
+    model.
     """
     if pump_separation < 1:
         raise ValueError(f"pump_separation must be at least 1, got {pump_separation}")

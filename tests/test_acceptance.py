@@ -254,7 +254,7 @@ def test_08_spectrum_structure(sample_device):
     cfg = resonant_config(tuned, band)
     lw = cfg.res_s.linewidth
 
-    symmetry = abs(cfg.omega3 + cfg.omega4 - 2.0 * cfg.res_s.omega0) / lw
+    symmetry = abs(cfg.res_p1.omega0 + cfg.res_p2.omega0 - 2.0 * cfg.res_s.omega0) / lw
 
     comb1 = resonance_comb(tuned.ring1, wg, band, owner=1)
     comb2 = resonance_comb(tuned.ring2, wg, band, owner=2)
@@ -313,7 +313,7 @@ def test_09_calibration_round_trip(sample_device):
             finesse(sample_device.ring1, wg, cfg.res_p1.omega0)
         ),
     )
-    delta = cfg.omega3 + cfg.omega4 - 2.0 * cfg.res_s.omega0
+    delta = cfg.res_p1.omega0 + cfg.res_p2.omega0 - 2.0 * cfg.res_s.omega0
     rate = pair_rate_integral(drive, cfg.res_s, delta, kcal, wg.v_g) / t
     err_round = abs(rate - target) / target
 

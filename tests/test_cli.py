@@ -763,6 +763,35 @@ class TestExitCodes:
         assert err["context"]["error"] == "ValueError"
         assert "1e400THz" in err["message"]
 
+    @pytest.mark.parametrize("edge", ["1.2.3THz", "."])
+    def test_malformed_band_edge_is_named(self, edge, tmp_path, capsys):
+        # Refused by the edge pattern itself, with the message every
+        # malformed edge gets, which names the edge and its unit.
+        out = tmp_path / "spec.csv"
+        rc = main(["spectrum", "--device", DEV, "--band", "190THz", edge, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert os.listdir(tmp_path) == []
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error"] == "ValueError"
+        assert err["message"] == f"cannot parse frequency {edge!r}"
+
+    @pytest.mark.parametrize(
+        "target, error",
+        [(Path("missing", "rates.json"), "FileNotFoundError"), (Path(), "IsADirectoryError")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_out_names_the_path(self, target, error, tmp_path, capsys):
+        # The message names the requested path, never the random temp
+        # file beside it, and no temp file is left behind.
+        out = tmp_path / target
+        rc = main([*README_COMMANDS["rates"], "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert os.listdir(tmp_path) == []
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["error"] == error
+        assert err["message"].endswith(f": {str(out)!r}")
+        assert ".tmp-" not in err["message"]
+
     def test_spectrum_points_above_ceiling(self, tmp_path, capsys):
         # A trillion samples used to fail in numpy's allocation with a
         # traceback; the count is refused before anything is allocated.

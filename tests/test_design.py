@@ -66,10 +66,7 @@ class TestDesignGoal:
 
 class TestOptimalDcLength:
     def test_bend_limited_choice(self):
-        choice = optimal_dc_length(1.5e-5)
-        assert choice.dc_length == pytest.approx(math.pi * 1.5e-5, rel=1e-15)
-        assert choice.ring_length == pytest.approx(4.0 * math.pi * 1.5e-5, rel=1e-15)
-        assert choice.ring_length == pytest.approx(4.0 * choice.dc_length, rel=1e-15)
+        assert optimal_dc_length(1.5e-5) == pytest.approx(math.pi * 1.5e-5, rel=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -124,7 +121,6 @@ def test_required_detuning_formula():
 class TestTrimTune:
     def test_feasible_goal(self, sample_device):
         res = tune_for_energy_conservation(sample_device, GOAL, mode="trim")
-        assert res.mode == "trim"
         lw = GOAL.signal_omega / sample_device.ring2.q_loaded
         assert res.residual <= 1.1e-6 * lw
         assert max(res.suppression) <= GOAL.min_parasitic_suppression
@@ -162,7 +158,6 @@ class TestFabricationTune:
     def test_refit_meets_tighter_goal(self, sample_device):
         goal = replace(GOAL, min_parasitic_suppression=1e-3)
         res = tune_for_energy_conservation(sample_device, goal, mode="fabrication")
-        assert res.mode == "fabrication"
         assert max(res.suppression) <= 1e-3
         lw = goal.signal_omega / sample_device.ring2.q_loaded
         assert res.residual <= 1.1e-6 * lw
@@ -324,9 +319,9 @@ class TestOptimizeDevice:
         assert report == replace(evaluate_design(final, goal), notes=report.notes)
         assert report.uncoupling_order == 1
         assert report.isolation_db == 200.0
-        choice = optimal_dc_length(sample_device.ring1.bend_radius)
-        assert final.dc_length == choice.dc_length
-        assert final.ring1.straight_len == choice.dc_length
+        dc_length = optimal_dc_length(sample_device.ring1.bend_radius)
+        assert final.dc_length == dc_length
+        assert final.ring1.straight_len == dc_length
         lo, hi = goal.gap_budget
         assert lo <= final.dc_gap <= hi
         assert 0.0 < report.j_ratio <= 1.0 / 16.0 + 1e-9

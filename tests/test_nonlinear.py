@@ -26,8 +26,7 @@ from ringpair import (
     wavevector,
     z_overlap_integral,
 )
-from ringpair import kernels
-from ringpair.enhancement import ENHANCEMENT_WINDOW_LINEWIDTHS
+from ringpair import kernels, lorentzian_response, peak_amplitude
 from ringpair.linear_cmt import phase_unit
 from ringpair.nonlinear import (
     PHASE_MISMATCH_LIMIT,
@@ -190,20 +189,30 @@ class TestZOverlapIntegral:
         assert z_overlap_integral(0j, 5e-5, delta_k) == 0.0
 
 
+def line_shape_product(cfg, d1=0.0, d2=0.0, d3=0.0, d4=0.0):
+    """Product of the four unit line shapes with each field moved off its
+    line centre by the given number of linewidths: generated fields 1 and
+    2 on the signal line, pumps 3 and 4 on their own lines. Multiplied in
+    the order of ``enhancement_factor``, which it equals with no detuning."""
+    fields = ((cfg.res_p1, d3), (cfg.res_p2, d4), (cfg.res_s, d1), (cfg.res_s, d2))
+    product = 1.0 + 0.0j
+    for res, d in fields:
+        product *= lorentzian_response(res, res.omega0 + d * res.linewidth)
+    return product
+
+
 class TestEnhancementFactor:
     def test_on_resonance_is_unity(self):
         cfg = null_config(make_device())
         enh = enhancement_factor(cfg)
         assert enh == pytest.approx(1.0 + 0.0j, abs=1e-12)
+        assert line_shape_product(cfg) == enh
 
     def test_half_linewidth_pump_detuning(self):
         cfg = null_config(make_device())
-        detuned = replace(
-            cfg, omega3=cfg.res_p1.omega0 + 0.5 * cfg.res_p1.linewidth
-        )
         # The sum omega0 + lw/2 rounds at the double's ulp, which moves
         # the detuning at the 1e-11 level; 1e-9 is tight above that.
-        assert abs(enhancement_factor(detuned)) == pytest.approx(
+        assert abs(line_shape_product(cfg, d3=0.5)) == pytest.approx(
             1.0 / math.sqrt(2.0), rel=1e-9
         )
 
@@ -211,23 +220,16 @@ class TestEnhancementFactor:
         cfg = null_config(make_device())
         for _ in range(100):
             d = RNG.uniform(-5.0, 5.0, size=4)
-            trial = replace(
-                cfg,
-                omega1=cfg.res_s.omega0 + d[0] * cfg.res_s.linewidth,
-                omega2=cfg.res_s.omega0 + d[1] * cfg.res_s.linewidth,
-                omega3=cfg.res_p1.omega0 + d[2] * cfg.res_p1.linewidth,
-                omega4=cfg.res_p2.omega0 + d[3] * cfg.res_p2.linewidth,
-            )
-            assert abs(enhancement_factor(trial)) <= 1.0 + 1e-15
+            assert abs(line_shape_product(cfg, *d.tolist())) <= 1.0 + 1e-15
 
     def test_signal_line_enters_squared(self):
         # Both generated fields ride the same line, so detuning them
         # together squares one Lorentzian factor.
         cfg = null_config(make_device())
-        w = cfg.res_s.omega0 + 1.0 * cfg.res_s.linewidth
-        trial = replace(cfg, omega1=w, omega2=w)
         single = 1.0 / (1.0 + 2.0**2)  # |L(w0 + fwhm)|^2 = 1/5
-        assert abs(enhancement_factor(trial)) == pytest.approx(single, rel=1e-12)
+        assert abs(line_shape_product(cfg, d1=1.0, d2=1.0)) == pytest.approx(
+            single, rel=1e-12
+        )
 
 
 class TestJRoutes:
@@ -325,19 +327,28 @@ class TestSingleRingRatio:
 
 
 @st.composite
-def _closed_form_cases(draw):
-    """A make_device variant and its on-resonance configuration, with the
-    second pump's loaded Q scaled so the pump-Q note can fire."""
+def _devices(draw):
+    """make_device variants: ring-2 length, quality factors, chi3, null
+    order, dispersion, coupling phase and heater shifts."""
     two_pi_ghz = 2.0 * math.pi * 1e9
-    dev = make_device(
+    return make_device(
         l2_scale=draw(st.floats(1.0, 1.4)),
         q_i=draw(st.floats(2e4, 1e6)),
         q_c=draw(st.floats(2e4, 1e6)),
+        chi3=draw(st.floats(1e-20, 1e-18)),
+        kappa_order=draw(st.integers(1, 3)),
         gvd=draw(st.floats(-1e-23, 1e-23)),
         kappa_phase=draw(st.floats(-math.pi, math.pi)),
         heater1=draw(st.floats(-100.0, 100.0)) * two_pi_ghz,
         heater2=draw(st.floats(-100.0, 100.0)) * two_pi_ghz,
     )
+
+
+@st.composite
+def _closed_form_cases(draw):
+    """A make_device variant and its on-resonance configuration, with the
+    second pump's loaded Q scaled so the pump-Q note can fire."""
+    dev = draw(_devices())
     cfg = resonant_config(dev, process_band(dev, n_spacings=draw(st.floats(4.2, 8.0))))
     p2 = replace(cfg.res_p2, q_loaded=draw(st.floats(0.8, 1.0)) * cfg.res_p2.q_loaded)
     return dev, replace(cfg, res_p2=p2)
@@ -404,6 +415,54 @@ class TestClosedFormBody:
             assert got.warnings == want.warnings
 
 
+@st.composite
+def _on_line_cases(draw):
+    """A make_device variant and its on-resonance configuration over a
+    drawn band and pump separation."""
+    dev = draw(_devices())
+    lo, hi = process_band(dev, n_spacings=draw(st.floats(4.2, 8.0)))
+    shift = draw(st.floats(-0.05, 0.05)) * lo
+    cfg = resonant_config(dev, (lo + shift, hi + shift), pump_separation=draw(st.integers(1, 4)))
+    return dev, cfg
+
+
+def _four_frequency_forms(device, cfg):
+    """The signal mismatch, the line-shape factor and J as they were
+    computed from the four field frequencies, with each frequency
+    written at its line centre. The reference for the on-line forms."""
+    omega1 = omega2 = cfg.res_s.omega0
+    omega3, omega4 = cfg.res_p1.omega0, cfg.res_p2.omega0
+    mismatch = omega3 + omega4 - 2.0 * cfg.res_s.omega0
+    enh = (
+        lorentzian_response(cfg.res_p1, omega3)
+        * lorentzian_response(cfg.res_p2, omega4)
+        * lorentzian_response(cfg.res_s, omega1)
+        * lorentzian_response(cfg.res_s, omega2)
+    )
+    wg = device.waveguide
+    f3 = peak_amplitude(cfg.res_p1, wg, device.ring1) * lorentzian_response(cfg.res_p1, omega3)
+    f4 = peak_amplitude(cfg.res_p2, wg, device.ring1) * lorentzian_response(cfg.res_p2, omega4)
+    f1 = peak_amplitude(cfg.res_s, wg, device.ring2) * lorentzian_response(cfg.res_s, omega1)
+    f2 = peak_amplitude(cfg.res_s, wg, device.ring2) * lorentzian_response(cfg.res_s, omega2)
+    material = wg.chi3_bar / (wg.n_bar**4 * wg.area_eff)
+    z_factor = z_overlap_integral(device.kappa, device.dc_length, cfg.delta_k)
+    return mismatch, enh, f3 * f4 * f1 * f2 * material * z_factor
+
+
+class TestFieldsOnTheirLines:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_on_line_cases())
+    def test_match_the_four_frequency_forms(self, case):
+        dev, cfg = case
+        mismatch, enh, j = _four_frequency_forms(dev, cfg)
+        result = j_quadrature(dev, cfg)
+        assert cfg.signal_mismatch == mismatch
+        assert enhancement_factor(cfg) == enh
+        assert result.j_value == j
+        assert result.enhancement_product == enh
+        assert result.warnings == ()
+
+
 class TestAssumptionChecks:
     def test_pump_q_mismatch(self):
         dev = make_device()
@@ -415,7 +474,7 @@ class TestAssumptionChecks:
             q_loaded=0.7 * cfg.res_p2.q_loaded,
             q_coupling=cfg.res_p2.q_coupling,
         )
-        bad = replace(cfg, res_p2=off, omega4=off.omega0)
+        bad = replace(cfg, res_p2=off)
         res = j_closed_form(dev, bad)
         assert any("quality factors" in w for w in res.warnings)
 
@@ -424,13 +483,6 @@ class TestAssumptionChecks:
         cfg = null_config(dev, delta_k=(math.pi / 5.0) / dev.dc_length)
         res = j_closed_form(dev, cfg)
         assert any("small-mismatch regime" in w for w in res.warnings)
-
-    def test_far_detuned_field(self):
-        dev = make_device()
-        cfg = null_config(dev)
-        far = replace(cfg, omega3=cfg.res_p1.omega0 + 25.0 * cfg.res_p1.linewidth)
-        res = j_quadrature(dev, far)
-        assert any("linewidths" in w for w in res.warnings)
 
     def test_unequal_rings_flagged_in_baseline(self):
         dev = make_device(l2_scale=1.12)
@@ -442,8 +494,7 @@ class TestAssumptionChecks:
 @st.composite
 def _assumption_inputs(draw):
     """A device and a configuration on either side of each assumption
-    limit: field detuning, phase mismatch, pump Q mismatch and ring
-    length mismatch."""
+    limit: phase mismatch, pump Q mismatch and ring length mismatch."""
     dev = make_device(l2_scale=draw(st.sampled_from([1.0, 1.005, 1.02, 1.12])))
     cfg = null_config(dev, delta_k=draw(st.floats(-0.5, 0.5)) / dev.dc_length)
     p2 = cfg.res_p2
@@ -454,14 +505,7 @@ def _assumption_inputs(draw):
         q_loaded=draw(st.floats(0.8, 1.0)) * p2.q_loaded,
         q_coupling=p2.q_coupling,
     )
-    detuning = draw(st.floats(-30.0, 30.0))
-    cfg = replace(
-        cfg,
-        res_p2=off,
-        omega4=off.omega0,
-        omega3=cfg.res_p1.omega0 + detuning * cfg.res_p1.linewidth,
-    )
-    return dev, cfg
+    return dev, replace(cfg, res_p2=off)
 
 
 def _crossed_limits(dev, cfg):
@@ -469,7 +513,6 @@ def _crossed_limits(dev, cfg):
     q1, q2 = cfg.res_p1.q_loaded, cfg.res_p2.q_loaded
     l1, l2 = dev.ring1.round_trip_length, dev.ring2.round_trip_length
     return {
-        "detuning": max(cfg.detuning_in_linewidths()) > ENHANCEMENT_WINDOW_LINEWIDTHS,
         "phase": abs(cfg.delta_k) * dev.dc_length > PHASE_MISMATCH_LIMIT,
         "pump_q": abs(q1 - q2) / max(q1, q2) > PUMP_Q_MISMATCH_LIMIT,
         "rings": abs(l1 - l2) > RING_LENGTH_MISMATCH_LIMIT * max(l1, l2),
@@ -479,13 +522,12 @@ def _crossed_limits(dev, cfg):
 # A phrase of each limit's note, and the limits each route checks, in
 # the order its notes come.
 LIMIT_PHRASES = {
-    "detuning": "linewidths from its resonance",
     "phase": "small-mismatch regime",
     "pump_q": "pump quality factors differ",
     "rings": "ring lengths differ",
 }
 ROUTE_LIMITS = {
-    j_quadrature: ("detuning",),
+    j_quadrature: (),
     j_closed_form: ("phase", "pump_q"),
     j_single_ring_baseline: ("rings", "pump_q"),
 }
@@ -511,20 +553,16 @@ class TestResonantConfig:
         assert cfg.res_p1.owner == 1 and cfg.res_p2.owner == 1
         assert cfg.res_s.owner == 2
         assert cfg.res_p1.order - cfg.res_p2.order == 2
-        assert cfg.omega3 == cfg.res_p1.omega0
-        assert cfg.omega4 == cfg.res_p2.omega0
-        assert cfg.omega1 == cfg.res_s.omega0 == cfg.omega2
-        assert cfg.omega4 < cfg.omega1 < cfg.omega3
-        assert cfg.detuning_in_linewidths() == (0.0, 0.0, 0.0, 0.0)
+        assert cfg.res_p2.omega0 < cfg.res_s.omega0 < cfg.res_p1.omega0
 
     def test_delta_k_from_dispersion(self):
         dev = make_device()
         cfg = resonant_config(dev, process_band(dev))
         wg = dev.waveguide
         expected = (
-            wavevector(wg, cfg.omega3)
-            + wavevector(wg, cfg.omega4)
-            - 2.0 * wavevector(wg, cfg.omega1)
+            wavevector(wg, cfg.res_p1.omega0)
+            + wavevector(wg, cfg.res_p2.omega0)
+            - 2.0 * wavevector(wg, cfg.res_s.omega0)
         )
         assert cfg.delta_k == pytest.approx(expected, rel=1e-12)
 
@@ -539,32 +577,17 @@ class TestResonantConfig:
     def test_process_config_owner_checks(self):
         cfg = null_config(make_device())
         with pytest.raises(ValueError):
-            ProcessConfig(
-                omega1=cfg.omega1,
-                omega2=cfg.omega2,
-                omega3=cfg.omega3,
-                omega4=cfg.omega4,
-                res_p1=cfg.res_s,  # wrong ring
-                res_p2=cfg.res_p2,
-                res_s=cfg.res_s,
-            )
+            ProcessConfig(res_p1=cfg.res_s, res_p2=cfg.res_p2, res_s=cfg.res_s)  # wrong ring
         with pytest.raises(ValueError):
-            ProcessConfig(
-                omega1=-1.0,
-                omega2=cfg.omega2,
-                omega3=cfg.omega3,
-                omega4=cfg.omega4,
-                res_p1=cfg.res_p1,
-                res_p2=cfg.res_p2,
-                res_s=cfg.res_s,
-            )
+            ProcessConfig(res_p1=cfg.res_p1, res_p2=cfg.res_p2, res_s=cfg.res_p1)  # wrong ring
 
 
 class TestRangeChecks:
     def test_signal_mismatch(self):
         cfg = null_config(make_device())
-        assert cfg.signal_mismatch == cfg.omega3 + cfg.omega4 - 2.0 * cfg.res_s.omega0
-        moved = replace(cfg, omega3=cfg.omega3 + 7.0)
+        p1, p2, s = cfg.res_p1, cfg.res_p2, cfg.res_s
+        assert cfg.signal_mismatch == p1.omega0 + p2.omega0 - 2.0 * s.omega0
+        moved = replace(cfg, res_p1=replace(p1, omega0=p1.omega0 + 7.0))
         assert moved.signal_mismatch == pytest.approx(cfg.signal_mismatch + 7.0, abs=1.0)
 
     @pytest.mark.parametrize("n_bar", [3.48e-200, 3.48e200])

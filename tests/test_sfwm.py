@@ -346,15 +346,7 @@ def synth_cfg(pump_spacing, center=OMEGA_S):
     p2 = Resonance(
         owner=1, order=299, omega0=center - pump_spacing, q_loaded=5e4, q_coupling=1e5
     )
-    return ProcessConfig(
-        omega1=res_s.omega0,
-        omega2=res_s.omega0,
-        omega3=p1.omega0,
-        omega4=p2.omega0,
-        res_p1=p1,
-        res_p2=p2,
-        res_s=res_s,
-    )
+    return ProcessConfig(res_p1=p1, res_p2=p2, res_s=res_s)
 
 
 class TestSidebandDetuning:
@@ -467,7 +459,7 @@ class TestCalibration:
                 finesse(sample_device.ring1, wg, cfg.res_p1.omega0)
             ),
         )
-        delta = cfg.omega3 + cfg.omega4 - 2.0 * cfg.res_s.omega0
+        delta = cfg.res_p1.omega0 + cfg.res_p2.omega0 - 2.0 * cfg.res_s.omega0
         rate = pair_rate_integral(dr, cfg.res_s, delta, kcal, wg.v_g) / t
         assert rate == pytest.approx(target, rel=1e-9)
 
