@@ -58,6 +58,7 @@ from .errors import (
     OutOfRange,
     QuadratureFailure,
     ValidityExceeded,
+    require_finite,
 )
 from .geometry import C_VACUUM, TWO_PI, resonance_comb
 from .linear_cmt import isolation_db, kerr_detuned_efficiency
@@ -66,6 +67,7 @@ from .sfwm import (
     PumpDrive,
     noise_budget,
     pair_rate_closed_form,
+    per_second,
     resolve_drive,
     sideband_pair,
     suppression_factor,
@@ -241,13 +243,14 @@ def cmd_suppression(args: argparse.Namespace, argv: Sequence[str]) -> None:
 
     def rate(delta: float) -> float:
         beta_sq = pair_rate_closed_form(drive, cfg.res_s, delta, args.kcal, wg.v_g)
-        return beta_sq / drive.pulse_duration
+        return per_second(beta_sq, drive.pulse_duration)
 
     signal_rate = rate(cfg.signal_mismatch)
     rows = []
     for i in range(args.points):
         x = args.max_detuning * i / (args.points - 1) + 0.0  # -0.0 + 0.0 is 0.0: no "-0" row
         delta = x * lw
+        require_finite("detuning delta_over_linewidth * linewidth", delta, NonPhysical)
         rows.append((x, suppression_factor(delta, lw), signal_rate, rate(delta)))
     _emit(
         args.out,

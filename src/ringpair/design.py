@@ -482,7 +482,7 @@ def evaluate_design(
         suppression=sups,
         detuning=deltas,
         kerr_metric=metric,
-        notes=tuple(dict.fromkeys(j.warnings + ref.warnings)),
+        notes=j.warnings + ref.warnings,
     )
 
 

@@ -8,17 +8,20 @@ the dual-pump process, both pump fields sit on the centres of their
 ring-1 lines and both generated fields on the centre of one ring-2
 line, so each field's factor is its line's on-resonance enhancement.
 
-Two routes compute J:
+One body computes J for every route; each route passes its own
+spatial factor and keeps its own model-assumption notes:
 
 * :func:`j_quadrature` uses the exact spatial integral for any coupler
   length and phase mismatch;
 * :func:`j_closed_form` uses the analytic result that at a linear null
   (L = m*pi/|kappa|) and perfect phase matching the spatial integral
-  has magnitude L/4, times the four-Lorentzian line-shape factor.
+  has magnitude L/4;
+* :func:`j_single_ring_baseline` uses sqrt(L1 * L2), the round trip of
+  the single-ring reference device.
 
-Their magnitudes agree there to rounding; the overall phase of J is
-convention dependent (only |J| and |J|^2 enter rates), so comparisons
-are made on magnitudes.
+The first two agree in magnitude at a null to rounding; the overall
+phase of J is convention dependent (only |J| and |J|^2 enter rates),
+so comparisons are made on magnitudes.
 
 J is reported in model units of 1/V^2 * m: the chi3 normalization
 constants that would convert it to a fully dimensioned interaction
@@ -37,15 +40,8 @@ from .geometry import DeviceSpec, Resonance, WaveguideParams, device_combs, wave
 from .enhancement import lorentzian_response, peak_amplitude
 from .linear_cmt import phase_unit
 
-PUMP_Q_MISMATCH_LIMIT = 0.10
 PHASE_MISMATCH_LIMIT = math.pi / 10.0
 RING_LENGTH_MISMATCH_LIMIT = 0.01
-
-
-def _assume(condition: bool, message: str, log: list[str]) -> None:
-    """Append ``message`` to the result's log unless the assumption holds."""
-    if not condition:
-        log.append(message)
 
 
 @dataclass(frozen=True)
@@ -158,15 +154,18 @@ def _material_factor(device: DeviceSpec) -> float:
     return factor
 
 
-def j_quadrature(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
-    """Overlap figure J, exact for the configured lines and phase mismatch.
+def _overlap(
+    device: DeviceSpec,
+    cfg: ProcessConfig,
+    z_factor: complex,
+    method: str,
+    notes: tuple[str, ...] = (),
+) -> OverlapResult:
+    """J = f3 * f4 * f1 * f2 * material factor * ``z_factor``, for every route.
 
-    Each field's enhancement factor is its line's peak amplitude times
-    the unit line shape at the line centre, where the field sits. Their
-    product multiplies the exact spatial integral for the device's
-    coupler strength, coupler length and the configured phase mismatch.
-    The name and the ``"quadrature"`` method tag are part of the command
-    line's ``--method`` choice and of its artifacts.
+    Each field's factor is its line's peak amplitude times the unit line
+    shape at the line centre, where the field sits. ``notes`` are the
+    calling route's model-assumption notes.
     """
     wg = device.waveguide
     p1, p2, s = cfg.res_p1, cfg.res_p2, cfg.res_s
@@ -176,82 +175,46 @@ def j_quadrature(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
     f3 = lorentzian_response(p1, p1.omega0) * peak_amplitude(p1, wg, device.ring1)
     f4 = lorentzian_response(p2, p2.omega0) * peak_amplitude(p2, wg, device.ring1)
     f1 = f2 = lorentzian_response(s, s.omega0) * peak_amplitude(s, wg, device.ring2)
-
-    z_factor = z_overlap_integral(device.kappa, device.dc_length, cfg.delta_k)
     j = f3 * f4 * f1 * f2 * _material_factor(device) * z_factor
     require_finite("J", j, NonPhysical)
+    if j == 0.0 and z_factor != 0.0:  # no field and no material factor is 0
+        raise NonPhysical("J underflows to 0")
     return OverlapResult(
         j_value=j,
         z_factor=z_factor,
         enhancement_product=enhancement_factor(cfg),
-        method="quadrature",
-    )
-
-
-def _closed_form(
-    device: DeviceSpec, cfg: ProcessConfig, spatial: float, method: str, log: list[str]
-) -> OverlapResult:
-    """Analytic J: prefactor * material factor * ``spatial`` * enhancement.
-
-    Uses geometric means of the two pump-resonance quality factors, so
-    the expression stays exact when they differ; the stated closed form
-    assumes they are equal, hence the 10 percent check. ``log`` holds
-    the calling route's own notes and receives this one after them.
-    """
-    q_rel = abs(cfg.res_p1.q_loaded - cfg.res_p2.q_loaded) / max(
-        cfg.res_p1.q_loaded, cfg.res_p2.q_loaded
-    )
-    _assume(
-        q_rel <= PUMP_Q_MISMATCH_LIMIT,
-        f"pump quality factors differ by {q_rel:.1%}; the closed form assumes "
-        "nearly equal pump linewidths",
-        log,
-    )
-    wg = device.waveguide
-    q_p = math.sqrt(cfg.res_p1.q_loaded * cfg.res_p2.q_loaded)
-    q_cp = math.sqrt(cfg.res_p1.q_coupling * cfg.res_p2.q_coupling)
-    q_s = cfg.res_s.q_loaded
-    l1 = device.ring1.round_trip_length
-    l2 = device.ring2.round_trip_length
-    omega_s = cfg.res_s.omega0
-    omega_p_geo = math.sqrt(cfg.res_p1.omega0 * cfg.res_p2.omega0)
-    pref = (
-        16.0
-        * wg.v_g**2
-        * q_p
-        * q_s
-        / (l1 * l2 * omega_s * omega_p_geo)
-        * (q_p * q_s)
-        / (q_cp * cfg.res_s.q_coupling)
-    )
-    require_positive("closed-form J prefactor", pref, NonPhysical)
-    material = _material_factor(device)
-    z_factor = complex(spatial)
-    enh = enhancement_factor(cfg)
-    return OverlapResult(
-        j_value=pref * material * z_factor * enh,
-        z_factor=z_factor,
-        enhancement_product=enh,
         method=method,
-        warnings=tuple(log),
+        warnings=notes,
     )
+
+
+def j_quadrature(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
+    """Overlap figure J, exact for the configured lines and phase mismatch.
+
+    The spatial factor is the exact integral for the device's coupler
+    strength, coupler length and the configured phase mismatch. The
+    name and the ``"quadrature"`` method tag are part of the command
+    line's ``--method`` choice and of its artifacts.
+    """
+    z_factor = z_overlap_integral(device.kappa, device.dc_length, cfg.delta_k)
+    return _overlap(device, cfg, z_factor, "quadrature")
 
 
 def j_closed_form(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
     """Overlap figure J from the analytic null-length result.
 
-    Valid when the coupler sits at a linear null and the phase mismatch
-    is small (|delta_k| * L below pi/10); outside that regime the
-    function still evaluates but flags the assumption.
+    The spatial factor is L/4, the integral's magnitude at a linear null
+    with perfect phase matching. Valid when the coupler sits at a linear
+    null and the phase mismatch is small (|delta_k| * L below pi/10);
+    outside that regime the function still evaluates but flags the
+    assumption.
     """
-    log: list[str] = []
-    _assume(
-        abs(cfg.delta_k) * device.dc_length <= PHASE_MISMATCH_LIMIT,
-        f"|delta_k| * L = {abs(cfg.delta_k) * device.dc_length:.3g} rad exceeds the "
-        "small-mismatch regime of the closed form",
-        log,
+    mismatch = abs(cfg.delta_k) * device.dc_length
+    notes = () if mismatch <= PHASE_MISMATCH_LIMIT else (
+        f"|delta_k| * L = {mismatch:.3g} rad exceeds the small-mismatch regime of the "
+        "closed form",
     )
-    return _closed_form(device, cfg, device.dc_length / 4.0, "closed_form", log)
+    return _overlap(device, cfg, complex(device.dc_length / 4.0), "closed_form", notes)
 
 
 def j_single_ring_baseline(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
@@ -261,16 +224,14 @@ def j_single_ring_baseline(device: DeviceSpec, cfg: ProcessConfig) -> OverlapRes
     mean of the two racetrack lengths, with the full round trip acting
     as the interaction region (spatial factor L_rt instead of L/4).
     """
-    log: list[str] = []
     l1 = device.ring1.round_trip_length
     l2 = device.ring2.round_trip_length
-    _assume(
-        abs(l1 - l2) <= RING_LENGTH_MISMATCH_LIMIT * max(l1, l2),
+    notes = () if abs(l1 - l2) <= RING_LENGTH_MISMATCH_LIMIT * max(l1, l2) else (
         f"ring lengths differ by {abs(l1 - l2) / max(l1, l2):.1%}; the single-ring "
         "comparison assumes nearly equal round trips",
-        log,
     )
-    return _closed_form(device, cfg, math.sqrt(l1 * l2), "single_ring_baseline", log)
+    spatial = complex(math.sqrt(l1 * l2))
+    return _overlap(device, cfg, spatial, "single_ring_baseline", notes)
 
 
 def j_single_ring_ratio(device: DeviceSpec, cfg: ProcessConfig) -> float:

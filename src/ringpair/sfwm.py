@@ -100,8 +100,18 @@ class PairRateReport:
     notes: tuple[str, ...] = ()
 
     def per_second(self, beta_sq: float) -> float:
-        require_finite("beta_sq", beta_sq)
-        return beta_sq / self.pulse_duration
+        return per_second(beta_sq, self.pulse_duration)
+
+
+def per_second(beta_sq: float, pulse_duration: float) -> float:
+    """Pairs per second from ``beta_sq`` pairs per pulse of ``pulse_duration``.
+
+    Raises ``NonPhysical`` when the quotient overflows.
+    """
+    require_finite("beta_sq", beta_sq)
+    rate = beta_sq / pulse_duration
+    require_finite("pair rate per second", rate, NonPhysical)
+    return rate
 
 
 def suppression_factor(delta: float, linewidth: float) -> float:
@@ -439,7 +449,7 @@ def calibrate_kcal(
     beta_unit = pair_rate_integral(
         drive, cfg.res_s, cfg.signal_mismatch, 1.0, wg.v_g, omega_s2=cfg.res_s.omega0
     )
-    rate_unit = beta_unit / pulse_duration
+    rate_unit = per_second(beta_unit, pulse_duration)
     if rate_unit <= 0.0:
         raise NonPhysical("the device produces no pairs at unit calibration")
     return target_rate / rate_unit

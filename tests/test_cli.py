@@ -34,12 +34,27 @@ from ringpair.cli import (
     main,
     parse_frequency,
 )
+from ringpair.design import _tune_diagnostics
 from ringpair.deviceio import FILE_FORMAT
+from ringpair.geometry import C_VACUUM, TWO_PI
+from ringpair.nonlinear import j_quadrature
 
 from conftest import DEVICE_JSON, REPO, make_device
 
 DEV = str(DEVICE_JSON)
 BAND = ["192THz", "195THz"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+def load_json(text):
+    """Parse JSON, refusing NaN, Infinity and -Infinity, which
+    ``json.dumps`` writes for a non-finite float: every artifact, error
+    object and device file read here must hold finite numbers only."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
 
 # Every (section, file key, dataclass field) of the device-file format.
 FORMAT_ROWS = [
@@ -96,8 +111,6 @@ RANGE_CASES = {
     "n-bar-tiny-optimize": ("waveguide", "n_bar", 1e-200, ["optimize", *SIGNAL], "n_bar^4"),
     "n-bar-huge-overlap": ("waveguide", "n_bar", 1e200, ["overlap", "--band", *BAND], "n_bar^4"),
     "n-bar-huge-optimize": ("waveguide", "n_bar", 1e200, ["optimize", *SIGNAL], "n_bar^4"),
-    "ring1-qc-huge-optimize": ("ring1", "q_coupling", 1e200, ["optimize", *SIGNAL],
-                               "J prefactor"),
     "ring1-qc-tiny-optimize": ("ring1", "q_coupling", 1e-200, ["optimize", *SIGNAL],
                                "loaded Q"),
     "ring1-qi-tiny-optimize": ("ring1", "q_intrinsic", 1e-200, ["optimize", *SIGNAL],
@@ -153,6 +166,23 @@ MULTI_RANGE_CASES = {
     },
     "both-rings-q-1e+160-overlap": (both_q("ring1", "ring2", scale=1e160),
                                     ["overlap", "--band", *BAND], "J must be finite"),
+    # The closed form's quality-factor prefactor stayed finite while J
+    # overflowed, and the artifact held "j_abs": NaN with exit 0.
+    **{
+        f"both-rings-q-1e+55-chi3-4e+208-{argv[0]}": (
+            (*both_q("ring1", "ring2", scale=1e55), ("waveguide", "chi3_m2_v2", 4e208)),
+            argv, "J must be finite")
+        for argv in (["overlap", "--band", *BAND, "--method", "closed-form"],
+                     ["optimize", *SIGNAL])
+    },
+    # J underflows to 0: overlap wrote "j_abs": 0.0, and optimize's J
+    # ratio would divide by it.
+    **{
+        f"ring1-qc-1e+200-chi3-1e-150-{argv[0]}": (
+            (("ring1", "q_coupling", 1e200), ("waveguide", "chi3_m2_v2", 1e-150)),
+            argv, "J underflows")
+        for argv in (["overlap", "--band", *BAND], ["optimize", *SIGNAL])
+    },
     # The derived self-coupling 1 - pi/finesse rounded to 1.0, which
     # PumpDrive refused as bad input (exit 2).
     **{
@@ -172,7 +202,7 @@ MULTI_RANGE_CASES = {
 def run_json(argv, capsys):
     """Run one command to stdout; its exit code and parsed JSON payload."""
     rc = main(argv)
-    return rc, json.loads(capsys.readouterr().out)
+    return rc, load_json(capsys.readouterr().out)
 
 
 def read_csv(text):
@@ -215,7 +245,7 @@ class TestArtifacts:
         header, rows = read_csv(out.read_text())
         assert header == ["omega_rad_s", "f1_sq", "f2_sq"]
         assert len(rows) == 101
-        meta = json.loads((tmp_path / "spec.csv.meta.json").read_text())
+        meta = load_json((tmp_path / "spec.csv.meta.json").read_text())
         assert meta["tool"] == "ringpair 0.1.0"
         assert meta["argv"] == argv
         assert isinstance(meta["created_unix"], float)
@@ -312,7 +342,7 @@ class TestOverlap:
     def test_json_shape(self, capsys):
         rc = main(["overlap", "--device", DEV, "--band", *BAND])
         assert rc == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
+        payload = load_json(capsys.readouterr().out)
         assert set(payload) == {
             "j_abs", "j_phase", "z_factor_abs", "enh_abs", "method", "warnings",
         }
@@ -326,7 +356,7 @@ class TestOverlap:
             rc = main(["overlap", "--device", DEV, "--band", *BAND,
                        "--method", method])
             assert rc == EXIT_OK
-            values[method] = json.loads(capsys.readouterr().out)
+            values[method] = load_json(capsys.readouterr().out)
         q, c = values["quadrature"], values["closed-form"]
         assert q["j_abs"] == pytest.approx(c["j_abs"], rel=0.01)
         assert q["z_factor_abs"] == pytest.approx(c["z_factor_abs"], rel=0.01)
@@ -338,26 +368,26 @@ class TestOverlap:
         save_device(make_device(l2_scale=1.0, n_eff=4.2), path)
         rc = main(["overlap", "--device", str(path), "--band", *BAND, "--strict"])
         assert rc == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
+        payload = load_json(capsys.readouterr().out)
         assert payload["warnings"] == []
 
     def test_strict_fails_on_the_first_note(self, tmp_path, capsys):
         lenient, strict = tmp_path / "lenient.json", tmp_path / "strict.json"
         assert main([*NOTED_OVERLAP, "--out", str(lenient)]) == EXIT_OK
-        notes = json.loads(lenient.read_text())["warnings"]
+        notes = load_json(lenient.read_text())["warnings"]
         assert notes
         capsys.readouterr()
         assert main([*NOTED_OVERLAP, "--strict", "--out", str(strict)]) == EXIT_VALIDATION
         assert not strict.exists()
         assert not (tmp_path / "strict.json.meta.json").exists()
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err == {"code": EXIT_VALIDATION, "context": {"error": "AssumptionViolated"},
                        "message": notes[0]}
 
     def test_strict_reports_an_input_error_before_a_note(self, tmp_path, capsys):
         # J is computed before --strict reads its notes, so the zero-chi3
         # error wins over the phase-mismatch note.
-        data = json.loads(DEVICE_JSON.read_text())
+        data = load_json(DEVICE_JSON.read_text())
         data["waveguide"]["chi3_m2_v2"] = 0.0
         path = tmp_path / "device.json"
         path.write_text(json.dumps(data))
@@ -366,7 +396,7 @@ class TestOverlap:
         argv[argv.index("--device") + 1] = str(path)
         assert main(argv) == EXIT_VALIDATION
         assert not out.exists()
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "ValueError"
         assert "chi3_bar = 0" in err["message"]
 
@@ -375,7 +405,7 @@ class TestRates:
     def test_rates_payload(self, capsys):
         rc = main(["rates", "--device", DEV, "--band", *BAND, "--photons", "5e4"])
         assert rc == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
+        payload = load_json(capsys.readouterr().out)
         assert payload["beta_sq_signal"] > 0.0
         assert payload["rate_signal_per_s"] == pytest.approx(
             payload["beta_sq_signal"] / payload["pulse_duration"], rel=1e-12
@@ -425,7 +455,7 @@ class TestKerrCheck:
     def test_metric_value(self, si_device, capsys):
         rc = main(["kerr-check", "--device", si_device, "--power", "0.005"])
         assert rc == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
+        payload = load_json(capsys.readouterr().out)
         assert payload["kerr_metric"] == pytest.approx(0.00625, rel=1e-9)
         assert payload["isolation_db_cold"] == 200.0
         assert 0.0 <= payload["crosstalk_at_null"] < 1e-4
@@ -435,7 +465,7 @@ class TestKerrCheck:
         rc = main(["kerr-check", "--device", si_device, "--power", "0.005",
                    "--max-metric", "0.001"])
         assert rc == EXIT_INFEASIBLE
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["code"] == EXIT_INFEASIBLE
         assert err["context"]["error"] == "ValidityExceeded"
 
@@ -446,7 +476,7 @@ class TestOptimize:
         rc = main(["optimize", "--device", DEV, "--signal", "1550nm",
                    "--suppression", "1e-3", "--out", str(out)])
         assert rc == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
+        payload = load_json(capsys.readouterr().out)
         assert set(payload) == {"device", "report"}
         assert payload["report"]["passed"] is True
         assert payload["report"]["isolation_db"] == 200.0
@@ -456,11 +486,31 @@ class TestOptimize:
         rc = main(["overlap", "--device", str(out), "--band", *BAND])
         assert rc == EXIT_OK
 
+    def test_huge_pump_coupling_q_reports_j(self, tmp_path, capsys):
+        # Ring-1 coupling Q x 1e200 exited 4: sqrt(q_c1 * q_c2) overflowed
+        # and the closed form's quality-factor prefactor divided down to 0.
+        # The reported J multiplies the fields j_quadrature multiplies.
+        data = load_json(DEVICE_JSON.read_text())
+        data["ring1"]["q_coupling"] *= 1e200
+        path, tuned = tmp_path / "device.json", tmp_path / "tuned.json"
+        path.write_text(json.dumps(data))
+        rc, payload = run_json(["optimize", "--device", str(path), *SIGNAL,
+                                "--out", str(tuned)], capsys)
+        assert rc == EXIT_OK
+        dev = load_device(tuned)
+        goal = DesignGoal(signal_wavelength=TWO_PI * C_VACUUM / parse_frequency("1550nm"),
+                          min_parasitic_suppression=1e-3)
+        *_, cfg = _tune_diagnostics(dev, goal)
+        jq = j_quadrature(dev, cfg)
+        fields = abs(jq.j_value / jq.z_factor)
+        assert 0.0 < payload["report"]["j_abs"] == pytest.approx(
+            fields * dev.dc_length / 4.0, rel=4e-15)
+
     def test_infeasible_goal(self, capsys):
         rc = main(["optimize", "--device", DEV, "--signal", "1550nm",
                    "--suppression", "1e-6"])
         assert rc == EXIT_INFEASIBLE
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "Infeasible"
 
     def test_reported_kerr_metric_is_the_gated_one(self, tmp_path, capsys):
@@ -480,7 +530,7 @@ class TestOptimize:
         rc, kerr = run_json(["kerr-check", "--device", str(out), "--power", repr(power)], capsys)
         assert rc == EXIT_OK
         assert kerr["kerr_metric"] == gated
-        gamma = json.loads(out.read_text())["waveguide"]["gamma_nl_w_m"]
+        gamma = load_json(out.read_text())["waveguide"]["gamma_nl_w_m"]
         rc = main(["sweep", "--device", str(out), "--param", "waveguide.gamma_nl_w_m",
                    "--list", repr(gamma), "--report", "kerr", "--power", repr(power)])
         assert rc == EXIT_OK
@@ -524,7 +574,7 @@ class TestSweep:
         "section, key, field", FORMAT_ROWS, ids=[f"{s}.{f}" for s, _, f in FORMAT_ROWS]
     )
     def test_key_and_field_spellings_agree(self, section, key, field, capsys):
-        shipped = json.loads(DEVICE_JSON.read_text())[section][key]
+        shipped = load_json(DEVICE_JSON.read_text())[section][key]
         value = repr(OFF_SHIPPED.get(key, 1.001 * shipped))
         texts = []
         for leaf in (field, key):
@@ -542,7 +592,7 @@ class TestSweep:
     def test_suffix_stripped_spellings_rejected(self, param, capsys):
         rc = main(["sweep", "--device", DEV, "--param", param, "--list", "3e-7"])
         assert rc == EXIT_VALIDATION
-        message = json.loads(capsys.readouterr().err)["message"]
+        message = load_json(capsys.readouterr().err)["message"]
         assert param in message
         section = param.split(".")[0]
         assert all(key in message for key, _, _, _ in FILE_FORMAT[section])
@@ -550,7 +600,7 @@ class TestSweep:
     def test_unknown_section(self, capsys):
         rc = main(["sweep", "--device", DEV, "--param", "schema", "--list", "2"])
         assert rc == EXIT_VALIDATION
-        message = json.loads(capsys.readouterr().err)["message"]
+        message = load_json(capsys.readouterr().err)["message"]
         assert "'schema'" in message
         assert all(section in message for section in FILE_FORMAT)
 
@@ -558,7 +608,7 @@ class TestSweep:
         rc = main(["sweep", "--device", DEV, "--param", "dc.bogus",
                    "--list", "1e-7"])
         assert rc == EXIT_VALIDATION
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert "dc.bogus" in err["message"]
 
     def test_comb_report_needs_band(self, capsys):
@@ -593,7 +643,7 @@ class TestSweep:
                    "--report", report, *flags, "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert not out.exists()
-        message = json.loads(capsys.readouterr().err)["message"]
+        message = load_json(capsys.readouterr().err)["message"]
         assert f"--report {report}" in message
         assert all(flag in message for flag in named)
         assert all(flag not in message for flag in flags
@@ -662,7 +712,7 @@ class TestSweep:
     def test_file_value_at_the_swept_key_is_never_read(self, param, value, values, tmp_path,
                                                         capsys):
         section, key = param.split(".")
-        data = json.loads(DEVICE_JSON.read_text())
+        data = load_json(DEVICE_JSON.read_text())
         if value is None:
             del data[section][key]
         else:
@@ -712,7 +762,7 @@ class TestExitCodes:
         rc = main(["sweep", "--device", DEV, "--param", "dc.gap_m", *values, "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert os.listdir(tmp_path) == []
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "ValueError"
         assert flag in err["message"] and quoted in err["message"]
         assert "device file" not in err["message"]
@@ -721,7 +771,7 @@ class TestExitCodes:
         rc = main(["spectrum", "--device", "/nonexistent/dev.json",
                    "--band", *BAND])
         assert rc == EXIT_VALIDATION
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["code"] == EXIT_VALIDATION
 
     def test_malformed_device_leaves_no_artifact(self, tmp_path, capsys):
@@ -743,7 +793,7 @@ class TestExitCodes:
                    "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert not out.exists()
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "ValueError"
         assert err["message"].startswith("device file: invalid JSON")
 
@@ -758,7 +808,7 @@ class TestExitCodes:
                    "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert not out.exists()
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["code"] == EXIT_VALIDATION
         assert err["context"]["error"] == "ValueError"
         assert "1e400THz" in err["message"]
@@ -771,7 +821,7 @@ class TestExitCodes:
         rc = main(["spectrum", "--device", DEV, "--band", "190THz", edge, "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert os.listdir(tmp_path) == []
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "ValueError"
         assert err["message"] == f"cannot parse frequency {edge!r}"
 
@@ -787,7 +837,7 @@ class TestExitCodes:
         rc = main([*README_COMMANDS["rates"], "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert os.listdir(tmp_path) == []
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == error
         assert err["message"].endswith(f": {str(out)!r}")
         assert ".tmp-" not in err["message"]
@@ -800,7 +850,7 @@ class TestExitCodes:
                    "--points", "1000000000000", "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert not out.exists()
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "ValueError"
         assert "n_points" in err["message"]
 
@@ -821,7 +871,7 @@ class TestExitCodes:
         rc = main([*argv, "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert not out.exists()
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "ValueError"
         assert err["message"] == f"{flag} must be between 2 and {MAX_ROWS}, got 100000000"
 
@@ -841,7 +891,7 @@ class TestExitCodes:
         rc = main([*argv, "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert not out.exists()
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "ValueError"
         assert "nan" in err["message"]
 
@@ -853,7 +903,7 @@ class TestExitCodes:
                    f"--max-detuning={value}", "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert not out.exists()
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "ValueError"
         assert err["message"] == f"--max-detuning must be finite, got '{value}'"
 
@@ -871,7 +921,7 @@ class TestExitCodes:
     def test_coupling_overflow_is_non_physical(self, key, scale, argv, tmp_path, capsys):
         # exp(-(gap - gap_ref) / decay_len) overflows a double at these
         # scalings; it used to escape as an OverflowError traceback.
-        data = json.loads(DEVICE_JSON.read_text())
+        data = load_json(DEVICE_JSON.read_text())
         data["coupling_model"][key] *= scale
         path = tmp_path / "device.json"
         path.write_text(json.dumps(data))
@@ -879,7 +929,7 @@ class TestExitCodes:
         rc = main([argv[0], "--device", str(path), *argv[1:], "--out", str(out)])
         assert rc == EXIT_NUMERICAL
         assert not out.exists()
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "NonPhysical"
         assert "overflows" in err["message"]
 
@@ -890,7 +940,7 @@ class TestExitCodes:
         save_device(make_device(q_i=200.0, q_c=200.0), path)
         rc = main(["rates", "--device", str(path), "--band", *BAND])
         assert rc == EXIT_NUMERICAL
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "NonPhysical"
 
     @pytest.mark.parametrize("case", RANGE_CASES.values(), ids=RANGE_CASES.keys())
@@ -898,7 +948,7 @@ class TestExitCodes:
         # Each used to end in an OverflowError, ZeroDivisionError or
         # TypeError traceback, or in a spectrum holding nan and inf.
         section, key, scale, argv, phrase = case
-        data = json.loads(DEVICE_JSON.read_text())
+        data = load_json(DEVICE_JSON.read_text())
         data[section][key] *= scale
         path = tmp_path / "device.json"
         path.write_text(json.dumps(data))
@@ -906,14 +956,14 @@ class TestExitCodes:
         rc = main([argv[0], "--device", str(path), *argv[1:], "--out", str(out)])
         assert rc == EXIT_NUMERICAL
         assert not out.exists()
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "NonPhysical"
         assert phrase in err["message"]
 
     @pytest.mark.parametrize("case", MULTI_RANGE_CASES.values(), ids=MULTI_RANGE_CASES.keys())
     def test_out_of_range_leaves_are_non_physical(self, case, tmp_path, capsys):
         edits, argv, phrase = case
-        data = json.loads(DEVICE_JSON.read_text())
+        data = load_json(DEVICE_JSON.read_text())
         for section, key, scale in edits:
             data[section][key] *= scale
         path = tmp_path / "device.json"
@@ -922,7 +972,7 @@ class TestExitCodes:
         rc = main([argv[0], "--device", str(path), *argv[1:], "--out", str(out)])
         assert rc == EXIT_NUMERICAL
         assert not out.exists()
-        err = json.loads(capsys.readouterr().err)
+        err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "NonPhysical"
         assert phrase in err["message"]
 
@@ -935,19 +985,30 @@ class TestExitCodes:
             ["suppression", "--device", DEV, "--band", *BAND, "--photons", "1e200"],
             ["suppression", "--device", DEV, "--band", *BAND, "--max-detuning", "1e200"],
             ["suppression", "--device", DEV, "--band", *BAND, "--max-detuning", "-1e200"],
+            ["suppression", "--device", DEV, "--band", *BAND, "--max-detuning", "1e300"],
+            ["suppression", "--device", DEV, "--band", *BAND, "--max-detuning", "-1e300"],
+            ["rates", "--device", DEV, "--band", *BAND, "--pulse", "1e-160"],
+            ["suppression", "--device", DEV, "--band", *BAND, "--pulse", "1e-160"],
+            ["sweep", "--device", DEV, "--param", "dc.gap_m", "--values", "2.8e-7", "3.2e-7",
+             "3", "--report", "rates", "--band", *BAND, "--pulse", "1e-160"],
         ],
         ids=["rates-inf", "rates-overflow", "suppression-inf", "suppression-overflow",
-             "suppression-huge-detuning", "suppression-huge-negative-detuning"],
+             "suppression-huge-detuning", "suppression-huge-negative-detuning",
+             "suppression-overflowing-detuning", "suppression-overflowing-negative-detuning",
+             "rates-per-second", "suppression-per-second", "sweep-rates-per-second"],
     )
     def test_overflowing_pair_rate_is_non_physical(self, argv, tmp_path, capsys):
         # The rate used to be written as Infinity, or pn**2 or delta**2
         # overflowed into an OverflowError traceback. A detuning past the
         # signal line leaves no positive pump frequency; one far below it
-        # overflows delta**2 in the closed-form rate.
+        # overflows delta**2 in the closed-form rate. A detuning of
+        # 1e300 linewidths overflows to inf, which exited 2 as bad input.
+        # A rate per pulse divided by a 1e-160 s pulse overflows per
+        # second, which rates, suppression and sweep wrote as inf.
         out = tmp_path / "artifact"
         assert main([*argv, "--out", str(out)]) == EXIT_NUMERICAL
         assert not out.exists()
-        assert json.loads(capsys.readouterr().err)["context"]["error"] == "NonPhysical"
+        assert load_json(capsys.readouterr().err)["context"]["error"] == "NonPhysical"
 
 
 class TestExactPairRates:
@@ -988,7 +1049,7 @@ class TestArtifactSchema:
         assert rc == EXIT_OK
         assert set(payload) == KERR_KEYS
         # delta_beta is the mismatch behind the ring-1 pull.
-        wg = json.loads(DEVICE_JSON.read_text())["waveguide"]
+        wg = load_json(DEVICE_JSON.read_text())["waveguide"]
         assert payload["induced_shift"][0] == pytest.approx(
             -c0 / wg["n_g"] * payload["delta_beta"], rel=1e-12
         )
@@ -1014,7 +1075,7 @@ class TestSweepMatchesRates:
     @given(shift_hz=st.floats(-3e11, 3e11))
     def test_suppression_row_matches_rates(self, shift_hz):
         with tempfile.TemporaryDirectory() as tmp:
-            data = json.loads(DEVICE_JSON.read_text())
+            data = load_json(DEVICE_JSON.read_text())
             data["ring2"]["heater_shift_hz"] = shift_hz
             path = Path(tmp) / "device.json"
             path.write_text(json.dumps(data))
@@ -1026,7 +1087,7 @@ class TestSweepMatchesRates:
                        "--list", repr(shift_hz), "--report", "suppression", "--band", *BAND,
                        "--out", str(sweep_out)])
             assert rc == EXIT_OK
-            rates = json.loads(rates_out.read_text())
+            rates = load_json(rates_out.read_text())
             _header, rows = read_csv(sweep_out.read_text())
         assert rows == [[shift_hz, max(rates["suppression"]), *rates["detuning_delta"]]]
 
@@ -1044,7 +1105,7 @@ class TestSweepMatchesRates:
 
 
 # Every numeric leaf of the shipped device, as (section, file key).
-SHIPPED = json.loads(DEVICE_JSON.read_text())
+SHIPPED = load_json(DEVICE_JSON.read_text())
 LEAVES = [(section, key) for section, rows in FILE_FORMAT.items() for key, _, _, _ in rows]
 # The six other README commands, made cheap, and sweep with each report.
 # "{gap}" stands for the generated coupler gap and 1.01 times it.
@@ -1065,14 +1126,6 @@ FUZZ_COMMANDS = {
 }
 
 
-def _finite_numbers(value) -> bool:
-    if isinstance(value, dict):
-        return all(_finite_numbers(v) for v in value.values())
-    if isinstance(value, list):
-        return all(_finite_numbers(v) for v in value)
-    return not isinstance(value, float) or math.isfinite(value)
-
-
 class TestGeneratedDevices:
     """No traceback and no non-finite artifact on generated devices."""
 
@@ -1087,7 +1140,7 @@ class TestGeneratedDevices:
         name=st.sampled_from(sorted(FUZZ_COMMANDS)),
     )
     def test_exit_code_and_artifacts(self, scales, name):
-        data = json.loads(json.dumps(SHIPPED))
+        data = load_json(json.dumps(SHIPPED))
         for (section, key), (exponent, sign) in scales.items():
             data[section][key] *= sign * 10.0**exponent
         with tempfile.TemporaryDirectory() as tmp:
@@ -1105,6 +1158,43 @@ class TestGeneratedDevices:
             if argv[0] in ("spectrum", "suppression", "sweep"):
                 assert all(math.isfinite(v) for row in read_csv(text)[1] for v in row)
             else:
-                assert _finite_numbers(json.loads(text))
+                load_json(text)
             if name == "optimize":
-                assert _finite_numbers(json.loads(report.read_text()))
+                load_json(report.read_text())
+
+
+# Commands whose JSON artifacts hold a rate or J, with the flags each
+# reads from the drawn drive.
+STRICT_COMMANDS = {
+    "rates": lambda photons, pulse: ["rates", "--band", *BAND, "--photons", photons,
+                                     "--pulse", pulse],
+    "overlap-closed-form": lambda photons, pulse: ["overlap", "--band", *BAND,
+                                                   "--method", "closed-form"],
+    "optimize": lambda photons, pulse: ["optimize", *SIGNAL, "--report", "report"],
+}
+
+
+class TestStrictArtifacts:
+    """A drive or device scaled towards the float range's edges exits
+    non-zero or writes an artifact of finite numbers only."""
+
+    @pytest.mark.parametrize("name", STRICT_COMMANDS)
+    @settings(max_examples=100, deadline=None)
+    @given(photon_exp=st.integers(0, 200), pulse_exp=st.integers(-200, -9),
+           q_exp=st.integers(0, 80), chi3_exp=st.integers(0, 300))
+    def test_exit_or_finite_artifact(self, name, photon_exp, pulse_exp, q_exp, chi3_exp):
+        data = load_json(DEVICE_JSON.read_text())
+        for ring in ("ring1", "ring2"):
+            for key in ("q_intrinsic", "q_coupling"):
+                data[ring][key] *= 10.0**q_exp
+        data["waveguide"]["chi3_m2_v2"] *= 10.0**chi3_exp
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "device.json"
+            path.write_text(json.dumps(data))
+            argv = [str(Path(tmp) / a) if a == "report" else a
+                    for a in STRICT_COMMANDS[name](f"1e{photon_exp}", f"1e{pulse_exp}")]
+            rc = main([argv[0], "--device", str(path), *argv[1:], "--out", f"{tmp}/out"])
+            if rc == EXIT_OK:
+                # The artifacts, their sidecars and the device file.
+                for written in Path(tmp).iterdir():
+                    load_json(written.read_text())
