@@ -44,7 +44,6 @@ from .enhancement import (
     spectrum_to_csv,
 )
 from .errors import (
-    AssumptionViolated,
     EmptyBand,
     Infeasible,
     MissingResonance,
@@ -85,7 +84,6 @@ from .nonlinear import (
     OverlapResult,
     ProcessConfig,
     enhancement_factor,
-    j_closed_form,
     j_quadrature,
     j_single_ring_baseline,
     j_single_ring_ratio,

@@ -49,7 +49,6 @@ from .deviceio import (
 )
 from .enhancement import intensity_spectrum, spectrum_to_csv
 from .errors import (
-    AssumptionViolated,
     EmptyBand,
     Infeasible,
     MissingResonance,
@@ -62,7 +61,7 @@ from .errors import (
 )
 from .geometry import C_VACUUM, TWO_PI, resonance_comb
 from .linear_cmt import isolation_db, kerr_detuned_efficiency
-from .nonlinear import j_closed_form, j_quadrature, resonant_config
+from .nonlinear import j_quadrature, resonant_config
 from .sfwm import (
     PumpDrive,
     noise_budget,
@@ -85,7 +84,7 @@ MAX_ROWS = 10**6
 
 _INFEASIBLE_ERRORS = (Infeasible, OutOfRange, ValidityExceeded)
 _NUMERICAL_ERRORS = (NoConvergence, QuadratureFailure, NonPhysical)
-_VALIDATION_ERRORS = (ValueError, OSError, EmptyBand, MissingResonance, AssumptionViolated)
+_VALIDATION_ERRORS = (ValueError, OSError, EmptyBand, MissingResonance)
 
 # argparse reads only -1 or -0.5 as negative values and takes -1e9 for an
 # option; no option of this CLI starts with a digit or a dot.
@@ -202,10 +201,7 @@ def cmd_overlap(args: argparse.Namespace, argv: Sequence[str]) -> None:
     device = load_device(args.device, strict=args.strict)
     band = _band_pair(args.band)
     cfg = resonant_config(device, band, pump_separation=args.separation)
-    solver = j_quadrature if args.method == "quadrature" else j_closed_form
-    res = solver(device, cfg)
-    if args.strict and res.warnings:
-        raise AssumptionViolated(res.warnings[0])
+    res = j_quadrature(device, cfg)
     payload = {
         "j_abs": res.j_abs,
         "j_phase": cmath.phase(res.j_value),
@@ -370,9 +366,7 @@ def _add_common(p: argparse.ArgumentParser, func: Callable, *flags: str, **overr
     p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--device", required=True, help="device JSON path")
     p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-    p.add_argument("--strict", action="store_true",
-                   help="reject unknown device-file keys; overlap also fails on a "
-                        "model-assumption warning")
+    p.add_argument("--strict", action="store_true", help="reject unknown device-file keys")
     for dest in flags:
         p.add_argument(_flag(dest), **{**_FLAGS[dest], **overrides.get(dest, {})})
     p.set_defaults(func=func)
@@ -391,12 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overlap", help="nonlinear overlap figure J (JSON)")
     _add_common(p, cmd_overlap, "band", "separation")
-    p.add_argument(
-        "--method",
-        choices=("quadrature", "closed-form"),
-        default="quadrature",
-        help="overlap evaluation method",
-    )
+    p.add_argument("--method", choices=("quadrature",), default="quadrature",
+                   help="overlap method; the one choice is the exact coupler integral")
 
     p = sub.add_parser("rates", help="signal and parasitic pair rates (JSON)")
     _add_common(p, cmd_rates, "band", "separation", *_DRIVE)

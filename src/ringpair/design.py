@@ -42,10 +42,10 @@ from .geometry import (
 from .linear_cmt import isolation_db, kerr_delta_beta, kerr_validity_metric
 from .nonlinear import (
     ProcessConfig,
-    j_closed_form,
-    j_single_ring_baseline,
+    j_quadrature,
     on_resonance_config,
     pump_pair,
+    single_ring_reference,
 )
 from .sfwm import PumpDrive, sideband_pair
 
@@ -428,7 +428,7 @@ def evaluate_design(
     the signal line against the pump pair, side-band suppression for
     both single-pump processes, and the Kerr budget (:func:`null_kerr_metric`
     at the drive's power at the signal line, zero without a drive). The
-    report also carries the on-resonance overlap figure and its single-ring ratio.
+    report also carries J from :func:`j_quadrature` and its single-ring ratio.
     """
     residual, deltas, sups, cfg = _tune_diagnostics(device, goal)
     lw = cfg.res_s.linewidth
@@ -470,19 +470,19 @@ def evaluate_design(
         ),
     )
 
-    j = j_closed_form(device, cfg)
-    ref = j_single_ring_baseline(device, cfg)
+    j = j_quadrature(device, cfg)
+    reference, notes = single_ring_reference(device)
     return DesignReport(
         passed=all(r.passed for r in rules),
         rules=rules,
         j_abs=j.j_abs,
-        j_ratio=j.j_abs / ref.j_abs,
+        j_ratio=abs(j.z_factor) / reference,
         isolation_db=iso,
         uncoupling_order=order,
         suppression=sups,
         detuning=deltas,
         kerr_metric=metric,
-        notes=j.warnings + ref.warnings,
+        notes=notes,
     )
 
 

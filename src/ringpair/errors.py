@@ -57,10 +57,6 @@ class QuadratureFailure(RingpairError):
     """Adaptive integration could not reach the requested tolerance."""
 
 
-class AssumptionViolated(RingpairError):
-    """A result's model-assumption note, promoted to an error by the command line."""
-
-
 class NonPhysical(RingpairError):
     """Inputs or intermediate results left the physically meaningful domain."""
 

@@ -8,20 +8,15 @@ the dual-pump process, both pump fields sit on the centres of their
 ring-1 lines and both generated fields on the centre of one ring-2
 line, so each field's factor is its line's on-resonance enhancement.
 
-One body computes J for every route; each route passes its own
-spatial factor and keeps its own model-assumption notes:
-
-* :func:`j_quadrature` uses the exact spatial integral for any coupler
-  length and phase mismatch;
-* :func:`j_closed_form` uses the analytic result that at a linear null
-  (L = m*pi/|kappa|) and perfect phase matching the spatial integral
-  has magnitude L/4;
-* :func:`j_single_ring_baseline` uses sqrt(L1 * L2), the round trip of
-  the single-ring reference device.
-
-The first two agree in magnitude at a null to rounding; the overall
-phase of J is convention dependent (only |J| and |J|^2 enter rates),
-so comparisons are made on magnitudes.
+:func:`j_quadrature` is the one J of a device: its spatial factor is
+the exact integral, in closed form, for any coupler length and phase
+mismatch (its magnitude is L/4 only at a linear null with perfect phase
+matching). :func:`j_single_ring_baseline` multiplies the same fields by
+the single-ring reference's round trip sqrt(L1 * L2), so their ratio
+:func:`j_single_ring_ratio` is the ratio of the spatial factors. Only J
+itself can leave the float range (see :func:`_scaled_product`); a
+subnormal J is reported. The overall phase of J is convention dependent
+(only |J| and |J|^2 enter rates), so comparisons are made on magnitudes.
 
 J is reported in model units of 1/V^2 * m: the chi3 normalization
 constants that would convert it to a fully dimensioned interaction
@@ -40,7 +35,6 @@ from .geometry import DeviceSpec, Resonance, WaveguideParams, device_combs, wave
 from .enhancement import lorentzian_response, peak_amplitude
 from .linear_cmt import phase_unit
 
-PHASE_MISMATCH_LIMIT = math.pi / 10.0
 RING_LENGTH_MISMATCH_LIMIT = 0.01
 
 
@@ -154,6 +148,34 @@ def _material_factor(device: DeviceSpec) -> float:
     return factor
 
 
+def _split(x: complex) -> tuple[complex, int]:
+    """(m, e) with x = m * 2**e, the larger part of m in [0.5, 1) (or m = 0).
+
+    A float stays a float, so it multiplies as it would unscaled.
+    """
+    if isinstance(x, float):
+        return math.frexp(x)
+    e = math.frexp(max(abs(x.real), abs(x.imag)))[1]
+    return complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)), e
+
+
+def _scaled_product(factors: tuple[complex, ...]) -> tuple[complex, int]:
+    """The product of ``factors`` in order, as (mantissa, exponent of two).
+
+    Each factor and each partial product gives up a power of two, so no
+    intermediate leaves the float range. Scaling by a power of two is
+    exact, so wherever every intermediate of the plain product
+    ``factors[0] * factors[1] * ...`` is a normal double (or zero),
+    ``ldexp`` of the result is that product bit for bit.
+    """
+    mantissa, exponent = _split(factors[0])
+    for factor in factors[1:]:
+        m, e = _split(factor)
+        mantissa, shift = _split(mantissa * m)
+        exponent += e + shift
+    return mantissa, exponent
+
+
 def _overlap(
     device: DeviceSpec,
     cfg: ProcessConfig,
@@ -161,7 +183,7 @@ def _overlap(
     method: str,
     notes: tuple[str, ...] = (),
 ) -> OverlapResult:
-    """J = f3 * f4 * f1 * f2 * material factor * ``z_factor``, for every route.
+    """J = f3 * f4 * f1 * f2 * material factor * ``z_factor``, for both J routes.
 
     Each field's factor is its line's peak amplitude times the unit line
     shape at the line centre, where the field sits. ``notes`` are the
@@ -175,8 +197,11 @@ def _overlap(
     f3 = lorentzian_response(p1, p1.omega0) * peak_amplitude(p1, wg, device.ring1)
     f4 = lorentzian_response(p2, p2.omega0) * peak_amplitude(p2, wg, device.ring1)
     f1 = f2 = lorentzian_response(s, s.omega0) * peak_amplitude(s, wg, device.ring2)
-    j = f3 * f4 * f1 * f2 * _material_factor(device) * z_factor
-    require_finite("J", j, NonPhysical)
+    mantissa, exponent = _scaled_product((f3, f4, f1, f2, _material_factor(device), z_factor))
+    try:
+        j = complex(math.ldexp(mantissa.real, exponent), math.ldexp(mantissa.imag, exponent))
+    except OverflowError:
+        raise NonPhysical(f"J must be finite, got a magnitude near 2**{exponent}") from None
     if j == 0.0 and z_factor != 0.0:  # no field and no material factor is 0
         raise NonPhysical("J underflows to 0")
     return OverlapResult(
@@ -200,50 +225,33 @@ def j_quadrature(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
     return _overlap(device, cfg, z_factor, "quadrature")
 
 
-def j_closed_form(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
-    """Overlap figure J from the analytic null-length result.
-
-    The spatial factor is L/4, the integral's magnitude at a linear null
-    with perfect phase matching. Valid when the coupler sits at a linear
-    null and the phase mismatch is small (|delta_k| * L below pi/10);
-    outside that regime the function still evaluates but flags the
-    assumption.
-    """
-    mismatch = abs(cfg.delta_k) * device.dc_length
-    notes = () if mismatch <= PHASE_MISMATCH_LIMIT else (
-        f"|delta_k| * L = {mismatch:.3g} rad exceeds the small-mismatch regime of the "
-        "closed form",
-    )
-    return _overlap(device, cfg, complex(device.dc_length / 4.0), "closed_form", notes)
-
-
-def j_single_ring_baseline(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
-    """J of the single-ring reference device of equivalent length.
-
-    The reference is one ring whose round trip equals the geometric
-    mean of the two racetrack lengths, with the full round trip acting
-    as the interaction region (spatial factor L_rt instead of L/4).
-    """
+def single_ring_reference(device: DeviceSpec) -> tuple[float, tuple[str, ...]]:
+    """Round trip sqrt(L1 * L2) of the single-ring reference, and its ring-length note."""
     l1 = device.ring1.round_trip_length
     l2 = device.ring2.round_trip_length
     notes = () if abs(l1 - l2) <= RING_LENGTH_MISMATCH_LIMIT * max(l1, l2) else (
         f"ring lengths differ by {abs(l1 - l2) / max(l1, l2):.1%}; the single-ring "
         "comparison assumes nearly equal round trips",
     )
-    spatial = complex(math.sqrt(l1 * l2))
-    return _overlap(device, cfg, spatial, "single_ring_baseline", notes)
+    return math.sqrt(l1 * l2), notes
+
+
+def j_single_ring_baseline(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
+    """J of one ring whose whole round trip, sqrt(L1 * L2), is the interaction region."""
+    spatial, notes = single_ring_reference(device)
+    return _overlap(device, cfg, complex(spatial), "single_ring_baseline", notes)
 
 
 def j_single_ring_ratio(device: DeviceSpec, cfg: ProcessConfig) -> float:
-    """|J| of this device over |J| of the single-ring reference.
+    """|J| of this device over |J| of the single-ring reference, |Z| / sqrt(L1 * L2).
 
-    Equals dc_length / (4 * L_rt) for equal ring lengths: the price of
-    linear uncoupling is that only the coupler straight contributes to
-    the overlap, with an extra 1/4 from the amplitude beat. At the
-    bend-limited optimum (coupler length pi*R, round trip 4*pi*R) the
-    ratio is 1/16.
+    At a linear null with perfect phase matching and equal ring lengths
+    it is dc_length / (4 * L_rt): only the coupler straight contributes
+    to the overlap, with an extra 1/4 from the amplitude beat. At the
+    bend-limited optimum (coupler pi*R, round trip 4*pi*R) that is 1/16.
     """
-    return j_closed_form(device, cfg).j_abs / j_single_ring_baseline(device, cfg).j_abs
+    z_factor = z_overlap_integral(device.kappa, device.dc_length, cfg.delta_k)
+    return abs(z_factor) / single_ring_reference(device)[0]
 
 
 def pump_pair(

@@ -111,6 +111,25 @@ def process_band(device: DeviceSpec, n_spacings: float = 4.2) -> tuple[float, fl
     return (w - span, w + span)
 
 
+def null_overlap_oracle(device: DeviceSpec, cfg) -> float:
+    """|J| of a configuration at a linear null with perfect phase matching.
+
+    Written out from the model, not from ``ringpair``: each field's peak
+    amplitude sqrt(4 Q v_g / (L_rt w0)) * sqrt(Q / Q_c) (its unit line
+    shape at the centre has magnitude 1), the material factor
+    chi3 / (n_bar^4 * A), and the coupler integral's magnitude L/4 there.
+    """
+    wg = device.waveguide
+    v_g = C_VACUUM / wg.n_g
+    product = 1.0
+    for res in (cfg.res_p1, cfg.res_p2, cfg.res_s, cfg.res_s):
+        ring = device.ring1 if res.owner == 1 else device.ring2
+        q = res.q_loaded
+        product *= math.sqrt(4.0 * q * v_g / (ring.round_trip_length * res.omega0) * q
+                             / res.q_coupling)
+    return product * abs(wg.chi3_bar) / (wg.n_bar**4 * wg.area_eff) * device.dc_length / 4.0
+
+
 @pytest.fixture(scope="session")
 def sample_device() -> DeviceSpec:
     return load_device(DEVICE_JSON)

@@ -80,9 +80,6 @@ README_COMMANDS = {
     "sweep": ["sweep", "--device", DEV, "--param", "dc.gap_m", "--values", "2.8e-7", "3.2e-7",
               "41", "--report", "isolation"],
 }
-# The README's overlap band read by the closed form, whose phase-mismatch
-# check fails there: the artifact carries one note and the run succeeds.
-NOTED_OVERLAP = ["overlap", "--device", DEV, "--band", "1567nm:1543nm", "--method", "closed-form"]
 
 
 # Artifact keys: the fields of the library's result dataclass plus the
@@ -166,13 +163,14 @@ MULTI_RANGE_CASES = {
     },
     "both-rings-q-1e+160-overlap": (both_q("ring1", "ring2", scale=1e160),
                                     ["overlap", "--band", *BAND], "J must be finite"),
-    # The closed form's quality-factor prefactor stayed finite while J
-    # overflowed, and the artifact held "j_abs": NaN with exit 0.
+    # J itself overflows: about 1.4e309 for overlap, 1.2e309 for optimize.
+    # At chi3 x 4e208, one decade down, J is in range and is reported
+    # (TestOverlap.test_j_in_range_is_reported).
     **{
-        f"both-rings-q-1e+55-chi3-4e+208-{argv[0]}": (
-            (*both_q("ring1", "ring2", scale=1e55), ("waveguide", "chi3_m2_v2", 4e208)),
+        f"both-rings-q-1e+55-chi3-4e+209-{argv[0]}": (
+            (*both_q("ring1", "ring2", scale=1e55), ("waveguide", "chi3_m2_v2", 4e209)),
             argv, "J must be finite")
-        for argv in (["overlap", "--band", *BAND, "--method", "closed-form"],
+        for argv in (["overlap", "--band", *BAND, "--method", "quadrature"],
                      ["optimize", *SIGNAL])
     },
     # J underflows to 0: overlap wrote "j_abs": 0.0, and optimize's J
@@ -284,9 +282,7 @@ class TestArtifacts:
 
 
 class TestQuietSuccess:
-    QUIET = {**README_COMMANDS, "overlap-closed-form": NOTED_OVERLAP}
-
-    @pytest.mark.parametrize("argv", QUIET.values(), ids=QUIET.keys())
+    @pytest.mark.parametrize("argv", README_COMMANDS.values(), ids=README_COMMANDS.keys())
     def test_success_writes_nothing_to_stderr(self, argv, tmp_path):
         # A fresh interpreter with Python's default warning filters: a
         # model-assumption note goes into the artifact, never to stderr.
@@ -350,20 +346,9 @@ class TestOverlap:
         assert payload["j_abs"] > 0.0
         assert isinstance(payload["warnings"], list)
 
-    def test_methods_agree(self, capsys):
-        values = {}
-        for method in ("quadrature", "closed-form"):
-            rc = main(["overlap", "--device", DEV, "--band", *BAND,
-                       "--method", method])
-            assert rc == EXIT_OK
-            values[method] = load_json(capsys.readouterr().out)
-        q, c = values["quadrature"], values["closed-form"]
-        assert q["j_abs"] == pytest.approx(c["j_abs"], rel=0.01)
-        assert q["z_factor_abs"] == pytest.approx(c["z_factor_abs"], rel=0.01)
-
     def test_strict_mode_on_clean_device(self, tmp_path, capsys):
-        # Identical rings: both combs align, nothing to warn about even
-        # with warnings escalated.
+        # --strict only rejects unknown device-file keys; a file with
+        # none gives the artifact, with no note.
         path = tmp_path / "aligned.json"
         save_device(make_device(l2_scale=1.0, n_eff=4.2), path)
         rc = main(["overlap", "--device", str(path), "--band", *BAND, "--strict"])
@@ -371,34 +356,42 @@ class TestOverlap:
         payload = load_json(capsys.readouterr().out)
         assert payload["warnings"] == []
 
-    def test_strict_fails_on_the_first_note(self, tmp_path, capsys):
-        lenient, strict = tmp_path / "lenient.json", tmp_path / "strict.json"
-        assert main([*NOTED_OVERLAP, "--out", str(lenient)]) == EXIT_OK
-        notes = load_json(lenient.read_text())["warnings"]
-        assert notes
-        capsys.readouterr()
-        assert main([*NOTED_OVERLAP, "--strict", "--out", str(strict)]) == EXIT_VALIDATION
-        assert not strict.exists()
-        assert not (tmp_path / "strict.json.meta.json").exists()
-        err = load_json(capsys.readouterr().err)
-        assert err == {"code": EXIT_VALIDATION, "context": {"error": "AssumptionViolated"},
-                       "message": notes[0]}
+    def test_closed_form_method_is_gone(self, capsys):
+        # quadrature is the one J; the flag stays for the command lines
+        # that name it.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["overlap", "--device", DEV, "--band", *BAND, "--method", "closed-form"])
+        assert exit_info.value.code == EXIT_VALIDATION
+        assert "invalid choice: 'closed-form'" in capsys.readouterr().err
 
-    def test_strict_reports_an_input_error_before_a_note(self, tmp_path, capsys):
-        # J is computed before --strict reads its notes, so the zero-chi3
-        # error wins over the phase-mismatch note.
+    def test_method_flag_changes_nothing(self, tmp_path):
+        outs = [tmp_path / "flag.json", tmp_path / "bare.json"]
+        assert main([*README_COMMANDS["overlap"], "--out", str(outs[0])]) == EXIT_OK
+        bare = [a for a in README_COMMANDS["overlap"] if a not in ("--method", "quadrature")]
+        assert main([*bare, "--out", str(outs[1])]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "q_scale, chi3_scale, j_scales",
+        [(1e160, 1e-100, (1e220,)), (1e55, 4e208, (1e110, 4e208))],
+        ids=["both-rings-q-1e+160-chi3-1e-100", "both-rings-q-1e+55-chi3-4e+208"],
+    )
+    def test_j_in_range_is_reported(self, q_scale, chi3_scale, j_scales, tmp_path, capsys):
+        # Each field grows as sqrt(Q), so J grows as Q^2 * chi3. The
+        # running product used to overflow to inf, and inf * 0 gave
+        # J = nan+nanj: exit 4 on a J inside the float range.
         data = load_json(DEVICE_JSON.read_text())
-        data["waveguide"]["chi3_m2_v2"] = 0.0
+        for section, key, scale in (*both_q("ring1", "ring2", scale=q_scale),
+                                    ("waveguide", "chi3_m2_v2", chi3_scale)):
+            data[section][key] *= scale
         path = tmp_path / "device.json"
         path.write_text(json.dumps(data))
-        out = tmp_path / "overlap.json"
-        argv = [*NOTED_OVERLAP, "--strict", "--out", str(out)]
-        argv[argv.index("--device") + 1] = str(path)
-        assert main(argv) == EXIT_VALIDATION
-        assert not out.exists()
-        err = load_json(capsys.readouterr().err)
-        assert err["context"]["error"] == "ValueError"
-        assert "chi3_bar = 0" in err["message"]
+        assert main(["overlap", "--device", DEV, "--band", *BAND]) == EXIT_OK
+        want = load_json(capsys.readouterr().out)["j_abs"]
+        for scale in j_scales:
+            want *= scale
+        assert main(["overlap", "--device", str(path), "--band", *BAND]) == EXIT_OK
+        assert load_json(capsys.readouterr().out)["j_abs"] == pytest.approx(want, rel=1e-13)
 
 
 class TestRates:
@@ -1168,8 +1161,7 @@ class TestGeneratedDevices:
 STRICT_COMMANDS = {
     "rates": lambda photons, pulse: ["rates", "--band", *BAND, "--photons", photons,
                                      "--pulse", pulse],
-    "overlap-closed-form": lambda photons, pulse: ["overlap", "--band", *BAND,
-                                                   "--method", "closed-form"],
+    "overlap": lambda photons, pulse: ["overlap", "--band", *BAND, "--method", "quadrature"],
     "optimize": lambda photons, pulse: ["optimize", *SIGNAL, "--report", "report"],
 }
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from ringpair import (
     finesse,
     fsr,
     isolation_db,
-    j_closed_form,
+    j_quadrature,
     j_single_ring_baseline,
     j_single_ring_ratio,
     kerr_delta_beta,
@@ -34,7 +35,7 @@ from ringpair import (
 
 from ringpair.design import _tune_diagnostics
 
-from conftest import make_device
+from conftest import make_device, null_overlap_oracle
 
 GOAL = DesignGoal(signal_wavelength=1.55e-6, min_parasitic_suppression=5e-3)
 
@@ -353,18 +354,40 @@ class TestSharedResults:
         assert comp.induced_shift[0] == -wg.v_g * comp.delta_beta
 
     def test_report_overlap_and_notes_come_from_one_evaluation(self):
-        # Mismatched rings: the device's closed form notes the phase
-        # mismatch and the single-ring reference the ring lengths. The
-        # notes live on the report only: no warning of any category.
+        # Mismatched rings: the single-ring reference notes the ring
+        # lengths. The note lives on the report only: no warning of any
+        # category.
         dev = make_device(l2_scale=1.3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = evaluate_design(dev, GOAL)
         assert caught == []
         *_, cfg = _tune_diagnostics(dev, GOAL)
-        j = j_closed_form(dev, cfg)
+        j = j_quadrature(dev, cfg)
         ref = j_single_ring_baseline(dev, cfg)
-        ratio = j_single_ring_ratio(dev, cfg)
-        assert j.warnings and ref.warnings
-        assert report.notes == j.warnings + ref.warnings
-        assert report.j_ratio == ratio
+        assert j.warnings == () and len(ref.warnings) == 1
+        assert report.notes == ref.warnings
+        assert report.j_abs == j.j_abs
+        assert report.j_ratio == j_single_ring_ratio(dev, cfg)
+
+    @pytest.mark.parametrize("gap", [2.9e-7, 3.3e-7])
+    def test_off_null_report_carries_the_exact_j(self, sample_device, gap):
+        # 13.4 dB and 5.4 dB of isolation: off the null, where L/4 is
+        # 6% too high or 7% too low. The report used to carry L/4.
+        dev = replace(sample_device, dc_gap=gap)
+        report = evaluate_design(dev, GOAL)
+        *_, cfg = _tune_diagnostics(dev, GOAL)
+        assert report.j_abs == j_quadrature(dev, cfg).j_abs
+        assert abs(report.j_abs / null_overlap_oracle(dev, cfg) - 1.0) > 0.05
+
+    def test_j_ratio_ignores_a_subnormal_j(self, sample_device):
+        # chi3 x 1e-300 makes J subnormal. The ratio of the two J lost
+        # digits there (0.05590161915513001 against 0.05590161915513349);
+        # the ratio of the spatial factors does not see chi3.
+        goal = DesignGoal(signal_wavelength=1.55e-6, min_parasitic_suppression=1e-3)
+        wg = sample_device.waveguide
+        tiny = replace(sample_device, waveguide=replace(wg, chi3_bar=wg.chi3_bar * 1e-300))
+        _, report = optimize_device(sample_device, goal)
+        _, tiny_report = optimize_device(tiny, goal)
+        assert tiny_report.j_abs < sys.float_info.min
+        assert tiny_report.j_ratio == report.j_ratio

@@ -76,6 +76,28 @@ def test_artifact_bytes_unchanged(name, tmp_path, capsys):
     capsys.readouterr()
 
 
+# The optimize report before its J became the exact coupler integral:
+# sha256 of the artifact and the two numbers that moved. L/4 sits
+# 2.45e-7 above the exact integral on the README's tuned device.
+L4_REPORT_SHA256 = "09f551cdc3e087db92f88b79d4048f7bcab76884477d156dff5034d5d08ab077"
+L4_REPORT_J = {"j_abs": 3.118149497298663e-11, "j_ratio": 0.05590161915513349}
+
+
+def test_exact_j_moves_only_the_report_j_and_within_1e_6(tmp_path, capsys):
+    argv, _ = COMMANDS["optimize"]
+    path = tmp_path / "report.json"
+    assert main([*argv, "--report", str(path)]) == EXIT_OK
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    report = payload["report"]
+    for key, old in L4_REPORT_J.items():
+        assert report[key] != old
+        assert abs(report[key] - old) <= 1e-6 * old
+    report.update(L4_REPORT_J)
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == L4_REPORT_SHA256
+    capsys.readouterr()
+
+
 def test_golden_file_covers_exactly_the_commands():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     keys = {f"{name}{flag}" for name, (_, flags) in COMMANDS.items() for flag in flags}

@@ -6,6 +6,7 @@ import cmath
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from ringpair import (
     Resonance,
     enhancement_factor,
     integrate_adaptive,
-    j_closed_form,
     j_quadrature,
     j_single_ring_baseline,
     j_single_ring_ratio,
@@ -29,9 +29,9 @@ from ringpair import (
 )
 from ringpair import kernels, lorentzian_response, peak_amplitude
 from ringpair.linear_cmt import phase_unit
-from ringpair.nonlinear import PHASE_MISMATCH_LIMIT, RING_LENGTH_MISMATCH_LIMIT
+from ringpair.nonlinear import RING_LENGTH_MISMATCH_LIMIT, _scaled_product
 
-from conftest import make_device, process_band
+from conftest import make_device, null_overlap_oracle, process_band
 
 RNG = np.random.default_rng(20240818)
 
@@ -231,13 +231,14 @@ class TestEnhancementFactor:
 
 class TestJRoutes:
     def test_quadrature_equals_closed_form_on_resonance(self):
+        # At a linear null with perfect phase matching the coupler
+        # integral has magnitude L/4: J is the four fields times the
+        # material factor times L/4, written out here.
         dev = make_device()
         cfg = null_config(dev)
         jq = j_quadrature(dev, cfg)
-        jc = j_closed_form(dev, cfg)
-        assert jq.j_abs == pytest.approx(jc.j_abs, rel=1e-9)
+        assert jq.j_abs == pytest.approx(null_overlap_oracle(dev, cfg), rel=1e-9)
         assert abs(jq.z_factor) == pytest.approx(dev.dc_length / 4.0, rel=1e-9)
-        assert jc.z_factor == dev.dc_length / 4.0
 
     def test_doubling_ring_lengths_quarters_j(self):
         dev = make_device()
@@ -252,8 +253,8 @@ class TestJRoutes:
         assert big.ring1.round_trip_length == pytest.approx(
             2.0 * dev.ring1.round_trip_length, rel=1e-14
         )
-        j_small = j_closed_form(dev, cfg).j_abs
-        j_big = j_closed_form(big, cfg).j_abs
+        j_small = j_quadrature(dev, cfg).j_abs
+        j_big = j_quadrature(big, cfg).j_abs
         assert j_big == pytest.approx(j_small / 4.0, rel=1e-12)
 
     def test_small_phase_mismatch_is_benign(self):
@@ -322,6 +323,24 @@ class TestSingleRingRatio:
             dev.dc_length / (4.0 * dev.ring1.round_trip_length), rel=1e-9
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(chi3_exp=st.integers(-300, 300), q_exp=st.integers(-3, 300),
+           which=st.sampled_from(["chi3", "q", "both"]))
+    def test_scaling_chi3_or_both_qs_leaves_the_ratio(self, chi3_exp, q_exp, which):
+        # The fields and the material factor cancel, so the ratio is
+        # |Z| / sqrt(L1 * L2) to the last bit, even where J itself
+        # leaves the float range.
+        dev = make_device()
+        cfg = null_config(dev)
+        wg, r1, r2 = dev.waveguide, dev.ring1, dev.ring2
+        if which != "q":
+            wg = replace(wg, chi3_bar=wg.chi3_bar * 10.0**chi3_exp)
+        if which != "chi3":
+            r1, r2 = (replace(r, q_intrinsic=r.q_intrinsic * 10.0**q_exp,
+                              q_coupling=r.q_coupling * 10.0**q_exp) for r in (r1, r2))
+        scaled = replace(dev, waveguide=wg, ring1=r1, ring2=r2)
+        assert j_single_ring_ratio(scaled, cfg) == j_single_ring_ratio(dev, cfg)
+
 
 @st.composite
 def _devices(draw):
@@ -342,7 +361,7 @@ def _devices(draw):
 
 
 @st.composite
-def _closed_form_cases(draw):
+def _unequal_pump_cases(draw):
     """A make_device variant and its on-resonance configuration, with the
     second pump's loaded Q scaled so the pumps' quality factors differ."""
     dev = draw(_devices())
@@ -353,7 +372,7 @@ def _closed_form_cases(draw):
 
 def _two_body_parts(device, cfg):
     """The quality-factor prefactor and the material factor of the
-    two-body closed form."""
+    two-body form."""
     wg = device.waveguide
     q_p = math.sqrt(cfg.res_p1.q_loaded * cfg.res_p2.q_loaded)
     q_cp = math.sqrt(cfg.res_p1.q_coupling * cfg.res_p2.q_coupling)
@@ -366,22 +385,10 @@ def _two_body_parts(device, cfg):
     return pref, wg.chi3_bar / (wg.n_bar**4 * wg.area_eff)
 
 
-def _two_body_closed_forms(device, cfg):
-    """Both closed-form routes as two separate bodies computed them: one
-    helper for the quality-factor prefactor and the material factor,
-    each route finishing the product itself. The reference for the one
-    body of J, which multiplies the four fields instead."""
-    log = []
-    mismatch = abs(cfg.delta_k) * device.dc_length
-    if mismatch > PHASE_MISMATCH_LIMIT:
-        log.append(f"|delta_k| * L = {mismatch:.3g} rad exceeds the small-mismatch "
-                   "regime of the closed form")
-    pref, material = _two_body_parts(device, cfg)
-    z_factor = complex(device.dc_length / 4.0)
-    enh = enhancement_factor(cfg)
-    closed = OverlapResult(complex(pref * material * z_factor * enh), z_factor, enh,
-                           "closed_form", tuple(log))
-
+def _two_body_baseline(device, cfg):
+    """The single-ring baseline as a separate body computed it, from the
+    quality-factor prefactor and the material factor. The reference for
+    the one body of J, which multiplies the four fields instead."""
     log = []
     l1, l2 = device.ring1.round_trip_length, device.ring2.round_trip_length
     if abs(l1 - l2) > RING_LENGTH_MISMATCH_LIMIT * max(l1, l2):
@@ -389,34 +396,32 @@ def _two_body_closed_forms(device, cfg):
                    "single-ring comparison assumes nearly equal round trips")
     pref, material = _two_body_parts(device, cfg)
     l_mean = math.sqrt(l1 * l2)
-    baseline = OverlapResult(complex(pref * material * l_mean * enh), complex(l_mean), enh,
-                             "single_ring_baseline", tuple(log))
-    return closed, baseline
+    enh = enhancement_factor(cfg)
+    return OverlapResult(complex(pref * material * l_mean * enh), complex(l_mean), enh,
+                         "single_ring_baseline", tuple(log))
 
 
-# Closed-form and baseline J against the two-body form: the product of
-# the four fields and the quality-factor prefactor round differently.
+# Baseline J against the two-body form: the product of the four fields
+# and the quality-factor prefactor round differently.
 TWO_BODY_RTOL = 4e-15
 
 
 class TestClosedFormBody:
     @settings(max_examples=200, deadline=None)
-    @given(case=_closed_form_cases())
+    @given(case=_unequal_pump_cases())
     def test_routes_match_the_two_body_form(self, case):
         dev, cfg = case
-        expected = _two_body_closed_forms(dev, cfg)
-        for got, want in zip((j_closed_form(dev, cfg), j_single_ring_baseline(dev, cfg)),
-                             expected):
-            assert abs(got.j_value - want.j_value) <= TWO_BODY_RTOL * abs(want.j_value)
-            assert got.z_factor == want.z_factor
-            assert got.enhancement_product == want.enhancement_product
-            assert got.method == want.method
-            assert got.warnings == want.warnings
+        got, want = j_single_ring_baseline(dev, cfg), _two_body_baseline(dev, cfg)
+        assert abs(got.j_value - want.j_value) <= TWO_BODY_RTOL * abs(want.j_value)
+        assert got.z_factor == want.z_factor
+        assert got.enhancement_product == want.enhancement_product
+        assert got.method == want.method
+        assert got.warnings == want.warnings
 
 
 @st.composite
 def _scaled_cases(draw):
-    """A _closed_form_cases draw on a device whose rings' intrinsic and
+    """An _unequal_pump_cases draw on a device whose rings' intrinsic and
     coupling Qs and chi3 are scaled by powers of ten, far enough for the
     fields, the material factor or J to leave the float range."""
 
@@ -437,7 +442,49 @@ def _normal(x):
     return sys.float_info.min <= abs(x) < math.inf
 
 
-J_ROUTES = (j_quadrature, j_closed_form, j_single_ring_baseline)
+J_ROUTES = (j_quadrature, j_single_ring_baseline)
+
+
+def _exact(factors):
+    """The product of float and complex ``factors`` in exact rationals, as (re, im)."""
+    re, im = Fraction(1), Fraction(0)
+    for f in factors:
+        c = complex(f)
+        fr, fi = Fraction(c.real), Fraction(c.imag)
+        re, im = re * fr - im * fi, re * fi + im * fr
+    return re, im
+
+
+def _size(exact):
+    """|exact|^2, exactly."""
+    re, im = exact
+    return re * re + im * im
+
+
+def _gap(got, exact):
+    """|got - exact|^2, exactly."""
+    re, im = exact
+    return (Fraction(got.real) - re) ** 2 + (Fraction(got.imag) - im) ** 2
+
+
+def _j_factors(dev, cfg, route):
+    """The six factors a route multiplies: four fields, the material
+    factor and its spatial factor, computed as the route computes them."""
+    wg = dev.waveguide
+    fields = [lorentzian_response(res, res.omega0) * peak_amplitude(res, wg, dev.ring(res.owner))
+              for res in (cfg.res_p1, cfg.res_p2, cfg.res_s, cfg.res_s)]
+    if route is j_quadrature:
+        spatial = z_overlap_integral(dev.kappa, dev.dc_length, cfg.delta_k)
+    else:
+        spatial = complex(math.sqrt(dev.ring1.round_trip_length * dev.ring2.round_trip_length))
+    return (*fields, wg.chi3_bar / (wg.n_bar**4 * wg.area_eff), spatial)
+
+
+# Five complex products of six factors, each within sqrt(5) units of
+# rounding, bound the relative error of the product.
+EXACT_RTOL = Fraction(4e-15)
+SMALLEST = Fraction(2) ** -1074
+TOP = Fraction(sys.float_info.max)
 
 
 class TestScaledDevices:
@@ -463,13 +510,104 @@ class TestScaledDevices:
         for edge in (sys.float_info.max, 5e-324):
             assume(abs(log_j - math.log(edge)) > math.log(1e3))
         assert all(r is not None and cmath.isfinite(r.j_value) for r in results)
-        got = results[1:]
-        want = _two_body_closed_forms(dev, cfg)
+        got, want = results[1], _two_body_baseline(dev, cfg)
         product = fields[0] * fields[1] * fields[2] * fields[3]
-        if all(map(_normal, (fields[0] * fields[1], product, pref, material,
-                             *(r.j_abs for r in got), *(w.j_abs for w in want)))):
-            for g, w in zip(got, want):
-                assert abs(g.j_value - w.j_value) <= TWO_BODY_RTOL * abs(w.j_value)
+        if all(map(_normal, (fields[0] * fields[1], product, pref, material, got.j_abs,
+                             want.j_abs))):
+            assert abs(got.j_value - want.j_value) <= TWO_BODY_RTOL * abs(want.j_value)
+
+    @pytest.mark.parametrize("route", J_ROUTES, ids=lambda route: route.__name__)
+    @settings(max_examples=300, deadline=None)
+    @given(case=_scaled_cases())
+    def test_routes_match_the_exact_product(self, route, case):
+        # J fails only when J itself is out of range: the running
+        # product may pass far outside it on the way.
+        dev, cfg = case
+        try:
+            factors = _j_factors(dev, cfg, route)
+        except NonPhysical:
+            with pytest.raises(NonPhysical):
+                route(dev, cfg)
+            return
+        if factors[4] == 0.0:  # the material factor itself underflows
+            with pytest.raises(NonPhysical, match="chi3_bar"):
+                route(dev, cfg)
+            return
+        exact = _exact(factors)
+        size = _size(exact)
+        if size > (TOP * (1 + EXACT_RTOL)) ** 2:
+            with pytest.raises(NonPhysical, match="J must be finite"):
+                route(dev, cfg)
+            return
+        assume(size < (TOP * (1 - EXACT_RTOL)) ** 2)
+        try:
+            got = route(dev, cfg).j_value
+        except NonPhysical as exc:
+            # Refused only when it rounds to 0: below the smallest subnormal.
+            assert "J underflows to 0" in str(exc)
+            assert size < 2 * SMALLEST**2
+            return
+        # A subnormal J is reported with the digits it has: one more
+        # rounding of each part, to a multiple of the smallest subnormal.
+        # (a + b)^2 <= 2 (a^2 + b^2) bounds the sum of the two errors.
+        assert _gap(got, exact) <= 2 * (EXACT_RTOL**2 * size + SMALLEST**2)
+
+
+def _part(exponents):
+    """A float m * 2**e with 0.5 <= |m| < 1 and e drawn from ``exponents``."""
+    return st.builds(lambda m, sign, e: math.ldexp(sign * m, e),
+                     st.floats(0.5, 1.0, exclude_max=True), st.sampled_from([1.0, -1.0]),
+                     exponents)
+
+
+def _j_shaped(lo, hi):
+    """Six factors shaped like J's: four fields (0 + i*a, the unit line shape
+    at its centre times a peak amplitude), a real material factor and a
+    complex spatial factor whose parts lie within 2**40 of each other."""
+    exponents = st.integers(lo, hi)
+    field = st.builds(complex, st.sampled_from([0.0, -0.0]), _part(exponents))
+    spatial = st.integers(lo, hi).flatmap(
+        lambda e: st.builds(complex, _part(st.integers(e - 40, e + 40)), _part(st.just(e))))
+    return st.tuples(field, field, field, field, _part(exponents), spatial)
+
+
+def _normal_or_zero(x):
+    return x == 0.0 or _normal(x)
+
+
+def _plain_if_normal(factors):
+    """The plain product ``factors[0] * factors[1] * ...``, or None where a
+    factor, a partial product or one of its four part products is not a
+    normal double or zero."""
+    acc = factors[0]
+    for f in factors[1:]:
+        a, b = complex(acc), complex(f)
+        parts = (a.real * b.real, a.imag * b.imag, a.real * b.imag, a.imag * b.real)
+        acc = acc * f
+        if not all(map(_normal_or_zero, (b.real, b.imag, *parts, acc.real, acc.imag))):
+            return None
+    return acc
+
+
+def _ldexp(mantissa, exponent):
+    return complex(math.ldexp(mantissa.real, exponent), math.ldexp(mantissa.imag, exponent))
+
+
+class TestScaledProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(factors=_j_shaped(-120, 120))
+    def test_bit_identical_where_the_plain_product_is_normal(self, factors):
+        plain = _plain_if_normal(factors)
+        assume(plain is not None)
+        assert _ldexp(*_scaled_product(factors)) == plain
+
+    @settings(max_examples=200, deadline=None)
+    @given(factors=_j_shaped(-300, 300))
+    def test_matches_the_exact_product(self, factors):
+        exact = _exact(factors)
+        size = _size(exact)
+        assume(Fraction(sys.float_info.min) ** 2 <= size <= (TOP / 2) ** 2)
+        assert _gap(_ldexp(*_scaled_product(factors)), exact) <= EXACT_RTOL**2 * size
 
 
 @st.composite
@@ -522,10 +660,18 @@ class TestFieldsOnTheirLines:
 
 class TestAssumptionChecks:
     def test_large_phase_mismatch(self):
+        # The exact integral needs no small-mismatch regime: J follows
+        # |Z(delta_k)| with nothing to note.
         dev = make_device()
-        cfg = null_config(dev, delta_k=(math.pi / 5.0) / dev.dc_length)
-        res = j_closed_form(dev, cfg)
-        assert any("small-mismatch regime" in w for w in res.warnings)
+        cfg = null_config(dev)
+        mismatched = null_config(dev, delta_k=(math.pi / 5.0) / dev.dc_length)
+        res = j_quadrature(dev, mismatched)
+        assert res.warnings == ()
+        z0 = z_overlap_integral(dev.kappa, dev.dc_length, 0.0)
+        assert abs(res.z_factor) < abs(z0)
+        assert res.j_abs / j_quadrature(dev, cfg).j_abs == pytest.approx(
+            abs(res.z_factor) / abs(z0), rel=1e-14
+        )
 
     def test_unequal_rings_flagged_in_baseline(self):
         dev = make_device(l2_scale=1.12)
@@ -536,9 +682,9 @@ class TestAssumptionChecks:
 
 @st.composite
 def _assumption_inputs(draw):
-    """A device and a configuration on either side of each assumption
-    limit, phase mismatch and ring length mismatch, with unequal pump
-    quality factors, which no route notes."""
+    """A device on either side of the ring-length limit, and a
+    configuration with a phase mismatch and unequal pump quality factors,
+    which no route notes."""
     dev = make_device(l2_scale=draw(st.sampled_from([1.0, 1.005, 1.02, 1.12])))
     cfg = null_config(dev, delta_k=draw(st.floats(-0.5, 0.5)) / dev.dc_length)
     p2 = cfg.res_p2
@@ -552,39 +698,20 @@ def _assumption_inputs(draw):
     return dev, replace(cfg, res_p2=off)
 
 
-def _crossed_limits(dev, cfg):
-    """Each assumption limit of a case, and whether the case crosses it."""
-    l1, l2 = dev.ring1.round_trip_length, dev.ring2.round_trip_length
-    return {
-        "phase": abs(cfg.delta_k) * dev.dc_length > PHASE_MISMATCH_LIMIT,
-        "rings": abs(l1 - l2) > RING_LENGTH_MISMATCH_LIMIT * max(l1, l2),
-    }
-
-
-# A phrase of each limit's note, and the limits each route checks, in
-# the order its notes come.
-LIMIT_PHRASES = {
-    "phase": "small-mismatch regime",
-    "rings": "ring lengths differ",
-}
-ROUTE_LIMITS = {
-    j_quadrature: (),
-    j_closed_form: ("phase",),
-    j_single_ring_baseline: ("rings",),
-}
-
-
 class TestAssumptionNotes:
-    @pytest.mark.parametrize("route", ROUTE_LIMITS, ids=lambda route: route.__name__)
+    @pytest.mark.parametrize("route", J_ROUTES, ids=lambda route: route.__name__)
     @settings(max_examples=60, deadline=None)
     @given(case=_assumption_inputs())
     def test_notes_name_crossed_limits(self, route, case):
+        # The one note is the single-ring baseline's, on ring lengths.
         dev, cfg = case
-        crossed = _crossed_limits(dev, cfg)
-        expected = [LIMIT_PHRASES[limit] for limit in ROUTE_LIMITS[route] if crossed[limit]]
+        l1, l2 = dev.ring1.round_trip_length, dev.ring2.round_trip_length
+        crossed = abs(l1 - l2) > RING_LENGTH_MISMATCH_LIMIT * max(l1, l2)
         notes = route(dev, cfg).warnings
-        assert len(notes) == len(expected)
-        assert all(phrase in note for phrase, note in zip(expected, notes))
+        if route is j_single_ring_baseline and crossed:
+            assert len(notes) == 1 and "ring lengths differ" in notes[0]
+        else:
+            assert notes == ()
 
 
 class TestResonantConfig:
@@ -632,7 +759,7 @@ class TestRangeChecks:
         assert moved.signal_mismatch == pytest.approx(cfg.signal_mismatch + 7.0, abs=1.0)
 
     @pytest.mark.parametrize("n_bar", [3.48e-200, 3.48e200])
-    @pytest.mark.parametrize("route", [j_quadrature, j_closed_form])
+    @pytest.mark.parametrize("route", J_ROUTES)
     def test_material_factor_out_of_range(self, route, n_bar):
         # n_bar^4 used to underflow to 0 (ZeroDivisionError) or overflow
         # (OverflowError).
@@ -642,14 +769,13 @@ class TestRangeChecks:
 
     def test_huge_pump_coupling_q_gives_j(self):
         # sqrt(q_c1 * q_c2) overflows, so the old quality-factor prefactor
-        # divided down to 0 and both routes raised NonPhysical. They
-        # multiply j_quadrature's fields and differ only in the spatial factor.
+        # divided down to 0 and the baseline raised NonPhysical. It
+        # multiplies j_quadrature's fields and differs only in the spatial factor.
         dev = make_device(l2_scale=1.0, n_eff=4.2)
         dev = replace(dev, ring1=replace(dev.ring1, q_coupling=1e205))
         cfg = null_config(dev)
         jq = j_quadrature(dev, cfg)
         fields = jq.j_value / jq.z_factor
-        for route in (j_closed_form, j_single_ring_baseline):
-            res = route(dev, cfg)
-            assert 0.0 < res.j_abs < math.inf
-            assert res.j_value == pytest.approx(fields * res.z_factor, rel=4e-15)
+        res = j_single_ring_baseline(dev, cfg)
+        assert 0.0 < res.j_abs < math.inf
+        assert res.j_value == pytest.approx(fields * res.z_factor, rel=4e-15)
