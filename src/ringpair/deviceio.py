@@ -15,6 +15,7 @@ device files.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -235,6 +236,153 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
     row = ",".join(["%.17g"] * len(header)) + "\n"
     head = ",".join(header).replace("%", "%%") + "\n"
     return (head + row * (len(flat) // len(header))) % flat
+
+
+# Rows that csv_columns renders at once: its work arrays for three
+# columns stay under 0.5 MB however long the columns are.
+_BLOCK_ROWS = 1024
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant for doubles
+# A '%.17g' text is at most 24 characters: -2.2250738585072014e-308.
+_MAX_TEXT = 24
+
+
+@functools.cache
+def _slot_tables():
+    """The tables of :func:`_cut_slots`, built at the first call.
+
+    - 10**0 .. 10**20 as doubles, all exact;
+    - the four ASCII digits of each of 0..9999, one uint32 per number;
+    - the slot a fixed-notation value is cut from: sign, '0', 17
+      integer-part digits, '.', "000", 17 fraction digits, separator;
+    - the slot's keep mask for each decimal exponent k (-4 to 16) and
+      last nonzero digit ``last`` (0 to 16), at row (k + 4) * 17 + last.
+      It keeps the integer digits 0..k, or "0." and -k-1 zeros when
+      k < 0, then the fraction digits k+1..last after a '.'. The sign is
+      kept per value.
+    """
+    import numpy as np
+
+    pow10 = np.array([float(10**i) for i in range(21)])
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    quads[..., 0] = ascii_digits[:, None, None, None]
+    quads[..., 1] = ascii_digits[:, None, None]
+    quads[..., 2] = ascii_digits[:, None]
+    quads[..., 3] = ascii_digits
+    template = np.frombuffer(b"-0" + b"0" * 17 + b".000" + b"0" * 17 + b",", dtype=np.uint8)
+    k = np.arange(-4, 17)[:, None, None]
+    last = np.arange(17)[:, None]
+    j = np.arange(17)
+    keep = np.zeros((21, 17, len(template)), dtype=bool)
+    keep[..., 1:2] = k < 0
+    keep[..., 2:19] = j <= k
+    keep[..., 19:20] = (k < 0) | (last > k)
+    keep[..., 20:23] = np.arange(3) < -k - 1
+    keep[..., 23:40] = (j > k) & (j <= last)
+    keep[..., 40] = True
+    tables = (pow10, quads.view(np.uint32).ravel(), template, keep.reshape(21 * 17, -1))
+    for table in tables:
+        table.flags.writeable = False  # every later call shares them
+    return tables
+
+
+def _two_product(a, b):
+    """h + e == a * b exactly, with h = fl(a * b) (Dekker, no FMA)."""
+    h = a * b
+    t = a * _SPLIT
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = b * _SPLIT
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    return h, ((a_hi * b_hi - h) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _cut_slots(x):
+    """Each value's fixed-notation slot and keep mask, and where they hold.
+
+    The mask is right for a value only where ``fixed`` is true; see
+    :func:`csv_columns` for why those digits are exact.
+    """
+    import numpy as np
+
+    pow10, quads, template, masks = _slot_tables()
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    a[~fixed] = 1.0  # keeps log10 and the int64 casts quiet
+    k = np.log10(a)
+    np.floor(k, out=k)
+    k = np.clip(k, -4, 16).astype(np.intp)
+    h, e = _two_product(a, pow10.take(16 - k))
+    d = h.astype(np.int64) + np.rint(e).astype(np.int64)
+    fixed &= ((h > 1e16) | ((h == 1e16) & (e >= 0))) & (d < 10**17)
+
+    # The 17 digits: the leading one, then four groups of four.
+    groups = np.empty((len(x), 4), dtype=np.intp)
+    for i in (3, 2, 1, 0):
+        rest = d // 10**4
+        groups[:, i] = d - rest * 10**4
+        d = rest
+    digits = quads.take(groups).view(np.uint8)
+    last = ((digits != ord("0")) * np.arange(1, 17, dtype=np.uint8)).max(axis=1)
+
+    chars = np.empty((len(x), len(template)), dtype=np.uint8)
+    chars[:] = template
+    chars[:, 2] = chars[:, 23] = d + ord("0")
+    chars[:, 3:19] = chars[:, 24:40] = digits
+    keep = masks.take((k + 4) * 17 + last, axis=0)
+    keep[:, 0] = x < 0
+    return chars, keep, fixed
+
+
+def csv_columns(header: Sequence[str], columns: Sequence[Any]) -> str:
+    """The text of :func:`csv_text` for 1-D float64 columns, rendered by numpy.
+
+    ``csv_columns(header, columns) == csv_text(header, zip(*columns))``
+    for any values, byte for byte. Rows are rendered in blocks, so the
+    work arrays stay the same size however long the columns are; the
+    text is the one large allocation. Raises ``ValueError`` unless there
+    is one 1-D column of equal length per header name.
+
+    A value x with 1e-4 <= |x| < 1e17 is one that ``'%.17g'`` prints in
+    fixed notation, and its digits come out exactly, without a guess at
+    rounding. With k = floor(log10|x|) and p = 16 - k, 10**p is an
+    exact double (p <= 20 < 23), and Dekker's TwoProduct (Numer. Math.
+    18, 1971; factors split by 2**27 + 1, so no FMA is needed) gives
+    |x| * 10**p = h + e exactly. Then h >= 1e16 > 2**53 is an even
+    integer, so D = h + rint(e), summed in int64, is the 17-digit
+    rounding of |x| with ties to even, as ``'%.17g'`` rounds. When
+    log10 misjudges k, or the rounding carries to a power of ten, the
+    test 1e16 <= h + e and D < 1e17 fails. Those values, and all
+    outside the range (zeros, subnormals, nan, infinities, scientific
+    notation), are formatted by ``'%.17g'`` itself.
+    """
+    import numpy as np
+
+    cols = [np.asarray(c, dtype=np.float64) for c in columns]
+    if not cols or len(cols) != len(header):
+        raise ValueError(f"csv_columns: {len(header)} names for {len(cols)} columns")
+    n = len(cols[0])
+    if any(c.ndim != 1 or len(c) != n for c in cols):
+        raise ValueError("csv_columns: columns must be 1-D and of one length")
+    seps = np.tile(np.frombuffer(b"," * (len(cols) - 1) + b"\n", dtype=np.uint8), _BLOCK_ROWS)
+
+    text = ",".join(header) + "\n"
+    for start in range(0, n, _BLOCK_ROWS):
+        x = np.column_stack([c[start:start + _BLOCK_ROWS] for c in cols]).ravel()
+        chars, keep, fixed = _cut_slots(x)
+        chars[:, -1] = seps[:len(x)]
+        other = np.flatnonzero(~fixed)
+        if len(other):
+            texts = ["%.17g" % v for v in x[other].tolist()]
+            padded = "".join(s.ljust(_MAX_TEXT) for s in texts).encode("ascii")
+            chars[other, :_MAX_TEXT] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, _MAX_TEXT)
+            lengths = np.array([len(s) for s in texts])
+            keep[other, :-1] = np.arange(chars.shape[1] - 1) < lengths[:, None]
+        # CPython grows the only reference to a str in place, so the text
+        # is not copied once per block.
+        text += str(chars[keep], "ascii")
+    return text
 
 
 def save_device(device: DeviceSpec, path: str | os.PathLike) -> None:

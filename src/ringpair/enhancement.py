@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import kernels
-from .deviceio import csv_text
+from .deviceio import csv_columns
 from .errors import NonPhysical, require_finite
 from .geometry import DeviceSpec, Resonance, WaveguideParams, RacetrackSpec, device_combs
 
@@ -125,13 +125,15 @@ def intensity_spectrum(
     """Intensity-enhancement spectra of both rings on a uniform grid.
 
     Each ring's column is the sum of |f|^2 over that ring's in-band
-    resonances only. Raises ``ValueError`` unless ``n_points`` is
-    between 2 and ``MAX_SPECTRUM_POINTS``, and
+    resonances only. Raises ``ValueError`` unless ``n_points`` is an
+    ``int`` (not a bool) between 2 and ``MAX_SPECTRUM_POINTS``, and
     :class:`ringpair.errors.EmptyBand` (from the comb solver) if either
     ring has no resonance in the band.
     """
     import numpy as np
 
+    if isinstance(n_points, bool) or not isinstance(n_points, int):
+        raise ValueError(f"n_points must be an integer, got {n_points!r}")
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")
     if n_points > MAX_SPECTRUM_POINTS:
@@ -164,7 +166,8 @@ def spectrum_to_csv(result: SpectrumResult) -> str:
     Column names are part of the file contract:
     ``omega_rad_s, f1_sq, f2_sq``. Values are printed with 17
     significant digits so that parsing the file reproduces the binary
-    doubles exactly.
+    doubles exactly: the bytes of ``'%.17g'``, rendered a block of rows
+    at a time by :func:`ringpair.deviceio.csv_columns`.
     """
-    columns = (result.omega.tolist(), result.f1_sq.tolist(), result.f2_sq.tolist())
-    return csv_text(("omega_rad_s", "f1_sq", "f2_sq"), zip(*columns))
+    return csv_columns(("omega_rad_s", "f1_sq", "f2_sq"),
+                       (result.omega, result.f1_sq, result.f2_sq))

@@ -7,9 +7,12 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
+import tracemalloc
 from itertools import starmap
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,13 +20,15 @@ from ringpair import load_device, save_device
 from ringpair.deviceio import (
     FILE_FORMAT,
     SCHEMA_VERSION,
+    _cut_slots,
+    csv_columns,
     csv_text,
     device_from_dict,
     device_to_dict,
     swept_devices,
     write_text_atomic,
 )
-from ringpair.enhancement import intensity_spectrum, spectrum_to_csv
+from ringpair.enhancement import SpectrumResult, intensity_spectrum, spectrum_to_csv
 
 from conftest import DEVICE_JSON, REPO, TWO_PI, make_device
 
@@ -266,6 +271,123 @@ class TestCsvText:
         # Compare line lists: a diff of two 6 MB strings would stall the report.
         assert got.splitlines() == expected.splitlines()
         assert got == expected and expected.count("\n") == 100002
+
+
+def _near_powers_of_ten():
+    """10**-5 .. 10**17 and the eight doubles either side of each."""
+    out = []
+    for m in range(-5, 18):
+        below = above = 10.0**m if m < 0 else float(10**m)
+        out.append(below)
+        for _ in range(8):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            out += [below, above]
+    return np.array(out)
+
+
+def _quarter_integers():
+    """Quarter-integers in [1e15, 2.25e15]: a run at each end and 10**5 drawn between."""
+    lo, hi = 4 * 10**15, 9 * 10**15
+    quarters = np.concatenate([
+        np.arange(lo, lo + 4000),
+        np.arange(hi - 4000, hi + 1),
+        np.random.default_rng(15).integers(lo, hi, 10**5),
+    ])
+    return quarters / 4.0
+
+
+def _carries():
+    """Decimal texts one unit in the 18th digit short of a power of ten."""
+    return np.array([float(f"9.9999999999999999{d}e{m}") for m in range(-6, 18)
+                     for d in range(5, 10)])
+
+
+def _assert_lines_match_percent_g(values):
+    lines = csv_columns(("v",), [values]).split("\n")
+    assert lines[0] == "v" and lines[-1] == ""
+    # Compare lists, not one huge string: a failure then names its lines.
+    assert lines[1:-1] == ["%.17g" % v for v in values.tolist()]
+
+
+class TestCsvColumns:
+    @settings(max_examples=200)
+    @given(csv_tables())
+    @example((("a",), []))
+    @example((("x", "y"), [(0.0, -0.0), (math.nan, -math.inf), (5e-324, 7)]))
+    def test_bytes_match_the_per_row_writer(self, table):
+        header, rows = table
+        columns = [list(col) for col in zip(*rows)] or [[] for _ in header]
+        assert csv_columns(header, columns) == _starmap_csv_text(header, zip(*columns))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20251018)
+        _assert_lines_match_percent_g(
+            rng.integers(0, 2**64, size=10**6, dtype=np.uint64).view(np.float64)
+        )
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("values", [
+        pytest.param(_near_powers_of_ten, id="powers-of-ten"),
+        # Quarter-integers near 1e15 round at the 17th digit with exact ties,
+        # which go to the even digit.
+        pytest.param(_quarter_integers, id="ties"),
+        pytest.param(_carries, id="carries"),
+    ])
+    def test_hard_values(self, values, sign):
+        _assert_lines_match_percent_g(sign * values())
+
+    def test_misjudged_exponent_falls_back(self):
+        # Just below a power of ten log10 rounds up to it, so the exponent is
+        # one too large: the exactness test refuses the fixed slot.
+        x = np.array([np.nextafter(1000.0, 0.0), np.nextafter(1e16, 0.0)])
+        assert ["%.17g" % v for v in x] == ["999.99999999999989", "9999999999999998"]
+        assert (np.floor(np.log10(x)) == [3.0, 16.0]).all()
+        assert not _cut_slots(x)[2].any()
+        _assert_lines_match_percent_g(x)
+
+    @pytest.mark.parametrize("header, columns", [
+        (("a",), []),
+        (("a", "b"), [[1.0]]),
+        (("a", "b"), [[1.0], [1.0, 2.0]]),
+        (("a",), [[[1.0]]]),
+    ])
+    def test_bad_shapes_raise(self, header, columns):
+        with pytest.raises(ValueError, match="csv_columns"):
+            csv_columns(header, columns)
+
+    def test_memory_stays_flat_beyond_the_text(self):
+        n = 10**6
+        rng = np.random.default_rng(7)
+        result = SpectrumResult(
+            omega=np.linspace(TWO_PI * 185e12, TWO_PI * 205e12, n),
+            f1_sq=rng.lognormal(0.0, 4.0, n),
+            f2_sq=rng.lognormal(0.0, 4.0, n),
+            comb1=(),
+            comb2=(),
+        )
+        tracemalloc.start()
+        try:
+            text = spectrum_to_csv(result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == n + 1
+        assert peak - len(text) < 16 * 2**20
+
+    def test_loads_no_further_numpy_module(self):
+        code = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from ringpair.deviceio import csv_columns\n"
+            "before = set(sys.modules)\n"
+            "col = np.array([0.0, -0.0, np.nan, -np.inf, 5e-324, 1e300, 1.5, -2e-3, 7e16])\n"
+            "csv_columns(('a', 'b'), [col, col[::-1]])\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
+        )
+        path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, check=True, timeout=60)
+        assert json.loads(proc.stdout) == []
 
 
 class TestSetDeviceParam:

@@ -221,3 +221,11 @@ def _public_float_parameters():
 
 def test_argument_table_covers_every_public_float_parameter():
     assert set(ARGUMENT_CALLS) == _public_float_parameters()
+
+
+@pytest.mark.parametrize("bad", [1000.0, 1000.5, math.nan, "1000", True, None])
+def test_spectrum_point_count_must_be_an_int(bad):
+    # A float, a string or a bool is refused as input, not left to numpy.
+    dev = make_device()
+    with pytest.raises(ValueError, match="n_points"):
+        rp.intensity_spectrum(dev, process_band(dev), bad)
