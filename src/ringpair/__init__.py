@@ -78,12 +78,10 @@ from .linear_cmt import (
     kerr_delta_beta,
     kerr_detuned_efficiency,
     kerr_validity_metric,
-    solve_dc_fields,
 )
 from .nonlinear import (
     OverlapResult,
     ProcessConfig,
-    enhancement_factor,
     j_quadrature,
     j_single_ring_baseline,
     j_single_ring_ratio,
@@ -99,7 +97,6 @@ from .sfwm import (
     pair_rate_closed_form,
     pair_rate_integral,
     resolve_drive,
-    sideband_detuning,
     sideband_pair,
     sigma_from_finesse,
     suppression_factor,

@@ -55,7 +55,6 @@ from .errors import (
     NoConvergence,
     NonPhysical,
     OutOfRange,
-    QuadratureFailure,
     ValidityExceeded,
     require_finite,
 )
@@ -83,7 +82,7 @@ EXIT_NUMERICAL = 4
 MAX_ROWS = 10**6
 
 _INFEASIBLE_ERRORS = (Infeasible, OutOfRange, ValidityExceeded)
-_NUMERICAL_ERRORS = (NoConvergence, QuadratureFailure, NonPhysical)
+_NUMERICAL_ERRORS = (NoConvergence, NonPhysical)
 _VALIDATION_ERRORS = (ValueError, OSError, EmptyBand, MissingResonance)
 
 # argparse reads only -1 or -0.5 as negative values and takes -1e9 for an
@@ -220,8 +219,10 @@ def cmd_rates(args: argparse.Namespace, argv: Sequence[str]) -> None:
     report = noise_budget(device, _drive(args), cfg, kcal=args.kcal, band=band)
     payload = {
         **asdict(report),
-        "rate_signal_per_s": report.per_second(report.beta_sq_signal),
-        "rate_parasitic_per_s": [report.per_second(b) for b in report.beta_sq_parasitic],
+        "rate_signal_per_s": per_second(report.beta_sq_signal, report.pulse_duration),
+        "rate_parasitic_per_s": [
+            per_second(b, report.pulse_duration) for b in report.beta_sq_parasitic
+        ],
     }
     _emit(args.out, _json_text(payload), argv)
 
@@ -322,7 +323,8 @@ def _suppression_row(device, args: argparse.Namespace, band) -> tuple[float, ...
 def _rates_row(device, args: argparse.Namespace, band) -> tuple[float, ...]:
     cfg = resonant_config(device, band, pump_separation=args.separation)
     rep = noise_budget(device, _drive(args), cfg, kcal=args.kcal, band=band)
-    per_s = [rep.per_second(b) for b in (rep.beta_sq_signal, *rep.beta_sq_parasitic)]
+    per_s = [per_second(b, rep.pulse_duration)
+             for b in (rep.beta_sq_signal, *rep.beta_sq_parasitic)]
     return (per_s[0], max(per_s[1:]))
 
 

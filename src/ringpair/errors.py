@@ -7,14 +7,24 @@ part of the public contract: validation problems derive from
 
 The ``require_*`` helpers hold the one rule for scalar parameters:
 finite, and positive or non-negative where the physics says so.
+:func:`finite_product` holds the one rule for a product of many
+factors, such as J or a pair rate: only the product itself may leave
+the float range, never a factor or a partial product on the way.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
+from typing import Iterable
 
 _INF = math.inf
+# Largest magnitude whose square is still a finite double.
+MAX_SQUARABLE = math.sqrt(sys.float_info.max)
+# Scaled factors and partial products stay inside [2**-256, 2**256], so no
+# product or quotient of two of them leaves the normal doubles.
+_LOW, _HIGH = 2.0**-256, 2.0**256
 
 
 def require_positive(name: str, value: float, error: type[Exception] = ValueError) -> None:
@@ -33,6 +43,74 @@ def require_finite(name: str, value: complex, error: type[Exception] = ValueErro
     """Raise ``error`` unless ``value`` (real or complex) is finite."""
     if not cmath.isfinite(value):
         raise error(f"{name} must be finite, got {value}")
+
+
+def _split(x: complex) -> tuple[complex, int]:
+    """(m, e) with x = m * 2**e, the larger part of m in [0.5, 1) (or m = 0).
+
+    A float stays a float, so it multiplies as it would unscaled.
+    """
+    if isinstance(x, complex):
+        e = math.frexp(max(abs(x.real), abs(x.imag)))[1]
+        return complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)), e
+    return math.frexp(x)
+
+
+def scaled_product(factors: Iterable[tuple[complex, int]]) -> tuple[complex, int]:
+    """The product of ``x**p`` over ``(x, p)`` in ``factors``, in order, as (m, e).
+
+    The product is m * 2**e, with m as :func:`_split` leaves it; a
+    negative ``p`` divides by ``x**-p``. A factor or partial product
+    outside [2**-256, 2**256] gives up a power of two, so no intermediate
+    leaves the float range. ``x**p`` is taken as such where it is a
+    normal double: it is not always the scaled power of the mantissa.
+    Scaling by a power of two is exact, so wherever every factor and
+    intermediate of the plain left-to-right product is a normal double
+    (or zero), ``ldexp`` of the result is that product bit for bit; a
+    complex product keeps this while the two parts of each factor and
+    partial product lie within 2**250 of each other.
+    """
+    acc, exponent = 1.0, 0
+    for x, p in factors:
+        n = abs(p)
+        if n != 1:
+            m, e = math.frexp(x)
+            if -1022 <= n * (e - 1) and n * e <= 1023:  # x**n is a normal double
+                x = x**n
+            else:
+                x, exponent = m**n, exponent + (n * e if p > 0 else -n * e)
+        if not _LOW <= abs(x) <= _HIGH:
+            x, e = _split(x)
+            exponent += e if p > 0 else -e
+        acc = acc * x if p > 0 else acc / x
+        if not _LOW <= abs(acc) <= _HIGH:
+            acc, e = _split(acc)
+            exponent += e
+    acc, e = _split(acc)
+    return acc, exponent + e
+
+
+def finite_product(name: str, factors: Iterable[tuple[complex, int]], shift: int = 0) -> complex:
+    """:func:`scaled_product` of ``factors`` times ``2**shift``, as a number.
+
+    Raises :class:`NonPhysical` when the product overflows, is not
+    finite, or is not zero but rounds to 0. A subnormal product is
+    returned with the digits it has.
+    """
+    mantissa, exponent = scaled_product(factors)
+    exponent += shift
+    try:
+        if isinstance(mantissa, complex):
+            value = complex(math.ldexp(mantissa.real, exponent), math.ldexp(mantissa.imag, exponent))
+        else:
+            value = math.ldexp(mantissa, exponent)
+    except OverflowError:
+        raise NonPhysical(f"{name} must be finite, got a magnitude near 2**{exponent}, "
+                          "which overflows the float range") from None
+    require_finite(name, value, NonPhysical)
+    if value == 0.0 and mantissa != 0.0:
+        raise NonPhysical(f"{name} underflows to 0")
+    return value
 
 
 class RingpairError(Exception):

@@ -17,17 +17,13 @@ how much.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .errors import NonPhysical
+from .errors import MAX_SQUARABLE, NonPhysical
 from .errors import require_finite, require_non_negative, require_positive
 from .geometry import WaveguideParams
 
 ISOLATION_FLOOR_DB = 200.0
-
-# Largest magnitude whose square is still a finite double.
-_MAX_SQUARABLE = math.sqrt(sys.float_info.max)
 
 
 def phase_unit(kappa: complex) -> complex:
@@ -100,26 +96,6 @@ class DcTransfer:
         return abs(self.cross) ** 2
 
 
-def solve_dc_fields(kappa: complex, length: float) -> tuple[CmtField, CmtField]:
-    """Both asymptotic fields of the coupler.
-
-    Parameters
-    ----------
-    kappa : complex
-        Coupling constant [1/m]. Zero is allowed and returns constant
-        (degenerate) fields.
-    length : float
-        Coupler length [m].
-
-    Returns
-    -------
-    (CmtField, CmtField)
-        The IN-port and OUT-port fields, in that order.
-    """
-    kappa = complex(kappa)
-    return CmtField("IN", kappa, length), CmtField("OUT", kappa, length)
-
-
 def dc_transfer(kappa: complex, length: float) -> DcTransfer:
     """Linear transfer matrix entries of the coupler at length L.
 
@@ -174,7 +150,7 @@ def kerr_detuned_efficiency(kappa: complex, length: float, delta_beta: float) ->
     if mag == 0.0:
         return 0.0
     ratio = delta_beta / (2.0 * mag)
-    if not max(mag, abs(delta_beta), abs(ratio)) <= _MAX_SQUARABLE:
+    if not max(mag, abs(delta_beta), abs(ratio)) <= MAX_SQUARABLE:
         raise NonPhysical(
             f"Kerr crosstalk overflows for |kappa| = {mag:.6g} 1/m, "
             f"delta_beta = {delta_beta:.6g} 1/m"

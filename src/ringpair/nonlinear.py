@@ -14,9 +14,10 @@ mismatch (its magnitude is L/4 only at a linear null with perfect phase
 matching). :func:`j_single_ring_baseline` multiplies the same fields by
 the single-ring reference's round trip sqrt(L1 * L2), so their ratio
 :func:`j_single_ring_ratio` is the ratio of the spatial factors. Only J
-itself can leave the float range (see :func:`_scaled_product`); a
-subnormal J is reported. The overall phase of J is convention dependent
-(only |J| and |J|^2 enter rates), so comparisons are made on magnitudes.
+itself can leave the float range (see :func:`.errors.finite_product`);
+a subnormal J is reported. The overall phase of J is convention
+dependent (only |J| and |J|^2 enter rates), so comparisons are made on
+magnitudes.
 
 J is reported in model units of 1/V^2 * m: the chi3 normalization
 constants that would convert it to a fully dimensioned interaction
@@ -30,7 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import NonPhysical, require_finite, require_positive
+from .errors import NonPhysical, finite_product, require_finite, require_positive
 from .geometry import DeviceSpec, Resonance, WaveguideParams, device_combs, wavevector
 from .enhancement import lorentzian_response, peak_amplitude
 from .linear_cmt import phase_unit
@@ -78,22 +79,6 @@ class OverlapResult:
     @property
     def j_abs(self) -> float:
         return abs(self.j_value)
-
-
-def enhancement_factor(cfg: ProcessConfig) -> complex:
-    """Four-Lorentzian line-shape factor of the process.
-
-    Product of the unit-peak line shapes of the two pump lines and,
-    twice, of the signal line, each evaluated at its own centre, where
-    it is -i to rounding; the product is (-i)^4 = 1 to rounding.
-    """
-    p1, p2, s = cfg.res_p1, cfg.res_p2, cfg.res_s
-    return (
-        lorentzian_response(p1, p1.omega0)
-        * lorentzian_response(p2, p2.omega0)
-        * lorentzian_response(s, s.omega0)
-        * lorentzian_response(s, s.omega0)
-    )
 
 
 def z_overlap_integral(kappa: complex, length: float, delta_k: float = 0.0) -> complex:
@@ -148,34 +133,6 @@ def _material_factor(device: DeviceSpec) -> float:
     return factor
 
 
-def _split(x: complex) -> tuple[complex, int]:
-    """(m, e) with x = m * 2**e, the larger part of m in [0.5, 1) (or m = 0).
-
-    A float stays a float, so it multiplies as it would unscaled.
-    """
-    if isinstance(x, float):
-        return math.frexp(x)
-    e = math.frexp(max(abs(x.real), abs(x.imag)))[1]
-    return complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)), e
-
-
-def _scaled_product(factors: tuple[complex, ...]) -> tuple[complex, int]:
-    """The product of ``factors`` in order, as (mantissa, exponent of two).
-
-    Each factor and each partial product gives up a power of two, so no
-    intermediate leaves the float range. Scaling by a power of two is
-    exact, so wherever every intermediate of the plain product
-    ``factors[0] * factors[1] * ...`` is a normal double (or zero),
-    ``ldexp`` of the result is that product bit for bit.
-    """
-    mantissa, exponent = _split(factors[0])
-    for factor in factors[1:]:
-        m, e = _split(factor)
-        mantissa, shift = _split(mantissa * m)
-        exponent += e + shift
-    return mantissa, exponent
-
-
 def _overlap(
     device: DeviceSpec,
     cfg: ProcessConfig,
@@ -186,28 +143,24 @@ def _overlap(
     """J = f3 * f4 * f1 * f2 * material factor * ``z_factor``, for both J routes.
 
     Each field's factor is its line's peak amplitude times the unit line
-    shape at the line centre, where the field sits. ``notes`` are the
-    calling route's model-assumption notes.
+    shape at the line centre, where the field sits; the result's
+    ``enhancement_product`` multiplies the four line shapes in the same
+    order. ``notes`` are the calling route's model-assumption notes.
     """
     wg = device.waveguide
     p1, p2, s = cfg.res_p1, cfg.res_p2, cfg.res_s
-    # Each line shape before its peak amplitude: when a loaded Q is so
+    # The line shapes before the peak amplitudes: when a loaded Q is so
     # large that the line width underflows, that is the error to report,
     # not the peak amplitude overflowing with it.
-    f3 = lorentzian_response(p1, p1.omega0) * peak_amplitude(p1, wg, device.ring1)
-    f4 = lorentzian_response(p2, p2.omega0) * peak_amplitude(p2, wg, device.ring1)
-    f1 = f2 = lorentzian_response(s, s.omega0) * peak_amplitude(s, wg, device.ring2)
-    mantissa, exponent = _scaled_product((f3, f4, f1, f2, _material_factor(device), z_factor))
-    try:
-        j = complex(math.ldexp(mantissa.real, exponent), math.ldexp(mantissa.imag, exponent))
-    except OverflowError:
-        raise NonPhysical(f"J must be finite, got a magnitude near 2**{exponent}") from None
-    if j == 0.0 and z_factor != 0.0:  # no field and no material factor is 0
-        raise NonPhysical("J underflows to 0")
+    l3, l4, l1 = (lorentzian_response(r, r.omega0) for r in (p1, p2, s))
+    f3 = l3 * peak_amplitude(p1, wg, device.ring1)
+    f4 = l4 * peak_amplitude(p2, wg, device.ring1)
+    f1 = f2 = l1 * peak_amplitude(s, wg, device.ring2)
+    factors = (f3, f4, f1, f2, _material_factor(device), z_factor)
     return OverlapResult(
-        j_value=j,
+        j_value=finite_product("J", ((f, 1) for f in factors)),
         z_factor=z_factor,
-        enhancement_product=enhancement_factor(cfg),
+        enhancement_product=l3 * l4 * l1 * l1,
         method=method,
         warnings=notes,
     )

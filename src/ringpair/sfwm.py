@@ -22,7 +22,9 @@ and integrates over all u: (pi/4) * fwhm^3 / (delta^2 + fwhm^2). K is a
 hardware calibration constant: it absorbs the chi3 normalization this
 model does not carry, and is fixed by anchoring one measured (or
 targeted) rate with :func:`calibrate_kcal`. Ratios and suppressions
-never depend on it.
+never depend on it. Both routes multiply the prefactor and the spectral
+factor as one scaled product, so only the rate itself can leave the
+float range.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import MissingResonance, NonPhysical
+from .errors import MAX_SQUARABLE, MissingResonance, NonPhysical, finite_product, scaled_product
 from .errors import require_finite, require_non_negative, require_positive
 from .geometry import (
     EPSILON_0,
@@ -43,6 +45,7 @@ from .geometry import (
 from .nonlinear import ProcessConfig
 
 INTEGRATION_WINDOW_LINEWIDTHS = 50.0
+_RATE = "pair rate (prefactor times spectral factor)"
 
 
 @dataclass(frozen=True)
@@ -84,9 +87,9 @@ class PumpDrive:
 class PairRateReport:
     """Signal and parasitic pair rates of one configuration.
 
-    Rates are per pulse (dimensionless |beta|^2). ``per_second``
-    converts using the drive's pulse duration. Tuple entries are
-    ordered (pump-1 process, pump-2 process).
+    Rates are per pulse (dimensionless |beta|^2); :func:`per_second`
+    converts them with ``pulse_duration``. Tuple entries are ordered
+    (pump-1 process, pump-2 process).
     """
 
     beta_sq_signal: float
@@ -98,9 +101,6 @@ class PairRateReport:
     sigma: float
     pulse_duration: float
     notes: tuple[str, ...] = ()
-
-    def per_second(self, beta_sq: float) -> float:
-        return per_second(beta_sq, self.pulse_duration)
 
 
 def per_second(beta_sq: float, pulse_duration: float) -> float:
@@ -170,15 +170,16 @@ def _rate_setup(
     kcal: float,
     v_g: float,
     omega_s2: float | None,
-) -> tuple[float, float, float]:
+) -> tuple[tuple[tuple[float, int], ...], float, float]:
     """Validate the inputs of both rate routes.
 
-    Returns the |beta|^2 prefactor, omega_s2 (default: the signal
-    center) and the pump frequency. The drive must carry its
-    self-coupling (see :func:`resolve_drive`). Both routes need a
-    signal line narrower than a hundredth of its center, and reading
-    its linewidth refuses one whose squared half width is zero, so
-    neither route divides by d^2 + h^2 = 0.
+    Returns the factors of the |beta|^2 prefactor in the formula's
+    order, as :func:`.errors.scaled_product` takes them; omega_s2
+    (default: the signal center); and the pump frequency. The drive
+    must carry its self-coupling (see :func:`resolve_drive`). Both
+    routes need a signal line narrower than a hundredth of its center,
+    and reading its linewidth refuses one whose squared half width is
+    zero, so neither route divides by d^2 + h^2 = 0.
     """
     require_positive("kcal", kcal, NonPhysical)
     require_positive("v_g", v_g)
@@ -197,36 +198,24 @@ def _rate_setup(
             f"linewidth {res_s.linewidth:.3g} rad/s is not small against the line center; "
             "the narrow-resonance spectral model does not apply"
         )
-    try:
-        pref = (
-            drive.photon_number**2
-            * (HBAR * omega_s) ** 2
-            / drive.pulse_duration
-            * 9.0
-            * math.pi**3
-            / (2.0 * EPSILON_0**2)
-            * kcal
-            / v_g**4
-            * (2.0 / (1.0 - sigma)) ** 4
-        )
-    except OverflowError as exc:
-        raise NonPhysical("the pair-rate prefactor overflows the float range") from exc
+    pref = (
+        (drive.photon_number, 2),
+        (HBAR * omega_s, 2),
+        (drive.pulse_duration, -1),
+        (9.0, 1),
+        (math.pi, 3),
+        (2.0 * EPSILON_0**2, -1),
+        (kcal, 1),
+        (v_g, -4),
+        (2.0 / (1.0 - sigma), 4),
+    )
     return pref, omega_s2, omega_p
 
 
 def _partner_line(
-    signal_comb: list[Resonance] | tuple[Resonance, ...],
-    cfg: ProcessConfig,
-    pump: int,
+    signal_comb: list[Resonance] | tuple[Resonance, ...], omega_s: float, omega_p: float
 ) -> tuple[float, Resonance]:
-    """Energy mismatch and partner line of one single-pump process."""
-    if pump == 1:
-        omega_p = cfg.res_p1.omega0
-    elif pump == 2:
-        omega_p = cfg.res_p2.omega0
-    else:
-        raise ValueError(f"pump must be 1 or 2, got {pump}")
-    omega_s = cfg.res_s.omega0
+    """Energy mismatch and partner line of the single-pump process of ``omega_p``."""
     target = 2.0 * omega_p - omega_s
 
     candidates = [r for r in signal_comb if abs(r.omega0 - omega_s) > 1e-9 * omega_s]
@@ -247,42 +236,35 @@ def _partner_line(
     return delta, partner
 
 
-def sideband_detuning(
-    signal_comb: list[Resonance] | tuple[Resonance, ...],
-    cfg: ProcessConfig,
-    pump: int = 1,
-) -> float:
-    """Energy mismatch of the single-pump side-band process [rad/s].
-
-    delta = 2 * omega_pump - omega_signal - omega_partner, where the
-    partner is the signal-comb line closest to the energy-conserving
-    point 2 * omega_pump - omega_signal (the signal line itself is
-    excluded). For the symmetric arrangement with the pumps straddling
-    the signal, the partner of pump 1 is the line directly above the
-    signal and the partner of pump 2 the line directly below.
-
-    A rigid displacement of the partner line moves delta one-to-one;
-    two aligned combs with matching spacing give delta = 0.
-
-    Raises
-    ------
-    MissingResonance
-        If the comb does not bracket the energy-conserving point.
-    """
-    delta, _partner = _partner_line(signal_comb, cfg, pump)
-    return delta
-
-
 def sideband_pair(
     signal_comb: list[Resonance] | tuple[Resonance, ...], cfg: ProcessConfig
 ) -> tuple[tuple[float, float], tuple[float, float], tuple[Resonance, Resonance]]:
     """Detunings, suppressions and partner lines of both side-band processes.
 
-    Each entry is ordered (pump-1 process, pump-2 process); the
-    detunings are those of :func:`sideband_detuning`, and the
-    suppressions are :func:`suppression_factor` at the signal linewidth.
+    Each entry is ordered (pump-1 process, pump-2 process). The detuning
+    is the energy mismatch of the single-pump process [rad/s],
+
+        delta = 2 * omega_pump - omega_signal - omega_partner,
+
+    where the partner is the signal-comb line closest to the
+    energy-conserving point 2 * omega_pump - omega_signal (the signal
+    line itself is excluded). For the symmetric arrangement with the
+    pumps straddling the signal, the partner of pump 1 is the line
+    directly above the signal and the partner of pump 2 the line
+    directly below. A rigid displacement of the partner line moves delta
+    one-to-one; two aligned combs with matching spacing give delta = 0.
+    The suppressions are :func:`suppression_factor` at the signal
+    linewidth.
+
+    Raises
+    ------
+    MissingResonance
+        If the comb does not bracket either energy-conserving point.
     """
-    (d1, partner1), (d2, partner2) = (_partner_line(signal_comb, cfg, pump) for pump in (1, 2))
+    omega_s = cfg.res_s.omega0
+    (d1, partner1), (d2, partner2) = (
+        _partner_line(signal_comb, omega_s, res.omega0) for res in (cfg.res_p1, cfg.res_p2)
+    )
     lw = cfg.res_s.linewidth
     return (d1, d2), (suppression_factor(d1, lw), suppression_factor(d2, lw)), (partner1, partner2)
 
@@ -329,9 +311,8 @@ def pair_rate_integral(
     g = h * (math.log1p(x) / x if x > 0.0 else 1.0) * 2.0 * t / den
     s = math.atan((t + d) / h) + math.atan((t - d) / h)
     ab = (2.0 * res_s.omega0 - omega_s2 - 0.5 * delta) * (omega_s2 + 0.5 * delta)
-    rate = pref * 0.5 * h * (ab * h * h / (d * d + h * h) * (g + s) - h * h * (s - g))
-    require_finite("pair rate", rate, NonPhysical)
-    return rate
+    bracket = ab * h * h / (d * d + h * h) * (g + s) - h * h * (s - g)
+    return finite_product(_RATE, (*pref, (0.5, 1), (h, 1), (bracket, 1)))
 
 
 def pair_rate_closed_form(
@@ -351,20 +332,19 @@ def pair_rate_closed_form(
     benchmark checks rates to 1e-6 against references made with it.
 
     Raises :class:`NonPhysical`, rather than returning a limit, when
-    delta^2 or fwhm^3 overflows (|delta| past about 1.3e154 rad/s, fwhm
-    past about 5.6e102 rad/s) or the rate is not finite.
+    delta^2 or fwhm^2 overflows (past about 1.3e154 rad/s), or the rate
+    leaves the float range.
     """
     pref, omega_s2, omega_p = _rate_setup(drive, res_s, delta, kcal, v_g, omega_s2)
     fwhm = res_s.linewidth
-    try:
-        spectral = (math.pi / 4.0) * fwhm**3 / (delta**2 + fwhm**2) * omega_s2 * omega_p
-    except OverflowError as exc:
-        raise NonPhysical(
-            "delta^2 or fwhm^3 of the closed-form pair rate overflows the float range"
-        ) from exc
-    rate = pref * spectral
-    require_finite("pair rate", rate, NonPhysical)
-    return rate
+    if max(abs(delta), fwhm) > MAX_SQUARABLE:
+        raise NonPhysical("delta^2 or fwhm^2 of the closed form overflows the float range")
+    den = delta**2 + fwhm**2
+    require_finite("delta^2 + fwhm^2", den, NonPhysical)
+    spectral, shift = scaled_product(
+        ((math.pi / 4.0, 1), (fwhm, 3), (den, -1), (omega_s2, 1), (omega_p, 1))
+    )
+    return finite_product(_RATE, (*pref, (spectral, 1)), shift)
 
 
 def noise_budget(

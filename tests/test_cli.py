@@ -436,6 +436,44 @@ class TestRates:
         assert [r[0] for r in read_csv("\n".join(lines))[1]] == [0.0, -30.0, -60.0]
 
 
+    RATES = ["rates", "--device", DEV, "--band", *BAND, "--pulse", "1e-9"]
+
+    def test_tiny_kcal_scales_the_rates(self, capsys):
+        # At --kcal 1e-300 the prefactor underflowed on the way, and rates
+        # wrote beta_sq_signal 0.0 with exit 0. Rates are linear in kcal.
+        _rc, unit = run_json([*self.RATES, "--photons", "5e4"], capsys)
+        rc, tiny = run_json([*self.RATES, "--photons", "5e4", "--kcal", "1e-300"], capsys)
+        assert rc == EXIT_OK
+        for key in ("beta_sq_signal", "rate_signal_per_s"):
+            assert tiny[key] == pytest.approx(1e-300 * unit[key], rel=1e-14, abs=0.0)
+        for key in ("beta_sq_parasitic", "rate_parasitic_per_s"):
+            assert tiny[key] == pytest.approx([1e-300 * b for b in unit[key]], rel=1e-14,
+                                              abs=0.0)
+
+    def test_tiny_kcal_scales_the_suppression_rates(self, capsys):
+        # suppression wrote 0 in both rate columns at --kcal 1e-300.
+        argv = ["suppression", "--device", DEV, "--band", *BAND, "--photons", "5e4",
+                "--points", "3"]
+        assert main(argv) == EXIT_OK
+        _header, unit = read_csv(capsys.readouterr().out)
+        assert main([*argv, "--kcal", "1e-300"]) == EXIT_OK
+        _header, tiny = read_csv(capsys.readouterr().out)
+        for row_unit, row_tiny in zip(unit, tiny):
+            assert row_tiny[:2] == row_unit[:2]
+            assert row_tiny[2:] == pytest.approx([1e-300 * r for r in row_unit[2:]], rel=1e-14,
+                                                 abs=0.0)
+
+    def test_huge_photons_with_tiny_kcal_report_the_rate(self, capsys):
+        # --photons 1e160 --kcal 1e-100 exited 4: photons**2 overflowed
+        # though the rate, about 9.91e229, is that of 1e150 and 1e-80.
+        rc, huge = run_json([*self.RATES, "--photons", "1e160", "--kcal", "1e-100"], capsys)
+        assert rc == EXIT_OK
+        _rc, ref = run_json([*self.RATES, "--photons", "1e150", "--kcal", "1e-80"], capsys)
+        assert huge["beta_sq_signal"] == pytest.approx(9.91e229, rel=1e-3)
+        assert huge["beta_sq_signal"] == pytest.approx(ref["beta_sq_signal"], rel=1e-14)
+        assert huge["beta_sq_parasitic"] == pytest.approx(ref["beta_sq_parasitic"], rel=1e-14)
+
+
 class TestKerrCheck:
     @pytest.fixture()
     def si_device(self, tmp_path):

@@ -8,6 +8,7 @@ float rounding and the comparisons can be tight.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.constants
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import c as C_VACUUM
 from scipy.optimize import brentq
 
@@ -42,6 +43,7 @@ from ringpair import (
     round_trip_phase,
     wavevector,
 )
+from ringpair.deviceio import FILE_FORMAT, swept_devices
 
 from conftest import DEVICE_JSON, REPO, make_device, process_band
 
@@ -613,7 +615,8 @@ class TestConstantsAndImports:
             "dev = rp.load_device(sys.argv[1])\n"
             "wg, ring, w = dev.waveguide, dev.ring1, dev.waveguide.omega_ref\n"
             "res = rp.resonance_comb(ring, wg, (0.99 * w, 1.01 * w))[0]\n"
-            "f_in, f_out = rp.solve_dc_fields(dev.kappa, dev.dc_length)\n"
+            "f_in = rp.CmtField('IN', dev.kappa, dev.dc_length)\n"
+            "f_out = rp.CmtField('OUT', dev.kappa, dev.dc_length)\n"
             "z = 0.3 * dev.dc_length\n"
             "vals = [rp.effective_index(wg, w), rp.wavevector(wg, w), rp.group_index(wg, w),\n"
             "        rp.round_trip_phase(wg, ring, w), rp.lorentzian_response(res, w),\n"
@@ -766,3 +769,55 @@ class TestCombRange:
         wg = WaveguideParams(n_eff_ref=2.4, n_g=4.2, omega_ref=1.2e-185)
         with pytest.raises(NonPhysical, match="2\\^53"):
             resonance_comb(dev.ring1, wg, (1.2e15, 1.2e15))
+
+
+# Each device-file section that is local to one part of the device, and
+# the rings whose combs it must leave bit for bit as they are: the paper
+# controls the linear properties of each resonator locally, and the
+# coupler sits at a linear null, so it shifts neither comb.
+LOCAL_SECTIONS = {"ring1": (2,), "ring2": (1,), "dc": (1, 2), "coupling_model": (1, 2)}
+LOCALITY_BAND = (TWO_PI * 192e12, TWO_PI * 195e12)
+
+
+def _comb_bits(comb):
+    """Every field of every line, each float as hex, so -0.0 and 0.0 differ."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r))
+            for r in comb]
+
+
+@st.composite
+def _local_edits(draw):
+    """(section, key, value): a key of a ring, the coupler or the coupling
+    model, and a valid value other than the shipped one."""
+    section = draw(st.sampled_from(sorted(LOCAL_SECTIONS)))
+    key = draw(st.sampled_from([row[0] for row in FILE_FORMAT[section]]))
+    shipped = json.loads(DEVICE_JSON.read_text())[section][key]
+    if key == "heater_shift_hz":  # shipped 0; at least a few ulps of the line centres
+        value = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(1e6, 1e12))
+    elif key == "phase_rad":  # shipped 0
+        value = draw(st.floats(-math.pi, math.pi))
+    elif key == "straight_len_m":  # a longer straight still holds the coupler
+        value = shipped * draw(st.floats(1.0, 2.0))
+    elif key == "length_m":  # a shorter coupler still fits both straights
+        value = shipped * draw(st.floats(0.5, 1.0))
+    else:
+        value = shipped * draw(st.floats(0.5, 2.0))
+    assume(value != shipped)
+    return section, key, value
+
+
+class TestLocality:
+    @settings(max_examples=200, deadline=None)
+    @given(edit=_local_edits())
+    def test_each_ring_comb_is_set_locally(self, edit):
+        section, key, value = edit
+        data = json.loads(DEVICE_JSON.read_text())
+        shipped, edited = swept_devices(data, f"{section}.{key}", [data[section][key], value])
+        for owner in (1, 2):
+            combs = [_comb_bits(resonance_comb(dev.ring(owner), dev.waveguide, LOCALITY_BAND,
+                                               owner=owner)) for dev in (shipped, edited)]
+            if owner in LOCAL_SECTIONS[section]:
+                assert combs[0] == combs[1]
+            else:
+                # The edited ring's own comb moves: the edit reached the device.
+                assert combs[0] != combs[1]

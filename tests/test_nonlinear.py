@@ -13,23 +13,23 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ringpair import (
+    CmtField,
     NonPhysical,
     OverlapResult,
     ProcessConfig,
     Resonance,
-    enhancement_factor,
     integrate_adaptive,
     j_quadrature,
     j_single_ring_baseline,
     j_single_ring_ratio,
     resonant_config,
-    solve_dc_fields,
     wavevector,
     z_overlap_integral,
 )
 from ringpair import kernels, lorentzian_response, peak_amplitude
+from ringpair.errors import scaled_product
 from ringpair.linear_cmt import phase_unit
-from ringpair.nonlinear import RING_LENGTH_MISMATCH_LIMIT, _scaled_product
+from ringpair.nonlinear import RING_LENGTH_MISMATCH_LIMIT
 
 from conftest import make_device, null_overlap_oracle, process_band
 
@@ -52,7 +52,7 @@ class TestZIdentity:
             length = 10.0 ** RNG.uniform(-6, -3)
             z = RNG.uniform(0.0, length)
             kappa = mag * cmath.exp(1j * phase)
-            f_in, f_out = solve_dc_fields(kappa, length)
+            f_in, f_out = CmtField("IN", kappa, length), CmtField("OUT", kappa, length)
             total = (
                 f_in.a1(z) ** 2 * f_out.a1(z) ** 2
                 + f_in.a2(z) ** 2 * f_out.a2(z) ** 2
@@ -65,7 +65,7 @@ class TestZIdentity:
     def test_kernel_matches_field_product(self):
         mag, phase, length = 7.3e4, -0.8, 6e-5
         kappa = mag * cmath.exp(1j * phase)
-        f_in, f_out = solve_dc_fields(kappa, length)
+        f_in, f_out = CmtField("IN", kappa, length), CmtField("OUT", kappa, length)
         z = np.linspace(0.0, length, 101)
         direct = [
             f_in.a1(x) ** 2 * f_out.a1(x) ** 2 + f_in.a2(x) ** 2 * f_out.a2(x) ** 2
@@ -190,7 +190,8 @@ def line_shape_product(cfg, d1=0.0, d2=0.0, d3=0.0, d4=0.0):
     """Product of the four unit line shapes with each field moved off its
     line centre by the given number of linewidths: generated fields 1 and
     2 on the signal line, pumps 3 and 4 on their own lines. Multiplied in
-    the order of ``enhancement_factor``, which it equals with no detuning."""
+    the order of ``OverlapResult.enhancement_product``, which it equals
+    with no detuning."""
     fields = ((cfg.res_p1, d3), (cfg.res_p2, d4), (cfg.res_s, d1), (cfg.res_s, d2))
     product = 1.0 + 0.0j
     for res, d in fields:
@@ -200,8 +201,9 @@ def line_shape_product(cfg, d1=0.0, d2=0.0, d3=0.0, d4=0.0):
 
 class TestEnhancementFactor:
     def test_on_resonance_is_unity(self):
-        cfg = null_config(make_device())
-        enh = enhancement_factor(cfg)
+        dev = make_device()
+        cfg = null_config(dev)
+        enh = j_quadrature(dev, cfg).enhancement_product
         assert enh == pytest.approx(1.0 + 0.0j, abs=1e-12)
         assert line_shape_product(cfg) == enh
 
@@ -396,7 +398,7 @@ def _two_body_baseline(device, cfg):
                    "single-ring comparison assumes nearly equal round trips")
     pref, material = _two_body_parts(device, cfg)
     l_mean = math.sqrt(l1 * l2)
-    enh = enhancement_factor(cfg)
+    enh = line_shape_product(cfg)
     return OverlapResult(complex(pref * material * l_mean * enh), complex(l_mean), enh,
                          "single_ring_baseline", tuple(log))
 
@@ -589,6 +591,11 @@ def _plain_if_normal(factors):
     return acc
 
 
+def _scaled(factors):
+    """``scaled_product`` of ``factors`` multiplied in turn, as J's are."""
+    return scaled_product((f, 1) for f in factors)
+
+
 def _ldexp(mantissa, exponent):
     return complex(math.ldexp(mantissa.real, exponent), math.ldexp(mantissa.imag, exponent))
 
@@ -599,7 +606,7 @@ class TestScaledProduct:
     def test_bit_identical_where_the_plain_product_is_normal(self, factors):
         plain = _plain_if_normal(factors)
         assume(plain is not None)
-        assert _ldexp(*_scaled_product(factors)) == plain
+        assert _ldexp(*_scaled(factors)) == plain
 
     @settings(max_examples=200, deadline=None)
     @given(factors=_j_shaped(-300, 300))
@@ -607,7 +614,69 @@ class TestScaledProduct:
         exact = _exact(factors)
         size = _size(exact)
         assume(Fraction(sys.float_info.min) ** 2 <= size <= (TOP / 2) ** 2)
-        assert _gap(_ldexp(*_scaled_product(factors)), exact) <= EXACT_RTOL**2 * size
+        assert _gap(_ldexp(*_scaled(factors)), exact) <= EXACT_RTOL**2 * size
+
+
+def _rate_shaped(lo, hi):
+    """Up to 12 (x, p) factors shaped like a pair rate's: x of either sign
+    with exponents in [lo, hi], multiplied in (p > 0) or divided out
+    (p < 0), some of them as squares, cubes or fourth powers."""
+    return st.lists(st.tuples(_part(st.integers(lo, hi)), st.sampled_from([1, -1, 2, 3, 4, -4])),
+                    min_size=1, max_size=12)
+
+
+def _plain_chain_if_normal(factors):
+    """The product of x**p over ``factors`` as the rate routes wrote it,
+    left to right with Python's ``**`` and ``/``, or None where a power or
+    a partial product is not a normal double."""
+    acc = 1.0
+    for x, p in factors:
+        try:
+            power = x ** abs(p) if abs(p) != 1 else x
+        except OverflowError:
+            return None
+        acc = acc * power if p > 0 else acc / power
+        if not (_normal(power) and _normal(acc)):
+            return None
+    return acc
+
+
+class TestScaledPowers:
+    """Powers and quotients in the scaled product: ``x**2`` is not always
+    ``x*x``, nor ``ldexp(m**2, 2*e)`` for x = m * 2**e, so a power inside
+    the float range is taken as such and only scaled outside it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(factors=_rate_shaped(-120, 120))
+    def test_bit_identical_where_the_plain_chain_is_normal(self, factors):
+        plain = _plain_chain_if_normal(factors)
+        assume(plain is not None)
+        mantissa, exponent = scaled_product(factors)
+        assert math.ldexp(mantissa, exponent) == plain
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_power_in_range_is_the_plain_power(self, n):
+        # Where x**n and ldexp(m**n, n*e) differ (a few in 10^4 with some
+        # libms, none with a correctly rounded pow), the product is x**n.
+        rng = np.random.default_rng(20250101 + n)
+        for m, e in zip(rng.uniform(0.5, 1.0, 20000).tolist(), rng.integers(-200, 200, 20000)):
+            x = math.ldexp(m, int(e))
+            mantissa, exponent = scaled_product([(x, n)])
+            assert math.ldexp(mantissa, exponent) == x**n
+            mantissa, exponent = scaled_product([(1.0, 1), (x, -n)])
+            assert math.ldexp(mantissa, exponent) == 1.0 / x**n
+
+    @settings(max_examples=300, deadline=None)
+    @given(factors=_rate_shaped(-400, 400))
+    def test_matches_the_exact_product(self, factors):
+        exact = Fraction(1)
+        for x, p in factors:
+            exact *= Fraction(x) ** p
+        assume(Fraction(sys.float_info.min) <= abs(exact) <= TOP / 2)
+        mantissa, exponent = scaled_product(factors)
+        # One rounding per step and at most one ulp per power.
+        tol = len(factors) * Fraction(2) ** -51
+        assert abs(Fraction(math.ldexp(mantissa, exponent)) - exact) <= tol * abs(exact)
 
 
 @st.composite
@@ -652,7 +721,6 @@ class TestFieldsOnTheirLines:
         mismatch, enh, j = _four_frequency_forms(dev, cfg)
         result = j_quadrature(dev, cfg)
         assert cfg.signal_mismatch == mismatch
-        assert enhancement_factor(cfg) == enh
         assert result.j_value == j
         assert result.enhancement_product == enh
         assert result.warnings == ()

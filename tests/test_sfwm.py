@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import epsilon_0, hbar
 
 from ringpair import (
@@ -24,12 +26,12 @@ from ringpair import (
     resolve_drive,
     resonance_comb,
     resonant_config,
-    sideband_detuning,
     sideband_pair,
     sigma_from_finesse,
     suppression_factor,
 )
 from ringpair import integrate_adaptive, kernels
+from ringpair.sfwm import per_second
 
 from conftest import process_band
 
@@ -349,21 +351,36 @@ def synth_cfg(pump_spacing, center=OMEGA_S):
     return ProcessConfig(res_p1=p1, res_p2=p2, res_s=res_s)
 
 
+def detunings(comb, cfg):
+    """The (pump-1, pump-2) side-band detunings of ``sideband_pair``."""
+    return sideband_pair(comb, cfg)[0]
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf), ids=("nan", "+inf", "-inf"))
+def test_per_second_rejects_non_finite_beta_sq(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        per_second(bad, 1e-9)
+
+
 class TestSidebandDetuning:
     def test_aligned_combs_conserve_energy(self):
         spacing = 2.4e12
         cfg = synth_cfg(pump_spacing=spacing)
         comb = synth_comb(spacing)
-        assert sideband_detuning(comb, cfg, pump=1) == pytest.approx(0.0, abs=1.0)
-        assert sideband_detuning(comb, cfg, pump=2) == pytest.approx(0.0, abs=1.0)
+        d1, d2 = detunings(comb, cfg)
+        assert d1 == pytest.approx(0.0, abs=1.0)
+        assert d2 == pytest.approx(0.0, abs=1.0)
 
     def test_partner_displacement_moves_delta_one_to_one(self):
+        # A rigid shift of the comb moves both partners, and so both
+        # detunings, by the shift.
         spacing = 2.4e12
         cfg = synth_cfg(pump_spacing=spacing)
-        base = sideband_detuning(synth_comb(spacing), cfg, pump=1)
+        base = detunings(synth_comb(spacing), cfg)
         for eps in (1e9, -3e9, 2.4e10):
-            shifted = sideband_detuning(synth_comb(spacing, shift=eps), cfg, pump=1)
-            assert shifted == pytest.approx(base - eps, abs=1.0)
+            shifted = detunings(synth_comb(spacing, shift=eps), cfg)
+            for got, ref in zip(shifted, base):
+                assert got == pytest.approx(ref - eps, abs=1.0)
 
     def test_partners_straddle_the_signal(self):
         # Pump 1 sits above the signal, so its partner is the line
@@ -373,30 +390,21 @@ class TestSidebandDetuning:
         comb = synth_comb(spacing)
         d1 = 2.0 * cfg.res_p1.omega0 - cfg.res_s.omega0
         d2 = 2.0 * cfg.res_p2.omega0 - cfg.res_s.omega0
-        assert sideband_detuning(comb, cfg, pump=1) == pytest.approx(
-            d1 - comb[3 + 3].omega0, abs=1.0
-        )
-        assert sideband_detuning(comb, cfg, pump=2) == pytest.approx(
-            d2 - comb[3 - 3].omega0, abs=1.0
-        )
+        got1, got2 = detunings(comb, cfg)
+        assert got1 == pytest.approx(d1 - comb[3 + 3].omega0, abs=1.0)
+        assert got2 == pytest.approx(d2 - comb[3 - 3].omega0, abs=1.0)
 
     def test_missing_partner(self):
         spacing = 2.4e12
         cfg = synth_cfg(pump_spacing=5.0 * spacing)  # target beyond the comb
         with pytest.raises(MissingResonance):
-            sideband_detuning(synth_comb(spacing), cfg, pump=1)
+            detunings(synth_comb(spacing), cfg)
 
     def test_lone_signal_line(self):
         spacing = 2.4e12
         cfg = synth_cfg(pump_spacing=spacing)
         with pytest.raises(MissingResonance):
-            sideband_detuning([cfg.res_s], cfg, pump=1)
-
-    def test_pump_index_validation(self):
-        spacing = 2.4e12
-        cfg = synth_cfg(pump_spacing=spacing)
-        with pytest.raises(ValueError):
-            sideband_detuning(synth_comb(spacing), cfg, pump=3)
+            detunings([cfg.res_s], cfg)
 
 
 class TestNoiseBudget:
@@ -411,7 +419,7 @@ class TestNoiseBudget:
         for s, g in zip(rep.suppression, rep.snr_improvement):
             assert g == pytest.approx(1.0 / s, rel=1e-12)
         assert 0.0 < rep.sigma < 1.0
-        assert rep.per_second(rep.beta_sq_signal) == pytest.approx(
+        assert per_second(rep.beta_sq_signal, rep.pulse_duration) == pytest.approx(
             rep.beta_sq_signal / 1e-9, rel=1e-15
         )
         assert any("kcal = 1" in n for n in rep.notes)
@@ -508,7 +516,6 @@ class TestSharedHelpers:
         deltas, sups, partners = sideband_pair(comb2, cfg)
         omega_s = cfg.res_s.omega0
         for i, res_p in enumerate((cfg.res_p1, cfg.res_p2)):
-            assert deltas[i] == sideband_detuning(comb2, cfg, pump=i + 1)
             assert sups[i] == suppression_factor(deltas[i], cfg.res_s.linewidth)
             assert partners[i] in comb2
             assert deltas[i] == 2.0 * res_p.omega0 - omega_s - partners[i].omega0
@@ -560,3 +567,46 @@ class TestSharedHelpers:
         broad = Resonance(owner=2, order=5, omega0=1e12, q_loaded=q, q_coupling=2.0 * q)
         with pytest.raises(NonPhysical, match="narrow-resonance"):
             rate(drive(), broad, 0.0, 1.0, 7.1e7)
+
+
+SMALLEST = Fraction(2) ** -1074
+TOP = Fraction(sys.float_info.max)
+# Each route rounds about 14 steps of its scaled product, and the
+# photon number's square once more; a scaled rate and the unit rate it is
+# compared with are each within 16 roundings of 2**-53 of their exact values.
+RATE_RTOL = Fraction(4e-15)
+
+
+class TestScaledRates:
+    """Both routes multiply the prefactor and the spectral factor as one
+    scaled product, so a rate is exactly quadratic in the photon number
+    and linear in kcal however far they are from 1, and fails only when
+    the rate itself leaves the float range."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rate=st.sampled_from([pair_rate_integral, pair_rate_closed_form]),
+        k_pn=st.integers(-170, 250),
+        k_kcal=st.integers(-320, 300),
+        delta_lw=st.floats(-30.0, 30.0),
+    )
+    def test_matches_the_scaled_unit_rate(self, rate, k_pn, k_kcal, delta_lw):
+        res, delta = signal_line(), delta_lw * FWHM
+        pn = float(Fraction(5) * Fraction(10) ** (4 + k_pn))
+        kcal = float(Fraction(10) ** k_kcal)
+        unit = rate(drive(pn=5e4), res, delta, 1.0, 7.1e7)
+        exact = Fraction(unit) * (Fraction(pn) / Fraction(5e4)) ** 2 * Fraction(kcal)
+        args = (drive(pn=pn), res, delta, kcal, 7.1e7)
+        if exact > TOP * (1 + RATE_RTOL):
+            with pytest.raises(NonPhysical, match="overflows the float range"):
+                rate(*args)
+            return
+        assume(exact < TOP * (1 - RATE_RTOL))
+        if exact < SMALLEST / 2 * (1 - RATE_RTOL):
+            with pytest.raises(NonPhysical, match="underflows to 0"):
+                rate(*args)
+            return
+        assume(exact > SMALLEST / 2 * (1 + RATE_RTOL))
+        # A subnormal rate keeps the digits it has: one more rounding, to a
+        # multiple of the smallest subnormal.
+        assert abs(Fraction(rate(*args)) - exact) <= RATE_RTOL * exact + SMALLEST / 2

@@ -94,11 +94,10 @@ def _argument_calls():
     lo, hi = band
     cfg = resonant_config(dev, band)
     res = cfg.res_s
-    field, _ = rp.solve_dc_fields(dev.kappa, length)
+    field = CmtField("IN", dev.kappa, length)
     profile = rp.ring_profiles(dev, [res])[0]
     pulse = PumpDrive(photon_number=1.0, pulse_duration=1e-9)
     drive = rp.resolve_drive(dev, pulse, cfg)
-    report = rp.noise_budget(dev, pulse, cfg, band=band)
     goal = DesignGoal(signal_wavelength=1.55e-6)
     budget = (5e-8, 1e-6)
     calls = {
@@ -107,7 +106,6 @@ def _argument_calls():
         "CouplingModel.kappa_abs.gap": lambda x: dev.coupling.kappa_abs(x),
         "CouplingModel.kappa.gap": lambda x: dev.coupling.kappa(x),
         "EnhancementProfile.intensity.omega": lambda x: profile.intensity(x),
-        "PairRateReport.per_second.beta_sq": lambda x: report.per_second(x),
         "PumpDrive.power.omega": lambda x: drive.power(x),
         "calibrate_kcal.target_rate": lambda x: rp.calibrate_kcal(dev, x, 1e-3, cfg),
         "calibrate_kcal.pump_power": lambda x: rp.calibrate_kcal(dev, 1e3, x, cfg),
@@ -150,8 +148,6 @@ def _argument_calls():
         "resonant_config.band[1]": lambda x: rp.resonant_config(dev, (lo, x)),
         "round_trip_phase.omega": lambda x: rp.round_trip_phase(wg, ring, x),
         "sigma_from_finesse.fin": lambda x: rp.sigma_from_finesse(x),
-        "solve_dc_fields.kappa": lambda x: rp.solve_dc_fields(x, length),
-        "solve_dc_fields.length": lambda x: rp.solve_dc_fields(dev.kappa, x),
         "solve_gap_for_uncoupling.length":
             lambda x: rp.solve_gap_for_uncoupling(dev.coupling, x, 1),
         "solve_gap_for_uncoupling.gap_budget[0]":
