@@ -6,11 +6,11 @@ byte-identical files, so artifacts can be diffed across runs. Anything
 time-dependent (timestamps, the exact command line) goes into a
 ``<out>.meta.json`` sidecar, never into the artifact itself.
 
-JSON artifacts are the library's result dataclasses written with
-``dataclasses.asdict``: ``rates`` writes a ``PairRateReport``,
+JSON artifacts are the library's result records written with
+:func:`.record.asdict`: ``rates`` writes a ``PairRateReport``,
 ``kerr-check`` a ``CompensationResult`` and ``optimize --report`` a
 ``DesignReport`` under ``report``, with the tuned device in device-file
-form under ``device``. The CLI adds only the numbers the dataclass does
+form under ``device``. The CLI adds only the numbers the record does
 not hold, such as per-second rates.
 
 Two tables build the arguments. ``_FLAGS`` holds the one argparse
@@ -34,7 +34,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict
 from typing import Any, Callable, Sequence
 
 from . import __version__
@@ -61,6 +60,7 @@ from .errors import (
 from .geometry import C_VACUUM, TWO_PI, resonance_comb
 from .linear_cmt import isolation_db, kerr_detuned_efficiency
 from .nonlinear import j_quadrature, resonant_config
+from .record import asdict
 from .sfwm import (
     PumpDrive,
     noise_budget,

@@ -24,7 +24,6 @@ the result instead of flipping the verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .errors import Infeasible, NoConvergence, OutOfRange, ValidityExceeded
 from .errors import require_non_negative, require_positive
@@ -47,6 +46,7 @@ from .nonlinear import (
     pump_pair,
     single_ring_reference,
 )
+from .record import Record, replace
 from .sfwm import PumpDrive, sideband_pair
 
 ENERGY_RESIDUAL_TOL_LINEWIDTHS = 1e-6
@@ -62,8 +62,7 @@ def _check_gap_budget(gap_budget: tuple[float, float]) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class DesignGoal:
+class DesignGoal(Record):
     """Targets the tuner and the rule checks work against.
 
     Parameters
@@ -111,8 +110,7 @@ class DesignGoal:
         return TWO_PI * C_VACUUM / self.signal_wavelength
 
 
-@dataclass(frozen=True)
-class RuleCheck:
+class RuleCheck(Record):
     """One design rule evaluation."""
 
     name: str
@@ -122,8 +120,7 @@ class RuleCheck:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class TuneResult:
+class TuneResult(Record):
     """Outcome of the energy-conservation tuning."""
 
     device: DeviceSpec
@@ -134,8 +131,7 @@ class TuneResult:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CompensationResult:
+class CompensationResult(Record):
     """Pump-induced resonance pulls and the counteracting heater moves.
 
     ``delta_beta`` is the ring-1 Kerr mismatch [1/m] behind the pull.
@@ -148,8 +144,7 @@ class CompensationResult:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(Record):
     """Aggregate verdict of all design rules on one device."""
 
     passed: bool

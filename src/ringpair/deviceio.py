@@ -20,16 +20,16 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import replace
 from itertools import chain
 from typing import Any, Iterable, Iterator, Sequence
 
 from .geometry import CouplingModel, DeviceSpec, RacetrackSpec, WaveguideParams
+from .record import replace
 
 SCHEMA_VERSION = 1
 
 # The file format, section by section, in file order. Each row is
-# (file key, dataclass field, scale from the file unit to the field
+# (file key, record field, scale from the file unit to the field
 # unit, default in the file unit or None when the key is required).
 _REQUIRED = None
 _RING = (

@@ -22,13 +22,13 @@ and carry no resonant-phase information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import kernels
 from .deviceio import csv_columns
 from .errors import NonPhysical, require_finite
 from .geometry import DeviceSpec, Resonance, WaveguideParams, RacetrackSpec, device_combs
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,8 +70,7 @@ def lorentzian_response(res: Resonance, omega: float) -> complex:
     return complex(hw * rat * scl, -hw * scl)
 
 
-@dataclass(frozen=True)
-class EnhancementProfile:
+class EnhancementProfile(Record):
     """One resonance's contribution to the intensity spectrum."""
 
     resonance: Resonance
@@ -93,8 +92,7 @@ class EnhancementProfile:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(Record):
     """Sampled intensity spectra of both rings over a band."""
 
     omega: np.ndarray

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import EmptyBand, NoConvergence, NonPhysical
 from .errors import require_finite, require_non_negative, require_positive
+from .record import Record
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,8 +41,7 @@ MAX_COMB_ORDERS = 10**6
 _MAX_EXP = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class WaveguideParams:
+class WaveguideParams(Record):
     """Modal and material parameters of the ridge waveguide.
 
     Parameters
@@ -88,8 +87,7 @@ class WaveguideParams:
         return C_VACUUM / self.n_g
 
 
-@dataclass(frozen=True)
-class RacetrackSpec:
+class RacetrackSpec(Record):
     """One racetrack resonator.
 
     The racetrack consists of two straight sections joined by two half
@@ -134,8 +132,7 @@ class RacetrackSpec:
         return q_loaded(self.q_intrinsic, self.q_coupling)
 
 
-@dataclass(frozen=True)
-class CouplingModel:
+class CouplingModel(Record):
     """Exponential gap model for the directional-coupler strength.
 
     |kappa|(d) = kappa0 * exp(-(d - gap_ref) / decay_len)
@@ -180,8 +177,7 @@ class CouplingModel:
         return self.kappa_abs(gap) * complex(math.cos(self.phase), math.sin(self.phase))
 
 
-@dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(Record):
     """Two racetracks sharing one directional coupler.
 
     Ring 1 carries the pumps (fed through the IN bus), ring 2 collects
@@ -225,8 +221,7 @@ class DeviceSpec:
         return self.coupling.kappa(self.dc_gap)
 
 
-@dataclass(frozen=True)
-class Resonance:
+class Resonance(Record):
     """One longitudinal mode of one ring.
 
     Attributes

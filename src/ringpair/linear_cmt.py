@@ -17,11 +17,11 @@ how much.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import MAX_SQUARABLE, NonPhysical
 from .errors import require_finite, require_non_negative, require_positive
 from .geometry import WaveguideParams
+from .record import Record
 
 ISOLATION_FLOOR_DB = 200.0
 
@@ -32,8 +32,7 @@ def phase_unit(kappa: complex) -> complex:
     return kappa.conjugate() / mag if mag > 0.0 else 1.0 + 0.0j
 
 
-@dataclass(frozen=True)
-class CmtField:
+class CmtField(Record):
     """Asymptotic coupler field of one port, parameterized along z.
 
     Attributes
@@ -79,8 +78,7 @@ class CmtField:
         return complex(math.cos(mag * z))
 
 
-@dataclass(frozen=True)
-class DcTransfer:
+class DcTransfer(Record):
     """End-to-end linear transfer of the coupler.
 
     ``through`` is the amplitude staying in the fed guide after the

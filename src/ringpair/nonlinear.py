@@ -29,18 +29,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import NonPhysical, finite_product, require_finite, require_positive
 from .geometry import DeviceSpec, Resonance, WaveguideParams, device_combs, wavevector
 from .enhancement import lorentzian_response, peak_amplitude
 from .linear_cmt import phase_unit
+from .record import Record
 
 RING_LENGTH_MISMATCH_LIMIT = 0.01
 
 
-@dataclass(frozen=True)
-class ProcessConfig:
+class ProcessConfig(Record):
     """One dual-pump four-wave mixing configuration.
 
     Both pumps sit on the centres of their ring-1 lines ``res_p1`` and
@@ -66,8 +65,7 @@ class ProcessConfig:
         return self.res_p1.omega0 + self.res_p2.omega0 - 2.0 * self.res_s.omega0
 
 
-@dataclass(frozen=True)
-class OverlapResult:
+class OverlapResult(Record):
     """Overlap figure J with its factor breakdown."""
 
     j_value: complex

@@ -30,7 +30,6 @@ float range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .errors import MAX_SQUARABLE, MissingResonance, NonPhysical, finite_product, scaled_product
 from .errors import require_finite, require_non_negative, require_positive
@@ -43,13 +42,13 @@ from .geometry import (
     resonance_comb,
 )
 from .nonlinear import ProcessConfig
+from .record import Record, replace
 
 INTEGRATION_WINDOW_LINEWIDTHS = 50.0
 _RATE = "pair rate (prefactor times spectral factor)"
 
 
-@dataclass(frozen=True)
-class PumpDrive:
+class PumpDrive(Record):
     """Pump excitation of ring 1.
 
     Parameters
@@ -83,8 +82,7 @@ class PumpDrive:
         return self.photon_number * HBAR * omega / self.pulse_duration
 
 
-@dataclass(frozen=True)
-class PairRateReport:
+class PairRateReport(Record):
     """Signal and parasitic pair rates of one configuration.
 
     Rates are per pulse (dimensionless |beta|^2); :func:`per_second`
@@ -106,11 +104,14 @@ class PairRateReport:
 def per_second(beta_sq: float, pulse_duration: float) -> float:
     """Pairs per second from ``beta_sq`` pairs per pulse of ``pulse_duration``.
 
-    Raises ``NonPhysical`` when the quotient overflows.
+    Raises ``NonPhysical`` when the quotient overflows, or when a nonzero
+    ``beta_sq`` underflows to 0; a subnormal quotient is returned as is.
     """
     require_finite("beta_sq", beta_sq)
     rate = beta_sq / pulse_duration
     require_finite("pair rate per second", rate, NonPhysical)
+    if rate == 0.0 and beta_sq != 0.0:
+        raise NonPhysical("pair rate per second underflows to 0")
     return rate
 
 
@@ -213,18 +214,15 @@ def _rate_setup(
 
 
 def _partner_line(
-    signal_comb: list[Resonance] | tuple[Resonance, ...], omega_s: float, omega_p: float
+    candidates: list[Resonance], spacing: float | None, omega_s: float, omega_p: float
 ) -> tuple[float, Resonance]:
-    """Energy mismatch and partner line of the single-pump process of ``omega_p``."""
-    target = 2.0 * omega_p - omega_s
+    """Energy mismatch and partner line of the single-pump process of ``omega_p``.
 
-    candidates = [r for r in signal_comb if abs(r.omega0 - omega_s) > 1e-9 * omega_s]
-    if not candidates:
-        raise MissingResonance("the signal comb holds no line besides the signal itself")
-    if len(signal_comb) >= 2:
-        freqs = sorted(r.omega0 for r in signal_comb)
-        spacing = max(b - a for a, b in zip(freqs, freqs[1:]))
-    else:
+    ``candidates`` are the comb's lines other than the signal; ``spacing``
+    is the comb's widest gap between adjacent lines, None for one line.
+    """
+    target = 2.0 * omega_p - omega_s
+    if spacing is None:
         spacing = abs(target - omega_s)
     partner = min(candidates, key=lambda r: abs(r.omega0 - target))
     delta = target - partner.omega0
@@ -262,8 +260,14 @@ def sideband_pair(
         If the comb does not bracket either energy-conserving point.
     """
     omega_s = cfg.res_s.omega0
+    candidates = [r for r in signal_comb if abs(r.omega0 - omega_s) > 1e-9 * omega_s]
+    if not candidates:
+        raise MissingResonance("the signal comb holds no line besides the signal itself")
+    freqs = sorted(r.omega0 for r in signal_comb)
+    spacing = max((b - a for a, b in zip(freqs, freqs[1:])), default=None)
     (d1, partner1), (d2, partner2) = (
-        _partner_line(signal_comb, omega_s, res.omega0) for res in (cfg.res_p1, cfg.res_p2)
+        _partner_line(candidates, spacing, omega_s, res.omega0)
+        for res in (cfg.res_p1, cfg.res_p2)
     )
     lw = cfg.res_s.linewidth
     return (d1, d2), (suppression_factor(d1, lw), suppression_factor(d2, lw)), (partner1, partner2)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from ringpair import (
 )
 from ringpair import kernels
 from ringpair.geometry import resonance_comb as _comb
+from ringpair.record import replace
 
 from conftest import make_device, null_overlap_oracle, process_band
 

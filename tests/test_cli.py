@@ -56,7 +56,7 @@ def load_json(text):
     return json.loads(text, parse_constant=_refuse_constant)
 
 
-# Every (section, file key, dataclass field) of the device-file format.
+# Every (section, file key, record field) of the device-file format.
 FORMAT_ROWS = [
     (section, key, field)
     for section, rows in FILE_FORMAT.items()
@@ -82,7 +82,7 @@ README_COMMANDS = {
 }
 
 
-# Artifact keys: the fields of the library's result dataclass plus the
+# Artifact keys: the fields of the library's result record plus the
 # numbers the command derives from it.
 RATES_KEYS = {
     "beta_sq_signal", "beta_sq_parasitic", "suppression", "snr_improvement", "detuning_delta",
@@ -1041,6 +1041,27 @@ class TestExitCodes:
         assert not out.exists()
         assert load_json(capsys.readouterr().err)["context"]["error"] == "NonPhysical"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates", "--device", DEV, "--band", *BAND, "--photons", "5e4"],
+            ["suppression", "--device", DEV, "--band", *BAND],
+            ["sweep", "--device", DEV, "--param", "dc.gap_m", "--values", "2.8e-7", "3.2e-7",
+             "3", "--report", "rates", "--band", *BAND],
+        ],
+        ids=["rates", "suppression", "sweep-rates"],
+    )
+    def test_underflowing_rate_per_second_is_non_physical(self, argv, tmp_path, capsys):
+        # A rate per pulse of about 2.5e-290 divided by a 1e300 s pulse
+        # underflows to 0, which the three commands wrote as a 0.0 rate
+        # per second beside the nonzero rate per pulse.
+        out = tmp_path / "artifact"
+        assert main([*argv, "--pulse", "1e300", "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+        err = load_json(capsys.readouterr().err)
+        assert err["context"]["error"] == "NonPhysical"
+        assert "underflows to 0" in err["message"]
+
 
 class TestExactPairRates:
     def test_rates_run_without_adaptive_quadrature(self, monkeypatch, tmp_path):
@@ -1067,7 +1088,7 @@ class TestExactPairRates:
 
 
 class TestArtifactSchema:
-    """Each JSON artifact holds exactly its dataclass's fields plus the
+    """Each JSON artifact holds exactly its record's fields plus the
     derived numbers, so a field added to a result type shows here."""
 
     def test_rates_keys(self, capsys):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 import pytest
 from scipy.constants import c as c0
@@ -34,6 +33,7 @@ from ringpair import (
 )
 
 from ringpair.design import _tune_diagnostics
+from ringpair.record import replace
 
 from conftest import make_device, null_overlap_oracle
 

@@ -8,7 +8,6 @@ float rounding and the comparisons can be tight.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -44,6 +43,7 @@ from ringpair import (
     wavevector,
 )
 from ringpair.deviceio import FILE_FORMAT, swept_devices
+from ringpair.record import asdict
 
 from conftest import DEVICE_JSON, REPO, make_device, process_band
 
@@ -562,6 +562,42 @@ class TestConstantsAndImports:
         )
         assert json.loads(proc.stdout) == []
 
+    def test_start_up_loads_no_dataclasses_or_inspect(self, tmp_path):
+        # The records are built without dataclasses, whose import loads
+        # inspect; no command needs either. One interpreter imports the
+        # package, then runs every command in turn, spectrum last: numpy
+        # loads inspect itself, so spectrum is held to dataclasses alone.
+        runs = {
+            name: [*argv, "--device", str(DEVICE_JSON), "--out", str(tmp_path / name)]
+            for name, argv in self.NUMPY_FREE.items()
+            if argv is not None
+        }
+        code = (
+            "import json, sys, ringpair, ringpair.cli\n"
+            "def loaded():\n"
+            "    return sorted({'dataclasses', 'inspect'} & sys.modules.keys())\n"
+            "out = {'import': [None, loaded()]}\n"
+            "for name, argv in json.loads(sys.argv[1]).items():\n"
+            "    out[name] = [ringpair.cli.main(argv), loaded()]\n"
+            "print(json.dumps(out))"
+        )
+        path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(runs)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert list(out) == ["import", *runs] and list(out)[-1] == "spectrum"
+        for name, (rc, loaded) in out.items():
+            assert rc in (None, 0), name
+            assert "dataclasses" not in loaded, name
+            if name != "spectrum":
+                assert loaded == [], name
+
     # Every command but spectrum works on scalars and must start without
     # numpy; spectrum samples arrays and loads it.
     NUMPY_FREE = {
@@ -781,7 +817,7 @@ LOCALITY_BAND = (TWO_PI * 192e12, TWO_PI * 195e12)
 
 def _comb_bits(comb):
     """Every field of every line, each float as hex, so -0.0 and 0.0 differ."""
-    return [tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r))
+    return [tuple(v.hex() if isinstance(v, float) else v for v in asdict(r).values())
             for r in comb]
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +29,7 @@ from ringpair import kernels, lorentzian_response, peak_amplitude
 from ringpair.errors import scaled_product
 from ringpair.linear_cmt import phase_unit
 from ringpair.nonlinear import RING_LENGTH_MISMATCH_LIMIT
+from ringpair.record import replace
 
 from conftest import make_device, null_overlap_oracle, process_band
 

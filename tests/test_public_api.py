@@ -34,7 +34,7 @@ PUBLIC = (
     "write_text_atomic", "xpm_spm_compensation", "z_overlap_integral",
     # The modules themselves.
     "design", "deviceio", "enhancement", "errors", "geometry", "kernels", "linear_cmt",
-    "nonlinear", "quadrature", "sfwm",
+    "nonlinear", "quadrature", "record", "sfwm",
 )
 
 # Removed name -> the route that computes the same quantity.
@@ -46,7 +46,7 @@ REMOVED = {
 }
 
 MODULES = ("cli", "design", "deviceio", "enhancement", "errors", "geometry", "kernels",
-           "linear_cmt", "nonlinear", "quadrature", "sfwm")
+           "linear_cmt", "nonlinear", "quadrature", "record", "sfwm")
 
 
 def test_public_names_are_the_listed_ones():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +30,7 @@ from ringpair import (
     suppression_factor,
 )
 from ringpair import integrate_adaptive, kernels
+from ringpair.record import replace
 from ringpair.sfwm import per_second
 
 from conftest import process_band
@@ -362,6 +362,14 @@ def test_per_second_rejects_non_finite_beta_sq(bad):
         per_second(bad, 1e-9)
 
 
+def test_per_second_refuses_only_a_rate_that_underflows_to_zero():
+    with pytest.raises(NonPhysical, match="underflows to 0"):
+        per_second(2.4770337491973606e-290, 1e300)
+    assert per_second(0.0, 1e300) == 0.0
+    # A subnormal quotient keeps the digits it has, as finite_product does.
+    assert per_second(1e-300, 1e10) == 1e-300 / 1e10 > 0.0
+
+
 class TestSidebandDetuning:
     def test_aligned_combs_conserve_energy(self):
         spacing = 2.4e12
@@ -399,6 +407,16 @@ class TestSidebandDetuning:
         cfg = synth_cfg(pump_spacing=5.0 * spacing)  # target beyond the comb
         with pytest.raises(MissingResonance):
             detunings(synth_comb(spacing), cfg)
+
+    def test_partner_one_spacing_past_the_comb_edge(self):
+        # Pump 1's side-band point lies one spacing above the top line.
+        # The nearest line is then a full spacing off: past 0.6 of the
+        # comb's widest gap, though not of the pump-signal offset.
+        spacing = 2.4e12
+        cfg = synth_cfg(pump_spacing=spacing)
+        with pytest.raises(MissingResonance, match="side-band point"):
+            detunings(synth_comb(spacing)[:5], cfg)
+        assert detunings(synth_comb(spacing)[:6], cfg) == pytest.approx((0.0, 0.0), abs=1.0)
 
     def test_lone_signal_line(self):
         spacing = 2.4e12
