@@ -316,7 +316,7 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 def _suppression_row(device, args: argparse.Namespace, band) -> tuple[float, ...]:
     cfg = resonant_config(device, band, pump_separation=args.separation)
     comb2 = resonance_comb(device.ring2, device.waveguide, band, owner=2)
-    deltas, sups, _partners = sideband_pair(comb2, cfg)
+    deltas, sups, _partners = sideband_pair(comb2, cfg, band)
     return (max(sups), *deltas)
 
 

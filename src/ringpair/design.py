@@ -214,12 +214,13 @@ def _tune_diagnostics(
     device: DeviceSpec, goal: DesignGoal
 ) -> tuple[float, tuple[float, float], tuple[float, float], ProcessConfig]:
     """Energy residual, side-band detunings and suppressions on the device's combs."""
-    comb1, comb2 = device_combs(device, _process_band(device, goal))
+    band = _process_band(device, goal)
+    comb1, comb2 = device_combs(device, band)
     res_p1, res_p2 = pump_pair(comb1, goal.signal_omega, goal.pump_separation)
     omega_mid = 0.5 * (res_p1.omega0 + res_p2.omega0)
     res_s = min(comb2, key=lambda r: abs(r.omega0 - omega_mid))
     cfg = on_resonance_config(device.waveguide, res_p1, res_p2, res_s)
-    deltas, sups, _partners = sideband_pair(comb2, cfg)
+    deltas, sups, _partners = sideband_pair(comb2, cfg, band)
     return abs(cfg.signal_mismatch), deltas, sups, cfg
 
 

@@ -211,11 +211,6 @@ class DeviceSpec(Record):
         raise ValueError(f"ring index must be 1 or 2, got {owner}")
 
     @property
-    def kappa_abs(self) -> float:
-        """Coupler strength magnitude at the device gap [1/m]."""
-        return self.coupling.kappa_abs(self.dc_gap)
-
-    @property
     def kappa(self) -> complex:
         """Complex coupler strength at the device gap [1/m]."""
         return self.coupling.kappa(self.dc_gap)

@@ -2,10 +2,10 @@
 
 The dual-pump process puts both generated photons on the ring-2 signal
 line. Its parasitic companions are single-pump processes that put one
-photon on the signal line and one on a neighboring ring-2 line; they
-are only allowed to the extent that the comb provides a partner line at
-the energy-conserving frequency. The detuning delta of that partner
-line from the energy-conservation point controls the noise:
+photon on the signal line and one on the partner: the ring-2 line, other
+than the signal, nearest the energy-conserving point 2 w_p - w_s
+(:func:`sideband_pair` refuses a band that could hide a nearer one). The
+detuning delta of the partner from that point controls the noise:
 
     rate(delta) / rate(0) = fwhm^2 / (delta^2 + fwhm^2).
 
@@ -213,29 +213,10 @@ def _rate_setup(
     return pref, omega_s2, omega_p
 
 
-def _partner_line(
-    candidates: list[Resonance], spacing: float | None, omega_s: float, omega_p: float
-) -> tuple[float, Resonance]:
-    """Energy mismatch and partner line of the single-pump process of ``omega_p``.
-
-    ``candidates`` are the comb's lines other than the signal; ``spacing``
-    is the comb's widest gap between adjacent lines, None for one line.
-    """
-    target = 2.0 * omega_p - omega_s
-    if spacing is None:
-        spacing = abs(target - omega_s)
-    partner = min(candidates, key=lambda r: abs(r.omega0 - target))
-    delta = target - partner.omega0
-    if abs(delta) > 0.6 * spacing:
-        raise MissingResonance(
-            f"no comb line brackets the side-band point at {target:.6e} rad/s; "
-            "widen the band so the adjacent lines are included"
-        )
-    return delta, partner
-
-
 def sideband_pair(
-    signal_comb: list[Resonance] | tuple[Resonance, ...], cfg: ProcessConfig
+    signal_comb: list[Resonance] | tuple[Resonance, ...],
+    cfg: ProcessConfig,
+    band: tuple[float, float],
 ) -> tuple[tuple[float, float], tuple[float, float], tuple[Resonance, Resonance]]:
     """Detunings, suppressions and partner lines of both side-band processes.
 
@@ -244,31 +225,43 @@ def sideband_pair(
 
         delta = 2 * omega_pump - omega_signal - omega_partner,
 
-    where the partner is the signal-comb line closest to the
-    energy-conserving point 2 * omega_pump - omega_signal (the signal
-    line itself is excluded). For the symmetric arrangement with the
-    pumps straddling the signal, the partner of pump 1 is the line
-    directly above the signal and the partner of pump 2 the line
-    directly below. A rigid displacement of the partner line moves delta
-    one-to-one; two aligned combs with matching spacing give delta = 0.
-    The suppressions are :func:`suppression_factor` at the signal
-    linewidth.
+    where the partner is the line of ``signal_comb``, the ring-2 comb
+    over ``band``, closest to the side-band point t = 2 * omega_pump -
+    omega_signal (the signal line itself is excluded). A line outside
+    the band can only be nearer t than the partner when |delta| exceeds
+    the distance from t to the nearer band edge, so exactly then the
+    partner is refused. For the symmetric arrangement with the pumps
+    straddling the signal, the partner of pump 1 is the line directly
+    above the signal and the partner of pump 2 the line directly below.
+    A rigid displacement of the partner line moves delta one-to-one; two
+    aligned combs with matching spacing give delta = 0. The suppressions
+    are :func:`suppression_factor` at the signal linewidth.
 
     Raises
     ------
     MissingResonance
-        If the comb does not bracket either energy-conserving point.
+        If the comb holds no line besides the signal, or a line outside
+        ``band`` could be nearer either side-band point than its partner.
     """
+    for edge in band:
+        require_positive("band edge", edge)
+    lo, hi = min(band), max(band)
     omega_s = cfg.res_s.omega0
     candidates = [r for r in signal_comb if abs(r.omega0 - omega_s) > 1e-9 * omega_s]
     if not candidates:
         raise MissingResonance("the signal comb holds no line besides the signal itself")
-    freqs = sorted(r.omega0 for r in signal_comb)
-    spacing = max((b - a for a, b in zip(freqs, freqs[1:])), default=None)
-    (d1, partner1), (d2, partner2) = (
-        _partner_line(candidates, spacing, omega_s, res.omega0)
-        for res in (cfg.res_p1, cfg.res_p2)
-    )
+    pairs = []
+    for res_p in (cfg.res_p1, cfg.res_p2):
+        target = 2.0 * res_p.omega0 - omega_s
+        partner = min(candidates, key=lambda r: abs(r.omega0 - target))
+        delta = target - partner.omega0
+        if abs(delta) > min(hi - target, target - lo):
+            raise MissingResonance(
+                f"no comb line brackets the side-band point at {target:.6e} rad/s; "
+                "widen the band so the adjacent lines are included"
+            )
+        pairs.append((delta, partner))
+    (d1, partner1), (d2, partner2) = pairs
     lw = cfg.res_s.linewidth
     return (d1, d2), (suppression_factor(d1, lw), suppression_factor(d2, lw)), (partner1, partner2)
 
@@ -325,21 +318,21 @@ def pair_rate_closed_form(
     delta: float,
     kcal: float,
     v_g: float,
-    omega_s2: float | None = None,
 ) -> float:
     """Pairs per pulse with the slow factor frozen at the line centers.
 
-    Differs from :func:`pair_rate_integral` by that route's slow factor
-    (of order delta / w_s) and window, which clips the tails by -4.2e-7
-    at delta = 0 and -5.7e-5 and -1.7e-4 at the shipped device's
-    side-band detunings (13.9, 28.0 linewidths). The window stays: the
-    benchmark checks rates to 1e-6 against references made with it.
+    The second center is always the signal center. Differs from
+    :func:`pair_rate_integral` there by that route's slow factor (of
+    order delta / w_s) and window, which clips the tails by -4.2e-7 at
+    delta = 0 and -5.7e-5 and -1.7e-4 at the shipped device's side-band
+    detunings (13.9, 28.0 linewidths). The window stays: the benchmark
+    checks rates to 1e-6 against references made with it.
 
     Raises :class:`NonPhysical`, rather than returning a limit, when
     delta^2 or fwhm^2 overflows (past about 1.3e154 rad/s), or the rate
     leaves the float range.
     """
-    pref, omega_s2, omega_p = _rate_setup(drive, res_s, delta, kcal, v_g, omega_s2)
+    pref, omega_s2, omega_p = _rate_setup(drive, res_s, delta, kcal, v_g, None)
     fwhm = res_s.linewidth
     if max(abs(delta), fwhm) > MAX_SQUARABLE:
         raise NonPhysical("delta^2 or fwhm^2 of the closed form overflows the float range")
@@ -364,7 +357,9 @@ def noise_budget(
     device (zero when energy conservation holds exactly); each
     parasitic process runs at its comb detuning from
     :func:`sideband_pair`, using the actual partner line as the
-    second center, searched for in the ring-2 comb over ``band``.
+    second center, searched for in the ring-2 comb over ``band``. The
+    band must reach past each side-band point by at least its partner's
+    detuning; otherwise :class:`MissingResonance` is raised.
     """
     notes: list[str] = []
     wg = device.waveguide
@@ -382,7 +377,7 @@ def noise_budget(
     beta_signal = pair_rate_integral(
         drive_resolved, cfg.res_s, cfg.signal_mismatch, kcal, wg.v_g, omega_s2=omega_s
     )
-    deltas, sups, partners = sideband_pair(comb2, cfg)
+    deltas, sups, partners = sideband_pair(comb2, cfg, band)
     betas = tuple(
         pair_rate_integral(drive_resolved, cfg.res_s, delta, kcal, wg.v_g, omega_s2=p.omega0)
         for delta, p in zip(deltas, partners)

@@ -26,6 +26,23 @@ from ringpair import (
 REPO = Path(__file__).resolve().parent.parent
 DEVICE_JSON = REPO / "devices" / "silicon_racetrack.json"
 
+# The README's example command of each subcommand, without its output
+# flags. The golden hashes pin the artifacts of these command lines, and
+# test_golden checks that README.md shows exactly them.
+_DEV = str(DEVICE_JSON)
+_BAND = ["--band", "192THz", "195THz"]
+README_COMMANDS = {
+    "spectrum": ["spectrum", "--device", _DEV, *_BAND, "--points", "4001"],
+    "overlap": ["overlap", "--device", _DEV, "--band", "1567nm:1543nm", "--method", "quadrature"],
+    "rates": ["rates", "--device", _DEV, *_BAND, "--photons", "5e4", "--pulse", "1e-9"],
+    "suppression": ["suppression", "--device", _DEV, *_BAND, "--points", "121",
+                    "--max-detuning", "60"],
+    "kerr-check": ["kerr-check", "--device", _DEV, "--power", "0.005"],
+    "optimize": ["optimize", "--device", _DEV, "--signal", "1550nm", "--suppression", "1e-3"],
+    "sweep": ["sweep", "--device", _DEV, "--param", "dc.gap_m", "--values", "2.8e-7", "3.2e-7",
+              "41", "--report", "isolation"],
+}
+
 TWO_PI = 2.0 * math.pi
 
 # Property tests draw the same examples on every run and keep no example

@@ -258,7 +258,7 @@ def test_08_spectrum_structure(sample_device):
     comb1 = resonance_comb(tuned.ring1, wg, band, owner=1)
     comb2 = resonance_comb(tuned.ring2, wg, band, owner=2)
     f2 = fsr(tuned.ring2, wg, cfg.res_s.omega0)
-    (d1, d2), _sups, _partners = sideband_pair(comb2, cfg)
+    (d1, d2), _sups, _partners = sideband_pair(comb2, cfg, band)
     separation = min(abs(d1), abs(d2)) / f2
 
     worst_peak = 0.0

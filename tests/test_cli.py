@@ -39,7 +39,7 @@ from ringpair.deviceio import FILE_FORMAT
 from ringpair.geometry import C_VACUUM, TWO_PI
 from ringpair.nonlinear import j_quadrature
 
-from conftest import DEVICE_JSON, REPO, make_device
+from conftest import DEVICE_JSON, README_COMMANDS, REPO, make_device
 
 DEV = str(DEVICE_JSON)
 BAND = ["192THz", "195THz"]
@@ -66,20 +66,6 @@ FORMAT_ROWS = [
 # shipped value does not do; every other key is swept to 1.001 times it.
 OFF_SHIPPED = {"gvd_s2_per_m": 1e-25, "heater_shift_hz": 1e9, "phase_rad": 0.1,
                "length_m": 4.7e-5}
-
-
-# The README's example command of each subcommand, without --out.
-README_COMMANDS = {
-    "spectrum": ["spectrum", "--device", DEV, "--band", *BAND, "--points", "4001"],
-    "overlap": ["overlap", "--device", DEV, "--band", "1567nm:1543nm", "--method", "quadrature"],
-    "rates": ["rates", "--device", DEV, "--band", *BAND, "--photons", "5e4", "--pulse", "1e-9"],
-    "suppression": ["suppression", "--device", DEV, "--band", *BAND, "--points", "121",
-                    "--max-detuning", "60"],
-    "kerr-check": ["kerr-check", "--device", DEV, "--power", "0.005"],
-    "optimize": ["optimize", "--device", DEV, "--signal", "1550nm", "--suppression", "1e-3"],
-    "sweep": ["sweep", "--device", DEV, "--param", "dc.gap_m", "--values", "2.8e-7", "3.2e-7",
-              "41", "--report", "isolation"],
-}
 
 
 # Artifact keys: the fields of the library's result record plus the
@@ -472,6 +458,43 @@ class TestRates:
         assert huge["beta_sq_signal"] == pytest.approx(9.91e229, rel=1e-3)
         assert huge["beta_sq_signal"] == pytest.approx(ref["beta_sq_signal"], rel=1e-14)
         assert huge["beta_sq_parasitic"] == pytest.approx(ref["beta_sq_parasitic"], rel=1e-14)
+
+
+class TestSidebandPartner:
+    """The side-band partner is the nearest ring-2 line, never only the
+    nearest line inside the band typed."""
+
+    NARROW = ["--band", "192.5THz", "194.5THz"]
+    SHIFT = ["--param", "ring2.heater_shift_hz", "--list", "6e10"]
+
+    @staticmethod
+    def shifted_device(tmp_path):
+        data = load_json(DEVICE_JSON.read_text())
+        data["ring2"]["heater_shift_hz"] = 6e10
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("report", ["rates", "sweep-rates", "sweep-suppression"])
+    def test_band_short_of_the_nearest_partner_is_refused(self, report, tmp_path, capsys):
+        # Pump 2's nearest partner is at 192.496 THz, 4 GHz below the band;
+        # the nearest line inside the band is 2.1e12 rad/s farther off.
+        if report == "rates":
+            argv = ["rates", "--device", self.shifted_device(tmp_path), "--photons", "5e4"]
+        else:
+            argv = ["sweep", "--device", DEV, *self.SHIFT, "--report", report[6:]]
+        out = tmp_path / "out"
+        assert main([*argv, *self.NARROW, "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+        err = load_json(capsys.readouterr().err)
+        assert err["context"]["error"] == "MissingResonance"
+        assert "side-band point" in err["message"]
+
+    def test_band_that_reaches_the_partner_finds_it(self, tmp_path, capsys):
+        rc, payload = run_json(["rates", "--device", self.shifted_device(tmp_path),
+                                "--band", *BAND, "--photons", "5e4"], capsys)
+        assert rc == EXIT_OK
+        assert payload["detuning_delta"][1] == 1040861181908.75
 
 
 class TestKerrCheck:

@@ -93,7 +93,7 @@ class TestRoundTrip:
             sample_device.ring1.straight_len, rel=1e-12
         )
         # Shipped at an exact coupler null.
-        assert abs(sample_device.kappa_abs * sample_device.dc_length - math.pi) < 1e-9
+        assert abs(abs(sample_device.kappa) * sample_device.dc_length - math.pi) < 1e-9
 
     @settings(max_examples=300)
     @given(device_dicts())

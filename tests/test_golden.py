@@ -3,7 +3,9 @@
 Runs the seven README commands, 41-point suppression, rates and kerr
 sweeps, and ``rates --self-coupling`` through ``cli.main``, and compares
 the sha256 of every artifact they write with
-``tests/golden/artifacts.json``. A refactor must not move any of these
+``tests/golden/artifacts.json``. The README commands come from
+``conftest.README_COMMANDS``, and README.md's example block must show
+exactly those command lines. A refactor must not move any of these
 bytes. The hashes were recorded on
 x86-64 Linux with numpy 2.4; another libm may round a last digit
 differently. A change that means to move a reported number records the
@@ -19,13 +21,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
 from ringpair.cli import EXIT_OK, main
 
-from conftest import DEVICE_JSON
+from conftest import DEVICE_JSON, README_COMMANDS, REPO
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "artifacts.json"
 DEV = str(DEVICE_JSON)
@@ -33,18 +36,8 @@ BAND = ["--band", "192THz", "195THz"]
 
 # name -> (argv without output flags, output flags the command takes)
 COMMANDS = {
-    "spectrum": (["spectrum", "--device", DEV, *BAND, "--points", "4001"], ("--out",)),
-    "overlap": (["overlap", "--device", DEV, "--band", "1567nm:1543nm", "--method",
-                 "quadrature"], ("--out",)),
-    "rates": (["rates", "--device", DEV, *BAND, "--photons", "5e4", "--pulse", "1e-9"],
-              ("--out",)),
-    "suppression": (["suppression", "--device", DEV, *BAND, "--points", "121",
-                     "--max-detuning", "60"], ("--out",)),
-    "kerr-check": (["kerr-check", "--device", DEV, "--power", "0.005"], ("--out",)),
-    "optimize": (["optimize", "--device", DEV, "--signal", "1550nm", "--suppression", "1e-3"],
-                 ("--out", "--report")),
-    "sweep": (["sweep", "--device", DEV, "--param", "dc.gap_m", "--values", "2.8e-7",
-               "3.2e-7", "41", "--report", "isolation"], ("--out",)),
+    **{name: (argv, ("--out", "--report") if name == "optimize" else ("--out",))
+       for name, argv in README_COMMANDS.items()},
     "sweep-suppression": (["sweep", "--device", DEV, "--param", "ring2.heater_shift_hz",
                            "--values", "0", "4e9", "41", "--report", "suppression", *BAND],
                           ("--out",)),
@@ -96,6 +89,31 @@ def test_exact_j_moves_only_the_report_j_and_within_1e_6(tmp_path, capsys):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == L4_REPORT_SHA256
     capsys.readouterr()
+
+
+def readme_command_lines() -> list[list[str]]:
+    """The ``ringpair`` command lines of README.md's example block, without output flags."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```")[0] for b in text.split("```sh\n")[1:]]
+    block = next(b for b in blocks if "\nringpair " in b).replace("\\\n", " ")
+    lines = []
+    for line in block.splitlines():
+        if not line.startswith("ringpair "):
+            continue
+        words = shlex.split(line)[1:]
+        for flag in COMMANDS[words[0]][1]:
+            if flag in words:
+                i = words.index(flag)
+                del words[i:i + 2]
+        lines.append(words)
+    return lines
+
+
+def test_readme_shows_exactly_the_pinned_commands():
+    device = str(DEVICE_JSON.relative_to(REPO))
+    pinned = [[device if word == DEV else word for word in argv]
+              for argv in README_COMMANDS.values()]
+    assert readme_command_lines() == pinned
 
 
 def test_golden_file_covers_exactly_the_commands():

@@ -39,10 +39,11 @@ PUBLIC = (
 
 # Removed name -> the route that computes the same quantity.
 REMOVED = {
-    "sideband_detuning": "sideband_pair(comb, cfg)[0], both pumps' detunings",
+    "sideband_detuning": "sideband_pair(comb, cfg, band)[0], both pumps' detunings",
     "solve_dc_fields": "CmtField('IN', kappa, length) and CmtField('OUT', kappa, length)",
     "enhancement_factor": "j_quadrature(device, cfg).enhancement_product",
     "PairRateReport.per_second": "ringpair.sfwm.per_second(beta_sq, report.pulse_duration)",
+    "DeviceSpec.kappa_abs": "abs(device.kappa)",
 }
 
 MODULES = ("cli", "design", "deviceio", "enhancement", "errors", "geometry", "kernels",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import epsilon_0, hbar
 
 from ringpair import (
+    EmptyBand,
     MissingResonance,
     NonPhysical,
     ProcessConfig,
@@ -19,6 +21,7 @@ from ringpair import (
     Resonance,
     calibrate_kcal,
     finesse,
+    fsr,
     noise_budget,
     pair_rate_closed_form,
     pair_rate_integral,
@@ -33,7 +36,7 @@ from ringpair import integrate_adaptive, kernels
 from ringpair.record import replace
 from ringpair.sfwm import per_second
 
-from conftest import process_band
+from conftest import make_device, process_band
 
 OMEGA_S = 1.2e15
 FWHM = OMEGA_S / 5e4
@@ -351,9 +354,15 @@ def synth_cfg(pump_spacing, center=OMEGA_S):
     return ProcessConfig(res_p1=p1, res_p2=p2, res_s=res_s)
 
 
+def comb_span(comb):
+    """The band from the lowest to the highest line of ``comb``."""
+    freqs = [r.omega0 for r in comb]
+    return (min(freqs), max(freqs))
+
+
 def detunings(comb, cfg):
-    """The (pump-1, pump-2) side-band detunings of ``sideband_pair``."""
-    return sideband_pair(comb, cfg)[0]
+    """The (pump-1, pump-2) side-band detunings of ``sideband_pair`` over the comb's span."""
+    return sideband_pair(comb, cfg, comb_span(comb))[0]
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf), ids=("nan", "+inf", "-inf"))
@@ -409,9 +418,8 @@ class TestSidebandDetuning:
             detunings(synth_comb(spacing), cfg)
 
     def test_partner_one_spacing_past_the_comb_edge(self):
-        # Pump 1's side-band point lies one spacing above the top line.
-        # The nearest line is then a full spacing off: past 0.6 of the
-        # comb's widest gap, though not of the pump-signal offset.
+        # Pump 1's side-band point lies one spacing above the top line,
+        # outside the band, where an unsolved line could sit on it.
         spacing = 2.4e12
         cfg = synth_cfg(pump_spacing=spacing)
         with pytest.raises(MissingResonance, match="side-band point"):
@@ -423,6 +431,80 @@ class TestSidebandDetuning:
         cfg = synth_cfg(pump_spacing=spacing)
         with pytest.raises(MissingResonance):
             detunings([cfg.res_s], cfg)
+
+    def test_side_band_point_nearest_the_signal_takes_the_line_beyond(self):
+        # Pumps 0.1 spacing off the signal put each side-band point 0.2
+        # spacing from it: the nearest line is the excluded signal, and
+        # the partner is the next line out, 0.8 spacing away. The band
+        # reaches 2.8 spacings past the point, so no unsolved line is
+        # nearer.
+        spacing = 2.4e12
+        cfg = synth_cfg(pump_spacing=0.1 * spacing)
+        comb = synth_comb(spacing)
+        deltas, _sups, partners = sideband_pair(comb, cfg, comb_span(comb))
+        assert partners == (comb[4], comb[2])
+        assert deltas[0] == pytest.approx(-0.8 * spacing, rel=1e-12)
+        assert deltas[1] == pytest.approx(0.8 * spacing, rel=1e-12)
+
+    def test_refused_exactly_when_the_band_edge_is_nearer_than_the_partner(self):
+        # Pump 1's side-band point sits 0.4 spacing below the top line.
+        # A band whose top edge lies at or past that line keeps it; one
+        # that ends nearer the point than the line could hide a nearer
+        # line past its edge.
+        spacing = 2.4e12
+        cfg = synth_cfg(pump_spacing=1.3 * spacing)
+        comb = synth_comb(spacing)
+        target = 2.0 * cfg.res_p1.omega0 - cfg.res_s.omega0
+        lo, top = comb_span(comb)
+        for hi in (top, top + spacing):
+            assert sideband_pair(comb, cfg, (lo, hi))[2][0] is comb[6]
+        # A top edge just under that line leaves it out of the comb, and
+        # the next line down is 0.6 spacing off.
+        with pytest.raises(MissingResonance, match=re.escape(f"{target:.6e}")):
+            sideband_pair(comb[:6], cfg, (lo, math.nextafter(top, 0.0)))
+        # The lower edge counts too: here it is 0.39 spacing under the point.
+        with pytest.raises(MissingResonance, match=re.escape(f"{target:.6e}")):
+            sideband_pair(comb[6:], cfg, (target - 0.39 * spacing, top))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        l2_scale=st.floats(1.02, 1.5),
+        heater2=st.floats(0.0, 1e12),
+        below=st.floats(1.0, 8.0),
+        above=st.floats(1.0, 8.0),
+        separation=st.integers(1, 3),
+    )
+    def test_partner_is_the_nearest_line_of_a_wider_comb(
+        self, l2_scale, heater2, below, above, separation
+    ):
+        # Whenever the band's comb gives a partner, a comb two spacings
+        # wider than both side-band points has no nearer line.
+        dev = make_device(l2_scale=l2_scale, heater2=heater2)
+        wg = dev.waveguide
+        f1 = fsr(dev.ring1, wg, wg.omega_ref)
+        band = (wg.omega_ref - below * f1, wg.omega_ref + above * f1)
+        try:  # too few lines for the pump pair, or no partner over the band
+            cfg = resonant_config(dev, band, pump_separation=separation)
+            comb2 = resonance_comb(dev.ring2, wg, band, owner=2)
+            _deltas, _sups, partners = sideband_pair(comb2, cfg, band)
+        except (ValueError, EmptyBand, MissingResonance):
+            return
+        omega_s = cfg.res_s.omega0
+        targets = [2.0 * p.omega0 - omega_s for p in (cfg.res_p1, cfg.res_p2)]
+        f2 = fsr(dev.ring2, wg, omega_s)
+        wide = resonance_comb(
+            dev.ring2, wg, (min(targets) - 2.0 * f2, max(targets) + 2.0 * f2), owner=2
+        )
+        lines = [r for r in wide if r.order != cfg.res_s.order]
+        for target, partner in zip(targets, partners):
+            assert partner == min(lines, key=lambda r: abs(r.omega0 - target))
+
+    @pytest.mark.parametrize("band", [(-1.0, 1.3e15), (1.1e15, 0.0)])
+    def test_band_edges_must_be_positive(self, band):
+        # Non-finite edges are covered by test_validation's argument table.
+        spacing = 2.4e12
+        with pytest.raises(ValueError, match="band edge must be finite and positive"):
+            sideband_pair(synth_comb(spacing), synth_cfg(spacing), band)
 
 
 class TestNoiseBudget:
@@ -531,7 +613,7 @@ class TestSharedHelpers:
         band = process_band(sample_device)
         cfg = resonant_config(sample_device, band)
         comb2 = resonance_comb(sample_device.ring2, sample_device.waveguide, band, owner=2)
-        deltas, sups, partners = sideband_pair(comb2, cfg)
+        deltas, sups, partners = sideband_pair(comb2, cfg, band)
         omega_s = cfg.res_s.omega0
         for i, res_p in enumerate((cfg.res_p1, cfg.res_p2)):
             assert sups[i] == suppression_factor(deltas[i], cfg.res_s.linewidth)
@@ -544,7 +626,7 @@ class TestSharedHelpers:
         cfg = resonant_config(sample_device, band)
         comb2 = resonance_comb(sample_device.ring2, sample_device.waveguide, band, owner=2)
         rep = noise_budget(sample_device, drive(), cfg, band=band)
-        deltas, sups, _partners = sideband_pair(comb2, cfg)
+        deltas, sups, _partners = sideband_pair(comb2, cfg, band)
         assert (rep.detuning_delta, rep.suppression) == (deltas, sups)
 
     @pytest.mark.parametrize("rate", [pair_rate_integral, pair_rate_closed_form])

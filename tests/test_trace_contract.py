@@ -3,7 +3,8 @@
 trace_boot patches functions by module and name and fails with a
 ``KeyError`` or ``AttributeError`` when one is dropped or renamed, and
 every operation of ``clibench/workloads.py`` is a command line that the
-CLI must accept. These tests catch a rename or a dropped flag in the
+CLI must accept and, for the operations that solve combs, run to exit 0.
+These tests catch a rename, a dropped flag or a refused band in the
 suite instead of in a benchmark run.
 """
 
@@ -27,6 +28,10 @@ WORKLOADS = REPO / "clibench" / "workloads.py"
 # The benchmark's run length (BENCHMARK.json) and the seeds checked.
 RUN_SECONDS = 20
 SEEDS = (0, 1, 2)
+# Operations that solve combs and pick pump and partner lines over a
+# seeded band. Spectra are left out: they pick no line, and the wide ones
+# take seconds each.
+COMB_OPS = ("overlap", "rates", "suppression", "optimize", "sweep-suppression", "sweep-rates")
 
 
 def _load(path):
@@ -75,16 +80,36 @@ def test_trace_boot_runs(argv, tmp_path):
     assert {"import", "cli.main", "deviceio.load_device", "geometry.resonance_comb"} <= spans
 
 
+def _benchmark_ops(workload, seed):
+    """The operations of a benchmark run of ``RUN_SECONDS`` with ``seed``."""
+    workloads = _load(WORKLOADS)
+    return [op for cycle in range(workloads.cycle_count(workload, RUN_SECONDS))
+            for op in workloads.cycle_ops(workload, seed, cycle)]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("workload", ["oneshot", "sweep", "spectrum_wide"])
 def test_every_benchmark_command_line_parses(workload, seed, tmp_path):
     # Parsing only: argparse exits 2 on a dropped flag or choice, such as
     # overlap --method, which would make the benchmark fail.
-    workloads = _load(WORKLOADS)
     parser = ringpair.cli.build_parser()
-    ops = [op for cycle in range(workloads.cycle_count(workload, RUN_SECONDS))
-           for op in workloads.cycle_ops(workload, seed, cycle)]
+    ops = _benchmark_ops(workload, seed)
     assert ops
     for op in ops:
         args = parser.parse_args(op.argv(tmp_path))
         assert args.op == op.args[0]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("workload", ["oneshot", "sweep"])
+def test_every_comb_operation_of_the_benchmark_succeeds(workload, seed, tmp_path, monkeypatch,
+                                                         capsys):
+    # A refused band or side-band partner would fail benchmark operations;
+    # here it fails the suite first. Operations name the device relative
+    # to the checkout root.
+    monkeypatch.chdir(REPO)
+    ops = [op for op in _benchmark_ops(workload, seed) if op.label in COMB_OPS]
+    assert ops
+    for op in ops:
+        assert ringpair.cli.main(op.argv(tmp_path)) == 0, (op.op_id, capsys.readouterr().err)
+    capsys.readouterr()

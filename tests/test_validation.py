@@ -93,6 +93,7 @@ def _argument_calls():
     band = process_band(dev)
     lo, hi = band
     cfg = resonant_config(dev, band)
+    comb2 = rp.resonance_comb(dev.ring2, wg, band, owner=2)
     res = cfg.res_s
     field = CmtField("IN", dev.kappa, length)
     profile = rp.ring_profiles(dev, [res])[0]
@@ -146,6 +147,8 @@ def _argument_calls():
         "resonance_comb.band[1]": lambda x: rp.resonance_comb(ring, wg, (lo, x)),
         "resonant_config.band[0]": lambda x: rp.resonant_config(dev, (x, hi)),
         "resonant_config.band[1]": lambda x: rp.resonant_config(dev, (lo, x)),
+        "sideband_pair.band[0]": lambda x: rp.sideband_pair(comb2, cfg, (x, hi)),
+        "sideband_pair.band[1]": lambda x: rp.sideband_pair(comb2, cfg, (lo, x)),
         "round_trip_phase.omega": lambda x: rp.round_trip_phase(wg, ring, x),
         "sigma_from_finesse.fin": lambda x: rp.sigma_from_finesse(x),
         "solve_gap_for_uncoupling.length":
@@ -168,13 +171,15 @@ def _argument_calls():
         calls[f"{name}.delta"] = lambda x, f=route: f(drive, res, x, 1.0, wg.v_g)
         calls[f"{name}.kcal"] = lambda x, f=route: f(drive, res, 0.0, x, wg.v_g)
         calls[f"{name}.v_g"] = lambda x, f=route: f(drive, res, 0.0, 1.0, x)
-        calls[f"{name}.omega_s2"] = lambda x, f=route: f(drive, res, 0.0, 1.0, wg.v_g, x)
+    calls["pair_rate_integral.omega_s2"] = lambda x: rp.pair_rate_integral(
+        drive, res, 0.0, 1.0, wg.v_g, x
+    )
     # A calibration constant, a calibration target or a finesse out of
     # range is a numeric-domain error; every other bad argument is input.
     non_physical = {
         "calibrate_kcal.target_rate", "calibrate_kcal.pump_power", "noise_budget.kcal",
-        "pair_rate_closed_form.kcal", "pair_rate_closed_form.omega_s2",
-        "pair_rate_integral.kcal", "pair_rate_integral.omega_s2", "sigma_from_finesse.fin",
+        "pair_rate_closed_form.kcal", "pair_rate_integral.kcal", "pair_rate_integral.omega_s2",
+        "sigma_from_finesse.fin",
     }
     return {
         key: (call, NonPhysical if key in non_physical else ValueError)
