@@ -50,7 +50,6 @@ from .errors import (
     NoConvergence,
     NonPhysical,
     OutOfRange,
-    QuadratureFailure,
     RingpairError,
     ValidityExceeded,
 )
@@ -65,7 +64,6 @@ from .geometry import (
     finesse,
     fsr,
     group_index,
-    q_loaded,
     resonance_comb,
     round_trip_phase,
     wavevector,

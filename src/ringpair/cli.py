@@ -162,7 +162,8 @@ def _emit(out: str | None, text: str, argv: Sequence[str]) -> None:
 # Every flag that more than one command or sweep report reads: its one
 # argparse specification, keyed by dest. A command overrides a setting
 # only where its value differs: kerr-check requires --power, and
-# optimize leaves --photons unset unless its Kerr rules should run.
+# optimize leaves --photons and --pulse unset unless given, since only
+# its Kerr rules read them.
 _FLAGS: dict[str, dict[str, Any]] = {
     "band": dict(nargs="+", required=True, metavar="EDGE", help="band edges 'LO HI' or "
                  "'LO:HI'; bare numbers are Hz, suffixes nm/um/GHz/THz supported"),
@@ -281,6 +282,11 @@ def cmd_optimize(args: argparse.Namespace, argv: Sequence[str]) -> None:
         min_isolation_db=args.min_isolation,
         gap_budget=(args.gap_min, args.gap_max),
     )
+    if not hasattr(args, "pulse"):
+        args.pulse = _FLAGS["pulse"]["default"]
+    elif args.photons is None:
+        raise ValueError("optimize reads --pulse only with --photons, which enables the "
+                         "Kerr rules; give --photons too or drop --pulse")
     drive = _drive(args) if args.photons is not None else None
     final, report = optimize_device(device, goal, drive=drive, mode=args.mode)
     if args.out is not None:
@@ -405,7 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="tune a seed device against a design goal")
     _add_common(p, cmd_optimize, "separation", "photons", "pulse",
-                photons={"default": None, "help": "enable Kerr rules at this drive"})
+                photons={"default": None, "help": "enable Kerr rules at this drive"},
+                pulse={"default": argparse.SUPPRESS,
+                       "help": "pulse duration [s]; read only with --photons"})
     p.add_argument("--signal", required=True, help="signal line position (e.g. 1550nm)")
     p.add_argument("--suppression", type=float, default=1e-4, help="suppression target")
     p.add_argument("--max-kerr", type=float, default=0.05)

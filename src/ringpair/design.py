@@ -13,12 +13,15 @@ The design flow, in the order the optimizer runs it:
 5. evaluate every rule and emit a report.
 
 The feasibility frontier of step 3 is architectural: a partner line
-can be pushed at most half a spectral range away from the
-energy-conserving point, so a suppression target s is reachable only if
-fwhm * sqrt(1/s - 1) <= FSR / 2. The tuner's Infeasible verdict
-implements exactly this criterion; geometry limits that keep a
-particular instance from reaching the ideal detuning are reported on
-the result instead of flipping the verdict.
+can be pushed at most half a ring-2 spectral range away from the
+energy-conserving point, and the shortest ring 2 the refit designs,
+F2 = M F1 / (M - 1/2) for pumps M ring-1 spacings F1 apart, puts it
+at |delta| = F2 / 2 = M F1 / (2M - 1). So a suppression target s is
+reachable only if fwhm * sqrt(1/s - 1) <= M F1 / (2M - 1), whatever
+ring 2 the seed carries. The tuner's Infeasible verdict implements
+exactly this criterion; geometry limits that keep a particular
+instance from reaching the ideal detuning are reported on the result
+instead of flipping the verdict.
 """
 
 from __future__ import annotations
@@ -245,11 +248,14 @@ def tune_for_energy_conservation(
 
     In ``fabrication`` mode the ring-2 round trip is also free. The
     feasibility verdict is the architectural frontier
-    fwhm * sqrt(1/s - 1) <= FSR / 2; when feasible, the round trip is
-    set so the side-band points land half a ring-2 spacing away from
-    the nearest partner lines, preferring the shorter-ring solution
-    (detuning above FSR/2) and falling back to the longer-ring one when
-    the coupler no longer fits, with the shortfall noted.
+    fwhm * sqrt(1/s - 1) <= M F1 / (2M - 1), half the spectral range of
+    the shorter ring the refit designs (see the module docstring); the
+    seed's ring 2 does not enter it, since the refit replaces that
+    ring. When feasible, the round trip is set so the side-band points
+    land half a ring-2 spacing away from the nearest partner lines,
+    preferring the shorter-ring solution and falling back to the
+    longer-ring one when the coupler no longer fits, with the shortfall
+    noted.
 
     Raises
     ------
@@ -268,14 +274,7 @@ def tune_for_energy_conservation(
     notes: list[str] = []
 
     if mode == "fabrication":
-        fsr2 = fsr(device.ring2, wg, omega_mid)
-        if delta_req > 0.5 * fsr2:
-            raise Infeasible(
-                f"suppression {goal.min_parasitic_suppression:.3g} needs a side-band "
-                f"detuning of {delta_req:.6g} rad/s, beyond the reachable maximum "
-                f"FSR/2 = {0.5 * fsr2:.6g} rad/s"
-            )
-        device = _refit_ring2_length(device, goal, omega_mid, notes)
+        device = _refit_ring2_length(device, goal, omega_mid, delta_req, notes)
 
     # The refit moves ring 2 only, so ring 1's band still holds.
     comb2 = resonance_comb(device.ring2, wg, band, owner=2)
@@ -322,20 +321,31 @@ def tune_for_energy_conservation(
 
 
 def _refit_ring2_length(
-    device: DeviceSpec, goal: DesignGoal, omega_mid: float, notes: list[str]
+    device: DeviceSpec, goal: DesignGoal, omega_mid: float, delta_req: float,
+    notes: list[str],
 ) -> DeviceSpec:
     """Pick the ring-2 round trip placing the side-band points mid-gap.
 
     The pump pair spans M ring-1 spacings, so the side-band points sit
     M ring-1 spacings from the midpoint. Choosing the ring-2 spacing
     F2 = M F1 / (M -+ 1/2) puts them exactly between two ring-2 lines.
-    The shorter ring (minus sign) reaches |delta| = F2/2 > F1/2 but
-    must still fit the coupler in its straight; otherwise the longer
-    ring (plus sign, |delta| = M F1 / (2M + 1)) is used.
+    The shorter ring (minus sign) reaches |delta| = F2/2 = M F1 / (2M - 1),
+    the farthest any refit reaches, so a required detuning ``delta_req``
+    beyond it raises Infeasible. The shorter ring must still fit the
+    coupler in its straight; otherwise the longer ring (plus sign,
+    |delta| = M F1 / (2M + 1)) is used.
     """
     wg = device.waveguide
     m_sep = goal.pump_separation
     f1 = fsr(device.ring1, wg, omega_mid)
+    frontier = m_sep * f1 / (2 * m_sep - 1)
+    if delta_req > frontier:
+        raise Infeasible(
+            f"suppression {goal.min_parasitic_suppression:.3g} needs a side-band "
+            f"detuning of {delta_req:.6g} rad/s, beyond the reachable maximum "
+            f"FSR/2 = M*F1/(2M - 1) = {frontier:.6g} rad/s of the shortest refit "
+            f"ring 2 (M = {m_sep}, ring-1 FSR F1 = {f1:.6g} rad/s)"
+        )
 
     chosen: DeviceSpec | None = None
     for denom in (m_sep - 0.5, m_sep + 0.5):

@@ -19,7 +19,6 @@ import functools
 import json
 import math
 import os
-import tempfile
 from itertools import chain
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -203,19 +202,22 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     """Write a file atomically: temp file in the target dir, then rename.
 
     A crashed or interrupted run can never leave a partially written
-    output behind; readers see either the old file or the new one. An
-    ``OSError`` names ``path``, not the temp file's random name.
+    output behind; readers see either the old file or the new one. The
+    temp file has a random name and is created exclusively, with the
+    mode ``open(path, "w")`` gives a new file (``0o666`` less the
+    umask), which the rename keeps. An ``OSError`` names ``path``, not
+    the temp file's name.
     """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    tmp = None
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
+    created = False
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            created = True
             fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None:
+        if created:
             try:
                 os.unlink(tmp)
             except OSError:

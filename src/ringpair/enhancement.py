@@ -98,8 +98,6 @@ class SpectrumResult(Record):
     omega: np.ndarray
     f1_sq: np.ndarray
     f2_sq: np.ndarray
-    comb1: tuple[Resonance, ...]
-    comb2: tuple[Resonance, ...]
 
 
 def ring_profiles(
@@ -137,11 +135,11 @@ def intensity_spectrum(
     if n_points > MAX_SPECTRUM_POINTS:
         raise ValueError(f"n_points must be at most {MAX_SPECTRUM_POINTS}, got {n_points}")
     lo, hi = sorted((float(band[0]), float(band[1])))
-    comb1, comb2 = device_combs(device, (lo, hi))
+    combs = device_combs(device, (lo, hi))
     omega = np.linspace(lo, hi, n_points)
 
     columns = []
-    for comb in (comb1, comb2):
+    for comb in combs:
         centers = np.array([r.omega0 for r in comb])
         hw = np.array([0.5 * r.linewidth for r in comb])
         peaks = np.array(
@@ -149,13 +147,7 @@ def intensity_spectrum(
         )
         columns.append(kernels.lorentzian_comb(omega, centers, hw, peaks))
 
-    return SpectrumResult(
-        omega=omega,
-        f1_sq=columns[0],
-        f2_sq=columns[1],
-        comb1=tuple(comb1),
-        comb2=tuple(comb2),
-    )
+    return SpectrumResult(omega=omega, f1_sq=columns[0], f2_sq=columns[1])
 
 
 def spectrum_to_csv(result: SpectrumResult) -> str:

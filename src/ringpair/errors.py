@@ -119,8 +119,9 @@ class RingpairError(Exception):
 
 class NoConvergence(RingpairError):
     """A numeric route found no valid result: the group index is not
-    positive over a comb's search band, or ring-2 tuning misses energy
-    conservation by more than its residual tolerance."""
+    positive over a comb's search band, ring-2 tuning misses energy
+    conservation by more than its residual tolerance, or adaptive
+    integration runs out of panels before it meets its tolerance."""
 
 
 class EmptyBand(RingpairError):
@@ -129,10 +130,6 @@ class EmptyBand(RingpairError):
 
 class MissingResonance(RingpairError):
     """A comb line required by the calculation is absent from the band."""
-
-
-class QuadratureFailure(RingpairError):
-    """Adaptive integration could not reach the requested tolerance."""
 
 
 class NonPhysical(RingpairError):

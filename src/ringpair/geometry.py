@@ -129,7 +129,7 @@ class RacetrackSpec(Record):
     @property
     def q_loaded(self) -> float:
         """Loaded quality factor, parallel combination of the two Qs."""
-        return q_loaded(self.q_intrinsic, self.q_coupling)
+        return 1.0 / (1.0 / self.q_intrinsic + 1.0 / self.q_coupling)
 
 
 class CouplingModel(Record):
@@ -300,13 +300,6 @@ def group_index(wg: WaveguideParams, omega: float) -> float:
     if not math.isfinite(ng):
         raise NonPhysical(f"group index is not finite for n_g = {wg.n_g:.6g}")
     return ng
-
-
-def q_loaded(q_intrinsic: float, q_coupling: float) -> float:
-    """Parallel combination of intrinsic and coupling quality factors."""
-    require_positive("q_intrinsic", q_intrinsic)
-    require_positive("q_coupling", q_coupling)
-    return 1.0 / (1.0 / q_intrinsic + 1.0 / q_coupling)
 
 
 def round_trip_phase(wg: WaveguideParams, ring: RacetrackSpec, omega: float) -> float:

@@ -56,11 +56,6 @@ class CmtField(Record):
         require_finite("kappa", self.kappa)
         require_positive("length", self.length)
 
-    @property
-    def degenerate(self) -> bool:
-        """True when |kappa| is exactly zero; the amplitudes are then constant along z."""
-        return abs(self.kappa) == 0.0
-
     def a1(self, z: float) -> complex:
         """Amplitude in guide 1 at position z [dimensionless]."""
         require_finite("z", z)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING, Callable
 
-from .errors import NonPhysical, QuadratureFailure, require_finite, require_positive
+from .errors import NoConvergence, NonPhysical, require_finite, require_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,7 +75,7 @@ def integrate_adaptive(
     NonPhysical
         On the first refinement round in which the integrand returns a
         non-finite value; bisecting cannot cure it.
-    QuadratureFailure
+    NoConvergence
         If the budget is exhausted before every panel meets its share
         of the tolerance.
     """
@@ -124,7 +124,7 @@ def integrate_adaptive(
             break
         n_panels += bad.shape[0]
         if n_panels > max_panels:
-            raise QuadratureFailure(
+            raise NoConvergence(
                 f"exceeded {max_panels} panels integrating over [{lo}, {hi}] "
                 f"at abs_tol={abs_tol}"
             )

@@ -344,9 +344,11 @@ def test_10_tuning_feasibility_frontier():
         dev = make_device(q_i=2.0 * q, q_c=2.0 * q)
         wg = dev.waveguide
         lw = omega_s / q
-        f2 = fsr(dev.ring2, wg, omega_s)
+        # Half the spacing of the shortest ring 2 the refit designs for
+        # pumps M = 2 ring-1 orders apart: M F1 / (2M - 1).
+        frontier = 2.0 * fsr(dev.ring1, wg, omega_s) / 3.0
         for x in xs:
-            s = 1.0 / (1.0 + (x * f2 / (2.0 * lw)) ** 2)
+            s = 1.0 / (1.0 + (x * frontier / lw) ** 2)
             goal = DesignGoal(signal_wavelength=1.55e-6, min_parasitic_suppression=s)
             expect_infeasible = x > 1.0
             try:
@@ -363,6 +365,6 @@ def test_10_tuning_feasibility_frontier():
         10,
         "tuning feasibility frontier",
         ok,
-        f"{agreements}/{points} verdicts match the half-FSR detuning rule, "
+        f"{agreements}/{points} verdicts match the M*F1/(2M - 1) detuning rule, "
         f"{dt:.2f}s (budget 10s)",
     )

@@ -254,6 +254,21 @@ class TestArtifacts:
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert stdouts[0] == stdouts[1]
 
+    @pytest.mark.parametrize("umask", [0o022, 0o007], ids=["umask-022", "umask-007"])
+    def test_artifact_and_sidecar_modes_follow_the_umask(self, umask, tmp_path, capsys):
+        # Both used to be 0600 whatever the umask: the temp file behind the
+        # atomic write kept mkstemp's mode through the rename.
+        out = tmp_path / "k.json"
+        old = os.umask(umask)
+        try:
+            rc = main([*README_COMMANDS["kerr-check"], "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert rc == EXIT_OK
+        for path in (out, tmp_path / "k.json.meta.json"):
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")] == []
+
     def test_band_spellings_agree(self, tmp_path):
         outs = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"]
         for out, band in zip(
@@ -539,6 +554,56 @@ class TestOptimize:
         # The emitted device is a plain device file, usable directly.
         rc = main(["overlap", "--device", str(out), "--band", *BAND])
         assert rc == EXIT_OK
+
+    def test_seed_ring2_length_does_not_decide_the_design(self, tmp_path, capsys):
+        # The refit replaces the seed's ring 2, so the 200 and 600 um seeds
+        # exited 3 against their own FSR/2 while the shipped one passed.
+        data = load_json(DEVICE_JSON.read_text())
+        outs = []
+        for straight in (data["ring2"]["straight_len_m"], 2e-4, 6e-4):
+            data["ring2"]["straight_len_m"] = straight
+            seed, out = tmp_path / f"seed-{straight}.json", tmp_path / f"tuned-{straight}.json"
+            seed.write_text(json.dumps(data))
+            rc = main(["optimize", "--device", str(seed), "--signal", "1550nm",
+                       "--suppression", "1e-3", "--out", str(out)])
+            assert rc == EXIT_OK
+            assert load_json(capsys.readouterr().out)["report"]["passed"] is True
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_goal_between_seed_and_refit_frontiers_gets_best_effort(self, capsys):
+        # 3e-4 needs about 1.4e12 rad/s: past the shipped seed's ring-2
+        # FSR/2 (1.07e12, which exited 3) but inside M*F1/(2M - 1) = 1.59e12.
+        rc, payload = run_json(["optimize", "--device", DEV, "--signal", "1550nm",
+                                "--suppression", "3e-4"], capsys)
+        assert rc == EXIT_OK
+        report = payload["report"]
+        assert report["passed"] is False
+        assert max(report["suppression"]) > 3e-4
+        assert any("trails the goal" in note for note in report["notes"])
+
+    @pytest.mark.parametrize("pulse", ["nan", "-1", "inf", "2e-9"])
+    def test_pulse_without_photons_is_refused(self, pulse, tmp_path, capsys):
+        # No drive is built without --photons, so --pulse was dropped unread.
+        report = tmp_path / "r.json"
+        rc = main(["optimize", "--device", DEV, "--signal", "1550nm", "--suppression", "1e-3",
+                   "--pulse", pulse, "--report", str(report)])
+        assert rc == EXIT_VALIDATION
+        assert not report.exists()
+        message = load_json(capsys.readouterr().err)["message"]
+        assert "--pulse" in message and "--photons" in message
+
+    def test_pulse_with_photons_is_read(self, capsys):
+        rc = main(["optimize", "--device", DEV, "--signal", "1550nm", "--suppression", "1e-3",
+                   "--photons", "1e4", "--pulse", "nan"])
+        assert rc == EXIT_VALIDATION
+        assert "pulse_duration" in load_json(capsys.readouterr().err)["message"]
+        runs = [run_json(["optimize", "--device", DEV, "--signal", "1550nm",
+                          "--suppression", "1e-3", "--photons", "1e4", *pulse], capsys)
+                for pulse in ([], ["--pulse", "1e-9"], ["--pulse", "2e-9"])]
+        assert [rc for rc, _ in runs] == [EXIT_OK] * 3
+        # The default is the rates default, and a given pulse reaches the drive.
+        assert runs[0][1] == runs[1][1] != runs[2][1]
 
     def test_huge_pump_coupling_q_reports_j(self, tmp_path, capsys):
         # Ring-1 coupling Q x 1e200 exited 4: sqrt(q_c1 * q_c2) overflowed

@@ -155,6 +155,12 @@ class TestTrimTune:
             tune_for_energy_conservation(sample_device, GOAL, mode="anneal")
 
 
+def _frontier(device, goal):
+    """|delta| = M F1 / (2M - 1), half the spacing of the shortest refit ring 2."""
+    m = goal.pump_separation
+    return m * fsr(device.ring1, device.waveguide, goal.signal_omega) / (2 * m - 1)
+
+
 class TestFabricationTune:
     def test_refit_meets_tighter_goal(self, sample_device):
         goal = replace(GOAL, min_parasitic_suppression=1e-3)
@@ -170,10 +176,8 @@ class TestFabricationTune:
 
     def test_architectural_frontier(self, sample_device):
         goal = replace(GOAL, min_parasitic_suppression=1e-6)
-        wg = sample_device.waveguide
         lw = goal.signal_omega / sample_device.ring2.q_loaded
-        f2 = fsr(sample_device.ring2, wg, goal.signal_omega)
-        assert required_detuning(goal, lw) > 0.5 * f2
+        assert required_detuning(goal, lw) > _frontier(sample_device, goal)
         with pytest.raises(Infeasible, match="FSR/2"):
             tune_for_energy_conservation(sample_device, goal, mode="fabrication")
 
@@ -185,12 +189,10 @@ class TestFabricationTune:
             ).suppression
         )
         goal = replace(GOAL, min_parasitic_suppression=0.85 * achieved)
-        wg = sample_device.waveguide
         lw = goal.signal_omega / sample_device.ring2.q_loaded
-        f2 = fsr(sample_device.ring2, wg, goal.signal_omega)
         # The target sits between what the coupler-limited geometry
         # reaches and the architectural frontier.
-        assert required_detuning(goal, lw) <= 0.5 * f2
+        assert required_detuning(goal, lw) <= _frontier(sample_device, goal)
         res = tune_for_energy_conservation(sample_device, goal, mode="fabrication")
         assert max(res.suppression) > goal.min_parasitic_suppression
         assert any("trails the goal" in n for n in res.notes)

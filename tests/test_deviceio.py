@@ -362,8 +362,6 @@ class TestCsvColumns:
             omega=np.linspace(TWO_PI * 185e12, TWO_PI * 205e12, n),
             f1_sq=rng.lognormal(0.0, 4.0, n),
             f2_sq=rng.lognormal(0.0, 4.0, n),
-            comb1=(),
-            comb2=(),
         )
         tracemalloc.start()
         try:

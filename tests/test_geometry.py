@@ -37,7 +37,6 @@ from ringpair import (
     geometry,
     group_index,
     load_device,
-    q_loaded,
     resonance_comb,
     round_trip_phase,
     wavevector,
@@ -137,6 +136,11 @@ class TestScalarOrArray:
             group_index(wg, wg.omega_ref * omega_scale)
 
 
+def _q_loaded(q_intrinsic, q_coupling):
+    """The loaded Q of a ring with these Qs, read from the record."""
+    return RacetrackSpec(4e-5, 1.5e-5, q_intrinsic, q_coupling).q_loaded
+
+
 class TestValueTypes:
     def test_round_trip_length(self):
         ring = RacetrackSpec(4e-5, 1.5e-5, 1e5, 1e5)
@@ -145,16 +149,15 @@ class TestValueTypes:
         )
 
     def test_q_loaded_parallel_combination(self):
-        assert q_loaded(1e5, 1e5) == pytest.approx(5e4, rel=1e-15)
-        assert q_loaded(1e5, 3e5) == pytest.approx(7.5e4, rel=1e-15)
-        ring = RacetrackSpec(4e-5, 1.5e-5, 1e5, 3e5)
-        assert ring.q_loaded == q_loaded(1e5, 3e5)
+        assert _q_loaded(1e5, 1e5) == pytest.approx(5e4, rel=1e-15)
+        assert _q_loaded(1e5, 3e5) == pytest.approx(7.5e4, rel=1e-15)
+        assert _q_loaded(1e5, 3e5) == 1.0 / (1.0 / 1e5 + 1.0 / 3e5)
 
     def test_q_loaded_below_either_q_and_monotone(self):
-        assert q_loaded(1e5, 2e5) < 1e5
-        assert q_loaded(1e5, 2e5) < q_loaded(1e5, 4e5)
+        assert _q_loaded(1e5, 2e5) < 1e5
+        assert _q_loaded(1e5, 2e5) < _q_loaded(1e5, 4e5)
         # Overcoupled limit: huge intrinsic Q leaves the coupling Q.
-        assert q_loaded(1e12, 5e4) == pytest.approx(5e4, rel=1e-7)
+        assert _q_loaded(1e12, 5e4) == pytest.approx(5e4, rel=1e-7)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -656,7 +659,7 @@ class TestConstantsAndImports:
             "z = 0.3 * dev.dc_length\n"
             "vals = [rp.effective_index(wg, w), rp.wavevector(wg, w), rp.group_index(wg, w),\n"
             "        rp.round_trip_phase(wg, ring, w), rp.lorentzian_response(res, w),\n"
-            "        f_in.a1(z), f_in.a2(z), f_out.a1(z), f_out.a2(z), f_in.degenerate,\n"
+            "        f_in.a1(z), f_in.a2(z), f_out.a1(z), f_out.a2(z), ring.q_loaded,\n"
             "        rp.dc_transfer(dev.kappa, dev.dc_length), rp.fsr(ring, wg, w),\n"
             "        rp.isolation_db(dev.kappa, dev.dc_length)]\n"
             "print(json.dumps([len(vals), 'numpy' in sys.modules]))"

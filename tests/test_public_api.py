@@ -17,7 +17,7 @@ PUBLIC = (
     "CmtField", "CompensationResult", "CouplingModel", "DcTransfer", "DesignGoal",
     "DesignReport", "DeviceSpec", "EmptyBand", "EnhancementProfile", "Infeasible",
     "MissingResonance", "NoConvergence", "NonPhysical", "OutOfRange", "OverlapResult",
-    "PairRateReport", "ProcessConfig", "PumpDrive", "QuadratureFailure", "RacetrackSpec",
+    "PairRateReport", "ProcessConfig", "PumpDrive", "RacetrackSpec",
     "Resonance", "RingpairError", "RuleCheck", "SCHEMA_VERSION", "SpectrumResult",
     "TuneResult", "ValidityExceeded", "WaveguideParams",
     "calibrate_kcal", "dc_transfer", "device_combs", "device_from_dict", "device_to_dict",
@@ -26,7 +26,7 @@ PUBLIC = (
     "j_single_ring_baseline", "j_single_ring_ratio", "kerr_delta_beta",
     "kerr_detuned_efficiency", "kerr_validity_metric", "load_device", "lorentzian_response",
     "noise_budget", "null_kerr_metric", "optimal_dc_length", "optimize_device",
-    "pair_rate_closed_form", "pair_rate_integral", "peak_amplitude", "q_loaded",
+    "pair_rate_closed_form", "pair_rate_integral", "peak_amplitude",
     "required_detuning", "resolve_drive", "resonance_comb", "resonant_config",
     "ring_profiles", "round_trip_phase", "save_device", "sideband_pair",
     "sigma_from_finesse", "solve_gap_for_uncoupling", "spectrum_to_csv",
@@ -44,6 +44,11 @@ REMOVED = {
     "enhancement_factor": "j_quadrature(device, cfg).enhancement_product",
     "PairRateReport.per_second": "ringpair.sfwm.per_second(beta_sq, report.pulse_duration)",
     "DeviceSpec.kappa_abs": "abs(device.kappa)",
+    "SpectrumResult.comb1": "device_combs(device, band)[0]",
+    "SpectrumResult.comb2": "device_combs(device, band)[1]",
+    "QuadratureFailure": "NoConvergence, which integrate_adaptive raises",
+    "CmtField.degenerate": "abs(field.kappa) == 0",
+    "q_loaded": "RacetrackSpec(...).q_loaded",
 }
 
 MODULES = ("cli", "design", "deviceio", "enhancement", "errors", "geometry", "kernels",

@@ -140,8 +140,6 @@ def _argument_calls():
         "noise_budget.band[1]": lambda x: rp.noise_budget(dev, pulse, cfg, band=(lo, x)),
         "null_kerr_metric.pump_power": lambda x: rp.null_kerr_metric(dev, x),
         "optimal_dc_length.bend_radius": lambda x: rp.optimal_dc_length(x),
-        "q_loaded.q_intrinsic": lambda x: rp.q_loaded(x, 1e5),
-        "q_loaded.q_coupling": lambda x: rp.q_loaded(1e5, x),
         "required_detuning.linewidth": lambda x: rp.required_detuning(goal, x),
         "resonance_comb.band[0]": lambda x: rp.resonance_comb(ring, wg, (x, hi)),
         "resonance_comb.band[1]": lambda x: rp.resonance_comb(ring, wg, (lo, x)),
