@@ -21,7 +21,9 @@ the refusal of any flag the chosen report does not read.
 
 Exit codes: 0 success, 2 input or validation trouble, 3 a stated goal
 is unreachable, 4 a numeric procedure failed. On failure a single JSON
-object describing the error is written to stderr.
+object describing the error is written to stderr. :func:`main` returns
+the code; :func:`run`, the ``ringpair`` script and ``python -m
+ringpair.cli``, exits with it without tearing the interpreter down.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import os
 import re
 import sys
 import time
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from . import __version__
 from .design import DesignGoal, null_kerr_metric, optimize_device, xpm_spm_compensation
@@ -473,5 +475,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     return EXIT_OK
 
 
+def run() -> NoReturn:
+    """Run :func:`main` and exit with its code, skipping interpreter teardown.
+
+    Once ``main`` returns, the artifact and its sidecar are closed, so
+    the process flushes whichever of stdout and stderr exists and ends
+    with ``os._exit``. When ``main`` raises (argparse's usage errors and
+    ``--help`` among them) or a flush fails, it exits the normal way
+    instead, so the exit code and the output match ``sys.exit(main())``.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):  # a broken pipe, a full disk, a closed stream
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

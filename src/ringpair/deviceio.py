@@ -241,8 +241,8 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
 
 
 # Rows that csv_columns renders at once: its work arrays for three
-# columns stay under 0.5 MB however long the columns are.
-_BLOCK_ROWS = 1024
+# columns stay under 2 MB however long the columns are.
+_BLOCK_ROWS = 4096
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant for doubles
 # A '%.17g' text is at most 24 characters: -2.2250738585072014e-308.
 _MAX_TEXT = 24
@@ -254,6 +254,9 @@ def _slot_tables():
 
     - 10**0 .. 10**20 as doubles, all exact;
     - the four ASCII digits of each of 0..9999, one uint32 per number;
+    - for digit group i (0 to 3) and each of 0..9999 at i * 10**4 + g,
+      the position (1 to 16) of g's last nonzero digit among the 16
+      digits after the leading one, or 0 when g is 0;
     - the slot a fixed-notation value is cut from: sign, '0', 17
       integer-part digits, '.', "000", 17 fraction digits, separator;
     - the slot's keep mask for each decimal exponent k (-4 to 16) and
@@ -271,6 +274,9 @@ def _slot_tables():
     quads[..., 1] = ascii_digits[:, None, None]
     quads[..., 2] = ascii_digits[:, None]
     quads[..., 3] = ascii_digits
+    group = np.arange(10**4)
+    zeros = sum(group % 10**j == 0 for j in range(1, 5))  # trailing zeros, 4 for 0
+    lasts = np.where(group > 0, np.arange(4, 17, 4)[:, None] - zeros, 0).astype(np.uint8)
     template = np.frombuffer(b"-0" + b"0" * 17 + b".000" + b"0" * 17 + b",", dtype=np.uint8)
     k = np.arange(-4, 17)[:, None, None]
     last = np.arange(17)[:, None]
@@ -282,7 +288,8 @@ def _slot_tables():
     keep[..., 20:23] = np.arange(3) < -k - 1
     keep[..., 23:40] = (j > k) & (j <= last)
     keep[..., 40] = True
-    tables = (pow10, quads.view(np.uint32).ravel(), template, keep.reshape(21 * 17, -1))
+    tables = (pow10, quads.view(np.uint32).ravel(), lasts.ravel(), template,
+              keep.reshape(21 * 17, -1))
     for table in tables:
         table.flags.writeable = False  # every later call shares them
     return tables
@@ -308,7 +315,7 @@ def _cut_slots(x):
     """
     import numpy as np
 
-    pow10, quads, template, masks = _slot_tables()
+    pow10, quads, lasts, template, masks = _slot_tables()
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e17)
     a[~fixed] = 1.0  # keeps log10 and the int64 casts quiet
@@ -326,7 +333,9 @@ def _cut_slots(x):
         groups[:, i] = d - rest * 10**4
         d = rest
     digits = quads.take(groups).view(np.uint8)
-    last = ((digits != ord("0")) * np.arange(1, 17, dtype=np.uint8)).max(axis=1)
+    last = lasts.take(groups[:, 0])
+    for i in (1, 2, 3):
+        np.maximum(last, lasts.take(groups[:, i] + i * 10**4), out=last)
 
     chars = np.empty((len(x), len(template)), dtype=np.uint8)
     chars[:] = template
@@ -341,10 +350,10 @@ def csv_columns(header: Sequence[str], columns: Sequence[Any]) -> str:
     """The text of :func:`csv_text` for 1-D float64 columns, rendered by numpy.
 
     ``csv_columns(header, columns) == csv_text(header, zip(*columns))``
-    for any values, byte for byte. Rows are rendered in blocks, so the
-    work arrays stay the same size however long the columns are; the
-    text is the one large allocation. Raises ``ValueError`` unless there
-    is one 1-D column of equal length per header name.
+    for any values, byte for byte. Rows are rendered in blocks of 4096,
+    so the work arrays stay the same size however long the columns are;
+    the text is the one large allocation. Raises ``ValueError`` unless
+    there is one 1-D column of equal length per header name.
 
     A value x with 1e-4 <= |x| < 1e17 is one that ``'%.17g'`` prints in
     fixed notation, and its digits come out exactly, without a guess at
@@ -357,7 +366,9 @@ def csv_columns(header: Sequence[str], columns: Sequence[Any]) -> str:
     log10 misjudges k, or the rounding carries to a power of ten, the
     test 1e16 <= h + e and D < 1e17 fails. Those values, and all
     outside the range (zeros, subnormals, nan, infinities, scientific
-    notation), are formatted by ``'%.17g'`` itself.
+    notation), are formatted by ``'%.17g'`` itself. The 16 digits after
+    the leading one are cut as four groups of four, and where the last
+    nonzero one sits comes from a 10**4-entry table per group.
     """
     import numpy as np
 

@@ -4,9 +4,10 @@ and the pair-rate spectral kernel.
 Each kernel is a vectorized expression over an ndarray of abscissae.
 The two that call numpy functions import numpy in their body, so loading
 this module does not load numpy. Only ``lorentzian_comb``, which sums the spectrum, has a
-runtime caller. It evaluates its points x lines matrix in row blocks of
-about 2**16 elements, so its memory does not grow with the number of
-points, and its bytes equal those of the one-shot sum. The other two are
+runtime caller. It evaluates its lines x points matrix in blocks of
+about 2**20 elements, so its memory does not grow with the number of
+points, and adds the lines in numpy's own pairwise order, so its bytes
+equal those of the one-shot points x lines sum. The other two are
 the tests' reference integrands for closed forms: ``pair_kernel`` for
 the exact pair-rate integral in :func:`ringpair.sfwm.pair_rate_integral`,
 ``dc_overlap_integrand`` for the coupler overlap in
@@ -21,6 +22,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+# Elements of lorentzian_comb's one work buffer (8 MB), a block of
+# lines x points, whatever the point count. Smaller blocks made the
+# benchmark's 300-line spectra slower.
+_BLOCK_ELEMS = 2**20
+
+
 def lorentzian_comb(
     omega: np.ndarray,
     centers: np.ndarray,
@@ -31,28 +38,65 @@ def lorentzian_comb(
 
     out[i] = sum_j peaks_sq[j] * hw[j]^2 / ((omega[i] - centers[j])^2 + hw[j]^2)
 
-    The sum runs over blocks of about 2**16 elements (at least one row),
-    filled in place in one reused buffer. Each row is its own reduction
-    with the same element-wise operations, so the result is byte-equal to
-    evaluating the whole points x lines matrix at once.
+    The profiles are filled in place, one line per row, into blocks of
+    about 2**20 elements (at least one point) of one reused buffer. The
+    rows are then added as ``sum(axis=1)`` adds each point's lines:
+    numpy's pairwise order, see :func:`_add_rows`. So the result is
+    byte-equal to summing the whole points x lines matrix at once, and
+    each addition runs over a block of points instead of one point's lines.
     """
     import numpy as np
 
     n, m = omega.shape[0], centers.shape[0]
-    rows = max(1, 2**16 // max(m, 1))
-    hw_sq = half_widths**2
-    num = peaks_sq * hw_sq
+    if m == 0:
+        return np.zeros(n)
+    cols = max(1, _BLOCK_ELEMS // m)
+    hw_sq = half_widths[:, None] ** 2
+    num = peaks_sq[:, None] * hw_sq
     out = np.empty(n)
-    buf = np.empty((min(rows, n), m))
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        d = buf[: e - s]
-        np.subtract(omega[s:e, None], centers[None, :], out=d)
+    buf = np.empty((m, min(cols, n)))
+    for s in range(0, n, cols):
+        e = min(s + cols, n)
+        d = buf[:, : e - s]
+        np.subtract(omega[s:e], centers[:, None], out=d)
         np.multiply(d, d, out=d)
         np.add(d, hw_sq, out=d)
         np.divide(num, d, out=d)
-        d.sum(axis=1, out=out[s:e])
+        _add_rows(d, 0, m)
+        # np.add.reduce starts from its identity 0.0 (it turns -0.0 into 0.0).
+        np.add(d[0], 0.0, out=out[s:e])
     return out
+
+
+def _add_rows(b: np.ndarray, lo: int, n: int) -> None:
+    """Add rows lo..lo+n-1 of ``b`` into row lo, in place, in the order
+    of numpy's pairwise sum over a contiguous axis (``pairwise_sum`` in
+    its loops_utils): fewer than 8 rows in sequence (numpy starts from
+    0.0, which changes only an all -0.0 sum, and the caller's final
+    + 0.0 does the same); up to 128 rows in eight accumulators, combined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest
+    in sequence; more rows as two halves split at n // 2 rounded down to
+    a multiple of 8."""
+    import numpy as np
+
+    if n < 8:
+        for i in range(lo + 1, lo + n):
+            np.add(b[lo], b[i], out=b[lo])
+    elif n <= 128:
+        acc = b[lo : lo + 8]
+        whole = lo + n - n % 8
+        for i in range(lo + 8, whole, 8):
+            np.add(acc, b[i : i + 8], out=acc)
+        np.add(acc[0::2], acc[1::2], out=acc[0::2])
+        np.add(acc[0::4], acc[2::4], out=acc[0::4])
+        np.add(acc[0], acc[4], out=acc[0])
+        for i in range(whole, lo + n):
+            np.add(b[lo], b[i], out=b[lo])
+    else:
+        half = n // 2 - n // 2 % 8
+        _add_rows(b, lo, half)
+        _add_rows(b, lo + half, n - half)
+        np.add(b[lo], b[lo + half], out=b[lo])
 
 
 def dc_overlap_integrand(

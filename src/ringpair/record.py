@@ -32,11 +32,12 @@ class Record:
         defaults = tuple(own[n] for n in names if n in own)
         if any(n in own for n in names[: len(names) - len(defaults)]):
             raise TypeError(f"{cls.__name__}: a field without a default follows one with one")
-        body = [f"    _set(self, {n!r}, {n})" for n in names]
+        # Fields go straight into the instance dict, past the frozen __setattr__.
+        body = [f"    self.__dict__[{n!r}] = {n}" for n in names]
         if hasattr(cls, "__post_init__"):
             body.append("    self.__post_init__()")
         source = f"def __init__(self, {', '.join(names)}):\n" + "\n".join(body or ["    pass"])
-        namespace: dict[str, Any] = {"_set": object.__setattr__}
+        namespace: dict[str, Any] = {}
         exec(source, namespace)
         init = namespace["__init__"]
         init.__defaults__ = defaults or None

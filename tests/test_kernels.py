@@ -14,7 +14,11 @@ from ringpair import device_combs, intensity_spectrum, kernels, load_device
 from conftest import REPO, TWO_PI
 
 RNG = np.random.default_rng(20240817)
-BLOCK_ELEMS = 2**16
+BLOCK_ELEMS = 2**20
+# Line counts where numpy's pairwise sum changes shape: fewer than 8
+# terms, 8 accumulators up to 128, halves above; and the line counts of
+# the benchmark's 100 THz spectra.
+PAIRWISE_EDGES = [7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 272, 305]
 
 
 def one_shot_lorentzian_comb(omega, centers, half_widths, peaks_sq):
@@ -26,23 +30,23 @@ def one_shot_lorentzian_comb(omega, centers, half_widths, peaks_sq):
 
 @st.composite
 def comb_inputs(draw):
-    """Comb inputs whose point count crosses the kernel's row blocks.
+    """Comb inputs whose point count crosses the kernel's blocks.
 
-    Line counts span no line, one line, a few hundred lines and more than
-    2**16 lines (one row per block); the point count is a whole number of
-    blocks plus a remainder, so n = 0, n = 1, exact multiples and partial
-    last blocks all occur.
+    Line counts span no line, one line, numpy's pairwise edges, up to
+    700 lines and more than 2**16 lines; the point count is up to two
+    whole blocks plus a remainder, so n = 0, n = 1, exact multiples and
+    partial last blocks all occur.
     """
     m = draw(
-        st.sampled_from([0, 1])
+        st.sampled_from([0, 1, *PAIRWISE_EDGES])
         | st.integers(2, 700)
-        | st.integers(BLOCK_ELEMS + 1, BLOCK_ELEMS + 300)
+        | st.integers(2**16 + 1, 2**16 + 300)
     )
-    rows = max(1, BLOCK_ELEMS // max(m, 1))
-    blocks = draw(st.integers(0, 3))
-    rest = draw(st.sampled_from([0, 1, rows - 1]) | st.integers(0, rows - 1))
+    cols = max(1, BLOCK_ELEMS // max(m, 1))
+    blocks = draw(st.integers(0, 2))
+    rest = draw(st.sampled_from([0, 1, cols - 1]) | st.integers(0, cols - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    omega = rng.uniform(0.9e15, 1.1e15, size=blocks * rows + rest)
+    omega = rng.uniform(0.9e15, 1.1e15, size=blocks * cols + rest)
     centers = np.sort(rng.uniform(0.95e15, 1.05e15, size=m))
     hw = rng.uniform(1e9, 5e10, size=m)
     peaks = rng.uniform(10.0, 1e4, size=m)
@@ -72,10 +76,30 @@ def test_lorentzian_comb_blocks_match_one_shot_sum_bytes(args):
     assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("m", PAIRWISE_EDGES)
+def test_lorentzian_comb_matches_one_shot_sum_at_pairwise_edges(m):
+    # Two whole blocks and a partial one, at every edge of the order.
+    rng = np.random.default_rng(m)
+    omega = rng.uniform(0.9e15, 1.1e15, size=2 * (BLOCK_ELEMS // m) + 3)
+    centers = np.sort(rng.uniform(0.95e15, 1.05e15, size=m))
+    hw = rng.uniform(1e9, 5e10, size=m)
+    peaks = rng.uniform(10.0, 1e4, size=m)
+    expected = one_shot_lorentzian_comb(omega, centers, hw, peaks)
+    assert kernels.lorentzian_comb(omega, centers, hw, peaks).tobytes() == expected.tobytes()
+
+
+def test_lorentzian_comb_keeps_numpy_sign_of_zero():
+    # A row of -0.0 profiles: np.add.reduce starts from its identity, 0.0.
+    for m in (1, 7, 8, 129):
+        args = (np.array([1e15, 2e15]), np.full(m, 1e15), np.ones(m), np.full(m, -0.0))
+        got = kernels.lorentzian_comb(*args)
+        assert got.tobytes() == one_shot_lorentzian_comb(*args).tobytes()
+
+
 def test_wide_spectrum_memory_does_not_grow_with_the_matrix():
     # 100001 points x 113 lines: the one-shot matrix and its
-    # temporaries peaked at 146 MB; the blocked sum needs a few MB,
-    # mostly the three output columns.
+    # temporaries peaked at 146 MB; the blocked sum needs its 8 MB
+    # buffer and the three output columns.
     device = load_device(REPO / "clibench" / "device.json")
     band = (TWO_PI * 185e12, TWO_PI * 205e12)
     tracemalloc.start()
