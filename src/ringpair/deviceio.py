@@ -241,8 +241,8 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
 
 
 # Rows that csv_columns renders at once: its work arrays for three
-# columns stay under 2 MB however long the columns are.
-_BLOCK_ROWS = 4096
+# columns stay under 0.5 MB however long the columns are.
+_BLOCK_ROWS = 1024
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant for doubles
 # A '%.17g' text is at most 24 characters: -2.2250738585072014e-308.
 _MAX_TEXT = 24
@@ -350,7 +350,7 @@ def csv_columns(header: Sequence[str], columns: Sequence[Any]) -> str:
     """The text of :func:`csv_text` for 1-D float64 columns, rendered by numpy.
 
     ``csv_columns(header, columns) == csv_text(header, zip(*columns))``
-    for any values, byte for byte. Rows are rendered in blocks of 4096,
+    for any values, byte for byte. Rows are rendered in blocks of 1024,
     so the work arrays stay the same size however long the columns are;
     the text is the one large allocation. Raises ``ValueError`` unless
     there is one 1-D column of equal length per header name.

@@ -5,10 +5,10 @@ Each kernel is a vectorized expression over an ndarray of abscissae.
 The two that call numpy functions import numpy in their body, so loading
 this module does not load numpy. Only ``lorentzian_comb``, which sums the spectrum, has a
 runtime caller. It evaluates its lines x points matrix in blocks of
-about 2**20 elements, so its memory does not grow with the number of
-points, and adds the lines in numpy's own pairwise order, so its bytes
-equal those of the one-shot points x lines sum. The other two are
-the tests' reference integrands for closed forms: ``pair_kernel`` for
+about 2**20 elements (2**16 past 256 lines), so its memory does not grow
+with the number of points, and adds the lines in numpy's own pairwise
+order, so its bytes equal those of the one-shot points x lines sum. The
+other two are the tests' reference integrands for closed forms: ``pair_kernel`` for
 the exact pair-rate integral in :func:`ringpair.sfwm.pair_rate_integral`,
 ``dc_overlap_integrand`` for the coupler overlap in
 :func:`ringpair.nonlinear.z_overlap_integral`.
@@ -23,9 +23,15 @@ if TYPE_CHECKING:
 
 
 # Elements of lorentzian_comb's one work buffer (8 MB), a block of
-# lines x points, whatever the point count. Smaller blocks made the
-# benchmark's 300-line spectra slower.
+# lines x points, whatever the point count. Smaller blocks made 200-line
+# spectra slower: 18 against 11 ms on 20001 points with 2**18 elements.
 _BLOCK_ELEMS = 2**20
+# Most lines that _add_rows adds. With more, one sum(axis=1) over each
+# point's lines is long enough to be cheap, and cache-sized blocks of
+# points x lines were faster: 17 against 20 ms on 20001 points x 272
+# lines, while 100001 x 200 took 54 ms by rows against 74.
+_ROW_ADD_LINES = 256
+_POINT_BLOCK_ELEMS = 2**16
 
 
 def lorentzian_comb(
@@ -44,17 +50,20 @@ def lorentzian_comb(
     numpy's pairwise order, see :func:`_add_rows`. So the result is
     byte-equal to summing the whole points x lines matrix at once, and
     each addition runs over a block of points instead of one point's lines.
+    Past 256 lines the blocks are 2**16 elements of points x lines, and
+    ``sum(axis=1)`` itself adds each point's lines.
     """
     import numpy as np
 
     n, m = omega.shape[0], centers.shape[0]
     if m == 0:
         return np.zeros(n)
-    cols = max(1, _BLOCK_ELEMS // m)
+    by_point = m > _ROW_ADD_LINES
+    cols = max(1, (_POINT_BLOCK_ELEMS if by_point else _BLOCK_ELEMS) // m)
     hw_sq = half_widths[:, None] ** 2
     num = peaks_sq[:, None] * hw_sq
     out = np.empty(n)
-    buf = np.empty((m, min(cols, n)))
+    buf = np.empty((min(cols, n), m)).T if by_point else np.empty((m, min(cols, n)))
     for s in range(0, n, cols):
         e = min(s + cols, n)
         d = buf[:, : e - s]
@@ -62,9 +71,12 @@ def lorentzian_comb(
         np.multiply(d, d, out=d)
         np.add(d, hw_sq, out=d)
         np.divide(num, d, out=d)
-        _add_rows(d, 0, m)
-        # np.add.reduce starts from its identity 0.0 (it turns -0.0 into 0.0).
-        np.add(d[0], 0.0, out=out[s:e])
+        if by_point:
+            d.T.sum(axis=1, out=out[s:e])
+        else:
+            _add_rows(d, 0, m)
+            # np.add.reduce starts from its identity 0.0 (it turns -0.0 into 0.0).
+            np.add(d[0], 0.0, out=out[s:e])
     return out
 
 
@@ -76,7 +88,9 @@ def _add_rows(b: np.ndarray, lo: int, n: int) -> None:
     + 0.0 does the same); up to 128 rows in eight accumulators, combined
     as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest
     in sequence; more rows as two halves split at n // 2 rounded down to
-    a multiple of 8."""
+    a multiple of 8. The order was read from and checked against numpy
+    2.4.6; the one-shot byte oracle in tests/test_kernels.py fails if a
+    numpy release changes it."""
     import numpy as np
 
     if n < 8:

@@ -14,7 +14,11 @@ from ringpair import device_combs, intensity_spectrum, kernels, load_device
 from conftest import REPO, TWO_PI
 
 RNG = np.random.default_rng(20240817)
+# The kernel's blocks: 2**20 elements of lines x points, or 2**16 of
+# points x lines past ROW_ADD_LINES lines.
 BLOCK_ELEMS = 2**20
+POINT_BLOCK_ELEMS = 2**16
+ROW_ADD_LINES = 256
 # Line counts where numpy's pairwise sum changes shape: fewer than 8
 # terms, 8 accumulators up to 128, halves above; and the line counts of
 # the benchmark's 100 THz spectra.
@@ -32,18 +36,21 @@ def one_shot_lorentzian_comb(omega, centers, half_widths, peaks_sq):
 def comb_inputs(draw):
     """Comb inputs whose point count crosses the kernel's blocks.
 
-    Line counts span no line, one line, numpy's pairwise edges, up to
-    700 lines and more than 2**16 lines; the point count is up to two
-    whole blocks plus a remainder, so n = 0, n = 1, exact multiples and
-    partial last blocks all occur.
+    Line counts span no line, one line, numpy's pairwise edges, both
+    sides of ROW_ADD_LINES, up to 700 lines, and more lines than either
+    block holds elements (one point per block); the point count is a
+    whole number of blocks plus a remainder, so n = 0, n = 1, exact
+    multiples and partial last blocks all occur.
     """
     m = draw(
-        st.sampled_from([0, 1, *PAIRWISE_EDGES])
+        st.sampled_from([0, 1, *PAIRWISE_EDGES, ROW_ADD_LINES, ROW_ADD_LINES + 1])
         | st.integers(2, 700)
-        | st.integers(2**16 + 1, 2**16 + 300)
+        | st.integers(POINT_BLOCK_ELEMS + 1, POINT_BLOCK_ELEMS + 300)
+        | st.integers(BLOCK_ELEMS + 1, BLOCK_ELEMS + 300)
     )
-    cols = max(1, BLOCK_ELEMS // max(m, 1))
-    blocks = draw(st.integers(0, 2))
+    block = BLOCK_ELEMS if m <= ROW_ADD_LINES else POINT_BLOCK_ELEMS
+    cols = max(1, block // max(m, 1))
+    blocks = draw(st.integers(0, 3))
     rest = draw(st.sampled_from([0, 1, cols - 1]) | st.integers(0, cols - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     omega = rng.uniform(0.9e15, 1.1e15, size=blocks * cols + rest)
@@ -79,8 +86,9 @@ def test_lorentzian_comb_blocks_match_one_shot_sum_bytes(args):
 @pytest.mark.parametrize("m", PAIRWISE_EDGES)
 def test_lorentzian_comb_matches_one_shot_sum_at_pairwise_edges(m):
     # Two whole blocks and a partial one, at every edge of the order.
+    block = BLOCK_ELEMS if m <= ROW_ADD_LINES else POINT_BLOCK_ELEMS
     rng = np.random.default_rng(m)
-    omega = rng.uniform(0.9e15, 1.1e15, size=2 * (BLOCK_ELEMS // m) + 3)
+    omega = rng.uniform(0.9e15, 1.1e15, size=2 * (block // m) + 3)
     centers = np.sort(rng.uniform(0.95e15, 1.05e15, size=m))
     hw = rng.uniform(1e9, 5e10, size=m)
     peaks = rng.uniform(10.0, 1e4, size=m)
@@ -90,7 +98,7 @@ def test_lorentzian_comb_matches_one_shot_sum_at_pairwise_edges(m):
 
 def test_lorentzian_comb_keeps_numpy_sign_of_zero():
     # A row of -0.0 profiles: np.add.reduce starts from its identity, 0.0.
-    for m in (1, 7, 8, 129):
+    for m in (1, 7, 8, 129, ROW_ADD_LINES + 1):
         args = (np.array([1e15, 2e15]), np.full(m, 1e15), np.ones(m), np.full(m, -0.0))
         got = kernels.lorentzian_comb(*args)
         assert got.tobytes() == one_shot_lorentzian_comb(*args).tobytes()
