@@ -21,15 +21,19 @@ the refusal of any flag the chosen report does not read.
 
 Exit codes: 0 success, 2 input or validation trouble, 3 a stated goal
 is unreachable, 4 a numeric procedure failed. On failure a single JSON
-object describing the error is written to stderr. :func:`main` returns
-the code; :func:`run`, the ``ringpair`` script and ``python -m
-ringpair.cli``, exits with it without tearing the interpreter down.
+object describing the error is written to stderr; an artifact that
+cannot be written to stdout whole is such a failure, with exit 2.
+:func:`main` returns the code; :func:`run`, the ``ringpair`` script and
+``python -m ringpair.cli``, exits with it without tearing the
+interpreter down.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import errno
+import io
 import json
 import math
 import os
@@ -48,7 +52,7 @@ from .deviceio import (
     swept_devices,
     write_text_atomic,
 )
-from .enhancement import intensity_spectrum, spectrum_to_csv
+from .enhancement import spectrum_csv
 from .errors import (
     EmptyBand,
     Infeasible,
@@ -148,9 +152,34 @@ def _json_text(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of ``text`` to stdout, or raise ``OSError``.
+
+    The bytes go to stdout's file descriptor, written again from where a
+    short write stopped, so a reader that closes early raises
+    ``BrokenPipeError`` here instead of getting a cut artifact and exit 0,
+    and nothing is left in Python's buffer for the exit to flush again. A
+    stdout closed at start (``sys.stdout`` is None) raises too. A stdout
+    without a descriptor, such as a test's capture, is written and flushed.
+    """
+    stream = sys.stdout
+    if stream is None:
+        raise OSError(errno.EBADF, "stdout is closed")
+    stream.flush()
+    try:
+        fd = stream.fileno()
+    except io.UnsupportedOperation:
+        stream.write(text)
+        stream.flush()
+        return
+    data = memoryview(text.encode(stream.encoding or "utf-8"))
+    while data:
+        data = data[os.write(fd, data):]
+
+
 def _emit(out: str | None, text: str, argv: Sequence[str]) -> None:
     if out is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
         return
     write_text_atomic(out, text)
     meta = {
@@ -190,13 +219,12 @@ def _drive(args: argparse.Namespace) -> PumpDrive:
 
 
 def cmd_spectrum(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    # numpy is first imported below. The kernel makes no BLAS call, so
-    # OpenBLAS's per-core worker threads would only add start-up time.
+    # A large spectrum first imports numpy below. Its kernel makes no BLAS
+    # call, so OpenBLAS's per-core worker threads would only add start-up time.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     device = load_device(args.device, strict=args.strict)
     band = _band_pair(args.band)
-    result = intensity_spectrum(device, band, args.points)
-    _emit(args.out, spectrum_to_csv(result), argv)
+    _emit(args.out, spectrum_csv(device, band, args.points), argv)
 
 
 def cmd_overlap(args: argparse.Namespace, argv: Sequence[str]) -> None:
@@ -454,7 +482,8 @@ def _fail(code: int, exc: BaseException) -> int:
         "message": str(exc),
         "context": {"error": type(exc).__name__},
     }
-    sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+    if sys.stderr is not None:  # closed at start: the exit code is all that is left
+        sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
     return code
 
 

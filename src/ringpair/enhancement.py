@@ -25,7 +25,7 @@ import math
 from typing import TYPE_CHECKING
 
 from . import kernels
-from .deviceio import csv_columns
+from .deviceio import csv_columns, csv_text
 from .errors import NonPhysical, require_finite
 from .geometry import DeviceSpec, Resonance, WaveguideParams, RacetrackSpec, device_combs
 from .record import Record
@@ -36,6 +36,7 @@ if TYPE_CHECKING:
 # Largest number of samples one spectrum may hold, 100 times the largest
 # benchmarked spectrum; a huge count would otherwise fail in allocation.
 MAX_SPECTRUM_POINTS = 10**7
+_HEADER = ("omega_rad_s", "f1_sq", "f2_sq")
 
 
 def peak_amplitude(res: Resonance, wg: WaveguideParams, ring: RacetrackSpec) -> float:
@@ -115,6 +116,41 @@ def ring_profiles(
     return out
 
 
+def _band_combs(
+    device: DeviceSpec, band: tuple[float, float], n_points: int
+) -> tuple[float, float, tuple[list[Resonance], list[Resonance]]]:
+    """Check ``n_points``; the band edges in order and both rings' combs."""
+    if isinstance(n_points, bool) or not isinstance(n_points, int):
+        raise ValueError(f"n_points must be an integer, got {n_points!r}")
+    if n_points < 2:
+        raise ValueError(f"n_points must be at least 2, got {n_points}")
+    if n_points > MAX_SPECTRUM_POINTS:
+        raise ValueError(f"n_points must be at most {MAX_SPECTRUM_POINTS}, got {n_points}")
+    lo, hi = sorted((float(band[0]), float(band[1])))
+    return lo, hi, device_combs(device, (lo, hi))
+
+
+def _line_table(device: DeviceSpec, comb: list[Resonance]) -> tuple[list[float], ...]:
+    """Centers, half widths and peak intensities of one comb's lines."""
+    return (
+        [r.omega0 for r in comb],
+        [0.5 * r.linewidth for r in comb],
+        [peak_amplitude(r, device.waveguide, device.ring(r.owner)) ** 2 for r in comb],
+    )
+
+
+def _numpy_spectrum(device: DeviceSpec, lo: float, hi: float, n_points: int,
+                    combs: tuple[list[Resonance], list[Resonance]]) -> SpectrumResult:
+    import numpy as np
+
+    omega = np.linspace(lo, hi, n_points)
+    f1_sq, f2_sq = (
+        kernels.lorentzian_comb(omega, *map(np.array, _line_table(device, comb)))
+        for comb in combs
+    )
+    return SpectrumResult(omega=omega, f1_sq=f1_sq, f2_sq=f2_sq)
+
+
 def intensity_spectrum(
     device: DeviceSpec, band: tuple[float, float], n_points: int
 ) -> SpectrumResult:
@@ -126,28 +162,68 @@ def intensity_spectrum(
     :class:`ringpair.errors.EmptyBand` (from the comb solver) if either
     ring has no resonance in the band.
     """
-    import numpy as np
+    lo, hi, combs = _band_combs(device, band, n_points)
+    return _numpy_spectrum(device, lo, hi, n_points, combs)
 
-    if isinstance(n_points, bool) or not isinstance(n_points, int):
-        raise ValueError(f"n_points must be an integer, got {n_points!r}")
-    if n_points < 2:
-        raise ValueError(f"n_points must be at least 2, got {n_points}")
-    if n_points > MAX_SPECTRUM_POINTS:
-        raise ValueError(f"n_points must be at most {MAX_SPECTRUM_POINTS}, got {n_points}")
-    lo, hi = sorted((float(band[0]), float(band[1])))
-    combs = device_combs(device, (lo, hi))
-    omega = np.linspace(lo, hi, n_points)
 
-    columns = []
-    for comb in combs:
-        centers = np.array([r.omega0 for r in comb])
-        hw = np.array([0.5 * r.linewidth for r in comb])
-        peaks = np.array(
-            [peak_amplitude(r, device.waveguide, device.ring(r.owner)) ** 2 for r in comb]
-        )
-        columns.append(kernels.lorentzian_comb(omega, centers, hw, peaks))
+def linspace_plain(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n)`` for n >= 2 on Python floats, byte for byte.
 
-    return SpectrumResult(omega=omega, f1_sq=columns[0], f2_sq=columns[1])
+    numpy's own formula: i * step + lo with step = (hi - lo) / (n - 1),
+    or i / (n - 1) * (hi - lo) + lo where that step underflows to zero,
+    and the last point set to hi.
+    """
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        grid = [i / div * delta + lo for i in range(n)]
+    else:
+        grid = [i * step + lo for i in range(n)]
+    grid[-1] = hi
+    return grid
+
+
+# Measured on a 2-vCPU Xeon (Python 3.11.7, numpy 2.4.6), one fresh
+# `ringpair spectrum` process per run, each route forced, medians of 7:
+# the plain route costs about 0.14 us a line term (one line at one point)
+# and 1.4 us a CSV row, the numpy route 3 ns a term and 0.5 us a row after
+# an import of about 55 ms. A spectrum goes plain where that costs less:
+# up to about 47000 points with 2 lines, 17000 with 17, just short of the
+# forced runs' crossings. With 2 lines plain still led at 50001 points
+# (162 against 169 ms) and lost at 100001 (291 against 200); with 17 the
+# two tied at 20001 (137 against 138 ms), and 4001 points took 84 ms
+# plain against 135.
+_PLAIN_TERM_S = 0.14e-6
+_PLAIN_ROW_S = 1.4e-6
+_NUMPY_TERM_S = 3e-9
+_NUMPY_ROW_S = 0.5e-6
+_NUMPY_IMPORT_S = 0.055
+
+
+def _plain_is_cheaper(n_points: int, n_lines: int) -> bool:
+    plain = n_points * (n_lines * _PLAIN_TERM_S + _PLAIN_ROW_S)
+    return plain < _NUMPY_IMPORT_S + n_points * (n_lines * _NUMPY_TERM_S + _NUMPY_ROW_S)
+
+
+def spectrum_csv(device: DeviceSpec, band: tuple[float, float], n_points: int) -> str:
+    """The CSV of :func:`intensity_spectrum`, byte for byte, by the cheaper route.
+
+    Validates ``n_points`` and solves both combs once, as
+    :func:`intensity_spectrum` does. A spectrum of few points x lines is
+    summed in plain Python (:func:`linspace_plain`,
+    :func:`ringpair.kernels.lorentzian_comb_plain`) and written by
+    :func:`ringpair.deviceio.csv_text`, without importing numpy; a larger
+    one takes :func:`intensity_spectrum`'s numpy kernel and
+    :func:`spectrum_to_csv`. The two give the same bytes.
+    """
+    lo, hi, combs = _band_combs(device, band, n_points)
+    if not _plain_is_cheaper(n_points, sum(map(len, combs))):
+        return spectrum_to_csv(_numpy_spectrum(device, lo, hi, n_points, combs))
+    omega = linspace_plain(lo, hi, n_points)
+    f1_sq, f2_sq = (kernels.lorentzian_comb_plain(omega, *_line_table(device, comb))
+                    for comb in combs)
+    return csv_text(_HEADER, zip(omega, f1_sq, f2_sq))
 
 
 def spectrum_to_csv(result: SpectrumResult) -> str:
@@ -159,5 +235,4 @@ def spectrum_to_csv(result: SpectrumResult) -> str:
     doubles exactly: the bytes of ``'%.17g'``, rendered a block of rows
     at a time by :func:`ringpair.deviceio.csv_columns`.
     """
-    return csv_columns(("omega_rad_s", "f1_sq", "f2_sq"),
-                       (result.omega, result.f1_sq, result.f2_sq))
+    return csv_columns(_HEADER, (result.omega, result.f1_sq, result.f2_sq))

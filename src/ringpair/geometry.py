@@ -242,9 +242,13 @@ class Resonance(Record):
     def __post_init__(self) -> None:
         if self.owner not in (1, 2):
             raise ValueError(f"owner must be 1 or 2, got {self.owner}")
-        require_positive("omega0", self.omega0)
-        require_positive("q_loaded", self.q_loaded)
-        require_positive("q_coupling", self.q_coupling)
+        # One chain checks 0 < x < inf for all three fields (nan fails any
+        # comparison); only a failure calls require_positive, for its message.
+        inf = math.inf
+        if not 0.0 < self.omega0 < inf > self.q_loaded > 0.0 < self.q_coupling < inf:
+            require_positive("omega0", self.omega0)
+            require_positive("q_loaded", self.q_loaded)
+            require_positive("q_coupling", self.q_coupling)
 
     @property
     def linewidth(self) -> float:

@@ -1,22 +1,27 @@
 """Hot numeric kernels: comb line shapes, the coupler overlap integrand
 and the pair-rate spectral kernel.
 
-Each kernel is a vectorized expression over an ndarray of abscissae.
-The two that call numpy functions import numpy in their body, so loading
-this module does not load numpy. Only ``lorentzian_comb``, which sums the spectrum, has a
-runtime caller. It evaluates its lines x points matrix in blocks of
-about 2**20 elements (2**16 past 256 lines), so its memory does not grow
-with the number of points, and adds the lines in numpy's own pairwise
-order, so its bytes equal those of the one-shot points x lines sum. The
-other two are the tests' reference integrands for closed forms: ``pair_kernel`` for
-the exact pair-rate integral in :func:`ringpair.sfwm.pair_rate_integral`,
+Each kernel is a vectorized expression over an ndarray of abscissae,
+but for ``lorentzian_comb_plain``, its twin on Python floats. The ones
+that call numpy functions import numpy in their body, so loading this
+module does not load numpy. Only the two comb kernels, which sum the
+spectrum, have runtime callers. ``lorentzian_comb`` evaluates its lines
+x points matrix in blocks of about 2**20 elements (2**16 past 256
+lines), so its memory does not grow with the number of points, and adds
+the lines in numpy's own pairwise order, so its bytes equal those of the
+one-shot points x lines sum. That order is written down once, in
+``_pairwise_steps``, and ``lorentzian_comb_plain`` follows it too, so
+small spectra get the same bytes without numpy. The other two are the
+tests' reference integrands for closed forms: ``pair_kernel`` for the
+exact pair-rate integral in :func:`ringpair.sfwm.pair_rate_integral`,
 ``dc_overlap_integrand`` for the coupler overlap in
 :func:`ringpair.nonlinear.z_overlap_integral`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from operator import add
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,43 +79,87 @@ def lorentzian_comb(
         if by_point:
             d.T.sum(axis=1, out=out[s:e])
         else:
-            _add_rows(d, 0, m)
+            _add_rows(d, m)
             # np.add.reduce starts from its identity 0.0 (it turns -0.0 into 0.0).
             np.add(d[0], 0.0, out=out[s:e])
     return out
 
 
-def _add_rows(b: np.ndarray, lo: int, n: int) -> None:
-    """Add rows lo..lo+n-1 of ``b`` into row lo, in place, in the order
-    of numpy's pairwise sum over a contiguous axis (``pairwise_sum`` in
-    its loops_utils): fewer than 8 rows in sequence (numpy starts from
-    0.0, which changes only an all -0.0 sum, and the caller's final
-    + 0.0 does the same); up to 128 rows in eight accumulators, combined
-    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest
-    in sequence; more rows as two halves split at n // 2 rounded down to
-    a multiple of 8. The order was read from and checked against numpy
+def _pairwise_steps(lo: int, n: int):
+    """The order of numpy's pairwise sum over a contiguous axis
+    (``pairwise_sum`` in its loops_utils), as additions of rows lo..lo+n-1
+    into row lo. Each step (dst, src, count, stride) adds rows src + k *
+    stride into rows dst + k * stride, for k below count.
+
+    Fewer than 8 rows are added in sequence (numpy starts from 0.0, which
+    changes only an all -0.0 sum; the callers' final + 0.0 does the
+    same); up to 128 rows in eight accumulators, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
+    sequence; more rows as two halves split at n // 2 rounded down to a
+    multiple of 8. The order was read from and checked against numpy
     2.4.6; the one-shot byte oracle in tests/test_kernels.py fails if a
     numpy release changes it."""
-    import numpy as np
-
     if n < 8:
         for i in range(lo + 1, lo + n):
-            np.add(b[lo], b[i], out=b[lo])
+            yield lo, i, 1, 1
     elif n <= 128:
-        acc = b[lo : lo + 8]
         whole = lo + n - n % 8
         for i in range(lo + 8, whole, 8):
-            np.add(acc, b[i : i + 8], out=acc)
-        np.add(acc[0::2], acc[1::2], out=acc[0::2])
-        np.add(acc[0::4], acc[2::4], out=acc[0::4])
-        np.add(acc[0], acc[4], out=acc[0])
+            yield lo, i, 8, 1
+        yield lo, lo + 1, 4, 2
+        yield lo, lo + 2, 2, 4
+        yield lo, lo + 4, 1, 1
         for i in range(whole, lo + n):
-            np.add(b[lo], b[i], out=b[lo])
+            yield lo, i, 1, 1
     else:
         half = n // 2 - n // 2 % 8
-        _add_rows(b, lo, half)
-        _add_rows(b, lo + half, n - half)
-        np.add(b[lo], b[lo + half], out=b[lo])
+        yield from _pairwise_steps(lo, half)
+        yield from _pairwise_steps(lo + half, n - half)
+        yield lo, lo + half, 1, 1
+
+
+def _add_rows(b: np.ndarray, n: int) -> None:
+    """Add rows 0..n-1 of ``b`` into row 0, in place, in the order of
+    :func:`_pairwise_steps`, a block of points per addition."""
+    import numpy as np
+
+    for dst, src, count, stride in _pairwise_steps(0, n):
+        end = count * stride
+        np.add(b[dst : dst + end : stride], b[src : src + end : stride],
+               out=b[dst : dst + end : stride])
+
+
+def lorentzian_comb_plain(
+    omega: Sequence[float],
+    centers: Sequence[float],
+    half_widths: Sequence[float],
+    peaks_sq: Sequence[float],
+) -> list[float]:
+    """:func:`lorentzian_comb` on Python floats, byte for byte, without numpy.
+
+    Each line's profile is one row of the points, computed with the numpy
+    kernel's operations in its order: hw * hw (numpy's square),
+    peaks_sq * hw^2, then the offset, its square, + hw^2 and the division.
+    The rows are added in :func:`_pairwise_steps`' order and the sum gets
+    the same final + 0.0. Python float arithmetic is the same IEEE double
+    arithmetic, one rounding per operation, so each value has the bytes
+    the numpy kernel gives, provided every hw * hw is nonzero, as
+    :attr:`ringpair.geometry.Resonance.linewidth` ensures (where numpy
+    gives inf or nan, Python raises ``ZeroDivisionError``). It holds every
+    row at once, about 32 bytes a term, so it suits the small spectra
+    where numpy's import costs more than the sum.
+    """
+    rows = []
+    for c, hw, peak in zip(centers, half_widths, peaks_sq):
+        hw_sq = hw * hw
+        num = peak * hw_sq
+        rows.append([num / ((w - c) * (w - c) + hw_sq) for w in omega])
+    if not rows:
+        return [0.0] * len(omega)
+    for dst, src, count, stride in _pairwise_steps(0, len(rows)):
+        for k in range(0, count * stride, stride):
+            rows[dst + k] = list(map(add, rows[dst + k], rows[src + k]))
+    return [x + 0.0 for x in rows[0]]
 
 
 def dc_overlap_integrand(

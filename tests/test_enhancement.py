@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from ringpair import (
     ring_profiles,
     spectrum_to_csv,
 )
+
+from ringpair import enhancement
+from ringpair.enhancement import linspace_plain, spectrum_csv
 
 from conftest import make_device, process_band
 
@@ -244,3 +248,56 @@ class TestCsv:
             assert w == result.omega[i - 1]
             assert a == result.f1_sq[i - 1]
             assert b == result.f2_sq[i - 1]
+
+
+class TestRoutes:
+    """spectrum_csv's plain-Python and numpy routes give the same bytes."""
+
+    @staticmethod
+    def _forced(route, dev, band, n):
+        with mock.patch.object(enhancement, "_plain_is_cheaper", lambda *_: route == "plain"):
+            return spectrum_csv(dev, band, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3, 8, 9, 4001]) | st.integers(2, 4001),
+        spacings=st.sampled_from([0.3, 1.0, 4.2, 12.0]),
+        heater=st.floats(-0.5, 0.5),
+    )
+    def test_plain_and_numpy_routes_write_the_same_csv(self, n, spacings, heater):
+        base = make_device()
+        spacing = fsr(base.ring1, base.waveguide, base.waveguide.omega_ref)
+        dev = make_device(heater1=heater * spacing)
+        band = process_band(dev, spacings)
+        try:
+            plain = self._forced("plain", dev, band, n)
+        except EmptyBand:
+            assume(False)
+        assert plain == self._forced("numpy", dev, band, n)
+        assert plain == spectrum_to_csv(intensity_spectrum(dev, band, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lo=st.floats(1e12, 1e16),
+        width=st.floats(1e-3, 1e15) | st.sampled_from([0.0, 5e-324]),
+        n=st.sampled_from([2, 3, 4001]) | st.integers(2, 5000),
+    )
+    def test_plain_grid_equals_linspace(self, lo, width, n):
+        hi = lo + width
+        got = np.array(linspace_plain(lo, hi, n))
+        assert got.tobytes() == np.linspace(lo, hi, n).tobytes()
+
+    def test_plain_grid_where_the_step_underflows(self):
+        # numpy divides before it scales when (hi - lo) / (n - 1) is 0.0.
+        for lo, hi, n in ((0.0, 5e-324, 3), (0.0, 1e-323, 7), (1e-310, 1e-310, 5)):
+            got = np.array(linspace_plain(lo, hi, n))
+            assert got.tobytes() == np.linspace(lo, hi, n).tobytes()
+
+    def test_route_rule(self):
+        # The README spectrum (4001 points x 17 lines) and the default 2001
+        # points go plain; many points with few lines, and the benchmark's
+        # wide spectra, go through numpy.
+        cheaper = enhancement._plain_is_cheaper
+        assert cheaper(4001, 17) and cheaper(2001, 17)
+        assert not cheaper(100001, 2)
+        assert not cheaper(100001, 113) and not cheaper(20001, 575)

@@ -601,8 +601,10 @@ class TestConstantsAndImports:
             if name != "spectrum":
                 assert loaded == [], name
 
-    # Every command but spectrum works on scalars and must start without
-    # numpy; spectrum samples arrays and loads it.
+    # Every command works on Python floats and must start without numpy,
+    # spectrum too while its points x lines are few (the 101-point one has
+    # 17 lines); a spectrum of many sums numpy arrays and loads it (the
+    # 20001-point one over 40 THz has about 230 lines).
     NUMPY_FREE = {
         "import": None,
         "overlap": ["overlap", "--band", "1567nm:1543nm", "--method", "quadrature"],
@@ -621,10 +623,13 @@ class TestConstantsAndImports:
                        "--report", "kerr", "--power", "0.005"],
         "spectrum": ["spectrum", "--band", "192THz", "195THz", "--points", "101"],
     }
+    NUMPY_USING = {
+        "spectrum-wide": ["spectrum", "--band", "180THz", "220THz", "--points", "20001"],
+    }
 
-    @pytest.mark.parametrize("name", NUMPY_FREE)
+    @pytest.mark.parametrize("name", [*NUMPY_FREE, *NUMPY_USING])
     def test_numpy_loaded_only_by_spectrum(self, name, tmp_path):
-        argv = self.NUMPY_FREE[name]
+        argv = {**self.NUMPY_FREE, **self.NUMPY_USING}[name]
         if argv is not None:
             argv = [*argv, "--device", str(DEVICE_JSON), "--out", str(tmp_path / "artifact")]
         code = (
@@ -644,7 +649,7 @@ class TestConstantsAndImports:
         )
         rc, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
         assert rc in (None, 0)
-        assert numpy_loaded == (name == "spectrum")
+        assert numpy_loaded == (name in self.NUMPY_USING)
 
     def test_scalar_functions_run_without_numpy(self):
         # Each scalar physics function, called on the shipped device, runs

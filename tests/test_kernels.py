@@ -104,6 +104,33 @@ def test_lorentzian_comb_keeps_numpy_sign_of_zero():
         assert got.tobytes() == one_shot_lorentzian_comb(*args).tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.sampled_from([0, 1, 7, 8, 9, 15, 16, 17, 127, 128]) | st.integers(1, 128)
+    | st.sampled_from([129, 255, 256, 257, 300]),
+    n=st.sampled_from([0, 1, 2]) | st.integers(0, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plain_comb_equals_numpy_comb_bytes(m, n, seed):
+    # The plain-Python kernel repeats the numpy kernel's operations and
+    # pairwise order; a numpy release that changes either fails here.
+    rng = np.random.default_rng(seed)
+    omega = rng.uniform(0.9e15, 1.1e15, size=n)
+    centers = np.sort(rng.uniform(0.95e15, 1.05e15, size=m))
+    hw = rng.uniform(1e9, 5e10, size=m)
+    peaks = rng.uniform(10.0, 1e4, size=m)
+    got = kernels.lorentzian_comb_plain(*(a.tolist() for a in (omega, centers, hw, peaks)))
+    expected = kernels.lorentzian_comb(omega, centers, hw, peaks)
+    assert np.array(got, dtype=np.float64).tobytes() == expected.tobytes()
+
+
+def test_plain_comb_keeps_numpy_sign_of_zero():
+    for m in (1, 7, 8, 129, ROW_ADD_LINES + 1):
+        args = ([1e15, 2e15], [1e15] * m, [1.0] * m, [-0.0] * m)
+        expected = kernels.lorentzian_comb(*map(np.array, args))
+        assert np.array(kernels.lorentzian_comb_plain(*args)).tobytes() == expected.tobytes()
+
+
 def test_wide_spectrum_memory_does_not_grow_with_the_matrix():
     # 100001 points x 113 lines: the one-shot matrix and its
     # temporaries peaked at 146 MB; the blocked sum needs its 8 MB

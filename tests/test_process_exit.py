@@ -134,17 +134,13 @@ def test_piped_spectrum_equals_the_out_file(buffering, tmp_path):
 @pytest.mark.parametrize("buffering", BUFFERING.values(), ids=BUFFERING.keys())
 @pytest.mark.parametrize("argv", [SPECTRUM, RATES], ids=["spectrum", "rates"])
 def test_gone_reader_exits_as_the_plain_exit(argv, buffering):
+    # The rates JSON fits Python's stdout buffer; it is written to the
+    # descriptor inside main all the same, so its failure is exit 2 too.
     proc = _run_to_gone_reader(MODULE, argv, buffering)
     plain = _run_to_gone_reader(PLAIN_EXIT, argv, buffering)
     assert (proc.returncode, proc.stderr) == (plain.returncode, plain.stderr)
-    if buffering is None and argv is RATES:
-        # The JSON fits the stdout buffer, so the write fails only at the
-        # final flush, which Python reports and answers with exit 120.
-        assert proc.returncode == 120
-        assert b"BrokenPipeError" in proc.stderr
-    else:
-        assert proc.returncode == EXIT_VALIDATION
-        assert _error_object(proc.stderr)["context"]["error"] == "BrokenPipeError"
+    assert proc.returncode == EXIT_VALIDATION
+    assert _error_object(proc.stderr)["context"]["error"] == "BrokenPipeError"
 
 
 @pytest.mark.parametrize("buffering", BUFFERING.values(), ids=BUFFERING.keys())
@@ -161,13 +157,56 @@ def test_reader_that_closes_early_gets_the_plain_exit(buffering):
         proc.stderr.close()
         results.append((proc.wait(timeout=120), stderr))
     assert results[0] == results[1]
-    if buffering is None:
-        assert results[0][0] == EXIT_VALIDATION
-        assert _error_object(results[0][1])["context"]["error"] == "BrokenPipeError"
-    else:
-        # Unbuffered, the one write(2) returns short when the reader
-        # goes, and Python's text layer does not write the rest.
-        assert results[0] == (EXIT_OK, b"")
+    # Unbuffered too: a short write(2) is written again from where it
+    # stopped, and the next one fails.
+    assert results[0][0] == EXIT_VALIDATION
+    assert _error_object(results[0][1])["context"]["error"] == "BrokenPipeError"
+
+
+# Byte offsets at which the reader of a 100001-point spectrum (about 7 MB)
+# closes: before the first byte, inside the header, at a pipe's and
+# Python's buffer sizes, and deep into the rows. Each leaves more unread
+# than a pipe holds, so the command is still writing when the reader goes.
+CLOSE_OFFSETS = [0, 10, 8192, 65536, 3_000_000]
+WIDE_SPECTRUM = ["spectrum", "--device", str(DEVICE_JSON), "--band", "192THz", "195THz",
+                 "--points", "100001"]
+
+
+@pytest.fixture(scope="module")
+def wide_spectrum(tmp_path_factory):
+    out = tmp_path_factory.mktemp("wide") / "spectrum.csv"
+    assert _run([*MODULE, *WIDE_SPECTRUM, "--out", str(out)]).returncode == EXIT_OK
+    return out.read_bytes()
+
+
+def _read_then_close(buffering, limit):
+    """Run the wide spectrum to stdout, read up to ``limit`` bytes (all
+    when None) and close the pipe: the bytes read, the exit and stderr."""
+    proc = subprocess.Popen([*MODULE, *WIDE_SPECTRUM], env=_env(buffering), bufsize=0,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    got = bytearray()
+    while limit is None or len(got) < limit:
+        chunk = proc.stdout.read(65536 if limit is None else min(65536, limit - len(got)))
+        if not chunk:
+            break
+        got += chunk
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    return bytes(got), proc.wait(timeout=120), stderr
+
+
+@pytest.mark.parametrize("buffering", BUFFERING.values(), ids=BUFFERING.keys())
+def test_reader_gets_a_prefix_and_exit_0_only_with_every_byte(buffering, wide_spectrum):
+    for offset in [*CLOSE_OFFSETS, None]:
+        got, code, stderr = _read_then_close(buffering, offset)
+        assert wide_spectrum.startswith(got), offset
+        if got == wide_spectrum:
+            assert (code, stderr) == (EXIT_OK, b""), offset
+        else:
+            assert code == EXIT_VALIDATION, offset
+            assert _error_object(stderr)["context"]["error"] == "BrokenPipeError", offset
+    assert got == wide_spectrum  # the reader that read to the end got every byte
 
 
 @pytest.mark.parametrize("buffering", BUFFERING.values(), ids=BUFFERING.keys())
@@ -177,12 +216,12 @@ def test_closed_stdout(buffering, tmp_path):
     proc = _run([*CLOSED_STDOUT, *MODULE, *RATES, "--out", str(out)], buffering)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
     assert out.is_file()
-    # Without it, writing to the missing sys.stdout raises out of main;
-    # the traceback's frames differ, its exception line does not.
+    # Without it, the missing sys.stdout is a failed write like any other:
+    # exit 2 and one JSON object, as from the plain exit.
     proc = _run([*CLOSED_STDOUT, *MODULE, *RATES], buffering)
     plain = _run([*CLOSED_STDOUT, *PLAIN_EXIT, *RATES], buffering)
-    assert proc.returncode == plain.returncode == 1
-    last = proc.stderr.splitlines()[-1]
-    assert last == plain.stderr.splitlines()[-1]
-    assert last == b"AttributeError: 'NoneType' object has no attribute 'write'"
-
+    assert (proc.returncode, proc.stderr) == (plain.returncode, plain.stderr)
+    assert proc.returncode == EXIT_VALIDATION
+    payload = _error_object(proc.stderr)
+    assert payload["context"]["error"] == "OSError"
+    assert payload["message"] == "[Errno 9] stdout is closed"

@@ -94,10 +94,11 @@ class TestSuppressionFactor:
             (0.0, 1e-200, 1.0),  # both squares underflow to 0
             (1e-200, 1e-200, 0.5),
             (5e-324, 5e-324, 0.5),
+            (2e200, 1e200, 0.2),  # rescaled, with delta and linewidth apart
         ],
         ids=["huge-delta", "huge-negative-delta", "ratio-1e10", "equal-1e200", "equal-max",
              "sum-overflows", "huge-linewidth", "tiny-linewidth", "equal-1e-200",
-             "equal-subnormal"],
+             "equal-subnormal", "double-1e200"],
     )
     def test_limits_past_the_float_range(self, delta, lw, expected):
         # Each used to raise OverflowError or ZeroDivisionError, or (sum-
@@ -122,6 +123,12 @@ class TestSigma:
         for bad in (3.0, math.nan, math.inf):
             with pytest.raises(NonPhysical):
                 sigma_from_finesse(bad)
+
+    def test_finesse_of_exactly_pi_rejected(self):
+        # "At most pi": pi itself is outside the estimate's domain.
+        with pytest.raises(NonPhysical, match="too low"):
+            sigma_from_finesse(math.pi)
+        assert sigma_from_finesse(math.nextafter(math.pi, 4.0)) > 0.0
 
     def test_saturated_finesse_rejected(self):
         # Past about 3e16, 1 - pi/finesse rounds to exactly 1.0, which
