@@ -12,16 +12,20 @@ The design flow, in the order the optimizer runs it:
    the pump-induced resonance pulls;
 5. evaluate every rule and emit a report.
 
-The feasibility frontier of step 3 is architectural: a partner line
-can be pushed at most half a ring-2 spectral range away from the
-energy-conserving point, and the shortest ring 2 the refit designs,
-F2 = M F1 / (M - 1/2) for pumps M ring-1 spacings F1 apart, puts it
-at |delta| = F2 / 2 = M F1 / (2M - 1). So a suppression target s is
-reachable only if fwhm * sqrt(1/s - 1) <= M F1 / (2M - 1), whatever
-ring 2 the seed carries. The tuner's Infeasible verdict implements
-exactly this criterion; geometry limits that keep a particular
-instance from reaching the ideal detuning are reported on the result
-instead of flipping the verdict.
+The feasibility frontier of step 3 is that of the ring 2 the refit
+can build. A partner line can be pushed at most half a ring-2 spectral
+range away from the energy-conserving point. For pumps M ring-1
+spacings F1 apart the refit designs F2 = M F1 / (M -+ 1/2), which puts
+it at |delta| = F2 / 2 = M F1 / (2M -+ 1). The seed fixes the bend
+radii, and the shorter ring holds the pi R1 coupler only while
+R2 <= R1 (M - 1) / M; a larger R2 leaves the longer ring and its
+frontier M F1 / (2M + 1). So a suppression target s is reachable only
+if fwhm * sqrt(1/s - 1) is within the frontier of the ring the seed's
+R2 allows. The tuner's Infeasible verdict implements exactly this
+criterion. The whole-wavelength quantization of the ring-2 round trip
+and the dispersion of both combs can keep an instance slightly short
+of the ideal detuning; that is reported on the result instead of
+flipping the verdict.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .geometry import (
     device_combs,
     fsr,
     finesse as ring_finesse,
+    group_index,
     resonance_comb,
     wavevector,
 )
@@ -246,16 +251,16 @@ def tune_for_energy_conservation(
     range meets the suppression target, the goal is infeasible for
     this geometry.
 
-    In ``fabrication`` mode the ring-2 round trip is also free. The
-    feasibility verdict is the architectural frontier
-    fwhm * sqrt(1/s - 1) <= M F1 / (2M - 1), half the spectral range of
-    the shorter ring the refit designs (see the module docstring); the
-    seed's ring 2 does not enter it, since the refit replaces that
-    ring. When feasible, the round trip is set so the side-band points
-    land half a ring-2 spacing away from the nearest partner lines,
-    preferring the shorter-ring solution and falling back to the
-    longer-ring one when the coupler no longer fits, with the shortfall
-    noted.
+    In ``fabrication`` mode the ring-2 round trip is also free; its bend
+    radius stays the seed's. The feasibility verdict is the frontier of
+    the ring the refit builds (see the module docstring): the shorter
+    ring, with fwhm * sqrt(1/s - 1) <= M F1 / (2M - 1), when its straight
+    holds the coupler, else the longer one, with M F1 / (2M + 1). The
+    seed's ring-2 length does not enter it. When feasible, the round
+    trip is set so the side-band points land half a ring-2 spacing away
+    from the nearest partner lines, with a note when the longer ring is
+    built, and a note when quantization and dispersion leave the
+    suppression short of the goal.
 
     Raises
     ------
@@ -305,8 +310,9 @@ def tune_for_energy_conservation(
 
     best = min(tried, key=lambda r: max(r.suppression))
     if mode == "fabrication":
-        # Feasible by the architectural frontier; the geometry kept the
-        # instance from reaching the ideal detuning, so report that.
+        # Feasible by the built ring's frontier; the whole-wavelength
+        # round trip and the combs' dispersion kept the instance from
+        # reaching the ideal detuning, so report that.
         notes.append(
             f"achieved suppression {max(best.suppression):.3g} trails the goal "
             f"{goal.min_parasitic_suppression:.3g}; the coupler length limits how "
@@ -328,49 +334,60 @@ def _refit_ring2_length(
 
     The pump pair spans M ring-1 spacings, so the side-band points sit
     M ring-1 spacings from the midpoint. Choosing the ring-2 spacing
-    F2 = M F1 / (M -+ 1/2) puts them exactly between two ring-2 lines.
-    The shorter ring (minus sign) reaches |delta| = F2/2 = M F1 / (2M - 1),
-    the farthest any refit reaches, so a required detuning ``delta_req``
-    beyond it raises Infeasible. The shorter ring must still fit the
-    coupler in its straight; otherwise the longer ring (plus sign,
-    |delta| = M F1 / (2M + 1)) is used.
+    F2 = M F1 / (M -+ 1/2) puts them exactly between two ring-2 lines,
+    at |delta| = F2/2: M F1 / (2M - 1) for the shorter ring (minus sign)
+    and M F1 / (2M + 1) for the longer one. The refit keeps the seed's
+    bend radius R2 and builds the shorter ring if its straight holds the
+    coupler, else the longer one; a required detuning ``delta_req``
+    beyond the built ring's frontier raises Infeasible.
     """
     wg = device.waveguide
     m_sep = goal.pump_separation
     f1 = fsr(device.ring1, wg, omega_mid)
-    frontier = m_sep * f1 / (2 * m_sep - 1)
-    if delta_req > frontier:
-        raise Infeasible(
-            f"suppression {goal.min_parasitic_suppression:.3g} needs a side-band "
-            f"detuning of {delta_req:.6g} rad/s, beyond the reachable maximum "
-            f"FSR/2 = M*F1/(2M - 1) = {frontier:.6g} rad/s of the shortest refit "
-            f"ring 2 (M = {m_sep}, ring-1 FSR F1 = {f1:.6g} rad/s)"
-        )
-
-    chosen: DeviceSpec | None = None
-    for denom in (m_sep - 0.5, m_sep + 0.5):
-        f2_target = m_sep * f1 / denom
-        length_est = TWO_PI * C_VACUUM / (wg.n_g * f2_target)
+    k_mid = wavevector(wg, omega_mid)
+    # The group index where F1 is taken, so that F2 / F1 is the design ratio.
+    ng_mid = group_index(wg, omega_mid)
+    radius = device.ring2.bend_radius
+    for sign in (-1, 1):
+        f2_target = m_sep * f1 / (m_sep + 0.5 * sign)
+        length_est = TWO_PI * C_VACUUM / (ng_mid * f2_target)
         # Quantize so a mode lands exactly at the pump midpoint.
-        order_s = max(round(wavevector(wg, omega_mid) * length_est / TWO_PI), 1)
-        length = TWO_PI * order_s / wavevector(wg, omega_mid)
-        straight = 0.5 * length - math.pi * device.ring2.bend_radius
-        if straight < device.dc_length:
-            continue
-        ring2 = replace(device.ring2, straight_len=straight, heater_shift=0.0)
-        chosen = replace(device, ring2=ring2)
-        if denom < m_sep:
+        order_s = max(round(k_mid * length_est / TWO_PI), 1)
+        length = TWO_PI * order_s / k_mid
+        straight = 0.5 * length - math.pi * radius
+        if straight >= device.dc_length:
             break
-        notes.append(
-            "ring 2 lengthened instead of shortened (coupler fit); side-band "
-            f"detuning limited to {m_sep * f1 / (2 * m_sep + 1):.6g} rad/s"
-        )
-    if chosen is None:
+        if sign < 0:
+            # The largest bend radius whose shorter ring holds the coupler:
+            # R1 (M - 1) / M when the coupler is pi R1 and ring 1 is 4 pi R1.
+            radius_max = (0.5 * length - device.dc_length) / math.pi
+    else:
         raise Infeasible(
             "no ring-2 round trip fits the coupler while placing the side-band "
             "points mid-gap"
         )
-    return chosen
+    frontier = m_sep * f1 / (2 * m_sep + sign)
+    if delta_req > frontier:
+        if sign < 0:
+            ring, why = "shortest", ""
+        else:
+            ring = "longer"
+            why = (f"; the shorter ring holds the coupler only for a bend radius "
+                   f"R2 <= {radius_max:.6g} m (R1(M - 1)/M with a pi*R1 coupler), and "
+                   f"the seed's R2 is {radius:.6g} m")
+        raise Infeasible(
+            f"suppression {goal.min_parasitic_suppression:.3g} needs a side-band "
+            f"detuning of {delta_req:.6g} rad/s, beyond the reachable maximum "
+            f"FSR/2 = M*F1/(2M {'-' if sign < 0 else '+'} 1) = {frontier:.6g} rad/s of "
+            f"the {ring} refit ring 2 (M = {m_sep}, ring-1 FSR F1 = {f1:.6g} rad/s){why}"
+        )
+    if sign > 0:
+        notes.append(
+            "ring 2 lengthened instead of shortened (coupler fit); side-band "
+            f"detuning limited to {frontier:.6g} rad/s"
+        )
+    ring2 = replace(device.ring2, straight_len=straight, heater_shift=0.0)
+    return replace(device, ring2=ring2)
 
 
 def null_kerr_metric(device: DeviceSpec, pump_power: float) -> float:

@@ -341,30 +341,35 @@ def test_10_tuning_feasibility_frontier():
     points = 0
     agreements = 0
     for q in q_loaded_values:
-        dev = make_device(q_i=2.0 * q, q_c=2.0 * q)
-        wg = dev.waveguide
-        lw = omega_s / q
-        # Half the spacing of the shortest ring 2 the refit designs for
-        # pumps M = 2 ring-1 orders apart: M F1 / (2M - 1).
-        frontier = 2.0 * fsr(dev.ring1, wg, omega_s) / 3.0
-        for x in xs:
-            s = 1.0 / (1.0 + (x * frontier / lw) ** 2)
-            goal = DesignGoal(signal_wavelength=1.55e-6, min_parasitic_suppression=s)
-            expect_infeasible = x > 1.0
-            try:
-                tune_for_energy_conservation(dev, goal, mode="fabrication")
-                got_infeasible = False
-            except Infeasible as exc:
-                got_infeasible = True
-                assert "FSR/2" in str(exc)
-            points += 1
-            agreements += got_infeasible == expect_infeasible
+        # R2 = R1 builds the longer refit ring, R2 = 0.4 R1 the shorter one,
+        # which holds the coupler only while R2 <= R1 (M - 1)/M = R1/2.
+        for r2_ratio, sign in ((1.0, 1), (0.4, -1)):
+            dev = make_device(q_i=2.0 * q, q_c=2.0 * q)
+            dev = replace(dev, ring2=replace(dev.ring2, bend_radius=r2_ratio * 1.5e-5))
+            wg = dev.waveguide
+            lw = omega_s / q
+            # Half the spacing of the ring 2 the refit builds for pumps
+            # M = 2 ring-1 orders apart: M F1 / (2M -+ 1).
+            frontier = 2.0 * fsr(dev.ring1, wg, omega_s) / (4 + sign)
+            for x in xs:
+                s = 1.0 / (1.0 + (x * frontier / lw) ** 2)
+                goal = DesignGoal(signal_wavelength=1.55e-6, min_parasitic_suppression=s)
+                expect_infeasible = x > 1.0
+                try:
+                    tune_for_energy_conservation(dev, goal, mode="fabrication")
+                    got_infeasible = False
+                except Infeasible as exc:
+                    got_infeasible = True
+                    assert "FSR/2" in str(exc)
+                points += 1
+                agreements += got_infeasible == expect_infeasible
     dt = time.perf_counter() - t0
     ok = agreements == points and points >= 50 and dt < 10.0
     verdict(
         10,
         "tuning feasibility frontier",
         ok,
-        f"{agreements}/{points} verdicts match the M*F1/(2M - 1) detuning rule, "
+        f"{agreements}/{points} verdicts match the M*F1/(2M -+ 1) detuning rule of the "
+        f"built ring, "
         f"{dt:.2f}s (budget 10s)",
     )

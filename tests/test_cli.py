@@ -571,16 +571,25 @@ class TestOptimize:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    def test_goal_between_seed_and_refit_frontiers_gets_best_effort(self, capsys):
-        # 3e-4 needs about 1.4e12 rad/s: past the shipped seed's ring-2
-        # FSR/2 (1.07e12, which exited 3) but inside M*F1/(2M - 1) = 1.59e12.
-        rc, payload = run_json(["optimize", "--device", DEV, "--signal", "1550nm",
+    def test_goal_past_the_built_rings_frontier_exits_3(self, tmp_path, capsys):
+        # 3e-4 needs about 1.4e12 rad/s. The shipped seed's R2 = 15 um is
+        # past R1(M - 1)/M = 7.5 um, so the refit builds the longer ring,
+        # whose frontier M*F1/(2M + 1) is 9.5e11; it exited 0 with a failed
+        # rule. With R2 = 7.5 um the shorter ring (1.59e12) holds the coupler.
+        rc = main(["optimize", "--device", DEV, "--signal", "1550nm", "--suppression", "3e-4"])
+        assert rc == EXIT_INFEASIBLE
+        message = load_json(capsys.readouterr().err)["message"]
+        assert "M*F1/(2M + 1) = 9.51506e+11 rad/s" in message
+        assert "R2 <= 7.50006e-06 m (R1(M - 1)/M" in message and "R2 is 1.5e-05 m" in message
+        data = load_json(DEVICE_JSON.read_text())
+        data["ring2"]["bend_radius_m"] = 7.5e-6
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps(data))
+        rc, payload = run_json(["optimize", "--device", str(seed), "--signal", "1550nm",
                                 "--suppression", "3e-4"], capsys)
         assert rc == EXIT_OK
-        report = payload["report"]
-        assert report["passed"] is False
-        assert max(report["suppression"]) > 3e-4
-        assert any("trails the goal" in note for note in report["notes"])
+        assert payload["report"]["passed"] is True
+        assert max(payload["report"]["suppression"]) <= 3e-4
 
     @pytest.mark.parametrize("pulse", ["nan", "-1", "inf", "2e-9"])
     def test_pulse_without_photons_is_refused(self, pulse, tmp_path, capsys):

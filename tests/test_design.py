@@ -7,6 +7,7 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import c as c0
 
 from ringpair import (
@@ -18,6 +19,7 @@ from ringpair import (
     evaluate_design,
     finesse,
     fsr,
+    group_index,
     isolation_db,
     j_quadrature,
     j_single_ring_baseline,
@@ -27,12 +29,17 @@ from ringpair import (
     optimal_dc_length,
     optimize_device,
     required_detuning,
+    resonance_comb,
     solve_gap_for_uncoupling,
+    suppression_factor,
     tune_for_energy_conservation,
+    wavevector,
     xpm_spm_compensation,
 )
 
-from ringpair.design import _tune_diagnostics
+from ringpair.design import _process_band, _tune_diagnostics
+from ringpair.geometry import TWO_PI
+from ringpair.nonlinear import pump_pair
 from ringpair.record import replace
 
 from conftest import make_device, null_overlap_oracle
@@ -155,10 +162,14 @@ class TestTrimTune:
             tune_for_energy_conservation(sample_device, GOAL, mode="anneal")
 
 
-def _frontier(device, goal):
-    """|delta| = M F1 / (2M - 1), half the spacing of the shortest refit ring 2."""
+def _refit_frontier(seed, goal, sign):
+    """The refit's frontier M F1/(2M -+ 1) and ring-2 linewidth, at its pump midpoint."""
+    wg = seed.waveguide
+    comb1 = resonance_comb(seed.ring1, wg, _process_band(seed, goal), owner=1)
+    res_p1, res_p2 = pump_pair(comb1, goal.signal_omega, goal.pump_separation)
+    mid = 0.5 * (res_p1.omega0 + res_p2.omega0)
     m = goal.pump_separation
-    return m * fsr(device.ring1, device.waveguide, goal.signal_omega) / (2 * m - 1)
+    return m * fsr(seed.ring1, wg, mid) / (2 * m + sign), mid / seed.ring2.q_loaded, mid
 
 
 class TestFabricationTune:
@@ -175,27 +186,113 @@ class TestFabricationTune:
         assert res.device.ring2.heater_shift == res.heater_delta
 
     def test_architectural_frontier(self, sample_device):
-        goal = replace(GOAL, min_parasitic_suppression=1e-6)
-        lw = goal.signal_omega / sample_device.ring2.q_loaded
-        assert required_detuning(goal, lw) > _frontier(sample_device, goal)
-        with pytest.raises(Infeasible, match="FSR/2"):
+        # The seed's R2 = R1 is past R1 (M - 1)/M, so the refit builds the
+        # longer ring: a goal between its frontier and the shorter ring's
+        # is infeasible there and met with R2 = 0.4 R1. Past the shorter
+        # ring's frontier both seeds are infeasible.
+        small = replace(sample_device, ring2=replace(
+            sample_device.ring2, bend_radius=0.4 * sample_device.ring1.bend_radius))
+        longer, lw, _mid = _refit_frontier(sample_device, GOAL, +1)
+        shorter, _lw, _mid = _refit_frontier(sample_device, GOAL, -1)
+        goal = replace(GOAL, min_parasitic_suppression=suppression_factor(
+            0.5 * (longer + shorter), lw))
+        with pytest.raises(Infeasible, match=r"M\*F1/\(2M \+ 1\).* R2 <= 7\.5"):
             tune_for_energy_conservation(sample_device, goal, mode="fabrication")
+        res = tune_for_energy_conservation(small, goal, mode="fabrication")
+        assert max(res.suppression) <= goal.min_parasitic_suppression
+        goal = replace(GOAL, min_parasitic_suppression=1e-6)
+        assert required_detuning(goal, lw) > shorter
+        for seed, sign in ((sample_device, r"\+"), (small, "-")):
+            with pytest.raises(Infeasible, match=rf"FSR/2 = M\*F1/\(2M {sign} 1\)"):
+                tune_for_energy_conservation(seed, goal, mode="fabrication")
 
-    def test_geometry_shortfall_returns_best_effort(self, sample_device):
+    def test_quantization_shortfall_returns_best_effort(self, sample_device):
+        # The whole-wavelength ring 2 and the combs' dispersion leave the
+        # longer ring's detuning just short of its frontier M F1/(2M + 1):
+        # a goal in that gap is feasible and gets the best effort, noted.
         base = replace(GOAL, min_parasitic_suppression=1e-3)
         achieved = max(
-            tune_for_energy_conservation(
-                sample_device, base, mode="fabrication"
-            ).suppression
+            tune_for_energy_conservation(sample_device, base, mode="fabrication").suppression
         )
-        goal = replace(GOAL, min_parasitic_suppression=0.85 * achieved)
-        lw = goal.signal_omega / sample_device.ring2.q_loaded
-        # The target sits between what the coupler-limited geometry
-        # reaches and the architectural frontier.
-        assert required_detuning(goal, lw) <= _frontier(sample_device, goal)
+        frontier, lw, _mid = _refit_frontier(sample_device, GOAL, +1)
+        at_frontier = suppression_factor(frontier, lw)
+        assert at_frontier < achieved
+        goal = replace(GOAL, min_parasitic_suppression=0.5 * (at_frontier + achieved))
         res = tune_for_energy_conservation(sample_device, goal, mode="fabrication")
         assert max(res.suppression) > goal.min_parasitic_suppression
         assert any("trails the goal" in n for n in res.notes)
+
+    def test_goal_at_the_frontier_is_feasible(self, sample_device):
+        # Infeasible only past the frontier: a goal whose detuning equals it
+        # to the last bit is tuned. Not every ring-2 Q has a suppression
+        # that lands there exactly, so the first of a few that does is used.
+        for q_i in range(100_000, 120_000, 1000):
+            seed = replace(sample_device, ring2=replace(sample_device.ring2, q_intrinsic=q_i))
+            frontier, lw, _mid = _refit_frontier(seed, GOAL, +1)
+            down = up = suppression_factor(frontier, lw)
+            goals = [replace(GOAL, min_parasitic_suppression=down)]
+            for _ in range(64):
+                down, up = math.nextafter(down, 0.0), math.nextafter(up, 1.0)
+                goals += [replace(GOAL, min_parasitic_suppression=s) for s in (down, up)]
+            exact = [g for g in goals if required_detuning(g, lw) == frontier]
+            if exact:
+                break
+        goal = exact[0]
+        res = tune_for_energy_conservation(seed, goal, mode="fabrication")
+        assert any("lengthened" in n for n in res.notes)
+        past = goal
+        while required_detuning(past, lw) == frontier:
+            past = replace(past, min_parasitic_suppression=math.nextafter(
+                past.min_parasitic_suppression, 0.0))
+        with pytest.raises(Infeasible, match="FSR/2"):
+            tune_for_energy_conservation(seed, past, mode="fabrication")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m_sep=st.sampled_from([2, 4, 6]),
+        r2_ratio=st.floats(0.1, 1.4),
+        x=st.floats(0.2, 2.5),
+        wl_scale=st.floats(0.95, 1.05),
+    )
+    def test_goal_inside_the_built_rings_frontier_is_met(self, m_sep, r2_ratio, x, wl_scale):
+        # Seeds at the bend-limited geometry with R2 = r2_ratio * R1, and a
+        # goal needing x times the frontier of the ring the refit builds.
+        seed = make_device()
+        seed = replace(seed, ring2=replace(seed.ring2, bend_radius=r2_ratio * 1.5e-5))
+        wg = seed.waveguide
+        # The shorter ring holds the pi R1 coupler while R2 <= R1 (M - 1)/M,
+        # the longer one while R2 <= R1 (M + 1)/M; the whole-wavelength
+        # round trip moves each bound by well under 1% of R1.
+        assume(all(abs(r2_ratio - (m_sep + sign) / m_sep) > 0.01 for sign in (-1, 1)))
+        assume(abs(x - 1.0) > 1e-6)
+        goal = DesignGoal(signal_wavelength=1.55e-6 * wl_scale, pump_separation=m_sep)
+        if r2_ratio > (m_sep + 1) / m_sep:
+            with pytest.raises(Infeasible, match="no ring-2 round trip fits"):
+                optimize_device(seed, goal)
+            return
+        sign = -1 if r2_ratio < (m_sep - 1) / m_sep else 1
+        frontier, lw, mid = _refit_frontier(seed, goal, sign)
+        goal = replace(goal, min_parasitic_suppression=suppression_factor(x * frontier, lw))
+        if x > 1.0:
+            with pytest.raises(Infeasible, match="FSR/2"):
+                optimize_device(seed, goal)
+            return
+        final, report = optimize_device(seed, goal)
+        rule = next(r for r in report.rules if r.name == "sideband_suppression")
+        shortfall = [n for n in report.notes if "trails the goal" in n]
+        assert rule.passed != bool(shortfall)
+        if rule.passed:
+            return
+        # The shortfall: the ring-2 spacing F2 is off by at most half an
+        # order in ``order``, which moves a partner up to M + 1 lines out
+        # by (M + 1) F2 / (2 order); and each comb's spacing drifts with
+        # the group index, n lines out by n^2 F2^2 |dn_g/dw| / (2 n_g),
+        # with dn_g/dw = 2 (n_g - n_eff) / w_ref at zero GVD.
+        f2 = fsr(final.ring2, wg, mid)
+        order = wavevector(wg, mid) * final.ring2.round_trip_length / TWO_PI
+        drift = 2.0 * (wg.n_g - wg.n_eff_ref) / wg.omega_ref / group_index(wg, mid)
+        bound = (m_sep + 1) * f2 / (2.0 * order) + 0.5 * (m_sep + 1) ** 2 * f2**2 * abs(drift)
+        assert 0.0 < frontier - min(abs(d) for d in report.detuning) <= bound
 
 
 class TestCompensation:
@@ -272,6 +369,25 @@ class TestEvaluateDesign:
         assert report.j_abs > 0.0
         assert 0.0 < report.j_ratio <= 1.0 / 16.0 + 1e-9
         assert report.kerr_metric == 0.0
+
+    def test_energy_rule_limit_is_a_millionth_of_the_signal_linewidth(self, sample_device):
+        # A ring-2 heater offset of h moves the signal line by h, so the
+        # residual |2 w_S - w_P1 - w_P2| by 2 h.
+        tuned = tune_for_energy_conservation(sample_device, GOAL, mode="trim").device
+        lw = GOAL.signal_omega / tuned.ring2.q_loaded
+        for offset, passed in ((0.2e-6, True), (1.0e-6, False)):
+            ring2 = replace(tuned.ring2, heater_shift=tuned.ring2.heater_shift + offset * lw)
+            report = evaluate_design(replace(tuned, ring2=ring2), GOAL)
+            rule = next(r for r in report.rules if r.name == "energy_conservation")
+            assert rule.passed is passed
+            assert rule.value == pytest.approx(2.0 * offset * lw, rel=1e-3)
+
+    def test_suppression_goal_is_met_with_equality(self, sample_device):
+        tuned = tune_for_energy_conservation(sample_device, GOAL, mode="trim").device
+        achieved = max(evaluate_design(tuned, GOAL).suppression)
+        report = evaluate_design(tuned, replace(GOAL, min_parasitic_suppression=achieved))
+        rule = next(r for r in report.rules if r.name == "sideband_suppression")
+        assert rule.passed and rule.value == rule.limit
 
     def test_untuned_device_fails_energy_conservation(self, sample_device):
         report = evaluate_design(sample_device, GOAL)

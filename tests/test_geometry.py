@@ -568,8 +568,8 @@ class TestConstantsAndImports:
     def test_start_up_loads_no_dataclasses_or_inspect(self, tmp_path):
         # The records are built without dataclasses, whose import loads
         # inspect; no command needs either. One interpreter imports the
-        # package, then runs every command in turn, spectrum last: numpy
-        # loads inspect itself, so spectrum is held to dataclasses alone.
+        # package, then runs every command in turn. The 101-point spectrum
+        # goes without numpy, which would load inspect itself.
         runs = {
             name: [*argv, "--device", str(DEVICE_JSON), "--out", str(tmp_path / name)]
             for name, argv in self.NUMPY_FREE.items()
@@ -594,12 +594,10 @@ class TestConstantsAndImports:
             timeout=120,
         )
         out = json.loads(proc.stdout.splitlines()[-1])
-        assert list(out) == ["import", *runs] and list(out)[-1] == "spectrum"
+        assert list(out) == ["import", *runs]
         for name, (rc, loaded) in out.items():
             assert rc in (None, 0), name
-            assert "dataclasses" not in loaded, name
-            if name != "spectrum":
-                assert loaded == [], name
+            assert loaded == [], name
 
     # Every command works on Python floats and must start without numpy,
     # spectrum too while its points x lines are few (the 101-point one has

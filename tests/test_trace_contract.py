@@ -57,6 +57,18 @@ def test_every_target_exists(layer, names):
         assert inspect.isfunction(getattr(module, name))
 
 
+def test_cli_import_loads_every_target_layer():
+    # trace_boot patches right after ``import ringpair.cli``, in a new
+    # interpreter. Here the suite's own imports have loaded every module,
+    # so only a clean interpreter shows a layer that no import reaches.
+    path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+    code = "import json, sys, ringpair.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True, timeout=60)
+    loaded = set(json.loads(proc.stdout))
+    assert [layer for layer in _targets() if f"ringpair.{layer}" not in loaded] == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
