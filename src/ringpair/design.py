@@ -54,7 +54,7 @@ from .nonlinear import (
     pump_pair,
     single_ring_reference,
 )
-from .record import Record, replace
+from .record import Positive, Record, replace
 from .sfwm import PumpDrive, sideband_pair
 
 ENERGY_RESIDUAL_TOL_LINEWIDTHS = 1e-6
@@ -92,16 +92,14 @@ class DesignGoal(Record):
         Allowed coupler-gap interval for the uncoupling solve [m].
     """
 
-    signal_wavelength: float
+    signal_wavelength: Positive
     pump_separation: int = 2
     min_parasitic_suppression: float = 1e-4
-    max_kerr_metric: float = 0.05
-    min_isolation_db: float = 30.0
+    max_kerr_metric: Positive = 0.05
+    min_isolation_db: Positive = 30.0
     gap_budget: tuple[float, float] = DEFAULT_GAP_BUDGET
 
     def __post_init__(self) -> None:
-        for name in ("signal_wavelength", "max_kerr_metric", "min_isolation_db"):
-            require_positive(name, getattr(self, name))
         if self.pump_separation < 2 or self.pump_separation % 2 != 0:
             raise ValueError(
                 f"pump_separation must be an even integer >= 2, got {self.pump_separation}"
@@ -310,13 +308,12 @@ def tune_for_energy_conservation(
 
     best = min(tried, key=lambda r: max(r.suppression))
     if mode == "fabrication":
-        # Feasible by the built ring's frontier; the whole-wavelength
-        # round trip and the combs' dispersion kept the instance from
-        # reaching the ideal detuning, so report that.
+        # Feasible by the built ring's frontier, yet short of the goal.
         notes.append(
             f"achieved suppression {max(best.suppression):.3g} trails the goal "
-            f"{goal.min_parasitic_suppression:.3g}; the coupler length limits how "
-            "short ring 2 may get"
+            f"{goal.min_parasitic_suppression:.3g}; the whole-wavelength ring-2 round "
+            "trip and the combs' dispersion kept the detuning short of the built "
+            "ring's frontier"
         )
         return replace(best, notes=tuple(notes))
     raise Infeasible(

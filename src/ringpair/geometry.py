@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import EmptyBand, NoConvergence, NonPhysical
-from .errors import require_finite, require_non_negative, require_positive
-from .record import Record
+from .errors import EmptyBand, NoConvergence, NonPhysical, require_positive
+from .record import Finite, NonNegative, Positive, Record
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,21 +64,14 @@ class WaveguideParams(Record):
         Effective nonlinear interaction area [m^2].
     """
 
-    n_eff_ref: float
-    n_g: float
-    omega_ref: float
-    gvd: float = 0.0
-    gamma_nl: float = 0.0
-    chi3_bar: float = 0.0
-    n_bar: float = 1.0
-    area_eff: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("n_eff_ref", "n_g", "omega_ref", "n_bar", "area_eff"):
-            require_positive(name, getattr(self, name))
-        require_non_negative("gamma_nl", self.gamma_nl)
-        require_finite("gvd", self.gvd)
-        require_finite("chi3_bar", self.chi3_bar)
+    n_eff_ref: Positive
+    n_g: Positive
+    omega_ref: Positive
+    gvd: Finite = 0.0
+    gamma_nl: NonNegative = 0.0
+    chi3_bar: Finite = 0.0
+    n_bar: Positive = 1.0
+    area_eff: Positive = 1.0
 
     @property
     def v_g(self) -> float:
@@ -110,16 +102,11 @@ class RacetrackSpec(Record):
         Models a thermal tuner; positive values move the comb up.
     """
 
-    straight_len: float
-    bend_radius: float
-    q_intrinsic: float
-    q_coupling: float
-    heater_shift: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("straight_len", "bend_radius", "q_intrinsic", "q_coupling"):
-            require_positive(name, getattr(self, name))
-        require_finite("heater_shift", self.heater_shift)
+    straight_len: Positive
+    bend_radius: Positive
+    q_intrinsic: Positive
+    q_coupling: Positive
+    heater_shift: Finite = 0.0
 
     @property
     def round_trip_length(self) -> float:
@@ -149,16 +136,10 @@ class CouplingModel(Record):
         Phase of the complex coupling constant [rad].
     """
 
-    kappa0: float
-    gap_ref: float
-    decay_len: float
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        require_non_negative("kappa0", self.kappa0)
-        require_positive("gap_ref", self.gap_ref)
-        require_positive("decay_len", self.decay_len)
-        require_finite("phase", self.phase)
+    kappa0: NonNegative
+    gap_ref: Positive
+    decay_len: Positive
+    phase: Finite = 0.0
 
     def kappa_abs(self, gap: float) -> float:
         """Coupling magnitude at the given gap [1/m]."""
@@ -189,13 +170,11 @@ class DeviceSpec(Record):
     waveguide: WaveguideParams
     ring1: RacetrackSpec
     ring2: RacetrackSpec
-    dc_length: float
-    dc_gap: float
+    dc_length: Positive
+    dc_gap: Positive
     coupling: CouplingModel
 
     def __post_init__(self) -> None:
-        require_positive("dc_length", self.dc_length)
-        require_positive("dc_gap", self.dc_gap)
         limit = min(self.ring1.straight_len, self.ring2.straight_len)
         if self.dc_length > limit * (1.0 + 1e-12):
             raise ValueError(
@@ -235,20 +214,13 @@ class Resonance(Record):
 
     owner: int
     order: int
-    omega0: float
-    q_loaded: float
-    q_coupling: float
+    omega0: Positive
+    q_loaded: Positive
+    q_coupling: Positive
 
     def __post_init__(self) -> None:
         if self.owner not in (1, 2):
             raise ValueError(f"owner must be 1 or 2, got {self.owner}")
-        # One chain checks 0 < x < inf for all three fields (nan fails any
-        # comparison); only a failure calls require_positive, for its message.
-        inf = math.inf
-        if not 0.0 < self.omega0 < inf > self.q_loaded > 0.0 < self.q_coupling < inf:
-            require_positive("omega0", self.omega0)
-            require_positive("q_loaded", self.q_loaded)
-            require_positive("q_coupling", self.q_coupling)
 
     @property
     def linewidth(self) -> float:

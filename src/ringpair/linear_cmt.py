@@ -21,7 +21,7 @@ import math
 from .errors import MAX_SQUARABLE, NonPhysical
 from .errors import require_finite, require_non_negative, require_positive
 from .geometry import WaveguideParams
-from .record import Record
+from .record import Positive, Record
 
 ISOLATION_FLOOR_DB = 200.0
 
@@ -48,13 +48,12 @@ class CmtField(Record):
 
     port: str
     kappa: complex
-    length: float
+    length: Positive
 
     def __post_init__(self) -> None:
         if self.port not in ("IN", "OUT"):
             raise ValueError(f"port must be 'IN' or 'OUT', got {self.port!r}")
         require_finite("kappa", self.kappa)
-        require_positive("length", self.length)
 
     def a1(self, z: float) -> complex:
         """Amplitude in guide 1 at position z [dimensionless]."""

@@ -34,7 +34,7 @@ from .errors import NonPhysical, finite_product, require_finite, require_positiv
 from .geometry import DeviceSpec, Resonance, WaveguideParams, device_combs, wavevector
 from .enhancement import lorentzian_response, peak_amplitude
 from .linear_cmt import phase_unit
-from .record import Record
+from .record import Finite, Record
 
 RING_LENGTH_MISMATCH_LIMIT = 0.01
 
@@ -50,10 +50,9 @@ class ProcessConfig(Record):
     res_p1: Resonance
     res_p2: Resonance
     res_s: Resonance
-    delta_k: float = 0.0
+    delta_k: Finite = 0.0
 
     def __post_init__(self) -> None:
-        require_finite("delta_k", self.delta_k)
         if self.res_p1.owner != 1 or self.res_p2.owner != 1:
             raise ValueError("pump resonances must belong to ring 1")
         if self.res_s.owner != 2:

@@ -1,7 +1,10 @@
 """Frozen value records: the base of every parameter and result type.
 
 A subclass declares its fields as annotations, with optional defaults,
-and may define ``__post_init__`` to validate them. It gets what
+and may define ``__post_init__`` to validate them. A float field
+annotated ``Positive``, ``NonNegative`` or ``Finite`` declares its domain,
+which the constructor checks first, in field order, with the message of
+the matching ``require_*`` of :mod:`ringpair.errors`. It gets what
 ``@dataclass(frozen=True)`` gives, with the same semantics and ``repr``:
 an ``__init__`` taking the fields positionally or by keyword, which runs
 ``__post_init__``; assignment and deletion raising ``AttributeError``;
@@ -17,7 +20,22 @@ turns nested records into dicts.
 
 from __future__ import annotations
 
+import math
 from typing import Any
+
+from .errors import require_finite, require_non_negative, require_positive
+
+# Domain markers: aliases of float, which Record reads from the annotation's
+# text, so a module using them needs ``from __future__ import annotations``.
+Positive = NonNegative = Finite = float
+# Marker -> the lower end of the chain ``lo x < _inf``, which fails outside the
+# domain and for nan, and the check then called for its message.
+_DOMAINS = {
+    "Positive": ("0.0 <", require_positive),
+    "NonNegative": ("0.0 <=", require_non_negative),
+    "Finite": ("-_inf <", require_finite),
+}
+_INIT_GLOBALS = {"_inf": math.inf, **{f.__name__: f for _, f in _DOMAINS.values()}}
 
 
 class Record:
@@ -28,16 +46,19 @@ class Record:
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         own = vars(cls)
-        names = tuple(own.get("__annotations__", {}))
+        annotations = own.get("__annotations__", {})
+        names = tuple(annotations)
         defaults = tuple(own[n] for n in names if n in own)
         if any(n in own for n in names[: len(names) - len(defaults)]):
             raise TypeError(f"{cls.__name__}: a field without a default follows one with one")
+        checks = [(n, *_DOMAINS[a]) for n, a in annotations.items() if a in _DOMAINS]
+        body = [f"    if not {lo} {n} < _inf: {f.__name__}({n!r}, {n})" for n, lo, f in checks]
         # Fields go straight into the instance dict, past the frozen __setattr__.
-        body = [f"    self.__dict__[{n!r}] = {n}" for n in names]
+        body += [f"    self.__dict__[{n!r}] = {n}" for n in names]
         if hasattr(cls, "__post_init__"):
             body.append("    self.__post_init__()")
         source = f"def __init__(self, {', '.join(names)}):\n" + "\n".join(body or ["    pass"])
-        namespace: dict[str, Any] = {}
+        namespace = dict(_INIT_GLOBALS)
         exec(source, namespace)
         init = namespace["__init__"]
         init.__defaults__ = defaults or None

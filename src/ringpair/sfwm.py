@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 
 from .errors import MAX_SQUARABLE, MissingResonance, NonPhysical, finite_product, scaled_product
-from .errors import require_finite, require_non_negative, require_positive
+from .errors import require_finite, require_positive
 from .geometry import (
     EPSILON_0,
     HBAR,
@@ -42,7 +42,7 @@ from .geometry import (
     resonance_comb,
 )
 from .nonlinear import ProcessConfig
-from .record import Record, replace
+from .record import NonNegative, Positive, Record, replace
 
 INTEGRATION_WINDOW_LINEWIDTHS = 50.0
 _RATE = "pair rate (prefactor times spectral factor)"
@@ -64,13 +64,11 @@ class PumpDrive(Record):
         choice.
     """
 
-    photon_number: float
-    pulse_duration: float
+    photon_number: NonNegative
+    pulse_duration: Positive
     self_coupling: float | None = None
 
     def __post_init__(self) -> None:
-        require_non_negative("photon_number", self.photon_number)
-        require_positive("pulse_duration", self.pulse_duration)
         if self.self_coupling is not None and not 0.0 < self.self_coupling < 1.0:
             raise ValueError(
                 f"self_coupling must lie strictly between 0 and 1, got {self.self_coupling}"

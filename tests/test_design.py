@@ -222,6 +222,16 @@ class TestFabricationTune:
         assert max(res.suppression) > goal.min_parasitic_suppression
         assert any("trails the goal" in n for n in res.notes)
 
+    def test_shortfall_of_the_shorter_ring_does_not_blame_the_coupler(self, sample_device):
+        # With R2 = R1/2 the shorter ring holds the coupler, so no ring-2
+        # lengthening is noted; its best effort just misses 2.37e-4.
+        seed = replace(sample_device, ring2=replace(sample_device.ring2, bend_radius=7.5e-6))
+        goal = replace(GOAL, min_parasitic_suppression=2.37e-4)
+        _final, report = optimize_device(seed, goal)
+        shortfall = [n for n in report.notes if "trails the goal" in n]
+        assert len(shortfall) == 1 and "round trip" in shortfall[0]
+        assert not any("coupler" in n or "lengthened" in n for n in report.notes)
+
     def test_goal_at_the_frontier_is_feasible(self, sample_device):
         # Infeasible only past the frontier: a goal whose detuning equals it
         # to the last bit is tuned. Not every ring-2 Q has a suppression

@@ -75,6 +75,9 @@ IDS = [type(obj).__name__ for obj in INSTANCES]
 # The package's record classes; the tests below define a few more.
 CLASSES = [cls for cls in Record.__subclasses__() if cls.__module__.startswith("ringpair.")]
 
+# The domain markers of ringpair.record.
+DOMAINS = ("Positive", "NonNegative", "Finite")
+
 # A value each validating record refuses, one field per class.
 INVALID = {
     "WaveguideParams": ("n_g", -1.0),
@@ -104,10 +107,60 @@ def test_every_record_class_has_an_instance():
     assert len(IDS) == 18
 
 
+def _declares_a_domain(cls) -> bool:
+    return any(a in DOMAINS for a in cls.__annotations__.values())
+
+
 def test_the_invalid_table_covers_every_validating_record():
     assert sorted(INVALID) == sorted(
-        cls.__name__ for cls in CLASSES if hasattr(cls, "__post_init__")
+        cls.__name__ for cls in CLASSES
+        if hasattr(cls, "__post_init__") or _declares_a_domain(cls)
     )
+
+
+def test_every_record_class_has_string_annotations():
+    # A domain is read from the annotation's text: a module without
+    # ``from __future__ import annotations`` would see plain ``float``
+    # and skip its checks silently.
+    for cls in CLASSES:
+        assert all(isinstance(a, str) for a in cls.__annotations__.values()), cls
+
+
+def _domain_fields():
+    return [
+        pytest.param(obj, name, marker, id=f"{type(obj).__name__}.{name}")
+        for obj in INSTANCES
+        for name, marker in type(obj).__annotations__.items()
+        if marker in DOMAINS
+    ]
+
+
+@pytest.mark.parametrize("obj, name, marker", _domain_fields())
+def test_every_declared_domain_at_its_boundary(obj, name, marker):
+    refused, accepted = {
+        "Positive": ((0.0, -1.0), ()),
+        "NonNegative": ((-1.0,), (0.0,)),
+        "Finite": ((), (-1e300,)),
+    }[marker]
+    for bad in refused:
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            replace(obj, **{name: bad})
+    for good in accepted:
+        assert getattr(replace(obj, **{name: good}), name) == good
+
+
+def test_the_domain_walk_covers_every_declaring_record():
+    walked = {p.values[0].__class__ for p in _domain_fields()}
+    assert walked == {cls for cls in CLASSES if _declares_a_domain(cls)}
+    assert len(walked) == 9
+
+
+def test_the_first_invalid_field_in_field_order_is_reported():
+    ring = make_device().ring1
+    with pytest.raises(ValueError, match="^straight_len "):
+        replace(ring, straight_len=-1.0, q_coupling=math.nan)
+    with pytest.raises(ValueError, match="^q_coupling "):
+        replace(ring, q_coupling=math.nan, heater_shift=math.inf)
 
 
 @pytest.mark.parametrize("obj", INSTANCES, ids=IDS)

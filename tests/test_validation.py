@@ -29,6 +29,9 @@ from ringpair.record import replace
 from conftest import make_device, process_band
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
+# The domain markers of ringpair.record: a float field annotated with one
+# is checked by the generated constructor.
+DOMAINS = ("Positive", "NonNegative", "Finite")
 
 
 def _instances():
@@ -51,7 +54,7 @@ def _float_fields():
     for obj in _instances():
         for name, annotation in type(obj).__annotations__.items():
             kind = type(obj).__name__
-            if annotation in ("float", "complex", "float | None"):
+            if annotation in ("float", "complex", "float | None", *DOMAINS):
                 cases.append(pytest.param(obj, name, None, id=f"{kind}.{name}"))
             elif annotation == "tuple[float, float]":
                 for i in (0, 1):
