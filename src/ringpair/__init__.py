@@ -31,8 +31,7 @@ _NAMES = {
         "xpm_spm_compensation",
     ),
     "deviceio": (
-        "SCHEMA_VERSION", "device_from_dict", "device_to_dict", "load_device", "save_device",
-        "write_text_atomic",
+        "SCHEMA_VERSION", "device_from_dict", "device_to_dict", "load_device", "write_text_atomic",
     ),
     "enhancement": (
         "EnhancementProfile", "SpectrumResult", "intensity_spectrum", "lorentzian_response",
@@ -45,7 +44,7 @@ _NAMES = {
     "geometry": (
         "CouplingModel", "DeviceSpec", "RacetrackSpec", "Resonance", "WaveguideParams",
         "device_combs", "effective_index", "finesse", "fsr", "group_index", "resonance_comb",
-        "round_trip_phase", "wavevector",
+        "wavevector",
     ),
     "kernels": (),
     "linear_cmt": (

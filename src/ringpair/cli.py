@@ -319,11 +319,11 @@ def cmd_optimize(args: argparse.Namespace, argv: Sequence[str]) -> None:
                          "Kerr rules; give --photons too or drop --pulse")
     drive = _drive(args) if args.photons is not None else None
     final, report = optimize_device(device, goal, drive=drive, mode=args.mode)
+    data = device_to_dict(final)
     if args.out is not None:
         # A plain device file, loadable by every other operation.
-        _emit(args.out, _json_text(device_to_dict(final)), argv)
-    payload = {"device": device_to_dict(final), "report": asdict(report)}
-    _emit(args.report, _json_text(payload), argv)
+        _emit(args.out, _json_text(data), argv)
+    _emit(args.report, _json_text({"device": data, "report": asdict(report)}), argv)
 
 
 def _parse_flag(flag: str, kind: type, text: str) -> Any:

@@ -50,6 +50,7 @@ from .linear_cmt import isolation_db, kerr_delta_beta, kerr_validity_metric
 from .nonlinear import (
     ProcessConfig,
     j_quadrature,
+    j_single_ring_ratio,
     on_resonance_config,
     pump_pair,
     single_ring_reference,
@@ -448,7 +449,8 @@ def evaluate_design(
     the signal line against the pump pair, side-band suppression for
     both single-pump processes, and the Kerr budget (:func:`null_kerr_metric`
     at the drive's power at the signal line, zero without a drive). The
-    report also carries J from :func:`j_quadrature` and its single-ring ratio.
+    report also carries J from :func:`j_quadrature` and its single-ring
+    ratio from :func:`j_single_ring_ratio`.
     """
     residual, deltas, sups, cfg = _tune_diagnostics(device, goal)
     lw = cfg.res_s.linewidth
@@ -490,19 +492,17 @@ def evaluate_design(
         ),
     )
 
-    j = j_quadrature(device, cfg)
-    reference, notes = single_ring_reference(device)
     return DesignReport(
         passed=all(r.passed for r in rules),
         rules=rules,
-        j_abs=j.j_abs,
-        j_ratio=abs(j.z_factor) / reference,
+        j_abs=j_quadrature(device, cfg).j_abs,
+        j_ratio=j_single_ring_ratio(device, cfg),
         isolation_db=iso,
         uncoupling_order=order,
         suppression=sups,
         detuning=deltas,
         kerr_metric=metric,
-        notes=notes,
+        notes=single_ring_reference(device)[1],
     )
 
 

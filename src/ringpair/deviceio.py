@@ -396,8 +396,3 @@ def csv_columns(header: Sequence[str], columns: Sequence[Any]) -> str:
         # is not copied once per block.
         text += str(chars[keep], "ascii")
     return text
-
-
-def save_device(device: DeviceSpec, path: str | os.PathLike) -> None:
-    """Serialize a device to JSON on disk (atomic, trailing newline)."""
-    write_text_atomic(path, json.dumps(device_to_dict(device), indent=2) + "\n")

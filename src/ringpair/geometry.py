@@ -278,14 +278,6 @@ def group_index(wg: WaveguideParams, omega: float) -> float:
     return ng
 
 
-def round_trip_phase(wg: WaveguideParams, ring: RacetrackSpec, omega: float) -> float:
-    """Accumulated phase k(w) * round_trip_length [rad].
-
-    Raises ``ValueError`` unless ``omega`` is finite and positive.
-    """
-    return wavevector(wg, omega) * ring.round_trip_length
-
-
 def resonance_comb(
     ring: RacetrackSpec,
     wg: WaveguideParams,

@@ -414,7 +414,8 @@ def calibrate_kcal(
     Raises
     ------
     NonPhysical
-        If the target rate or pump power is not finite and positive.
+        If the target rate or pump power is not finite and positive, or
+        the pulse holds no photon at that power, so no pairs come out.
     """
     require_positive("target_rate", target_rate, NonPhysical)
     require_positive("pump_power", pump_power, NonPhysical)

@@ -8,6 +8,7 @@ that need an off-null device perturb the gap or the length explicitly.
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -20,7 +21,9 @@ from ringpair import (
     DeviceSpec,
     RacetrackSpec,
     WaveguideParams,
+    device_to_dict,
     load_device,
+    write_text_atomic,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -117,6 +120,11 @@ def make_device(
         dc_gap=gap,
         coupling=coupling,
     )
+
+
+def write_device(device: DeviceSpec, path) -> None:
+    """Write ``device`` as a device file, its keys in file order like the shipped one."""
+    write_text_atomic(path, json.dumps(device_to_dict(device), indent=2) + "\n")
 
 
 def process_band(device: DeviceSpec, n_spacings: float = 4.2) -> tuple[float, float]:

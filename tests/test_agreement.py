@@ -1,0 +1,99 @@
+"""Every number that two artifacts share agrees.
+
+Each row of ``ROWS`` names one quantity that two routes report: two
+commands' artifacts, or an artifact and the library function that
+computes it. It returns (left, right) pairs, and every pair holds at
+``==``. A row that needs a looser tolerance states why beside it.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from ringpair import DesignGoal, j_single_ring_ratio, load_device
+from ringpair.cli import EXIT_OK, main, parse_frequency
+from ringpair.design import _tune_diagnostics
+from ringpair.geometry import C_VACUUM, TWO_PI
+from ringpair.record import replace
+
+from conftest import DEVICE_JSON, README_COMMANDS, write_device
+
+DEV = str(DEVICE_JSON)
+GAP = load_device(DEVICE_JSON).dc_gap
+# 2.9e-7 m is off the shipped null, so the isolation is not capped at 200 dB.
+OFF_NULL_GAP = 2.9e-7
+
+
+def _run(argv, out):
+    """Run one command with ``--out out``; the artifact's text."""
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    return out.read_text()
+
+
+def _csv_row(text):
+    """The one data row of a sweep's CSV, as {column: value}."""
+    header, row = text.strip().split("\n")
+    return dict(zip(header.split(","), map(float, row.split(","))))
+
+
+def _gap_sweep(device, gap, report, tmp_path, *extra):
+    argv = ["sweep", "--device", device, "--param", "dc.gap_m", "--list", repr(gap),
+            "--report", report, *extra]
+    return _csv_row(_run(argv, tmp_path / "sweep.csv"))
+
+
+def rates_suppression(tmp_path):
+    # rates and sweep --report suppression at the file's own gap, over one band.
+    argv = README_COMMANDS["rates"]
+    rates = json.loads(_run(argv, tmp_path / "rates.json"))
+    row = _gap_sweep(DEV, GAP, "suppression", tmp_path, *argv[argv.index("--band"):][:3])
+    return [
+        (max(rates["suppression"]), row["suppression"]),
+        (rates["detuning_delta"], [row["detuning_1"], row["detuning_2"]]),
+    ]
+
+
+def kerr_check_isolation(tmp_path):
+    # kerr-check's cold isolation and sweep --report isolation, on the shipped
+    # device at its null and on a copy at an off-null gap.
+    off_null = tmp_path / "off_null.json"
+    write_device(replace(load_device(DEVICE_JSON), dc_gap=OFF_NULL_GAP), off_null)
+    pairs = []
+    for device, gap in ((DEV, GAP), (str(off_null), OFF_NULL_GAP)):
+        kerr = json.loads(_run(["kerr-check", "--device", device, "--power", "0.005"],
+                               tmp_path / "kerr.json"))
+        row = _gap_sweep(device, gap, "isolation", tmp_path)
+        pairs.append((kerr["isolation_db_cold"], row["isolation_db"]))
+    return pairs
+
+
+def optimize_report(tmp_path):
+    # optimize --report against its own --out device, and its j_ratio against
+    # j_single_ring_ratio on that device and the report's configuration.
+    argv = README_COMMANDS["optimize"]
+    out, report_path = tmp_path / "tuned.json", tmp_path / "report.json"
+    assert main([*argv, "--out", str(out), "--report", str(report_path)]) == EXIT_OK
+    report = json.loads(report_path.read_text())
+    device = load_device(out)
+    goal = DesignGoal(
+        signal_wavelength=TWO_PI * C_VACUUM / parse_frequency(argv[argv.index("--signal") + 1]),
+        min_parasitic_suppression=float(argv[argv.index("--suppression") + 1]),
+    )
+    cfg = _tune_diagnostics(device, goal)[3]
+    return [
+        (report["device"], json.loads(out.read_text())),
+        (report["report"]["j_ratio"], j_single_ring_ratio(device, cfg)),
+    ]
+
+
+ROWS = {f.__name__: f for f in (rates_suppression, kerr_check_isolation, optimize_report)}
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_shared_numbers_agree(name, tmp_path):
+    pairs = ROWS[name](tmp_path)
+    assert pairs
+    for left, right in pairs:
+        assert left == right

@@ -21,7 +21,6 @@ from ringpair import (
     cli,
     deviceio,
     load_device,
-    save_device,
     xpm_spm_compensation,
 )
 from ringpair.cli import (
@@ -39,7 +38,7 @@ from ringpair.deviceio import FILE_FORMAT
 from ringpair.geometry import C_VACUUM, TWO_PI
 from ringpair.nonlinear import j_quadrature
 
-from conftest import DEVICE_JSON, README_COMMANDS, REPO, make_device
+from conftest import DEVICE_JSON, README_COMMANDS, REPO, make_device, write_device
 
 DEV = str(DEVICE_JSON)
 BAND = ["192THz", "195THz"]
@@ -351,7 +350,7 @@ class TestOverlap:
         # --strict only rejects unknown device-file keys; a file with
         # none gives the artifact, with no note.
         path = tmp_path / "aligned.json"
-        save_device(make_device(l2_scale=1.0, n_eff=4.2), path)
+        write_device(make_device(l2_scale=1.0, n_eff=4.2), path)
         rc = main(["overlap", "--device", str(path), "--band", *BAND, "--strict"])
         assert rc == EXIT_OK
         payload = load_json(capsys.readouterr().out)
@@ -516,7 +515,7 @@ class TestKerrCheck:
     @pytest.fixture()
     def si_device(self, tmp_path):
         path = tmp_path / "si.json"
-        save_device(
+        write_device(
             make_device(gamma=200.0, n_g=3.0, n_eff=2.4, lambda_ref=1.5e-6), path
         )
         return str(path)
@@ -1065,7 +1064,7 @@ class TestExitCodes:
         # Finesse below pi: the self-coupling estimate has no physical
         # solution, which is a numeric-domain failure, not bad input.
         path = tmp_path / "lossy.json"
-        save_device(make_device(q_i=200.0, q_c=200.0), path)
+        write_device(make_device(q_i=200.0, q_c=200.0), path)
         rc = main(["rates", "--device", str(path), "--band", *BAND])
         assert rc == EXIT_NUMERICAL
         err = load_json(capsys.readouterr().err)

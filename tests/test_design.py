@@ -37,7 +37,8 @@ from ringpair import (
     xpm_spm_compensation,
 )
 
-from ringpair.design import _process_band, _tune_diagnostics
+from ringpair import design
+from ringpair.design import ENERGY_RESIDUAL_TOL_LINEWIDTHS, _process_band, _tune_diagnostics
 from ringpair.geometry import TWO_PI
 from ringpair.nonlinear import pump_pair
 from ringpair.record import replace
@@ -391,6 +392,21 @@ class TestEvaluateDesign:
             rule = next(r for r in report.rules if r.name == "energy_conservation")
             assert rule.passed is passed
             assert rule.value == pytest.approx(2.0 * offset * lw, rel=1e-3)
+
+    @pytest.mark.parametrize("above, passed", [(False, True), (True, False)])
+    def test_energy_rule_passes_at_its_limit_exactly(
+        self, sample_device, monkeypatch, above, passed
+    ):
+        # No comb puts the residual on the limit to the bit, so the tuning
+        # diagnostics report it: the limit passes, one float above fails.
+        tuned = tune_for_energy_conservation(sample_device, GOAL, mode="trim").device
+        _residual, deltas, sups, cfg = _tune_diagnostics(tuned, GOAL)
+        limit = ENERGY_RESIDUAL_TOL_LINEWIDTHS * cfg.res_s.linewidth
+        value = math.nextafter(limit, math.inf) if above else limit
+        monkeypatch.setattr(design, "_tune_diagnostics", lambda *_: (value, deltas, sups, cfg))
+        rule = next(r for r in evaluate_design(tuned, GOAL).rules
+                    if r.name == "energy_conservation")
+        assert (rule.value, rule.limit, rule.passed) == (value, limit, passed)
 
     def test_suppression_goal_is_met_with_equality(self, sample_device):
         tuned = tune_for_energy_conservation(sample_device, GOAL, mode="trim").device

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ringpair import load_device, save_device
+from ringpair import load_device
 from ringpair.deviceio import (
     FILE_FORMAT,
     SCHEMA_VERSION,
@@ -30,7 +30,7 @@ from ringpair.deviceio import (
 )
 from ringpair.enhancement import SpectrumResult, intensity_spectrum, spectrum_to_csv
 
-from conftest import DEVICE_JSON, REPO, TWO_PI, make_device
+from conftest import DEVICE_JSON, REPO, TWO_PI, make_device, write_device
 
 # Keys whose value may take either sign, and keys that may be zero.
 SIGNED = {"gvd_s2_per_m", "chi3_m2_v2", "heater_shift_hz", "phase_rad"}
@@ -81,7 +81,7 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         dev = make_device(l2_scale=1.3, q_c=2.5e5, kappa_phase=0.4)
         path = tmp_path / "dev.json"
-        save_device(dev, path)
+        write_device(dev, path)
         assert load_device(path) == dev
         # Atomic write leaves no temp files behind.
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
@@ -111,8 +111,9 @@ class TestRoundTrip:
                     assert abs(out[section][key] - expected) <= math.ulp(expected)
 
     def test_shipped_file_saves_byte_identical(self, tmp_path):
+        # device_to_dict keeps the file's key order and every value's digits.
         path = tmp_path / "dev.json"
-        save_device(load_device(DEVICE_JSON), path)
+        write_device(load_device(DEVICE_JSON), path)
         assert path.read_bytes() == DEVICE_JSON.read_bytes()
 
     def test_sample_file_carries_schema(self):

@@ -38,11 +38,10 @@ from ringpair import (
     group_index,
     load_device,
     resonance_comb,
-    round_trip_phase,
     wavevector,
 )
 from ringpair.deviceio import FILE_FORMAT, swept_devices
-from ringpair.record import asdict
+from ringpair.record import asdict, replace
 
 from conftest import DEVICE_JSON, REPO, make_device, process_band
 
@@ -115,7 +114,7 @@ class TestScalarOrArray:
     @pytest.mark.parametrize(
         "func",
         [effective_index, wavevector, group_index,
-         lambda wg, w: round_trip_phase(wg, make_device().ring1, w)],
+         lambda wg, w: wavevector(wg, w) * make_device().ring1.round_trip_length],
         ids=["effective_index", "wavevector", "group_index", "round_trip_phase"],
     )
     @pytest.mark.parametrize("gvd", [0.0, 5e-24])
@@ -254,6 +253,17 @@ class TestCouplingModel:
         with pytest.raises(ValueError):
             CouplingModel(kappa0=1e4, gap_ref=3e-7, decay_len=0.0)
 
+    def test_largest_finite_exponent_is_kept(self):
+        # At gap 1 the exponent -(gap - gap_ref) / decay_len is exactly the
+        # largest one whose exp is finite; the next float above it overflows
+        # exp and is refused.
+        top = geometry._MAX_EXP
+        cm = CouplingModel(kappa0=0.5, gap_ref=top + 1.0, decay_len=1.0)
+        assert -(1.0 - cm.gap_ref) / cm.decay_len == top
+        assert cm.kappa_abs(1.0) == 0.5 * math.exp(top)
+        with pytest.raises(NonPhysical, match="overflows"):
+            cm.kappa_abs(1.0 - 2.0**-40)
+
 
 class TestResonanceComb:
     def test_round_trip_phase_is_multiple_of_two_pi(self):
@@ -261,7 +271,7 @@ class TestResonanceComb:
         comb = resonance_comb(dev.ring1, dev.waveguide, process_band(dev), owner=1)
         assert len(comb) >= 5
         for r in comb:
-            phase = round_trip_phase(dev.waveguide, dev.ring1, r.omega0)
+            phase = wavevector(dev.waveguide, r.omega0) * dev.ring1.round_trip_length
             assert abs(phase - TWO_PI * r.order) < 1e-9
 
     def test_orders_are_consecutive_and_sorted(self):
@@ -308,7 +318,7 @@ class TestResonanceComb:
         dev = make_device(heater1=5e9)
         comb = resonance_comb(dev.ring1, dev.waveguide, process_band(dev), owner=1)
         for r in comb:
-            phase = round_trip_phase(dev.waveguide, dev.ring1, r.omega0 - 5e9)
+            phase = wavevector(dev.waveguide, r.omega0 - 5e9) * dev.ring1.round_trip_length
             assert abs(phase - TWO_PI * r.order) < 1e-9
 
     def test_owner_label(self):
@@ -661,7 +671,8 @@ class TestConstantsAndImports:
             "f_out = rp.CmtField('OUT', dev.kappa, dev.dc_length)\n"
             "z = 0.3 * dev.dc_length\n"
             "vals = [rp.effective_index(wg, w), rp.wavevector(wg, w), rp.group_index(wg, w),\n"
-            "        rp.round_trip_phase(wg, ring, w), rp.lorentzian_response(res, w),\n"
+            "        rp.wavevector(wg, w) * ring.round_trip_length,\n"
+            "        rp.lorentzian_response(res, w),\n"
             "        f_in.a1(z), f_in.a2(z), f_out.a1(z), f_out.a2(z), ring.q_loaded,\n"
             "        rp.dc_transfer(dev.kappa, dev.dc_length), rp.fsr(ring, wg, w),\n"
             "        rp.isolation_db(dev.kappa, dev.dc_length)]\n"
@@ -793,6 +804,23 @@ class TestCombRange:
         wg = _wg()
         with pytest.raises(NonPhysical, match="loaded Q"):
             resonance_comb(ring, wg, (0.99 * wg.omega_ref, 1.01 * wg.omega_ref))
+
+    def test_band_top_at_the_heater_shift_is_empty(self):
+        # The band top minus the shift is exactly 0: no unshifted frequency
+        # is left to search.
+        shift = TWO_PI * 1.9e14
+        ring = replace(make_device().ring1, heater_shift=shift)
+        with pytest.raises(EmptyBand, match="heater shift"):
+            resonance_comb(ring, _wg(), (0.5 * shift, shift))
+
+    def test_zero_group_index_at_the_search_edge_is_refused(self):
+        # n_g = 4, n_eff_ref = 1.5: the group index 1.5 + 2.5 (2 w / w_ref - 1)
+        # is exactly 0 at w_ref / 5 and positive above it.
+        wg = _wg(n_eff=1.5, n_g=4.0)
+        lo = wg.omega_ref / 5.0
+        assert group_index(wg, lo) == 0.0
+        with pytest.raises(NoConvergence, match="group index is not positive"):
+            resonance_comb(make_device().ring1, wg, (lo, 1.2 * lo))
 
     def test_non_positive_round_trip_phase_is_rejected(self):
         # n_g = 10, n_eff_ref = 1.5: k(w) = (w / c) (8.5 w / w_ref - 7)

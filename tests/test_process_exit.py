@@ -18,10 +18,9 @@ import sys
 
 import pytest
 
-from ringpair import save_device
 from ringpair.cli import EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION
 
-from conftest import DEVICE_JSON, README_COMMANDS, REPO, make_device
+from conftest import DEVICE_JSON, README_COMMANDS, REPO, make_device, write_device
 
 MODULE = [sys.executable, "-m", "ringpair.cli"]
 PLAIN_EXIT = [sys.executable, "-c", "import sys; from ringpair.cli import main; sys.exit(main())"]
@@ -77,7 +76,7 @@ def test_success_writes_artifact_and_sidecar(tmp_path):
 def _lossy_device(tmp_path):
     # Finesse below pi: no physical self-coupling, a numeric-domain failure.
     path = tmp_path / "lossy.json"
-    save_device(make_device(q_i=200.0, q_c=200.0), path)
+    write_device(make_device(q_i=200.0, q_c=200.0), path)
     return str(path)
 
 

@@ -34,7 +34,7 @@ PUBLIC = (
     "noise_budget", "null_kerr_metric", "optimal_dc_length", "optimize_device",
     "pair_rate_closed_form", "pair_rate_integral", "peak_amplitude",
     "required_detuning", "resolve_drive", "resonance_comb", "resonant_config",
-    "ring_profiles", "round_trip_phase", "save_device", "sideband_pair",
+    "ring_profiles", "sideband_pair",
     "sigma_from_finesse", "solve_gap_for_uncoupling", "spectrum_to_csv",
     "suppression_factor", "tune_for_energy_conservation", "wavevector",
     "write_text_atomic", "xpm_spm_compensation", "z_overlap_integral",
@@ -55,6 +55,9 @@ REMOVED = {
     "QuadratureFailure": "NoConvergence, which integrate_adaptive raises",
     "CmtField.degenerate": "abs(field.kappa) == 0",
     "q_loaded": "RacetrackSpec(...).q_loaded",
+    "round_trip_phase": "wavevector(wg, w) * ring.round_trip_length",
+    "save_device":
+        'write_text_atomic(path, json.dumps(device_to_dict(device), indent=2) + "\\n")',
 }
 
 MODULES = ("cli", "design", "deviceio", "enhancement", "errors", "geometry", "kernels",

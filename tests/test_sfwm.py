@@ -439,6 +439,22 @@ class TestSidebandDetuning:
         with pytest.raises(MissingResonance):
             detunings([cfg.res_s], cfg)
 
+    def test_a_line_within_1e_9_of_the_signal_is_the_signal(self):
+        # At omega_s = 2**20 / 1e-9 the tolerance 1e-9 * omega_s is exactly
+        # 2**20 rad/s, and so is the offset of a line 2**20 above the signal.
+        # That line is excluded with the signal; one a float step further
+        # out is the partner.
+        omega_s = 1.048576e15
+        assert 1e-9 * omega_s == 2.0**20
+        cfg = synth_cfg(pump_spacing=2.4e12, center=omega_s)
+        band = (0.5 * omega_s, 2.0 * omega_s)
+        at_tol = replace(cfg.res_s, order=501, omega0=omega_s + 2.0**20)
+        assert at_tol.omega0 - omega_s == 2.0**20
+        with pytest.raises(MissingResonance, match="no line besides the signal"):
+            sideband_pair([cfg.res_s, at_tol], cfg, band)
+        past = replace(at_tol, omega0=math.nextafter(at_tol.omega0, math.inf))
+        assert sideband_pair([cfg.res_s, past], cfg, band)[2] == (past, past)
+
     def test_side_band_point_nearest_the_signal_takes_the_line_beyond(self):
         # Pumps 0.1 spacing off the signal put each side-band point 0.2
         # spacing from it: the nearest line is the excluded signal, and
@@ -599,6 +615,14 @@ class TestCalibration:
                 calibrate_kcal(sample_device, bad, 5e-4, cfg)
             with pytest.raises(NonPhysical):
                 calibrate_kcal(sample_device, 1e6, bad, cfg)
+
+    def test_a_photon_number_that_rounds_to_zero_gives_no_pairs(self, sample_device):
+        # 5e-324 W is positive, but over the 1 ns calibration pulse it holds
+        # 0.0 photons, so the rate at unit calibration is exactly 0.
+        cfg = resonant_config(sample_device, process_band(sample_device))
+        assert 5e-324 * 1e-9 == 0.0
+        with pytest.raises(NonPhysical, match="no pairs at unit calibration"):
+            calibrate_kcal(sample_device, 1e6, 5e-324, cfg)
 
 
 class TestSharedHelpers:

@@ -150,7 +150,6 @@ def _argument_calls():
         "resonant_config.band[1]": lambda x: rp.resonant_config(dev, (lo, x)),
         "sideband_pair.band[0]": lambda x: rp.sideband_pair(comb2, cfg, (x, hi)),
         "sideband_pair.band[1]": lambda x: rp.sideband_pair(comb2, cfg, (lo, x)),
-        "round_trip_phase.omega": lambda x: rp.round_trip_phase(wg, ring, x),
         "sigma_from_finesse.fin": lambda x: rp.sigma_from_finesse(x),
         "solve_gap_for_uncoupling.length":
             lambda x: rp.solve_gap_for_uncoupling(dev.coupling, x, 1),

@@ -16,6 +16,11 @@ never written. A mutant that the tests pass is a survivor, printed as
 computes the same thing. A run of the tests past ``TIMEOUT_S`` kills
 its mutant.
 
+The ledger, ``tools/mutants.txt``, lists the known equivalent mutants,
+each with its reason. A survivor
+that the ledger lists is counted but not printed, so a rerun prints only
+new survivors, and the exit status is 1 only when there is one.
+
 Uses the standard library only. It takes minutes, so it stays outside
 the test suite and CI.
 """
@@ -35,6 +40,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+LEDGER = ROOT / "tools" / "mutants.txt"
 TIMEOUT_S = 600.0
 
 # Operator class -> (its source text, the partner's class and text).
@@ -125,6 +131,28 @@ def _line(source: bytes, offset: int) -> tuple[int, str]:
     return lineno, source.splitlines()[lineno - 1].decode().strip()
 
 
+def read_ledger(path: Path) -> set[tuple[str, str]]:
+    """(module, mutated line) of each ledger entry; see the ledger's header."""
+    entries: dict[tuple[str, str], list[str]] = {}
+    reasons = None
+    for n, line in enumerate(path.read_text().splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        if line[0].isspace():
+            if reasons is None:
+                raise ValueError(f"{path}:{n}: a reason comes before any entry")
+            reasons.append(line.strip())
+            continue
+        module, sep, text = line.partition(": ")
+        if not sep or not text.strip():
+            raise ValueError(f"{path}:{n}: an entry is 'module: mutated line'")
+        reasons = entries.setdefault((module, text.strip()), [])
+    missing = [f"{module}: {text}" for (module, text), why in entries.items() if not why]
+    if missing:
+        raise ValueError(f"{path}: entries without a reason: {missing}")
+    return set(entries)
+
+
 def _copy_checkout(dest: Path) -> None:
     shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
         ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".clibench_*", ".benchmarks"))
@@ -153,6 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--sample must be at least 1")
 
     module = Path(args.module)
+    known = read_ledger(LEDGER)
     source = (ROOT / module).read_bytes()
     sites = find_sites(source)
     chosen = sorted(random.Random(args.seed).sample(sites, min(args.sample, len(sites))),
@@ -160,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{module}: {len(sites)} sites, mutating {len(chosen)} (seed {args.seed})",
           file=sys.stderr)
 
-    survivors = []
+    survivors, equivalent = [], 0
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         copy = Path(tmp) / "checkout"
         _copy_checkout(copy)
@@ -174,15 +203,19 @@ def main(argv: list[str] | None = None) -> int:
             outcome = _run_tests(copy, args.tests)
             target.write_bytes(source)
             lineno, text = _line(mutant, site.start)
-            print(f"[{n}/{len(chosen)}] {module.name}:{lineno} {site.old} -> {site.new}: "
-                  f"{'survived' if outcome == 'passed' else outcome}", file=sys.stderr)
-            if outcome == "passed":
+            if outcome == "passed" and (module.as_posix(), text) in known:
+                outcome, equivalent = "known equivalent", equivalent + 1
+            elif outcome == "passed":
+                outcome = "survived"
                 survivors.append((lineno, text))
+            print(f"[{n}/{len(chosen)}] {module.name}:{lineno} {site.old} -> {site.new}: "
+                  f"{outcome}", file=sys.stderr)
 
     for lineno, text in survivors:
         print(f"{module}:{lineno}: {text}")
-    killed = len(chosen) - len(survivors)
-    print(f"{killed} killed, {len(survivors)} survived of {len(chosen)}", file=sys.stderr)
+    killed = len(chosen) - len(survivors) - equivalent
+    print(f"{killed} killed, {equivalent} known equivalent, {len(survivors)} new survivors "
+          f"of {len(chosen)}", file=sys.stderr)
     return 1 if survivors else 0
 
 
