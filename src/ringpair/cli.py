@@ -61,6 +61,7 @@ from .errors import (
     NonPhysical,
     OutOfRange,
     ValidityExceeded,
+    require_count,
     require_finite,
 )
 from .geometry import C_VACUUM, TWO_PI, resonance_comb
@@ -141,11 +142,6 @@ def _band_pair(edges: Sequence[str]) -> tuple[float, float]:
     if lo == hi:
         raise ValueError("band edges must differ")
     return (lo, hi)
-
-
-def _require_rows(flag: str, n: int) -> None:
-    if not 2 <= n <= MAX_ROWS:
-        raise ValueError(f"{flag} must be between 2 and {MAX_ROWS}, got {n}")
 
 
 def _json_text(payload: Any) -> str:
@@ -259,7 +255,7 @@ def cmd_rates(args: argparse.Namespace, argv: Sequence[str]) -> None:
 
 
 def cmd_suppression(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    _require_rows("--points", args.points)
+    require_count("--points", args.points, 2, MAX_ROWS)
     if not math.isfinite(args.max_detuning):
         raise ValueError(f"--max-detuning must be finite, got '{args.max_detuning}'")
     device = load_device(args.device, strict=args.strict)
@@ -338,8 +334,7 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
     if args.values is not None:
         lo = _parse_flag("--values LO", float, args.values[0])
         hi = _parse_flag("--values HI", float, args.values[1])
-        n = _parse_flag("--values N", int, args.values[2])
-        _require_rows("--values N", n)
+        n = require_count("--values N", _parse_flag("--values N", int, args.values[2]), 2, MAX_ROWS)
         points = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
         # A finite LO and HI can still overflow HI - LO or a point.
         if not all(map(math.isfinite, points)):

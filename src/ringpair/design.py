@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 
 from .errors import Infeasible, NoConvergence, OutOfRange, ValidityExceeded
-from .errors import require_non_negative, require_positive
+from .errors import require_count, require_non_negative, require_positive
 from .geometry import (
     C_VACUUM,
     TWO_PI,
@@ -101,10 +101,10 @@ class DesignGoal(Record):
     gap_budget: tuple[float, float] = DEFAULT_GAP_BUDGET
 
     def __post_init__(self) -> None:
-        if self.pump_separation < 2 or self.pump_separation % 2 != 0:
-            raise ValueError(
-                f"pump_separation must be an even integer >= 2, got {self.pump_separation}"
-            )
+        sep = self.__dict__["pump_separation"] = require_count(
+            "pump_separation", self.pump_separation, 2)
+        if sep % 2 != 0:
+            raise ValueError(f"pump_separation must be even, got {sep}")
         if not 0.0 < self.min_parasitic_suppression < 1.0:
             raise ValueError(
                 "min_parasitic_suppression must lie in (0, 1), got "
@@ -197,8 +197,7 @@ def solve_gap_for_uncoupling(
         gap budget.
     """
     require_positive("length", length)
-    if m_order < 1:
-        raise ValueError(f"m_order must be at least 1, got {m_order}")
+    m_order = require_count("m_order", m_order, 1)
     lo, hi = _check_gap_budget(gap_budget)
     target = m_order * math.pi / length
     if model.kappa_abs(lo) < target or model.kappa_abs(hi) > target:

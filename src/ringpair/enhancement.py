@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from . import kernels
 from .deviceio import csv_columns, csv_text
-from .errors import NonPhysical, require_finite
+from .errors import NonPhysical, require_count, require_finite
 from .geometry import DeviceSpec, Resonance, WaveguideParams, RacetrackSpec, device_combs
 from .record import Record
 
@@ -118,16 +118,11 @@ def ring_profiles(
 
 def _band_combs(
     device: DeviceSpec, band: tuple[float, float], n_points: int
-) -> tuple[float, float, tuple[list[Resonance], list[Resonance]]]:
-    """Check ``n_points``; the band edges in order and both rings' combs."""
-    if isinstance(n_points, bool) or not isinstance(n_points, int):
-        raise ValueError(f"n_points must be an integer, got {n_points!r}")
-    if n_points < 2:
-        raise ValueError(f"n_points must be at least 2, got {n_points}")
-    if n_points > MAX_SPECTRUM_POINTS:
-        raise ValueError(f"n_points must be at most {MAX_SPECTRUM_POINTS}, got {n_points}")
+) -> tuple[int, float, float, tuple[list[Resonance], list[Resonance]]]:
+    """The checked ``n_points``, the band edges in order and both rings' combs."""
+    n_points = require_count("n_points", n_points, 2, MAX_SPECTRUM_POINTS)
     lo, hi = sorted((float(band[0]), float(band[1])))
-    return lo, hi, device_combs(device, (lo, hi))
+    return n_points, lo, hi, device_combs(device, (lo, hi))
 
 
 def _line_table(device: DeviceSpec, comb: list[Resonance]) -> tuple[list[float], ...]:
@@ -157,12 +152,12 @@ def intensity_spectrum(
     """Intensity-enhancement spectra of both rings on a uniform grid.
 
     Each ring's column is the sum of |f|^2 over that ring's in-band
-    resonances only. Raises ``ValueError`` unless ``n_points`` is an
-    ``int`` (not a bool) between 2 and ``MAX_SPECTRUM_POINTS``, and
+    resonances only. Raises ``ValueError`` unless ``n_points`` is a whole
+    number (not a bool) between 2 and ``MAX_SPECTRUM_POINTS``, and
     :class:`ringpair.errors.EmptyBand` (from the comb solver) if either
     ring has no resonance in the band.
     """
-    lo, hi, combs = _band_combs(device, band, n_points)
+    n_points, lo, hi, combs = _band_combs(device, band, n_points)
     return _numpy_spectrum(device, lo, hi, n_points, combs)
 
 
@@ -217,7 +212,7 @@ def spectrum_csv(device: DeviceSpec, band: tuple[float, float], n_points: int) -
     one takes :func:`intensity_spectrum`'s numpy kernel and
     :func:`spectrum_to_csv`. The two give the same bytes.
     """
-    lo, hi, combs = _band_combs(device, band, n_points)
+    n_points, lo, hi, combs = _band_combs(device, band, n_points)
     if not _plain_is_cheaper(n_points, sum(map(len, combs))):
         return spectrum_to_csv(_numpy_spectrum(device, lo, hi, n_points, combs))
     omega = linspace_plain(lo, hi, n_points)

@@ -5,8 +5,8 @@ class. The CLI maps these onto process exit codes, so the hierarchy is
 part of the public contract: validation problems derive from
 ``ValueError``, everything else from :class:`RingpairError`.
 
-The ``require_*`` helpers hold the one rule for scalar parameters:
-finite, and positive or non-negative where the physics says so.
+The ``require_*`` helpers hold the one rule for scalar parameters: finite,
+and positive or non-negative where the physics says so; a count is whole.
 :func:`finite_product` holds the one rule for a product of many
 factors, such as J or a pair rate: only the product itself may leave
 the float range, never a factor or a partial product on the way.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from typing import Iterable
 
@@ -43,6 +44,24 @@ def require_finite(name: str, value: complex, error: type[Exception] = ValueErro
     """Raise ``error`` unless ``value`` (real or complex) is finite."""
     if not cmath.isfinite(value):
         raise error(f"{name} must be finite, got {value}")
+
+
+def require_count(name: str, value: int, lo: int, hi: float = _INF) -> int:
+    """``operator.index(value)``, or ``ValueError`` unless it lies in [lo, hi].
+
+    A bool, and what ``operator.index`` refuses (a float, a string, ``None``,
+    a one-element array), raise ``ValueError`` too, never ``TypeError``.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not lo <= n <= hi:
+        bounds = f"at least {lo}" if hi == _INF else f"between {lo} and {hi}"
+        raise ValueError(f"{name} must be {bounds}, got {n}")
+    return n
 
 
 def _split(x: complex) -> tuple[complex, int]:
@@ -119,9 +138,9 @@ class RingpairError(Exception):
 
 class NoConvergence(RingpairError):
     """A numeric route found no valid result: the group index is not
-    positive over a comb's search band, ring-2 tuning misses energy
-    conservation by more than its residual tolerance, or adaptive
-    integration runs out of panels before it meets its tolerance."""
+    positive over a comb's search band or at an FSR's frequency, ring-2
+    tuning misses energy conservation by more than its residual tolerance,
+    or adaptive integration runs out of panels before it meets its tolerance."""
 
 
 class EmptyBand(RingpairError):

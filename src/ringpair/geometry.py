@@ -396,10 +396,16 @@ def device_combs(
 
 
 def fsr(ring: RacetrackSpec, wg: WaveguideParams, omega: float) -> float:
-    """Local free spectral range 2*pi*c / (n_g(w) * L_rt) [rad/s]."""
+    """Local free spectral range 2*pi*c / (n_g(w) * L_rt) [rad/s].
+
+    Raises
+    ------
+    NoConvergence
+        If the group index at ``omega`` is not positive, as in :func:`resonance_comb`.
+    """
     ng = group_index(wg, omega)
     if not ng > 0.0:
-        raise ValueError("group index must be positive for an FSR")
+        raise NoConvergence(f"group index {ng:.6g} is not positive at {omega:.6g} rad/s")
     return TWO_PI * C_VACUUM / (ng * ring.round_trip_length)
 
 

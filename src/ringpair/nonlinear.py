@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import NonPhysical, finite_product, require_finite, require_positive
+from .errors import NonPhysical, finite_product, require_count, require_finite, require_positive
 from .geometry import DeviceSpec, Resonance, WaveguideParams, device_combs, wavevector
 from .enhancement import lorentzian_response, peak_amplitude
 from .linear_cmt import phase_unit
@@ -254,8 +254,7 @@ def resonant_config(
     centres, and the phase mismatch is evaluated from the dispersion
     model.
     """
-    if pump_separation < 1:
-        raise ValueError(f"pump_separation must be at least 1, got {pump_separation}")
+    pump_separation = require_count("pump_separation", pump_separation, 1)
     comb1, comb2 = device_combs(device, band)
     center = 0.5 * (band[0] + band[1])
     res_s = min(comb2, key=lambda r: abs(r.omega0 - center))

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from ringpair import DesignGoal, j_single_ring_ratio, load_device
+from ringpair import DesignGoal, PumpDrive, j_single_ring_ratio, load_device
 from ringpair.cli import EXIT_OK, main, parse_frequency
 from ringpair.design import _tune_diagnostics
 from ringpair.geometry import C_VACUUM, TWO_PI
@@ -88,7 +88,35 @@ def optimize_report(tmp_path):
     ]
 
 
-ROWS = {f.__name__: f for f in (rates_suppression, kerr_check_isolation, optimize_report)}
+def kerr_check_sweep(tmp_path):
+    # kerr-check's Kerr metric and sweep --report kerr at the file's gap, at
+    # one power.
+    argv = README_COMMANDS["kerr-check"]
+    kerr = json.loads(_run(argv, tmp_path / "kerr.json"))
+    row = _gap_sweep(DEV, GAP, "kerr", tmp_path, *argv[argv.index("--power"):][:2])
+    return [(kerr["kerr_metric"], row["kerr_metric"])]
+
+
+def optimize_kerr(tmp_path):
+    # optimize --photons N --report's Kerr metric, and kerr-check on the written
+    # device at the mean power of N photons per 1 ns pulse at the goal's signal.
+    pairs = []
+    for photons, signal in (("1e6", "1550nm"), ("3e7", "1552nm")):
+        out, report_path = tmp_path / "tuned.json", tmp_path / "report.json"
+        argv = ["optimize", "--device", DEV, "--signal", signal, "--suppression", "1e-3",
+                "--photons", photons, "--out", str(out), "--report", str(report_path)]
+        assert main(argv) == EXIT_OK
+        goal = DesignGoal(signal_wavelength=TWO_PI * C_VACUUM / parse_frequency(signal))
+        power = PumpDrive(float(photons), 1e-9).power(goal.signal_omega)
+        kerr = json.loads(_run(["kerr-check", "--device", str(out), "--power", repr(power)],
+                               tmp_path / "kerr.json"))
+        pairs.append((json.loads(report_path.read_text())["report"]["kerr_metric"],
+                      kerr["kerr_metric"]))
+    return pairs
+
+
+ROWS = {f.__name__: f for f in (rates_suppression, kerr_check_isolation, optimize_report,
+                                kerr_check_sweep, optimize_kerr)}
 
 
 @pytest.mark.parametrize("name", ROWS)

@@ -1070,6 +1070,28 @@ class TestExitCodes:
         err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "NonPhysical"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["optimize", "--signal", "1300nm", "--suppression", "1e-3"],
+         ["rates", "--band", "230THz", "233THz"]],
+        ids=["optimize", "rates"],
+    )
+    def test_non_positive_group_index_is_no_convergence(self, argv, tmp_path, capsys):
+        # n_g = 0.5 turns the group index negative near 1300 nm. The FSR
+        # that optimize takes there exited 2 with a ValueError, while the
+        # comb solver that rates runs exited 4: one cause, one error class.
+        data = load_json(DEVICE_JSON.read_text())
+        data["waveguide"]["n_g"] = 0.5
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "artifact"
+        rc = main([argv[0], "--device", str(path), *argv[1:], "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert not out.exists()
+        err = load_json(capsys.readouterr().err)
+        assert err["context"]["error"] == "NoConvergence"
+        assert "group index" in err["message"] and "not positive" in err["message"]
+
     @pytest.mark.parametrize("case", RANGE_CASES.values(), ids=RANGE_CASES.keys())
     def test_out_of_range_device_is_non_physical(self, case, tmp_path, capsys):
         # Each used to end in an OverflowError, ZeroDivisionError or

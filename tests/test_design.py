@@ -6,6 +6,7 @@ import math
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import c as c0
@@ -55,8 +56,12 @@ class TestDesignGoal:
             2.0 * math.pi * c0 / 1.55e-6, rel=1e-15
         )
 
-    @pytest.mark.parametrize("sep", [0, 1, 3, -2])
+    @pytest.mark.parametrize(
+        "sep", [0, 1, 3, -2, 4.0, 1.5, 2.0, True, np.True_, "2", np.array([2])], ids=repr
+    )
     def test_pump_separation_must_be_even_and_positive(self, sep):
+        # An even float (2.0, 4.0) used to pass here and fail later in
+        # pump_pair with a TypeError.
         with pytest.raises(ValueError):
             DesignGoal(signal_wavelength=1.55e-6, pump_separation=sep)
 
@@ -109,6 +114,17 @@ class TestGapSolve:
             solve_gap_for_uncoupling(dev.coupling, dev.dc_length, 1, (5e-7, 1e-6))
         with pytest.raises(OutOfRange):
             solve_gap_for_uncoupling(dev.coupling, dev.dc_length, 5, (2e-7, 1e-6))
+
+    def test_a_fractional_order_is_refused(self):
+        # |kappa| L = 1.5 pi is a full crossing, not a null: the gap there
+        # isolates 0 dB, so only a whole m uncouples the rings.
+        dev = make_device()
+        model = dev.coupling
+        target = 1.5 * math.pi / dev.dc_length
+        gap = model.gap_ref + model.decay_len * math.log(model.kappa0 / target)
+        assert isolation_db(model.kappa(gap), dev.dc_length) == pytest.approx(0.0, abs=1e-9)
+        with pytest.raises(ValueError, match="^m_order must be an integer, got 1.5$"):
+            solve_gap_for_uncoupling(model, dev.dc_length, 1.5)
 
     def test_validation(self):
         dev = make_device()

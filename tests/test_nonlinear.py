@@ -666,6 +666,18 @@ class TestScaledPowers:
             mantissa, exponent = scaled_product([(1.0, 1), (x, -n)])
             assert math.ldexp(mantissa, exponent) == 1.0 / x**n
 
+    def test_power_at_the_edges_of_the_normal_range(self):
+        # x**n is taken as such exactly where it is a normal double. At
+        # n * e = 1023 it is one (e = 341 here, and x**3 differs from
+        # ldexp(m**3, 1023) in the last bit with some libms). At
+        # n * (e - 1) = -1024 it may be subnormal, so the mantissa's
+        # power is scaled instead and keeps every digit.
+        x = 4.0006095457369536e102
+        assert math.frexp(x)[1] == 341
+        assert math.ldexp(*scaled_product([(x, 3)])) == x**3
+        x = math.ldexp(0.5 + 2.0**-53, -511)
+        assert math.ldexp(*scaled_product([(x, 2), (2.0**600, 1)])) == (x * 2.0**300) ** 2
+
     @settings(max_examples=300, deadline=None)
     @given(factors=_rate_shaped(-400, 400))
     def test_matches_the_exact_product(self, factors):

@@ -1,5 +1,6 @@
 """Every float field of every public value type, and every float
-argument of every public function, rejects NaN and infinities.
+argument of every public function, rejects NaN and infinities; every
+count is a whole number in its range.
 
 The field walk goes over the annotations of each record type, so a
 field added later is covered without touching this file. The argument table is
@@ -24,6 +25,9 @@ from ringpair import (
     Resonance,
     resonant_config,
 )
+from ringpair.cli import MAX_ROWS
+from ringpair.enhancement import MAX_SPECTRUM_POINTS, spectrum_csv
+from ringpair.errors import require_count
 from ringpair.record import replace
 
 from conftest import make_device, process_band
@@ -233,9 +237,69 @@ def test_argument_table_covers_every_public_float_parameter():
     assert set(ARGUMENT_CALLS) == _public_float_parameters()
 
 
-@pytest.mark.parametrize("bad", [1000.0, 1000.5, math.nan, "1000", True, None])
+# Not counts, though operator.index takes True and int() takes "2" and 2.0.
+BAD_COUNTS = (1.5, 2.0, True, np.True_, "2", np.array([2]))
+
+
+@pytest.mark.parametrize("bad", [
+    1000.0, 1000.5, math.nan, "1000", True, None, 1.5, 2.0, "2",
+    pytest.param(np.True_, id="np.True_"), pytest.param(np.array([2]), id="array([2])"),
+])
 def test_spectrum_point_count_must_be_an_int(bad):
     # A float, a string or a bool is refused as input, not left to numpy.
     dev = make_device()
     with pytest.raises(ValueError, match="n_points"):
         rp.intensity_spectrum(dev, process_band(dev), bad)
+
+
+_DEV = make_device()
+# name -> (call taking the count, a valid count): each public count but
+# DesignGoal.pump_separation, whose refusals TestDesignGoal lists.
+COUNT_CALLS = {
+    "solve_gap_for_uncoupling.m_order": (
+        lambda n: rp.solve_gap_for_uncoupling(_DEV.coupling, _DEV.dc_length, n), 2),
+    "resonant_config.pump_separation": (
+        lambda n: resonant_config(_DEV, process_band(_DEV), pump_separation=n), 2),
+    "spectrum_csv.n_points": (lambda n: spectrum_csv(_DEV, process_band(_DEV), n), 101),
+}
+
+
+@pytest.mark.parametrize("key", COUNT_CALLS)
+@pytest.mark.parametrize("bad", BAD_COUNTS, ids=repr)
+def test_count_must_be_a_whole_number(key, bad):
+    # m_order = 1.5 used to give the gap where |kappa| L = 1.5 pi, which
+    # isolates 0 dB; pump_separation = 2.0 failed later with a TypeError.
+    call, _ = COUNT_CALLS[key]
+    with pytest.raises(ValueError, match=f"{key.split('.')[1]} must be an integer"):
+        call(bad)
+
+
+INT_CALLS = {
+    **COUNT_CALLS,
+    "DesignGoal.pump_separation": (
+        lambda n: DesignGoal(signal_wavelength=1.55e-6, pump_separation=n).pump_separation, 4),
+}
+
+
+@pytest.mark.parametrize("key", INT_CALLS)
+def test_numpy_integer_count_gives_the_int_result(key):
+    call, good = INT_CALLS[key]
+    got = call(np.int64(good))
+    assert got == call(good) and type(got) is type(call(good))
+
+
+@pytest.mark.parametrize(
+    "name, lo, hi",
+    [("--points", 2, MAX_ROWS), ("n_points", 2, MAX_SPECTRUM_POINTS), ("m_order", 1, math.inf)],
+)
+def test_count_range_is_closed(name, lo, hi):
+    assert require_count(name, np.int64(lo), lo, hi) == lo
+    bounds = f"at least {lo}" if hi == math.inf else f"between {lo} and {hi}"
+    with pytest.raises(ValueError, match=f"^{name} must be {bounds}, got {lo - 1}$"):
+        require_count(name, lo - 1, lo, hi)
+    if hi == math.inf:
+        assert require_count(name, 2**64, lo, hi) == 2**64
+    else:
+        assert require_count(name, hi, lo, hi) == hi
+        with pytest.raises(ValueError, match=f"^{name} must be {bounds}, got {hi + 1}$"):
+            require_count(name, hi + 1, lo, hi)
