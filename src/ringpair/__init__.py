@@ -34,8 +34,8 @@ _NAMES = {
         "SCHEMA_VERSION", "device_from_dict", "device_to_dict", "load_device", "write_text_atomic",
     ),
     "enhancement": (
-        "EnhancementProfile", "SpectrumResult", "intensity_spectrum", "lorentzian_response",
-        "peak_amplitude", "ring_profiles", "spectrum_to_csv",
+        "SpectrumResult", "intensity_spectrum", "lorentzian_response", "peak_amplitude",
+        "spectrum_to_csv",
     ),
     "errors": (
         "EmptyBand", "Infeasible", "MissingResonance", "NoConvergence", "NonPhysical",

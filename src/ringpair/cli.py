@@ -256,8 +256,7 @@ def cmd_rates(args: argparse.Namespace, argv: Sequence[str]) -> None:
 
 def cmd_suppression(args: argparse.Namespace, argv: Sequence[str]) -> None:
     require_count("--points", args.points, 2, MAX_ROWS)
-    if not math.isfinite(args.max_detuning):
-        raise ValueError(f"--max-detuning must be finite, got '{args.max_detuning}'")
+    require_finite("--max-detuning", args.max_detuning)
     device = load_device(args.device, strict=args.strict)
     band = _band_pair(args.band)
     cfg = resonant_config(device, band, pump_separation=args.separation)

@@ -71,49 +71,12 @@ def lorentzian_response(res: Resonance, omega: float) -> complex:
     return complex(hw * rat * scl, -hw * scl)
 
 
-class EnhancementProfile(Record):
-    """One resonance's contribution to the intensity spectrum."""
-
-    resonance: Resonance
-    peak_amplitude: float
-
-    @property
-    def peak_intensity(self) -> float:
-        return self.peak_amplitude**2
-
-    def intensity(self, omega: float | np.ndarray) -> np.ndarray | float:
-        """|f(omega)|^2 for this resonance alone."""
-        import numpy as np
-
-        omega = np.asarray(omega, dtype=float)
-        if not np.isfinite(omega).all():
-            raise ValueError(f"omega must be finite, got {omega}")
-        hw = 0.5 * self.resonance.linewidth
-        out = self.peak_intensity * hw**2 / ((omega - self.resonance.omega0) ** 2 + hw**2)
-        return float(out) if out.ndim == 0 else out
-
-
 class SpectrumResult(Record):
     """Sampled intensity spectra of both rings over a band."""
 
     omega: np.ndarray
     f1_sq: np.ndarray
     f2_sq: np.ndarray
-
-
-def ring_profiles(
-    device: DeviceSpec, comb: list[Resonance] | tuple[Resonance, ...]
-) -> list[EnhancementProfile]:
-    """Enhancement profiles for every resonance of one comb."""
-    out = []
-    for res in comb:
-        ring = device.ring(res.owner)
-        out.append(
-            EnhancementProfile(
-                resonance=res, peak_amplitude=peak_amplitude(res, device.waveguide, ring)
-            )
-        )
-    return out
 
 
 def _band_combs(

@@ -106,7 +106,7 @@ def isolation_db(kappa: complex, length: float) -> float:
     beyond the cap carry no design information.
     """
     cross_power = dc_transfer(kappa, length).cross_power
-    if cross_power <= 10.0 ** (-ISOLATION_FLOOR_DB / 10.0):
+    if cross_power == 0.0:  # math.log10 raises at 0
         return ISOLATION_FLOOR_DB
     return min(-10.0 * math.log10(cross_power), ISOLATION_FLOOR_DB)
 

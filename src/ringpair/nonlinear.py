@@ -212,6 +212,7 @@ def pump_pair(
     Of all such pairs, returns the one whose midpoint lies closest to
     ``omega_center``; pump 1 is the upper line.
     """
+    separation = require_count("separation", separation, 1)
     require_positive("omega_center", omega_center)
     if len(comb1) <= separation:
         raise ValueError(

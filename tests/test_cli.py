@@ -1032,7 +1032,7 @@ class TestExitCodes:
         assert not out.exists()
         err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "ValueError"
-        assert err["message"] == f"--max-detuning must be finite, got '{value}'"
+        assert err["message"] == f"--max-detuning must be finite, got {value}"
 
     @pytest.mark.parametrize(
         "key, scale, argv",

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ringpair import device_combs, intensity_spectrum, kernels, load_device
 
-from conftest import REPO, TWO_PI
+from conftest import REPO, TWO_PI, lorentzian_sum_oracle
 
 RNG = np.random.default_rng(20240817)
 # The kernel's blocks: 2**20 elements of lines x points, or 2**16 of
@@ -23,13 +23,6 @@ ROW_ADD_LINES = 256
 # terms, 8 accumulators up to 128, halves above; and the line counts of
 # the benchmark's 100 THz spectra.
 PAIRWISE_EDGES = [7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 272, 305]
-
-
-def one_shot_lorentzian_comb(omega, centers, half_widths, peaks_sq):
-    """The whole points x lines matrix at once: the blocked sum's oracle."""
-    d = omega[:, None] - centers[None, :]
-    prof = peaks_sq * half_widths**2 / (d * d + half_widths**2)
-    return prof.sum(axis=1)
 
 
 @st.composite
@@ -78,7 +71,7 @@ def test_lorentzian_comb_against_plain_loop():
 @given(comb_inputs())
 def test_lorentzian_comb_blocks_match_one_shot_sum_bytes(args):
     got = kernels.lorentzian_comb(*args)
-    expected = one_shot_lorentzian_comb(*args)
+    expected = lorentzian_sum_oracle(*args)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
 
@@ -92,7 +85,7 @@ def test_lorentzian_comb_matches_one_shot_sum_at_pairwise_edges(m):
     centers = np.sort(rng.uniform(0.95e15, 1.05e15, size=m))
     hw = rng.uniform(1e9, 5e10, size=m)
     peaks = rng.uniform(10.0, 1e4, size=m)
-    expected = one_shot_lorentzian_comb(omega, centers, hw, peaks)
+    expected = lorentzian_sum_oracle(omega, centers, hw, peaks)
     assert kernels.lorentzian_comb(omega, centers, hw, peaks).tobytes() == expected.tobytes()
 
 
@@ -101,7 +94,7 @@ def test_lorentzian_comb_keeps_numpy_sign_of_zero():
     for m in (1, 7, 8, 129, ROW_ADD_LINES + 1):
         args = (np.array([1e15, 2e15]), np.full(m, 1e15), np.ones(m), np.full(m, -0.0))
         got = kernels.lorentzian_comb(*args)
-        assert got.tobytes() == one_shot_lorentzian_comb(*args).tobytes()
+        assert got.tobytes() == lorentzian_sum_oracle(*args).tobytes()
 
 
 @settings(max_examples=150, deadline=None)

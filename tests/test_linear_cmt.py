@@ -119,6 +119,20 @@ class TestIsolation:
         mag = 66666.0
         assert isolation_db(mag + 0j, math.pi / mag) == 200.0
 
+    # At |kappa| = 1 and L near 1e-10, sin(L) is L: the cross power is L**2.
+    @pytest.mark.parametrize("kappa, length, cross_power", [
+        (0j, 4.7e-5, 0.0),  # no coupling, where the log is undefined
+        (1.0 + 0j, 9.999999999999999e-11, 9.999999999999998e-21),  # one ulp below 1e-20
+        (1.0 + 0j, 1.0000000000000021e-10, 1.0000000000000042e-20),  # log10 above -20.0
+    ])
+    def test_cap_at_a_cross_power_of_1e_20(self, kappa, length, cross_power):
+        assert dc_transfer(kappa, length).cross_power == cross_power
+        got = isolation_db(kappa, length)
+        if cross_power < 1e-20:
+            assert got == 200.0
+        else:
+            assert got == -10.0 * math.log10(cross_power) < 200.0
+
     def test_phase_does_not_change_isolation(self):
         mag, length = 5e4, 2.3e-5
         base = isolation_db(mag + 0j, length)

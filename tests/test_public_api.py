@@ -21,8 +21,8 @@ from conftest import REPO
 
 PUBLIC = (
     "CmtField", "CompensationResult", "CouplingModel", "DcTransfer", "DesignGoal",
-    "DesignReport", "DeviceSpec", "EmptyBand", "EnhancementProfile", "Infeasible",
-    "MissingResonance", "NoConvergence", "NonPhysical", "OutOfRange", "OverlapResult",
+    "DesignReport", "DeviceSpec", "EmptyBand", "Infeasible", "MissingResonance",
+    "NoConvergence", "NonPhysical", "OutOfRange", "OverlapResult",
     "PairRateReport", "ProcessConfig", "PumpDrive", "RacetrackSpec",
     "Resonance", "RingpairError", "RuleCheck", "SCHEMA_VERSION", "SpectrumResult",
     "TuneResult", "ValidityExceeded", "WaveguideParams",
@@ -34,7 +34,7 @@ PUBLIC = (
     "noise_budget", "null_kerr_metric", "optimal_dc_length", "optimize_device",
     "pair_rate_closed_form", "pair_rate_integral", "peak_amplitude",
     "required_detuning", "resolve_drive", "resonance_comb", "resonant_config",
-    "ring_profiles", "sideband_pair",
+    "sideband_pair",
     "sigma_from_finesse", "solve_gap_for_uncoupling", "spectrum_to_csv",
     "suppression_factor", "tune_for_energy_conservation", "wavevector",
     "write_text_atomic", "xpm_spm_compensation", "z_overlap_integral",
@@ -58,6 +58,9 @@ REMOVED = {
     "round_trip_phase": "wavevector(wg, w) * ring.round_trip_length",
     "save_device":
         'write_text_atomic(path, json.dumps(device_to_dict(device), indent=2) + "\\n")',
+    "ring_profiles": "[peak_amplitude(r, device.waveguide, device.ring(r.owner)) for r in comb]",
+    "EnhancementProfile":
+        "its intensity(w): peak_amplitude(...)**2 * abs(lorentzian_response(res, w))**2",
 }
 
 MODULES = ("cli", "design", "deviceio", "enhancement", "errors", "geometry", "kernels",

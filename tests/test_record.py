@@ -26,7 +26,6 @@ from ringpair import (
     load_device,
     noise_budget,
     resonant_config,
-    ring_profiles,
     tune_for_energy_conservation,
     xpm_spm_compensation,
 )
@@ -57,7 +56,6 @@ def _instances() -> list[Record]:
         j_quadrature(dev, cfg),
         drive,
         noise_budget(dev, drive, cfg, band=band),
-        ring_profiles(dev, [cfg.res_s])[0],
         # Arrays neither hash nor compare to a bool, with or without
         # dataclasses; the same samples as tuples do both.
         replace(spectrum, **{n: tuple(getattr(spectrum, n).tolist())
@@ -104,7 +102,7 @@ def _twin(obj: Record):
 
 def test_every_record_class_has_an_instance():
     assert sorted(IDS) == sorted(cls.__name__ for cls in CLASSES)
-    assert len(IDS) == 18
+    assert len(IDS) == 17
 
 
 def _declares_a_domain(cls) -> bool:

@@ -28,6 +28,7 @@ from ringpair import (
 from ringpair.cli import MAX_ROWS
 from ringpair.enhancement import MAX_SPECTRUM_POINTS, spectrum_csv
 from ringpair.errors import require_count
+from ringpair.nonlinear import pump_pair
 from ringpair.record import replace
 
 from conftest import make_device, process_band
@@ -103,7 +104,6 @@ def _argument_calls():
     comb2 = rp.resonance_comb(dev.ring2, wg, band, owner=2)
     res = cfg.res_s
     field = CmtField("IN", dev.kappa, length)
-    profile = rp.ring_profiles(dev, [res])[0]
     pulse = PumpDrive(photon_number=1.0, pulse_duration=1e-9)
     drive = rp.resolve_drive(dev, pulse, cfg)
     goal = DesignGoal(signal_wavelength=1.55e-6)
@@ -113,7 +113,6 @@ def _argument_calls():
         "CmtField.a2.z": lambda x: field.a2(x),
         "CouplingModel.kappa_abs.gap": lambda x: dev.coupling.kappa_abs(x),
         "CouplingModel.kappa.gap": lambda x: dev.coupling.kappa(x),
-        "EnhancementProfile.intensity.omega": lambda x: profile.intensity(x),
         "PumpDrive.power.omega": lambda x: drive.power(x),
         "calibrate_kcal.target_rate": lambda x: rp.calibrate_kcal(dev, x, 1e-3, cfg),
         "calibrate_kcal.pump_power": lambda x: rp.calibrate_kcal(dev, 1e3, x, cfg),
@@ -261,6 +260,8 @@ COUNT_CALLS = {
     "resonant_config.pump_separation": (
         lambda n: resonant_config(_DEV, process_band(_DEV), pump_separation=n), 2),
     "spectrum_csv.n_points": (lambda n: spectrum_csv(_DEV, process_band(_DEV), n), 101),
+    "pump_pair.separation": (
+        lambda n: pump_pair(rp.device_combs(_DEV, process_band(_DEV))[0], 1.2e15, n), 2),
 }
 
 
