@@ -142,38 +142,43 @@ def linspace_plain(lo: float, hi: float, n: int) -> list[float]:
     return grid
 
 
-# Measured on a 2-vCPU Xeon (Python 3.11.7, numpy 2.4.6), one fresh
-# `ringpair spectrum` process per run, each route forced, medians of 7:
-# the plain route costs about 0.14 us a line term (one line at one point)
-# and 1.4 us a CSV row, the numpy route 3 ns a term and 0.5 us a row after
-# an import of about 55 ms. A spectrum goes plain where that costs less:
-# up to about 47000 points with 2 lines, 17000 with 17, just short of the
-# forced runs' crossings. With 2 lines plain still led at 50001 points
-# (162 against 169 ms) and lost at 100001 (291 against 200); with 17 the
-# two tied at 20001 (137 against 138 ms), and 4001 points took 84 ms
-# plain against 135.
-_PLAIN_TERM_S = 0.14e-6
+# Measured on a 2-vCPU Xeon (Python 3.11.7, numpy 2.4.6), each route
+# forced: the plain route costs about 0.12 us a line term (one line at
+# one point) and 1.4 us a CSV row, the numpy route 3 ns a term, 2.8 us a
+# line (its five ufunc calls, whatever the point count; 2**20 + 300 lines
+# at 3 points took 2.9 s) and 0.5 us a row, after an import of about
+# 55 ms. A spectrum goes plain where that costs less: up to about 48000
+# points with 2 lines and 19000 with 17, just short of the crossings of
+# forced fresh processes (medians of 11): with 2 lines plain still led at
+# 50001 points (258 against 279 ms), and with 17 the two tied at 20001
+# (257 against 256 ms). A comb of many lines over few points goes plain.
+_PLAIN_TERM_S = 0.12e-6
 _PLAIN_ROW_S = 1.4e-6
 _NUMPY_TERM_S = 3e-9
+_NUMPY_LINE_S = 2.8e-6
 _NUMPY_ROW_S = 0.5e-6
 _NUMPY_IMPORT_S = 0.055
 
 
 def _plain_is_cheaper(n_points: int, n_lines: int) -> bool:
     plain = n_points * (n_lines * _PLAIN_TERM_S + _PLAIN_ROW_S)
-    return plain < _NUMPY_IMPORT_S + n_points * (n_lines * _NUMPY_TERM_S + _NUMPY_ROW_S)
+    numpy = n_lines * _NUMPY_LINE_S + n_points * (n_lines * _NUMPY_TERM_S + _NUMPY_ROW_S)
+    return plain < _NUMPY_IMPORT_S + numpy
 
 
 def spectrum_csv(device: DeviceSpec, band: tuple[float, float], n_points: int) -> str:
     """The CSV of :func:`intensity_spectrum`, byte for byte, by the cheaper route.
 
     Validates ``n_points`` and solves both combs once, as
-    :func:`intensity_spectrum` does. A spectrum of few points x lines is
-    summed in plain Python (:func:`linspace_plain`,
+    :func:`intensity_spectrum` does. Both routes add each ring's lines in
+    sequence, in comb order, with the same operations, so they give the
+    same bytes. A spectrum of few points x lines, or of many lines over
+    few points (the numpy kernel costs a few microseconds a line, whatever
+    the point count), is summed in plain Python (:func:`linspace_plain`,
     :func:`ringpair.kernels.lorentzian_comb_plain`) and written by
     :func:`ringpair.deviceio.csv_text`, without importing numpy; a larger
     one takes :func:`intensity_spectrum`'s numpy kernel and
-    :func:`spectrum_to_csv`. The two give the same bytes.
+    :func:`spectrum_to_csv`.
     """
     n_points, lo, hi, combs = _band_combs(device, band, n_points)
     if not _plain_is_cheaper(n_points, sum(map(len, combs))):

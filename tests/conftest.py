@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from scipy.constants import c as C_VACUUM
 
 from ringpair import (
@@ -53,6 +53,11 @@ TWO_PI = 2.0 * math.pi
 # database, so the suite's verdict repeats. Hypothesis still writes its
 # caches under .hypothesis/ in the working directory (gitignored).
 settings.register_profile("ringpair", derandomize=True, database=None)
+# The same without shrinking, for tools/mutate.py (--hypothesis-profile=mutate):
+# a mutant fails on the first failing example instead of stalling while
+# Hypothesis shrinks it.
+settings.register_profile("mutate", settings.get_profile("ringpair"),
+                          phases=[phase for phase in Phase if phase is not Phase.shrink])
 settings.load_profile("ringpair")
 
 
@@ -140,13 +145,17 @@ def process_band(device: DeviceSpec, n_spacings: float = 4.2) -> tuple[float, fl
 def lorentzian_sum_oracle(omega, centers, half_widths, peaks_sq):
     """Sum over the lines of peak^2 * hw^2 / ((omega - omega0)^2 + hw^2), in numpy.
 
-    The whole points x lines matrix at once, summed along the lines: the
-    oracle of the blocked spectrum kernel, byte for byte, and of each
-    spectrum column. ``omega`` is a flat array, the line table 1-d arrays.
+    The whole points x lines matrix at once, its columns then added in
+    line order to a sum that starts at 0.0: the oracle of the spectrum
+    kernel, byte for byte, and of each spectrum column. ``omega`` is a
+    flat array, the line table 1-d arrays.
     """
     d = omega[:, None] - centers[None, :]
     prof = peaks_sq * half_widths**2 / (d * d + half_widths**2)
-    return prof.sum(axis=1)
+    total = np.zeros(omega.shape[0])
+    for column in prof.T:
+        total += column
+    return total
 
 
 def null_overlap_oracle(device: DeviceSpec, cfg) -> float:

@@ -10,7 +10,9 @@ its partner: ``+`` and ``-``, ``*`` and ``/``, ``<`` and ``<=``, ``>``
 and ``>=``. It copies the checkout to a temporary directory, checks that
 the given tests pass there unmutated, and then, for a sample of the
 sites drawn with the seed, writes one mutant at a time into the copy and
-runs ``pytest -x`` over the given test files. The checkout itself is
+runs ``pytest -x`` over the given test files, under the Hypothesis
+profile ``mutate`` of ``tests/conftest.py``, which does not shrink a
+failing example, so a killed mutant fails fast. The checkout itself is
 never written. A mutant that the tests pass is a survivor, printed as
 ``file:line: mutated line``: behaviour no test pins, or a mutant that
 computes the same thing. A run of the tests past ``TIMEOUT_S`` kills
@@ -161,7 +163,8 @@ def _copy_checkout(dest: Path) -> None:
 def _run_tests(copy: Path, tests: list[str]) -> str:
     """'passed', 'failed' or 'timeout' for pytest -x over ``tests`` in the copy."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "--hypothesis-profile=mutate", *tests]
     try:
         proc = subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
