@@ -54,21 +54,11 @@ def peak_amplitude(res: Resonance, wg: WaveguideParams, ring: RacetrackSpec) -> 
 def lorentzian_response(res: Resonance, omega: float) -> complex:
     """Unit-peak complex line shape (dw/2) / ((w - w0) + i dw/2).
 
-    The division is written out as numpy's complex-division algorithm
-    (Smith's method with a reciprocal), so it gives the bytes numpy
-    gives for the same value.
+    At the line centre it is exactly -1j, whatever the width.
     """
     require_finite("omega", omega)
     hw = 0.5 * res.linewidth
-    x = omega - res.omega0
-    if abs(x) >= hw:
-        rat = hw / x
-        scl = 1.0 / (x + hw * rat)
-        # 0.0 - ... keeps numpy's sign of zero where hw / x underflows.
-        return complex(hw * scl, (0.0 - hw * rat) * scl)
-    rat = x / hw
-    scl = 1.0 / (hw + x * rat)
-    return complex(hw * rat * scl, -hw * scl)
+    return hw / complex(omega - res.omega0, hw)
 
 
 class SpectrumResult(Record):
@@ -142,28 +132,15 @@ def linspace_plain(lo: float, hi: float, n: int) -> list[float]:
     return grid
 
 
-# Measured on a 2-vCPU Xeon (Python 3.11.7, numpy 2.4.6), each route
-# forced: the plain route costs about 0.12 us a line term (one line at
-# one point) and 1.4 us a CSV row, the numpy route 3 ns a term, 2.8 us a
-# line (its five ufunc calls, whatever the point count; 2**20 + 300 lines
-# at 3 points took 2.9 s) and 0.5 us a row, after an import of about
-# 55 ms. A spectrum goes plain where that costs less: up to about 48000
-# points with 2 lines and 19000 with 17, just short of the crossings of
-# forced fresh processes (medians of 11): with 2 lines plain still led at
-# 50001 points (258 against 279 ms), and with 17 the two tied at 20001
-# (257 against 256 ms). A comb of many lines over few points goes plain.
-_PLAIN_TERM_S = 0.12e-6
-_PLAIN_ROW_S = 1.4e-6
-_NUMPY_TERM_S = 3e-9
-_NUMPY_LINE_S = 2.8e-6
-_NUMPY_ROW_S = 0.5e-6
-_NUMPY_IMPORT_S = 0.055
-
-
+# The route budget, in the plain route's cost of one line at one point
+# (0.12 us; 2-vCPU Xeon, Python 3.11.7, numpy 2.4.6). Plain costs n_lines + 8
+# a point: a term a line, and its CSV row less numpy's (1.4 against 0.5 us).
+# numpy costs 470000 for its 55 ms import and 24 a line (2.8 us of ufunc
+# calls at any point count). So up to about 47000 points go plain with 2
+# lines, 18800 with 17, and 70 with 10**4. In forced fresh processes plain
+# still led at 50001 points with 2 lines, and tied at 20001 with 17.
 def _plain_is_cheaper(n_points: int, n_lines: int) -> bool:
-    plain = n_points * (n_lines * _PLAIN_TERM_S + _PLAIN_ROW_S)
-    numpy = n_lines * _NUMPY_LINE_S + n_points * (n_lines * _NUMPY_TERM_S + _NUMPY_ROW_S)
-    return plain < _NUMPY_IMPORT_S + numpy
+    return n_points * (n_lines + 8) < 470_000 + 24 * n_lines
 
 
 def spectrum_csv(device: DeviceSpec, band: tuple[float, float], n_points: int) -> str:
@@ -172,13 +149,14 @@ def spectrum_csv(device: DeviceSpec, band: tuple[float, float], n_points: int) -
     Validates ``n_points`` and solves both combs once, as
     :func:`intensity_spectrum` does. Both routes add each ring's lines in
     sequence, in comb order, with the same operations, so they give the
-    same bytes. A spectrum of few points x lines, or of many lines over
-    few points (the numpy kernel costs a few microseconds a line, whatever
-    the point count), is summed in plain Python (:func:`linspace_plain`,
-    :func:`ringpair.kernels.lorentzian_comb_plain`) and written by
-    :func:`ringpair.deviceio.csv_text`, without importing numpy; a larger
-    one takes :func:`intensity_spectrum`'s numpy kernel and
-    :func:`spectrum_to_csv`.
+    same bytes. A spectrum goes plain while the points times (lines + 8)
+    stay under 470000 + 24 per line, numpy's import and per-line cost in
+    units of one plain line at one point: few points x lines, or many
+    lines over few points. It is summed in plain Python
+    (:func:`linspace_plain`, :func:`ringpair.kernels.lorentzian_comb_plain`)
+    and written by :func:`ringpair.deviceio.csv_text`, without importing
+    numpy; a larger one takes :func:`intensity_spectrum`'s numpy kernel
+    and :func:`spectrum_to_csv`.
     """
     n_points, lo, hi, combs = _band_combs(device, band, n_points)
     if not _plain_is_cheaper(n_points, sum(map(len, combs))):

@@ -53,11 +53,12 @@ TWO_PI = 2.0 * math.pi
 # database, so the suite's verdict repeats. Hypothesis still writes its
 # caches under .hypothesis/ in the working directory (gitignored).
 settings.register_profile("ringpair", derandomize=True, database=None)
-# The same without shrinking, for tools/mutate.py (--hypothesis-profile=mutate):
-# a mutant fails on the first failing example instead of stalling while
-# Hypothesis shrinks it.
-settings.register_profile("mutate", settings.get_profile("ringpair"),
-                          phases=[phase for phase in Phase if phase is not Phase.shrink])
+# Every phase but shrinking: a failure reports its first failing example
+# instead of stalling while Hypothesis shrinks it. The profile "mutate" uses
+# it for tools/mutate.py (--hypothesis-profile=mutate), and a property whose
+# examples are slow to shrink uses it under the default profile too.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+settings.register_profile("mutate", settings.get_profile("ringpair"), phases=NO_SHRINK)
 settings.load_profile("ringpair")
 
 

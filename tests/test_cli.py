@@ -371,6 +371,13 @@ class TestOverlap:
         assert main([*bare, "--out", str(outs[1])]) == EXIT_OK
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_readme_enhancement_product_is_one(self, tmp_path):
+        # Every field sits on its line centre, where the unit line shape is
+        # exactly -1j, so the product of the four has magnitude exactly 1.
+        out = tmp_path / "overlap.json"
+        assert main([*README_COMMANDS["overlap"], "--out", str(out)]) == EXIT_OK
+        assert load_json(out.read_text())["enh_abs"] == 1.0
+
     @pytest.mark.parametrize(
         "q_scale, chi3_scale, j_scales",
         [(1e160, 1e-100, (1e220,)), (1e55, 4e208, (1e110, 4e208))],

@@ -26,7 +26,7 @@ from ringpair import (
 from ringpair import enhancement
 from ringpair.enhancement import linspace_plain, spectrum_csv
 
-from conftest import lorentzian_sum_oracle, make_device, process_band
+from conftest import NO_SHRINK, lorentzian_sum_oracle, make_device, process_band
 
 
 def one_resonance(device, owner=1):
@@ -76,12 +76,31 @@ class TestPeakAmplitude:
             peak_amplitude(res, dev.waveguide, dev.ring1)
 
 
+_LINES = st.builds(Resonance, owner=st.just(1), order=st.just(1000),
+                   omega0=st.floats(1e12, 1e17), q_loaded=st.floats(2.0, 1e9),
+                   q_coupling=st.just(1e12))
+
+
 class TestLineShape:
-    def test_on_resonance_value_and_phase(self):
-        dev = make_device()
-        res = one_resonance(dev)
-        # The unit line shape contributes exactly -i on resonance.
-        assert lorentzian_response(res, res.omega0) == pytest.approx(-1j, rel=1e-14)
+    @settings(max_examples=300, deadline=None)
+    @given(_LINES)
+    def test_on_resonance_value_and_phase(self, res):
+        # The unit line shape contributes exactly -i on resonance, whatever
+        # the width: hw / (0 + i hw) divides hw by itself.
+        assert lorentzian_response(res, res.omega0) == -1j
+
+    @settings(max_examples=300, deadline=None)
+    @given(_LINES, st.floats(-1e6, 1e6))
+    def test_matches_the_rational_form(self, res, units):
+        # hw / (x + i hw) = hw (x - i hw) / (x^2 + hw^2), to rounding, on
+        # and off the line, with x the offset the function itself forms.
+        omega = res.omega0 + units * res.linewidth
+        hw = 0.5 * res.linewidth
+        x = omega - res.omega0
+        got = lorentzian_response(res, omega)
+        assert type(got) is complex
+        want = hw * (x - 1j * hw) / (x * x + hw * hw)
+        assert abs(got - want) <= 1e-15 * abs(want)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_half_maximum_at_half_linewidth(self, sign):
@@ -118,73 +137,6 @@ class TestLineShape:
         full = peak_sq * math.pi * hw
         assert value.real / full == pytest.approx(2.0 * math.atan(100.0) / math.pi, rel=1e-9)
         assert value.real / full > 0.99
-
-
-def _bits(z: complex) -> tuple[str, str]:
-    """Both parts of z as hex strings, which tell -0.0 from 0.0."""
-    return z.real.hex(), z.imag.hex()
-
-
-def _numpy_line(res, omega):
-    """The line shape as numpy divided it for a scalar before the float path."""
-    hw = 0.5 * res.linewidth
-    return complex(hw / ((np.asarray(omega, dtype=float) - res.omega0) + 1j * hw))
-
-
-@st.composite
-def _line_and_offset(draw, near):
-    """A resonance and a frequency |x| < hw (near) or |x| >= hw from it."""
-    res = Resonance(
-        owner=1,
-        order=1000,
-        omega0=draw(st.floats(1e12, 1e17)),
-        q_loaded=draw(st.floats(2.0, 1e9)),
-        q_coupling=1e12,
-    )
-    units = st.floats(-0.5, 0.5) if near else st.floats(0.5, 1e6).map(
-        lambda u: u * draw(st.sampled_from([-1.0, 1.0]))
-    )
-    omega = res.omega0 + draw(units) * res.linewidth
-    assume((abs(omega - res.omega0) < 0.5 * res.linewidth) == near)
-    return res, omega
-
-
-class TestLineShapeMatchesNumpy:
-    """A float omega gives, bit for bit, what numpy gave for it as a 0-d
-    array, in both branches of Smith's division. At the center
-    x = omega - omega0 is +0 (a - a rounds to +0); its one-ulp
-    neighbours give x of either sign."""
-
-    @staticmethod
-    def _assert_same(res, omega):
-        got = lorentzian_response(res, omega)
-        assert type(got) is complex
-        assert _bits(got) == _bits(_numpy_line(res, omega))
-
-    @settings(max_examples=300, deadline=None)
-    @given(_line_and_offset(near=True))
-    def test_near_branch(self, case):
-        self._assert_same(*case)
-
-    @settings(max_examples=300, deadline=None)
-    @given(_line_and_offset(near=False))
-    def test_far_branch(self, case):
-        self._assert_same(*case)
-
-    @pytest.mark.parametrize("omega", [1e300, -1e300])
-    def test_far_tail_where_the_ratio_underflows(self, omega):
-        # hw / x underflows to a signed zero: the imaginary part keeps
-        # numpy's sign of zero.
-        res = Resonance(owner=1, order=1, omega0=1e-100, q_loaded=2.0, q_coupling=4.0)
-        self._assert_same(res, omega)
-
-    @pytest.mark.parametrize("step", [0, 1, -1])
-    def test_at_the_center(self, step):
-        res = one_resonance(make_device())
-        omega = res.omega0
-        if step:
-            omega = math.nextafter(omega, step * math.inf)
-        self._assert_same(res, omega)
 
 
 class TestSpectrum:
@@ -267,7 +219,9 @@ class TestRoutes:
         with mock.patch.object(enhancement, "_plain_is_cheaper", lambda *_: route == "plain"):
             return spectrum_csv(dev, band, n)
 
-    @settings(max_examples=40, deadline=None)
+    # Without Phase.shrink: shrinking a failing example of up to 4001
+    # points ran for over 600 s before it reported.
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(
         n=st.sampled_from([2, 3, 8, 9, 4001]) | st.integers(2, 4001),
         spacings=st.sampled_from([0.3, 1.0, 4.2, 12.0]),
@@ -310,3 +264,6 @@ class TestRoutes:
         assert cheaper(4001, 17) and cheaper(2001, 17)
         assert not cheaper(100001, 2)
         assert not cheaper(100001, 113) and not cheaper(20001, 575)
+        # Many lines over few points go plain: numpy's calls cost as much
+        # a line as the plain sum does at 24 points.
+        assert cheaper(70, 10**4) and cheaper(3, 2**20)
