@@ -113,10 +113,7 @@ def parse_frequency(text: str) -> float:
     value = float(m.group(1))
     unit = m.group(2).lower()
     if unit in ("", "hz") or unit in _FREQUENCY_UNITS:
-        scale = _FREQUENCY_UNITS.get(unit, 1.0)
-        if value <= 0.0:
-            raise ValueError(f"frequency must be positive, got {text!r}")
-        omega = TWO_PI * value * scale
+        omega = TWO_PI * value * _FREQUENCY_UNITS.get(unit, 1.0)
     elif unit in _WAVELENGTH_UNITS:
         wavelength = value * _WAVELENGTH_UNITS[unit]
         if wavelength <= 0.0:
@@ -124,8 +121,9 @@ def parse_frequency(text: str) -> float:
         omega = TWO_PI * C_VACUUM / wavelength
     else:
         raise ValueError(f"unknown unit {m.group(2)!r} in {text!r}")
-    # Overflowing literals (1e400) and conversions (1e300THz) come out
-    # infinite, an overflowing wavelength (1e400nm) comes out zero.
+    # A frequency of at most 0 comes out at most 0, overflowing literals
+    # (1e400) and conversions (1e300THz) infinite, and an overflowing
+    # wavelength (1e400nm) zero.
     if not 0.0 < omega < math.inf:
         raise ValueError(f"frequency must be finite and positive, got {text!r}")
     return omega

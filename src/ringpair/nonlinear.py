@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import NonPhysical, finite_product, require_count, require_finite, require_positive
+from .errors import finite_product, require_count, require_finite, require_positive, scaled_product
 from .geometry import DeviceSpec, Resonance, WaveguideParams, device_combs, wavevector
 from .enhancement import lorentzian_response, peak_amplitude
 from .linear_cmt import phase_unit
@@ -120,14 +120,8 @@ def _material_factor(device: DeviceSpec) -> float:
     wg = device.waveguide
     if wg.chi3_bar == 0.0:
         raise ValueError("device waveguide has chi3_bar = 0; the overlap would be zero")
-    try:
-        scale = wg.n_bar**4 * wg.area_eff
-    except OverflowError:
-        scale = math.inf
-    require_positive("n_bar^4 * area_eff", scale, NonPhysical)
-    factor = wg.chi3_bar / scale
-    require_positive("|chi3_bar| / (n_bar^4 * area_eff)", abs(factor), NonPhysical)
-    return factor
+    scale, e = scaled_product(((wg.n_bar, 4), (wg.area_eff, 1)))
+    return finite_product("chi3_bar / (n_bar^4 * area_eff)", ((wg.chi3_bar, 1), (scale, -1)), -e)
 
 
 def _overlap(

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import MAX_SQUARABLE, MissingResonance, NonPhysical, finite_product, scaled_product
+from .errors import MissingResonance, NonPhysical, finite_product, scaled_product
 from .errors import require_finite, require_positive
 from .geometry import (
     EPSILON_0,
@@ -113,25 +113,28 @@ def per_second(beta_sq: float, pulse_duration: float) -> float:
     return rate
 
 
+def _common_scale(delta: float, fwhm: float) -> tuple[float, float, int]:
+    """(a, b, e) with delta = a * 2**e and fwhm = b * 2**e, max(|a|, b) in [0.5, 1).
+
+    The scaling is by a power of two, so it is exact wherever a and b stay
+    normal doubles, and a**2 + b**2 lies in [0.25, 2].
+    """
+    e = math.frexp(max(abs(delta), fwhm))[1]
+    return math.ldexp(delta, -e), math.ldexp(fwhm, -e), e
+
+
 def suppression_factor(delta: float, linewidth: float) -> float:
     """Parasitic-rate suppression fwhm^2 / (delta^2 + fwhm^2).
 
-    Always returns the correct limit in [0, 1]: where the denominator
-    overflows (|delta| or fwhm past about 1.3e154) or underflows to 0,
-    delta and fwhm are first divided by the larger of the two, and a
-    suppression below the smallest double is 0.0.
+    Delta and fwhm are first scaled by a common power of two, so the
+    result lies in [0, 1] for every finite delta and positive fwhm, within
+    a few ulp of the exact quotient; a suppression below the smallest
+    double is 0.0.
     """
     require_finite("delta", delta)
     require_positive("linewidth", linewidth)
-    try:
-        den = delta**2 + linewidth**2
-    except OverflowError:
-        den = math.inf
-    if 0.0 < den < math.inf:
-        return linewidth**2 / den
-    scale = max(abs(delta), linewidth)
-    a, b = delta / scale, linewidth / scale
-    return b * b / (a * a + b * b)
+    a, b, _e = _common_scale(delta, linewidth)
+    return b**2 / (a**2 + b**2)
 
 
 def sigma_from_finesse(fin: float) -> float:
@@ -326,20 +329,17 @@ def pair_rate_closed_form(
     detunings (13.9, 28.0 linewidths). The window stays: the benchmark
     checks rates to 1e-6 against references made with it.
 
-    Raises :class:`NonPhysical`, rather than returning a limit, when
-    delta^2 or fwhm^2 overflows (past about 1.3e154 rad/s), or the rate
-    leaves the float range.
+    Delta and fwhm are scaled by a common power of two before delta^2 +
+    fwhm^2 is formed, so no square overflows and every finite delta gives
+    its rate; a rate outside the float range raises :class:`NonPhysical`.
     """
     pref, omega_s2, omega_p = _rate_setup(drive, res_s, delta, kcal, v_g, None)
     fwhm = res_s.linewidth
-    if max(abs(delta), fwhm) > MAX_SQUARABLE:
-        raise NonPhysical("delta^2 or fwhm^2 of the closed form overflows the float range")
-    den = delta**2 + fwhm**2
-    require_finite("delta^2 + fwhm^2", den, NonPhysical)
+    a, b, e = _common_scale(delta, fwhm)
     spectral, shift = scaled_product(
-        ((math.pi / 4.0, 1), (fwhm, 3), (den, -1), (omega_s2, 1), (omega_p, 1))
+        ((math.pi / 4.0, 1), (fwhm, 3), (a**2 + b**2, -1), (omega_s2, 1), (omega_p, 1))
     )
-    return finite_product(_RATE, (*pref, (spectral, 1)), shift)
+    return finite_product(_RATE, (*pref, (spectral, 1)), shift - 2 * e)
 
 
 def noise_budget(
@@ -414,8 +414,9 @@ def calibrate_kcal(
     Raises
     ------
     NonPhysical
-        If the target rate or pump power is not finite and positive, or
-        the pulse holds no photon at that power, so no pairs come out.
+        If the target rate or pump power is not finite and positive, the
+        pulse holds no photon at that power, so no pairs come out, or the
+        constant itself overflows or underflows to 0.
     """
     require_positive("target_rate", target_rate, NonPhysical)
     require_positive("pump_power", pump_power, NonPhysical)
@@ -430,4 +431,4 @@ def calibrate_kcal(
     rate_unit = per_second(beta_unit, pulse_duration)
     if rate_unit <= 0.0:
         raise NonPhysical("the device produces no pairs at unit calibration")
-    return target_rate / rate_unit
+    return finite_product("kcal", ((target_rate, 1), (rate_unit, -1)))

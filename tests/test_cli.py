@@ -213,7 +213,7 @@ class TestParseFrequency:
         assert parse_frequency(" 5 GHz ") == parse_frequency("5GHz")
 
     def test_rejects(self):
-        for bad in ("", "fast", "1.5parsec", "-3GHz", "0Hz", "1..2GHz",
+        for bad in ("", "fast", "1.5parsec", "-3GHz", "0Hz", "-0Hz", "0nm", "1..2GHz",
                     "1e400THz", "1e400", "1e300THz", "1e400nm", "1e-320nm"):
             with pytest.raises(ValueError):
                 parse_frequency(bad)
@@ -432,6 +432,21 @@ class TestRates:
             # The parasitic rate tracks the suppression law; the tiny
             # slack covers the slowly varying frequency factor.
             assert par / base == pytest.approx(sup, rel=1e-3)
+
+    def test_far_negative_detuning_writes_finite_rates(self, capsys):
+        # delta**2 overflows 1e200 linewidths below the line, and the closed
+        # form refused the finite rate there with exit 4. Far out the rate
+        # falls as fwhm^2 / delta^2 * |delta| / omega_s, so it halves as
+        # the detuning doubles.
+        rc = main(["suppression", "--device", DEV, "--band", *BAND,
+                   "--points", "3", "--max-detuning", "-1e200"])
+        assert rc == EXIT_OK
+        _header, rows = read_csv(capsys.readouterr().out)
+        assert [r[1] for r in rows] == [1.0, 0.0, 0.0]
+        (_, _, signal, _), (_, _, _, half_way), (_, _, _, far) = rows
+        assert all(r[2] == signal for r in rows)
+        assert far == pytest.approx(9.43e-185, rel=1e-3)
+        assert far / half_way == pytest.approx(0.5, rel=1e-14)
 
     def test_negative_sweep_end_writes_no_minus_zero(self, capsys):
         # A negative end sweeps the detuning below zero; its first row is 0.
@@ -1140,7 +1155,6 @@ class TestExitCodes:
             ["suppression", "--device", DEV, "--band", *BAND, "--photons", "1e150"],
             ["suppression", "--device", DEV, "--band", *BAND, "--photons", "1e200"],
             ["suppression", "--device", DEV, "--band", *BAND, "--max-detuning", "1e200"],
-            ["suppression", "--device", DEV, "--band", *BAND, "--max-detuning", "-1e200"],
             ["suppression", "--device", DEV, "--band", *BAND, "--max-detuning", "1e300"],
             ["suppression", "--device", DEV, "--band", *BAND, "--max-detuning", "-1e300"],
             ["rates", "--device", DEV, "--band", *BAND, "--pulse", "1e-160"],
@@ -1149,15 +1163,14 @@ class TestExitCodes:
              "3", "--report", "rates", "--band", *BAND, "--pulse", "1e-160"],
         ],
         ids=["rates-inf", "rates-overflow", "suppression-inf", "suppression-overflow",
-             "suppression-huge-detuning", "suppression-huge-negative-detuning",
-             "suppression-overflowing-detuning", "suppression-overflowing-negative-detuning",
+             "suppression-huge-detuning", "suppression-overflowing-detuning",
+             "suppression-overflowing-negative-detuning",
              "rates-per-second", "suppression-per-second", "sweep-rates-per-second"],
     )
     def test_overflowing_pair_rate_is_non_physical(self, argv, tmp_path, capsys):
         # The rate used to be written as Infinity, or pn**2 or delta**2
         # overflowed into an OverflowError traceback. A detuning past the
-        # signal line leaves no positive pump frequency; one far below it
-        # overflows delta**2 in the closed-form rate. A detuning of
+        # signal line leaves no positive pump frequency. A detuning of
         # 1e300 linewidths overflows to inf, which exited 2 as bad input.
         # A rate per pulse divided by a 1e-160 s pulse overflows per
         # second, which rates, suppression and sweep wrote as inf.

@@ -105,6 +105,19 @@ class TestSuppressionFactor:
         # overflows) return 0.0 for a suppression of one half.
         assert suppression_factor(delta, lw) == pytest.approx(expected, rel=1e-15)
 
+    @given(
+        delta=st.floats(1e-320, 1e308),
+        lw=st.floats(1e-320, 1e308),
+        negative=st.booleans(),
+    )
+    def test_within_three_ulp_of_the_exact_quotient(self, delta, lw, negative):
+        # The exact fwhm^2 / (delta^2 + fwhm^2) of the two doubles, as a
+        # Fraction; the ulp is the subnormal spacing where it underflows.
+        delta = -delta if negative else delta
+        exact = Fraction(lw) ** 2 / (Fraction(delta) ** 2 + Fraction(lw) ** 2)
+        got = suppression_factor(delta, lw)
+        assert abs(Fraction(got) - exact) <= 3 * Fraction(math.ulp(float(exact)))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             suppression_factor(1.0, 0.0)
@@ -145,8 +158,9 @@ class TestPumpDrive:
             PumpDrive(photon_number=-1.0, pulse_duration=1e-9)
         with pytest.raises(ValueError):
             PumpDrive(photon_number=1.0, pulse_duration=0.0)
-        with pytest.raises(ValueError):
-            PumpDrive(photon_number=1.0, pulse_duration=1e-9, self_coupling=1.0)
+        for sigma in (0.0, 1.0):  # strictly between 0 and 1
+            with pytest.raises(ValueError):
+                PumpDrive(photon_number=1.0, pulse_duration=1e-9, self_coupling=sigma)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 PumpDrive(photon_number=bad, pulse_duration=1e-9)
@@ -616,6 +630,15 @@ class TestCalibration:
             with pytest.raises(NonPhysical):
                 calibrate_kcal(sample_device, 1e6, bad, cfg)
 
+    def test_a_constant_past_the_float_range_is_non_physical(self, sample_device):
+        # 1e308 pairs per second at 1e-20 W needs K near 1.7e309: it came
+        # back as inf, which noise_budget refused one call later.
+        cfg = resonant_config(sample_device, (2.0 * math.pi * 192e12, 2.0 * math.pi * 195e12))
+        assert calibrate_kcal(sample_device, 1e308, 1e-18, cfg) == pytest.approx(1.66e305,
+                                                                                 rel=1e-3)
+        with pytest.raises(NonPhysical, match="kcal must be finite"):
+            calibrate_kcal(sample_device, 1e308, 1e-20, cfg)
+
     def test_a_photon_number_that_rounds_to_zero_gives_no_pairs(self, sample_device):
         # 5e-324 W is positive, but over the 1 ns calibration pulse it holds
         # 0.0 photons, so the rate at unit calibration is exactly 0.
@@ -667,6 +690,12 @@ class TestSharedHelpers:
         with pytest.raises(NonPhysical, match="underflows"):
             rate(drive(), narrow, 0.0, 1.0, 7.1e7)
 
+    @pytest.mark.parametrize("rate", [pair_rate_integral, pair_rate_closed_form])
+    def test_both_routes_refuse_a_zero_pump_frequency(self, rate):
+        # delta = omega_s puts the pump at 2 omega_s - omega_s - delta = 0 exactly.
+        with pytest.raises(NonPhysical, match="not positive"):
+            rate(drive(), signal_line(), OMEGA_S, 1.0, 7.1e7)
+
     @pytest.mark.parametrize("pn, phrase", [(1e150, "pair rate"), (1e200, "prefactor")])
     @pytest.mark.parametrize("rate", [pair_rate_integral, pair_rate_closed_form])
     def test_overflowing_rate_is_non_physical(self, rate, pn, phrase):
@@ -675,14 +704,42 @@ class TestSharedHelpers:
             rate(drive(pn=pn), signal_line(), 0.0, 1.0, 7.1e7)
 
     @pytest.mark.parametrize(
-        "res, delta",
-        [(signal_line(), -1e200), (signal_line(), -1.4e154), (signal_line(omega0=1e110), 0.0)],
-        ids=["delta-squared", "delta-squared-edge", "fwhm-cubed"],
+        "res, delta", [(signal_line(omega0=1e110), 0.0)], ids=["fwhm-cubed"]
     )
     def test_closed_form_refuses_overflowing_powers(self, res, delta):
-        # delta**2 and fwhm**3 used to raise OverflowError tracebacks.
+        # fwhm**3 used to raise an OverflowError traceback; the rate it
+        # gives, about fwhm * omega_s**2, is past the float range.
         with pytest.raises(NonPhysical, match="overflows the float range"):
             pair_rate_closed_form(drive(), res, delta, 1.0, 7.1e7)
+
+    @pytest.mark.parametrize(
+        "delta", [-1e200, -1.4e154], ids=["delta-squared", "delta-squared-edge"]
+    )
+    def test_closed_form_past_the_squarable_range(self, delta):
+        # delta**2 overflows, and the closed form refused these finite rates.
+        got = pair_rate_closed_form(drive(), signal_line(), delta, 1.0, 7.1e7)
+        at_zero = pair_rate_closed_form(drive(), signal_line(), 0.0, 1.0, 7.1e7)
+        assert got / at_zero == pytest.approx(FWHM**2 / -delta / OMEGA_S, rel=1e-14)
+
+    @given(
+        omega_s=st.floats(1e12, 1e16),
+        q=st.floats(1e4, 1e15),
+        x=st.floats(-1e300, 1e3),
+    )
+    def test_closed_form_follows_the_exact_suppression(self, omega_s, q, x):
+        # rate(delta) / rate(0) = fwhm^2 / (delta^2 + fwhm^2) * (omega_s - delta) / omega_s
+        # exactly, for delta from 1e300 linewidths below the line to 1e3 above.
+        res = signal_line(omega0=omega_s, q=q)
+        fwhm = res.linewidth
+        delta = x * fwhm
+        assume(math.isfinite(delta))
+        dr = drive(pn=1e100)
+        got = Fraction(pair_rate_closed_form(dr, res, delta, 1.0, 7.1e7)) / Fraction(
+            pair_rate_closed_form(dr, res, 0.0, 1.0, 7.1e7)
+        )
+        f, d, w = Fraction(fwhm), Fraction(delta), Fraction(omega_s)
+        exact = f**2 / (d**2 + f**2) * (w - d) / w
+        assert abs(got / exact - 1) <= 1e-14
 
     def test_closed_form_below_the_overflow(self):
         delta = -1e150
@@ -691,10 +748,11 @@ class TestSharedHelpers:
         assert got == pytest.approx(rate_prefactor(drive(), OMEGA_S, 1.0, 7.1e7) * spectral,
                                     rel=1e-12)
 
-    @pytest.mark.parametrize("q", [50.0, 1e-200], ids=["q-50", "q-1e-200"])
+    @pytest.mark.parametrize("q", [50.0, 1e-200, 100.0], ids=["q-50", "q-1e-200", "q-100"])
     @pytest.mark.parametrize("rate", [pair_rate_integral, pair_rate_closed_form])
     def test_both_routes_reject_broad_lines(self, rate, q):
         # The closed form used to accept them, and its fwhm**3 overflowed.
+        # At q = 100 the linewidth is exactly a hundredth of the center.
         broad = Resonance(owner=2, order=5, omega0=1e12, q_loaded=q, q_coupling=2.0 * q)
         with pytest.raises(NonPhysical, match="narrow-resonance"):
             rate(drive(), broad, 0.0, 1.0, 7.1e7)
