@@ -52,10 +52,10 @@ _NAMES = {
         "kerr_detuned_efficiency", "kerr_validity_metric",
     ),
     "nonlinear": (
-        "OverlapResult", "ProcessConfig", "j_quadrature", "j_single_ring_baseline",
-        "j_single_ring_ratio", "resonant_config", "z_overlap_integral",
+        "OverlapResult", "ProcessConfig", "j_quadrature", "j_single_ring_ratio",
+        "resonant_config", "z_overlap_integral",
     ),
-    "quadrature": ("integrate_adaptive",),
+    "quadrature": (),
     "record": (),
     "sfwm": (
         "PairRateReport", "PumpDrive", "calibrate_kcal", "noise_budget",

@@ -231,7 +231,7 @@ def cmd_overlap(args: argparse.Namespace, argv: Sequence[str]) -> None:
         "j_phase": cmath.phase(res.j_value),
         "z_factor_abs": abs(res.z_factor),
         "enh_abs": abs(res.enhancement_product),
-        "method": res.method,
+        "method": args.method,
         "warnings": list(res.warnings),
     }
     _emit(args.out, _json_text(payload), argv)

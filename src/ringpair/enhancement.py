@@ -62,11 +62,24 @@ def lorentzian_response(res: Resonance, omega: float) -> complex:
 
 
 class SpectrumResult(Record):
-    """Sampled intensity spectra of both rings over a band."""
+    """Sampled intensity spectra of both rings over a band.
+
+    Two spectra are equal when every array is (``np.array_equal``); like
+    its arrays, a spectrum has no hash.
+    """
 
     omega: np.ndarray
     f1_sq: np.ndarray
     f2_sq: np.ndarray
+
+    __hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        import numpy as np
+
+        return all(map(np.array_equal, self._values(), other._values()))
 
 
 def _band_combs(

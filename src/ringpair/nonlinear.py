@@ -11,13 +11,14 @@ line, so each field's factor is its line's on-resonance enhancement.
 :func:`j_quadrature` is the one J of a device: its spatial factor is
 the exact integral, in closed form, for any coupler length and phase
 mismatch (its magnitude is L/4 only at a linear null with perfect phase
-matching). :func:`j_single_ring_baseline` multiplies the same fields by
-the single-ring reference's round trip sqrt(L1 * L2), so their ratio
-:func:`j_single_ring_ratio` is the ratio of the spatial factors. Only J
-itself can leave the float range (see :func:`.errors.finite_product`);
-a subnormal J is reported. The overall phase of J is convention
-dependent (only |J| and |J|^2 enter rates), so comparisons are made on
-magnitudes.
+matching). The single-ring reference puts the same fields in one ring
+whose whole round trip sqrt(L1 * L2) is the interaction region, so
+:func:`j_single_ring_ratio` is the ratio of the spatial factors,
+|Z| / sqrt(L1 * L2), and |J| of that ring is ``j_abs`` over the ratio.
+Only J itself can leave the float range (see
+:func:`.errors.finite_product`); a subnormal J is reported. The overall
+phase of J is convention dependent (only |J| and |J|^2 enter rates), so
+comparisons are made on magnitudes.
 
 J is reported in model units of 1/V^2 * m: the chi3 normalization
 constants that would convert it to a fully dimensioned interaction
@@ -70,7 +71,6 @@ class OverlapResult(Record):
     j_value: complex
     z_factor: complex
     enhancement_product: complex
-    method: str
     warnings: tuple[str, ...] = ()
 
     @property
@@ -124,20 +124,17 @@ def _material_factor(device: DeviceSpec) -> float:
     return finite_product("chi3_bar / (n_bar^4 * area_eff)", ((wg.chi3_bar, 1), (scale, -1)), -e)
 
 
-def _overlap(
-    device: DeviceSpec,
-    cfg: ProcessConfig,
-    z_factor: complex,
-    method: str,
-    notes: tuple[str, ...] = (),
-) -> OverlapResult:
-    """J = f3 * f4 * f1 * f2 * material factor * ``z_factor``, for both J routes.
+def j_quadrature(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
+    """Overlap figure J = f3 * f4 * f1 * f2 * material factor * Z, exact.
 
-    Each field's factor is its line's peak amplitude times the unit line
-    shape at the line centre, where the field sits; the result's
-    ``enhancement_product`` multiplies the four line shapes in the same
-    order. ``notes`` are the calling route's model-assumption notes.
+    Z is the exact coupler integral (:func:`z_overlap_integral`) for the
+    device's coupler strength, coupler length and the configured phase
+    mismatch. Each field's factor is its line's peak amplitude times the
+    unit line shape at the line centre, where the field sits; the
+    result's ``enhancement_product`` multiplies the four line shapes in
+    the same order. The name is the command line's ``--method`` choice.
     """
+    z_factor = z_overlap_integral(device.kappa, device.dc_length, cfg.delta_k)
     wg = device.waveguide
     p1, p2, s = cfg.res_p1, cfg.res_p2, cfg.res_s
     # The line shapes before the peak amplitudes: when a loaded Q is so
@@ -152,21 +149,7 @@ def _overlap(
         j_value=finite_product("J", ((f, 1) for f in factors)),
         z_factor=z_factor,
         enhancement_product=l3 * l4 * l1 * l1,
-        method=method,
-        warnings=notes,
     )
-
-
-def j_quadrature(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
-    """Overlap figure J, exact for the configured lines and phase mismatch.
-
-    The spatial factor is the exact integral for the device's coupler
-    strength, coupler length and the configured phase mismatch. The
-    name and the ``"quadrature"`` method tag are part of the command
-    line's ``--method`` choice and of its artifacts.
-    """
-    z_factor = z_overlap_integral(device.kappa, device.dc_length, cfg.delta_k)
-    return _overlap(device, cfg, z_factor, "quadrature")
 
 
 def single_ring_reference(device: DeviceSpec) -> tuple[float, tuple[str, ...]]:
@@ -178,12 +161,6 @@ def single_ring_reference(device: DeviceSpec) -> tuple[float, tuple[str, ...]]:
         "comparison assumes nearly equal round trips",
     )
     return math.sqrt(l1 * l2), notes
-
-
-def j_single_ring_baseline(device: DeviceSpec, cfg: ProcessConfig) -> OverlapResult:
-    """J of one ring whose whole round trip, sqrt(L1 * L2), is the interaction region."""
-    spatial, notes = single_ring_reference(device)
-    return _overlap(device, cfg, complex(spatial), "single_ring_baseline", notes)
 
 
 def j_single_ring_ratio(device: DeviceSpec, cfg: ProcessConfig) -> float:

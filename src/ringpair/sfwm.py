@@ -277,12 +277,18 @@ def pair_rate_integral(
 ) -> float:
     """Pairs per pulse of one process from the exact spectral integral.
 
-    The window reaches 50 linewidths beyond both line centers (u = 0,
-    u = -delta) and is symmetric about -delta/2, so the odd part of the
-    slow factor drops out. With h = fwhm/2, d = |delta|/2, T = d + 50 fwhm,
-    D = (T-d)^2 + h^2, x = 4Td/D, G = h (2T/D) log1p(x)/x, S = atan((T+d)/h)
-    + atan((T-d)/h) and ab = (2 w_s - w_s2 - delta/2)(w_s2 + delta/2), it is
+    The window reaches 50 linewidths, w = 100 half widths h = fwhm/2,
+    beyond both line centers (u = 0, u = -delta) and is symmetric about
+    -delta/2, so the odd part of the slow factor drops out. It is written
+    in half widths, so no window edge rounds into a line center: with
+    r = |delta|/fwhm, x = 4r(r + w)/(w^2 + 1), G = 2(r + w)/(w^2 + 1)
+    log1p(x)/x, S = atan(2r + w) + atan(w), d = |delta|/2 and
+    ab = (2 w_s - w_s2 - delta/2)(w_s2 + delta/2), it is
     (h/2) [ab h^2/(d^2 + h^2) (G + S) - h^2 (S - G)], exact at delta = 0.
+    Each term carries its own power of two, and d^2 + h^2 is formed from
+    d and h scaled by a common one, so every linewidth that
+    :attr:`.Resonance.linewidth` accepts gives its rate; a rate outside
+    the float range raises :class:`NonPhysical`.
 
     Parameters
     ----------
@@ -302,15 +308,26 @@ def pair_rate_integral(
         a sub-0.1 percent approximation for its neighbors.
     """
     pref, omega_s2, _omega_p = _rate_setup(drive, res_s, delta, kcal, v_g, omega_s2)
-    h, d = 0.5 * res_s.linewidth, 0.5 * abs(delta)
-    t = d + INTEGRATION_WINDOW_LINEWIDTHS * res_s.linewidth
-    den = (t - d) ** 2 + h * h
-    x = 4.0 * t * d / den
-    g = h * (math.log1p(x) / x if x > 0.0 else 1.0) * 2.0 * t / den
-    s = math.atan((t + d) / h) + math.atan((t - d) / h)
-    ab = (2.0 * res_s.omega0 - omega_s2 - 0.5 * delta) * (omega_s2 + 0.5 * delta)
-    bracket = ab * h * h / (d * d + h * h) * (g + s) - h * h * (s - g)
-    return finite_product(_RATE, (*pref, (0.5, 1), (h, 1), (bracket, 1)))
+    fwhm, w = res_s.linewidth, 2.0 * INTEGRATION_WINDOW_LINEWIDTHS
+    h = 0.5 * fwhm
+    # Past 2**500 linewidths G < 1e-148 vanishes against S, so capping r
+    # there changes no bit and keeps x in range.
+    r = min(abs(delta) / fwhm, 2.0**500)
+    x = 4.0 * r * (r + w) / (w * w + 1.0)
+    g = 2.0 * (r + w) / (w * w + 1.0) * (math.log1p(x) / x if x > 0.0 else 1.0)
+    s = math.atan(2.0 * r + w) + math.atan(w)
+    # Both terms of the bracket carry their own power of two: d^2 + h^2 is
+    # formed from d and h scaled by a common 2**e, and h^2 from h's
+    # mantissa, so no square leaves the float range.
+    a, b, e = _common_scale(0.5 * delta, h)
+    m1, k1 = scaled_product((
+        (2.0 * res_s.omega0 - omega_s2 - 0.5 * delta, 1), (omega_s2 + 0.5 * delta, 1),
+        (h, 1), (h, 1), (a * a + b * b, -1), (g + s, 1),
+    ))
+    mh, kh = math.frexp(h)
+    k = max(k1 - 2 * e, 2 * kh)
+    bracket = math.ldexp(m1, k1 - 2 * e - k) - math.ldexp(mh * mh * (s - g), 2 * kh - k)
+    return finite_product(_RATE, (*pref, (0.5, 1), (h, 1), (bracket, 1)), k)
 
 
 def pair_rate_closed_form(
@@ -383,12 +400,14 @@ def noise_budget(
 
     if kcal == 1.0:
         notes.append("kcal = 1 (uncalibrated); absolute rates are in model units")
+    snr = tuple(1.0 / sup if sup > 0.0 else math.inf for sup in sups)
+    require_finite("SNR improvement 1 / suppression", max(snr), NonPhysical)
 
     return PairRateReport(
         beta_sq_signal=beta_signal,
         beta_sq_parasitic=betas,
         suppression=sups,
-        snr_improvement=(1.0 / sups[0], 1.0 / sups[1]),
+        snr_improvement=snr,
         detuning_delta=deltas,
         kcal=kcal,
         sigma=drive_resolved.self_coupling,

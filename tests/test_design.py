@@ -23,7 +23,6 @@ from ringpair import (
     group_index,
     isolation_db,
     j_quadrature,
-    j_single_ring_baseline,
     j_single_ring_ratio,
     kerr_delta_beta,
     kerr_validity_metric,
@@ -41,7 +40,7 @@ from ringpair import (
 from ringpair import design
 from ringpair.design import ENERGY_RESIDUAL_TOL_LINEWIDTHS, _process_band, _tune_diagnostics
 from ringpair.geometry import TWO_PI
-from ringpair.nonlinear import pump_pair
+from ringpair.nonlinear import pump_pair, single_ring_reference
 from ringpair.record import replace
 
 from conftest import make_device, null_overlap_oracle
@@ -524,9 +523,9 @@ class TestSharedResults:
         assert caught == []
         *_, cfg = _tune_diagnostics(dev, GOAL)
         j = j_quadrature(dev, cfg)
-        ref = j_single_ring_baseline(dev, cfg)
-        assert j.warnings == () and len(ref.warnings) == 1
-        assert report.notes == ref.warnings
+        notes = single_ring_reference(dev)[1]
+        assert j.warnings == () and len(notes) == 1
+        assert report.notes == notes
         assert report.j_abs == j.j_abs
         assert report.j_ratio == j_single_ring_ratio(dev, cfg)
 

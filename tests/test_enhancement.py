@@ -15,7 +15,6 @@ from ringpair import (
     Resonance,
     device_combs,
     fsr,
-    integrate_adaptive,
     intensity_spectrum,
     lorentzian_response,
     peak_amplitude,
@@ -25,6 +24,8 @@ from ringpair import (
 
 from ringpair import enhancement
 from ringpair.enhancement import linspace_plain, spectrum_csv
+from ringpair.quadrature import integrate_adaptive
+from ringpair.record import replace
 
 from conftest import NO_SHRINK, lorentzian_sum_oracle, make_device, process_band
 
@@ -182,6 +183,22 @@ class TestSpectrum:
         comb2 = device_combs(dev, process_band(dev))[1]
         manual = lorentzian_sum_oracle(result.omega, *line_arrays(dev, comb2))
         np.testing.assert_allclose(result.f2_sq, manual, rtol=1e-12)
+
+    def test_equality_is_field_by_field(self):
+        # Records compare field by field; the fields here are arrays, so
+        # == compares them whole and a spectrum has no hash.
+        dev = make_device()
+        a = intensity_spectrum(dev, process_band(dev), 11)
+        b = intensity_spectrum(dev, process_band(dev), 11)
+        assert a == b and not a != b
+        moved = b.f2_sq.copy()
+        moved[-1] = np.nextafter(moved[-1], np.inf)
+        assert a != replace(b, f2_sq=moved)
+        assert a != replace(b, f1_sq=b.f1_sq[:-1])
+        assert a != replace(b, omega=b.omega + 1.0)
+        assert (a == (a.omega, a.f1_sq, a.f2_sq)) is False
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
 
     def test_validation(self):
         dev = make_device()

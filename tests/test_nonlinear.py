@@ -6,6 +6,7 @@ import cmath
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,13 +14,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ringpair import (
     CmtField,
+    DesignGoal,
     NonPhysical,
     OverlapResult,
     ProcessConfig,
     Resonance,
-    integrate_adaptive,
+    device_combs,
+    evaluate_design,
     j_quadrature,
-    j_single_ring_baseline,
     j_single_ring_ratio,
     resonant_config,
     wavevector,
@@ -28,7 +30,8 @@ from ringpair import (
 from ringpair import kernels, lorentzian_response, peak_amplitude
 from ringpair.errors import scaled_product
 from ringpair.linear_cmt import phase_unit
-from ringpair.nonlinear import RING_LENGTH_MISMATCH_LIMIT
+from ringpair.nonlinear import RING_LENGTH_MISMATCH_LIMIT, pump_pair, single_ring_reference
+from ringpair.quadrature import integrate_adaptive
 from ringpair.record import replace
 
 from conftest import make_device, null_overlap_oracle, process_band
@@ -317,13 +320,18 @@ class TestSingleRingRatio:
         ) == pytest.approx(base, rel=1e-12)
 
     def test_quadrature_route_reproduces_ratio(self):
+        # The single ring's |J| puts its round trip sqrt(L1 * L2) in place
+        # of Z; dividing j_abs by the ratio gives it back.
         dev = make_device(l2_scale=1.0)
         cfg = null_config(dev)
-        jq = j_quadrature(dev, cfg).j_abs
-        jb = j_single_ring_baseline(dev, cfg).j_abs
-        assert jq / jb == pytest.approx(
+        jq = j_quadrature(dev, cfg)
+        l_mean = math.sqrt(dev.ring1.round_trip_length * dev.ring2.round_trip_length)
+        j_single = abs(jq.j_value / jq.z_factor) * l_mean
+        assert jq.j_abs / j_single == pytest.approx(
             dev.dc_length / (4.0 * dev.ring1.round_trip_length), rel=1e-9
         )
+        assert jq.j_abs / j_single_ring_ratio(dev, cfg) == pytest.approx(j_single, rel=1e-14,
+                                                                         abs=0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(chi3_exp=st.integers(-300, 300), q_exp=st.integers(-3, 300),
@@ -387,24 +395,18 @@ def _two_body_parts(device, cfg):
     return pref, wg.chi3_bar / (wg.n_bar**4 * wg.area_eff)
 
 
-def _two_body_baseline(device, cfg):
-    """The single-ring baseline as a separate body computed it, from the
-    quality-factor prefactor and the material factor. The reference for
-    the one body of J, which multiplies the four fields instead."""
-    log = []
-    l1, l2 = device.ring1.round_trip_length, device.ring2.round_trip_length
-    if abs(l1 - l2) > RING_LENGTH_MISMATCH_LIMIT * max(l1, l2):
-        log.append(f"ring lengths differ by {abs(l1 - l2) / max(l1, l2):.1%}; the "
-                   "single-ring comparison assumes nearly equal round trips")
+def _two_body_j(device, cfg):
+    """J as a separate body computed it, from the quality-factor prefactor,
+    the material factor and Z. The reference for the one body of J, which
+    multiplies the four fields instead."""
     pref, material = _two_body_parts(device, cfg)
-    l_mean = math.sqrt(l1 * l2)
+    z = z_overlap_integral(device.kappa, device.dc_length, cfg.delta_k)
     enh = line_shape_product(cfg)
-    return OverlapResult(complex(pref * material * l_mean * enh), complex(l_mean), enh,
-                         "single_ring_baseline", tuple(log))
+    return OverlapResult(pref * material * enh * z, z, enh)
 
 
-# Baseline J against the two-body form: the product of the four fields
-# and the quality-factor prefactor round differently.
+# J against the two-body form: the product of the four fields and the
+# quality-factor prefactor round differently.
 TWO_BODY_RTOL = 4e-15
 
 
@@ -413,12 +415,11 @@ class TestClosedFormBody:
     @given(case=_unequal_pump_cases())
     def test_routes_match_the_two_body_form(self, case):
         dev, cfg = case
-        got, want = j_single_ring_baseline(dev, cfg), _two_body_baseline(dev, cfg)
+        got, want = j_quadrature(dev, cfg), _two_body_j(dev, cfg)
         assert abs(got.j_value - want.j_value) <= TWO_BODY_RTOL * abs(want.j_value)
         assert got.z_factor == want.z_factor
         assert got.enhancement_product == want.enhancement_product
-        assert got.method == want.method
-        assert got.warnings == want.warnings
+        assert got.warnings == want.warnings == ()
 
 
 @st.composite
@@ -444,7 +445,8 @@ def _normal(x):
     return sys.float_info.min <= abs(x) < math.inf
 
 
-J_ROUTES = (j_quadrature, j_single_ring_baseline)
+# The one route of J; the properties below are parametrized over it.
+J_ROUTES = (j_quadrature,)
 
 
 def _exact(factors):
@@ -469,16 +471,13 @@ def _gap(got, exact):
     return (Fraction(got.real) - re) ** 2 + (Fraction(got.imag) - im) ** 2
 
 
-def _j_factors(dev, cfg, route):
-    """The six factors a route multiplies: four fields, the material
-    factor and its spatial factor, computed as the route computes them."""
+def _j_factors(dev, cfg):
+    """The six factors J multiplies: four fields, the material factor and
+    Z, computed as J computes them."""
     wg = dev.waveguide
     fields = [lorentzian_response(res, res.omega0) * peak_amplitude(res, wg, dev.ring(res.owner))
               for res in (cfg.res_p1, cfg.res_p2, cfg.res_s, cfg.res_s)]
-    if route is j_quadrature:
-        spatial = z_overlap_integral(dev.kappa, dev.dc_length, cfg.delta_k)
-    else:
-        spatial = complex(math.sqrt(dev.ring1.round_trip_length * dev.ring2.round_trip_length))
+    spatial = z_overlap_integral(dev.kappa, dev.dc_length, cfg.delta_k)
     return (*fields, wg.chi3_bar / (wg.n_bar**4 * wg.area_eff), spatial)
 
 
@@ -493,26 +492,17 @@ class TestScaledDevices:
     @settings(max_examples=500, deadline=None)
     @given(case=_scaled_cases())
     def test_routes_fail_together_and_match_the_two_body_form(self, case):
+        # J of a scaled device either fails or matches the two-body form.
         dev, cfg = case
-        results = []
-        for route in J_ROUTES:
-            try:
-                results.append(route(dev, cfg))
-            except NonPhysical:
-                results.append(None)
-        if all(r is None for r in results):
+        try:
+            got = j_quadrature(dev, cfg)
+        except NonPhysical:
             return
+        assert cmath.isfinite(got.j_value)
         fields = [peak_amplitude(res, dev.waveguide, dev.ring(res.owner))
                   for res in (cfg.res_p1, cfg.res_p2, cfg.res_s, cfg.res_s)]
         pref, material = _two_body_parts(dev, cfg)
-        # The routes differ only in their spatial factor, within a factor
-        # of 16 of each other, so J of one may overflow or underflow to 0
-        # where another's does not.
-        log_j = sum(map(math.log, fields)) + math.log(abs(material) * dev.dc_length / 4.0)
-        for edge in (sys.float_info.max, 5e-324):
-            assume(abs(log_j - math.log(edge)) > math.log(1e3))
-        assert all(r is not None and cmath.isfinite(r.j_value) for r in results)
-        got, want = results[1], _two_body_baseline(dev, cfg)
+        want = _two_body_j(dev, cfg)
         product = fields[0] * fields[1] * fields[2] * fields[3]
         if all(map(_normal, (fields[0] * fields[1], product, pref, material, got.j_abs,
                              want.j_abs))):
@@ -526,7 +516,7 @@ class TestScaledDevices:
         # product may pass far outside it on the way.
         dev, cfg = case
         try:
-            factors = _j_factors(dev, cfg, route)
+            factors = _j_factors(dev, cfg)
         except NonPhysical:
             with pytest.raises(NonPhysical):
                 route(dev, cfg)
@@ -753,18 +743,37 @@ class TestAssumptionChecks:
             abs(res.z_factor) / abs(z0), rel=1e-14
         )
 
-    def test_unequal_rings_flagged_in_baseline(self):
+    def test_unequal_rings_noted_in_design_report(self):
+        # The single-ring comparison's ring-length note reaches the report;
+        # J itself notes nothing.
         dev = make_device(l2_scale=1.12)
-        cfg = null_config(dev)
-        res = j_single_ring_baseline(dev, cfg)
-        assert any("ring lengths differ" in w for w in res.warnings)
+        report = evaluate_design(dev, DesignGoal(signal_wavelength=1.55e-6))
+        assert len(report.notes) == 1 and "ring lengths differ by 10.7%" in report.notes[0]
+        assert j_quadrature(dev, null_config(dev)).warnings == ()
+
+
+def _ring_pair(l1, l2):
+    """The two round trips ``single_ring_reference`` reads."""
+    return SimpleNamespace(ring1=SimpleNamespace(round_trip_length=l1),
+                           ring2=SimpleNamespace(round_trip_length=l2))
+
+
+class TestSingleRingReference:
+    def test_note_starts_past_the_limit(self):
+        # 100 - 99 is exactly 1% of 100: the limit itself is no note.
+        assert RING_LENGTH_MISMATCH_LIMIT == 0.01
+        assert single_ring_reference(_ring_pair(99.0, 100.0)) == (math.sqrt(9900.0), ())
+        length, notes = single_ring_reference(_ring_pair(100.0, 98.9))
+        assert length == math.sqrt(9890.0)
+        assert notes == ("ring lengths differ by 1.1%; the single-ring comparison "
+                         "assumes nearly equal round trips",)
 
 
 @st.composite
 def _assumption_inputs(draw):
     """A device on either side of the ring-length limit, and a
     configuration with a phase mismatch and unequal pump quality factors,
-    which no route notes."""
+    which J does not note."""
     dev = make_device(l2_scale=draw(st.sampled_from([1.0, 1.005, 1.02, 1.12])))
     cfg = null_config(dev, delta_k=draw(st.floats(-0.5, 0.5)) / dev.dc_length)
     p2 = cfg.res_p2
@@ -783,15 +792,14 @@ class TestAssumptionNotes:
     @settings(max_examples=60, deadline=None)
     @given(case=_assumption_inputs())
     def test_notes_name_crossed_limits(self, route, case):
-        # The one note is the single-ring baseline's, on ring lengths.
+        # The one note is the single-ring reference's, on ring lengths.
         dev, cfg = case
         l1, l2 = dev.ring1.round_trip_length, dev.ring2.round_trip_length
         crossed = abs(l1 - l2) > RING_LENGTH_MISMATCH_LIMIT * max(l1, l2)
-        notes = route(dev, cfg).warnings
-        if route is j_single_ring_baseline and crossed:
-            assert len(notes) == 1 and "ring lengths differ" in notes[0]
-        else:
-            assert notes == ()
+        assert route(dev, cfg).warnings == ()
+        notes = single_ring_reference(dev)[1]
+        assert len(notes) == crossed
+        assert all("ring lengths differ" in n for n in notes)
 
 
 class TestResonantConfig:
@@ -822,6 +830,13 @@ class TestResonantConfig:
             # Band too narrow for the requested separation.
             resonant_config(dev, process_band(dev, n_spacings=0.9), pump_separation=2)
 
+    def test_pump_pair_needs_one_line_more_than_the_separation(self):
+        dev = make_device()
+        comb1 = device_combs(dev, process_band(dev))[0]
+        with pytest.raises(ValueError, match="band holds only 2 ring-1 lines; need at least 3"):
+            pump_pair(comb1[:2], comb1[0].omega0, 2)
+        assert pump_pair(comb1[:3], comb1[0].omega0, 2) == (comb1[2], comb1[0])
+
     def test_process_config_owner_checks(self):
         cfg = null_config(make_device())
         with pytest.raises(ValueError):
@@ -849,13 +864,13 @@ class TestRangeChecks:
 
     def test_huge_pump_coupling_q_gives_j(self):
         # sqrt(q_c1 * q_c2) overflows, so the old quality-factor prefactor
-        # divided down to 0 and the baseline raised NonPhysical. It
-        # multiplies j_quadrature's fields and differs only in the spatial factor.
+        # divided down to 0 and J raised NonPhysical. J multiplies the fields.
         dev = make_device(l2_scale=1.0, n_eff=4.2)
         dev = replace(dev, ring1=replace(dev.ring1, q_coupling=1e205))
         cfg = null_config(dev)
-        jq = j_quadrature(dev, cfg)
-        fields = jq.j_value / jq.z_factor
-        res = j_single_ring_baseline(dev, cfg)
+        res = j_quadrature(dev, cfg)
         assert 0.0 < res.j_abs < math.inf
-        assert res.j_value == pytest.approx(fields * res.z_factor, rel=4e-15)
+        product = 1.0 + 0.0j
+        for f in _j_factors(dev, cfg):
+            product *= f
+        assert res.j_value == pytest.approx(product, rel=4e-15, abs=0.0)

@@ -28,8 +28,8 @@ PUBLIC = (
     "TuneResult", "ValidityExceeded", "WaveguideParams",
     "calibrate_kcal", "dc_transfer", "device_combs", "device_from_dict", "device_to_dict",
     "effective_index", "evaluate_design", "finesse", "fsr", "group_index",
-    "integrate_adaptive", "intensity_spectrum", "isolation_db", "j_quadrature",
-    "j_single_ring_baseline", "j_single_ring_ratio", "kerr_delta_beta",
+    "intensity_spectrum", "isolation_db", "j_quadrature", "j_single_ring_ratio",
+    "kerr_delta_beta",
     "kerr_detuned_efficiency", "kerr_validity_metric", "load_device", "lorentzian_response",
     "noise_budget", "null_kerr_metric", "optimal_dc_length", "optimize_device",
     "pair_rate_closed_form", "pair_rate_integral", "peak_amplitude",
@@ -61,6 +61,7 @@ REMOVED = {
     "ring_profiles": "[peak_amplitude(r, device.waveguide, device.ring(r.owner)) for r in comb]",
     "EnhancementProfile":
         "its intensity(w): peak_amplitude(...)**2 * abs(lorentzian_response(res, w))**2",
+    "j_single_ring_baseline": "j_quadrature(device, cfg).j_abs / j_single_ring_ratio(device, cfg)",
 }
 
 MODULES = ("cli", "design", "deviceio", "enhancement", "errors", "geometry", "kernels",

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ringpair import NoConvergence, NonPhysical, integrate_adaptive
+from ringpair import NoConvergence, NonPhysical
+from ringpair.quadrature import integrate_adaptive
 
 
 def test_gaussian_matches_scipy():

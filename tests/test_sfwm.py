@@ -32,7 +32,8 @@ from ringpair import (
     sigma_from_finesse,
     suppression_factor,
 )
-from ringpair import integrate_adaptive, kernels
+from ringpair import kernels
+from ringpair.quadrature import integrate_adaptive
 from ringpair.record import replace
 from ringpair.sfwm import per_second
 
@@ -255,6 +256,50 @@ class TestPairRateIntegral:
         assert math.isfinite(got) and got == near
         ref = quadrature_rate(drive(), res, 0.0, 1.0, 7.1e7, OMEGA_S, tol=1e-13)
         assert got == pytest.approx(ref, rel=1e-14)
+
+    def test_window_holds_at_every_accepted_q(self):
+        # At delta = 1e10 rad/s the window edge d + 50 fwhm rounded to d
+        # once 50 linewidths fell below an ulp of d: from a loaded Q of
+        # about 1e24 the rate was half the closed form, and past 1e160 nan.
+        # Far from the line, r = delta / fwhm >> 100, the window clips the
+        # outer tails only: S / pi = 1/2 + atan(100) / pi, times the ratio
+        # of the slow factors at the two lines, u = 0 and u = -delta,
+        # (w_s^2 - delta^2/2) / (w_s (w_s - delta)).
+        delta = 1e10
+        limit = ((0.5 + math.atan(100.0) / math.pi)
+                 * (OMEGA_S**2 - delta**2 / 2.0) / (OMEGA_S * (OMEGA_S - delta)))
+        checked = 0
+        for k in range(6, 301):
+            q = 10.0**k
+            res = signal_line(q=q)
+            if 0.25 * (OMEGA_S / q) ** 2 == 0.0:
+                for rate in (pair_rate_integral, pair_rate_closed_form):
+                    with pytest.raises(NonPhysical, match="underflows when squared"):
+                        rate(drive(), res, delta, 1.0, 7.1e7)
+                continue
+            # The rate goes as fwhm^3 * pn^2 * kcal here; pn and kcal grow
+            # with Q so that it stays in the float range.
+            scale = q / 1e6
+            args = (drive(pn=scale**0.75), res, delta, scale**1.5, 7.1e7)
+            ratio = pair_rate_integral(*args) / pair_rate_closed_form(*args)
+            if delta / res.linewidth > 1e15:
+                assert ratio == pytest.approx(limit, rel=1e-13), k
+                checked += 1
+            else:
+                assert 0.99 < ratio < 1.0, k
+        assert checked > 150
+
+    def test_zero_mismatch_rate_goes_as_the_linewidth_at_any_q(self):
+        # At delta = 0 the rate is (h/2)[ab (G + S) - h^2 (S - G)], and from
+        # Q = 1e8 on the h^2 term is below 1e-16 of the first, so the rate
+        # goes as fwhm down to the narrowest line whose h^2 is nonzero.
+        ref = pair_rate_integral(drive(), signal_line(q=1e8), 0.0, 1.0, 7.1e7)
+        for k in range(8, 177):
+            q = 10.0**k
+            got = pair_rate_integral(drive(), signal_line(q=q), 0.0, 1.0, 7.1e7)
+            assert got == pytest.approx(ref * 1e8 / q, rel=1e-14, abs=0.0), k
+        with pytest.raises(NonPhysical, match="underflows when squared"):
+            pair_rate_integral(drive(), signal_line(q=1e177), 0.0, 1.0, 7.1e7)
 
     def test_zero_mismatch_matches_closed_form(self):
         res = signal_line()
@@ -561,6 +606,23 @@ class TestNoiseBudget:
         )
         assert any("kcal = 1" in n for n in rep.notes)
         assert any("finesse" in n for n in rep.notes)
+
+    def test_suppression_past_the_float_range_is_non_physical(self, sample_device):
+        # Ring-2 Q of 1e170 puts the partners about 1e164 linewidths off:
+        # the rates are finite, but a suppression rounds to 0 and its SNR
+        # improvement is infinite.
+        ring2 = replace(sample_device.ring2, q_intrinsic=2e170, q_coupling=2e170)
+        dev = replace(sample_device, ring2=ring2)
+        band = process_band(dev)
+        cfg = resonant_config(dev, band)
+        dr = PumpDrive(photon_number=1e100, pulse_duration=1e-9)
+        deltas, sups, _ = sideband_pair(resonance_comb(ring2, dev.waveguide, band, owner=2),
+                                        cfg, band)
+        assert 0.0 in sups
+        assert pair_rate_integral(resolve_drive(dev, dr, cfg), cfg.res_s, deltas[0], 1e100,
+                                  dev.waveguide.v_g) > 0.0
+        with pytest.raises(NonPhysical, match="SNR improvement"):
+            noise_budget(dev, dr, cfg, band=band, kcal=1e100)
 
     def test_suppression_consistent_with_detunings(self, sample_device):
         band = process_band(sample_device)
