@@ -43,8 +43,7 @@ _NAMES = {
     ),
     "geometry": (
         "CouplingModel", "DeviceSpec", "RacetrackSpec", "Resonance", "WaveguideParams",
-        "device_combs", "effective_index", "finesse", "fsr", "group_index", "resonance_comb",
-        "wavevector",
+        "device_combs", "finesse", "fsr", "group_index", "resonance_comb", "wavevector",
     ),
     "kernels": (),
     "linear_cmt": (

@@ -6,15 +6,14 @@ here. All quantities are SI internally: lengths in meters, angular
 frequencies in rad/s. File formats use Hz at the boundary; conversion
 lives in :mod:`ringpair.deviceio`.
 
-The dispersion model is a first-order Taylor expansion of the effective
-index around a reference frequency,
+The dispersion law is one quadratic propagation constant [1/m],
 
-    n_eff(w) = n_eff_ref + (n_g - n_eff_ref) * (w - w_ref) / w_ref,
+    k(w) = a w^2 + b w + c0,  a = (n_g - n_eff_ref) / (c w_ref) + gvd / 2,
+    b = (2 n_eff_ref - n_g) / c - gvd w_ref,  c0 = gvd w_ref^2 / 2,
 
-which guarantees d(w * n_eff)/dw = n_g at w_ref. An optional
-second-order coefficient adds a quadratic term to the propagation
-constant on top of the curvature already implied by the linear index
-law.
+the first-order Taylor law of the effective index around w_ref plus
+gvd (w - w_ref)^2 / 2. The effective index n_eff(w) = k c / w and the
+group index n_g(w) = c dk/dw follow from it, n_eff_ref and n_g at w_ref.
 """
 
 from __future__ import annotations
@@ -236,43 +235,34 @@ class Resonance(Record):
         return fwhm
 
 
-def effective_index(wg: WaveguideParams, omega: float) -> float:
-    """Effective index at angular frequency ``omega`` [rad/s].
-
-    Evaluates the linear Taylor law around ``wg.omega_ref`` and, when a
-    second-order coefficient is present, folds the extra quadratic
-    wavevector term back into an equivalent index. Raises
-    ``ValueError`` unless ``omega`` is finite and positive.
-    """
-    require_positive("omega", omega)
-    detune = omega - wg.omega_ref
-    n = wg.n_eff_ref + (wg.n_g - wg.n_eff_ref) * detune / wg.omega_ref
-    if wg.gvd != 0.0:
-        n = n + 0.5 * wg.gvd * (detune * detune) * C_VACUUM / omega
-    return n
+def _dispersion(wg: WaveguideParams) -> tuple[float, float, float]:
+    """The coefficients (a, b, c0) of k(w) = a w^2 + b w + c0 [1/m]."""
+    w_ref, gvd = wg.omega_ref, wg.gvd
+    return ((wg.n_g - wg.n_eff_ref) / (C_VACUUM * w_ref) + 0.5 * gvd,
+            (2.0 * wg.n_eff_ref - wg.n_g) / C_VACUUM - gvd * w_ref,
+            0.5 * gvd * w_ref * w_ref)
 
 
 def wavevector(wg: WaveguideParams, omega: float) -> float:
-    """Propagation constant k(w) = n_eff(w) * w / c [1/m].
+    """Propagation constant k(w) = (a w + b) w + c0 [1/m]; n_eff is k c / w.
 
     Raises ``ValueError`` unless ``omega`` is finite and positive.
     """
-    return effective_index(wg, omega) * omega / C_VACUUM
+    require_positive("omega", omega)
+    a, b, c0 = _dispersion(wg)
+    return (a * omega + b) * omega + c0
 
 
 def group_index(wg: WaveguideParams, omega: float) -> float:
-    """Local group index c * dk/dw.
+    """Local group index c dk/dw = n_g + 2 c a (w - w_ref).
 
-    Reduces to ``wg.n_g`` exactly at the reference frequency and drifts
-    linearly away from it as implied by the index law. Raises
-    ``ValueError`` unless ``omega`` is finite and positive, and
-    ``NonPhysical`` when the group index is not finite, which includes
-    overflowing the float range.
+    Exactly ``wg.n_g`` at the reference frequency, and linear in the
+    detuning from it. Raises ``ValueError`` unless ``omega`` is finite
+    and positive, and ``NonPhysical`` when the group index is not finite,
+    which includes overflowing the float range.
     """
     require_positive("omega", omega)
-    ng = wg.n_eff_ref + (wg.n_g - wg.n_eff_ref) * (2.0 * omega - wg.omega_ref) / wg.omega_ref
-    if wg.gvd != 0.0:
-        ng = ng + C_VACUUM * wg.gvd * (omega - wg.omega_ref)
+    ng = wg.n_g + 2.0 * C_VACUUM * _dispersion(wg)[0] * (omega - wg.omega_ref)
     if not math.isfinite(ng):
         raise NonPhysical(f"group index is not finite for n_g = {wg.n_g:.6g}")
     return ng
@@ -286,8 +276,8 @@ def resonance_comb(
 ) -> list[Resonance]:
     """All resonances of one ring inside a frequency band.
 
-    Under the dispersion model the propagation constant is exactly
-    quadratic, k(w) = a w^2 + b w + c0, so the resonance condition
+    The propagation constant is exactly quadratic, k(w) = a w^2 + b w + c0
+    (see the module docstring), so the resonance condition
     k(w) * L_rt = 2*pi*m is solved in closed form for every mode order
     at once. Each root is taken on the branch where k increases, in the
     cancellation-free form of Numerical Recipes (section 5.6). The
@@ -337,13 +327,10 @@ def resonance_comb(
         raise EmptyBand(f"band {band} is empty for heater shift {s}")
     lo_u = max(lo_u, 1e-6 * hi_u)
 
-    # k(w) = a w^2 + b w + c0 exactly. Its slope 2 a w + b is the group
-    # index over c, linear in w, so positive at both edges of the search
-    # band means positive, and k increasing, over all of it.
-    w_ref, gvd = wg.omega_ref, wg.gvd
-    a = (wg.n_g - wg.n_eff_ref) / (C_VACUUM * w_ref) + 0.5 * gvd
-    b = (2.0 * wg.n_eff_ref - wg.n_g) / C_VACUUM - gvd * w_ref
-    c0 = 0.5 * gvd * w_ref * w_ref
+    # The slope 2 a w + b of k is the group index over c, linear in w, so
+    # positive at both edges of the search band means positive, and k
+    # increasing, over all of it.
+    a, b, c0 = _dispersion(wg)
     if 2.0 * a * lo_u + b <= 0.0 or 2.0 * a * hi_u + b <= 0.0:
         raise NoConvergence(
             f"group index is not positive over the search band ({lo_u:.6g}, {hi_u:.6g}) rad/s"

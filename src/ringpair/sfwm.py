@@ -46,6 +46,7 @@ from .record import NonNegative, Positive, Record, replace
 
 INTEGRATION_WINDOW_LINEWIDTHS = 50.0
 _RATE = "pair rate (prefactor times spectral factor)"
+_NOT_POSITIVE = "process frequencies are not positive; check delta and omega_s2"
 
 
 class PumpDrive(Record):
@@ -191,7 +192,7 @@ def _rate_setup(
     require_positive("omega_s2", omega_s2, NonPhysical)
     omega_p = 2.0 * omega_s - omega_s2 - delta
     if omega_p <= 0.0:
-        raise NonPhysical("process frequencies are not positive; check delta and omega_s2")
+        raise NonPhysical(_NOT_POSITIVE)
     sigma = drive.self_coupling
     if sigma is None:
         raise ValueError("drive.self_coupling is unset; resolve the drive first")
@@ -287,8 +288,9 @@ def pair_rate_integral(
     (h/2) [ab h^2/(d^2 + h^2) (G + S) - h^2 (S - G)], exact at delta = 0.
     Each term carries its own power of two, and d^2 + h^2 is formed from
     d and h scaled by a common one, so every linewidth that
-    :attr:`.Resonance.linewidth` accepts gives its rate; a rate outside
-    the float range raises :class:`NonPhysical`.
+    :attr:`.Resonance.linewidth` accepts gives its rate. A rate outside
+    the float range, or a slow factor w (2 w_s - w) not positive at
+    either line, w = w_s2 or w_s2 + delta, raises :class:`NonPhysical`.
 
     Parameters
     ----------
@@ -308,6 +310,8 @@ def pair_rate_integral(
         a sub-0.1 percent approximation for its neighbors.
     """
     pref, omega_s2, _omega_p = _rate_setup(drive, res_s, delta, kcal, v_g, omega_s2)
+    if not min(omega_s2 + delta, 2.0 * res_s.omega0 - omega_s2) > 0.0:
+        raise NonPhysical(_NOT_POSITIVE)
     fwhm, w = res_s.linewidth, 2.0 * INTEGRATION_WINDOW_LINEWIDTHS
     h = 0.5 * fwhm
     # Past 2**500 linewidths G < 1e-148 vanishes against S, so capping r

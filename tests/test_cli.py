@@ -115,9 +115,10 @@ RANGE_CASES = {
                                ["spectrum", "--band", *BAND, "--points", "101"], "loaded Q"),
     "ring2-qc-tiny-spectrum": ("ring2", "q_coupling", 1e-200,
                                ["spectrum", "--band", *BAND, "--points", "101"], "loaded Q"),
-    "n-g-huge-kerr-check": ("waveguide", "n_g", 1e300, ["kerr-check", "--power", "0.005"],
-                            "group index"),
-    "n-g-huge-optimize": ("waveguide", "n_g", 1e300, ["optimize", *SIGNAL], "group index"),
+    # At n_g x 1e300, a w + b cancels to 0.0 at w_ref, so the comb finds
+    # no positive round-trip phase; the group index itself is finite.
+    "n-g-huge-optimize": ("waveguide", "n_g", 1e300, ["optimize", *SIGNAL],
+                          "round-trip phase"),
 }
 
 
@@ -1113,6 +1114,26 @@ class TestExitCodes:
         err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "NoConvergence"
         assert "group index" in err["message"] and "not positive" in err["message"]
+
+    def test_huge_but_finite_group_index_is_checked(self, tmp_path, capsys):
+        # n_g x 1e300: the group index at the Kerr check's frequency is
+        # finite, so the check reports. It used to exit 4 on an overflow
+        # of an intermediate product, not of the group index.
+        data = load_json(DEVICE_JSON.read_text())
+        data["waveguide"]["n_g"] *= 1e300
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "artifact"
+        rc = main(["kerr-check", "--device", str(path), "--power", "0.005", "--out", str(out)])
+        assert rc == EXIT_OK
+        payload = load_json(out.read_text())
+        assert set(payload) == KERR_KEYS
+        numbers = [payload[key] for key in ("kerr_metric", "delta_beta", "crosstalk_at_null",
+                                            "isolation_db_cold", "metric_limit")]
+        numbers += [*payload["induced_shift"], *payload["compensation"]]
+        assert all(math.isfinite(x) for x in numbers)
+        assert 0.0 < payload["delta_beta"] < 1e-290
+        capsys.readouterr()
 
     @pytest.mark.parametrize("case", RANGE_CASES.values(), ids=RANGE_CASES.keys())
     def test_out_of_range_device_is_non_physical(self, case, tmp_path, capsys):

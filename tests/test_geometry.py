@@ -31,7 +31,6 @@ from ringpair import (
     Resonance,
     WaveguideParams,
     device_combs,
-    effective_index,
     finesse,
     fsr,
     geometry,
@@ -54,25 +53,44 @@ def _wg(n_eff=2.4, n_g=4.2, lambda_ref=1.55e-6, gvd=0.0):
     )
 
 
+def _effective_index(wg, omega):
+    """n_eff = k c / w, the route that replaced ``ringpair.effective_index``."""
+    return wavevector(wg, omega) * C_VACUUM / omega
+
+
+def _waveguides():
+    """Waveguides with n_eff_ref 1e-3 to 1e3, n_g 1e-3 to 1e6 and GVD zero or either sign."""
+    return st.builds(
+        WaveguideParams,
+        n_eff_ref=st.floats(1e-3, 1e3),
+        n_g=st.floats(1e-3, 1e6),
+        omega_ref=st.floats(1e9, 1e18),
+        gvd=st.one_of(st.just(0.0), st.floats(-1e-20, 1e-20)),
+    )
+
+
 class TestDispersion:
     def test_index_at_reference(self):
         wg = _wg()
-        assert effective_index(wg, wg.omega_ref) == pytest.approx(2.4, rel=1e-15)
+        assert _effective_index(wg, wg.omega_ref) == pytest.approx(2.4, rel=1e-15)
 
     def test_index_one_percent_above_reference(self):
         # Slope is n_g - n_eff_ref per relative detuning.
         wg = _wg()
-        n = effective_index(wg, 1.01 * wg.omega_ref)
+        n = _effective_index(wg, 1.01 * wg.omega_ref)
         assert n == pytest.approx(2.4 + (4.2 - 2.4) * 0.01, rel=1e-12)
         assert n == pytest.approx(2.418, rel=1e-12)
 
     def test_wavevector_definition(self):
-        wg = _wg()
-        for scale in (0.98, 1.0, 1.02):
-            w = scale * wg.omega_ref
-            assert wavevector(wg, w) == pytest.approx(
-                effective_index(wg, w) * w / C_VACUUM, rel=1e-15
-            )
+        # k = n_eff w / c with the Taylor index law plus the GVD term.
+        for gvd in (0.0, 5e-24):
+            wg = _wg(gvd=gvd)
+            for scale in (0.98, 1.0, 1.02):
+                w = scale * wg.omega_ref
+                detune = w - wg.omega_ref
+                n = wg.n_eff_ref + (wg.n_g - wg.n_eff_ref) * detune / wg.omega_ref
+                taylor = n * w / C_VACUUM + 0.5 * gvd * detune * detune
+                assert wavevector(wg, w) == pytest.approx(taylor, rel=1e-14)
 
     @pytest.mark.parametrize("gvd", [0.0, 5e-24, -3e-24])
     @pytest.mark.parametrize("scale", [1.0, 0.98, 1.03])
@@ -87,6 +105,15 @@ class TestDispersion:
     def test_group_index_at_reference_is_n_g(self):
         wg = _wg(gvd=7e-24)
         assert group_index(wg, wg.omega_ref) == pytest.approx(4.2, rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(wg=_waveguides())
+    def test_group_index_is_exactly_n_g_at_the_reference(self, wg):
+        # The law's derivative written about w_ref: n_g + 2 c a (w - w_ref).
+        # The expanded form n_eff_ref + (n_g - n_eff_ref)(2 w - w_ref)/w_ref
+        # missed n_g by rounding in about a third of log-uniform draws over
+        # this domain.
+        assert group_index(wg, wg.omega_ref) == wg.n_g
 
     @pytest.mark.parametrize("gvd", [0.0, 5e-24])
     def test_curvature_of_wavevector(self, gvd):
@@ -104,7 +131,8 @@ class TestDispersion:
 class TestScalarOrArray:
     """The dispersion functions take one float and return one float."""
 
-    @pytest.mark.parametrize("func", [effective_index, wavevector, group_index])
+    @pytest.mark.parametrize("func", [_effective_index, wavevector, group_index],
+                             ids=["effective_index", "wavevector", "group_index"])
     @pytest.mark.parametrize("gvd", [0.0, 5e-24])
     def test_return_types(self, func, gvd):
         wg = _wg(gvd=gvd)
@@ -113,7 +141,7 @@ class TestScalarOrArray:
 
     @pytest.mark.parametrize(
         "func",
-        [effective_index, wavevector, group_index,
+        [_effective_index, wavevector, group_index,
          lambda wg, w: wavevector(wg, w) * make_device().ring1.round_trip_length],
         ids=["effective_index", "wavevector", "group_index", "round_trip_phase"],
     )
@@ -128,11 +156,18 @@ class TestScalarOrArray:
 
     @pytest.mark.parametrize("omega_scale", [1.01])
     def test_group_index_overflow_raises(self, omega_scale):
-        # The product overflows to inf without an error of its own; the
-        # finiteness check on the result is the signal.
-        wg = _wg(n_g=4.2e300)
-        with pytest.raises(NonPhysical, match="group index"):
+        # n_g + 2 c a (w - w_ref) = 1.0202 n_g leaves the float range with
+        # no error of its own; the finiteness check on the result is the
+        # signal.
+        wg = _wg(n_g=1.78e308)
+        with pytest.raises(NonPhysical, match="group index is not finite"):
             group_index(wg, wg.omega_ref * omega_scale)
+
+    def test_group_index_finite_where_only_its_terms_were_not(self):
+        # The expanded form multiplied n_g - n_eff_ref by 2 w - w_ref first,
+        # which overflowed at n_g = 1e300 though the group index is finite.
+        wg = _wg(n_g=1e300)
+        assert group_index(wg, wg.omega_ref * 1.01) == pytest.approx(1.02e300, rel=1e-12)
 
 
 def _q_loaded(q_intrinsic, q_coupling):
@@ -264,8 +299,25 @@ class TestCouplingModel:
         with pytest.raises(NonPhysical, match="overflows"):
             cm.kappa_abs(1.0 - 2.0**-40)
 
+    def test_finite_exponent_whose_product_overflows_is_refused(self):
+        # exp(top) is finite, but kappa0 = 2 doubles it past the float range.
+        top = geometry._MAX_EXP
+        cm = CouplingModel(kappa0=2.0, gap_ref=top + 1.0, decay_len=1.0)
+        with pytest.raises(NonPhysical, match="coupling strength overflows"):
+            cm.kappa_abs(1.0)
+
 
 class TestResonanceComb:
+    def test_no_order_zero_line_at_the_heater_shift(self):
+        # A band reaching below the heater shift is searched from 1e-6 of
+        # its shifted upper edge, so its first line is order 1; order 0
+        # would sit at the shift itself, where k(0) = c0 = 0.
+        dev = make_device()
+        ring = replace(dev.ring1, heater_shift=1e14)
+        comb = resonance_comb(ring, dev.waveguide, (5e13, 3e14))
+        assert [r.order for r in comb] == list(range(1, len(comb) + 1))
+        assert comb[0].omega0 > 1e14
+
     def test_round_trip_phase_is_multiple_of_two_pi(self):
         dev = make_device()
         comb = resonance_comb(dev.ring1, dev.waveguide, process_band(dev), owner=1)
@@ -670,7 +722,8 @@ class TestConstantsAndImports:
             "f_in = rp.CmtField('IN', dev.kappa, dev.dc_length)\n"
             "f_out = rp.CmtField('OUT', dev.kappa, dev.dc_length)\n"
             "z = 0.3 * dev.dc_length\n"
-            "vals = [rp.effective_index(wg, w), rp.wavevector(wg, w), rp.group_index(wg, w),\n"
+            "vals = [rp.wavevector(wg, w) * rp.geometry.C_VACUUM / w, rp.wavevector(wg, w),\n"
+            "        rp.group_index(wg, w),\n"
             "        rp.wavevector(wg, w) * ring.round_trip_length,\n"
             "        rp.lorentzian_response(res, w),\n"
             "        f_in.a1(z), f_in.a2(z), f_out.a1(z), f_out.a2(z), ring.q_loaded,\n"

@@ -27,7 +27,7 @@ PUBLIC = (
     "Resonance", "RingpairError", "RuleCheck", "SCHEMA_VERSION", "SpectrumResult",
     "TuneResult", "ValidityExceeded", "WaveguideParams",
     "calibrate_kcal", "dc_transfer", "device_combs", "device_from_dict", "device_to_dict",
-    "effective_index", "evaluate_design", "finesse", "fsr", "group_index",
+    "evaluate_design", "finesse", "fsr", "group_index",
     "intensity_spectrum", "isolation_db", "j_quadrature", "j_single_ring_ratio",
     "kerr_delta_beta",
     "kerr_detuned_efficiency", "kerr_validity_metric", "load_device", "lorentzian_response",
@@ -62,6 +62,7 @@ REMOVED = {
     "EnhancementProfile":
         "its intensity(w): peak_amplitude(...)**2 * abs(lorentzian_response(res, w))**2",
     "j_single_ring_baseline": "j_quadrature(device, cfg).j_abs / j_single_ring_ratio(device, cfg)",
+    "effective_index": "wavevector(wg, w) * C_VACUUM / w",
 }
 
 MODULES = ("cli", "design", "deviceio", "enhancement", "errors", "geometry", "kernels",

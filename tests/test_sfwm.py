@@ -301,6 +301,55 @@ class TestPairRateIntegral:
         with pytest.raises(NonPhysical, match="underflows when squared"):
             pair_rate_integral(drive(), signal_line(q=1e177), 0.0, 1.0, 7.1e7)
 
+    # The call of the report that found them; the partner's frequency
+    # w_s2 + delta is negative at each, and the slow factor with it.
+    @pytest.mark.parametrize("delta", [-1.69e15, -1.70e15, -1e16, -1e150])
+    def test_partner_below_zero_frequency_is_refused(self, delta):
+        # The route gave +1.007, -0.411, -116.4 and -119.9 pairs here.
+        res = Resonance(owner=2, order=5, omega0=1.2e15, q_loaded=5e4, q_coupling=1e5)
+        pulse = PumpDrive(1.0, 1e-9, 0.97)
+        with pytest.raises(NonPhysical, match="process frequencies are not positive"):
+            pair_rate_integral(pulse, res, delta, 1.0, 7.1e7)
+        assert pair_rate_closed_form(pulse, res, delta, 1.0, 7.1e7) > 0.0
+
+    @pytest.mark.parametrize(
+        "delta, omega_s2",
+        [(-1.2e15, None), (-2e14, 2.4e15), (-2e14, 2.5e15)],
+        ids=["partner-at-zero", "second-at-twice-the-signal", "second-past-it"],
+    )
+    def test_a_line_where_the_slow_factor_is_not_positive_is_refused(self, delta, omega_s2):
+        # w (2 w_s - w) is 0 at one line in the first two cases and < 0 in
+        # the third, where the route gave -59.9 pairs; the pump
+        # 2 w_s - w_s2 - delta is positive in all three.
+        with pytest.raises(NonPhysical, match="process frequencies are not positive"):
+            pair_rate_integral(drive(), signal_line(), delta, 1.0, 7.1e7, omega_s2)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        omega_s=st.floats(1e12, 1e17),
+        q=st.floats(200.0, 1e9),
+        s2=st.floats(1e-3, 2.5),
+        near=st.sampled_from(["none", "partner", "second", "pump"]),
+        x=st.floats(-3.0, 3.0),
+    )
+    def test_every_returned_rate_is_non_negative(self, omega_s, q, s2, near, x):
+        # x is the detuning in signal frequencies, or its distance in
+        # linewidths from the edge where the named frequency reaches 0.
+        res = signal_line(omega_s, q)
+        omega_s2, fwhm = s2 * omega_s, res.linewidth
+        if near == "second":
+            omega_s2 = 2.0 * omega_s - x * fwhm
+        delta = {"none": x * omega_s, "partner": x * fwhm - omega_s2,
+                 "second": x * omega_s, "pump": 2.0 * omega_s - omega_s2 - x * fwhm}[near]
+        assume(omega_s2 > 0.0)
+        args = (drive(), res, delta, 1.0, 7.1e7, omega_s2)
+        if not min(omega_s2 + delta, 2.0 * omega_s - omega_s2,
+                   2.0 * omega_s - omega_s2 - delta) > 0.0:
+            with pytest.raises(NonPhysical, match="process frequencies are not positive"):
+                pair_rate_integral(*args)
+            return
+        assert pair_rate_integral(*args) >= 0.0
+
     def test_zero_mismatch_matches_closed_form(self):
         res = signal_line()
         dr = drive()

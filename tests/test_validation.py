@@ -121,7 +121,6 @@ def _argument_calls():
         "dc_transfer.length": lambda x: rp.dc_transfer(dev.kappa, x),
         "device_combs.band[0]": lambda x: rp.device_combs(dev, (x, hi)),
         "device_combs.band[1]": lambda x: rp.device_combs(dev, (lo, x)),
-        "effective_index.omega": lambda x: rp.effective_index(wg, x),
         "finesse.omega": lambda x: rp.finesse(ring, wg, x),
         "fsr.omega": lambda x: rp.fsr(ring, wg, x),
         "group_index.omega": lambda x: rp.group_index(wg, x),
@@ -206,7 +205,14 @@ MODULE_CALLS = {
         ("abs_tol", lambda x: integrate_adaptive(np.exp, 0.0, 1.0, x)),
     )
 }
-CHECKED_CALLS = {**ARGUMENT_CALLS, **PROPERTY_CALLS, **MODULE_CALLS}
+# effective_index left the package; its route, k c / w, still refuses a
+# non-finite frequency.
+_WG = make_device().waveguide
+REMOVED_CALLS = {
+    "effective_index.omega": (lambda x: rp.wavevector(_WG, x) * rp.geometry.C_VACUUM / x,
+                              ValueError),
+}
+CHECKED_CALLS = {**ARGUMENT_CALLS, **PROPERTY_CALLS, **MODULE_CALLS, **REMOVED_CALLS}
 
 
 @pytest.mark.parametrize("key", CHECKED_CALLS)

@@ -13,10 +13,11 @@ sites drawn with the seed, writes one mutant at a time into the copy and
 runs ``pytest -x`` over the given test files, under the Hypothesis
 profile ``mutate`` of ``tests/conftest.py``, which does not shrink a
 failing example, so a killed mutant fails fast. The checkout itself is
-never written. A mutant that the tests pass is a survivor, printed as
-``file:line: mutated line``: behaviour no test pins, or a mutant that
-computes the same thing. A run of the tests past ``TIMEOUT_S`` kills
-its mutant.
+never written, and the copy is removed when the run ends, also when
+SIGTERM or SIGHUP stops it. A mutant that the tests pass is a survivor,
+printed as ``file:line: mutated line``: behaviour no test pins, or a
+mutant that computes the same thing. A run of the tests past
+``TIMEOUT_S`` kills its mutant.
 
 The ledger, ``tools/mutants.txt``, lists the known equivalent mutants,
 each with its reason. A survivor
@@ -35,6 +36,7 @@ import os
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -161,16 +163,29 @@ def _copy_checkout(dest: Path) -> None:
 
 
 def _run_tests(copy: Path, tests: list[str]) -> str:
-    """'passed', 'failed' or 'timeout' for pytest -x over ``tests`` in the copy."""
+    """'passed', 'failed' or 'timeout' for pytest -x over ``tests`` in the copy.
+
+    pytest runs in a session of its own; a timeout, or any exception
+    here, kills that whole process group, so no test's subprocess
+    outlives the run.
+    """
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            "--hypothesis-profile=mutate", *tests]
-    try:
-        proc = subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return "timeout"
-    return "passed" if proc.returncode == 0 else "failed"
+    with subprocess.Popen(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL, start_new_session=True) as proc:
+        try:
+            return "passed" if proc.wait(TIMEOUT_S) == 0 else "failed"
+        except subprocess.TimeoutExpired:
+            return "timeout"
+        finally:
+            if proc.returncode is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+
+
+def _exit_on_signal(signum: int, _frame: object) -> None:
+    """Turn SIGTERM and SIGHUP into SystemExit, so the copy is removed."""
+    raise SystemExit(128 + signum)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -183,6 +198,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.sample < 1:
         parser.error("--sample must be at least 1")
 
+    for signum in (signal.SIGTERM, signal.SIGHUP):
+        signal.signal(signum, _exit_on_signal)
     module = Path(args.module)
     known = read_ledger(LEDGER)
     source = (ROOT / module).read_bytes()
