@@ -47,8 +47,8 @@ _NAMES = {
     ),
     "kernels": (),
     "linear_cmt": (
-        "CmtField", "DcTransfer", "dc_transfer", "isolation_db", "kerr_delta_beta",
-        "kerr_detuned_efficiency", "kerr_validity_metric",
+        "CmtField", "isolation_db", "kerr_delta_beta", "kerr_detuned_efficiency",
+        "kerr_validity_metric",
     ),
     "nonlinear": (
         "OverlapResult", "ProcessConfig", "j_quadrature", "j_single_ring_ratio",

@@ -17,12 +17,9 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import sys
 from typing import Iterable
 
 _INF = math.inf
-# Largest magnitude whose square is still a finite double.
-MAX_SQUARABLE = math.sqrt(sys.float_info.max)
 # Scaled factors and partial products stay inside [2**-256, 2**256], so no
 # product or quotient of two of them leaves the normal doubles.
 _LOW, _HIGH = 2.0**-256, 2.0**256
@@ -73,6 +70,15 @@ def _split(x: complex) -> tuple[complex, int]:
         e = math.frexp(max(abs(x.real), abs(x.imag)))[1]
         return complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)), e
     return math.frexp(x)
+
+
+def common_scale(x: float, y: float) -> tuple[float, float, int]:
+    """(a, b, e) with x = a * 2**e, y = b * 2**e and max(|a|, b) in [0.5, 1), for y >= 0.
+
+    The scaling is exact wherever a and b stay normal doubles; a**2 + b**2 is in [0.25, 2].
+    """
+    e = math.frexp(max(abs(x), y))[1]
+    return math.ldexp(x, -e), math.ldexp(y, -e), e
 
 
 def scaled_product(factors: Iterable[tuple[complex, int]]) -> tuple[complex, int]:

@@ -8,17 +8,17 @@ in, so the two racetracks are linearly uncoupled at every frequency
 while still sharing the physical cross section where the third-order
 nonlinearity acts.
 
-This module also carries the self- and cross-phase detuning estimates
-for that null: a Kerr-induced mismatch delta_beta between the guides
-degrades the null, and the closed-form transfer below quantifies by
-how much.
+The coupler's cross power has one route, ``kerr_detuned_efficiency``:
+a Kerr-induced mismatch delta_beta between the guides degrades the
+null by the closed form there, and at delta_beta = 0 it is the linear
+cross power that ``isolation_db`` reads.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import MAX_SQUARABLE, NonPhysical
+from .errors import NonPhysical, common_scale
 from .errors import require_finite, require_non_negative, require_positive
 from .geometry import WaveguideParams
 from .record import Positive, Record
@@ -72,40 +72,15 @@ class CmtField(Record):
         return complex(math.cos(mag * z))
 
 
-class DcTransfer(Record):
-    """End-to-end linear transfer of the coupler.
-
-    ``through`` is the amplitude staying in the fed guide after the
-    full length, ``cross`` the amplitude leaking into the other guide.
-    ``|through|^2 + |cross|^2 = 1`` (lossless coupler).
-    """
-
-    through: complex
-    cross: complex
-
-    @property
-    def cross_power(self) -> float:
-        return abs(self.cross) ** 2
-
-
-def dc_transfer(kappa: complex, length: float) -> DcTransfer:
-    """Linear transfer matrix entries of the coupler at length L.
-
-    These are the OUT field's amplitudes at the coupler's end: ``a1(L)``
-    stays in the fed guide and ``a2(L)`` crosses into the other one.
-    """
-    field = CmtField("OUT", complex(kappa), length)
-    return DcTransfer(field.a1(length), field.a2(length))
-
-
 def isolation_db(kappa: complex, length: float) -> float:
     """Linear isolation between the rings, -10*log10 of the cross power.
 
+    The cross power is ``kerr_detuned_efficiency(kappa, length, 0.0)``.
     The value is capped at ``ISOLATION_FLOOR_DB`` (200 dB): an exact null
     has zero cross power and infinite nominal isolation, and values
     beyond the cap carry no design information.
     """
-    cross_power = dc_transfer(kappa, length).cross_power
+    cross_power = kerr_detuned_efficiency(kappa, length, 0.0)
     if cross_power == 0.0:  # math.log10 raises at 0
         return ISOLATION_FLOOR_DB
     return min(-10.0 * math.log10(cross_power), ISOLATION_FLOOR_DB)
@@ -117,9 +92,11 @@ def kerr_detuned_efficiency(kappa: complex, length: float, delta_beta: float) ->
     eta = |kappa|^2 / (|kappa|^2 + delta_beta^2)
           * sin^2(|kappa| * L * sqrt(1 + (delta_beta / (2|kappa|))^2))
 
-    Note the asymmetry: the prefactor carries the full mismatch while
-    the beat-rate correction inside the sine uses half of it. The
-    expression is implemented exactly as written above.
+    This is the one route to the coupler's cross power: at delta_beta = 0
+    it is the linear sin^2(|kappa| L). The prefactor carries the full
+    mismatch, the beat-rate correction inside the sine half of it. Both
+    are formed from |kappa| and delta_beta scaled by one power of two, so
+    no square leaves the float range; a prefactor that rounds to 0 gives 0.0.
 
     Parameters
     ----------
@@ -133,22 +110,22 @@ def kerr_detuned_efficiency(kappa: complex, length: float, delta_beta: float) ->
     Raises
     ------
     NonPhysical
-        If |kappa|, delta_beta or their ratio is too large to square.
+        If the sine's phase is not below 2**53 rad, where doubles are 2 rad apart.
     """
     require_finite("kappa", kappa)
     require_positive("length", length)
     require_finite("delta_beta", delta_beta)
     mag = abs(complex(kappa))
-    if mag == 0.0:
+    a, b, _e = common_scale(delta_beta, mag)
+    pref = b**2 / (a**2 + b**2) if mag else 0.0
+    if pref == 0.0:
         return 0.0
-    ratio = delta_beta / (2.0 * mag)
-    if not max(mag, abs(delta_beta), abs(ratio)) <= MAX_SQUARABLE:
-        raise NonPhysical(
-            f"Kerr crosstalk overflows for |kappa| = {mag:.6g} 1/m, "
-            f"delta_beta = {delta_beta:.6g} 1/m"
-        )
-    pref = mag**2 / (mag**2 + delta_beta**2)
-    return pref * math.sin(mag * length * math.sqrt(1.0 + ratio**2)) ** 2
+    ratio = a / (2.0 * b)  # delta_beta / (2|kappa|), bit for bit
+    # From 2**511 on, ratio**2 nears overflow and sqrt(1 + ratio**2) is |ratio|.
+    phase = mag * length * (math.sqrt(1.0 + ratio**2) if abs(ratio) < 2.0**511 else abs(ratio))
+    if not phase < 2.0**53:
+        raise NonPhysical(f"coupler phase {phase:.6g} rad is not below 2**53")
+    return pref * math.sin(phase) ** 2
 
 
 def kerr_delta_beta(wg: WaveguideParams, p_in: float, finesse: float) -> float:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import MissingResonance, NonPhysical, finite_product, scaled_product
+from .errors import MissingResonance, NonPhysical, common_scale, finite_product, scaled_product
 from .errors import require_finite, require_positive
 from .geometry import (
     EPSILON_0,
@@ -114,16 +114,6 @@ def per_second(beta_sq: float, pulse_duration: float) -> float:
     return rate
 
 
-def _common_scale(delta: float, fwhm: float) -> tuple[float, float, int]:
-    """(a, b, e) with delta = a * 2**e and fwhm = b * 2**e, max(|a|, b) in [0.5, 1).
-
-    The scaling is by a power of two, so it is exact wherever a and b stay
-    normal doubles, and a**2 + b**2 lies in [0.25, 2].
-    """
-    e = math.frexp(max(abs(delta), fwhm))[1]
-    return math.ldexp(delta, -e), math.ldexp(fwhm, -e), e
-
-
 def suppression_factor(delta: float, linewidth: float) -> float:
     """Parasitic-rate suppression fwhm^2 / (delta^2 + fwhm^2).
 
@@ -134,7 +124,7 @@ def suppression_factor(delta: float, linewidth: float) -> float:
     """
     require_finite("delta", delta)
     require_positive("linewidth", linewidth)
-    a, b, _e = _common_scale(delta, linewidth)
+    a, b, _e = common_scale(delta, linewidth)
     return b**2 / (a**2 + b**2)
 
 
@@ -323,7 +313,7 @@ def pair_rate_integral(
     # Both terms of the bracket carry their own power of two: d^2 + h^2 is
     # formed from d and h scaled by a common 2**e, and h^2 from h's
     # mantissa, so no square leaves the float range.
-    a, b, e = _common_scale(0.5 * delta, h)
+    a, b, e = common_scale(0.5 * delta, h)
     m1, k1 = scaled_product((
         (2.0 * res_s.omega0 - omega_s2 - 0.5 * delta, 1), (omega_s2 + 0.5 * delta, 1),
         (h, 1), (h, 1), (a * a + b * b, -1), (g + s, 1),
@@ -356,7 +346,7 @@ def pair_rate_closed_form(
     """
     pref, omega_s2, omega_p = _rate_setup(drive, res_s, delta, kcal, v_g, None)
     fwhm = res_s.linewidth
-    a, b, e = _common_scale(delta, fwhm)
+    a, b, e = common_scale(delta, fwhm)
     spectral, shift = scaled_product(
         ((math.pi / 4.0, 1), (fwhm, 3), (a**2 + b**2, -1), (omega_s2, 1), (omega_p, 1))
     )

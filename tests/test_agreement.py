@@ -9,6 +9,7 @@ computes it. It returns (left, right) pairs, and every pair holds at
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -16,6 +17,7 @@ from ringpair import DesignGoal, PumpDrive, j_single_ring_ratio, load_device
 from ringpair.cli import EXIT_OK, main, parse_frequency
 from ringpair.design import _tune_diagnostics
 from ringpair.geometry import C_VACUUM, TWO_PI
+from ringpair.linear_cmt import ISOLATION_FLOOR_DB
 from ringpair.record import replace
 
 from conftest import DEVICE_JSON, README_COMMANDS, write_device
@@ -69,6 +71,24 @@ def kerr_check_isolation(tmp_path):
     return pairs
 
 
+def kerr_check_cold_crosstalk(tmp_path):
+    # kerr-check --power 0: the cold isolation is the capped -10 log10 of
+    # the crosstalk at the null, on devices whose coupling constant has a
+    # phase, at the file's null gap and at two gaps off it.
+    shipped = load_device(DEVICE_JSON)
+    path = tmp_path / "phased.json"
+    pairs = []
+    for phase, gap in ((1.1, GAP), (1.1, OFF_NULL_GAP), (3.0, 3.1e-7)):
+        write_device(replace(shipped, dc_gap=gap, coupling=replace(shipped.coupling, phase=phase)),
+                     path)
+        kerr = json.loads(_run(["kerr-check", "--device", str(path), "--power", "0"],
+                               tmp_path / "kerr.json"))
+        cross = kerr["crosstalk_at_null"]
+        capped = min(-10.0 * math.log10(cross), ISOLATION_FLOOR_DB) if cross else ISOLATION_FLOOR_DB
+        pairs.append((kerr["isolation_db_cold"], capped))
+    return pairs
+
+
 def optimize_report(tmp_path):
     # optimize --report against its own --out device, and its j_ratio against
     # j_single_ring_ratio on that device and the report's configuration.
@@ -116,7 +136,7 @@ def optimize_kerr(tmp_path):
 
 
 ROWS = {f.__name__: f for f in (rates_suppression, kerr_check_isolation, optimize_report,
-                                kerr_check_sweep, optimize_kerr)}
+                                kerr_check_sweep, optimize_kerr, kerr_check_cold_crosstalk)}
 
 
 @pytest.mark.parametrize("name", ROWS)

@@ -98,9 +98,7 @@ RANGE_CASES = {
     "ring1-qi-tiny-optimize": ("ring1", "q_intrinsic", 1e-200, ["optimize", *SIGNAL],
                                "loaded Q"),
     "kappa0-huge-kerr-check": ("coupling_model", "kappa0_per_m", 1e200,
-                               ["kerr-check", "--power", "0.005"], "Kerr crosstalk"),
-    "kappa0-tiny-kerr-check": ("coupling_model", "kappa0_per_m", 1e-200,
-                               ["kerr-check", "--power", "0.005"], "Kerr crosstalk"),
+                               ["kerr-check", "--power", "0.005"], "2**53"),
     "ring2-qi-tiny-suppression": ("ring2", "q_intrinsic", 1e-200,
                                   ["suppression", "--band", *BAND], "loaded Q"),
     "ring2-qc-tiny-suppression": ("ring2", "q_coupling", 1e-200,
@@ -119,6 +117,22 @@ RANGE_CASES = {
     # no positive round-trip phase; the group index itself is finite.
     "n-g-huge-optimize": ("waveguide", "n_g", 1e300, ["optimize", *SIGNAL],
                           "round-trip phase"),
+}
+
+
+# (kappa0_per_m, command, exit code): the coupler's cross power at the
+# float range's edges. A coupler with no coupling has no crosstalk: at
+# 1e-170 1/m the cold check divided |kappa|^2, rounded to 0, by itself (a
+# ZeroDivisionError traceback), and at 1e-200 times the shipped value the
+# Kerr check refused the mismatch's square (exit 4). At 1e200 times it,
+# the isolation sweep wrote a number read from a phase of 3e200 rad.
+KAPPA0 = load_json(DEVICE_JSON.read_text())["coupling_model"]["kappa0_per_m"]
+COUPLER_CASES = {
+    "kappa0-1e-170-kerr-check-cold": (1e-170, ["kerr-check", "--power", "0"], EXIT_OK),
+    "kappa0-tiny-kerr-check": (KAPPA0 * 1e-200, ["kerr-check", "--power", "0.005"], EXIT_OK),
+    "kappa0-huge-sweep-isolation": (KAPPA0 * 1e200, ["sweep", "--param", "dc.gap_m", "--list",
+                                                     "3e-7", "--report", "isolation"],
+                                    EXIT_NUMERICAL),
 }
 
 
@@ -1151,6 +1165,25 @@ class TestExitCodes:
         err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "NonPhysical"
         assert phrase in err["message"]
+
+    @pytest.mark.parametrize("case", COUPLER_CASES.values(), ids=COUPLER_CASES.keys())
+    def test_coupler_cross_power_at_the_float_edges(self, case, tmp_path, capsys):
+        kappa0, argv, code = case
+        data = load_json(DEVICE_JSON.read_text())
+        data["coupling_model"]["kappa0_per_m"] = kappa0
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "artifact"
+        rc = main([argv[0], "--device", str(path), *argv[1:], "--out", str(out)])
+        assert rc == code
+        if code == EXIT_OK:
+            payload = load_json(out.read_text())
+            assert (payload["crosstalk_at_null"], payload["isolation_db_cold"]) == (0.0, 200.0)
+        else:
+            assert not out.exists()
+            err = load_json(capsys.readouterr().err)
+            assert err["context"]["error"] == "NonPhysical"
+            assert "phase" in err["message"] and "2**53" in err["message"]
 
     @pytest.mark.parametrize("case", MULTI_RANGE_CASES.values(), ids=MULTI_RANGE_CASES.keys())
     def test_out_of_range_leaves_are_non_physical(self, case, tmp_path, capsys):

@@ -727,7 +727,8 @@ class TestConstantsAndImports:
             "        rp.wavevector(wg, w) * ring.round_trip_length,\n"
             "        rp.lorentzian_response(res, w),\n"
             "        f_in.a1(z), f_in.a2(z), f_out.a1(z), f_out.a2(z), ring.q_loaded,\n"
-            "        rp.dc_transfer(dev.kappa, dev.dc_length), rp.fsr(ring, wg, w),\n"
+            "        rp.kerr_detuned_efficiency(dev.kappa, dev.dc_length, 0.0),\n"
+            "        rp.fsr(ring, wg, w),\n"
             "        rp.isolation_db(dev.kappa, dev.dc_length)]\n"
             "print(json.dumps([len(vals), 'numpy' in sys.modules]))"
         )

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from ringpair import (
     CmtField,
     NonPhysical,
-    dc_transfer,
     isolation_db,
     kerr_delta_beta,
     kerr_detuned_efficiency,
@@ -54,8 +53,9 @@ def test_field_power_is_conserved_along_z(mag, phase, length, frac):
 @settings(max_examples=200, deadline=None)
 @given(kappa_mags, kappa_phases, lengths)
 def test_transfer_is_unitary(mag, phase, length):
-    t = dc_transfer(mag * cmath.exp(1j * phase), length)
-    assert abs(abs(t.through) ** 2 + abs(t.cross) ** 2 - 1.0) <= 1e-12
+    # The OUT field at the coupler's end: through a1(L), cross a2(L).
+    field = CmtField("OUT", mag * cmath.exp(1j * phase), length)
+    assert abs(abs(field.a1(length)) ** 2 + abs(field.a2(length)) ** 2 - 1.0) <= 1e-12
 
 
 def test_boundary_values_at_entrance():
@@ -85,14 +85,14 @@ class TestNull:
     def test_cross_power_vanishes_at_null_lengths(self, m):
         mag = 66666.0
         length = m * math.pi / mag
-        assert dc_transfer(mag + 0j, length).cross_power < 1e-24
+        assert kerr_detuned_efficiency(mag + 0j, length, 0.0) < 1e-24
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_null_degrades_quadratically_nearby(self, m, sign):
         mag = 66666.0
         length = m * math.pi / mag * (1.0 + sign * 0.01)
-        cross = dc_transfer(mag + 0j, length).cross_power
+        cross = kerr_detuned_efficiency(mag + 0j, length, 0.0)
         assert cross == pytest.approx(math.sin(0.01 * m * math.pi) ** 2, rel=1e-10)
 
     def test_degenerate_fields_are_constant(self):
@@ -126,7 +126,7 @@ class TestIsolation:
         (1.0 + 0j, 1.0000000000000021e-10, 1.0000000000000042e-20),  # log10 above -20.0
     ])
     def test_cap_at_a_cross_power_of_1e_20(self, kappa, length, cross_power):
-        assert dc_transfer(kappa, length).cross_power == cross_power
+        assert kerr_detuned_efficiency(kappa, length, 0.0) == cross_power
         got = isolation_db(kappa, length)
         if cross_power < 1e-20:
             assert got == 200.0
@@ -134,11 +134,16 @@ class TestIsolation:
             assert got == -10.0 * math.log10(cross_power) < 200.0
 
     def test_phase_does_not_change_isolation(self):
-        mag, length = 5e4, 2.3e-5
-        base = isolation_db(mag + 0j, length)
-        assert isolation_db(mag * cmath.exp(1.1j), length) == pytest.approx(
-            base, rel=1e-12
-        )
+        kappa, length = 5e4 * cmath.exp(1.1j), 2.3e-5
+        assert isolation_db(kappa, length) == isolation_db(abs(kappa) + 0j, length)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kappa_mags, kappa_phases, lengths)
+    def test_isolation_is_exactly_phase_independent(self, mag, phase, length):
+        # The cross power is sin^2(|kappa| L): the phasor of kappa never
+        # enters it, not even in the last bit.
+        kappa = mag * cmath.exp(1j * phase)
+        assert isolation_db(kappa, length) == isolation_db(abs(kappa), length)
 
 
 class TestKerrEfficiency:
@@ -176,6 +181,43 @@ class TestKerrEfficiency:
 
     def test_zero_coupling(self):
         assert kerr_detuned_efficiency(0.0, 1e-4, 50.0) == 0.0
+        assert kerr_detuned_efficiency(0.0, 1e-4, 0.0) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(kappas, lengths, st.floats(min_value=-1e7, max_value=1e7))
+    def test_matches_the_unscaled_expression(self, kappa, length, db):
+        # Where no square leaves the float range, the scaled pair gives the
+        # docstring's expression: the phase bit for bit, the prefactor to
+        # the last bits of its squares.
+        mag = abs(kappa)
+        got = kerr_detuned_efficiency(kappa, length, db)
+        if mag == 0.0:
+            assert got == 0.0
+            return
+        phase = mag * length * math.sqrt(1.0 + (db / (2.0 * mag)) ** 2)
+        pref = mag**2 / (mag**2 + db**2)
+        assert got == pytest.approx(pref * math.sin(phase) ** 2, rel=1e-15, abs=0.0)
+
+    def test_ratio_whose_square_overflows(self):
+        # |kappa| = 1 against delta_beta = 1e160: the prefactor is a subnormal
+        # 1e-320 and (delta_beta / 2|kappa|)^2 overflows, so the phase is
+        # L * delta_beta / 2 = 5e9 rad.
+        got = kerr_detuned_efficiency(1.0, 1e-150, 1e160)
+        assert 0.0 < got == pytest.approx(1e-320 * math.sin(5e9) ** 2, rel=1e-3)
+
+    @pytest.mark.parametrize("length, refused", [
+        (2.0**53 - 1.0, False), (2.0**53, True), (math.ldexp(1.0, 1000), True),
+    ])
+    def test_phase_from_2_53_is_refused(self, length, refused):
+        # At |kappa| = 1 and no mismatch the phase is L itself. From 2**53 on,
+        # doubles are 2 rad apart and the sine has no digit left.
+        if refused:
+            with pytest.raises(NonPhysical, match=r"phase .* not below 2\*\*53"):
+                kerr_detuned_efficiency(1.0, length, 0.0)
+            with pytest.raises(NonPhysical, match=r"phase .* not below 2\*\*53"):
+                isolation_db(1.0, length)
+        else:
+            assert kerr_detuned_efficiency(1.0, length, 0.0) == math.sin(length) ** 2
 
 
 class TestKerrScales:
@@ -234,7 +276,7 @@ class TestKerrScales:
 
 def test_length_validation():
     with pytest.raises(ValueError):
-        dc_transfer(1e4 + 0j, 0.0)
+        isolation_db(1e4 + 0j, 0.0)
     with pytest.raises(ValueError):
         CmtField("IN", 1e4 + 0j, -1.0)
     with pytest.raises(ValueError):
@@ -242,28 +284,20 @@ def test_length_validation():
 
 
 @pytest.mark.parametrize(
-    "kappa, delta_beta",
-    [(6.7e204, 48.9), (6.7e-196, 48.9), (1e4, 1e160)],
+    "kappa, delta_beta, refused",
+    [(6.7e204, 48.9, True), (6.7e-196, 48.9, False), (1e4, 1e160, True)],
     ids=["kappa-huge", "kappa-tiny", "delta-beta-huge"],
 )
-def test_kerr_efficiency_out_of_range(kappa, delta_beta):
-    # Squaring |kappa|, delta_beta or their ratio used to raise OverflowError.
-    with pytest.raises(NonPhysical, match="overflows"):
-        kerr_detuned_efficiency(kappa, 4.7e-5, delta_beta)
-
-
-def _bits(z: complex) -> tuple[str, str]:
-    """Both parts of z as hex strings, which tell -0.0 from 0.0."""
-    return z.real.hex(), z.imag.hex()
-
-
-def _old_dc_transfer(kappa, length):
-    """(through, cross) as dc_transfer wrote them before it read the OUT field."""
-    kappa = complex(kappa)
-    mag = abs(kappa)
-    if mag == 0.0:
-        return 1.0 + 0.0j, 0.0j
-    return complex(math.cos(mag * length)), 1j * phase_unit(kappa) * math.sin(mag * length)
+def test_kerr_efficiency_out_of_range(kappa, delta_beta, refused):
+    # Squaring |kappa|, delta_beta or their ratio used to raise OverflowError,
+    # then NonPhysical. The squares are now of a scaled pair: a coupling too
+    # weak for the mismatch has no crosstalk, and only a phase from 2**53 on
+    # (3.1e200 and 2.4e155 rad here) is refused.
+    if refused:
+        with pytest.raises(NonPhysical, match=r"phase .* not below 2\*\*53"):
+            kerr_detuned_efficiency(kappa, 4.7e-5, delta_beta)
+    else:
+        assert kerr_detuned_efficiency(kappa, 4.7e-5, delta_beta) == 0.0
 
 
 def _numpy_fields(field, z):
@@ -278,15 +312,14 @@ def _numpy_fields(field, z):
 
 
 class TestOneBeatSolution:
-    """dc_transfer reads the OUT field at the coupler's end, and the
-    fields compute on floats; both keep the numbers they had before."""
+    """The OUT field's cross power at the coupler's end is the one route's,
+    and the fields compute on floats with the numbers they had before."""
 
     @settings(max_examples=300, deadline=None)
     @given(kappas, lengths)
-    def test_dc_transfer_matches_old_expression(self, kappa, length):
-        t = dc_transfer(kappa, length)
-        through, cross = _old_dc_transfer(kappa, length)
-        assert (_bits(t.through), _bits(t.cross)) == (_bits(through), _bits(cross))
+    def test_out_field_cross_power_is_the_one_route(self, kappa, length):
+        cross = abs(CmtField("OUT", kappa, length).a2(length)) ** 2
+        assert abs(cross - kerr_detuned_efficiency(kappa, length, 0.0)) <= 1e-15
 
     @settings(max_examples=300, deadline=None)
     @given(kappas, lengths, fractions)

@@ -667,6 +667,12 @@ class TestScaledPowers:
         assert math.ldexp(*scaled_product([(x, 3)])) == x**3
         x = math.ldexp(0.5 + 2.0**-53, -511)
         assert math.ldexp(*scaled_product([(x, 2), (2.0**600, 1)])) == (x * 2.0**300) ** 2
+        # At n * (e - 1) = -1022, x**n is the least normal power, so it is
+        # taken as such (e = -510 here, and x**2 differs from
+        # ldexp(m**2, -1020) in the last bit with some libms).
+        x = 1.9422324817725946e-154
+        assert math.frexp(x)[1] == -510
+        assert math.ldexp(*scaled_product([(x, 2)])) == x**2
 
     @settings(max_examples=300, deadline=None)
     @given(factors=_rate_shaped(-400, 400))

@@ -20,13 +20,13 @@ import ringpair
 from conftest import REPO
 
 PUBLIC = (
-    "CmtField", "CompensationResult", "CouplingModel", "DcTransfer", "DesignGoal",
+    "CmtField", "CompensationResult", "CouplingModel", "DesignGoal",
     "DesignReport", "DeviceSpec", "EmptyBand", "Infeasible", "MissingResonance",
     "NoConvergence", "NonPhysical", "OutOfRange", "OverlapResult",
     "PairRateReport", "ProcessConfig", "PumpDrive", "RacetrackSpec",
     "Resonance", "RingpairError", "RuleCheck", "SCHEMA_VERSION", "SpectrumResult",
     "TuneResult", "ValidityExceeded", "WaveguideParams",
-    "calibrate_kcal", "dc_transfer", "device_combs", "device_from_dict", "device_to_dict",
+    "calibrate_kcal", "device_combs", "device_from_dict", "device_to_dict",
     "evaluate_design", "finesse", "fsr", "group_index",
     "intensity_spectrum", "isolation_db", "j_quadrature", "j_single_ring_ratio",
     "kerr_delta_beta",
@@ -63,6 +63,9 @@ REMOVED = {
         "its intensity(w): peak_amplitude(...)**2 * abs(lorentzian_response(res, w))**2",
     "j_single_ring_baseline": "j_quadrature(device, cfg).j_abs / j_single_ring_ratio(device, cfg)",
     "effective_index": "wavevector(wg, w) * C_VACUUM / w",
+    "DcTransfer": "CmtField('OUT', kappa, length): through a1(length), cross a2(length)",
+    "dc_transfer": "kerr_detuned_efficiency(kappa, length, 0.0), the cross power",
+    "errors.MAX_SQUARABLE": "math.sqrt(sys.float_info.max); the coupler scales by common_scale",
 }
 
 MODULES = ("cli", "design", "deviceio", "enhancement", "errors", "geometry", "kernels",

@@ -19,7 +19,6 @@ from ringpair import (
     PumpDrive,
     Resonance,
     RuleCheck,
-    dc_transfer,
     evaluate_design,
     intensity_spectrum,
     j_quadrature,
@@ -51,7 +50,6 @@ def _instances() -> list[Record]:
         dev,
         cfg.res_s,
         CmtField("IN", dev.kappa, dev.dc_length),
-        dc_transfer(dev.kappa, dev.dc_length),
         cfg,
         j_quadrature(dev, cfg),
         drive,
@@ -102,7 +100,7 @@ def _twin(obj: Record):
 
 def test_every_record_class_has_an_instance():
     assert sorted(IDS) == sorted(cls.__name__ for cls in CLASSES)
-    assert len(IDS) == 17
+    assert len(IDS) == 16
 
 
 def _declares_a_domain(cls) -> bool:

@@ -33,6 +33,7 @@ from ringpair import (
     suppression_factor,
 )
 from ringpair import kernels
+from ringpair.errors import common_scale
 from ringpair.quadrature import integrate_adaptive
 from ringpair.record import replace
 from ringpair.sfwm import per_second
@@ -127,6 +128,22 @@ class TestSuppressionFactor:
                 suppression_factor(1.0, bad)
             with pytest.raises(ValueError):
                 suppression_factor(bad, FWHM)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(min_value=0.0, allow_infinity=False))
+def test_common_scale_is_one_power_of_two(x, y):
+    # suppression_factor, both rate routes and the coupler's cross power
+    # form their squares from this pair.
+    a, b, e = common_scale(x, y)
+    if x == y == 0.0:
+        assert (a, b, e) == (0.0, 0.0, 0)
+        return
+    assert 0.5 <= max(abs(a), b) < 1.0 and 0.25 <= a**2 + b**2 <= 2.0
+    for scaled, value in ((a, x), (b, y)):
+        if abs(scaled) >= sys.float_info.min:  # a normal double keeps every bit
+            assert math.ldexp(scaled, e) == value
 
 
 class TestSigma:

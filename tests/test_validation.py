@@ -117,8 +117,6 @@ def _argument_calls():
         "PumpDrive.power.omega": lambda x: drive.power(x),
         "calibrate_kcal.target_rate": lambda x: rp.calibrate_kcal(dev, x, 1e-3, cfg),
         "calibrate_kcal.pump_power": lambda x: rp.calibrate_kcal(dev, 1e3, x, cfg),
-        "dc_transfer.kappa": lambda x: rp.dc_transfer(x, length),
-        "dc_transfer.length": lambda x: rp.dc_transfer(dev.kappa, x),
         "device_combs.band[0]": lambda x: rp.device_combs(dev, (x, hi)),
         "device_combs.band[1]": lambda x: rp.device_combs(dev, (lo, x)),
         "finesse.omega": lambda x: rp.finesse(ring, wg, x),
@@ -205,12 +203,16 @@ MODULE_CALLS = {
         ("abs_tol", lambda x: integrate_adaptive(np.exp, 0.0, 1.0, x)),
     )
 }
-# effective_index left the package; its route, k c / w, still refuses a
-# non-finite frequency.
-_WG = make_device().waveguide
+# effective_index and dc_transfer left the package; their routes, k c / w
+# and the OUT field at the coupler's end, still refuse non-finite input.
+_DEV = make_device()
+_WG = _DEV.waveguide
 REMOVED_CALLS = {
     "effective_index.omega": (lambda x: rp.wavevector(_WG, x) * rp.geometry.C_VACUUM / x,
                               ValueError),
+    "dc_transfer.kappa": (lambda x: CmtField("OUT", x, _DEV.dc_length).a2(_DEV.dc_length),
+                          ValueError),
+    "dc_transfer.length": (lambda x: CmtField("OUT", _DEV.kappa, x).a2(x), ValueError),
 }
 CHECKED_CALLS = {**ARGUMENT_CALLS, **PROPERTY_CALLS, **MODULE_CALLS, **REMOVED_CALLS}
 
