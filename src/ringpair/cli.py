@@ -43,7 +43,8 @@ import time
 from typing import Any, Callable, NoReturn, Sequence
 
 from . import __version__
-from .design import DesignGoal, null_kerr_metric, optimize_device, xpm_spm_compensation
+from .design import KERR_CEILING, DesignGoal, null_kerr_metric, optimize_device
+from .design import require_kerr_validity, xpm_spm_compensation
 from .deviceio import (
     csv_text,
     device_to_dict,
@@ -66,9 +67,10 @@ from .errors import (
 )
 from .geometry import C_VACUUM, TWO_PI, resonance_comb
 from .linear_cmt import isolation_db, kerr_detuned_efficiency
-from .nonlinear import j_quadrature, resonant_config
+from .nonlinear import PUMP_SEPARATION, j_quadrature, resonant_config
 from .record import asdict
 from .sfwm import (
+    UNCALIBRATED_KCAL,
     PumpDrive,
     noise_budget,
     pair_rate_closed_form,
@@ -192,10 +194,10 @@ def _emit(out: str | None, text: str, argv: Sequence[str]) -> None:
 _FLAGS: dict[str, dict[str, Any]] = {
     "band": dict(nargs="+", required=True, metavar="EDGE", help="band edges 'LO HI' or "
                  "'LO:HI'; bare numbers are Hz, suffixes nm/um/GHz/THz supported"),
-    "separation": dict(type=int, default=2, help="pump separation in ring-1 orders"),
+    "separation": dict(type=int, default=PUMP_SEPARATION, help="pump separation in ring-1 orders"),
     "photons": dict(type=float, default=1.0, help="pump photons per pulse"),
     "pulse": dict(type=float, default=1e-9, help="pulse duration [s]"),
-    "kcal": dict(type=float, default=1.0, help="hardware calibration constant"),
+    "kcal": dict(type=float, default=UNCALIBRATED_KCAL, help="hardware calibration constant"),
     "self_coupling": dict(type=float, default=None,
                           help="bus self-coupling sigma (derived from finesse when omitted)"),
     "power": dict(type=float, default=0.0, help="per-pump input power [W]"),
@@ -212,6 +214,20 @@ def _drive(args: argparse.Namespace) -> PumpDrive:
     return PumpDrive(photon_number=args.photons, pulse_duration=args.pulse, self_coupling=sigma)
 
 
+def _valid_drive(device, args: argparse.Namespace, cfg) -> PumpDrive:
+    """The drive, refused past the Kerr ceiling at the upper pump line, whose power is larger."""
+    drive = _drive(args)
+    require_kerr_validity(device, drive.power(max(cfg.res_p1.omega0, cfg.res_p2.omega0)))
+    return drive
+
+
+def _process(args: argparse.Namespace) -> tuple:
+    """Device, band and dual-pump process of a command that reads --band and --separation."""
+    device = load_device(args.device, strict=args.strict)
+    band = _band_pair(args.band)
+    return device, band, resonant_config(device, band, pump_separation=args.separation)
+
+
 def cmd_spectrum(args: argparse.Namespace, argv: Sequence[str]) -> None:
     # A large spectrum first imports numpy below. Its kernel makes no BLAS
     # call, so OpenBLAS's per-core worker threads would only add start-up time.
@@ -222,9 +238,7 @@ def cmd_spectrum(args: argparse.Namespace, argv: Sequence[str]) -> None:
 
 
 def cmd_overlap(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    device = load_device(args.device, strict=args.strict)
-    band = _band_pair(args.band)
-    cfg = resonant_config(device, band, pump_separation=args.separation)
+    device, _band, cfg = _process(args)
     res = j_quadrature(device, cfg)
     payload = {
         "j_abs": res.j_abs,
@@ -238,10 +252,8 @@ def cmd_overlap(args: argparse.Namespace, argv: Sequence[str]) -> None:
 
 
 def cmd_rates(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    device = load_device(args.device, strict=args.strict)
-    band = _band_pair(args.band)
-    cfg = resonant_config(device, band, pump_separation=args.separation)
-    report = noise_budget(device, _drive(args), cfg, kcal=args.kcal, band=band)
+    device, band, cfg = _process(args)
+    report = noise_budget(device, _valid_drive(device, args, cfg), cfg, kcal=args.kcal, band=band)
     payload = {
         **asdict(report),
         "rate_signal_per_s": per_second(report.beta_sq_signal, report.pulse_duration),
@@ -255,12 +267,10 @@ def cmd_rates(args: argparse.Namespace, argv: Sequence[str]) -> None:
 def cmd_suppression(args: argparse.Namespace, argv: Sequence[str]) -> None:
     require_count("--points", args.points, 2, MAX_ROWS)
     require_finite("--max-detuning", args.max_detuning)
-    device = load_device(args.device, strict=args.strict)
-    band = _band_pair(args.band)
-    cfg = resonant_config(device, band, pump_separation=args.separation)
+    device, _band, cfg = _process(args)
     wg = device.waveguide
     lw = cfg.res_s.linewidth
-    drive = resolve_drive(device, _drive(args), cfg)
+    drive = resolve_drive(device, _valid_drive(device, args, cfg), cfg)
 
     def rate(delta: float) -> float:
         beta_sq = pair_rate_closed_form(drive, cfg.res_s, delta, args.kcal, wg.v_g)
@@ -350,7 +360,7 @@ def _suppression_row(device, args: argparse.Namespace, band) -> tuple[float, ...
 
 def _rates_row(device, args: argparse.Namespace, band) -> tuple[float, ...]:
     cfg = resonant_config(device, band, pump_separation=args.separation)
-    rep = noise_budget(device, _drive(args), cfg, kcal=args.kcal, band=band)
+    rep = noise_budget(device, _valid_drive(device, args, cfg), cfg, kcal=args.kcal, band=band)
     per_s = [per_second(b, rep.pulse_duration)
              for b in (rep.beta_sq_signal, *rep.beta_sq_parasitic)]
     return (per_s[0], max(per_s[1:]))
@@ -429,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kerr-check", help="Kerr budget and compensating shifts (JSON)")
     _add_common(p, cmd_kerr_check, "power", power={"required": True})
-    p.add_argument("--max-metric", type=float, default=0.05, help="validity metric ceiling")
+    p.add_argument("--max-metric", type=float, default=KERR_CEILING, help="validity metric ceiling")
 
     p = sub.add_parser("optimize", help="tune a seed device against a design goal")
     _add_common(p, cmd_optimize, "separation", "photons", "pulse",
@@ -437,11 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
                 pulse={"default": argparse.SUPPRESS,
                        "help": "pulse duration [s]; read only with --photons"})
     p.add_argument("--signal", required=True, help="signal line position (e.g. 1550nm)")
-    p.add_argument("--suppression", type=float, default=1e-4, help="suppression target")
-    p.add_argument("--max-kerr", type=float, default=0.05)
-    p.add_argument("--min-isolation", type=float, default=30.0, help="isolation floor [dB]")
-    p.add_argument("--gap-min", type=float, default=5e-8, help="gap budget lower edge [m]")
-    p.add_argument("--gap-max", type=float, default=1e-6, help="gap budget upper edge [m]")
+    p.add_argument("--suppression", type=float, default=DesignGoal.min_parasitic_suppression,
+                   help="suppression target")
+    p.add_argument("--max-kerr", type=float, default=DesignGoal.max_kerr_metric)
+    p.add_argument("--min-isolation", type=float, default=DesignGoal.min_isolation_db,
+                   help="isolation floor [dB]")
+    gap_min, gap_max = DesignGoal.gap_budget
+    p.add_argument("--gap-min", type=float, default=gap_min, help="gap budget lower edge [m]")
+    p.add_argument("--gap-max", type=float, default=gap_max, help="gap budget upper edge [m]")
     p.add_argument("--mode", choices=("trim", "fabrication"), default="fabrication")
     p.add_argument("--report", default=None, help="design report path (stdout when omitted)")
 

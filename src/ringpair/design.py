@@ -48,6 +48,7 @@ from .geometry import (
 )
 from .linear_cmt import isolation_db, kerr_delta_beta, kerr_validity_metric
 from .nonlinear import (
+    PUMP_SEPARATION,
     ProcessConfig,
     j_quadrature,
     j_single_ring_ratio,
@@ -60,6 +61,7 @@ from .sfwm import PumpDrive, sideband_pair
 
 ENERGY_RESIDUAL_TOL_LINEWIDTHS = 1e-6
 DEFAULT_GAP_BUDGET = (5e-8, 1e-6)
+KERR_CEILING = 0.05
 
 
 def _check_gap_budget(gap_budget: tuple[float, float]) -> tuple[float, float]:
@@ -94,9 +96,9 @@ class DesignGoal(Record):
     """
 
     signal_wavelength: Positive
-    pump_separation: int = 2
+    pump_separation: int = PUMP_SEPARATION
     min_parasitic_suppression: float = 1e-4
-    max_kerr_metric: Positive = 0.05
+    max_kerr_metric: Positive = KERR_CEILING
     min_isolation_db: Positive = 30.0
     gap_budget: tuple[float, float] = DEFAULT_GAP_BUDGET
 
@@ -398,8 +400,28 @@ def null_kerr_metric(device: DeviceSpec, pump_power: float) -> float:
     return kerr_validity_metric(wg, pump_power, device.ring1.q_loaded, wavelength)
 
 
+def require_kerr_validity(
+    device: DeviceSpec, pump_power: float, max_kerr_metric: float = KERR_CEILING
+) -> float:
+    """:func:`null_kerr_metric` at a per-pump power [W], refused past the ceiling.
+
+    Raises
+    ------
+    ValidityExceeded
+        If the metric exceeds ``max_kerr_metric``.
+    """
+    require_non_negative("pump_power", pump_power)
+    require_positive("max_kerr_metric", max_kerr_metric)
+    metric = null_kerr_metric(device, pump_power)
+    if metric > max_kerr_metric:
+        raise ValidityExceeded(
+            f"Kerr validity metric {metric:.3g} exceeds the ceiling {max_kerr_metric:.3g}"
+        )
+    return metric
+
+
 def xpm_spm_compensation(
-    device: DeviceSpec, pump_power: float, max_kerr_metric: float = 0.05
+    device: DeviceSpec, pump_power: float, max_kerr_metric: float = KERR_CEILING
 ) -> CompensationResult:
     """Pump-induced resonance pulls and the heater moves undoing them.
 
@@ -414,16 +436,10 @@ def xpm_spm_compensation(
     Raises
     ------
     ValidityExceeded
-        If :func:`null_kerr_metric` exceeds ``max_kerr_metric``.
+        As :func:`require_kerr_validity`.
     """
-    require_non_negative("pump_power", pump_power)
-    require_positive("max_kerr_metric", max_kerr_metric)
+    metric = require_kerr_validity(device, pump_power, max_kerr_metric)
     wg = device.waveguide
-    metric = null_kerr_metric(device, pump_power)
-    if metric > max_kerr_metric:
-        raise ValidityExceeded(
-            f"Kerr validity metric {metric:.3g} exceeds the ceiling {max_kerr_metric:.3g}"
-        )
     delta_beta = kerr_delta_beta(wg, pump_power, ring_finesse(device.ring1, wg, wg.omega_ref))
     pull1 = -wg.v_g * delta_beta
     notes = (

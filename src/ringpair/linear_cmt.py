@@ -35,6 +35,9 @@ def phase_unit(kappa: complex) -> complex:
 class CmtField(Record):
     """Asymptotic coupler field of one port, parameterized along z.
 
+    ``a1`` and ``a2`` refuse a beat phase |kappa| * |z| of 2**53 rad or
+    more with :class:`.NonPhysical`, as :func:`kerr_detuned_efficiency` does.
+
     Attributes
     ----------
     port : str
@@ -58,18 +61,25 @@ class CmtField(Record):
     def a1(self, z: float) -> complex:
         """Amplitude in guide 1 at position z [dimensionless]."""
         require_finite("z", z)
-        mag = abs(self.kappa)
+        phase = _coupler_phase(abs(self.kappa) * z)
         if self.port == "OUT":
-            return complex(math.cos(mag * z))
-        return -1j * phase_unit(self.kappa) * math.sin(mag * z)
+            return complex(math.cos(phase))
+        return -1j * phase_unit(self.kappa) * math.sin(phase)
 
     def a2(self, z: float) -> complex:
         """Amplitude in guide 2 at position z [dimensionless]."""
         require_finite("z", z)
-        mag = abs(self.kappa)
+        phase = _coupler_phase(abs(self.kappa) * z)
         if self.port == "OUT":
-            return 1j * phase_unit(self.kappa) * math.sin(mag * z)
-        return complex(math.cos(mag * z))
+            return 1j * phase_unit(self.kappa) * math.sin(phase)
+        return complex(math.cos(phase))
+
+
+def _coupler_phase(phase: float) -> float:
+    """The phase of a coupler sine or cosine, refused from 2**53 rad in magnitude on."""
+    if not abs(phase) < 2.0**53:  # doubles are 2 rad apart there
+        raise NonPhysical(f"coupler phase {abs(phase):.6g} rad is not below 2**53")
+    return phase
 
 
 def isolation_db(kappa: complex, length: float) -> float:
@@ -123,9 +133,7 @@ def kerr_detuned_efficiency(kappa: complex, length: float, delta_beta: float) ->
     ratio = a / (2.0 * b)  # delta_beta / (2|kappa|), bit for bit
     # From 2**511 on, ratio**2 nears overflow and sqrt(1 + ratio**2) is |ratio|.
     phase = mag * length * (math.sqrt(1.0 + ratio**2) if abs(ratio) < 2.0**511 else abs(ratio))
-    if not phase < 2.0**53:
-        raise NonPhysical(f"coupler phase {phase:.6g} rad is not below 2**53")
-    return pref * math.sin(phase) ** 2
+    return pref * math.sin(_coupler_phase(phase)) ** 2
 
 
 def kerr_delta_beta(wg: WaveguideParams, p_in: float, finesse: float) -> float:

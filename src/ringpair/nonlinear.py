@@ -38,6 +38,7 @@ from .linear_cmt import phase_unit
 from .record import Finite, Record
 
 RING_LENGTH_MISMATCH_LIMIT = 0.01
+PUMP_SEPARATION = 2
 
 
 class ProcessConfig(Record):
@@ -216,7 +217,7 @@ def on_resonance_config(
 def resonant_config(
     device: DeviceSpec,
     band: tuple[float, float],
-    pump_separation: int = 2,
+    pump_separation: int = PUMP_SEPARATION,
 ) -> ProcessConfig:
     """Build the on-resonance dual-pump configuration over a band.
 

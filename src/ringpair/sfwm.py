@@ -45,6 +45,7 @@ from .nonlinear import ProcessConfig
 from .record import NonNegative, Positive, Record, replace
 
 INTEGRATION_WINDOW_LINEWIDTHS = 50.0
+UNCALIBRATED_KCAL = 1.0
 _RATE = "pair rate (prefactor times spectral factor)"
 _NOT_POSITIVE = "process frequencies are not positive; check delta and omega_s2"
 
@@ -76,9 +77,11 @@ class PumpDrive(Record):
             )
 
     def power(self, omega: float) -> float:
-        """Mean power [W] of the pulse's photons at ``omega``."""
+        """Mean power [W] of the pulse's photons at ``omega``; ``NonPhysical`` if it overflows."""
         require_positive("omega", omega)
-        return self.photon_number * HBAR * omega / self.pulse_duration
+        power = self.photon_number * HBAR * omega / self.pulse_duration
+        require_finite("mean pump power [W]", power, NonPhysical)
+        return power
 
 
 class PairRateReport(Record):
@@ -358,7 +361,7 @@ def noise_budget(
     drive: PumpDrive,
     cfg: ProcessConfig,
     band: tuple[float, float],
-    kcal: float = 1.0,
+    kcal: float = UNCALIBRATED_KCAL,
 ) -> PairRateReport:
     """Signal rate, both parasitic rates, and their suppressions.
 
@@ -392,7 +395,7 @@ def noise_budget(
         for delta, p in zip(deltas, partners)
     )
 
-    if kcal == 1.0:
+    if kcal == UNCALIBRATED_KCAL:
         notes.append("kcal = 1 (uncalibrated); absolute rates are in model units")
     snr = tuple(1.0 / sup if sup > 0.0 else math.inf for sup in sups)
     require_finite("SNR improvement 1 / suppression", max(snr), NonPhysical)

@@ -8,12 +8,15 @@ computes it. It returns (left, right) pairs, and every pair holds at
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ringpair import DesignGoal, PumpDrive, j_single_ring_ratio, load_device
+from ringpair import DesignGoal, PumpDrive, j_single_ring_ratio, load_device, resonant_config
 from ringpair.cli import EXIT_OK, main, parse_frequency
 from ringpair.design import _tune_diagnostics
 from ringpair.geometry import C_VACUUM, TWO_PI
@@ -32,6 +35,14 @@ def _run(argv, out):
     """Run one command with ``--out out``; the artifact's text."""
     assert main([*argv, "--out", str(out)]) == EXIT_OK
     return out.read_text()
+
+
+def _outcome(argv, out):
+    """Exit code and error message (None on success) of one command."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([*argv, "--out", str(out)])
+    return rc, json.loads(err.getvalue())["message"] if rc else None
 
 
 def _csv_row(text):
@@ -135,8 +146,37 @@ def optimize_kerr(tmp_path):
     return pairs
 
 
+def rates_kerr_refusal(tmp_path):
+    # rates refuses a drive exactly when kerr-check refuses the larger of the
+    # drive's powers at the two pump lines, with the same message. The
+    # ceiling lies near 8.44e8 photons per 1 ns pulse.
+    argv = README_COMMANDS["rates"][:6]  # rates --device DEV --band LO HI
+    band = tuple(parse_frequency(edge) for edge in argv[4:6])
+    cfg = resonant_config(load_device(DEVICE_JSON), band)
+    pairs = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(photons_exp=st.floats(8.0, math.log10(3e9)), pulse_exp=st.floats(-10.0, -8.0))
+    @example(photons_exp=9.0, pulse_exp=-9.0)
+    @example(photons_exp=math.log10(8e8), pulse_exp=-9.0)
+    def draw(photons_exp, pulse_exp):
+        photons, pulse = 10.0**photons_exp, 10.0**pulse_exp
+        drive = PumpDrive(photons, pulse)
+        power = max(drive.power(cfg.res_p1.omega0), drive.power(cfg.res_p2.omega0))
+        rates = _outcome([*argv, "--photons", repr(photons), "--pulse", repr(pulse)],
+                         tmp_path / "rates.json")
+        kerr = _outcome(["kerr-check", "--device", DEV, "--power", repr(power)],
+                        tmp_path / "kerr.json")
+        pairs.append((rates, kerr))
+        assert rates == kerr
+
+    draw()
+    return pairs
+
+
 ROWS = {f.__name__: f for f in (rates_suppression, kerr_check_isolation, optimize_report,
-                                kerr_check_sweep, optimize_kerr, kerr_check_cold_crosstalk)}
+                                kerr_check_sweep, optimize_kerr, kerr_check_cold_crosstalk,
+                                rates_kerr_refusal)}
 
 
 @pytest.mark.parametrize("name", ROWS)

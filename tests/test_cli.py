@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -21,6 +22,8 @@ from ringpair import (
     cli,
     deviceio,
     load_device,
+    noise_budget,
+    resonant_config,
     xpm_spm_compensation,
 )
 from ringpair.cli import (
@@ -136,6 +139,23 @@ COUPLER_CASES = {
 }
 
 
+# Stands for the shipped device with gamma_nl 0, whose Kerr validity
+# metric is 0 at every drive (see kerr_free): the drives that reach the
+# float range's edges are far past the Kerr ceiling, where the rate
+# commands would refuse them before any rate is formed.
+KERR_FREE = "{kerr-free device}"
+NO_KERR = ("waveguide", "gamma_nl_w_m", 0.0)
+
+
+def kerr_free(argv, tmp_path):
+    """``argv`` with KERR_FREE replaced by the path of that device, written in ``tmp_path``."""
+    data = load_json(DEVICE_JSON.read_text())
+    data["waveguide"]["gamma_nl_w_m"] = 0.0
+    path = tmp_path / "kerr_free.json"
+    path.write_text(json.dumps(data))
+    return [str(path) if a == KERR_FREE else a for a in argv]
+
+
 def both_q(*rings, scale):
     """Edits scaling the intrinsic and the coupling Q of each ring."""
     return tuple((ring, key, scale) for ring in rings for key in ("q_intrinsic", "q_coupling"))
@@ -182,10 +202,11 @@ MULTI_RANGE_CASES = {
         for argv in (["overlap", "--band", *BAND], ["optimize", *SIGNAL])
     },
     # The derived self-coupling 1 - pi/finesse rounded to 1.0, which
-    # PumpDrive refused as bad input (exit 2).
+    # PumpDrive refused as bad input (exit 2). Without gamma_nl, the ring-1
+    # Q puts no Kerr metric past the ceiling first.
     **{
-        f"both-rings-q-1e+100-{argv[0]}": (both_q("ring1", "ring2", scale=1e100), argv,
-                                           "rounds to 1")
+        f"both-rings-q-1e+100-{argv[0]}": ((*both_q("ring1", "ring2", scale=1e100), NO_KERR),
+                                           argv, "rounds to 1")
         for argv in (["rates", "--band", *BAND], ["suppression", "--band", *BAND])
     },
     "negative-index-spectrum": (NEGATIVE_INDEX,
@@ -195,6 +216,10 @@ MULTI_RANGE_CASES = {
                                "round-trip phase"),
     "n-g-huge-spectrum": ((("waveguide", "n_g", 1e300),), SPECTRUM, "round-trip phase"),
 }
+
+
+def _default(func, name):
+    return inspect.signature(func).parameters[name].default
 
 
 def run_json(argv, capsys):
@@ -348,6 +373,26 @@ class TestHelp:
             main(["sweep", "--help"])
         assert "--report {isolation,kerr,suppression,rates}" in capsys.readouterr().out
 
+    def test_defaults_come_from_the_library(self):
+        # Every default a command applies is read from its owner in the
+        # library: the design goal, the Kerr ceiling, the pump separation
+        # and the uncalibrated K.
+        parser = cli.build_parser()
+        dev = ["--device", DEV]
+        opt = parser.parse_args(["optimize", *dev, "--signal", "1550nm"])
+        goal = DesignGoal(signal_wavelength=1.55e-6)
+        assert (opt.separation, opt.suppression, opt.max_kerr, opt.min_isolation,
+                (opt.gap_min, opt.gap_max)) == (goal.pump_separation,
+                                                goal.min_parasitic_suppression,
+                                                goal.max_kerr_metric, goal.min_isolation_db,
+                                                goal.gap_budget)
+        kerr = parser.parse_args(["kerr-check", *dev, "--power", "0"])
+        assert kerr.max_metric == _default(xpm_spm_compensation, "max_kerr_metric")
+        assert kerr.max_metric == goal.max_kerr_metric
+        rates = parser.parse_args(["rates", *dev, "--band", *BAND])
+        assert rates.separation == _default(resonant_config, "pump_separation")
+        assert rates.kcal == _default(noise_budget, "kcal")
+
 
 class TestOverlap:
     def test_json_shape(self, capsys):
@@ -500,12 +545,13 @@ class TestRates:
             assert row_tiny[2:] == pytest.approx([1e-300 * r for r in row_unit[2:]], rel=1e-14,
                                                  abs=0.0)
 
-    def test_huge_photons_with_tiny_kcal_report_the_rate(self, capsys):
+    def test_huge_photons_with_tiny_kcal_report_the_rate(self, tmp_path, capsys):
         # --photons 1e160 --kcal 1e-100 exited 4: photons**2 overflowed
         # though the rate, about 9.91e229, is that of 1e150 and 1e-80.
-        rc, huge = run_json([*self.RATES, "--photons", "1e160", "--kcal", "1e-100"], capsys)
+        rates = kerr_free([KERR_FREE if a == DEV else a for a in self.RATES], tmp_path)
+        rc, huge = run_json([*rates, "--photons", "1e160", "--kcal", "1e-100"], capsys)
         assert rc == EXIT_OK
-        _rc, ref = run_json([*self.RATES, "--photons", "1e150", "--kcal", "1e-80"], capsys)
+        _rc, ref = run_json([*rates, "--photons", "1e150", "--kcal", "1e-80"], capsys)
         assert huge["beta_sq_signal"] == pytest.approx(9.91e229, rel=1e-3)
         assert huge["beta_sq_signal"] == pytest.approx(ref["beta_sq_signal"], rel=1e-14)
         assert huge["beta_sq_parasitic"] == pytest.approx(ref["beta_sq_parasitic"], rel=1e-14)
@@ -1204,17 +1250,17 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["rates", "--device", DEV, "--band", *BAND, "--photons", "1e150"],
-            ["rates", "--device", DEV, "--band", *BAND, "--photons", "1e200"],
-            ["suppression", "--device", DEV, "--band", *BAND, "--photons", "1e150"],
-            ["suppression", "--device", DEV, "--band", *BAND, "--photons", "1e200"],
+            ["rates", "--device", KERR_FREE, "--band", *BAND, "--photons", "1e150"],
+            ["rates", "--device", KERR_FREE, "--band", *BAND, "--photons", "1e200"],
+            ["suppression", "--device", KERR_FREE, "--band", *BAND, "--photons", "1e150"],
+            ["suppression", "--device", KERR_FREE, "--band", *BAND, "--photons", "1e200"],
             ["suppression", "--device", DEV, "--band", *BAND, "--max-detuning", "1e200"],
             ["suppression", "--device", DEV, "--band", *BAND, "--max-detuning", "1e300"],
             ["suppression", "--device", DEV, "--band", *BAND, "--max-detuning", "-1e300"],
-            ["rates", "--device", DEV, "--band", *BAND, "--pulse", "1e-160"],
-            ["suppression", "--device", DEV, "--band", *BAND, "--pulse", "1e-160"],
-            ["sweep", "--device", DEV, "--param", "dc.gap_m", "--values", "2.8e-7", "3.2e-7",
-             "3", "--report", "rates", "--band", *BAND, "--pulse", "1e-160"],
+            ["rates", "--device", KERR_FREE, "--band", *BAND, "--pulse", "1e-160"],
+            ["suppression", "--device", KERR_FREE, "--band", *BAND, "--pulse", "1e-160"],
+            ["sweep", "--device", KERR_FREE, "--param", "dc.gap_m", "--values", "2.8e-7",
+             "3.2e-7", "3", "--report", "rates", "--band", *BAND, "--pulse", "1e-160"],
         ],
         ids=["rates-inf", "rates-overflow", "suppression-inf", "suppression-overflow",
              "suppression-huge-detuning", "suppression-overflowing-detuning",
@@ -1229,7 +1275,7 @@ class TestExitCodes:
         # A rate per pulse divided by a 1e-160 s pulse overflows per
         # second, which rates, suppression and sweep wrote as inf.
         out = tmp_path / "artifact"
-        assert main([*argv, "--out", str(out)]) == EXIT_NUMERICAL
+        assert main([*kerr_free(argv, tmp_path), "--out", str(out)]) == EXIT_NUMERICAL
         assert not out.exists()
         assert load_json(capsys.readouterr().err)["context"]["error"] == "NonPhysical"
 
@@ -1254,6 +1300,55 @@ class TestExitCodes:
         assert err["context"]["error"] == "NonPhysical"
         assert "underflows to 0" in err["message"]
 
+    @pytest.mark.parametrize("photons, code", [("1e9", EXIT_INFEASIBLE), ("8e8", EXIT_OK)])
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--band", *BAND],
+        ["suppression", "--band", *BAND],
+        ["sweep", "--param", "dc.gap_m", "--values", "2.8e-7", "3.2e-7", "3", "--report", "rates",
+         "--band", *BAND],
+    ], ids=["rates", "suppression", "sweep-rates"])
+    def test_drive_past_the_kerr_ceiling_is_refused(self, argv, photons, code, monkeypatch,
+                                                      tmp_path, capsys):
+        # 1e9 photons per 1 ns pulse drive pump 1 at 0.128 W, where kerr-check
+        # exits 3; the rate commands wrote their rates with exit 0. They refuse
+        # it before any rate is formed. The ceiling lies near 8.44e8 photons.
+        if code != EXIT_OK:
+            def refuse(*args, **kwargs):
+                raise AssertionError("a rate was formed past the Kerr ceiling")
+
+            for name in ("pair_rate_closed_form", "noise_budget"):
+                monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "artifact"
+        rc = main([argv[0], "--device", DEV, *argv[1:], "--photons", photons, "--pulse", "1e-9",
+                   "--out", str(out)])
+        assert rc == code
+        if code == EXIT_OK:
+            assert out.exists()
+            return
+        assert not out.exists()
+        err = load_json(capsys.readouterr().err)
+        assert err["context"]["error"] == "ValidityExceeded"
+        assert err["message"] == "Kerr validity metric 0.0593 exceeds the ceiling 0.05"
+
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--band", *BAND],
+        ["suppression", "--band", *BAND],
+        ["sweep", "--param", "dc.gap_m", "--list", "3e-7", "--report", "rates", "--band", *BAND],
+        ["optimize", *SIGNAL],
+    ], ids=["rates", "suppression", "sweep-rates", "optimize"])
+    def test_overflowing_pump_power_is_non_physical(self, argv, tmp_path, capsys):
+        # 1e300 photons per 1e-300 s pulse: the mean power overflows. The Kerr
+        # check would refuse the infinite power as bad input (exit 2, as
+        # optimize --photons did), though both flags are valid numbers.
+        out = tmp_path / "artifact"
+        rc = main([argv[0], "--device", DEV, *argv[1:], "--photons", "1e300", "--pulse", "1e-300",
+                   "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert not out.exists()
+        err = load_json(capsys.readouterr().err)
+        assert err["context"]["error"] == "NonPhysical"
+        assert "pump power" in err["message"]
 
 class TestExactPairRates:
     def test_rates_run_without_adaptive_quadrature(self, monkeypatch, tmp_path):
@@ -1431,6 +1526,9 @@ class TestStrictArtifacts:
             for key in ("q_intrinsic", "q_coupling"):
                 data[ring][key] *= 10.0**q_exp
         data["waveguide"]["chi3_m2_v2"] *= 10.0**chi3_exp
+        # Without gamma_nl no drive passes the Kerr ceiling, so rates forms
+        # its rates at every drawn drive; no other command here reads it.
+        data["waveguide"]["gamma_nl_w_m"] = 0.0
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "device.json"
             path.write_text(json.dumps(data))

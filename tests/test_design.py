@@ -377,6 +377,16 @@ class TestCompensation:
         with pytest.raises(ValueError):
             xpm_spm_compensation(sample_device, -1e-3)
 
+    @pytest.mark.parametrize("power", [1e-3, 0.1084])
+    def test_metric_at_the_ceiling_passes(self, sample_device, power):
+        # The rule refuses a metric past the ceiling, not one at it; the
+        # rate commands and kerr-check share it.
+        metric = design.null_kerr_metric(sample_device, power)
+        assert design.require_kerr_validity(sample_device, power, metric) == metric
+        assert xpm_spm_compensation(sample_device, power, metric).kerr_metric == metric
+        with pytest.raises(ValidityExceeded, match="exceeds the ceiling"):
+            design.require_kerr_validity(sample_device, power, math.nextafter(metric, 0.0))
+
 
 class TestEvaluateDesign:
     def test_tuned_device_passes(self, sample_device):

@@ -339,6 +339,32 @@ class TestOneBeatSolution:
             if kappa == 0:
                 assert (field.a1(length), field.a2(length)) == (field.a1(0.0), field.a2(0.0))
 
+    def test_field_phase_of_the_refused_coupler_is_refused(self):
+        # The fields took sin and cos of any phase: at |kappa| = 1e300 and
+        # z = 1 m the OUT field's cross power was 0.6689, where the one
+        # cross-power route refuses the phase.
+        with pytest.raises(NonPhysical) as route:
+            kerr_detuned_efficiency(1e300, 1.0, 0.0)
+        for field in fields(1e300 + 0j, 1.0):
+            for amplitude in (field.a1, field.a2):
+                with pytest.raises(NonPhysical) as got:
+                    amplitude(1.0)
+                assert str(got.value) == str(route.value)
+
+    @pytest.mark.parametrize("z, refused", [
+        (2.0**53 - 1.0, False), (2.0**53, True), (1.0 - 2.0**53, False), (-(2.0**53), True),
+    ])
+    def test_field_phase_from_2_53_is_refused(self, z, refused):
+        # At |kappa| = 1 the beat phase is z itself; from 2**53 rad on, in
+        # either direction, doubles are 2 rad apart.
+        for field in fields(1.0 + 0j, 1.0):
+            for amplitude in (field.a1, field.a2):
+                if refused:
+                    with pytest.raises(NonPhysical, match=r"phase 9\.0072e\+15 rad is not below"):
+                        amplitude(z)
+                else:
+                    assert abs(amplitude(z)) <= 1.0
+
     def test_degenerate_is_not_settable(self):
         # It used to be a field that could contradict kappa.
         with pytest.raises(TypeError):
