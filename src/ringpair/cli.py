@@ -215,9 +215,9 @@ def _drive(args: argparse.Namespace) -> PumpDrive:
 
 
 def _valid_drive(device, args: argparse.Namespace, cfg) -> PumpDrive:
-    """The drive, refused past the Kerr ceiling at the upper pump line, whose power is larger."""
+    """The drive, refused past the Kerr ceiling at its per-pump power on ``cfg``."""
     drive = _drive(args)
-    require_kerr_validity(device, drive.power(max(cfg.res_p1.omega0, cfg.res_p2.omega0)))
+    require_kerr_validity(device, drive.per_pump_power(cfg))
     return drive
 
 
@@ -292,10 +292,10 @@ def cmd_suppression(args: argparse.Namespace, argv: Sequence[str]) -> None:
 
 def cmd_kerr_check(args: argparse.Namespace, argv: Sequence[str]) -> None:
     device = load_device(args.device, strict=args.strict)
-    comp = xpm_spm_compensation(device, args.power, args.max_metric)
+    comp = xpm_spm_compensation(device, args.power)
     payload = {
         **asdict(comp),
-        "metric_limit": args.max_metric,
+        "metric_limit": KERR_CEILING,
         "crosstalk_at_null": kerr_detuned_efficiency(
             device.kappa, device.dc_length, comp.delta_beta
         ),
@@ -306,12 +306,10 @@ def cmd_kerr_check(args: argparse.Namespace, argv: Sequence[str]) -> None:
 
 def cmd_optimize(args: argparse.Namespace, argv: Sequence[str]) -> None:
     device = load_device(args.device, strict=args.strict)
-    omega_signal = parse_frequency(args.signal)
     goal = DesignGoal(
-        signal_wavelength=TWO_PI * C_VACUUM / omega_signal,
+        signal_wavelength=TWO_PI * C_VACUUM / parse_frequency(args.signal),
         pump_separation=args.separation,
         min_parasitic_suppression=args.suppression,
-        max_kerr_metric=args.max_kerr,
         min_isolation_db=args.min_isolation,
         gap_budget=(args.gap_min, args.gap_max),
     )
@@ -439,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kerr-check", help="Kerr budget and compensating shifts (JSON)")
     _add_common(p, cmd_kerr_check, "power", power={"required": True})
-    p.add_argument("--max-metric", type=float, default=KERR_CEILING, help="validity metric ceiling")
 
     p = sub.add_parser("optimize", help="tune a seed device against a design goal")
     _add_common(p, cmd_optimize, "separation", "photons", "pulse",
@@ -449,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", required=True, help="signal line position (e.g. 1550nm)")
     p.add_argument("--suppression", type=float, default=DesignGoal.min_parasitic_suppression,
                    help="suppression target")
-    p.add_argument("--max-kerr", type=float, default=DesignGoal.max_kerr_metric)
     p.add_argument("--min-isolation", type=float, default=DesignGoal.min_isolation_db,
                    help="isolation floor [dB]")
     gap_min, gap_max = DesignGoal.gap_budget

@@ -87,18 +87,17 @@ class DesignGoal(Record):
     min_parasitic_suppression : float
         Ceiling on the side-band suppression factor (smaller is
         quieter), e.g. 1e-4 for four orders of magnitude.
-    max_kerr_metric : float
-        Ceiling on the Kerr validity metric.
     min_isolation_db : float
         Floor on the linear isolation between the rings.
     gap_budget : (float, float)
         Allowed coupler-gap interval for the uncoupling solve [m].
+
+    No goal sets the Kerr ceiling: every Kerr check reads ``KERR_CEILING``.
     """
 
     signal_wavelength: Positive
     pump_separation: int = PUMP_SEPARATION
     min_parasitic_suppression: float = 1e-4
-    max_kerr_metric: Positive = KERR_CEILING
     min_isolation_db: Positive = 30.0
     gap_budget: tuple[float, float] = DEFAULT_GAP_BUDGET
 
@@ -400,29 +399,26 @@ def null_kerr_metric(device: DeviceSpec, pump_power: float) -> float:
     return kerr_validity_metric(wg, pump_power, device.ring1.q_loaded, wavelength)
 
 
-def require_kerr_validity(
-    device: DeviceSpec, pump_power: float, max_kerr_metric: float = KERR_CEILING
-) -> float:
-    """:func:`null_kerr_metric` at a per-pump power [W], refused past the ceiling.
+def require_kerr_validity(device: DeviceSpec, pump_power: float) -> float:
+    """:func:`null_kerr_metric` at a per-pump power [W], refused past ``KERR_CEILING``.
 
     Raises
     ------
     ValidityExceeded
-        If the metric exceeds ``max_kerr_metric``.
+        If the metric exceeds ``KERR_CEILING``, the model's own limit.
+    NonPhysical
+        If the metric overflows.
     """
     require_non_negative("pump_power", pump_power)
-    require_positive("max_kerr_metric", max_kerr_metric)
     metric = null_kerr_metric(device, pump_power)
-    if metric > max_kerr_metric:
+    if metric > KERR_CEILING:
         raise ValidityExceeded(
-            f"Kerr validity metric {metric:.3g} exceeds the ceiling {max_kerr_metric:.3g}"
+            f"Kerr validity metric {metric:.3g} exceeds the ceiling {KERR_CEILING:.3g}"
         )
     return metric
 
 
-def xpm_spm_compensation(
-    device: DeviceSpec, pump_power: float, max_kerr_metric: float = KERR_CEILING
-) -> CompensationResult:
+def xpm_spm_compensation(device: DeviceSpec, pump_power: float) -> CompensationResult:
     """Pump-induced resonance pulls and the heater moves undoing them.
 
     The circulating pump light drags the ring-1 comb by
@@ -435,10 +431,10 @@ def xpm_spm_compensation(
 
     Raises
     ------
-    ValidityExceeded
+    ValidityExceeded, NonPhysical
         As :func:`require_kerr_validity`.
     """
-    metric = require_kerr_validity(device, pump_power, max_kerr_metric)
+    metric = require_kerr_validity(device, pump_power)
     wg = device.waveguide
     delta_beta = kerr_delta_beta(wg, pump_power, ring_finesse(device.ring1, wg, wg.omega_ref))
     pull1 = -wg.v_g * delta_beta
@@ -463,8 +459,8 @@ def evaluate_design(
     Rules: linear isolation at the coupler null, energy conservation of
     the signal line against the pump pair, side-band suppression for
     both single-pump processes, and the Kerr budget (:func:`null_kerr_metric`
-    at the drive's power at the signal line, zero without a drive). The
-    report also carries J from :func:`j_quadrature` and its single-ring
+    at the drive's per-pump power, zero without a drive, against ``KERR_CEILING``).
+    The report also carries J from :func:`j_quadrature` and its single-ring
     ratio from :func:`j_single_ring_ratio`.
     """
     residual, deltas, sups, cfg = _tune_diagnostics(device, goal)
@@ -473,7 +469,7 @@ def evaluate_design(
     iso = isolation_db(device.kappa, device.dc_length)
     order = max(int(round(abs(device.kappa) * device.dc_length / math.pi)), 0)
 
-    pump_power = 0.0 if drive is None else drive.power(goal.signal_omega)
+    pump_power = 0.0 if drive is None else drive.per_pump_power(cfg)
     metric = null_kerr_metric(device, pump_power)
 
     rules = (
@@ -500,9 +496,9 @@ def evaluate_design(
         ),
         RuleCheck(
             name="kerr_budget",
-            passed=metric <= goal.max_kerr_metric,
+            passed=metric <= KERR_CEILING,
             value=metric,
-            limit=goal.max_kerr_metric,
+            limit=KERR_CEILING,
             detail="zero pump power assumed" if drive is None else "",
         ),
     )
@@ -557,7 +553,7 @@ def optimize_device(
     final = tuned.device
     extra_notes: tuple[str, ...] = tuned.notes
     if drive is not None:
-        comp = xpm_spm_compensation(final, drive.power(goal.signal_omega), goal.max_kerr_metric)
+        comp = xpm_spm_compensation(final, drive.per_pump_power(_tune_diagnostics(final, goal)[3]))
         # The comb model is cold; the counteracting shift cancels a pull
         # the model does not carry, so it is reported rather than folded
         # into the modeled heater settings.

@@ -156,10 +156,13 @@ def kerr_validity_metric(
 
     Derived from delta_beta * L_dc at the optimum coupler length, where
     the finesse equals wavelength * Q / (4 * pi * n_g * R). Values well
-    below one mean the linear null survives the pump power; the design
-    rules use a configurable ceiling (0.05 by default).
+    below one mean the linear null survives the pump power; every Kerr
+    check compares it with ``design.KERR_CEILING``, which nothing sets. A
+    metric that overflows raises ``NonPhysical``.
     """
     require_non_negative("p_in", p_in)
     require_positive("q_loaded", q_loaded)
     require_positive("wavelength", wavelength)
-    return wg.gamma_nl * p_in * wavelength * q_loaded / (4.0 * wg.n_g)
+    metric = wg.gamma_nl * p_in * wavelength * q_loaded / (4.0 * wg.n_g)
+    require_finite("Kerr validity metric", metric, NonPhysical)
+    return metric

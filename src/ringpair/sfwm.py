@@ -83,6 +83,10 @@ class PumpDrive(Record):
         require_finite("mean pump power [W]", power, NonPhysical)
         return power
 
+    def per_pump_power(self, cfg: ProcessConfig) -> float:
+        """The larger per-pump power [W]: :meth:`power` at the upper pump line of ``cfg``."""
+        return self.power(max(cfg.res_p1.omega0, cfg.res_p2.omega0))
+
 
 class PairRateReport(Record):
     """Signal and parasitic pair rates of one configuration.

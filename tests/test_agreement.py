@@ -128,9 +128,15 @@ def kerr_check_sweep(tmp_path):
     return [(kerr["kerr_metric"], row["kerr_metric"])]
 
 
+def _upper_pump_power(drive, cfg):
+    # The larger of the drive's powers at the two pump lines of a process.
+    return max(drive.power(cfg.res_p1.omega0), drive.power(cfg.res_p2.omega0))
+
+
 def optimize_kerr(tmp_path):
     # optimize --photons N --report's Kerr metric, and kerr-check on the written
-    # device at the mean power of N photons per 1 ns pulse at the goal's signal.
+    # device at the mean power of N photons per 1 ns pulse at the upper pump
+    # line of the process the report measured on that device.
     pairs = []
     for photons, signal in (("1e6", "1550nm"), ("3e7", "1552nm")):
         out, report_path = tmp_path / "tuned.json", tmp_path / "report.json"
@@ -138,7 +144,8 @@ def optimize_kerr(tmp_path):
                 "--photons", photons, "--out", str(out), "--report", str(report_path)]
         assert main(argv) == EXIT_OK
         goal = DesignGoal(signal_wavelength=TWO_PI * C_VACUUM / parse_frequency(signal))
-        power = PumpDrive(float(photons), 1e-9).power(goal.signal_omega)
+        cfg = _tune_diagnostics(load_device(out), goal)[3]
+        power = _upper_pump_power(PumpDrive(float(photons), 1e-9), cfg)
         kerr = json.loads(_run(["kerr-check", "--device", str(out), "--power", repr(power)],
                                tmp_path / "kerr.json"))
         pairs.append((json.loads(report_path.read_text())["report"]["kerr_metric"],
@@ -161,8 +168,7 @@ def rates_kerr_refusal(tmp_path):
     @example(photons_exp=math.log10(8e8), pulse_exp=-9.0)
     def draw(photons_exp, pulse_exp):
         photons, pulse = 10.0**photons_exp, 10.0**pulse_exp
-        drive = PumpDrive(photons, pulse)
-        power = max(drive.power(cfg.res_p1.omega0), drive.power(cfg.res_p2.omega0))
+        power = _upper_pump_power(PumpDrive(photons, pulse), cfg)
         rates = _outcome([*argv, "--photons", repr(photons), "--pulse", repr(pulse)],
                          tmp_path / "rates.json")
         kerr = _outcome(["kerr-check", "--device", DEV, "--power", repr(power)],
@@ -174,9 +180,44 @@ def rates_kerr_refusal(tmp_path):
     return pairs
 
 
+def optimize_rates_kerr_refusal(tmp_path):
+    # optimize --photons N (the README goal) refuses a drive exactly when rates
+    # --photons N over 1540nm:1560nm on the device it writes does, with the
+    # same message: both read the drive's power at the upper pump line, and
+    # the two processes share their pump lines. The drive does not move the
+    # written device, so the drive-free run writes it once.
+    optimize = README_COMMANDS["optimize"]
+    tuned = tmp_path / "tuned.json"
+    _run(optimize, tuned)
+    rates = ["rates", "--device", str(tuned), "--band", "1540nm:1560nm"]
+    device = load_device(tuned)
+    goal = DesignGoal(signal_wavelength=TWO_PI * C_VACUUM / parse_frequency("1550nm"))
+    pumps = [(c.res_p1.omega0, c.res_p2.omega0) for c in (
+        _tune_diagnostics(device, goal)[3],
+        resonant_config(device, (parse_frequency("1560nm"), parse_frequency("1540nm"))))]
+    assert pumps[0] == pumps[1]
+    pairs = []
+
+    @settings(max_examples=30, deadline=None)
+    @given(photons=st.floats(8e8, 9e8))
+    @example(photons=8.44793e8)
+    @example(photons=8.4e8)
+    def draw(photons):
+        flags = ["--photons", repr(photons)]
+        out = tmp_path / "opt.json"
+        opt = _outcome([*optimize, *flags, "--report", str(tmp_path / "report.json")], out)
+        if opt[0] == EXIT_OK:
+            assert out.read_text() == tuned.read_text()
+        pairs.append((opt, _outcome([*rates, *flags], tmp_path / "rates.json")))
+        assert pairs[-1][0] == pairs[-1][1]
+
+    draw()
+    return pairs
+
+
 ROWS = {f.__name__: f for f in (rates_suppression, kerr_check_isolation, optimize_report,
                                 kerr_check_sweep, optimize_kerr, kerr_check_cold_crosstalk,
-                                rates_kerr_refusal)}
+                                rates_kerr_refusal, optimize_rates_kerr_refusal)}
 
 
 @pytest.mark.parametrize("name", ROWS)

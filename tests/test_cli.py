@@ -36,7 +36,7 @@ from ringpair.cli import (
     main,
     parse_frequency,
 )
-from ringpair.design import _tune_diagnostics
+from ringpair.design import KERR_CEILING, _tune_diagnostics
 from ringpair.deviceio import FILE_FORMAT
 from ringpair.geometry import C_VACUUM, TWO_PI
 from ringpair.nonlinear import j_quadrature
@@ -375,20 +375,16 @@ class TestHelp:
 
     def test_defaults_come_from_the_library(self):
         # Every default a command applies is read from its owner in the
-        # library: the design goal, the Kerr ceiling, the pump separation
-        # and the uncalibrated K.
+        # library: the design goal, the pump separation and the uncalibrated
+        # K. The Kerr ceiling is no default: no command takes a flag for it.
         parser = cli.build_parser()
         dev = ["--device", DEV]
         opt = parser.parse_args(["optimize", *dev, "--signal", "1550nm"])
         goal = DesignGoal(signal_wavelength=1.55e-6)
-        assert (opt.separation, opt.suppression, opt.max_kerr, opt.min_isolation,
+        assert (opt.separation, opt.suppression, opt.min_isolation,
                 (opt.gap_min, opt.gap_max)) == (goal.pump_separation,
                                                 goal.min_parasitic_suppression,
-                                                goal.max_kerr_metric, goal.min_isolation_db,
-                                                goal.gap_budget)
-        kerr = parser.parse_args(["kerr-check", *dev, "--power", "0"])
-        assert kerr.max_metric == _default(xpm_spm_compensation, "max_kerr_metric")
-        assert kerr.max_metric == goal.max_kerr_metric
+                                                goal.min_isolation_db, goal.gap_budget)
         rates = parser.parse_args(["rates", *dev, "--band", *BAND])
         assert rates.separation == _default(resonant_config, "pump_separation")
         assert rates.kcal == _default(noise_budget, "kcal")
@@ -608,17 +604,29 @@ class TestKerrCheck:
         assert rc == EXIT_OK
         payload = load_json(capsys.readouterr().out)
         assert payload["kerr_metric"] == pytest.approx(0.00625, rel=1e-9)
+        assert payload["metric_limit"] == KERR_CEILING
         assert payload["isolation_db_cold"] == 200.0
         assert 0.0 <= payload["crosstalk_at_null"] < 1e-4
         assert payload["induced_shift"][1] == 0.0
 
     def test_budget_overrun_is_infeasible(self, si_device, capsys):
-        rc = main(["kerr-check", "--device", si_device, "--power", "0.005",
-                   "--max-metric", "0.001"])
+        # 0.05 W gives a metric of 0.0625, past the ceiling 0.05.
+        rc = main(["kerr-check", "--device", si_device, "--power", "0.05"])
         assert rc == EXIT_INFEASIBLE
         err = load_json(capsys.readouterr().err)
         assert err["code"] == EXIT_INFEASIBLE
         assert err["context"]["error"] == "ValidityExceeded"
+        assert err["message"] == "Kerr validity metric 0.0625 exceeds the ceiling 0.05"
+
+    @pytest.mark.parametrize("argv", [
+        ["kerr-check", "--device", DEV, "--power", "0.005", "--max-metric", "0.1"],
+        ["optimize", "--device", DEV, "--signal", "1550nm", "--max-kerr", "0.1"],
+    ], ids=["kerr-check", "optimize"])
+    def test_the_ceiling_takes_no_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_VALIDATION
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
 
 class TestOptimize:
@@ -725,14 +733,19 @@ class TestOptimize:
 
     def test_reported_kerr_metric_is_the_gated_one(self, tmp_path, capsys):
         # The report, the compensation gate, kerr-check and the kerr sweep
-        # all evaluate the metric at the drive's power at the signal line.
+        # all evaluate the metric at the drive's power at the upper pump line
+        # of the process on the written device, as the rate commands do.
         out = tmp_path / "tuned.json"
         rc, payload = run_json(["optimize", "--device", DEV, "--signal", "1545nm",
                                 "--suppression", "1e-3", "--photons", "3e6",
                                 "--out", str(out)], capsys)
         assert rc == EXIT_OK
-        goal = DesignGoal(signal_wavelength=2.0 * math.pi * c0 / parse_frequency("1545nm"))
-        power = PumpDrive(photon_number=3e6, pulse_duration=1e-9).power(goal.signal_omega)
+        goal = DesignGoal(signal_wavelength=2.0 * math.pi * c0 / parse_frequency("1545nm"),
+                          min_parasitic_suppression=1e-3)
+        cfg = _tune_diagnostics(load_device(out), goal)[3]
+        drive = PumpDrive(photon_number=3e6, pulse_duration=1e-9)
+        power = max(drive.power(cfg.res_p1.omega0), drive.power(cfg.res_p2.omega0))
+        assert power > drive.power(goal.signal_omega)
         gated = xpm_spm_compensation(load_device(out), power).kerr_metric
         report = payload["report"]
         assert report["kerr_metric"] == gated
@@ -1089,12 +1102,11 @@ class TestExitCodes:
         "argv",
         [
             ["kerr-check", "--device", DEV, "--power", "nan"],
-            ["kerr-check", "--device", DEV, "--power", "0.005", "--max-metric", "nan"],
             ["suppression", "--device", DEV, "--band", *BAND, "--max-detuning", "nan"],
             ["sweep", "--device", DEV, "--param", "dc.gap_m", "--list", "3e-7",
              "--report", "kerr", "--power", "nan"],
         ],
-        ids=["kerr-power", "kerr-max-metric", "suppression-max-detuning", "sweep-kerr-power"],
+        ids=["kerr-power", "suppression-max-detuning", "sweep-kerr-power"],
     )
     def test_non_finite_flag(self, argv, tmp_path, capsys):
         out = tmp_path / "artifact"
@@ -1349,6 +1361,21 @@ class TestExitCodes:
         err = load_json(capsys.readouterr().err)
         assert err["context"]["error"] == "NonPhysical"
         assert "pump power" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--param", "dc.gap_m", "--list", "3e-7", "--report", "kerr"],
+        ["kerr-check"],
+    ], ids=["sweep-kerr", "kerr-check"])
+    def test_overflowing_kerr_metric_is_non_physical(self, argv, tmp_path, capsys):
+        # 1e308 W is a finite power whose metric overflows: the kerr sweep
+        # wrote inf with exit 0, and kerr-check refused inf past the ceiling.
+        out = tmp_path / "artifact"
+        rc = main([argv[0], "--device", DEV, *argv[1:], "--power", "1e308", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert not out.exists()
+        err = load_json(capsys.readouterr().err)
+        assert err["context"]["error"] == "NonPhysical"
+        assert err["message"] == "Kerr validity metric must be finite, got inf"
 
 class TestExactPairRates:
     def test_rates_run_without_adaptive_quadrature(self, monkeypatch, tmp_path):

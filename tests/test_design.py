@@ -14,6 +14,8 @@ from scipy.constants import c as c0
 from ringpair import (
     DesignGoal,
     Infeasible,
+    NoConvergence,
+    NonPhysical,
     OutOfRange,
     PumpDrive,
     ValidityExceeded,
@@ -69,12 +71,16 @@ class TestDesignGoal:
             DesignGoal(signal_wavelength=0.0)
         with pytest.raises(ValueError):
             DesignGoal(signal_wavelength=1.55e-6, min_parasitic_suppression=1.0)
-        with pytest.raises(ValueError):
-            DesignGoal(signal_wavelength=1.55e-6, max_kerr_metric=0.0)
+        with pytest.raises(ValueError, match=r"lie in \(0, 1\)"):
+            DesignGoal(signal_wavelength=1.55e-6, min_parasitic_suppression=0.0)
+        with pytest.raises(TypeError):  # no goal sets the Kerr ceiling
+            DesignGoal(signal_wavelength=1.55e-6, max_kerr_metric=0.1)
         with pytest.raises(ValueError):
             DesignGoal(signal_wavelength=1.55e-6, min_isolation_db=0.0)
         with pytest.raises(ValueError):
             DesignGoal(signal_wavelength=1.55e-6, gap_budget=(1e-6, 5e-8))
+        with pytest.raises(ValueError, match="increasing pair"):
+            DesignGoal(signal_wavelength=1.55e-6, gap_budget=(1e-7, 1e-7))
 
 
 class TestOptimalDcLength:
@@ -113,6 +119,22 @@ class TestGapSolve:
             solve_gap_for_uncoupling(dev.coupling, dev.dc_length, 1, (5e-7, 1e-6))
         with pytest.raises(OutOfRange):
             solve_gap_for_uncoupling(dev.coupling, dev.dc_length, 5, (2e-7, 1e-6))
+
+    @pytest.mark.parametrize("edge", [0, 1], ids=["lower", "upper"])
+    def test_the_budget_edges_are_reachable(self, edge):
+        # The budget is the closed interval the refusal names: a |kappa|
+        # target met exactly at an edge gap is solved there.
+        model = make_device().coupling
+        budget = (1e-7, 4e-7)
+        kappa = model.kappa_abs(budget[edge])
+        length = math.pi / kappa
+        for _ in range(200):
+            if math.pi / length == kappa:
+                break
+            length = math.nextafter(length, math.inf)
+        assert math.pi / length == kappa
+        gap = solve_gap_for_uncoupling(model, length, 1, budget)
+        assert gap == pytest.approx(budget[edge], rel=1e-12)
 
     def test_a_fractional_order_is_refused(self):
         # |kappa| L = 1.5 pi is a full crossing, not a null: the gap there
@@ -168,6 +190,30 @@ class TestTrimTune:
         lw = GOAL.signal_omega / sample_device.ring2.q_loaded
         assert abs(twice.heater_delta) <= 1e-3 * lw
 
+    def test_suppression_at_the_goal_meets_it(self, sample_device):
+        # The goal is a ceiling the suppression may reach: trim mode returns
+        # the same line when the goal is set to its achieved suppression.
+        first = tune_for_energy_conservation(sample_device, GOAL, mode="trim")
+        goal = replace(GOAL, min_parasitic_suppression=max(first.suppression))
+        assert tune_for_energy_conservation(sample_device, goal, mode="trim") == first
+
+    @pytest.mark.parametrize("past", [False, True], ids=["at", "past"])
+    def test_residual_tolerance(self, sample_device, monkeypatch, past):
+        # A residual up to 1e-6 of the ring-2 linewidth at the pump midpoint
+        # passes; one past it is NoConvergence. The combs leave a residual of
+        # 0, so the diagnostics are made to report one at the limit.
+        lw = _refit_frontier(sample_device, GOAL, +1)[1]
+        limit = ENERGY_RESIDUAL_TOL_LINEWIDTHS * lw
+        residual = math.nextafter(limit, math.inf) if past else limit
+        real = design._tune_diagnostics
+        monkeypatch.setattr(design, "_tune_diagnostics",
+                            lambda device, goal: (residual, *real(device, goal)[1:]))
+        if past:
+            with pytest.raises(NoConvergence, match="residual .* exceeds tolerance"):
+                tune_for_energy_conservation(sample_device, GOAL, mode="trim")
+        else:
+            assert tune_for_energy_conservation(sample_device, GOAL, mode="trim").residual == limit
+
     def test_unreachable_goal_is_infeasible(self, sample_device):
         goal = replace(GOAL, min_parasitic_suppression=1e-4)
         with pytest.raises(Infeasible, match="best achievable"):
@@ -221,6 +267,25 @@ class TestFabricationTune:
         for seed, sign in ((sample_device, r"\+"), (small, "-")):
             with pytest.raises(Infeasible, match=rf"FSR/2 = M\*F1/\(2M {sign} 1\)"):
                 tune_for_energy_conservation(seed, goal, mode="fabrication")
+
+    def test_shorter_ring_whose_straight_is_the_coupler_length_fits(self, sample_device):
+        # The shorter ring holds the coupler when its straight is at least
+        # the coupler length, equality included; a coupler one ulp longer
+        # builds the longer ring.
+        small = replace(sample_device, ring2=replace(
+            sample_device.ring2, bend_radius=0.4 * sample_device.ring1.bend_radius))
+        long_straight = 2.0 * small.ring2.straight_len
+        seed = replace(small, ring1=replace(small.ring1, straight_len=long_straight),
+                       ring2=replace(small.ring2, straight_len=long_straight))
+        straight = tune_for_energy_conservation(seed, GOAL, mode="fabrication").device.ring2
+        at = tune_for_energy_conservation(replace(seed, dc_length=straight.straight_len), GOAL,
+                                          mode="fabrication")
+        assert at.device.ring2.straight_len == straight.straight_len
+        assert at.notes == ()
+        past = replace(seed, dc_length=math.nextafter(straight.straight_len, math.inf))
+        res = tune_for_energy_conservation(past, GOAL, mode="fabrication")
+        assert res.device.ring2.straight_len > straight.straight_len
+        assert any("lengthened" in n for n in res.notes)
 
     def test_quantization_shortfall_returns_best_effort(self, sample_device):
         # The whole-wavelength ring 2 and the combs' dispersion leave the
@@ -372,20 +437,38 @@ class TestCompensation:
     def test_budget_enforced(self, sample_device):
         with pytest.raises(ValidityExceeded):
             xpm_spm_compensation(sample_device, 0.25)
+        # The ceiling is 0.05: 0.1084 W gives 0.0500060 on the shipped
+        # device, and 0.1083 W gives 0.04996.
+        assert design.KERR_CEILING == 0.05
+        assert design.require_kerr_validity(sample_device, 0.1083) < 0.05
+        with pytest.raises(ValidityExceeded,
+                           match=r"^Kerr validity metric 0\.05 exceeds the ceiling 0\.05$"):
+            xpm_spm_compensation(sample_device, 0.1084)
 
     def test_validation(self, sample_device):
         with pytest.raises(ValueError):
             xpm_spm_compensation(sample_device, -1e-3)
 
     @pytest.mark.parametrize("power", [1e-3, 0.1084])
-    def test_metric_at_the_ceiling_passes(self, sample_device, power):
+    def test_metric_at_the_ceiling_passes(self, sample_device, power, monkeypatch):
         # The rule refuses a metric past the ceiling, not one at it; the
-        # rate commands and kerr-check share it.
+        # rate commands and kerr-check share it. No drive of the shipped
+        # device gives 0.05 to the bit, so the ceiling is moved onto the
+        # metric here and then one ulp below it.
         metric = design.null_kerr_metric(sample_device, power)
-        assert design.require_kerr_validity(sample_device, power, metric) == metric
-        assert xpm_spm_compensation(sample_device, power, metric).kerr_metric == metric
+        monkeypatch.setattr(design, "KERR_CEILING", metric)
+        assert design.require_kerr_validity(sample_device, power) == metric
+        assert xpm_spm_compensation(sample_device, power).kerr_metric == metric
+        monkeypatch.setattr(design, "KERR_CEILING", math.nextafter(metric, 0.0))
         with pytest.raises(ValidityExceeded, match="exceeds the ceiling"):
-            design.require_kerr_validity(sample_device, power, math.nextafter(metric, 0.0))
+            design.require_kerr_validity(sample_device, power)
+
+    def test_overflowing_metric_is_non_physical(self, sample_device):
+        # 1e308 W is finite, but its metric is not; it used to be returned as inf.
+        for call in (design.null_kerr_metric, design.require_kerr_validity,
+                     xpm_spm_compensation):
+            with pytest.raises(NonPhysical, match="Kerr validity metric must be finite"):
+                call(sample_device, 1e308)
 
 
 class TestEvaluateDesign:
@@ -479,6 +562,35 @@ class TestEvaluateDesign:
         rule = next(r for r in report.rules if r.name == "kerr_budget")
         assert rule.passed
         assert rule.value == report.kerr_metric
+        assert rule.limit == design.KERR_CEILING
+
+    def test_rules_pass_at_their_limits(self, sample_device, monkeypatch):
+        # An isolation at the floor and a Kerr metric at the ceiling pass.
+        tuned = tune_for_energy_conservation(sample_device, GOAL, mode="trim").device
+        drive = PumpDrive(photon_number=1e5, pulse_duration=1e-9)
+        metric = evaluate_design(tuned, GOAL, drive).kerr_metric
+        monkeypatch.setattr(design, "KERR_CEILING", metric)
+        report = evaluate_design(tuned, replace(GOAL, min_isolation_db=200.0), drive)
+        rules = {r.name: r for r in report.rules}
+        assert (rules["linear_isolation"].value, rules["linear_isolation"].passed) == (200.0, True)
+        assert (rules["kerr_budget"].value, rules["kerr_budget"].passed) == (metric, True)
+        assert report.passed
+
+    def test_kerr_rule_reads_the_upper_pump_line(self, sample_device):
+        # The rule reads the drive's power at the upper pump line, as the
+        # rate commands do. At 8.44e8 photons that metric is 0.050008, past
+        # the ceiling; at the signal line the rule read 0.04990 and passed.
+        tuned = tune_for_energy_conservation(sample_device, GOAL, mode="trim").device
+        cfg = _tune_diagnostics(tuned, GOAL)[3]
+        drive = PumpDrive(photon_number=8.44e8, pulse_duration=1e-9)
+        upper = max(drive.power(cfg.res_p1.omega0), drive.power(cfg.res_p2.omega0))
+        assert upper > drive.power(GOAL.signal_omega)
+        report = evaluate_design(tuned, GOAL, drive)
+        assert report.kerr_metric == design.null_kerr_metric(tuned, upper)
+        rule = next(r for r in report.rules if r.name == "kerr_budget")
+        assert (rule.value, rule.limit) == (report.kerr_metric, design.KERR_CEILING)
+        assert not rule.passed
+        assert not report.passed
 
 
 class TestOptimizeDevice:

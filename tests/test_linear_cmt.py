@@ -273,6 +273,14 @@ class TestKerrScales:
         with pytest.raises(ValueError):
             kerr_validity_metric(wg, 1e-3, 5e4, -1.0)
 
+    @pytest.mark.parametrize("p_in, q_loaded", [(1e308, 5e4), (1e10, 1e308)])
+    def test_overflowing_metric_is_non_physical(self, p_in, q_loaded):
+        # Finite inputs whose product overflows: the metric was returned as inf.
+        wg = self._wg()
+        with pytest.raises(NonPhysical, match="^Kerr validity metric must be finite, got inf$"):
+            kerr_validity_metric(wg, p_in, q_loaded, 1.55e-6)
+        assert math.isfinite(kerr_validity_metric(wg, 1e300, 5e4, 1.55e-6))
+
 
 def test_length_validation():
     with pytest.raises(ValueError):

@@ -159,7 +159,6 @@ def _argument_calls():
         "suppression_factor.linewidth": lambda x: rp.suppression_factor(1e9, x),
         "wavevector.omega": lambda x: rp.wavevector(wg, x),
         "xpm_spm_compensation.pump_power": lambda x: rp.xpm_spm_compensation(dev, x),
-        "xpm_spm_compensation.max_kerr_metric": lambda x: rp.xpm_spm_compensation(dev, 1e-3, x),
         "z_overlap_integral.kappa": lambda x: rp.z_overlap_integral(x, length),
         "z_overlap_integral.length": lambda x: rp.z_overlap_integral(dev.kappa, x),
         "z_overlap_integral.delta_k": lambda x: rp.z_overlap_integral(dev.kappa, length, x),
