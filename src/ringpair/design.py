@@ -129,12 +129,10 @@ class RuleCheck(Record):
 
 
 class TuneResult(Record):
-    """Outcome of the energy-conservation tuning."""
+    """Outcome of the energy-conservation tuning: ``device`` and the ``process`` measured on it."""
 
     device: DeviceSpec
-    residual: float
-    detuning: tuple[float, float]
-    suppression: tuple[float, float]
+    process: ProcessConfig
     heater_delta: float
     notes: tuple[str, ...] = ()
 
@@ -244,8 +242,8 @@ def tune_for_energy_conservation(
     """Tune ring 2 so the signal line bisects the pump pair exactly.
 
     In ``trim`` mode only the ring-2 heater moves: the comb shifts
-    rigidly until a line sits at the pump midpoint (residual below
-    1e-6 linewidths). The side-band detunings are then whatever the
+    rigidly until a line sits at the pump midpoint (residual within the
+    energy rule's limit). The side-band detunings are then whatever the
     fixed comb spacings give; if no candidate line within one spectral
     range meets the suppression target, the goal is infeasible for
     this geometry.
@@ -261,10 +259,15 @@ def tune_for_energy_conservation(
     built, and a note when quantization and dispersion leave the
     suppression short of the goal.
 
+    The result holds the process measured on the tuned device; its
+    verdict is ``evaluate_design(result.device, goal)``.
+
     Raises
     ------
     Infeasible
         With context on the required and achievable detunings.
+    NoConvergence
+        If a tuned line misses the midpoint by more than the energy rule allows.
     """
     if mode not in ("trim", "fabrication"):
         raise ValueError(f"mode must be 'trim' or 'fabrication', got {mode!r}")
@@ -273,8 +276,7 @@ def tune_for_energy_conservation(
     comb1 = resonance_comb(device.ring1, wg, band, owner=1)
     res_p1, res_p2 = pump_pair(comb1, goal.signal_omega, goal.pump_separation)
     omega_mid = 0.5 * (res_p1.omega0 + res_p2.omega0)
-    lw_guess = omega_mid / device.ring2.q_loaded
-    delta_req = required_detuning(goal, lw_guess)
+    delta_req = required_detuning(goal, omega_mid / device.ring2.q_loaded)
     notes: list[str] = []
 
     if mode == "fabrication":
@@ -285,33 +287,26 @@ def tune_for_energy_conservation(
     order = sorted(range(len(comb2)), key=lambda i: abs(comb2[i].omega0 - omega_mid))
     # resonance_comb raises EmptyBand rather than return no line, so
     # ``tried`` is never empty below.
-    tried: list[TuneResult] = []
+    tried: list[tuple[float, TuneResult]] = []
     for idx in order[:3]:
         ds = omega_mid - comb2[idx].omega0
         ring2 = replace(device.ring2, heater_shift=device.ring2.heater_shift + ds)
         candidate = replace(device, ring2=ring2)
-        residual, deltas, sups, _cfg = _tune_diagnostics(candidate, goal)
-        if residual > ENERGY_RESIDUAL_TOL_LINEWIDTHS * lw_guess:
+        residual, _deltas, sups, cfg = _tune_diagnostics(candidate, goal)
+        if residual > ENERGY_RESIDUAL_TOL_LINEWIDTHS * cfg.res_s.linewidth:
             raise NoConvergence(
                 f"energy-conservation residual {residual:.3g} rad/s exceeds tolerance"
             )
-        result = TuneResult(
-            device=candidate,
-            residual=residual,
-            detuning=deltas,
-            suppression=sups,
-            heater_delta=ds,
-            notes=tuple(notes),
-        )
+        result = TuneResult(device=candidate, process=cfg, heater_delta=ds, notes=tuple(notes))
         if max(sups) <= goal.min_parasitic_suppression:
             return result
-        tried.append(result)
+        tried.append((max(sups), result))
 
-    best = min(tried, key=lambda r: max(r.suppression))
+    achieved, best = min(tried, key=lambda t: t[0])
     if mode == "fabrication":
         # Feasible by the built ring's frontier, yet short of the goal.
         notes.append(
-            f"achieved suppression {max(best.suppression):.3g} trails the goal "
+            f"achieved suppression {achieved:.3g} trails the goal "
             f"{goal.min_parasitic_suppression:.3g}; the whole-wavelength ring-2 round "
             "trip and the combs' dispersion kept the detuning short of the built "
             "ring's frontier"
@@ -320,7 +315,7 @@ def tune_for_energy_conservation(
     raise Infeasible(
         f"no heater shift within one spectral range meets suppression "
         f"{goal.min_parasitic_suppression:.3g}; best achievable here is "
-        f"{max(best.suppression):.3g} (required detuning {delta_req:.6g} rad/s)"
+        f"{achieved:.3g} (required detuning {delta_req:.6g} rad/s)"
     )
 
 
@@ -392,8 +387,10 @@ def null_kerr_metric(device: DeviceSpec, pump_power: float) -> float:
     """Kerr validity metric of the coupler null at a per-pump power [W].
 
     The one operating point of every Kerr check: the ring-1 loaded Q at
-    the waveguide reference wavelength.
+    the waveguide reference wavelength. A negative or non-finite power is
+    a ``ValueError`` naming ``pump_power``; an overflowing metric is ``NonPhysical``.
     """
+    require_non_negative("pump_power", pump_power)
     wg = device.waveguide
     wavelength = TWO_PI * C_VACUUM / wg.omega_ref
     return kerr_validity_metric(wg, pump_power, device.ring1.q_loaded, wavelength)
@@ -406,10 +403,9 @@ def require_kerr_validity(device: DeviceSpec, pump_power: float) -> float:
     ------
     ValidityExceeded
         If the metric exceeds ``KERR_CEILING``, the model's own limit.
-    NonPhysical
-        If the metric overflows.
+    ValueError, NonPhysical
+        As :func:`null_kerr_metric`.
     """
-    require_non_negative("pump_power", pump_power)
     metric = null_kerr_metric(device, pump_power)
     if metric > KERR_CEILING:
         raise ValidityExceeded(
@@ -530,7 +526,9 @@ def optimize_device(
     bend-limited coupler length, solves the gap for the lowest null
     order inside the gap budget, tunes ring 2, applies the Kerr
     compensation when a drive is given, and returns the tuned device
-    with its design report.
+    with its design report. The compensation reads the drive's per-pump
+    power on the tuner's process; the report is :func:`evaluate_design`
+    on the returned device, with the tuner's and compensation's notes.
     """
     dc_length = optimal_dc_length(device.ring1.bend_radius)
     for m_order in (1, 2, 3, 4, 5):
@@ -553,7 +551,7 @@ def optimize_device(
     final = tuned.device
     extra_notes: tuple[str, ...] = tuned.notes
     if drive is not None:
-        comp = xpm_spm_compensation(final, drive.per_pump_power(_tune_diagnostics(final, goal)[3]))
+        comp = xpm_spm_compensation(final, drive.per_pump_power(tuned.process))
         # The comb model is cold; the counteracting shift cancels a pull
         # the model does not carry, so it is reported rather than folded
         # into the modeled heater settings.

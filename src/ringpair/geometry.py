@@ -163,7 +163,7 @@ class DeviceSpec(Record):
     Ring 1 carries the pumps (fed through the IN bus), ring 2 collects
     the generated light (OUT bus). The shared coupler occupies one
     straight section of each ring; its length must therefore fit in the
-    shorter of the two.
+    shorter of the two, to within 1e-12 of that straight for rounding.
     """
 
     waveguide: WaveguideParams
@@ -302,7 +302,7 @@ def resonance_comb(
     ------
     ValueError
         If a band edge is not finite or not positive, or the band spans
-        more than ``MAX_COMB_ORDERS`` mode orders.
+        ``MAX_COMB_ORDERS`` mode orders or more.
     EmptyBand
         If no mode order lands in the band.
     NoConvergence
@@ -310,7 +310,7 @@ def resonance_comb(
         round-trip phase is not monotone there.
     NonPhysical
         If the round-trip phase is not positive at the lower search edge,
-        a mode order in the band exceeds 2^53, or the loaded Q is not
+        a mode order in the band is not below 2^53, or the loaded Q is not
         above 1.
     """
     lo, hi = sorted((float(band[0]), float(band[1])))
@@ -342,9 +342,9 @@ def resonance_comb(
     if not cycles_lo > 0.0:  # n_eff <= 0 there: no positive mode order exists
         raise NonPhysical(f"round-trip phase is not positive at {lo_u:.6g} rad/s")
     if not cycles_hi - cycles_lo < MAX_COMB_ORDERS:
-        raise ValueError(f"band {band} spans more than {MAX_COMB_ORDERS} mode orders")
+        raise ValueError(f"band {band} spans {MAX_COMB_ORDERS} mode orders or more")
     if not cycles_hi < 2.0**53:  # past 2^53 the orders are not exact doubles
-        raise NonPhysical(f"mode order {cycles_hi:.6g} in band {band} exceeds 2^53")
+        raise NonPhysical(f"mode order {cycles_hi:.6g} in band {band} is not below 2^53")
     m_lo = math.ceil(cycles_lo - 1e-9)
     m_hi = math.floor(cycles_hi + 1e-9)
     if m_hi < m_lo:

@@ -427,9 +427,10 @@ def calibrate_kcal(
 
     Anchors K so that the dual-pump signal process of ``cfg`` produces
     ``target_rate`` pairs per second at the given per-pump power. The
-    drive is a 1 ns pulse at that power. The pulse duration drops out
-    of the per-second rate (the photon number scales with T and the
-    per-pulse rate is divided by T), so any fixed value serves.
+    drive is a 1 ns pulse whose :meth:`PumpDrive.per_pump_power` is that
+    power, so its photons are counted at the upper pump line. The pulse
+    duration drops out of the per-second rate (the photon number scales
+    with T and the per-pulse rate is divided by T), so any fixed value serves.
 
     Raises
     ------
@@ -442,7 +443,7 @@ def calibrate_kcal(
     require_positive("pump_power", pump_power, NonPhysical)
     pulse_duration = 1e-9
     wg = device.waveguide
-    omega_p = 0.5 * (cfg.res_p1.omega0 + cfg.res_p2.omega0)
+    omega_p = max(cfg.res_p1.omega0, cfg.res_p2.omega0)
     photon_number = pump_power * pulse_duration / (HBAR * omega_p)
     drive = resolve_drive(device, PumpDrive(photon_number, pulse_duration), cfg)
     beta_unit = pair_rate_integral(

@@ -297,7 +297,9 @@ def test_09_calibration_round_trip(sample_device):
     kcal = calibrate_kcal(sample_device, target, power, cfg)
 
     t = 1e-9
-    omega_p = 0.5 * (cfg.res_p1.omega0 + cfg.res_p2.omega0)
+    # The drive whose per-pump power is the calibration power: photons
+    # counted at the upper pump line, as PumpDrive.per_pump_power reads them.
+    omega_p = max(cfg.res_p1.omega0, cfg.res_p2.omega0)
     drive = PumpDrive(
         photon_number=power * t / (hbar * omega_p),
         pulse_duration=t,

@@ -1377,6 +1377,21 @@ class TestExitCodes:
         assert err["context"]["error"] == "NonPhysical"
         assert err["message"] == "Kerr validity metric must be finite, got inf"
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--param", "dc.gap_m", "--list", "3e-7", "--report", "kerr"],
+        ["kerr-check"],
+    ], ids=["sweep-kerr", "kerr-check"])
+    def test_negative_kerr_power_gives_one_message(self, argv, tmp_path, capsys):
+        # The kerr sweep named p_in, the argument of kerr_validity_metric,
+        # where kerr-check named pump_power.
+        out = tmp_path / "artifact"
+        rc = main([argv[0], "--device", DEV, *argv[1:], "--power=-1", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+        err = load_json(capsys.readouterr().err)
+        assert err["context"]["error"] == "ValueError"
+        assert err["message"] == "pump_power must be finite and non-negative, got -1.0"
+
 class TestExactPairRates:
     def test_rates_run_without_adaptive_quadrature(self, monkeypatch, tmp_path):
         # Every rate and overlap is a closed form: neither the adaptive

@@ -39,7 +39,7 @@ from ringpair import (
     xpm_spm_compensation,
 )
 
-from ringpair import design
+from ringpair import design, geometry
 from ringpair.design import ENERGY_RESIDUAL_TOL_LINEWIDTHS, _process_band, _tune_diagnostics
 from ringpair.geometry import TWO_PI
 from ringpair.nonlinear import pump_pair, single_ring_reference
@@ -168,9 +168,10 @@ class TestTrimTune:
     def test_feasible_goal(self, sample_device):
         res = tune_for_energy_conservation(sample_device, GOAL, mode="trim")
         lw = GOAL.signal_omega / sample_device.ring2.q_loaded
-        assert res.residual <= 1.1e-6 * lw
-        assert max(res.suppression) <= GOAL.min_parasitic_suppression
-        assert all(s > 0.0 for s in res.suppression)
+        assert abs(res.process.signal_mismatch) <= 1.1e-6 * lw
+        sups = evaluate_design(res.device, GOAL).suppression
+        assert max(sups) <= GOAL.min_parasitic_suppression
+        assert all(s > 0.0 for s in sups)
 
     def test_trim_only_moves_the_heater(self, sample_device):
         res = tune_for_energy_conservation(sample_device, GOAL, mode="trim")
@@ -194,14 +195,16 @@ class TestTrimTune:
         # The goal is a ceiling the suppression may reach: trim mode returns
         # the same line when the goal is set to its achieved suppression.
         first = tune_for_energy_conservation(sample_device, GOAL, mode="trim")
-        goal = replace(GOAL, min_parasitic_suppression=max(first.suppression))
+        achieved = max(evaluate_design(first.device, GOAL).suppression)
+        goal = replace(GOAL, min_parasitic_suppression=achieved)
         assert tune_for_energy_conservation(sample_device, goal, mode="trim") == first
 
     @pytest.mark.parametrize("past", [False, True], ids=["at", "past"])
     def test_residual_tolerance(self, sample_device, monkeypatch, past):
         # A residual up to 1e-6 of the ring-2 linewidth at the pump midpoint
         # passes; one past it is NoConvergence. The combs leave a residual of
-        # 0, so the diagnostics are made to report one at the limit.
+        # 0, so the diagnostics are made to report one at the limit. The
+        # tuner's limit is the energy rule's: the rule passes what it accepts.
         lw = _refit_frontier(sample_device, GOAL, +1)[1]
         limit = ENERGY_RESIDUAL_TOL_LINEWIDTHS * lw
         residual = math.nextafter(limit, math.inf) if past else limit
@@ -212,7 +215,10 @@ class TestTrimTune:
             with pytest.raises(NoConvergence, match="residual .* exceeds tolerance"):
                 tune_for_energy_conservation(sample_device, GOAL, mode="trim")
         else:
-            assert tune_for_energy_conservation(sample_device, GOAL, mode="trim").residual == limit
+            res = tune_for_energy_conservation(sample_device, GOAL, mode="trim")
+            rule = next(r for r in evaluate_design(res.device, GOAL).rules
+                        if r.name == "energy_conservation")
+            assert (rule.value, rule.limit, rule.passed) == (limit, limit, True)
 
     def test_unreachable_goal_is_infeasible(self, sample_device):
         goal = replace(GOAL, min_parasitic_suppression=1e-4)
@@ -222,6 +228,38 @@ class TestTrimTune:
     def test_mode_validation(self, sample_device):
         with pytest.raises(ValueError):
             tune_for_energy_conservation(sample_device, GOAL, mode="anneal")
+
+
+class TestTunedProcess:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mode=st.sampled_from(["trim", "fabrication"]),
+        l2_scale=st.floats(1.05, 1.4),
+        r2_ratio=st.floats(0.3, 1.0),
+        q_i=st.floats(5e4, 5e5),
+        gvd=st.floats(-2e-24, 2e-24),
+        wl_scale=st.floats(0.97, 1.03),
+        sup=st.floats(1e-4, 0.5),
+    )
+    def test_the_result_holds_the_process_of_its_device(
+        self, mode, l2_scale, r2_ratio, q_i, gvd, wl_scale, sup
+    ):
+        # The tuner hands on the process it measured on the device it
+        # returns, and the energy rule passes that device.
+        seed = make_device(l2_scale=l2_scale, q_i=q_i, gvd=gvd)
+        seed = replace(seed, ring2=replace(seed.ring2, bend_radius=r2_ratio * 1.5e-5))
+        goal = DesignGoal(signal_wavelength=1.55e-6 * wl_scale, min_parasitic_suppression=sup)
+        try:
+            result = tune_for_energy_conservation(seed, goal, mode=mode)
+        except Infeasible:
+            return
+        assert result.process == _tune_diagnostics(result.device, goal)[3]
+        rule = next(r for r in evaluate_design(result.device, goal).rules
+                    if r.name == "energy_conservation")
+        assert rule.passed
+
+    def test_fields(self):
+        assert design.TuneResult._fields == ("device", "process", "heater_delta", "notes")
 
 
 def _refit_frontier(seed, goal, sign):
@@ -238,9 +276,9 @@ class TestFabricationTune:
     def test_refit_meets_tighter_goal(self, sample_device):
         goal = replace(GOAL, min_parasitic_suppression=1e-3)
         res = tune_for_energy_conservation(sample_device, goal, mode="fabrication")
-        assert max(res.suppression) <= 1e-3
+        assert max(evaluate_design(res.device, goal).suppression) <= 1e-3
         lw = goal.signal_omega / sample_device.ring2.q_loaded
-        assert res.residual <= 1.1e-6 * lw
+        assert abs(res.process.signal_mismatch) <= 1.1e-6 * lw
         # The shorter-ring solution cannot host the coupler here, so the
         # tuner falls back to lengthening ring 2.
         assert res.device.ring2.straight_len > sample_device.ring2.straight_len
@@ -261,7 +299,7 @@ class TestFabricationTune:
         with pytest.raises(Infeasible, match=r"M\*F1/\(2M \+ 1\).* R2 <= 7\.5"):
             tune_for_energy_conservation(sample_device, goal, mode="fabrication")
         res = tune_for_energy_conservation(small, goal, mode="fabrication")
-        assert max(res.suppression) <= goal.min_parasitic_suppression
+        assert max(evaluate_design(res.device, goal).suppression) <= goal.min_parasitic_suppression
         goal = replace(GOAL, min_parasitic_suppression=1e-6)
         assert required_detuning(goal, lw) > shorter
         for seed, sign in ((sample_device, r"\+"), (small, "-")):
@@ -292,15 +330,14 @@ class TestFabricationTune:
         # longer ring's detuning just short of its frontier M F1/(2M + 1):
         # a goal in that gap is feasible and gets the best effort, noted.
         base = replace(GOAL, min_parasitic_suppression=1e-3)
-        achieved = max(
-            tune_for_energy_conservation(sample_device, base, mode="fabrication").suppression
-        )
+        best = tune_for_energy_conservation(sample_device, base, mode="fabrication").device
+        achieved = max(evaluate_design(best, base).suppression)
         frontier, lw, _mid = _refit_frontier(sample_device, GOAL, +1)
         at_frontier = suppression_factor(frontier, lw)
         assert at_frontier < achieved
         goal = replace(GOAL, min_parasitic_suppression=0.5 * (at_frontier + achieved))
         res = tune_for_energy_conservation(sample_device, goal, mode="fabrication")
-        assert max(res.suppression) > goal.min_parasitic_suppression
+        assert max(evaluate_design(res.device, goal).suppression) > goal.min_parasitic_suppression
         assert any("trails the goal" in n for n in res.notes)
 
     def test_shortfall_of_the_shorter_ring_does_not_blame_the_coupler(self, sample_device):
@@ -614,6 +651,24 @@ class TestOptimizeDevice:
         _final, report = optimize_device(sample_device, goal, drive=drive)
         assert report.passed
         assert any("heater compensation" in n for n in report.notes)
+
+    def test_a_drive_solves_no_process_again(self, sample_device, monkeypatch):
+        # The compensation reads the process the tuner measured, so the
+        # README goal solves as many processes and combs with a drive as
+        # without one.
+        goal = replace(GOAL, min_parasitic_suppression=1e-3)
+        calls: list[str] = []
+        for module, name in ((design, "_tune_diagnostics"), (design, "resonance_comb"),
+                             (geometry, "resonance_comb")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _r=real, _n=name, **k:
+                                calls.append(_n) or _r(*a, **k))
+        counts = []
+        for drive in (None, PumpDrive(photon_number=1e5, pulse_duration=1e-9)):
+            calls.clear()
+            optimize_device(sample_device, goal, drive)
+            counts.append((calls.count("_tune_diagnostics"), calls.count("resonance_comb")))
+        assert counts == [(2, 6), (2, 6)]
 
     def test_infeasible_goal_propagates(self, sample_device):
         goal = replace(GOAL, min_parasitic_suppression=1e-6)

@@ -337,6 +337,17 @@ class TestCsvColumns:
     def test_hard_values(self, values, sign):
         _assert_lines_match_percent_g(sign * values())
 
+    def test_values_in_the_fixed_range_take_the_cut_slots(self):
+        # Save just below a power of ten, each |x| in [1e-4, 1e17) is rendered
+        # by the exact cut, not by the '%.17g' fallback; a power of ten
+        # itself, where |x| * 10**p is 1e16 to the bit, is too.
+        powers = np.array([1.0, 1000.0, 1e16])
+        assert (np.log10(powers) == [0.0, 3.0, 16.0]).all()
+        x = np.array([1.5e-4, -2.5e-3, 0.3, 3.0, -1234.5678, 193414489032258.06,
+                      4.5e16, 9.9e16, *powers, *-powers])
+        assert _cut_slots(x)[2].all()
+        _assert_lines_match_percent_g(x)
+
     def test_misjudged_exponent_falls_back(self):
         # Just below a power of ten log10 rounds up to it, so the exponent is
         # one too large: the exactness test refuses the fixed slot.

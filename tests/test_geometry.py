@@ -40,6 +40,7 @@ from ringpair import (
     wavevector,
 )
 from ringpair.deviceio import FILE_FORMAT, swept_devices
+from ringpair.geometry import MAX_COMB_ORDERS
 from ringpair.record import asdict, replace
 
 from conftest import DEVICE_JSON, REPO, make_device, process_band
@@ -254,6 +255,16 @@ class TestValueTypes:
                 dc_gap=dev.dc_gap,
                 coupling=dev.coupling,
             )
+
+    def test_device_coupler_fits_to_a_rounding_slack(self):
+        # The coupler may pass the shorter straight by 1e-12 of it, and not
+        # by one ulp more.
+        dev = make_device()
+        edge = dev.ring1.straight_len * (1.0 + 1e-12)
+        assert dev.ring1.straight_len < dev.ring2.straight_len
+        assert replace(dev, dc_length=edge).dc_length == edge
+        with pytest.raises(ValueError, match="exceeds the shorter straight section"):
+            replace(dev, dc_length=math.nextafter(edge, math.inf))
 
     def test_device_ring_lookup(self):
         dev = make_device()
@@ -796,6 +807,13 @@ class TestFsrAndFinesse:
         )
         assert got == pytest.approx(expected, rel=1e-15)
 
+    def test_fsr_at_zero_group_index_is_refused(self):
+        # 1.5 + 2.5 (2 w / w_ref - 1) is exactly 0 at w_ref / 5.
+        wg = _wg(n_eff=1.5, n_g=4.0)
+        assert group_index(wg, wg.omega_ref / 5.0) == 0.0
+        with pytest.raises(NoConvergence, match="group index 0 is not positive"):
+            fsr(make_device().ring1, wg, wg.omega_ref / 5.0)
+
     def test_fsr_worked_value(self):
         # Round trip 2*pi*1e-4 m at group index 4: about 119.3 GHz.
         ring = RacetrackSpec(
@@ -876,6 +894,15 @@ class TestCombRange:
         with pytest.raises(NoConvergence, match="group index is not positive"):
             resonance_comb(make_device().ring1, wg, (lo, 1.2 * lo))
 
+    def test_zero_group_index_at_the_search_top_is_refused(self):
+        # n_g = 2, n_eff_ref = 4: the group index 2 - 4 (w / w_ref - 1)
+        # falls to exactly 0 at 1.5 w_ref, the band top, and is positive below it.
+        wg = _wg(n_eff=4.0, n_g=2.0)
+        hi = 1.5 * wg.omega_ref
+        assert group_index(wg, hi) == 0.0 < group_index(wg, 0.9 * hi)
+        with pytest.raises(NoConvergence, match="group index is not positive"):
+            resonance_comb(make_device().ring1, wg, (0.9 * hi, hi))
+
     def test_non_positive_round_trip_phase_is_rejected(self):
         # n_g = 10, n_eff_ref = 1.5: k(w) = (w / c) (8.5 w / w_ref - 7)
         # grows over the band but is negative below 0.82 w_ref, where the
@@ -893,6 +920,42 @@ class TestCombRange:
         wg = WaveguideParams(n_eff_ref=2.4, n_g=4.2, omega_ref=1.2e-185)
         with pytest.raises(NonPhysical, match="2\\^53"):
             resonance_comb(dev.ring1, wg, (1.2e15, 1.2e15))
+
+    # With n_eff_ref = n_g and no GVD, k = n_g w / c, and the comb counts
+    # k L / (2 pi) cycles at an edge: each limit below is met to the bit.
+    LINEAR = _wg(n_eff=2.4, n_g=2.4)
+
+    def test_a_band_of_exactly_the_most_orders_is_refused(self):
+        # Refused before any line is formed; the loaded Q of 1 would be
+        # refused next.
+        ring = replace(make_device().ring1, q_intrinsic=2.0, q_coupling=2.0)
+        k_step = TWO_PI / ring.round_trip_length
+        lo = self.LINEAR.omega_ref
+        start = wavevector(self.LINEAR, lo) / k_step
+        hi = _edge_at(lambda w: wavevector(self.LINEAR, w) / k_step - start, MAX_COMB_ORDERS,
+                      lo * (1.0 + MAX_COMB_ORDERS / start))
+        with pytest.raises(ValueError, match=f"spans {MAX_COMB_ORDERS} mode orders or more"):
+            resonance_comb(ring, self.LINEAR, (lo, hi))
+
+    def test_a_mode_order_of_exactly_2_to_the_53_is_refused(self):
+        ring = make_device().ring1
+        k_step = TWO_PI / ring.round_trip_length
+        hi = _edge_at(lambda w: wavevector(self.LINEAR, w) / k_step, 2.0**53,
+                      2.0**53 * k_step * C_VACUUM / 2.4)
+        with pytest.raises(NonPhysical, match="is not below 2\\^53"):
+            resonance_comb(ring, self.LINEAR, (hi * (1.0 - 1e-13), hi))
+
+
+def _edge_at(cycles, target, w):
+    """The first float from ``w``, one ulp at a time, where ``cycles`` is ``target`` exactly."""
+    up = cycles(w) < target
+    for _ in range(1000):
+        if cycles(w) == target:
+            return w
+        if (cycles(w) < target) != up:
+            break
+        w = math.nextafter(w, math.inf if up else 0.0)
+    raise AssertionError(f"no float from {w} counts {target} cycles")
 
 
 # Each device-file section that is local to one part of the device, and

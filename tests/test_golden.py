@@ -93,6 +93,22 @@ def test_exact_j_moves_only_the_report_j_and_within_1e_6(tmp_path, capsys):
     capsys.readouterr()
 
 
+# The README goal's ``optimize --photons 1e5 --report``, recorded when the
+# Kerr compensation solved the tuned device's process once more: its note
+# holds the compensation at the drive's per-pump power on that process.
+PHOTONS_REPORT_SHA256 = "e070639d966598ca78e9e66ab3ddc03cf24d621be9da9328d7ab4559be09fd7b"
+
+
+def test_the_compensation_reads_the_tuned_process(tmp_path, capsys):
+    argv, _ = COMMANDS["optimize"]
+    path = tmp_path / "report.json"
+    assert main([*argv, "--photons", "1e5", "--report", str(path)]) == EXIT_OK
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert any(n.startswith("heater compensation") for n in payload["report"]["notes"])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PHOTONS_REPORT_SHA256
+    capsys.readouterr()
+
+
 def readme_command_lines() -> list[list[str]]:
     """The ``ringpair`` command lines of README.md's example block, without output flags."""
     text = (REPO / "README.md").read_text(encoding="utf-8")

@@ -724,7 +724,9 @@ class TestCalibration:
         kcal = calibrate_kcal(sample_device, target, power, cfg)
         assert kcal > 0.0
         t = 1e-9
-        omega_p = 0.5 * (cfg.res_p1.omega0 + cfg.res_p2.omega0)
+        # The drive whose per-pump power is the calibration power: photons
+        # counted at the upper pump line, as PumpDrive.per_pump_power reads them.
+        omega_p = max(cfg.res_p1.omega0, cfg.res_p2.omega0)
         dr = PumpDrive(
             photon_number=power * t / (hbar * omega_p),
             pulse_duration=t,
@@ -732,9 +734,23 @@ class TestCalibration:
                 finesse(sample_device.ring1, wg, cfg.res_p1.omega0)
             ),
         )
+        assert dr.per_pump_power(cfg) == pytest.approx(power, rel=1e-15)
         delta = cfg.res_p1.omega0 + cfg.res_p2.omega0 - 2.0 * cfg.res_s.omega0
         rate = pair_rate_integral(dr, cfg.res_s, delta, kcal, wg.v_g) / t
         assert rate == pytest.approx(target, rel=1e-9)
+
+    def test_noise_budget_returns_the_target_at_the_drive_per_pump_power(self, sample_device):
+        # K anchored at 1e-3 W drives the target through noise_budget on
+        # the drive whose per-pump power is 1e-3 W. Counting the photons at
+        # the pump midpoint left it (w_mid / w_upper)^2 - 1 = 3.9e-3 low.
+        band = (2.0 * math.pi * 192e12, 2.0 * math.pi * 195e12)
+        cfg = resonant_config(sample_device, band)
+        kcal = calibrate_kcal(sample_device, 1e6, 1e-3, cfg)
+        unit = PumpDrive(photon_number=1.0, pulse_duration=1e-9)
+        drive = replace(unit, photon_number=1e-3 / unit.per_pump_power(cfg))
+        assert drive.per_pump_power(cfg) == pytest.approx(1e-3, rel=1e-15)
+        rep = noise_budget(sample_device, drive, cfg, kcal=kcal, band=band)
+        assert per_second(rep.beta_sq_signal, rep.pulse_duration) == pytest.approx(1e6, rel=1e-9)
 
     def test_quartic_power_law(self, sample_device):
         # The rate scales as the fourth power of the pump amplitude, so
@@ -762,7 +778,7 @@ class TestCalibration:
         # 1e308 pairs per second at 1e-20 W needs K near 1.7e309: it came
         # back as inf, which noise_budget refused one call later.
         cfg = resonant_config(sample_device, (2.0 * math.pi * 192e12, 2.0 * math.pi * 195e12))
-        assert calibrate_kcal(sample_device, 1e308, 1e-18, cfg) == pytest.approx(1.66e305,
+        assert calibrate_kcal(sample_device, 1e308, 1e-18, cfg) == pytest.approx(1.665e305,
                                                                                  rel=1e-3)
         with pytest.raises(NonPhysical, match="kcal must be finite"):
             calibrate_kcal(sample_device, 1e308, 1e-20, cfg)
